@@ -1,0 +1,389 @@
+"""Block-inequality assembly for the invariance, input, decrease, and
+containment conditions, plus the pointwise invariant-set decrease scalar.
+
+Layout conventions (generated from each subsystem's coupling map, never
+hard-coded to a fixed subsystem count):
+
+    invariance:  [ d | x_i | x_j (sorted j) | slack(n_x) ]        "<= 0"
+    decrease:    [ d | x_i | x_j (sorted j) | slack(n_u) | slack(n_x) ]  "< 0"
+    input:       [[Z, k'], [k, I]]                                 ">= 0"
+    containment: [[xi, x'], [x, X^{-1} xi]]                        ">= 0"
+
+All blocks are affine in (xi, gains, Z) for fixed shape matrices, so vertex
+enforcement over every (model rule, controller rule) pair covers the blended
+matrices exactly except for the disturbance-channel quadratic E'XE, which the
+membership-grid re-verification covers.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .linalg import SingularBlockError, is_psd, min_eig, sym_eig, sym_matrix
+from .plant import LargeScaleSystem, Subsystem, step_closed_loop
+
+
+@dataclass
+class FixedParams:
+    """Offline-stage constants shared by every assembled condition."""
+
+    X: list                 # per-subsystem shape matrices, positive definite
+    lam: list               # per-subsystem decay weights, each in (0, 1)
+    N_const: list           # per-subsystem xi/eta^2 constants, positive
+    M: list                 # per-subsystem input-weight matrices (n_u x n_u)
+    tau: list               # per-subsystem disturbance-budget weights
+    Q: np.ndarray           # state stage weight, PSD
+    R: np.ndarray           # nominal input stage weight, PD
+    alpha: float = 2.0      # coupling majorization constant, >= 2
+
+    @property
+    def n_subsystems(self) -> int:
+        return len(self.X)
+
+    def q_mat(self, i: int) -> np.ndarray:
+        """State weight for subsystem i (Q may be shared or a per-subsystem list)."""
+        return self.Q[i] if isinstance(self.Q, (list, tuple)) else self.Q
+
+    def r_mat(self, i: int) -> np.ndarray:
+        """Input weight for subsystem i (R may be shared or a per-subsystem list)."""
+        return self.R[i] if isinstance(self.R, (list, tuple)) else self.R
+
+    def validate(self):
+        n = self.n_subsystems
+        for name, seq in (("lam", self.lam), ("N_const", self.N_const),
+                          ("M", self.M), ("tau", self.tau)):
+            if len(seq) != n:
+                raise ValueError(f"{name} must have one entry per subsystem")
+        for i, x in enumerate(self.X):
+            if min_eig(x) <= 0.0:
+                raise ValueError(f"X[{i}] must be positive definite")
+        for i, lam in enumerate(self.lam):
+            if not 0.0 < lam < 1.0:
+                raise ValueError(f"lam[{i}] must lie in (0, 1), got {lam}")
+        for i, nc in enumerate(self.N_const):
+            if nc <= 0:
+                raise ValueError(f"N_const[{i}] must be positive")
+        for i, tau in enumerate(self.tau):
+            if tau <= 0:
+                raise ValueError(f"tau[{i}] must be positive")
+        for i, m in enumerate(self.M):
+            if not is_psd(m):
+                raise ValueError(f"M[{i}] must be positive semidefinite")
+        for i in range(n):
+            if not is_psd(self.q_mat(i)):
+                raise ValueError("Q must be positive semidefinite")
+            if min_eig(self.r_mat(i)) <= 0.0:
+                raise ValueError("R must be positive definite")
+        if self.alpha < 2.0:
+            raise ValueError(f"alpha must be >= 2, got {self.alpha}")
+
+
+@dataclass
+class DecisionVars:
+    """Online-stage decision variables: per-rule gains, input-constraint
+    certificates Z, and set sizes xi."""
+
+    gains: list             # gains[i][m] -> (n_u, n_x)
+    Z: list                 # per-subsystem (n_x, n_x)
+    xi: list                # per-subsystem positive reals
+
+    def validate(self):
+        for i, xi in enumerate(self.xi):
+            if xi <= 0:
+                raise ValueError(f"xi[{i}] must be positive, got {xi}")
+
+
+@dataclass(frozen=True)
+class LMIInstance:
+    """One assembled condition with enough metadata to re-identify it."""
+
+    matrix: np.ndarray
+    origin: str                      # invariance | input | decrease | containment
+    sense: str                       # nsd | nsd_strict | psd
+    subsystem: int
+    vertex: tuple | None = None      # (model rule, controller rule) when vertexed
+    coupling_keys: tuple = ()
+    slot_dims: tuple = ()
+    strict_basis: np.ndarray | None = field(default=None, compare=False)
+
+    @property
+    def key(self) -> str:
+        tag = f"{self.origin}[i={self.subsystem}"
+        if self.vertex is not None:
+            l, m = self.vertex
+            if l is not None:
+                tag += f",l={l}"
+            if m is not None:
+                tag += f",m={m}"
+        return tag + "]"
+
+    def test_matrix(self) -> np.ndarray:
+        """Matrix the sense is judged on: strict instances are compressed
+        onto the complement of structural coupling kernels."""
+        if self.strict_basis is None:
+            return self.matrix
+        return sym_matrix(self.strict_basis.T @ self.matrix @ self.strict_basis)
+
+
+def theta_vertex(sub: Subsystem, gains_i, l: int, m: int) -> np.ndarray:
+    """Closed-loop vertex matrix A_l + B_l k_m."""
+    return sub.rules[l].A + sub.rules[l].B @ gains_i[m]
+
+
+def _range_basis(g: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+    """Orthonormal basis of the row space of g (complement of its kernel)."""
+    _, s, vt = np.linalg.svd(g)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((g.shape[1], 0))
+    rank = int(np.sum(s > rtol * s[0]))
+    return vt[:rank].T
+
+
+def _coupling_blocks(system: LargeScaleSystem, params: FixedParams, i: int):
+    sub = system.subsystems[i]
+    keys = tuple(sorted(sub.couplings))
+    gs = [sub.couplings[j] for j in keys]
+    dims = [system.subsystems[j].n_x for j in keys]
+    x_i = params.X[i]
+    root_alpha = np.sqrt(params.alpha)
+    n = system.n_subsystems
+    # state-block coupling load: N sqrt(alpha) sum_j g' X_j g
+    load = np.zeros((sub.n_x, sub.n_x))
+    for j, g in zip(keys, gs):
+        if g.shape[0] != g.shape[1]:
+            raise ValueError(
+                f"subsystem {i}: coupling to {j} is {g.shape}; the state-block "
+                "load g' X_j g needs coupled subsystems with equal state dims")
+        load = load + g.T @ params.X[j] @ g
+    load = n * root_alpha * load
+    return keys, gs, dims, x_i, root_alpha, load
+
+
+def _place(mat, row_ofs, col_ofs, block):
+    r, c = block.shape
+    mat[row_ofs:row_ofs + r, col_ofs:col_ofs + c] = block
+    mat[col_ofs:col_ofs + c, row_ofs:row_ofs + r] = block.T
+
+
+def _strict_basis_for(dims_head, gs, dims_coupling, dims_tail):
+    """Compression basis onto the row space of the stacked coupling map
+    [g_1 g_2 ...]; None when that map has full column rank.
+
+    The assembled conditions touch the coupling slots only through the summed
+    contribution sum_j g_j x_j, so any stacked direction in the kernel of the
+    horizontal concatenation is an exact zero eigendirection of the whole
+    matrix.  Judging strictness on the compressed matrix removes those
+    structural zeros; they satisfy the conditions with equality by
+    construction.  Note a subsystem with several individually full-rank
+    couplings still has a joint kernel whenever the stacked map is wide."""
+    if not gs:
+        return None
+    basis = _range_basis(np.hstack(gs))
+    if basis.shape[1] == basis.shape[0]:
+        return None
+    blocks = [np.eye(d) for d in dims_head] + [basis] + [np.eye(d) for d in dims_tail]
+    total_rows = sum(b.shape[0] for b in blocks)
+    total_cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((total_rows, total_cols))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
+
+
+def _invariance_matrix(system, params, i, theta, e_mu, xi_i, reduced):
+    sub = system.subsystems[i]
+    keys, gs, dims, x_i, root_alpha, load = _coupling_blocks(system, params, i)
+    n = system.n_subsystems
+    lam = params.lam[i]
+    n_d, n_x = sub.n_d, sub.n_x
+
+    slot_dims = [n_d, n_x] + dims + ([] if reduced else [n_x])
+    size = sum(slot_dims)
+    mat = np.zeros((size, size))
+    ofs = np.concatenate(([0], np.cumsum(slot_dims))).astype(int)
+
+    xe = x_i @ e_mu
+    mat[:n_d, :n_d] = e_mu.T @ xe - xi_i * lam * params.N_const[i] * np.eye(n_d)
+    _place(mat, ofs[1], 0, theta.T @ xe)
+    state_block = load - (1.0 - lam) * x_i
+    if reduced:
+        state_block = state_block + n * (theta.T @ x_i @ theta)
+    mat[ofs[1]:ofs[2], ofs[1]:ofs[2]] = state_block
+    for a, g_a in enumerate(gs):
+        ra = ofs[2 + a]
+        _place(mat, ra, 0, g_a.T @ xe)
+        _place(mat, ra, ofs[1], (1.0 - root_alpha) * (g_a.T @ x_i @ theta))
+        for b, g_b in enumerate(gs):
+            rb = ofs[2 + b]
+            if b >= a:
+                block = -(params.alpha - 1.0) * (g_b.T @ x_i @ g_a)
+                mat[rb:rb + dims[b], ra:ra + dims[a]] = block
+                mat[ra:ra + dims[a], rb:rb + dims[b]] = block.T
+    if not reduced:
+        last = ofs[-2]
+        _place(mat, last, ofs[1], x_i @ theta)
+        mat[last:, last:] = -(1.0 / n) * x_i
+    basis = _strict_basis_for([n_d, n_x], gs, dims, [] if reduced else [n_x])
+    return sym_matrix(0.5 * (mat + mat.T)), keys, tuple(slot_dims), basis
+
+
+def assemble_invariance(system: LargeScaleSystem, params: FixedParams,
+                        dv: DecisionVars, i: int, l: int, m: int,
+                        reduced: bool = False) -> LMIInstance:
+    """Invariant-set condition at vertex (model rule l, controller rule m).
+
+    `reduced` folds the trailing slack row into the state block via its Schur
+    complement (the scalar-expansion form used by the oracle tests).
+    """
+    sub = system.subsystems[i]
+    theta = theta_vertex(sub, dv.gains[i], l, m)
+    e_mu = sub.rules[l].E
+    mat, keys, slot_dims, basis = _invariance_matrix(system, params, i, theta,
+                                                     e_mu, dv.xi[i], reduced)
+    return LMIInstance(matrix=mat, origin="invariance", sense="nsd",
+                       subsystem=i, vertex=(l, m), coupling_keys=keys,
+                       slot_dims=slot_dims, strict_basis=basis)
+
+
+def assemble_invariance_blended(system, params, dv, i, w, h,
+                                reduced: bool = False) -> LMIInstance:
+    """Invariance condition with membership-blended matrices."""
+    sub = system.subsystems[i]
+    a = sum(wl * rule.A for wl, rule in zip(w, sub.rules))
+    b = sum(wl * rule.B for wl, rule in zip(w, sub.rules))
+    e = sum(wl * rule.E for wl, rule in zip(w, sub.rules))
+    k = sum(hm * km for hm, km in zip(h, dv.gains[i]))
+    mat, keys, slot_dims, basis = _invariance_matrix(system, params, i,
+                                                     a + b @ k, e,
+                                                     dv.xi[i], reduced)
+    return LMIInstance(matrix=mat, origin="invariance", sense="nsd",
+                       subsystem=i, vertex=None, coupling_keys=keys,
+                       slot_dims=slot_dims, strict_basis=basis)
+
+
+def _decrease_matrix(system, params, i, theta, e_mu, k_eff, xi_i, reduced):
+    sub = system.subsystems[i]
+    keys, gs, dims, x_i, root_alpha, load = _coupling_blocks(system, params, i)
+    n = system.n_subsystems
+    n_d, n_x, n_u = sub.n_d, sub.n_x, sub.n_u
+    m_i = params.M[i]
+
+    slot_dims = [n_d, n_x] + dims + ([] if reduced else [n_u, n_x])
+    size = sum(slot_dims)
+    mat = np.zeros((size, size))
+    ofs = np.concatenate(([0], np.cumsum(slot_dims))).astype(int)
+
+    xe = x_i @ e_mu
+    mat[:n_d, :n_d] = e_mu.T @ xe - xi_i * params.tau[i] * np.eye(n_d)
+    _place(mat, ofs[1], 0, theta.T @ xe)
+    state_block = load - x_i + xi_i * params.q_mat(i)
+    if reduced:
+        state_block = state_block + n * (theta.T @ x_i @ theta) + k_eff.T @ m_i @ k_eff
+    mat[ofs[1]:ofs[2], ofs[1]:ofs[2]] = state_block
+    for a, g_a in enumerate(gs):
+        ra = ofs[2 + a]
+        _place(mat, ra, 0, g_a.T @ xe)
+        _place(mat, ra, ofs[1], (1.0 - root_alpha) * (g_a.T @ x_i @ theta))
+        for b, g_b in enumerate(gs):
+            rb = ofs[2 + b]
+            if b >= a:
+                block = -(params.alpha - 1.0) * (g_b.T @ x_i @ g_a)
+                mat[rb:rb + dims[b], ra:ra + dims[a]] = block
+                mat[ra:ra + dims[a], rb:rb + dims[b]] = block.T
+    if not reduced:
+        m_row = ofs[-3]
+        _place(mat, m_row, ofs[1], m_i @ k_eff)
+        mat[m_row:m_row + n_u, m_row:m_row + n_u] = -m_i
+        last = ofs[-2]
+        _place(mat, last, ofs[1], x_i @ theta)
+        mat[last:, last:] = -(1.0 / n) * x_i
+    basis = _strict_basis_for([n_d, n_x], gs, dims,
+                              [] if reduced else [n_u, n_x])
+    return sym_matrix(0.5 * (mat + mat.T)), keys, tuple(slot_dims), basis
+
+
+def assemble_decrease(system: LargeScaleSystem, params: FixedParams,
+                      dv: DecisionVars, i: int, l: int, m: int,
+                      reduced: bool = False) -> LMIInstance:
+    """Cost-decrease condition at vertex (l, m); sense is strict."""
+    sub = system.subsystems[i]
+    theta = theta_vertex(sub, dv.gains[i], l, m)
+    e_mu = sub.rules[l].E
+    mat, keys, slot_dims, basis = _decrease_matrix(
+        system, params, i, theta, e_mu, dv.gains[i][m], dv.xi[i], reduced)
+    return LMIInstance(matrix=mat, origin="decrease", sense="nsd_strict",
+                       subsystem=i, vertex=(l, m), coupling_keys=keys,
+                       slot_dims=slot_dims, strict_basis=basis)
+
+
+def assemble_decrease_blended(system, params, dv, i, w, h,
+                              reduced: bool = False) -> LMIInstance:
+    sub = system.subsystems[i]
+    a = sum(wl * rule.A for wl, rule in zip(w, sub.rules))
+    b = sum(wl * rule.B for wl, rule in zip(w, sub.rules))
+    e = sum(wl * rule.E for wl, rule in zip(w, sub.rules))
+    k = sum(hm * km for hm, km in zip(h, dv.gains[i]))
+    mat, keys, slot_dims, basis = _decrease_matrix(
+        system, params, i, a + b @ k, e, k, dv.xi[i], reduced)
+    return LMIInstance(matrix=mat, origin="decrease", sense="nsd_strict",
+                       subsystem=i, vertex=None, coupling_keys=keys,
+                       slot_dims=slot_dims, strict_basis=basis)
+
+
+def assemble_input_constraint(sub: Subsystem, dv: DecisionVars, i: int, m: int):
+    """Input certificate [[Z, k'], [k, I]] plus per-channel diagonal excesses
+    Z_ss - u_max_s^2 (feasible when every excess is <= 0)."""
+    k = dv.gains[i][m]
+    z = dv.Z[i]
+    n_u = k.shape[0]
+    mat = sym_matrix(np.block([[z, k.T], [k, np.eye(n_u)]]))
+    inst = LMIInstance(matrix=mat, origin="input", sense="psd",
+                       subsystem=i, vertex=(None, m))
+    if sub.u_max is None:
+        excess = np.full(n_u, -np.inf)
+    else:
+        excess = np.array([z[s, s] - sub.u_max[s] ** 2 for s in range(n_u)])
+    return inst, excess
+
+
+def assemble_containment(x: np.ndarray, xi_i: float, x_mat: np.ndarray,
+                         subsystem: int = 0) -> LMIInstance:
+    """State-containment certificate [[xi, x'], [x, X^{-1} xi]] >= 0,
+    equivalent to x' (X/xi) x <= xi."""
+    eigs = sym_eig(x_mat).values
+    scale = max(1.0, float(np.max(np.abs(eigs))))
+    if float(np.min(np.abs(eigs))) <= 1e-12 * scale:
+        raise SingularBlockError("shape matrix is singular; containment undefined")
+    inv_scaled = xi_i * np.linalg.solve(x_mat, np.eye(x_mat.shape[0]))
+    x = np.asarray(x, dtype=float)
+    mat = sym_matrix(np.block([[np.array([[xi_i]]), x[None, :]],
+                               [x[:, None], inv_scaled]]))
+    return LMIInstance(matrix=mat, origin="containment", sense="psd",
+                       subsystem=subsystem)
+
+
+def check_rpi_pointwise(system: LargeScaleSystem, params: FixedParams,
+                        dv: DecisionVars, x_all, d_all, mu_bar: float = 0.5,
+                        mode: str = "true_plant", rho_bar: float | None = None) -> float:
+    """Summed one-step decrease scalar of the invariant-set condition.
+
+    Negative or zero means the normalized set-membership functions decayed as
+    certified. Uses the implied admissible radius eta^2 = xi / N_const.
+    """
+    x_next = step_closed_loop(system, dv.gains, x_all, d_all, mu_bar, mode, rho_bar)
+    total = 0.0
+    for i in range(system.n_subsystems):
+        xi_i = dv.xi[i]
+        p_i = params.X[i] / xi_i
+        v_now = float(x_all[i] @ p_i @ x_all[i])
+        v_next = float(x_next[i] @ p_i @ x_next[i])
+        inv_eta2 = params.N_const[i] / xi_i
+        d_i = np.asarray(d_all[i], dtype=float)
+        total += (v_next - v_now) / xi_i - params.lam[i] * (
+            float(d_i @ d_i) * inv_eta2 - v_now / xi_i)
+    return total

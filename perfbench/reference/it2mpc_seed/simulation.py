@@ -1,0 +1,422 @@
+"""Closed-loop rollout with online set-size minimization, plus run-time
+diagnostics: admissible disturbance generation, stage and horizon costs,
+set-membership (Lyapunov) decrease checks, invariant-set Monte-Carlo, and
+recursive-feasibility bookkeeping.
+
+The loop supports three gain sources: re-synthesis at every step (the online
+algorithm), a single synthesis at step 0 reused afterwards, and externally
+supplied static gains (no synthesis at all — the mode used to exercise
+reported controllers directly). Diagnostics are recorded identically in all
+three, so a trace from any mode feeds the same checks.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .linalg import min_eig, sym_eig
+from .lmis import (DecisionVars, FixedParams, assemble_containment,
+                   check_rpi_pointwise)
+from .plant import LargeScaleSystem, step_closed_loop, step_closed_loop_detail
+from .synthesis import (Infeasible, SynthesisConfig, build_z,
+                        certificate_margins, minimize_xi)
+
+DISTURBANCE_KINDS = ("zero", "uniform_ball", "sinusoidal", "worst_case_boundary")
+RESYNTH_MODES = ("every_step", "once")
+
+
+class InitialInfeasible(Exception):
+    """Synthesis failed at the first step; the loop never started."""
+
+
+class RecursiveFeasibilityViolation(Exception):
+    """Synthesis failed at some step after succeeding at step 0.
+
+    A feasible certificate is supposed to stay feasible along the closed
+    loop (the warm path can always fall back to the previous solution), so
+    this firing signals a broken invariant, not a routine condition.
+    """
+
+    def __init__(self, message: str, step: int):
+        super().__init__(message)
+        self.step = step
+
+
+def _ball_point(rng: np.random.Generator, n: int, radius: float,
+                boundary: bool = False) -> np.ndarray:
+    """Uniform sample of the radius-ball (or its boundary), projected so the
+    norm bound holds exactly despite rounding."""
+    v = rng.standard_normal(n)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0 or radius == 0.0:
+        return np.zeros(n)
+    r = radius if boundary else radius * float(rng.random()) ** (1.0 / n)
+    d = (r / norm) * v
+    overshoot = float(np.linalg.norm(d))
+    if overshoot > radius > 0.0:
+        d *= radius / overshoot
+    return d
+
+
+@dataclass(frozen=True)
+class DisturbanceModel:
+    """Admissible disturbance generator: every emitted d_i satisfies
+    d_i' d_i <= radius_i^2 exactly (samples are projected onto the ball).
+
+    radii overrides the per-subsystem radius; by default each subsystem's
+    configured eta is used.
+    """
+
+    kind: str = "uniform_ball"
+    seed: int = 42
+    radii: tuple | None = None
+
+    def __post_init__(self):
+        if self.kind not in DISTURBANCE_KINDS:
+            raise ValueError(f"unknown disturbance kind {self.kind!r}; "
+                             f"expected one of {DISTURBANCE_KINDS}")
+
+    def radius(self, system: LargeScaleSystem, i: int) -> float:
+        if self.radii is not None:
+            return float(self.radii[i])
+        return float(system.subsystems[i].eta)
+
+    def realize(self, system: LargeScaleSystem, n_steps: int) -> list:
+        """Full disturbance sequence, deterministic given the seed:
+        realize(...)[k][i] is subsystem i's disturbance at step k."""
+        rng = np.random.default_rng(self.seed)
+        n = system.n_subsystems
+        radii = [self.radius(system, i) for i in range(n)]
+        dims = [sub.n_d for sub in system.subsystems]
+        if self.kind == "sinusoidal":
+            # fixed frequency, random per-channel phases drawn once
+            phases = [rng.uniform(0.0, 2.0 * np.pi, size=dims[i])
+                      for i in range(n)]
+        out = []
+        for k in range(n_steps):
+            step = []
+            for i in range(n):
+                if self.kind == "zero":
+                    d = np.zeros(dims[i])
+                elif self.kind == "uniform_ball":
+                    d = _ball_point(rng, dims[i], radii[i])
+                elif self.kind == "worst_case_boundary":
+                    d = _ball_point(rng, dims[i], radii[i], boundary=True)
+                else:  # sinusoidal
+                    d = (radii[i] / np.sqrt(dims[i])) * np.sin(
+                        0.4 * k + phases[i])
+                step.append(d)
+            out.append(step)
+        return out
+
+
+@dataclass
+class SimulationTrace:
+    """Step-indexed record of one closed-loop run.
+
+    States and per-subsystem certificate values have one extra entry (the
+    terminal state under the last active certificate); inputs, disturbances,
+    memberships, stage costs, set sizes, and margins have one entry per
+    executed step.
+    """
+
+    Ts: float
+    x: list = field(default_factory=list)        # length K+1, x[k][i]
+    u: list = field(default_factory=list)        # length K
+    d: list = field(default_factory=list)        # length K
+    w: list = field(default_factory=list)        # length K, model weights
+    h: list = field(default_factory=list)        # length K, controller weights
+    V: list = field(default_factory=list)        # length K+1, per-subsystem
+    psi: list = field(default_factory=list)      # length K, stage costs
+    xi: list = field(default_factory=list)       # length K, per-subsystem
+    resynthesized: list = field(default_factory=list)   # length K, bool
+    worst_margin: list = field(default_factory=list)    # length K, float
+    feasible: list = field(default_factory=list)        # length K, bool
+    solves: int = 0
+    meta: dict = field(default_factory=dict)
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.u)
+
+    def times(self) -> np.ndarray:
+        """Timestamps k*Ts for every recorded state."""
+        return self.Ts * np.arange(len(self.x))
+
+    def validate(self):
+        k = self.n_steps
+        if len(self.x) != k + 1 or len(self.V) != k + 1:
+            raise ValueError("trace needs exactly one more state/value entry "
+                             "than executed steps")
+        for name in ("d", "w", "h", "psi", "xi", "resynthesized",
+                     "worst_margin", "feasible"):
+            if len(getattr(self, name)) != k:
+                raise ValueError(f"trace field {name} must have one entry per step")
+
+
+def _pick(mat_or_list, i: int):
+    return mat_or_list[i] if isinstance(mat_or_list, (list, tuple)) else mat_or_list
+
+
+def stage_cost(x_all, u_all, d_all, Q, R, tau) -> float:
+    """One-step cost sum_i (x_i'Qx_i + u_i'Ru_i - tau_i d_i'd_i); Q, R, tau
+    may be shared or per-subsystem sequences."""
+    total = 0.0
+    for i, (x, u, d) in enumerate(zip(x_all, u_all, d_all)):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        d = np.asarray(d, dtype=float)
+        q = np.asarray(_pick(Q, i), dtype=float)
+        r = np.asarray(_pick(R, i), dtype=float)
+        t = float(tau[i]) if isinstance(tau, (list, tuple)) else float(tau)
+        total += float(x @ q @ x) + float(u @ r @ u) - t * float(d @ d)
+    return total
+
+
+def lyapunov_value(x_i, p_i) -> float:
+    """Certificate value x' P x of one subsystem state."""
+    x = np.asarray(x_i, dtype=float)
+    return float(x @ np.asarray(p_i, dtype=float) @ x)
+
+
+def total_cost(trace: SimulationTrace, params: FixedParams, T: int = 10) -> float:
+    """Finite-horizon diagnostic cost: summed stage costs over the first T
+    steps plus the terminal certificate value at step T."""
+    if T < 0 or T > trace.n_steps:
+        raise ValueError(f"horizon T={T} outside the recorded {trace.n_steps} steps")
+    return float(sum(trace.psi[:T]) + sum(trace.V[T]))
+
+
+def _certificate_values(params: FixedParams, xi_all, x_all) -> list:
+    return [lyapunov_value(x_all[i], params.X[i] / xi_all[i])
+            for i in range(len(x_all))]
+
+
+def _containment_xi(params: FixedParams, x_all, i: int, floor: float) -> float:
+    x = np.asarray(x_all[i], dtype=float)
+    return max(float(np.sqrt(x @ params.X[i] @ x)) * (1.0 + 1e-6), floor)
+
+
+def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
+                    n_steps: int, dist: DisturbanceModel | None = None,
+                    resynth: str = "every_step",
+                    syn_cfg: SynthesisConfig | None = None,
+                    gains=None, Ts: float = 0.2, mu_bar: float = 0.5,
+                    mode: str = "true_plant", rho_bar: float | None = None,
+                    xi_mode: str | None = None,
+                    warm: DecisionVars | None = None) -> SimulationTrace:
+    """Run the closed loop for n_steps from x0_all and record everything.
+
+    resynth "every_step" re-minimizes the set size at each instant (warm
+    started from the previous certificate); "once" synthesizes at step 0 and
+    reuses those gains. Externally supplied gains skip synthesis entirely and
+    carry a diagnostic set size from state containment instead of a
+    certificate. An optional warm certificate seeds the step-0 synthesis.
+    Deterministic given the disturbance seed.
+    """
+    if resynth not in RESYNTH_MODES:
+        raise ValueError(f"unknown resynth mode {resynth!r}; "
+                         f"expected one of {RESYNTH_MODES}")
+    syn_cfg = syn_cfg or SynthesisConfig()
+    dist = dist or DisturbanceModel(kind="zero")
+    params.validate()
+    n = system.n_subsystems
+    x = [np.asarray(x0_all[i], dtype=float).copy() for i in range(n)]
+    d_seq = dist.realize(system, n_steps)
+
+    supplied = gains is not None
+    dv = warm
+    if supplied:
+        xi0 = [_containment_xi(params, x, i, syn_cfg.xi_floor) for i in range(n)]
+        dv = DecisionVars(
+            gains=[[np.asarray(k, dtype=float).copy() for k in g] for g in gains],
+            Z=[build_z(gains[i], system.subsystems[i].n_x, syn_cfg.input_margin)
+               for i in range(n)],
+            xi=xi0)
+
+    trace = SimulationTrace(Ts=Ts, meta={
+        "resynth": resynth, "supplied_gains": supplied, "mode": mode,
+        "mu_bar": mu_bar, "rho_bar": rho_bar, "xi_mode": xi_mode or syn_cfg.xi_mode,
+        "disturbance": {"kind": dist.kind, "seed": dist.seed,
+                        "radii": [dist.radius(system, i) for i in range(n)]},
+    })
+
+    static_margins = None
+    for k in range(n_steps):
+        if not supplied and (resynth == "every_step" or k == 0):
+            try:
+                res = minimize_xi(system, params, x, syn_cfg, warm=dv,
+                                  mode=xi_mode)
+            except Infeasible as exc:
+                if k == 0:
+                    raise InitialInfeasible(
+                        f"synthesis infeasible at step 0: {exc}") from exc
+                raise RecursiveFeasibilityViolation(
+                    f"synthesis infeasible at step {k} after succeeding "
+                    f"earlier: {exc}", step=k) from exc
+            dv = res.dv
+            trace.solves += res.solves
+            margins = res.margins
+            trace.resynthesized.append(True)
+        else:
+            # static gains: only the containment certificate depends on the
+            # state, so the remaining margins are assembled once and reused
+            if static_margins is None:
+                static_margins = certificate_margins(system, params, dv,
+                                                     None, syn_cfg)
+            margins = dict(static_margins)
+            for i in range(n):
+                cont = assemble_containment(np.asarray(x[i], dtype=float),
+                                            dv.xi[i], params.X[i], i)
+                margins[cont.key] = -min_eig(cont.matrix)
+            trace.resynthesized.append(False)
+
+        worst = float(max(margins.values()))
+        trace.worst_margin.append(worst)
+        trace.feasible.append(worst <= 0.0)
+        trace.x.append([xi.copy() for xi in x])
+        trace.xi.append(list(dv.xi))
+        trace.V.append(_certificate_values(params, dv.xi, x))
+
+        d_all = d_seq[k]
+        x_next, u_all, w_all, h_all = step_closed_loop_detail(
+            system, dv.gains, x, d_all, mu_bar, mode, rho_bar)
+        trace.u.append([np.asarray(u, dtype=float) for u in u_all])
+        trace.d.append([np.asarray(d, dtype=float) for d in d_all])
+        trace.w.append([np.asarray(w, dtype=float) for w in w_all])
+        trace.h.append([np.asarray(h, dtype=float) for h in h_all])
+        trace.psi.append(stage_cost(x, u_all, d_all, params.Q, params.R,
+                                    params.tau))
+        x = x_next
+
+    trace.x.append([xi.copy() for xi in x])
+    final_xi = dv.xi if dv is not None else [1.0] * n
+    trace.V.append(_certificate_values(params, final_xi, x))
+    trace.meta["final_xi"] = list(final_xi)
+    trace.meta["final_gains"] = [[k.tolist() for k in g] for g in dv.gains] \
+        if dv is not None else None
+    trace.validate()
+    return trace
+
+
+def iss_check(trace: SimulationTrace, params: FixedParams) -> dict:
+    """Verify the input-to-state decrease along a recorded run.
+
+    At every step with a nonzero state, the certificate values must satisfy
+    V(x+) - V(x) < -x'Qx - u'R_eff u + tau d'd, where both values use the
+    certificate active at that step and R_eff = M_i / xi_i is the input
+    weight the certificate actually encodes (the set-size scaling folds the
+    nominal weight and the set size together). Also confirms the eigenvalue
+    sandwich w_min ||x||^2 <= V_i(x) <= w_max ||x||^2 from the extreme
+    eigenvalues of each P_i = X_i / xi_i.
+    """
+    violations = []
+    sandwich_bad = []
+    worst_slack = -np.inf
+    n_checked = 0
+    n = len(params.X)
+    for k in range(trace.n_steps):
+        xi_all = trace.xi[k]
+        x_now = trace.x[k]
+        x_next = trace.x[k + 1]
+        if all(float(np.linalg.norm(x)) == 0.0 for x in x_now):
+            continue
+        n_checked += 1
+        v_now = v_next = bound = 0.0
+        for i in range(n):
+            p_i = params.X[i] / xi_all[i]
+            v_now += lyapunov_value(x_now[i], p_i)
+            v_next += lyapunov_value(x_next[i], p_i)
+            q = np.asarray(_pick(params.Q, i), dtype=float)
+            r_eff = np.asarray(params.M[i], dtype=float) / xi_all[i]
+            x = np.asarray(x_now[i], dtype=float)
+            u = np.asarray(trace.u[k][i], dtype=float)
+            d = np.asarray(trace.d[k][i], dtype=float)
+            bound += (-float(x @ q @ x) - float(u @ r_eff @ u)
+                      + params.tau[i] * float(d @ d))
+        slack = (v_next - v_now) - bound
+        worst_slack = max(worst_slack, slack)
+        if slack >= 0.0:
+            violations.append((k, slack))
+        for i in range(n):
+            eigs = sym_eig(params.X[i] / xi_all[i]).values
+            w_min, w_max = float(np.min(eigs)), float(np.max(eigs))
+            nrm2 = float(np.asarray(x_now[i]) @ np.asarray(x_now[i]))
+            v_i = lyapunov_value(x_now[i], params.X[i] / xi_all[i])
+            tol = 1e-9 * max(1.0, abs(v_i))
+            if not (w_min * nrm2 - tol <= v_i <= w_max * nrm2 + tol):
+                sandwich_bad.append((k, i))
+    return {
+        "n_checked": n_checked,
+        "violations": violations,
+        "worst_slack": worst_slack,
+        "sandwich_violations": sandwich_bad,
+        "ok": not violations and not sandwich_bad,
+    }
+
+
+def sample_in_set(rng: np.random.Generator, x_mat: np.ndarray, xi_i: float,
+                  boundary: bool = False) -> np.ndarray:
+    """Uniform sample of {x : x' X x <= xi^2} (the certificate set of size
+    xi) by pushing a unit-ball sample through the inverse square root."""
+    eig = sym_eig(x_mat)
+    n = x_mat.shape[0]
+    y = _ball_point(rng, n, 1.0, boundary=boundary)
+    inv_sqrt = eig.vectors @ np.diag(1.0 / np.sqrt(eig.values)) @ eig.vectors.T
+    return xi_i * (inv_sqrt @ y)
+
+
+def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
+                    dv: DecisionVars, n_samples: int = 10_000, seed: int = 0,
+                    tol: float = 1e-9) -> dict:
+    """Monte-Carlo audit of the invariant set under a certificate.
+
+    Each sample draws every subsystem's state inside its set (every tenth
+    sample exactly on the boundary), an admissible disturbance at the
+    certified radius sqrt(xi/N_const), and a membership reconstruction
+    weighting from a grid; it then steps once and requires the one-step
+    decrease scalar to be <= tol and every next state to stay in its set
+    (relative margin <= tol).
+    """
+    rng = np.random.default_rng(seed)
+    n = system.n_subsystems
+    eta_cert = [float(np.sqrt(dv.xi[i] / params.N_const[i])) for i in range(n)]
+    weight_grid = np.linspace(0.0, 1.0, 5)
+    scalar_violations = 0
+    exit_events = 0
+    worst_scalar = -np.inf
+    worst_exit = -np.inf
+    for s in range(n_samples):
+        boundary = (s % 10) == 9
+        x_all = [sample_in_set(rng, params.X[i], dv.xi[i], boundary)
+                 for i in range(n)]
+        d_all = [_ball_point(rng, system.subsystems[i].n_d, eta_cert[i])
+                 for i in range(n)]
+        rho = float(weight_grid[s % len(weight_grid)])
+        mu = float(weight_grid[(s // len(weight_grid)) % len(weight_grid)])
+        use_true = (s % 3) == 2
+        mode = "true_plant" if use_true else "reconstructed"
+        rho_bar = None if use_true else rho
+        scalar = check_rpi_pointwise(system, params, dv, x_all, d_all, mu,
+                                     mode, rho_bar)
+        worst_scalar = max(worst_scalar, scalar)
+        if scalar > tol:
+            scalar_violations += 1
+        x_next = step_closed_loop(system, dv.gains, x_all, d_all, mu, mode,
+                                  rho_bar)
+        for i in range(n):
+            margin = (lyapunov_value(x_next[i], params.X[i]) - dv.xi[i] ** 2) \
+                / dv.xi[i] ** 2
+            worst_exit = max(worst_exit, margin)
+            if margin > tol:
+                exit_events += 1
+    return {
+        "n_samples": n_samples,
+        "scalar_violations": scalar_violations,
+        "exit_events": exit_events,
+        "worst_scalar": worst_scalar,
+        "worst_exit_margin": worst_exit,
+        "ok": scalar_violations == 0 and exit_events == 0,
+    }

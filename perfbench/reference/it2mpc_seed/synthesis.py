@@ -1,0 +1,571 @@
+"""Gain synthesis and set-size minimization over the assembled conditions.
+
+Every condition of subsystem i involves only that subsystem's gains and set
+size (neighbour states enter through fixed shape matrices), so the search
+decomposes per subsystem. At fixed gains each assembled matrix is affine in
+xi, and in the full (slack-row) forms it is affine in the gains and Z as
+well; the feasible xi set at a given state is therefore an interval, which
+makes downward bisection with re-solved gains sound.
+
+The gain search itself is a derivative-free coordinate descent with multiple
+starts: Z_i is never a free variable but is built from the gains as
+sum_m k_m' k_m + margin*I, which satisfies the input certificate block by
+construction and turns the diagonal budget into a gain-norm budget.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+import scipy.linalg
+import scipy.optimize
+
+from .linalg import max_eig, min_eig
+from .lmis import (DecisionVars, FixedParams, assemble_containment,
+                   assemble_decrease, assemble_decrease_blended,
+                   assemble_input_constraint, assemble_invariance,
+                   assemble_invariance_blended)
+from .plant import LargeScaleSystem
+
+
+class Infeasible(Exception):
+    """No gain assignment satisfied the conditions at the requested set size."""
+
+    def __init__(self, message: str, best_excess: float = np.inf,
+                 subsystem: int | None = None):
+        super().__init__(message)
+        self.best_excess = best_excess
+        self.subsystem = subsystem
+
+
+@dataclass
+class SynthesisConfig:
+    strictness: float = 1e-9        # required margin for strict instances
+    input_margin: float = 1e-6      # ridge added to the constructed Z
+    n_starts: int = 4
+    max_iters: int = 120            # coordinate-descent passes per start
+    init_step: float = 0.4
+    min_step: float = 1e-7
+    step_grow: float = 1.6
+    step_shrink: float = 0.5
+    start_scale: float = 0.3        # magnitude of random starting gains
+    seed: int = 0
+    xi_rel_tol: float = 1e-3        # bisection stop width, relative
+    xi_floor: float = 1e-8
+    xi_growth_iters: int = 24
+    xi_mode: str = "common"         # "common" scale or "per_subsystem"
+    rescue_evals: int = 600         # Nelder-Mead budget when descent stalls
+    grid_density: int = 11          # membership-grid points per edge
+
+
+@dataclass
+class SynthesisResult:
+    dv: DecisionVars
+    margins: dict                    # instance key -> signed margin
+    violation: float                 # max feasibility excess, clipped at 0
+    xi_history: list = field(default_factory=list)
+    solves: int = 0
+
+    @property
+    def feasible(self) -> bool:
+        return self.violation == 0.0
+
+
+def build_z(gains_i, n_x: int, margin: float) -> np.ndarray:
+    """Input certificate matrix from the gains themselves."""
+    z = margin * np.eye(n_x)
+    for k in gains_i:
+        z = z + k.T @ k
+    return z
+
+
+def ellipsoid_input_excess(sub, x_mat, xi_i, gains_i):
+    """Per-(rule, channel) excesses of the worst-case input magnitude over
+    the set {x' (X/xi) x <= xi}: xi^2 (k X^-1 k')_ss - u_max_s^2."""
+    if sub.u_max is None:
+        return np.full((len(gains_i), sub.n_u), -np.inf)
+    x_inv = np.linalg.solve(x_mat, np.eye(x_mat.shape[0]))
+    out = np.empty((len(gains_i), sub.n_u))
+    for m, k in enumerate(gains_i):
+        peak = xi_i ** 2 * np.diag(k @ x_inv @ k.T)
+        out[m] = peak - sub.u_max ** 2
+    return out
+
+
+def _sub_excesses(system: LargeScaleSystem, params: FixedParams,
+                  dv: DecisionVars, i: int, cfg: SynthesisConfig,
+                  reduced: bool = True) -> dict:
+    """Feasibility excesses (<= 0 everywhere means feasible) for one
+    subsystem's conditions at its current gains and set size."""
+    sub = system.subsystems[i]
+    out = {}
+    for l in range(sub.n_rules):
+        for m in range(sub.n_controller_rules):
+            inv = assemble_invariance(system, params, dv, i, l, m, reduced)
+            out[("inv", l, m)] = max_eig(inv.test_matrix())
+            dec = assemble_decrease(system, params, dv, i, l, m, reduced)
+            out[("dec", l, m)] = max_eig(dec.test_matrix()) + cfg.strictness
+    z = dv.Z[i]
+    if sub.u_max is not None:
+        for s in range(sub.n_u):
+            out[("budget", s)] = z[s, s] - sub.u_max[s] ** 2
+    ell = ellipsoid_input_excess(sub, params.X[i], dv.xi[i], dv.gains[i])
+    for m in range(len(dv.gains[i])):
+        for s in range(sub.n_u):
+            if np.isfinite(ell[m, s]):
+                out[("ell", m, s)] = float(ell[m, s])
+    return out
+
+
+def _refresh_after_gain_change(system, params, dv, i, cfg, cache, m_changed,
+                               reduced=True):
+    """Update only the cache entries the changed rule gain can influence."""
+    sub = system.subsystems[i]
+    for l in range(sub.n_rules):
+        inv = assemble_invariance(system, params, dv, i, l, m_changed, reduced)
+        cache[("inv", l, m_changed)] = max_eig(inv.test_matrix())
+        dec = assemble_decrease(system, params, dv, i, l, m_changed, reduced)
+        cache[("dec", l, m_changed)] = max_eig(dec.test_matrix()) + cfg.strictness
+    z = dv.Z[i]
+    if sub.u_max is not None:
+        for s in range(sub.n_u):
+            cache[("budget", s)] = z[s, s] - sub.u_max[s] ** 2
+    ell = ellipsoid_input_excess(sub, params.X[i], dv.xi[i], dv.gains[i])
+    for s in range(sub.n_u):
+        if np.isfinite(ell[m_changed, s]):
+            cache[("ell", m_changed, s)] = float(ell[m_changed, s])
+
+
+def _riccati_start(sub):
+    """Per-rule discrete LQR gains as a deterministic stabilizing start;
+    None when the Riccati solve fails (e.g. uncontrollable rule)."""
+    gains = []
+    for m in range(sub.n_controller_rules):
+        rule = sub.rules[min(m, sub.n_rules - 1)]
+        try:
+            s = scipy.linalg.solve_discrete_are(
+                rule.A, rule.B, np.eye(sub.n_x), np.eye(sub.n_u))
+            gain = -np.linalg.solve(np.eye(sub.n_u) + rule.B.T @ s @ rule.B,
+                                    rule.B.T @ s @ rule.A)
+        except (np.linalg.LinAlgError, ValueError):
+            return None
+        gains.append(gain)
+    return gains
+
+
+def _solve_sub(system, params, i, xi_i, cfg, rng, warm_gains_i=None):
+    """Coordinate-descent gain search for one subsystem at fixed set size.
+
+    Returns (gains_i, Z_i). Raises Infeasible with the best excess seen.
+    """
+    sub = system.subsystems[i]
+    n_m, n_u, n_x = sub.n_controller_rules, sub.n_u, sub.n_x
+    starts = []
+    if warm_gains_i is not None:
+        starts.append([k.copy() for k in warm_gains_i])
+    starts.append([np.zeros((n_u, n_x)) for _ in range(n_m)])
+    riccati = _riccati_start(sub)
+    if riccati is not None:
+        starts.append(riccati)
+    while len(starts) < cfg.n_starts + (warm_gains_i is not None) + 1:
+        starts.append([cfg.start_scale * rng.standard_normal((n_u, n_x))
+                       for _ in range(n_m)])
+
+    def descend(gains_i):
+        """Coordinate descent from one start; returns (worst, gains)."""
+        dv = DecisionVars(
+            gains=[gains_i if j == i else None
+                   for j in range(system.n_subsystems)],
+            Z=[build_z(gains_i, n_x, cfg.input_margin) if j == i else None
+               for j in range(system.n_subsystems)],
+            xi=[xi_i] * system.n_subsystems)
+        cache = _sub_excesses(system, params, dv, i, cfg)
+        worst = max(cache.values())
+        if worst <= 0.0:
+            return worst, gains_i
+
+        coords = [(m, r, c) for m in range(n_m)
+                  for r in range(n_u) for c in range(n_x)]
+        steps = {coord: cfg.init_step for coord in coords}
+        for _ in range(cfg.max_iters):
+            improved = False
+            for coord in coords:
+                m, r, c = coord
+                moved = False
+                for sign in (1.0, -1.0):
+                    old = gains_i[m][r, c]
+                    gains_i[m][r, c] = old + sign * steps[coord]
+                    dv.Z[i] = build_z(gains_i, n_x, cfg.input_margin)
+                    trial = dict(cache)
+                    _refresh_after_gain_change(system, params, dv, i, cfg,
+                                               trial, m)
+                    trial_worst = max(trial.values())
+                    if trial_worst < worst - 1e-15:
+                        cache, worst, moved, improved = trial, trial_worst, True, True
+                        steps[coord] *= cfg.step_grow
+                        break
+                    gains_i[m][r, c] = old
+                if not moved:
+                    steps[coord] *= cfg.step_shrink
+                if worst <= 0.0:
+                    return worst, gains_i
+            if not improved or max(steps.values()) < cfg.min_step:
+                break
+        return worst, gains_i
+
+    best_overall, best_gains = np.inf, None
+    for gains_i in starts:
+        worst, gains_i = descend(gains_i)
+        if worst <= 0.0:
+            return gains_i, build_z(gains_i, n_x, cfg.input_margin)
+        if worst < best_overall:
+            best_overall, best_gains = worst, [k.copy() for k in gains_i]
+
+    # Simplex rescue: coordinate descent stalls on the curved valleys of a
+    # max-of-eigenvalues surface, so polish the best stall point with
+    # Nelder-Mead and give the result one more descent pass.
+    shape = (n_m, n_u, n_x)
+
+    def unflatten(v):
+        return [np.asarray(b, dtype=float) for b in v.reshape(shape)]
+
+    def objective(v):
+        gains_v = unflatten(v)
+        dv = DecisionVars(
+            gains=[gains_v if j == i else None
+                   for j in range(system.n_subsystems)],
+            Z=[build_z(gains_v, n_x, cfg.input_margin) if j == i else None
+               for j in range(system.n_subsystems)],
+            xi=[xi_i] * system.n_subsystems)
+        return max(_sub_excesses(system, params, dv, i, cfg).values())
+
+    nm = scipy.optimize.minimize(
+        objective, np.array(best_gains).ravel(), method="Nelder-Mead",
+        options={"maxfev": cfg.rescue_evals, "xatol": 1e-10, "fatol": 1e-12})
+    worst, gains_i = descend(unflatten(nm.x))
+    if worst <= 0.0:
+        return gains_i, build_z(gains_i, n_x, cfg.input_margin)
+    best_overall = min(best_overall, worst)
+
+    raise Infeasible(
+        f"subsystem {i}: no feasible gains at set size {xi_i:.6g} "
+        f"(best excess {best_overall:.3e})", best_overall, i)
+
+
+def solve_fixed_xi(system: LargeScaleSystem, params: FixedParams, xi,
+                   cfg: SynthesisConfig | None = None,
+                   warm: DecisionVars | None = None) -> DecisionVars:
+    """Find gains satisfying every subsystem's conditions at the given set
+    sizes (scalar xi is broadcast). Raises Infeasible."""
+    cfg = cfg or SynthesisConfig()
+    n = system.n_subsystems
+    xi_list = [float(xi)] * n if np.isscalar(xi) else [float(v) for v in xi]
+    rng = np.random.default_rng(cfg.seed)
+    gains, zs = [], []
+    for i in range(n):
+        warm_i = warm.gains[i] if warm is not None else None
+        g_i, z_i = _solve_sub(system, params, i, xi_list[i], cfg, rng, warm_i)
+        gains.append(g_i)
+        zs.append(z_i)
+    return DecisionVars(gains=gains, Z=zs, xi=xi_list)
+
+
+def _containment_floor(params: FixedParams, x_all, i: int,
+                       floor: float) -> float:
+    x = np.asarray(x_all[i], dtype=float)
+    return max(float(np.sqrt(x @ params.X[i] @ x)), floor)
+
+
+def _min_xi_sub(system, params, i, x_all, cfg, rng, warm_xi=None,
+                warm_gains_i=None):
+    """Smallest feasible set size for one subsystem at the current state.
+
+    The containment floor sqrt(x' X x) is exact, so the search runs on
+    [floor, first-feasible]; feasibility in xi is an interval, so plain
+    bisection applies. Returns (xi, gains, Z, solves)."""
+    lo_bound = _containment_floor(params, x_all, i, cfg.xi_floor)
+    # keep a hair above the exact containment boundary
+    lo_start = lo_bound * (1.0 + 1e-6)
+    solves = 0
+
+    def attempt(xi_val, warm_g):
+        nonlocal solves
+        solves += 1
+        return _solve_sub(system, params, i, xi_val, cfg, rng, warm_g)
+
+    if warm_gains_i is not None and warm_xi is not None:
+        # Cheap warm path: fixed gains stay feasible on an interval of set
+        # sizes, so bisect with plain evaluations (no gain search).  When the
+        # state is still inside the previous set this cannot fail at the
+        # previous size, which keeps repeated re-synthesis both fast and
+        # feasible.
+        z_warm = build_z(warm_gains_i, system.subsystems[i].n_x,
+                         cfg.input_margin)
+
+        def warm_excess(xi_val):
+            dv = DecisionVars(
+                gains=[warm_gains_i if j == i else None
+                       for j in range(system.n_subsystems)],
+                Z=[z_warm if j == i else None
+                   for j in range(system.n_subsystems)],
+                xi=[xi_val] * system.n_subsystems)
+            return max(_sub_excesses(system, params, dv, i, cfg).values())
+
+        if warm_excess(lo_start) <= 0.0:
+            return lo_start, [k.copy() for k in warm_gains_i], z_warm, solves
+        hi_try = max(warm_xi, lo_start)
+        if warm_excess(hi_try) <= 0.0:
+            # already minimal within tolerance? (steady state of repeated
+            # re-synthesis: the previous size sits at the interval bottom)
+            below = hi_try - cfg.xi_rel_tol * max(hi_try, 1.0)
+            if below <= lo_start or warm_excess(below) > 0.0:
+                return hi_try, [k.copy() for k in warm_gains_i], z_warm, solves
+            lo_w, hi_w = lo_start, below
+            while hi_w - lo_w > cfg.xi_rel_tol * max(hi_w, 1.0):
+                mid = 0.5 * (lo_w + hi_w)
+                if warm_excess(mid) <= 0.0:
+                    hi_w = mid
+                else:
+                    lo_w = mid
+            return hi_w, [k.copy() for k in warm_gains_i], z_warm, solves
+
+    try:
+        g, z = attempt(lo_start, warm_gains_i)
+        return lo_start, g, z, solves
+    except Infeasible:
+        pass
+
+    hi = None
+    probe = warm_xi if warm_xi is not None and warm_xi > lo_start \
+        else max(2.0 * lo_bound, 1.0)
+    g_hi = z_hi = None
+    for _ in range(cfg.xi_growth_iters):
+        try:
+            g_hi, z_hi = attempt(probe, warm_gains_i)
+            hi = probe
+            break
+        except Infeasible:
+            probe *= 4.0
+    if hi is None:
+        raise Infeasible(f"subsystem {i}: no feasible set size found up to "
+                         f"{probe / 4.0:.3g}", subsystem=i)
+
+    lo = lo_start   # known infeasible (or just above the exact floor)
+    while hi - lo > cfg.xi_rel_tol * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        try:
+            g_hi, z_hi = attempt(mid, g_hi)
+            hi = mid
+        except Infeasible:
+            lo = mid
+    return hi, g_hi, z_hi, solves
+
+
+def _warm_all_excess(system, params, warm_gains, warm_zs, xi_val, cfg):
+    """Worst feasibility excess over all subsystems with fixed gains at a
+    common set size (cheap: no gain search)."""
+    dv = DecisionVars(gains=warm_gains, Z=warm_zs, xi=[xi_val] * len(warm_gains))
+    worst = -np.inf
+    for i in range(system.n_subsystems):
+        worst = max(worst, max(_sub_excesses(system, params, dv, i, cfg).values()))
+    return worst
+
+
+def _min_xi_common(system, params, x_all, cfg, rng, warm=None):
+    """Smallest common set size feasible for every subsystem at once.
+
+    Each subsystem's feasible set sizes form an interval, so their
+    intersection is an interval and scalar bisection applies. Returns
+    (xi, gains, zs, solves)."""
+    n = system.n_subsystems
+    lo_bound = max(_containment_floor(params, x_all, i, cfg.xi_floor)
+                   for i in range(n))
+    lo_start = lo_bound * (1.0 + 1e-6)
+    solves = 0
+
+    def attempt(xi_val, warm_gains):
+        nonlocal solves
+        gains, zs = [], []
+        for i in range(n):
+            solves += 1
+            w_i = warm_gains[i] if warm_gains is not None else None
+            g_i, z_i = _solve_sub(system, params, i, xi_val, cfg, rng, w_i)
+            gains.append(g_i)
+            zs.append(z_i)
+        return gains, zs
+
+    warm_gains = warm.gains if warm is not None else None
+    if warm is not None:
+        z_warm = [build_z(warm.gains[i], system.subsystems[i].n_x,
+                          cfg.input_margin) for i in range(n)]
+
+        def warm_excess(xi_val):
+            return _warm_all_excess(system, params, warm.gains, z_warm,
+                                    xi_val, cfg)
+
+        if warm_excess(lo_start) <= 0.0:
+            return lo_start, [[k.copy() for k in g] for g in warm.gains], \
+                z_warm, solves
+        hi_try = max(max(warm.xi), lo_start)
+        if warm_excess(hi_try) <= 0.0:
+            below = hi_try - cfg.xi_rel_tol * max(hi_try, 1.0)
+            if below <= lo_start or warm_excess(below) > 0.0:
+                return hi_try, [[k.copy() for k in g] for g in warm.gains], \
+                    z_warm, solves
+            lo_w, hi_w = lo_start, below
+            while hi_w - lo_w > cfg.xi_rel_tol * max(hi_w, 1.0):
+                mid = 0.5 * (lo_w + hi_w)
+                if warm_excess(mid) <= 0.0:
+                    hi_w = mid
+                else:
+                    lo_w = mid
+            return hi_w, [[k.copy() for k in g] for g in warm.gains], \
+                z_warm, solves
+
+    try:
+        gains, zs = attempt(lo_start, warm_gains)
+        return lo_start, gains, zs, solves
+    except Infeasible:
+        pass
+
+    hi = None
+    probe = max(warm.xi) if warm is not None and max(warm.xi) > lo_start \
+        else max(2.0 * lo_bound, 1.0)
+    g_hi = z_hi = None
+    for _ in range(cfg.xi_growth_iters):
+        try:
+            g_hi, z_hi = attempt(probe, warm_gains)
+            hi = probe
+            break
+        except Infeasible:
+            probe *= 4.0
+    if hi is None:
+        raise Infeasible("no common set size feasible for every subsystem up "
+                         f"to {probe / 4.0:.3g}")
+
+    lo = lo_start
+    while hi - lo > cfg.xi_rel_tol * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        try:
+            g_hi, z_hi = attempt(mid, g_hi)
+            hi = mid
+        except Infeasible:
+            lo = mid
+    return hi, g_hi, z_hi, solves
+
+
+def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
+                cfg: SynthesisConfig | None = None,
+                warm: DecisionVars | None = None,
+                mode: str | None = None) -> SynthesisResult:
+    """Set-size minimization subject to feasible gains and containment of the
+    current state.
+
+    mode "common" (default) bisects one scale shared by all subsystems;
+    "per_subsystem" bisects each size independently (each subsystem's
+    conditions depend only on its own gains and size, so the searches
+    decouple). With a warm certificate whose set still contains the state,
+    the warm gains are retried first at each probe, so a previously feasible
+    solve can only improve — feasibility is preserved across steps."""
+    cfg = cfg or SynthesisConfig()
+    mode = mode or cfg.xi_mode
+    if mode not in ("common", "per_subsystem"):
+        raise ValueError(f"unknown xi mode: {mode!r}")
+    rng = np.random.default_rng(cfg.seed)
+    n = system.n_subsystems
+    if mode == "common":
+        xi, gains, zs, total_solves = _min_xi_common(system, params, x_all,
+                                                     cfg, rng, warm)
+        xis = [xi] * n
+    else:
+        gains, zs, xis = [], [], []
+        total_solves = 0
+        for i in range(n):
+            warm_xi = warm.xi[i] if warm is not None else None
+            warm_g = warm.gains[i] if warm is not None else None
+            xi_i, g_i, z_i, solves = _min_xi_sub(system, params, i, x_all,
+                                                 cfg, rng, warm_xi, warm_g)
+            xis.append(xi_i)
+            gains.append(g_i)
+            zs.append(z_i)
+            total_solves += solves
+    dv = DecisionVars(gains=gains, Z=zs, xi=xis)
+    margins = certificate_margins(system, params, dv, x_all, cfg)
+    worst = max(margins.values())
+    return SynthesisResult(dv=dv, margins=margins,
+                           violation=max(0.0, worst),
+                           xi_history=[list(xis)], solves=total_solves)
+
+
+def certificate_margins(system: LargeScaleSystem, params: FixedParams,
+                        dv: DecisionVars, x_all=None,
+                        cfg: SynthesisConfig | None = None) -> dict:
+    """Signed feasibility excesses of the full (slack-row) conditions,
+    keyed by instance; every value <= 0 means the certificate holds."""
+    cfg = cfg or SynthesisConfig()
+    out = {}
+    for i, sub in enumerate(system.subsystems):
+        for l in range(sub.n_rules):
+            for m in range(sub.n_controller_rules):
+                inv = assemble_invariance(system, params, dv, i, l, m)
+                out[inv.key] = max_eig(inv.test_matrix())
+                dec = assemble_decrease(system, params, dv, i, l, m)
+                out[dec.key] = max_eig(dec.test_matrix()) + cfg.strictness
+        for m in range(sub.n_controller_rules):
+            inst, excess = assemble_input_constraint(sub, dv, i, m)
+            out[inst.key] = -min_eig(inst.matrix)
+            if np.all(np.isfinite(excess)):
+                out[f"budget[i={i},m={m}]"] = float(np.max(excess))
+        ell = ellipsoid_input_excess(sub, params.X[i], dv.xi[i], dv.gains[i])
+        if np.all(np.isfinite(ell)):
+            out[f"input_peak[i={i}]"] = float(np.max(ell))
+        if x_all is not None:
+            cont = assemble_containment(np.asarray(x_all[i], dtype=float),
+                                        dv.xi[i], params.X[i], i)
+            out[cont.key] = -min_eig(cont.matrix)
+    return out
+
+
+def _simplex_grid(n_rules: int, density: int):
+    """Barycentric grid over the weight simplex, density points per edge."""
+    if n_rules == 1:
+        yield np.ones(1)
+        return
+    ticks = density - 1
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            yield prefix + [remaining]
+            return
+        for t in range(remaining + 1):
+            yield from rec(prefix + [t], remaining - t, slots - 1)
+    for comp in rec([], ticks, n_rules):
+        yield np.array(comp, dtype=float) / ticks
+
+
+def verify_certificate(system: LargeScaleSystem, params: FixedParams,
+                       dv: DecisionVars, x_all=None,
+                       cfg: SynthesisConfig | None = None) -> dict:
+    """Re-check a certificate: vertex margins on the full forms plus a
+    membership-grid sweep of the blended forms.
+
+    Vertex coverage is exact for every block that is affine in the blend
+    weights; the one quadratic block (the disturbance channel) bends toward
+    feasibility under blending, and the grid sweep confirms it numerically.
+    Returns {"margins", "blended_worst", "worst", "feasible"}."""
+    cfg = cfg or SynthesisConfig()
+    margins = certificate_margins(system, params, dv, x_all, cfg)
+    blended_worst = -np.inf
+    for i, sub in enumerate(system.subsystems):
+        w_grid = list(_simplex_grid(sub.n_rules, cfg.grid_density))
+        h_grid = list(_simplex_grid(sub.n_controller_rules, cfg.grid_density))
+        for w in w_grid:
+            for h in h_grid:
+                inv = assemble_invariance_blended(system, params, dv, i, w, h)
+                blended_worst = max(blended_worst, max_eig(inv.test_matrix()))
+                dec = assemble_decrease_blended(system, params, dv, i, w, h)
+                blended_worst = max(blended_worst,
+                                    max_eig(dec.test_matrix()) + cfg.strictness)
+    worst = max(max(margins.values()), blended_worst)
+    return {"margins": margins, "blended_worst": blended_worst,
+            "worst": worst, "feasible": worst <= 0.0}
