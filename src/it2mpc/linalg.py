@@ -1,9 +1,10 @@
-"""Dense symmetric-matrix helpers: Jacobi eigensolver, definiteness tests,
+"""Dense symmetric-matrix helpers: eigendecomposition, definiteness tests,
 Schur-complement reduction.
 
 All routines work on small dense matrices (the block inequalities assembled
-elsewhere stay well under dimension ~20), favouring deterministic behaviour
-over raw speed.
+elsewhere stay well under dimension ~20). Every eigenvalue comes from
+LAPACK's symmetric solvers (numpy's eigh/eigvalsh) applied to the mirrored
+upper triangle; identical input gives identical output.
 """
 
 from __future__ import annotations
@@ -46,66 +47,21 @@ def default_tol(a: np.ndarray, base: float = 1e-9) -> float:
     return base * scale
 
 
-def sym_eig(a, sweep_tol: float = 1e-14, max_sweeps: int = 60) -> EigResult:
-    """Full eigendecomposition of a symmetric matrix via cyclic Jacobi.
+def sym_eig(a) -> EigResult:
+    """Full eigendecomposition of a symmetric matrix (LAPACK, via eigh).
 
     Returns eigenvalues in ascending order with orthonormal eigenvectors as
     matching columns. Deterministic: identical input gives identical output.
     """
-    a = sym_matrix(a)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return EigResult(a[0].copy(), v)
-
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return EigResult(np.zeros(n), v)
-
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= sweep_tol * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e150:
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = np.sign(tau) if tau != 0.0 else 1.0
-                    t = t / (abs(tau) + np.hypot(tau, 1.0))
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                # two-sided plane rotation: A <- J' A J, J = rot(p, q)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    return EigResult(values[order], v[:, order])
+    return EigResult(*np.linalg.eigh(sym_matrix(a)))
 
 
 def min_eig(a) -> float:
-    return float(sym_eig(a).values[0])
+    return float(np.linalg.eigvalsh(sym_matrix(a))[0])
 
 
 def max_eig(a) -> float:
-    return float(sym_eig(a).values[-1])
+    return float(np.linalg.eigvalsh(sym_matrix(a))[-1])
 
 
 def is_psd(a, tol: float | None = None) -> bool:

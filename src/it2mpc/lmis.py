@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SingularBlockError, is_psd, min_eig, sym_eig, sym_matrix
-from .plant import LargeScaleSystem, Subsystem, step_closed_loop
+from .plant import LargeScaleSystem, Subsystem, blend, step_closed_loop
 
 
 @dataclass
@@ -253,10 +253,7 @@ def assemble_invariance(system: LargeScaleSystem, params: FixedParams,
 def assemble_invariance_blended(system, params, dv, i, w, h,
                                 reduced: bool = False) -> LMIInstance:
     """Invariance condition with membership-blended matrices."""
-    sub = system.subsystems[i]
-    a = sum(wl * rule.A for wl, rule in zip(w, sub.rules))
-    b = sum(wl * rule.B for wl, rule in zip(w, sub.rules))
-    e = sum(wl * rule.E for wl, rule in zip(w, sub.rules))
+    a, b, e = blend(system.subsystems[i], w)
     k = sum(hm * km for hm, km in zip(h, dv.gains[i]))
     mat, keys, slot_dims, basis = _invariance_matrix(system, params, i,
                                                      a + b @ k, e,
@@ -323,10 +320,7 @@ def assemble_decrease(system: LargeScaleSystem, params: FixedParams,
 
 def assemble_decrease_blended(system, params, dv, i, w, h,
                               reduced: bool = False) -> LMIInstance:
-    sub = system.subsystems[i]
-    a = sum(wl * rule.A for wl, rule in zip(w, sub.rules))
-    b = sum(wl * rule.B for wl, rule in zip(w, sub.rules))
-    e = sum(wl * rule.E for wl, rule in zip(w, sub.rules))
+    a, b, e = blend(system.subsystems[i], w)
     k = sum(hm * km for hm, km in zip(h, dv.gains[i]))
     mat, keys, slot_dims, basis = _decrease_matrix(
         system, params, i, a + b @ k, e, k, dv.xi[i], reduced)

@@ -217,7 +217,7 @@ def ex1_params():
 @pytest.fixture(scope="session")
 def ex1_synthesized():
     """One shared feasible certificate on the retuned benchmark constants
-    (the cold solve costs ~16 s, so the suite computes it once). Yields
+    (the cold solve costs ~8 s, so the suite computes it once). Yields
     (system, params, x0, result, solve_seconds)."""
     import time
 

@@ -97,13 +97,18 @@ class TestSymEig:
         w = sym_eig(a).values
         assert np.all(np.diff(w) >= 0)
 
-    def test_deterministic(self):
+    @pytest.mark.parametrize("solver", [sym_eig, min_eig, max_eig],
+                             ids=lambda f: f.__name__)
+    def test_deterministic(self, solver):
         rng = np.random.default_rng(9)
         a = random_symmetric(rng, 7)
-        r1 = sym_eig(a.copy())
-        r2 = sym_eig(a.copy())
-        assert np.array_equal(r1.values, r2.values)
-        assert np.array_equal(r1.vectors, r2.vectors)
+        r1 = solver(a.copy())
+        r2 = solver(a.copy())
+        if isinstance(r1, EigResult):
+            assert np.array_equal(r1.values, r2.values)
+            assert np.array_equal(r1.vectors, r2.vectors)
+        else:
+            assert r1 == r2
 
     def test_returns_named_result(self):
         res = sym_eig(np.eye(3))

@@ -127,6 +127,12 @@ class TestMinimizeXi:
         floor = float(np.sqrt(0.25 * 0.9))
         assert res.dv.xi[0] == pytest.approx(floor * (1 + 1e-6), rel=1e-3)
 
+    def test_cold_example1_optimum_never_grows(self, ex1_synthesized):
+        # the cold optimum stored in perfbench/fixtures; a solver change may
+        # shrink the set, never grow it
+        _, _, _, res, _ = ex1_synthesized
+        assert max(res.dv.xi) <= 9.901832152969146
+
     def test_infeasible_reports_positive_excess(self):
         system = build_tiny_system(stable=False)
         params = tiny_params(n_u=1)
