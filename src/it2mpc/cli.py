@@ -22,7 +22,7 @@ from .configio import (ConfigError, SystemConfig, bundled_config_names,
                        save_certificate)
 from .simulation import (InitialInfeasible, RecursiveFeasibilityViolation,
                          iss_check, rpi_monte_carlo, run_online_loop)
-from .synthesis import Infeasible, minimize_xi, verify_certificate
+from .synthesis import XI_MODES, Infeasible, minimize_xi, verify_certificate
 from .tracefile import sidecar_path, write_trace
 
 EXIT_OK = 0
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solve the offline stage and print/save gains")
     p.add_argument("config", help="config file path or bundled name")
     p.add_argument("--out", help="write the certificate JSON here")
-    p.add_argument("--xi-mode", choices=["common", "per_subsystem"],
+    p.add_argument("--xi-mode", choices=XI_MODES,
                    help="override the set-size minimization mode")
     p.add_argument("--tol", type=float,
                    help="override the synthesis strictness margin")

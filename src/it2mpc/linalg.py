@@ -93,7 +93,7 @@ def schur_reduce(m, split: int) -> np.ndarray:
     a = m[:split, :split]
     bt = m[:split, split:]
     c = m[split:, split:]
-    c_eigs = sym_eig(c).values
+    c_eigs = np.linalg.eigvalsh(c)
     c_scale = max(1.0, float(np.max(np.abs(c_eigs))))
     if float(np.min(np.abs(c_eigs))) <= 1e-12 * c_scale:
         raise SingularBlockError("trailing block is singular to working precision")

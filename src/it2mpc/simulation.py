@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import min_eig, sym_eig
+from .linalg import max_eig, min_eig, sym_eig
 from .lmis import (DecisionVars, FixedParams, assemble_containment,
                    check_rpi_pointwise)
 from .plant import LargeScaleSystem, step_closed_loop, step_closed_loop_detail
-from .synthesis import (Infeasible, SynthesisConfig, build_z,
+from .synthesis import (XI_MODES, Infeasible, SynthesisConfig, build_z,
                         certificate_margins, minimize_xi)
 
 DISTURBANCE_KINDS = ("zero", "uniform_ball", "sinusoidal", "worst_case_boundary")
@@ -220,6 +220,10 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
         raise ValueError(f"unknown resynth mode {resynth!r}; "
                          f"expected one of {RESYNTH_MODES}")
     syn_cfg = syn_cfg or SynthesisConfig()
+    xi_mode = xi_mode or syn_cfg.xi_mode
+    if xi_mode not in XI_MODES:
+        raise ValueError(f"unknown xi mode: {xi_mode!r}; "
+                         f"expected one of {XI_MODES}")
     dist = dist or DisturbanceModel(kind="zero")
     params.validate()
     n = system.n_subsystems
@@ -238,7 +242,7 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
 
     trace = SimulationTrace(Ts=Ts, meta={
         "resynth": resynth, "supplied_gains": supplied, "mode": mode,
-        "mu_bar": mu_bar, "rho_bar": rho_bar, "xi_mode": xi_mode or syn_cfg.xi_mode,
+        "mu_bar": mu_bar, "rho_bar": rho_bar, "xi_mode": xi_mode,
         "disturbance": {"kind": dist.kind, "seed": dist.seed,
                         "radii": [dist.radius(system, i) for i in range(n)]},
     })
@@ -341,10 +345,10 @@ def iss_check(trace: SimulationTrace, params: FixedParams) -> dict:
         if slack >= 0.0:
             violations.append((k, slack))
         for i in range(n):
-            eigs = sym_eig(params.X[i] / xi_all[i]).values
-            w_min, w_max = float(np.min(eigs)), float(np.max(eigs))
+            p_i = params.X[i] / xi_all[i]
+            w_min, w_max = min_eig(p_i), max_eig(p_i)
             nrm2 = float(np.asarray(x_now[i]) @ np.asarray(x_now[i]))
-            v_i = lyapunov_value(x_now[i], params.X[i] / xi_all[i])
+            v_i = lyapunov_value(x_now[i], p_i)
             tol = 1e-9 * max(1.0, abs(v_i))
             if not (w_min * nrm2 - tol <= v_i <= w_max * nrm2 + tol):
                 sandwich_bad.append((k, i))

@@ -7,6 +7,12 @@ xi, and in the full (slack-row) forms it is affine in the gains and Z as
 well; the feasible xi set at a given state is therefore an interval, which
 makes downward bisection with re-solved gains sound.
 
+Set-size minimization is one search over a group of subsystems that share
+one xi: the "common" mode passes a single group of all subsystems, the
+"per_subsystem" mode one group per subsystem. The search bisects first with
+the warm certificate's gains held fixed and falls back to re-solving the
+gains at each probe.
+
 The gain search itself is a derivative-free coordinate descent with multiple
 starts: Z_i is never a free variable but is built from the gains as
 sum_m k_m' k_m + margin*I, which satisfies the input certificate block by
@@ -15,7 +21,7 @@ construction and turns the diagonal budget into a gain-norm budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -27,6 +33,9 @@ from .lmis import (DecisionVars, FixedParams, assemble_containment,
                    assemble_input_constraint, assemble_invariance,
                    assemble_invariance_blended)
 from .plant import LargeScaleSystem
+
+
+XI_MODES = ("common", "per_subsystem")
 
 
 class Infeasible(Exception):
@@ -54,9 +63,14 @@ class SynthesisConfig:
     xi_rel_tol: float = 1e-3        # bisection stop width, relative
     xi_floor: float = 1e-8
     xi_growth_iters: int = 24
-    xi_mode: str = "common"         # "common" scale or "per_subsystem"
+    xi_mode: str = "common"         # one of XI_MODES
     rescue_evals: int = 600         # Nelder-Mead budget when descent stalls
     grid_density: int = 11          # membership-grid points per edge
+
+    def __post_init__(self):
+        if self.xi_mode not in XI_MODES:
+            raise ValueError(f"unknown xi mode: {self.xi_mode!r}; "
+                             f"expected one of {XI_MODES}")
 
 
 @dataclass
@@ -64,7 +78,6 @@ class SynthesisResult:
     dv: DecisionVars
     margins: dict                    # instance key -> signed margin
     violation: float                 # max feasibility excess, clipped at 0
-    xi_history: list = field(default_factory=list)
     solves: int = 0
 
     @property
@@ -93,15 +106,27 @@ def ellipsoid_input_excess(sub, x_mat, xi_i, gains_i):
     return out
 
 
+def _sub_dv(n: int, i: int, gains_i, z_i, xi: float) -> DecisionVars:
+    """Decision variables carrying only subsystem i's gains and Z, with set
+    size xi everywhere (subsystem i's conditions read nothing else)."""
+    return DecisionVars(gains=[gains_i if j == i else None for j in range(n)],
+                        Z=[z_i if j == i else None for j in range(n)],
+                        xi=[xi] * n)
+
+
 def _sub_excesses(system: LargeScaleSystem, params: FixedParams,
                   dv: DecisionVars, i: int, cfg: SynthesisConfig,
-                  reduced: bool = True) -> dict:
+                  rules=None, reduced: bool = True) -> dict:
     """Feasibility excesses (<= 0 everywhere means feasible) for one
-    subsystem's conditions at its current gains and set size."""
+    subsystem's conditions at its current gains and set size. `rules`
+    limits the vertex and input-peak entries to those controller rules
+    (default: all), e.g. to refresh only what one rule's gain moves."""
     sub = system.subsystems[i]
+    if rules is None:
+        rules = range(sub.n_controller_rules)
     out = {}
     for l in range(sub.n_rules):
-        for m in range(sub.n_controller_rules):
+        for m in rules:
             inv = assemble_invariance(system, params, dv, i, l, m, reduced)
             out[("inv", l, m)] = max_eig(inv.test_matrix())
             dec = assemble_decrease(system, params, dv, i, l, m, reduced)
@@ -111,30 +136,11 @@ def _sub_excesses(system: LargeScaleSystem, params: FixedParams,
         for s in range(sub.n_u):
             out[("budget", s)] = z[s, s] - sub.u_max[s] ** 2
     ell = ellipsoid_input_excess(sub, params.X[i], dv.xi[i], dv.gains[i])
-    for m in range(len(dv.gains[i])):
+    for m in rules:
         for s in range(sub.n_u):
             if np.isfinite(ell[m, s]):
                 out[("ell", m, s)] = float(ell[m, s])
     return out
-
-
-def _refresh_after_gain_change(system, params, dv, i, cfg, cache, m_changed,
-                               reduced=True):
-    """Update only the cache entries the changed rule gain can influence."""
-    sub = system.subsystems[i]
-    for l in range(sub.n_rules):
-        inv = assemble_invariance(system, params, dv, i, l, m_changed, reduced)
-        cache[("inv", l, m_changed)] = max_eig(inv.test_matrix())
-        dec = assemble_decrease(system, params, dv, i, l, m_changed, reduced)
-        cache[("dec", l, m_changed)] = max_eig(dec.test_matrix()) + cfg.strictness
-    z = dv.Z[i]
-    if sub.u_max is not None:
-        for s in range(sub.n_u):
-            cache[("budget", s)] = z[s, s] - sub.u_max[s] ** 2
-    ell = ellipsoid_input_excess(sub, params.X[i], dv.xi[i], dv.gains[i])
-    for s in range(sub.n_u):
-        if np.isfinite(ell[m_changed, s]):
-            cache[("ell", m_changed, s)] = float(ell[m_changed, s])
 
 
 def _riccati_start(sub):
@@ -174,12 +180,8 @@ def _solve_sub(system, params, i, xi_i, cfg, rng, warm_gains_i=None):
 
     def descend(gains_i):
         """Coordinate descent from one start; returns (worst, gains)."""
-        dv = DecisionVars(
-            gains=[gains_i if j == i else None
-                   for j in range(system.n_subsystems)],
-            Z=[build_z(gains_i, n_x, cfg.input_margin) if j == i else None
-               for j in range(system.n_subsystems)],
-            xi=[xi_i] * system.n_subsystems)
+        dv = _sub_dv(system.n_subsystems, i, gains_i,
+                     build_z(gains_i, n_x, cfg.input_margin), xi_i)
         cache = _sub_excesses(system, params, dv, i, cfg)
         worst = max(cache.values())
         if worst <= 0.0:
@@ -198,8 +200,8 @@ def _solve_sub(system, params, i, xi_i, cfg, rng, warm_gains_i=None):
                     gains_i[m][r, c] = old + sign * steps[coord]
                     dv.Z[i] = build_z(gains_i, n_x, cfg.input_margin)
                     trial = dict(cache)
-                    _refresh_after_gain_change(system, params, dv, i, cfg,
-                                               trial, m)
+                    trial.update(_sub_excesses(system, params, dv, i, cfg,
+                                               rules=(m,)))
                     trial_worst = max(trial.values())
                     if trial_worst < worst - 1e-15:
                         cache, worst, moved, improved = trial, trial_worst, True, True
@@ -232,12 +234,8 @@ def _solve_sub(system, params, i, xi_i, cfg, rng, warm_gains_i=None):
 
     def objective(v):
         gains_v = unflatten(v)
-        dv = DecisionVars(
-            gains=[gains_v if j == i else None
-                   for j in range(system.n_subsystems)],
-            Z=[build_z(gains_v, n_x, cfg.input_margin) if j == i else None
-               for j in range(system.n_subsystems)],
-            xi=[xi_i] * system.n_subsystems)
+        dv = _sub_dv(system.n_subsystems, i, gains_v,
+                     build_z(gains_v, n_x, cfg.input_margin), xi_i)
         return max(_sub_excesses(system, params, dv, i, cfg).values())
 
     nm = scipy.optimize.minimize(
@@ -277,182 +275,106 @@ def _containment_floor(params: FixedParams, x_all, i: int,
     return max(float(np.sqrt(x @ params.X[i] @ x)), floor)
 
 
-def _min_xi_sub(system, params, i, x_all, cfg, rng, warm_xi=None,
-                warm_gains_i=None):
-    """Smallest feasible set size for one subsystem at the current state.
+def _bisect(lo, hi, hi_val, probe, cfg):
+    """Shrink [lo, hi] to the relative tolerance with hi kept feasible.
 
-    The containment floor sqrt(x' X x) is exact, so the search runs on
-    [floor, first-feasible]; feasibility in xi is an interval, so plain
-    bisection applies. Returns (xi, gains, Z, solves)."""
-    lo_bound = _containment_floor(params, x_all, i, cfg.xi_floor)
+    probe(xi, hi_val) returns the value that makes xi feasible (hi_val is
+    the one at the current upper end) or None when xi is infeasible.
+    Returns (hi, hi_val)."""
+    while hi - lo > cfg.xi_rel_tol * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        val = probe(mid, hi_val)
+        if val is None:
+            lo = mid
+        else:
+            hi, hi_val = mid, val
+    return hi, hi_val
+
+
+def _min_xi(system, params, x_all, group, cfg, rng, warm, common):
+    """Smallest set size shared by the subsystems in `group` at the current
+    state.
+
+    Each subsystem's feasible set sizes form an interval, so their
+    intersection is one too and bisection applies; the containment floor
+    sqrt(x' X x) is exact, so the search starts just above it. With a warm
+    certificate the warm gains are tried first with plain evaluations: they
+    stay feasible on an interval of set sizes, and while the state is inside
+    the previous set they cannot fail at the previous size, which keeps
+    repeated re-synthesis fast and feasible. Otherwise the gains are
+    re-solved at each probe, warm-started from the last feasible ones.
+    `common` only words the failure. Returns (xi, gains, zs, solves), with
+    gains and zs aligned with `group`."""
+    n = system.n_subsystems
+    lo_bound = max(_containment_floor(params, x_all, i, cfg.xi_floor)
+                   for i in group)
     # keep a hair above the exact containment boundary
     lo_start = lo_bound * (1.0 + 1e-6)
     solves = 0
 
-    def attempt(xi_val, warm_g):
-        nonlocal solves
-        solves += 1
-        return _solve_sub(system, params, i, xi_val, cfg, rng, warm_g)
+    if warm is not None:
+        warm_xi = max(warm.xi[i] for i in group)
+        fixed = ([[k.copy() for k in warm.gains[i]] for i in group],
+                 [build_z(warm.gains[i], system.subsystems[i].n_x,
+                          cfg.input_margin) for i in group])
 
-    if warm_gains_i is not None and warm_xi is not None:
-        # Cheap warm path: fixed gains stay feasible on an interval of set
-        # sizes, so bisect with plain evaluations (no gain search).  When the
-        # state is still inside the previous set this cannot fail at the
-        # previous size, which keeps repeated re-synthesis both fast and
-        # feasible.
-        z_warm = build_z(warm_gains_i, system.subsystems[i].n_x,
-                         cfg.input_margin)
+        def fixed_excess(xi_val):
+            return max(max(_sub_excesses(
+                system, params, _sub_dv(n, i, g, z, xi_val), i, cfg).values())
+                for i, g, z in zip(group, *fixed))
 
-        def warm_excess(xi_val):
-            dv = DecisionVars(
-                gains=[warm_gains_i if j == i else None
-                       for j in range(system.n_subsystems)],
-                Z=[z_warm if j == i else None
-                   for j in range(system.n_subsystems)],
-                xi=[xi_val] * system.n_subsystems)
-            return max(_sub_excesses(system, params, dv, i, cfg).values())
-
-        if warm_excess(lo_start) <= 0.0:
-            return lo_start, [k.copy() for k in warm_gains_i], z_warm, solves
+        if fixed_excess(lo_start) <= 0.0:
+            return lo_start, *fixed, solves
         hi_try = max(warm_xi, lo_start)
-        if warm_excess(hi_try) <= 0.0:
+        if fixed_excess(hi_try) <= 0.0:
             # already minimal within tolerance? (steady state of repeated
             # re-synthesis: the previous size sits at the interval bottom)
             below = hi_try - cfg.xi_rel_tol * max(hi_try, 1.0)
-            if below <= lo_start or warm_excess(below) > 0.0:
-                return hi_try, [k.copy() for k in warm_gains_i], z_warm, solves
-            lo_w, hi_w = lo_start, below
-            while hi_w - lo_w > cfg.xi_rel_tol * max(hi_w, 1.0):
-                mid = 0.5 * (lo_w + hi_w)
-                if warm_excess(mid) <= 0.0:
-                    hi_w = mid
-                else:
-                    lo_w = mid
-            return hi_w, [k.copy() for k in warm_gains_i], z_warm, solves
+            if below <= lo_start or fixed_excess(below) > 0.0:
+                return hi_try, *fixed, solves
+            xi, _ = _bisect(lo_start, below, fixed,
+                            lambda xi_val, val: val
+                            if fixed_excess(xi_val) <= 0.0 else None, cfg)
+            return xi, *fixed, solves
 
-    try:
-        g, z = attempt(lo_start, warm_gains_i)
-        return lo_start, g, z, solves
-    except Infeasible:
-        pass
-
-    hi = None
-    probe = warm_xi if warm_xi is not None and warm_xi > lo_start \
-        else max(2.0 * lo_bound, 1.0)
-    g_hi = z_hi = None
-    for _ in range(cfg.xi_growth_iters):
-        try:
-            g_hi, z_hi = attempt(probe, warm_gains_i)
-            hi = probe
-            break
-        except Infeasible:
-            probe *= 4.0
-    if hi is None:
-        raise Infeasible(f"subsystem {i}: no feasible set size found up to "
-                         f"{probe / 4.0:.3g}", subsystem=i)
-
-    lo = lo_start   # known infeasible (or just above the exact floor)
-    while hi - lo > cfg.xi_rel_tol * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        try:
-            g_hi, z_hi = attempt(mid, g_hi)
-            hi = mid
-        except Infeasible:
-            lo = mid
-    return hi, g_hi, z_hi, solves
-
-
-def _warm_all_excess(system, params, warm_gains, warm_zs, xi_val, cfg):
-    """Worst feasibility excess over all subsystems with fixed gains at a
-    common set size (cheap: no gain search)."""
-    dv = DecisionVars(gains=warm_gains, Z=warm_zs, xi=[xi_val] * len(warm_gains))
-    worst = -np.inf
-    for i in range(system.n_subsystems):
-        worst = max(worst, max(_sub_excesses(system, params, dv, i, cfg).values()))
-    return worst
-
-
-def _min_xi_common(system, params, x_all, cfg, rng, warm=None):
-    """Smallest common set size feasible for every subsystem at once.
-
-    Each subsystem's feasible set sizes form an interval, so their
-    intersection is an interval and scalar bisection applies. Returns
-    (xi, gains, zs, solves)."""
-    n = system.n_subsystems
-    lo_bound = max(_containment_floor(params, x_all, i, cfg.xi_floor)
-                   for i in range(n))
-    lo_start = lo_bound * (1.0 + 1e-6)
-    solves = 0
-
-    def attempt(xi_val, warm_gains):
+    def solve(xi_val, starts):
+        """Gains and Z for every member at xi_val, or None if one fails."""
         nonlocal solves
         gains, zs = [], []
-        for i in range(n):
+        for idx, i in enumerate(group):
             solves += 1
-            w_i = warm_gains[i] if warm_gains is not None else None
-            g_i, z_i = _solve_sub(system, params, i, xi_val, cfg, rng, w_i)
-            gains.append(g_i)
-            zs.append(z_i)
+            try:
+                g, z = _solve_sub(system, params, i, xi_val, cfg, rng,
+                                  None if starts is None else starts[idx])
+            except Infeasible:
+                return None
+            gains.append(g)
+            zs.append(z)
         return gains, zs
 
-    warm_gains = warm.gains if warm is not None else None
-    if warm is not None:
-        z_warm = [build_z(warm.gains[i], system.subsystems[i].n_x,
-                          cfg.input_margin) for i in range(n)]
+    starts = None if warm is None else [warm.gains[i] for i in group]
+    val = solve(lo_start, starts)
+    if val is not None:
+        return lo_start, *val, solves
 
-        def warm_excess(xi_val):
-            return _warm_all_excess(system, params, warm.gains, z_warm,
-                                    xi_val, cfg)
-
-        if warm_excess(lo_start) <= 0.0:
-            return lo_start, [[k.copy() for k in g] for g in warm.gains], \
-                z_warm, solves
-        hi_try = max(max(warm.xi), lo_start)
-        if warm_excess(hi_try) <= 0.0:
-            below = hi_try - cfg.xi_rel_tol * max(hi_try, 1.0)
-            if below <= lo_start or warm_excess(below) > 0.0:
-                return hi_try, [[k.copy() for k in g] for g in warm.gains], \
-                    z_warm, solves
-            lo_w, hi_w = lo_start, below
-            while hi_w - lo_w > cfg.xi_rel_tol * max(hi_w, 1.0):
-                mid = 0.5 * (lo_w + hi_w)
-                if warm_excess(mid) <= 0.0:
-                    hi_w = mid
-                else:
-                    lo_w = mid
-            return hi_w, [[k.copy() for k in g] for g in warm.gains], \
-                z_warm, solves
-
-    try:
-        gains, zs = attempt(lo_start, warm_gains)
-        return lo_start, gains, zs, solves
-    except Infeasible:
-        pass
-
-    hi = None
-    probe = max(warm.xi) if warm is not None and max(warm.xi) > lo_start \
+    probe = warm_xi if warm is not None and warm_xi > lo_start \
         else max(2.0 * lo_bound, 1.0)
-    g_hi = z_hi = None
     for _ in range(cfg.xi_growth_iters):
-        try:
-            g_hi, z_hi = attempt(probe, warm_gains)
-            hi = probe
+        val = solve(probe, starts)
+        if val is not None:
             break
-        except Infeasible:
-            probe *= 4.0
-    if hi is None:
-        raise Infeasible("no common set size feasible for every subsystem up "
-                         f"to {probe / 4.0:.3g}")
+        probe *= 4.0
+    else:
+        if common:
+            raise Infeasible("no common set size feasible for every "
+                             f"subsystem up to {probe / 4.0:.3g}")
+        raise Infeasible(f"subsystem {group[0]}: no feasible set size found "
+                         f"up to {probe / 4.0:.3g}", subsystem=group[0])
 
-    lo = lo_start
-    while hi - lo > cfg.xi_rel_tol * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        try:
-            g_hi, z_hi = attempt(mid, g_hi)
-            hi = mid
-        except Infeasible:
-            lo = mid
-    return hi, g_hi, z_hi, solves
+    # lo_start is known infeasible (or just above the exact floor)
+    xi, (gains, zs) = _bisect(lo_start, probe, val,
+                              lambda xi_val, v: solve(xi_val, v[0]), cfg)
+    return xi, gains, zs, solves
 
 
 def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
@@ -462,40 +384,36 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
     """Set-size minimization subject to feasible gains and containment of the
     current state.
 
-    mode "common" (default) bisects one scale shared by all subsystems;
-    "per_subsystem" bisects each size independently (each subsystem's
+    mode "common" (default) searches one size shared by all subsystems;
+    "per_subsystem" searches each size on its own (each subsystem's
     conditions depend only on its own gains and size, so the searches
-    decouple). With a warm certificate whose set still contains the state,
-    the warm gains are retried first at each probe, so a previously feasible
-    solve can only improve — feasibility is preserved across steps."""
+    decouple). Both run the same search over groups of subsystems: one
+    group of all of them, or one group per subsystem. With a warm
+    certificate whose set still contains the state, the warm gains are
+    tried first, so a previously feasible solve can only improve —
+    feasibility is preserved across steps."""
     cfg = cfg or SynthesisConfig()
     mode = mode or cfg.xi_mode
-    if mode not in ("common", "per_subsystem"):
-        raise ValueError(f"unknown xi mode: {mode!r}")
+    if mode not in XI_MODES:
+        raise ValueError(f"unknown xi mode: {mode!r}; "
+                         f"expected one of {XI_MODES}")
     rng = np.random.default_rng(cfg.seed)
     n = system.n_subsystems
-    if mode == "common":
-        xi, gains, zs, total_solves = _min_xi_common(system, params, x_all,
-                                                     cfg, rng, warm)
-        xis = [xi] * n
-    else:
-        gains, zs, xis = [], [], []
-        total_solves = 0
-        for i in range(n):
-            warm_xi = warm.xi[i] if warm is not None else None
-            warm_g = warm.gains[i] if warm is not None else None
-            xi_i, g_i, z_i, solves = _min_xi_sub(system, params, i, x_all,
-                                                 cfg, rng, warm_xi, warm_g)
-            xis.append(xi_i)
-            gains.append(g_i)
-            zs.append(z_i)
-            total_solves += solves
+    common = mode == "common"
+    groups = [range(n)] if common else [(i,) for i in range(n)]
+    xis, gains, zs = [None] * n, [None] * n, [None] * n
+    total_solves = 0
+    for group in groups:
+        xi, g_group, z_group, solves = _min_xi(system, params, x_all, group,
+                                               cfg, rng, warm, common)
+        for i, g_i, z_i in zip(group, g_group, z_group):
+            xis[i], gains[i], zs[i] = xi, g_i, z_i
+        total_solves += solves
     dv = DecisionVars(gains=gains, Z=zs, xi=xis)
     margins = certificate_margins(system, params, dv, x_all, cfg)
     worst = max(margins.values())
     return SynthesisResult(dv=dv, margins=margins,
-                           violation=max(0.0, worst),
-                           xi_history=[list(xis)], solves=total_solves)
+                           violation=max(0.0, worst), solves=total_solves)
 
 
 def certificate_margins(system: LargeScaleSystem, params: FixedParams,

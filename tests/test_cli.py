@@ -1,6 +1,8 @@
+import importlib
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +191,18 @@ class TestErrorReporting:
         assert rc == 3
         assert "lam" in json.loads(stderr)["message"]
 
+    def test_unknown_xi_mode_is_config_error(self, capsys, tmp_path):
+        doc = tiny_config_doc()
+        doc["synthesis"]["xi_mode"] = "bogus"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc, _, stderr = run_cli(capsys, "synthesize", str(path))
+        assert rc == 3
+        record = json.loads(stderr)
+        assert record["error"] == "config"
+        assert ".synthesis" in record["message"]
+        assert "xi mode" in record["message"]
+
     def test_stderr_is_one_json_line(self, capsys):
         rc, _, stderr = run_cli(capsys, "simulate", "nope")
         assert rc == 3
@@ -204,6 +218,16 @@ class TestListing:
         for name in ("example1", "example1_synthesis", "example2",
                      "example2_stabilized"):
             assert name in stdout
+
+    def test_console_script_target_runs(self, capsys):
+        # the [project.scripts] wiring, checked without installing the package
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        module_name, func_name = scripts["it2mpc"].split(":")
+        entry = getattr(importlib.import_module(module_name), func_name)
+        assert entry(["configs"]) == 0
+        assert "example1" in capsys.readouterr().out
 
     @pytest.mark.skipif(shutil.which("it2mpc") is None,
                         reason="console script not on PATH")

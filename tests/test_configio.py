@@ -162,6 +162,11 @@ class TestValidationErrors:
             d["synthesis"]["n_startz"] = 3
         self.check(doc, mutate, r"cfg\.synthesis.*unknown field")
 
+    def test_unknown_xi_mode(self, doc):
+        def mutate(d):
+            d["synthesis"]["xi_mode"] = "bogus"
+        self.check(doc, mutate, r"cfg\.synthesis.*unknown xi mode: 'bogus'")
+
     def test_premise_selector_must_be_one_based(self, doc):
         def mutate(d):
             d["subsystems"][0]["premise_selector"] = 0

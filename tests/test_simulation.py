@@ -234,6 +234,34 @@ class TestRunOnlineLoop:
         # set sizes never need to grow along the run
         assert max(v[0] for v in trace.xi) <= res.dv.xi[0] * (1.0 + 1e-6)
 
+    def test_per_subsystem_every_step_warm_path(self, ex1_synthesized):
+        # each subsystem's size is re-minimized on its own from the warm
+        # certificate; the warm gains carry every step, so no gain search runs
+        system, params, x0, res, _ = ex1_synthesized
+        trace = run_online_loop(system, params, x0, 10,
+                                dist=DisturbanceModel(kind="uniform_ball",
+                                                      seed=1),
+                                resynth="every_step", warm=res.dv,
+                                xi_mode="per_subsystem")
+        assert all(trace.feasible)
+        assert trace.solves == 0
+        for xs, xis in zip(trace.x, trace.xi):
+            for i, (x, xi) in enumerate(zip(xs, xis)):
+                assert xi >= np.sqrt(x @ params.X[i] @ x)
+                assert xi <= res.dv.xi[i] * (1.0 + 1e-6)
+            # subsystem 0's size follows its shrinking state below the others
+            assert xis[0] < xis[2]
+        assert trace.meta["final_xi"] == pytest.approx(
+            [0.908320214914707, 8.969839902582537, 9.901832152969146],
+            rel=1e-9)
+
+    def test_unknown_xi_mode_rejected_with_supplied_gains(self):
+        with pytest.raises(ValueError, match="xi mode"):
+            run_online_loop(build_example1_system(),
+                            example1_reference_params(), [np.zeros(2)] * 3,
+                            3, gains=example1_reference_gains(),
+                            xi_mode="bogus")
+
 
 class TestIssCheck:
     def test_zero_trajectory_trivially_clean(self):

@@ -106,9 +106,20 @@ class TestMinimizeXi:
 
     def test_per_subsystem_matches_common_for_single_subsystem(self, tiny,
                                                                tiny_result):
+        # one subsystem: both modes run the same search, bit for bit, cold
+        # and warm
         system, params = tiny
-        res = minimize_xi(system, params, TINY_X0, FAST, mode="per_subsystem")
-        assert res.dv.xi[0] == pytest.approx(tiny_result.dv.xi[0], rel=1e-6)
+        for x, warm in ((TINY_X0, None),
+                        ([0.5 * TINY_X0[0]], tiny_result.dv)):
+            common = minimize_xi(system, params, x, FAST, warm=warm,
+                                 mode="common")
+            sub = minimize_xi(system, params, x, FAST, warm=warm,
+                              mode="per_subsystem")
+            assert sub.dv.xi == common.dv.xi
+            assert sub.solves == common.solves
+            for k_sub, k_common in zip(sub.dv.gains[0], common.dv.gains[0]):
+                assert np.array_equal(k_sub, k_common)
+            assert np.array_equal(sub.dv.Z[0], common.dv.Z[0])
 
     def test_unknown_mode_rejected(self, tiny):
         system, params = tiny
@@ -139,6 +150,21 @@ class TestMinimizeXi:
         with pytest.raises(Infeasible) as info:
             minimize_xi(system, params, TINY_X0, FAIL_FAST)
         assert "set size" in str(info.value)
+
+    @pytest.mark.parametrize("mode, subsystem, message", [
+        ("common", None, "no common set size"),
+        ("per_subsystem", 0, "subsystem 0: no feasible set size")])
+    def test_infeasible_names_subsystem_per_mode(self, mode, subsystem,
+                                                 message):
+        system = build_tiny_system(stable=False)
+        params = tiny_params(n_u=1)
+        with pytest.raises(Infeasible, match=message) as info:
+            minimize_xi(system, params, TINY_X0, FAIL_FAST, mode=mode)
+        assert info.value.subsystem == subsystem
+
+    def test_unknown_config_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown xi mode"):
+            SynthesisConfig(xi_mode="bogus")
 
 
 class TestCertificateMargins:
