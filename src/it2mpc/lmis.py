@@ -345,6 +345,33 @@ def assemble_input_constraint(sub: Subsystem, dv: DecisionVars, i: int, m: int):
     return inst, excess
 
 
+def xi_slope(params: FixedParams, inst: LMIInstance) -> np.ndarray:
+    """Constant xi-derivative of an invariance or decrease instance's test
+    matrix, at any vertex or blend and in either form: -lam N I on the
+    disturbance block for invariance; -tau I there and +Q on the state block
+    for decrease; compressed by the instance's strict basis."""
+    i = inst.subsystem
+    n_d, n_x = inst.slot_dims[:2]
+    size = sum(inst.slot_dims)
+    slope = np.zeros((size, size))
+    if inst.origin == "invariance":
+        slope[:n_d, :n_d] = -params.lam[i] * params.N_const[i] * np.eye(n_d)
+    elif inst.origin == "decrease":
+        slope[:n_d, :n_d] = -params.tau[i] * np.eye(n_d)
+        slope[n_d:n_d + n_x, n_d:n_d + n_x] = params.q_mat(i)
+    else:
+        raise ValueError(f"{inst.origin} conditions have no xi pencil")
+    if inst.strict_basis is None:
+        return slope
+    return sym_matrix(inst.strict_basis.T @ slope @ inst.strict_basis)
+
+
+def containment_size(x_mat: np.ndarray, x) -> float:
+    """Smallest set size whose set {x' (X/xi) x <= xi} holds x: sqrt(x' X x)."""
+    x = np.asarray(x, dtype=float)
+    return float(np.sqrt(x @ x_mat @ x))
+
+
 def assemble_containment(x: np.ndarray, xi_i: float, x_mat: np.ndarray,
                          subsystem: int = 0) -> LMIInstance:
     """State-containment certificate [[xi, x'], [x, X^{-1} xi]] >= 0,

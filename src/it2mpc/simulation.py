@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import max_eig, min_eig, sym_eig
-from .lmis import (DecisionVars, FixedParams, assemble_containment,
-                   check_rpi_pointwise)
+from .lmis import (DecisionVars, FixedParams, check_rpi_pointwise,
+                   containment_size)
 from .plant import LargeScaleSystem, step_closed_loop, step_closed_loop_detail
-from .synthesis import (XI_MODES, Infeasible, SynthesisConfig, build_z,
-                        certificate_margins, minimize_xi)
+from .synthesis import (XI_HAIR, XI_MODES, FixedGainEvaluator, Infeasible,
+                        SynthesisConfig, build_z, minimize_xi)
 
 DISTURBANCE_KINDS = ("zero", "uniform_ball", "sinusoidal", "worst_case_boundary")
 RESYNTH_MODES = ("every_step", "once")
@@ -194,11 +194,6 @@ def _certificate_values(params: FixedParams, xi_all, x_all) -> list:
             for i in range(len(x_all))]
 
 
-def _containment_xi(params: FixedParams, x_all, i: int, floor: float) -> float:
-    x = np.asarray(x_all[i], dtype=float)
-    return max(float(np.sqrt(x @ params.X[i] @ x)) * (1.0 + 1e-6), floor)
-
-
 def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
                     n_steps: int, dist: DisturbanceModel | None = None,
                     resynth: str = "every_step",
@@ -233,7 +228,8 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
     supplied = gains is not None
     dv = warm
     if supplied:
-        xi0 = [_containment_xi(params, x, i, syn_cfg.xi_floor) for i in range(n)]
+        xi0 = [max(containment_size(params.X[i], x[i]) * (1.0 + XI_HAIR),
+                   syn_cfg.xi_floor) for i in range(n)]
         dv = DecisionVars(
             gains=[[np.asarray(k, dtype=float).copy() for k in g] for g in gains],
             Z=[build_z(gains[i], system.subsystems[i].n_x, syn_cfg.input_margin)
@@ -247,12 +243,12 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
                         "radii": [dist.radius(system, i) for i in range(n)]},
     })
 
-    static_margins = None
+    evaluator = None        # the conditions at the current gains
     for k in range(n_steps):
         if not supplied and (resynth == "every_step" or k == 0):
             try:
                 res = minimize_xi(system, params, x, syn_cfg, warm=dv,
-                                  mode=xi_mode)
+                                  mode=xi_mode, evaluator=evaluator)
             except Infeasible as exc:
                 if k == 0:
                     raise InitialInfeasible(
@@ -260,21 +256,15 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
                 raise RecursiveFeasibilityViolation(
                     f"synthesis infeasible at step {k} after succeeding "
                     f"earlier: {exc}", step=k) from exc
-            dv = res.dv
+            dv, evaluator = res.dv, res.evaluator
             trace.solves += res.solves
             margins = res.margins
             trace.resynthesized.append(True)
         else:
-            # static gains: only the containment certificate depends on the
-            # state, so the remaining margins are assembled once and reused
-            if static_margins is None:
-                static_margins = certificate_margins(system, params, dv,
-                                                     None, syn_cfg)
-            margins = dict(static_margins)
-            for i in range(n):
-                cont = assemble_containment(np.asarray(x[i], dtype=float),
-                                            dv.xi[i], params.X[i], i)
-                margins[cont.key] = -min_eig(cont.matrix)
+            # fixed gains: only the containment margins read the state
+            if evaluator is None:
+                evaluator = FixedGainEvaluator(system, params, dv, syn_cfg)
+            margins = evaluator.margins(dv.xi, x)
             trace.resynthesized.append(False)
 
         worst = float(max(margins.values()))
@@ -361,15 +351,22 @@ def iss_check(trace: SimulationTrace, params: FixedParams) -> dict:
     }
 
 
+def _inv_sqrt(x_mat: np.ndarray) -> np.ndarray:
+    eig = sym_eig(x_mat)
+    return eig.vectors @ np.diag(1.0 / np.sqrt(eig.values)) @ eig.vectors.T
+
+
+def _sample_scaled(rng: np.random.Generator, inv_sqrt: np.ndarray,
+                   xi_i: float, boundary: bool) -> np.ndarray:
+    y = _ball_point(rng, inv_sqrt.shape[0], 1.0, boundary=boundary)
+    return xi_i * (inv_sqrt @ y)
+
+
 def sample_in_set(rng: np.random.Generator, x_mat: np.ndarray, xi_i: float,
                   boundary: bool = False) -> np.ndarray:
     """Uniform sample of {x : x' X x <= xi^2} (the certificate set of size
     xi) by pushing a unit-ball sample through the inverse square root."""
-    eig = sym_eig(x_mat)
-    n = x_mat.shape[0]
-    y = _ball_point(rng, n, 1.0, boundary=boundary)
-    inv_sqrt = eig.vectors @ np.diag(1.0 / np.sqrt(eig.values)) @ eig.vectors.T
-    return xi_i * (inv_sqrt @ y)
+    return _sample_scaled(rng, _inv_sqrt(x_mat), xi_i, boundary)
 
 
 def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
@@ -387,6 +384,7 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
     rng = np.random.default_rng(seed)
     n = system.n_subsystems
     eta_cert = [float(np.sqrt(dv.xi[i] / params.N_const[i])) for i in range(n)]
+    inv_sqrts = [_inv_sqrt(params.X[i]) for i in range(n)]
     weight_grid = np.linspace(0.0, 1.0, 5)
     scalar_violations = 0
     exit_events = 0
@@ -394,7 +392,7 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
     worst_exit = -np.inf
     for s in range(n_samples):
         boundary = (s % 10) == 9
-        x_all = [sample_in_set(rng, params.X[i], dv.xi[i], boundary)
+        x_all = [_sample_scaled(rng, inv_sqrts[i], dv.xi[i], boundary)
                  for i in range(n)]
         d_all = [_ball_point(rng, system.subsystems[i].n_d, eta_cert[i])
                  for i in range(n)]

@@ -9,9 +9,12 @@ makes downward bisection with re-solved gains sound.
 
 Set-size minimization is one search over a group of subsystems that share
 one xi: the "common" mode passes a single group of all subsystems, the
-"per_subsystem" mode one group per subsystem. The search bisects first with
-the warm certificate's gains held fixed and falls back to re-solving the
-gains at each probe.
+"per_subsystem" mode one group per subsystem. With a warm certificate the
+search first keeps its gains: at fixed gains the feasible set sizes are an
+interval [xi_lo, xi_hi] that does not depend on the state (only containment
+does), with exact ends from generalized eigenvalues (FixedGainEvaluator), so
+the set size is max(xi_lo, containment floor) whenever that is <= xi_hi.
+Otherwise the search bisects, re-solving the gains at each probe.
 
 The gain search itself is a derivative-free coordinate descent with multiple
 starts: Z_i is never a free variable but is built from the gains as
@@ -31,11 +34,12 @@ from .linalg import max_eig, min_eig
 from .lmis import (DecisionVars, FixedParams, assemble_containment,
                    assemble_decrease, assemble_decrease_blended,
                    assemble_input_constraint, assemble_invariance,
-                   assemble_invariance_blended)
+                   assemble_invariance_blended, containment_size, xi_slope)
 from .plant import LargeScaleSystem
 
 
 XI_MODES = ("common", "per_subsystem")
+XI_HAIR = 1e-6      # relative step kept inside an exact set-size boundary
 
 
 class Infeasible(Exception):
@@ -79,6 +83,8 @@ class SynthesisResult:
     margins: dict                    # instance key -> signed margin
     violation: float                 # max feasibility excess, clipped at 0
     solves: int = 0
+    # the conditions at these gains, when they are the warm certificate's
+    evaluator: FixedGainEvaluator | None = None
 
     @property
     def feasible(self) -> bool:
@@ -93,17 +99,19 @@ def build_z(gains_i, n_x: int, margin: float) -> np.ndarray:
     return z
 
 
+def _peak_gains(x_mat, gains_i) -> np.ndarray:
+    """(k_m X^-1 k_m')_ss per rule m and channel s: the squared worst-case
+    input of rule m over the set {x' (X/xi) x <= xi} is xi^2 times it."""
+    x_inv = np.linalg.solve(x_mat, np.eye(x_mat.shape[0]))
+    return np.array([np.diag(k @ x_inv @ k.T) for k in gains_i])
+
+
 def ellipsoid_input_excess(sub, x_mat, xi_i, gains_i):
     """Per-(rule, channel) excesses of the worst-case input magnitude over
     the set {x' (X/xi) x <= xi}: xi^2 (k X^-1 k')_ss - u_max_s^2."""
     if sub.u_max is None:
         return np.full((len(gains_i), sub.n_u), -np.inf)
-    x_inv = np.linalg.solve(x_mat, np.eye(x_mat.shape[0]))
-    out = np.empty((len(gains_i), sub.n_u))
-    for m, k in enumerate(gains_i):
-        peak = xi_i ** 2 * np.diag(k @ x_inv @ k.T)
-        out[m] = peak - sub.u_max ** 2
-    return out
+    return xi_i ** 2 * _peak_gains(x_mat, gains_i) - sub.u_max ** 2
 
 
 def _sub_dv(n: int, i: int, gains_i, z_i, xi: float) -> DecisionVars:
@@ -269,12 +277,6 @@ def solve_fixed_xi(system: LargeScaleSystem, params: FixedParams, xi,
     return DecisionVars(gains=gains, Z=zs, xi=xi_list)
 
 
-def _containment_floor(params: FixedParams, x_all, i: int,
-                       floor: float) -> float:
-    x = np.asarray(x_all[i], dtype=float)
-    return max(float(np.sqrt(x @ params.X[i] @ x)), floor)
-
-
 def _bisect(lo, hi, hi_val, probe, cfg):
     """Shrink [lo, hi] to the relative tolerance with hi kept feasible.
 
@@ -291,51 +293,32 @@ def _bisect(lo, hi, hi_val, probe, cfg):
     return hi, hi_val
 
 
-def _min_xi(system, params, x_all, group, cfg, rng, warm, common):
+def _min_xi(system, params, x_all, group, cfg, rng, warm, evaluator, common):
     """Smallest set size shared by the subsystems in `group` at the current
     state.
 
     Each subsystem's feasible set sizes form an interval, so their
     intersection is one too and bisection applies; the containment floor
     sqrt(x' X x) is exact, so the search starts just above it. With a warm
-    certificate the warm gains are tried first with plain evaluations: they
-    stay feasible on an interval of set sizes, and while the state is inside
-    the previous set they cannot fail at the previous size, which keeps
-    repeated re-synthesis fast and feasible. Otherwise the gains are
-    re-solved at each probe, warm-started from the last feasible ones.
-    `common` only words the failure. Returns (xi, gains, zs, solves), with
-    gains and zs aligned with `group`."""
-    n = system.n_subsystems
-    lo_bound = max(_containment_floor(params, x_all, i, cfg.xi_floor)
+    certificate its gains are kept whenever they fit: `evaluator` holds
+    their exact feasible interval, and the set size is its lower end or the
+    containment floor, whichever is larger (FixedGainEvaluator.clamp).
+    While the state is inside the previous set that value cannot exceed the
+    previous size, which keeps repeated re-synthesis cheap and feasible.
+    Otherwise the gains are re-solved at each probe, warm-started from the
+    last feasible ones. `common` only words the failure. Returns (xi, gains,
+    zs, solves), with gains and zs aligned with `group`."""
+    lo_bound = max(max(containment_size(params.X[i], x_all[i]), cfg.xi_floor)
                    for i in group)
     # keep a hair above the exact containment boundary
-    lo_start = lo_bound * (1.0 + 1e-6)
+    lo_start = lo_bound * (1.0 + XI_HAIR)
     solves = 0
 
-    if warm is not None:
-        warm_xi = max(warm.xi[i] for i in group)
-        fixed = ([[k.copy() for k in warm.gains[i]] for i in group],
-                 [build_z(warm.gains[i], system.subsystems[i].n_x,
-                          cfg.input_margin) for i in group])
-
-        def fixed_excess(xi_val):
-            return max(max(_sub_excesses(
-                system, params, _sub_dv(n, i, g, z, xi_val), i, cfg).values())
-                for i, g, z in zip(group, *fixed))
-
-        if fixed_excess(lo_start) <= 0.0:
-            return lo_start, *fixed, solves
-        hi_try = max(warm_xi, lo_start)
-        if fixed_excess(hi_try) <= 0.0:
-            # already minimal within tolerance? (steady state of repeated
-            # re-synthesis: the previous size sits at the interval bottom)
-            below = hi_try - cfg.xi_rel_tol * max(hi_try, 1.0)
-            if below <= lo_start or fixed_excess(below) > 0.0:
-                return hi_try, *fixed, solves
-            xi, _ = _bisect(lo_start, below, fixed,
-                            lambda xi_val, val: val
-                            if fixed_excess(xi_val) <= 0.0 else None, cfg)
-            return xi, *fixed, solves
+    if evaluator is not None:
+        xi = evaluator.clamp(group, lo_start)
+        if xi is not None:
+            return (xi, [evaluator.gains[i] for i in group],
+                    [evaluator.Z[i] for i in group], solves)
 
     def solve(xi_val, starts):
         """Gains and Z for every member at xi_val, or None if one fails."""
@@ -357,6 +340,7 @@ def _min_xi(system, params, x_all, group, cfg, rng, warm, common):
     if val is not None:
         return lo_start, *val, solves
 
+    warm_xi = None if warm is None else max(warm.xi[i] for i in group)
     probe = warm_xi if warm is not None and warm_xi > lo_start \
         else max(2.0 * lo_bound, 1.0)
     for _ in range(cfg.xi_growth_iters):
@@ -380,7 +364,9 @@ def _min_xi(system, params, x_all, group, cfg, rng, warm, common):
 def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
                 cfg: SynthesisConfig | None = None,
                 warm: DecisionVars | None = None,
-                mode: str | None = None) -> SynthesisResult:
+                mode: str | None = None,
+                evaluator: FixedGainEvaluator | None = None
+                ) -> SynthesisResult:
     """Set-size minimization subject to feasible gains and containment of the
     current state.
 
@@ -389,9 +375,11 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
     conditions depend only on its own gains and size, so the searches
     decouple). Both run the same search over groups of subsystems: one
     group of all of them, or one group per subsystem. With a warm
-    certificate whose set still contains the state, the warm gains are
-    tried first, so a previously feasible solve can only improve —
-    feasibility is preserved across steps."""
+    certificate whose set still contains the state, its gains are kept at
+    the smallest size they certify, so a previously feasible solve can only
+    improve — feasibility is preserved across steps. `evaluator` is the
+    FixedGainEvaluator of the warm gains (as returned in a previous
+    result's `evaluator`); it is built from `warm` when not given."""
     cfg = cfg or SynthesisConfig()
     mode = mode or cfg.xi_mode
     if mode not in XI_MODES:
@@ -399,21 +387,34 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
                          f"expected one of {XI_MODES}")
     rng = np.random.default_rng(cfg.seed)
     n = system.n_subsystems
+    if warm is not None and evaluator is None:
+        evaluator = FixedGainEvaluator(system, params, DecisionVars(
+            gains=[[k.copy() for k in g] for g in warm.gains],
+            Z=[build_z(g, sub.n_x, cfg.input_margin)
+               for g, sub in zip(warm.gains, system.subsystems)],
+            xi=list(warm.xi)), cfg)
     common = mode == "common"
     groups = [range(n)] if common else [(i,) for i in range(n)]
     xis, gains, zs = [None] * n, [None] * n, [None] * n
     total_solves = 0
     for group in groups:
         xi, g_group, z_group, solves = _min_xi(system, params, x_all, group,
-                                               cfg, rng, warm, common)
+                                               cfg, rng, warm, evaluator,
+                                               common)
         for i, g_i, z_i in zip(group, g_group, z_group):
             xis[i], gains[i], zs[i] = xi, g_i, z_i
         total_solves += solves
     dv = DecisionVars(gains=gains, Z=zs, xi=xis)
-    margins = certificate_margins(system, params, dv, x_all, cfg)
+    if evaluator is not None and all(
+            g is k for g, k in zip(gains, evaluator.gains)):
+        margins = evaluator.margins(xis, x_all)
+    else:
+        evaluator = None
+        margins = certificate_margins(system, params, dv, x_all, cfg)
     worst = max(margins.values())
     return SynthesisResult(dv=dv, margins=margins,
-                           violation=max(0.0, worst), solves=total_solves)
+                           violation=max(0.0, worst), solves=total_solves,
+                           evaluator=evaluator)
 
 
 def certificate_margins(system: LargeScaleSystem, params: FixedParams,
@@ -443,6 +444,147 @@ def certificate_margins(system: LargeScaleSystem, params: FixedParams,
                                         dv.xi[i], params.X[i], i)
             out[cont.key] = -min_eig(cont.matrix)
     return out
+
+
+@dataclass
+class _Pencil:
+    """One condition family of one subsystem at fixed gains: the stacked
+    vertex test matrices at the reference set size and their xi-slope."""
+
+    keys: list
+    t_ref: np.ndarray       # (vertices, size, size)
+    slope: np.ndarray       # (size, size)
+    shift: float            # added to lambda_max: the strictness, or 0
+
+    def max_eigs(self, dxi: float) -> np.ndarray:
+        t = self.t_ref if dxi == 0.0 else self.t_ref + dxi * self.slope
+        return np.linalg.eigvalsh(t)[:, -1] + self.shift
+
+    def spectrum(self) -> np.ndarray | None:
+        """Eigenvalues mu of L^-1 slope L^-T, -(t_ref + shift I) = L L', per
+        vertex: the condition holds exactly for xi - xi_ref in
+        [1/min mu, 1/max mu] (a generalized eigenvalue problem; an end is
+        infinite when no mu has its sign). None when the reference size is
+        not strictly feasible."""
+        size = self.slope.shape[0]
+        try:
+            chol = np.linalg.cholesky(-(self.t_ref + self.shift * np.eye(size)))
+        except np.linalg.LinAlgError:
+            return None
+        half = np.linalg.solve(chol, np.broadcast_to(self.slope,
+                                                     self.t_ref.shape))
+        w = np.linalg.solve(chol, np.swapaxes(half, -1, -2))
+        return np.linalg.eigvalsh(0.5 * (w + np.swapaxes(w, -1, -2)))
+
+
+class FixedGainEvaluator:
+    """A certificate's conditions at fixed gains, as functions of the set
+    sizes.
+
+    Each full-form vertex test matrix of subsystem i is affine in xi_i,
+    T(xi) = T_ref + (xi - xi_ref) T1, with a slope T1 that depends on the
+    parameters only (lmis.xi_slope); the input and budget rows do not move
+    with xi, and the input-peak rows are xi^2 (k X^-1 k')_ss - u_s^2. So
+    `margins` at any set sizes takes one batched eigensolve per subsystem
+    and family (none when the size is unchanged), and the feasible set sizes
+    of each subsystem are an exact interval that does not depend on the
+    state (`interval`; only containment reads the state).
+    """
+
+    def __init__(self, system: LargeScaleSystem, params: FixedParams,
+                 dv: DecisionVars, cfg: SynthesisConfig):
+        self.gains, self.Z, self.xi_ref = dv.gains, dv.Z, list(dv.xi)
+        self._x_mats = params.X
+        self._pencils, self._fixed, self._peaks = [], [], []
+        self._bounds = []       # per subsystem: (xi_lo, xi_hi) or None
+        for i, sub in enumerate(system.subsystems):
+            pencils = []
+            for assemble, shift in ((assemble_invariance, 0.0),
+                                    (assemble_decrease, cfg.strictness)):
+                insts = [assemble(system, params, dv, i, l, m)
+                         for l in range(sub.n_rules)
+                         for m in range(sub.n_controller_rules)]
+                pencils.append(_Pencil(
+                    [inst.key for inst in insts],
+                    np.stack([inst.test_matrix() for inst in insts]),
+                    xi_slope(params, insts[0]), shift))
+            fixed = {}
+            for m in range(sub.n_controller_rules):
+                inst, excess = assemble_input_constraint(sub, dv, i, m)
+                fixed[inst.key] = -min_eig(inst.matrix)
+                if np.all(np.isfinite(excess)):
+                    fixed[f"budget[i={i},m={m}]"] = float(np.max(excess))
+            peaks = None if sub.u_max is None else \
+                _peak_gains(params.X[i], dv.gains[i])
+            self._pencils.append(pencils)
+            self._fixed.append(fixed)
+            self._peaks.append((peaks, sub.u_max))
+            self._bounds.append(self._interval(i))
+        self._cache = [None] * len(self._pencils)  # (xi_i, margins) per i
+
+    def _interval(self, i: int):
+        if max(self._fixed[i].values(), default=-np.inf) > 0.0:
+            return None
+        mus = [p.spectrum() for p in self._pencils[i]]
+        if any(mu is None for mu in mus):
+            return None
+        mu_min = min(float(mu.min()) for mu in mus)
+        mu_max = max(float(mu.max()) for mu in mus)
+        lo = self.xi_ref[i] + 1.0 / mu_min if mu_min < 0.0 else -np.inf
+        hi = self.xi_ref[i] + 1.0 / mu_max if mu_max > 0.0 else np.inf
+        peaks, u_max = self._peaks[i]
+        if peaks is not None:
+            with np.errstate(divide="ignore"):
+                hi = min(hi, float(np.min(u_max / np.sqrt(peaks))))
+        return lo, hi
+
+    def interval(self, group) -> tuple | None:
+        """Exact set sizes [xi_lo, xi_hi] at which every condition of the
+        subsystems in `group` but containment holds at these gains; None
+        when a subsystem's reference size, from which its interval is
+        located, is not strictly feasible."""
+        bounds = [self._bounds[i] for i in group]
+        if any(b is None for b in bounds):
+            return None
+        return max(b[0] for b in bounds), min(b[1] for b in bounds)
+
+    def clamp(self, group, lo_start: float) -> float | None:
+        """The group's smallest set size at these gains above the haired
+        containment floor `lo_start`: max(xi_lo (1 + XI_HAIR), lo_start),
+        or None when that exceeds xi_hi."""
+        bounds = self.interval(group)
+        if bounds is None:
+            return None
+        xi = max(bounds[0] * (1.0 + XI_HAIR), lo_start)
+        return xi if xi <= bounds[1] else None
+
+    def margins(self, xi, x_all=None) -> dict:
+        """certificate_margins of these gains at set sizes xi: the same
+        keys, the same values at xi_ref and within rounding elsewhere."""
+        out = {}
+        for i, pencils in enumerate(self._pencils):
+            if self._cache[i] is None or self._cache[i][0] != xi[i]:
+                inv, dec = pencils
+                dxi = xi[i] - self.xi_ref[i]
+                part = {}
+                for key_inv, m_inv, key_dec, m_dec in zip(
+                        inv.keys, inv.max_eigs(dxi),
+                        dec.keys, dec.max_eigs(dxi)):
+                    part[key_inv] = float(m_inv)
+                    part[key_dec] = float(m_dec)
+                part.update(self._fixed[i])
+                peaks, u_max = self._peaks[i]
+                if peaks is not None:
+                    ell = xi[i] ** 2 * peaks - u_max ** 2
+                    if np.all(np.isfinite(ell)):
+                        part[f"input_peak[i={i}]"] = float(np.max(ell))
+                self._cache[i] = (xi[i], part)
+            out.update(self._cache[i][1])
+            if x_all is not None:
+                cont = assemble_containment(np.asarray(x_all[i], dtype=float),
+                                            xi[i], self._x_mats[i], i)
+                out[cont.key] = -min_eig(cont.matrix)
+        return out
 
 
 def _simplex_grid(n_rules: int, density: int):

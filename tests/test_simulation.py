@@ -20,7 +20,8 @@ from it2mpc.simulation import (
     stage_cost,
     total_cost,
 )
-from it2mpc.synthesis import SynthesisConfig, build_z
+from it2mpc.synthesis import (XI_HAIR, FixedGainEvaluator, SynthesisConfig,
+                              build_z)
 
 from conftest import (
     build_example1_system,
@@ -251,9 +252,42 @@ class TestRunOnlineLoop:
                 assert xi <= res.dv.xi[i] * (1.0 + 1e-6)
             # subsystem 0's size follows its shrinking state below the others
             assert xis[0] < xis[2]
-        assert trace.meta["final_xi"] == pytest.approx(
-            [0.908320214914707, 8.969839902582537, 9.901832152969146],
+        # the exact interval end replaces a 1e-3 bisection: never larger
+        # than the bisected sizes [0.908320214914707, 8.969839902582537,
+        # 9.901832152969146]
+        final = trace.meta["final_xi"]
+        assert final == pytest.approx(
+            [0.9082536879483349, 8.965972058830245, 9.900614785636536],
             rel=1e-9)
+        for xi, bisected in zip(final, [0.908320214914707, 8.969839902582537,
+                                        9.901832152969146]):
+            assert xi <= bisected
+
+    @pytest.mark.parametrize("xi_mode", ["common", "per_subsystem"])
+    def test_every_step_xi_is_interval_end_or_containment(self,
+                                                          ex1_synthesized,
+                                                          xi_mode):
+        # at the warm gains each step's size is max(xi_lo, floor_k), both
+        # kept a hair inside their boundaries
+        system, params, x0, res, _ = ex1_synthesized
+        cfg = SynthesisConfig()
+        trace = run_online_loop(system, params, x0, 10,
+                                dist=DisturbanceModel(kind="uniform_ball",
+                                                      seed=3),
+                                resynth="every_step", warm=res.dv,
+                                xi_mode=xi_mode)
+        assert all(trace.feasible)
+        assert trace.solves == 0
+        evaluator = FixedGainEvaluator(system, params, res.dv, cfg)
+        groups = [range(3)] if xi_mode == "common" else [(0,), (1,), (2,)]
+        for xs, xis in zip(trace.x, trace.xi):
+            for group in groups:
+                lo, _ = evaluator.interval(group)
+                floor = max(max(np.sqrt(xs[i] @ params.X[i] @ xs[i]),
+                                cfg.xi_floor) for i in group)
+                want = max(lo * (1.0 + XI_HAIR), floor * (1.0 + XI_HAIR))
+                for i in group:
+                    assert xis[i] == pytest.approx(want, rel=1e-9)
 
     def test_unknown_xi_mode_rejected_with_supplied_gains(self):
         with pytest.raises(ValueError, match="xi mode"):
@@ -347,3 +381,7 @@ class TestRpiMonteCarlo:
         a = rpi_monte_carlo(system, params, dv, n_samples=200, seed=3)
         b = rpi_monte_carlo(system, params, dv, n_samples=200, seed=3)
         assert a == b
+        # the sampling draws its random numbers in a fixed order: these are
+        # the values of the per-sample eigensolve version, bit for bit
+        assert a["worst_scalar"] == -0.012366960745845382
+        assert a["worst_exit_margin"] == -0.7499999165368416

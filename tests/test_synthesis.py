@@ -4,10 +4,12 @@ from numpy.testing import assert_allclose
 
 from conftest import (build_example1_system, build_tiny_system,
                       example1_reference_params, tiny_params)
+from it2mpc.configio import bundled_config_names, load_bundled_config
 from it2mpc.lmis import DecisionVars
-from it2mpc.synthesis import (Infeasible, SynthesisConfig, build_z,
-                              certificate_margins, ellipsoid_input_excess,
-                              minimize_xi, solve_fixed_xi, verify_certificate)
+from it2mpc.synthesis import (XI_HAIR, FixedGainEvaluator, Infeasible,
+                              SynthesisConfig, build_z, certificate_margins,
+                              ellipsoid_input_excess, minimize_xi,
+                              solve_fixed_xi, verify_certificate)
 
 TINY_X0 = [np.array([0.3, -0.3])]
 FAST = SynthesisConfig(n_starts=2, max_iters=60)
@@ -189,6 +191,81 @@ class TestCertificateMargins:
         margins = certificate_margins(system, params, bad)
         assert max(v for k, v in margins.items()
                    if k.startswith("invariance")) > 0.0
+
+
+class TestFixedGainEvaluator:
+    @staticmethod
+    def _scaled(dv, i, factor):
+        xi = list(dv.xi)
+        xi[i] *= factor
+        return DecisionVars(gains=dv.gains, Z=dv.Z, xi=xi)
+
+    def test_interval_is_tight(self, ex1_synthesized):
+        # just outside either end of each subsystem's interval some fresh
+        # margin of that subsystem turns positive
+        system, params, _, res, _ = ex1_synthesized
+        evaluator = FixedGainEvaluator(system, params, res.dv,
+                                       SynthesisConfig())
+        for i in range(system.n_subsystems):
+            lo, hi = evaluator.interval((i,))
+            assert lo < res.dv.xi[i] < hi
+            ends = [(lo, 1.0 - 1e-5)] + ([(hi, 1.0 + 1e-5)]
+                                         if np.isfinite(hi) else [])
+            for end, factor in ends:
+                dv = self._scaled(res.dv, i, end * factor / res.dv.xi[i])
+                margins = certificate_margins(system, params, dv)
+                assert max(v for k, v in margins.items()
+                           if f"i={i}" in k) > 0.0
+
+    def test_lower_end_within_bisection_tolerance(self, ex1_synthesized):
+        # the cold optimum was bisected to xi_rel_tol; the exact lower end
+        # lies below it, by at most that tolerance
+        system, params, _, res, _ = ex1_synthesized
+        cfg = SynthesisConfig()
+        lo, _ = FixedGainEvaluator(system, params, res.dv,
+                                   cfg).interval(range(3))
+        bisected = res.dv.xi[0]
+        assert bisected * (1.0 - cfg.xi_rel_tol) <= lo <= bisected
+
+    def test_warm_step_sits_at_the_lower_end(self, ex1_synthesized):
+        system, params, x0, res, _ = ex1_synthesized
+        warm = minimize_xi(system, params, x0, warm=res.dv)
+        lo, _ = warm.evaluator.interval(range(3))
+        assert warm.solves == 0
+        assert warm.dv.xi == [lo * (1.0 + XI_HAIR)] * 3
+        assert warm.feasible
+        fresh = certificate_margins(system, params, warm.dv, x0)
+        assert fresh.keys() == warm.margins.keys()
+        assert max(fresh.values()) <= 0.0
+
+    @pytest.mark.parametrize("name", bundled_config_names())
+    def test_margins_match_certificate_margins(self, name, ex1_synthesized):
+        cfg = load_bundled_config(name)
+        system, params, x0 = cfg.system, cfg.params, cfg.simulation.x0
+        if cfg.gains is None:
+            dv = ex1_synthesized[3].dv
+        else:
+            dv = DecisionVars(
+                gains=cfg.gains,
+                Z=[build_z(g, sub.n_x, cfg.synthesis.input_margin)
+                   for g, sub in zip(cfg.gains, system.subsystems)],
+                xi=[0.7 + 0.4 * i for i in range(system.n_subsystems)])
+        evaluator = FixedGainEvaluator(system, params, dv, cfg.synthesis)
+        for x_all in (None, x0):
+            got = evaluator.margins(dv.xi, x_all)
+            want = certificate_margins(system, params, dv, x_all,
+                                       cfg.synthesis)
+            assert list(got) == list(want)
+            assert got == want
+            for factor in (0.5, 1.0001, 3.0):
+                xi = [factor * v for v in dv.xi]
+                got = evaluator.margins(xi, x_all)
+                want = certificate_margins(
+                    system, params, DecisionVars(dv.gains, dv.Z, xi), x_all,
+                    cfg.synthesis)
+                assert list(got) == list(want)
+                for key in want:
+                    assert got[key] == pytest.approx(want[key], abs=1e-12)
 
 
 class TestVerifyCertificate:
