@@ -30,15 +30,16 @@ class EigResult(NamedTuple):
 def sym_matrix(entries) -> np.ndarray:
     """Build an exactly symmetric matrix by mirroring the upper triangle.
 
-    Accepts anything array-like; rejects non-square or non-finite input.
+    Accepts anything array-like, also a stack (..., n, n) of matrices, each
+    mirrored on its own; rejects non-square or non-finite input.
     """
     a = np.asarray(entries, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidMatrixError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidMatrixError("matrix entries must be finite")
     upper = np.triu(a)
-    return upper + np.triu(a, 1).T
+    return upper + np.triu(a, 1).swapaxes(-1, -2)
 
 
 def default_tol(a: np.ndarray, base: float = 1e-9) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SingularBlockError, is_psd, min_eig, sym_eig, sym_matrix
+from .linalg import SingularBlockError, is_psd, min_eig, sym_matrix
 from .plant import LargeScaleSystem, Subsystem, blend, step_closed_loop
 
 
@@ -121,7 +121,8 @@ class LMIInstance:
 
     def test_matrix(self) -> np.ndarray:
         """Matrix the sense is judged on: strict instances are compressed
-        onto the complement of structural coupling kernels."""
+        onto the complement of structural coupling kernels (each matrix of
+        a stacked instance on its own)."""
         if self.strict_basis is None:
             return self.matrix
         return sym_matrix(self.strict_basis.T @ self.matrix @ self.strict_basis)
@@ -162,9 +163,9 @@ def _coupling_blocks(system: LargeScaleSystem, params: FixedParams, i: int):
 
 
 def _place(mat, row_ofs, col_ofs, block):
-    r, c = block.shape
-    mat[row_ofs:row_ofs + r, col_ofs:col_ofs + c] = block
-    mat[col_ofs:col_ofs + c, row_ofs:row_ofs + r] = block.T
+    r, c = block.shape[-2:]
+    mat[..., row_ofs:row_ofs + r, col_ofs:col_ofs + c] = block
+    mat[..., col_ofs:col_ofs + c, row_ofs:row_ofs + r] = block.swapaxes(-1, -2)
 
 
 def _strict_basis_for(dims_head, gs, dims_coupling, dims_tail):
@@ -195,41 +196,95 @@ def _strict_basis_for(dims_head, gs, dims_coupling, dims_tail):
     return out
 
 
-def _invariance_matrix(system, params, i, theta, e_mu, xi_i, reduced):
+def _condition_matrices(system, params, i, family, theta, e_mu, k_eff, xi_i,
+                        reduced):
+    """Invariance or decrease matrices of subsystem i, stacked (P, size,
+    size), for stacks of closed-loop matrices theta (P, n_x, n_x),
+    disturbance maps e_mu (P, n_x, n_d) and gains k_eff (P, n_u, n_x; only
+    decrease reads them). The coupling load, the g'X blocks and the strict
+    basis depend on neither the gains nor xi and are built once per call.
+    Returns (matrices, coupling keys, slot dims, strict basis)."""
     sub = system.subsystems[i]
     keys, gs, dims, x_i, root_alpha, load = _coupling_blocks(system, params, i)
     n = system.n_subsystems
-    lam = params.lam[i]
-    n_d, n_x = sub.n_d, sub.n_x
+    n_d, n_x, n_u = sub.n_d, sub.n_x, sub.n_u
+    decrease = family == "decrease"
+    if decrease:
+        d_coef = xi_i * params.tau[i]
+        state_block = load - x_i + xi_i * params.q_mat(i)
+        tail = [n_u, n_x]
+    else:
+        d_coef = xi_i * params.lam[i] * params.N_const[i]
+        state_block = load - (1.0 - params.lam[i]) * x_i
+        tail = [n_x]
+    if reduced:
+        tail = []
 
-    slot_dims = [n_d, n_x] + dims + ([] if reduced else [n_x])
+    slot_dims = [n_d, n_x] + dims + tail
     size = sum(slot_dims)
-    mat = np.zeros((size, size))
+    mat = np.zeros((theta.shape[0], size, size))
     ofs = np.concatenate(([0], np.cumsum(slot_dims))).astype(int)
+    theta_t = theta.swapaxes(-1, -2)
 
     xe = x_i @ e_mu
-    mat[:n_d, :n_d] = e_mu.T @ xe - xi_i * lam * params.N_const[i] * np.eye(n_d)
-    _place(mat, ofs[1], 0, theta.T @ xe)
-    state_block = load - (1.0 - lam) * x_i
+    mat[:, :n_d, :n_d] = e_mu.swapaxes(-1, -2) @ xe - d_coef * np.eye(n_d)
+    _place(mat, ofs[1], 0, theta_t @ xe)
     if reduced:
-        state_block = state_block + n * (theta.T @ x_i @ theta)
-    mat[ofs[1]:ofs[2], ofs[1]:ofs[2]] = state_block
+        state_block = state_block + n * (theta_t @ x_i @ theta)
+        if decrease:
+            state_block = state_block + \
+                k_eff.swapaxes(-1, -2) @ params.M[i] @ k_eff
+    mat[:, ofs[1]:ofs[2], ofs[1]:ofs[2]] = state_block
+    gx = [g.T @ x_i for g in gs]
     for a, g_a in enumerate(gs):
         ra = ofs[2 + a]
         _place(mat, ra, 0, g_a.T @ xe)
-        _place(mat, ra, ofs[1], (1.0 - root_alpha) * (g_a.T @ x_i @ theta))
-        for b, g_b in enumerate(gs):
+        _place(mat, ra, ofs[1], (1.0 - root_alpha) * (gx[a] @ theta))
+        for b in range(a, len(gs)):
             rb = ofs[2 + b]
-            if b >= a:
-                block = -(params.alpha - 1.0) * (g_b.T @ x_i @ g_a)
-                mat[rb:rb + dims[b], ra:ra + dims[a]] = block
-                mat[ra:ra + dims[a], rb:rb + dims[b]] = block.T
+            block = -(params.alpha - 1.0) * (gx[b] @ g_a)
+            mat[:, rb:rb + dims[b], ra:ra + dims[a]] = block
+            mat[:, ra:ra + dims[a], rb:rb + dims[b]] = block.T
     if not reduced:
+        if decrease:
+            m_row = ofs[-3]
+            _place(mat, m_row, ofs[1], params.M[i] @ k_eff)
+            mat[:, m_row:m_row + n_u, m_row:m_row + n_u] = -params.M[i]
         last = ofs[-2]
         _place(mat, last, ofs[1], x_i @ theta)
-        mat[last:, last:] = -(1.0 / n) * x_i
-    basis = _strict_basis_for([n_d, n_x], gs, dims, [] if reduced else [n_x])
-    return sym_matrix(0.5 * (mat + mat.T)), keys, tuple(slot_dims), basis
+        mat[:, last:, last:] = -(1.0 / n) * x_i
+    basis = _strict_basis_for([n_d, n_x], gs, dims, tail)
+    return (sym_matrix(0.5 * (mat + mat.swapaxes(-1, -2))), keys,
+            tuple(slot_dims), basis)
+
+
+_FAMILY_SENSE = {"invariance": "nsd", "decrease": "nsd_strict"}
+
+
+def _vertex_instance(system, params, dv, i, l, m, family, reduced):
+    sub = system.subsystems[i]
+    theta = theta_vertex(sub, dv.gains[i], l, m)
+    mats, keys, slot_dims, basis = _condition_matrices(
+        system, params, i, family, theta[None], sub.rules[l].E[None],
+        dv.gains[i][m][None], dv.xi[i], reduced)
+    return LMIInstance(matrix=mats[0], origin=family,
+                       sense=_FAMILY_SENSE[family], subsystem=i,
+                       vertex=(l, m), coupling_keys=keys,
+                       slot_dims=slot_dims, strict_basis=basis)
+
+
+def _blended_instance(system, params, dv, i, w, h, family, reduced):
+    w = np.asarray(w, dtype=float)
+    h = np.asarray(h, dtype=float)
+    a, b, e = blend(system.subsystems[i], np.atleast_2d(w))
+    k = sum(hm[:, None, None] * km
+            for hm, km in zip(np.atleast_2d(h).T, dv.gains[i]))
+    mats, keys, slot_dims, basis = _condition_matrices(
+        system, params, i, family, a + b @ k, e, k, dv.xi[i], reduced)
+    return LMIInstance(matrix=mats[0] if w.ndim == h.ndim == 1 else mats,
+                       origin=family, sense=_FAMILY_SENSE[family],
+                       subsystem=i, vertex=None, coupling_keys=keys,
+                       slot_dims=slot_dims, strict_basis=basis)
 
 
 def assemble_invariance(system: LargeScaleSystem, params: FixedParams,
@@ -240,93 +295,35 @@ def assemble_invariance(system: LargeScaleSystem, params: FixedParams,
     `reduced` folds the trailing slack row into the state block via its Schur
     complement (the scalar-expansion form used by the oracle tests).
     """
-    sub = system.subsystems[i]
-    theta = theta_vertex(sub, dv.gains[i], l, m)
-    e_mu = sub.rules[l].E
-    mat, keys, slot_dims, basis = _invariance_matrix(system, params, i, theta,
-                                                     e_mu, dv.xi[i], reduced)
-    return LMIInstance(matrix=mat, origin="invariance", sense="nsd",
-                       subsystem=i, vertex=(l, m), coupling_keys=keys,
-                       slot_dims=slot_dims, strict_basis=basis)
+    return _vertex_instance(system, params, dv, i, l, m, "invariance",
+                            reduced)
 
 
 def assemble_invariance_blended(system, params, dv, i, w, h,
                                 reduced: bool = False) -> LMIInstance:
-    """Invariance condition with membership-blended matrices."""
-    a, b, e = blend(system.subsystems[i], w)
-    k = sum(hm * km for hm, km in zip(h, dv.gains[i]))
-    mat, keys, slot_dims, basis = _invariance_matrix(system, params, i,
-                                                     a + b @ k, e,
-                                                     dv.xi[i], reduced)
-    return LMIInstance(matrix=mat, origin="invariance", sense="nsd",
-                       subsystem=i, vertex=None, coupling_keys=keys,
-                       slot_dims=slot_dims, strict_basis=basis)
+    """Invariance condition with membership-blended matrices.
 
-
-def _decrease_matrix(system, params, i, theta, e_mu, k_eff, xi_i, reduced):
-    sub = system.subsystems[i]
-    keys, gs, dims, x_i, root_alpha, load = _coupling_blocks(system, params, i)
-    n = system.n_subsystems
-    n_d, n_x, n_u = sub.n_d, sub.n_x, sub.n_u
-    m_i = params.M[i]
-
-    slot_dims = [n_d, n_x] + dims + ([] if reduced else [n_u, n_x])
-    size = sum(slot_dims)
-    mat = np.zeros((size, size))
-    ofs = np.concatenate(([0], np.cumsum(slot_dims))).astype(int)
-
-    xe = x_i @ e_mu
-    mat[:n_d, :n_d] = e_mu.T @ xe - xi_i * params.tau[i] * np.eye(n_d)
-    _place(mat, ofs[1], 0, theta.T @ xe)
-    state_block = load - x_i + xi_i * params.q_mat(i)
-    if reduced:
-        state_block = state_block + n * (theta.T @ x_i @ theta) + k_eff.T @ m_i @ k_eff
-    mat[ofs[1]:ofs[2], ofs[1]:ofs[2]] = state_block
-    for a, g_a in enumerate(gs):
-        ra = ofs[2 + a]
-        _place(mat, ra, 0, g_a.T @ xe)
-        _place(mat, ra, ofs[1], (1.0 - root_alpha) * (g_a.T @ x_i @ theta))
-        for b, g_b in enumerate(gs):
-            rb = ofs[2 + b]
-            if b >= a:
-                block = -(params.alpha - 1.0) * (g_b.T @ x_i @ g_a)
-                mat[rb:rb + dims[b], ra:ra + dims[a]] = block
-                mat[ra:ra + dims[a], rb:rb + dims[b]] = block.T
-    if not reduced:
-        m_row = ofs[-3]
-        _place(mat, m_row, ofs[1], m_i @ k_eff)
-        mat[m_row:m_row + n_u, m_row:m_row + n_u] = -m_i
-        last = ofs[-2]
-        _place(mat, last, ofs[1], x_i @ theta)
-        mat[last:, last:] = -(1.0 / n) * x_i
-    basis = _strict_basis_for([n_d, n_x], gs, dims,
-                              [] if reduced else [n_u, n_x])
-    return sym_matrix(0.5 * (mat + mat.T)), keys, tuple(slot_dims), basis
+    Weights w (n_rules,) and h (n_controller_rules,) give one matrix;
+    stacks w (P, n_rules) and h (P, n_controller_rules) give one instance
+    whose matrix is the stack (P, size, size) of the P blends, each equal
+    to its own single-weight assembly."""
+    return _blended_instance(system, params, dv, i, w, h, "invariance",
+                             reduced)
 
 
 def assemble_decrease(system: LargeScaleSystem, params: FixedParams,
                       dv: DecisionVars, i: int, l: int, m: int,
                       reduced: bool = False) -> LMIInstance:
     """Cost-decrease condition at vertex (l, m); sense is strict."""
-    sub = system.subsystems[i]
-    theta = theta_vertex(sub, dv.gains[i], l, m)
-    e_mu = sub.rules[l].E
-    mat, keys, slot_dims, basis = _decrease_matrix(
-        system, params, i, theta, e_mu, dv.gains[i][m], dv.xi[i], reduced)
-    return LMIInstance(matrix=mat, origin="decrease", sense="nsd_strict",
-                       subsystem=i, vertex=(l, m), coupling_keys=keys,
-                       slot_dims=slot_dims, strict_basis=basis)
+    return _vertex_instance(system, params, dv, i, l, m, "decrease", reduced)
 
 
 def assemble_decrease_blended(system, params, dv, i, w, h,
                               reduced: bool = False) -> LMIInstance:
-    a, b, e = blend(system.subsystems[i], w)
-    k = sum(hm * km for hm, km in zip(h, dv.gains[i]))
-    mat, keys, slot_dims, basis = _decrease_matrix(
-        system, params, i, a + b @ k, e, k, dv.xi[i], reduced)
-    return LMIInstance(matrix=mat, origin="decrease", sense="nsd_strict",
-                       subsystem=i, vertex=None, coupling_keys=keys,
-                       slot_dims=slot_dims, strict_basis=basis)
+    """Cost-decrease condition with membership-blended matrices; weight
+    stacks as for assemble_invariance_blended."""
+    return _blended_instance(system, params, dv, i, w, h, "decrease",
+                             reduced)
 
 
 def assemble_input_constraint(sub: Subsystem, dv: DecisionVars, i: int, m: int):
@@ -372,15 +369,25 @@ def containment_size(x_mat: np.ndarray, x) -> float:
     return float(np.sqrt(x @ x_mat @ x))
 
 
-def assemble_containment(x: np.ndarray, xi_i: float, x_mat: np.ndarray,
-                         subsystem: int = 0) -> LMIInstance:
-    """State-containment certificate [[xi, x'], [x, X^{-1} xi]] >= 0,
-    equivalent to x' (X/xi) x <= xi."""
-    eigs = sym_eig(x_mat).values
+def shape_inverse(x_mat: np.ndarray) -> np.ndarray:
+    """X^{-1} for the containment block; raises SingularBlockError when X is
+    singular to working precision."""
+    eigs = np.linalg.eigvalsh(sym_matrix(x_mat))
     scale = max(1.0, float(np.max(np.abs(eigs))))
     if float(np.min(np.abs(eigs))) <= 1e-12 * scale:
         raise SingularBlockError("shape matrix is singular; containment undefined")
-    inv_scaled = xi_i * np.linalg.solve(x_mat, np.eye(x_mat.shape[0]))
+    return np.linalg.solve(x_mat, np.eye(x_mat.shape[0]))
+
+
+def assemble_containment(x: np.ndarray, xi_i: float, x_mat: np.ndarray,
+                         subsystem: int = 0,
+                         x_inv: np.ndarray | None = None) -> LMIInstance:
+    """State-containment certificate [[xi, x'], [x, X^{-1} xi]] >= 0,
+    equivalent to x' (X/xi) x <= xi. `x_inv` is shape_inverse(x_mat) when
+    the caller already has it."""
+    if x_inv is None:
+        x_inv = shape_inverse(x_mat)
+    inv_scaled = xi_i * x_inv
     x = np.asarray(x, dtype=float)
     mat = sym_matrix(np.block([[np.array([[xi_i]]), x[None, :]],
                                [x[:, None], inv_scaled]]))
@@ -397,9 +404,16 @@ def check_rpi_pointwise(system: LargeScaleSystem, params: FixedParams,
     certified. Uses the implied admissible radius eta^2 = xi / N_const.
     """
     x_next = step_closed_loop(system, dv.gains, x_all, d_all, mu_bar, mode, rho_bar)
+    return rpi_decrease_scalar(params, dv.xi, x_all, d_all, x_next)
+
+
+def rpi_decrease_scalar(params: FixedParams, xi, x_all, d_all,
+                        x_next) -> float:
+    """check_rpi_pointwise's scalar for an already computed step
+    x_all -> x_next under disturbances d_all, at set sizes xi."""
     total = 0.0
-    for i in range(system.n_subsystems):
-        xi_i = dv.xi[i]
+    for i in range(len(xi)):
+        xi_i = xi[i]
         p_i = params.X[i] / xi_i
         v_now = float(x_all[i] @ p_i @ x_all[i])
         v_next = float(x_next[i] @ p_i @ x_next[i])

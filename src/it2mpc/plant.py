@@ -162,10 +162,14 @@ def eval_controller_memberships(sub: Subsystem, x: np.ndarray, mu_bar: float) ->
 
 
 def blend(sub: Subsystem, w: np.ndarray):
-    """Membership-weighted (A, B, E); exact at one-hot weights."""
-    a = sum(wl * rule.A for wl, rule in zip(w, sub.rules))
-    b = sum(wl * rule.B for wl, rule in zip(w, sub.rules))
-    e = sum(wl * rule.E for wl, rule in zip(w, sub.rules))
+    """Membership-weighted (A, B, E); exact at one-hot weights.
+
+    A stack of weights w (P, n_rules) gives stacks (P, ...) of the three,
+    each entry summed in the same order as for its own weight vector."""
+    cols = np.asarray(w, dtype=float).T[..., None, None]
+    a = sum(wl * rule.A for wl, rule in zip(cols, sub.rules))
+    b = sum(wl * rule.B for wl, rule in zip(cols, sub.rules))
+    e = sum(wl * rule.E for wl, rule in zip(cols, sub.rules))
     return a, b, e
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import max_eig, min_eig, sym_eig
-from .lmis import (DecisionVars, FixedParams, check_rpi_pointwise,
-                   containment_size)
+from .lmis import (DecisionVars, FixedParams, containment_size,
+                   rpi_decrease_scalar)
 from .plant import LargeScaleSystem, step_closed_loop, step_closed_loop_detail
 from .synthesis import (XI_HAIR, XI_MODES, FixedGainEvaluator, Infeasible,
                         SynthesisConfig, build_z, minimize_xi)
@@ -401,13 +401,12 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
         use_true = (s % 3) == 2
         mode = "true_plant" if use_true else "reconstructed"
         rho_bar = None if use_true else rho
-        scalar = check_rpi_pointwise(system, params, dv, x_all, d_all, mu,
-                                     mode, rho_bar)
+        x_next = step_closed_loop(system, dv.gains, x_all, d_all, mu, mode,
+                                  rho_bar)
+        scalar = rpi_decrease_scalar(params, dv.xi, x_all, d_all, x_next)
         worst_scalar = max(worst_scalar, scalar)
         if scalar > tol:
             scalar_violations += 1
-        x_next = step_closed_loop(system, dv.gains, x_all, d_all, mu, mode,
-                                  rho_bar)
         for i in range(n):
             margin = (lyapunov_value(x_next[i], params.X[i]) - dv.xi[i] ** 2) \
                 / dv.xi[i] ** 2

@@ -34,7 +34,8 @@ from .linalg import max_eig, min_eig
 from .lmis import (DecisionVars, FixedParams, assemble_containment,
                    assemble_decrease, assemble_decrease_blended,
                    assemble_input_constraint, assemble_invariance,
-                   assemble_invariance_blended, containment_size, xi_slope)
+                   assemble_invariance_blended, containment_size,
+                   shape_inverse, xi_slope)
 from .plant import LargeScaleSystem
 
 
@@ -340,20 +341,25 @@ def _min_xi(system, params, x_all, group, cfg, rng, warm, evaluator, common):
     if val is not None:
         return lo_start, *val, solves
 
+    # growing probes from above the floor, after the warm size when that is
+    # larger; the feasible sizes are bounded above (input-peak and decrease
+    # rows), so growing from a failed warm size would only overshoot them
+    probes = [max(2.0 * lo_bound, 1.0) * 4.0 ** t
+              for t in range(cfg.xi_growth_iters)]
     warm_xi = None if warm is None else max(warm.xi[i] for i in group)
-    probe = warm_xi if warm is not None and warm_xi > lo_start \
-        else max(2.0 * lo_bound, 1.0)
-    for _ in range(cfg.xi_growth_iters):
+    if warm is not None and warm_xi > lo_start:
+        probes.insert(0, warm_xi)
+    for probe in probes:
         val = solve(probe, starts)
         if val is not None:
             break
-        probe *= 4.0
     else:
+        top = max(probes, default=lo_start)
         if common:
             raise Infeasible("no common set size feasible for every "
-                             f"subsystem up to {probe / 4.0:.3g}")
+                             f"subsystem up to {top:.3g}")
         raise Infeasible(f"subsystem {group[0]}: no feasible set size found "
-                         f"up to {probe / 4.0:.3g}", subsystem=group[0])
+                         f"up to {top:.3g}", subsystem=group[0])
 
     # lo_start is known infeasible (or just above the exact floor)
     xi, (gains, zs) = _bisect(lo_start, probe, val,
@@ -495,6 +501,7 @@ class FixedGainEvaluator:
                  dv: DecisionVars, cfg: SynthesisConfig):
         self.gains, self.Z, self.xi_ref = dv.gains, dv.Z, list(dv.xi)
         self._x_mats = params.X
+        self._x_invs = [None] * len(params.X)  # shape_inverse, on first use
         self._pencils, self._fixed, self._peaks = [], [], []
         self._bounds = []       # per subsystem: (xi_lo, xi_hi) or None
         for i, sub in enumerate(system.subsystems):
@@ -581,8 +588,11 @@ class FixedGainEvaluator:
                 self._cache[i] = (xi[i], part)
             out.update(self._cache[i][1])
             if x_all is not None:
+                if self._x_invs[i] is None:
+                    self._x_invs[i] = shape_inverse(self._x_mats[i])
                 cont = assemble_containment(np.asarray(x_all[i], dtype=float),
-                                            xi[i], self._x_mats[i], i)
+                                            xi[i], self._x_mats[i], i,
+                                            self._x_invs[i])
                 out[cont.key] = -min_eig(cont.matrix)
         return out
 
@@ -611,21 +621,25 @@ def verify_certificate(system: LargeScaleSystem, params: FixedParams,
 
     Vertex coverage is exact for every block that is affine in the blend
     weights; the one quadratic block (the disturbance channel) bends toward
-    feasibility under blending, and the grid sweep confirms it numerically.
+    feasibility under blending, and the grid sweep confirms it numerically:
+    per subsystem and family, one stacked assembly over every (w, h) grid
+    pair and one batched eigensolve.
     Returns {"margins", "blended_worst", "worst", "feasible"}."""
     cfg = cfg or SynthesisConfig()
     margins = certificate_margins(system, params, dv, x_all, cfg)
     blended_worst = -np.inf
     for i, sub in enumerate(system.subsystems):
-        w_grid = list(_simplex_grid(sub.n_rules, cfg.grid_density))
-        h_grid = list(_simplex_grid(sub.n_controller_rules, cfg.grid_density))
-        for w in w_grid:
-            for h in h_grid:
-                inv = assemble_invariance_blended(system, params, dv, i, w, h)
-                blended_worst = max(blended_worst, max_eig(inv.test_matrix()))
-                dec = assemble_decrease_blended(system, params, dv, i, w, h)
-                blended_worst = max(blended_worst,
-                                    max_eig(dec.test_matrix()) + cfg.strictness)
+        w_grid = np.array(list(_simplex_grid(sub.n_rules, cfg.grid_density)))
+        h_grid = np.array(list(_simplex_grid(sub.n_controller_rules,
+                                             cfg.grid_density)))
+        # every (w, h) pair, w-major
+        w = np.repeat(w_grid, len(h_grid), axis=0)
+        h = np.tile(h_grid, (len(w_grid), 1))
+        for assemble, shift in ((assemble_invariance_blended, 0.0),
+                                (assemble_decrease_blended, cfg.strictness)):
+            inst = assemble(system, params, dv, i, w, h)
+            top = np.linalg.eigvalsh(inst.test_matrix())[:, -1] + shift
+            blended_worst = max(blended_worst, float(np.max(top)))
     worst = max(max(margins.values()), blended_worst)
     return {"margins": margins, "blended_worst": blended_worst,
             "worst": worst, "feasible": worst <= 0.0}

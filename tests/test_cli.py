@@ -144,6 +144,32 @@ class TestSynthesizeVerifyRpi:
         assert record["error"] == "infeasible"
         assert "message" in record
 
+    def test_verify_three_rule_grid(self, capsys, tmp_path):
+        # example2's subsystems have three model and three controller rules:
+        # 66 x 66 grid pairs each; the figures are those of the per-point
+        # sweep the batched one replaced
+        from it2mpc.configio import load_bundled_config, save_certificate
+        from it2mpc.lmis import DecisionVars
+        from it2mpc.synthesis import build_z
+        cfg = load_bundled_config("example2_stabilized")
+        subs = cfg.system.subsystems
+        dv = DecisionVars(
+            gains=cfg.gains,
+            Z=[build_z(g, sub.n_x, cfg.synthesis.input_margin)
+               for g, sub in zip(cfg.gains, subs)],
+            xi=[3.0] * len(subs))
+        cert, report = tmp_path / "cert.json", tmp_path / "report.json"
+        save_certificate(dv, cert)
+        rc, stdout, stderr = run_cli(capsys, "verify", "example2_stabilized",
+                                     "--gains", str(cert),
+                                     "--out", str(report))
+        assert rc == 2
+        assert "INFEASIBLE" in stdout
+        assert json.loads(stderr)["error"] == "infeasible"
+        doc = json.loads(report.read_text())
+        assert doc["blended_worst"] == 3.8557819641954865
+        assert doc["worst"] == 34.60959171020022
+
     def test_verify_tol_loosens_verdict(self, capsys, tiny_path, tmp_path):
         cert = tmp_path / "cert.json"
         run_cli(capsys, "synthesize", str(tiny_path), "--out", str(cert))

@@ -38,6 +38,24 @@ class TestSymMatrix:
         with pytest.raises(InvalidMatrixError):
             sym_matrix([[1.0, np.nan], [np.nan, 1.0]])
 
+    def test_mirrors_each_matrix_of_a_stack(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((4, 3, 3))
+        got = sym_matrix(stack)
+        assert got.shape == stack.shape
+        for a, b in zip(got, stack):
+            np.testing.assert_array_equal(a, sym_matrix(b))
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(InvalidMatrixError):
+            sym_matrix(np.zeros((4, 2, 3)))
+
+    def test_rejects_non_finite_stack(self):
+        stack = np.zeros((3, 2, 2))
+        stack[2, 1, 0] = np.inf
+        with pytest.raises(InvalidMatrixError):
+            sym_matrix(stack)
+
     def test_rejects_vector(self):
         with pytest.raises(InvalidMatrixError):
             sym_matrix([1.0, 2.0])

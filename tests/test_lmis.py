@@ -20,7 +20,9 @@ from it2mpc.lmis import (DecisionVars, FixedParams, assemble_containment,
                          assemble_decrease, assemble_decrease_blended,
                          assemble_input_constraint, assemble_invariance,
                          assemble_invariance_blended, check_rpi_pointwise,
-                         theta_vertex)
+                         rpi_decrease_scalar, shape_inverse, theta_vertex)
+from it2mpc.plant import step_closed_loop
+from it2mpc.configio import bundled_config_names, load_bundled_config
 from it2mpc.membership import IT2MembershipFamily, SigmoidMF
 from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 
@@ -285,6 +287,55 @@ class TestDecreaseOracle:
             np.testing.assert_array_equal(blend.matrix, vert.matrix)
 
 
+def _bundled_certificate(name):
+    """A bundled config's system and parameters with decision variables
+    from its gains (example1's where it ships none) at distinct set sizes."""
+    cfg = load_bundled_config(name)
+    gains = cfg.gains or load_bundled_config("example1").gains
+    n = cfg.system.n_subsystems
+    dv = DecisionVars(gains=gains, Z=[None] * n,
+                      xi=[0.7 + 0.4 * i for i in range(n)])
+    return cfg.system, cfg.params, dv
+
+
+class TestStackedBlendedAssembly:
+    """A stack of P weight pairs assembles to exactly the P single-pair
+    matrices, bit for bit, in both forms and after strict compression."""
+
+    @pytest.mark.parametrize("name", bundled_config_names())
+    @pytest.mark.parametrize("assemble", [assemble_invariance_blended,
+                                          assemble_decrease_blended])
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_stack_equals_per_point_calls(self, name, assemble, reduced):
+        system, params, dv = _bundled_certificate(name)
+        rng = np.random.default_rng(41)
+        for i, sub in enumerate(system.subsystems):
+            w = rng.dirichlet(np.ones(sub.n_rules), size=7)
+            h = rng.dirichlet(np.ones(sub.n_controller_rules), size=7)
+            w[0] = np.eye(sub.n_rules)[-1]          # one vertex pair
+            h[0] = np.eye(sub.n_controller_rules)[0]
+            stacked = assemble(system, params, dv, i, w, h, reduced=reduced)
+            tests = stacked.test_matrix()
+            assert stacked.matrix.shape[0] == tests.shape[0] == len(w)
+            for p in range(len(w)):
+                single = assemble(system, params, dv, i, w[p], h[p],
+                                  reduced=reduced)
+                assert single.matrix.ndim == 2
+                np.testing.assert_array_equal(stacked.matrix[p],
+                                              single.matrix)
+                np.testing.assert_array_equal(tests[p], single.test_matrix())
+            assert stacked.slot_dims == single.slot_dims
+            assert stacked.key == single.key
+
+    def test_one_pair_stack_keeps_its_axis(self):
+        system, params, dv = _bundled_certificate("example1")
+        w, h = np.array([[0.3, 0.7]]), np.array([[0.6, 0.4]])
+        stacked = assemble_invariance_blended(system, params, dv, 0, w, h)
+        single = assemble_invariance_blended(system, params, dv, 0, w[0], h[0])
+        assert stacked.matrix.shape == (1,) + single.matrix.shape
+        np.testing.assert_array_equal(stacked.matrix[0], single.matrix)
+
+
 class TestSchurEquivalence:
     def test_folding_slack_rows_reproduces_reduced_invariance(self):
         rng = np.random.default_rng(31)
@@ -479,6 +530,16 @@ class TestContainment:
         with pytest.raises(SingularBlockError):
             assemble_containment(np.array([1.0, 0.0]), 1.0,
                                  np.diag([1.0, 0.0]))
+        with pytest.raises(SingularBlockError):
+            shape_inverse(np.diag([1.0, 1e-14]))
+
+    def test_precomputed_inverse_gives_the_same_block(self):
+        x_mat = np.array([[2.0, 0.3], [0.3, 0.7]])
+        x = np.array([0.4, -1.1])
+        own = assemble_containment(x, 1.7, x_mat, 2)
+        shared = assemble_containment(x, 1.7, x_mat, 2, shape_inverse(x_mat))
+        np.testing.assert_array_equal(shared.matrix, own.matrix)
+        assert shared.key == own.key
 
 
 class TestFixedParamsValidation:
@@ -572,6 +633,15 @@ class TestPointwiseDecreaseScalar:
         val = check_rpi_pointwise(system, params, dv,
                                   [np.array([1.0, -1.0])], [np.zeros(1)])
         assert val > 0
+
+    def test_scalar_of_a_computed_step_matches(self):
+        system, params, dv = _bundled_certificate("example1")
+        rng = np.random.default_rng(5)
+        x_all = [rng.standard_normal(2) for _ in range(3)]
+        d_all = [0.1 * rng.standard_normal(1) for _ in range(3)]
+        x_next = step_closed_loop(system, dv.gains, x_all, d_all, 0.3)
+        assert rpi_decrease_scalar(params, dv.xi, x_all, d_all, x_next) == \
+            check_rpi_pointwise(system, params, dv, x_all, d_all, 0.3)
 
 
 class TestReferenceConstantsInfeasibility:

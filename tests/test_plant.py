@@ -92,6 +92,15 @@ class TestBlend:
         assert_allclose(e, 0.25 * sub.rules[0].E + 0.75 * sub.rules[1].E)
 
 
+    def test_stacked_weights_equal_single_blends(self):
+        sub = build_example1_system().subsystems[2]
+        w = np.array([[0.25, 0.75], [1.0, 0.0], [0.1, 0.9]])
+        stacked = blend(sub, w)
+        for p in range(len(w)):
+            for got, want in zip(stacked, blend(sub, w[p])):
+                assert np.array_equal(got[p], want)
+
+
 class TestControlLaw:
     def test_one_hot_picks_single_gain(self):
         sub = build_example1_system().subsystems[0]

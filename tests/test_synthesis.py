@@ -5,11 +5,14 @@ from numpy.testing import assert_allclose
 from conftest import (build_example1_system, build_tiny_system,
                       example1_reference_params, tiny_params)
 from it2mpc.configio import bundled_config_names, load_bundled_config
-from it2mpc.lmis import DecisionVars
+from it2mpc.linalg import SingularBlockError, max_eig
+from it2mpc.lmis import (DecisionVars, assemble_decrease_blended,
+                         assemble_invariance_blended)
 from it2mpc.synthesis import (XI_HAIR, FixedGainEvaluator, Infeasible,
-                              SynthesisConfig, build_z, certificate_margins,
-                              ellipsoid_input_excess, minimize_xi,
-                              solve_fixed_xi, verify_certificate)
+                              SynthesisConfig, _simplex_grid, build_z,
+                              certificate_margins, ellipsoid_input_excess,
+                              minimize_xi, solve_fixed_xi,
+                              verify_certificate)
 
 TINY_X0 = [np.array([0.3, -0.3])]
 FAST = SynthesisConfig(n_starts=2, max_iters=60)
@@ -146,6 +149,22 @@ class TestMinimizeXi:
         _, _, _, res, _ = ex1_synthesized
         assert max(res.dv.xi) <= 9.901832152969146
 
+    def test_failed_warm_size_falls_back_to_cold_probes(self, tiny):
+        # the warm size lies far above the decrease conditions' upper end
+        # (xi Q outgrows X), so growing probes from it can never succeed;
+        # the search must go on from the cold probe sequence instead
+        system, params = tiny
+        cfg = SynthesisConfig(n_starts=2, max_iters=60, xi_rel_tol=0.1,
+                              xi_growth_iters=3)
+        zero = [np.zeros((2, 2))] * 2
+        warm = DecisionVars(gains=[zero], Z=[build_z(zero, 2, 1e-6)],
+                            xi=[1e4])
+        res = minimize_xi(system, params, [np.array([0.01, -0.01])], cfg,
+                          warm=warm)
+        assert res.feasible
+        assert max(res.margins.values()) <= 0.0
+        assert res.dv.xi[0] < 1e4
+
     def test_infeasible_reports_positive_excess(self):
         system = build_tiny_system(stable=False)
         params = tiny_params(n_u=1)
@@ -268,7 +287,46 @@ class TestFixedGainEvaluator:
                     assert got[key] == pytest.approx(want[key], abs=1e-12)
 
 
+    def test_singular_shape_matrix_raises_on_containment(self, tiny,
+                                                         tiny_result):
+        system, _ = tiny
+        params = tiny_params()
+        params.X = [np.diag([5.0, 1e-14])]
+        evaluator = FixedGainEvaluator(system, params, tiny_result.dv, FAST)
+        evaluator.margins(tiny_result.dv.xi)
+        with pytest.raises(SingularBlockError):
+            evaluator.margins(tiny_result.dv.xi, TINY_X0)
+
+
 class TestVerifyCertificate:
+    def test_example1_report_is_unchanged(self, ex1_synthesized):
+        # figures of the per-point sweep the batched one replaced
+        system, params, x0, res, _ = ex1_synthesized
+        for x_all in (x0, None):
+            report = verify_certificate(system, params, res.dv, x_all)
+            assert report["blended_worst"] == -3.709744999670958e-06
+            assert report["worst"] == -9.082739501663065e-07
+            assert report["feasible"] is True
+            assert report["margins"] == certificate_margins(
+                system, params, res.dv, x_all)
+
+    def test_batched_sweep_equals_per_pair_loop(self, ex1_synthesized):
+        system, params, _, res, _ = ex1_synthesized
+        cfg = SynthesisConfig()
+        want = -np.inf
+        for i, sub in enumerate(system.subsystems):
+            for w in _simplex_grid(sub.n_rules, cfg.grid_density):
+                for h in _simplex_grid(sub.n_controller_rules,
+                                       cfg.grid_density):
+                    inv = assemble_invariance_blended(system, params, res.dv,
+                                                      i, w, h)
+                    dec = assemble_decrease_blended(system, params, res.dv,
+                                                    i, w, h)
+                    want = max(want, max_eig(inv.test_matrix()),
+                               max_eig(dec.test_matrix()) + cfg.strictness)
+        got = verify_certificate(system, params, res.dv, cfg=cfg)
+        assert got["blended_worst"] == want
+
     def test_synthesized_certificate_passes(self, tiny, tiny_result):
         system, params = tiny
         report = verify_certificate(system, params, tiny_result.dv, TINY_X0)
