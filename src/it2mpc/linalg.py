@@ -1,5 +1,5 @@
 """Dense symmetric-matrix helpers: eigendecomposition, definiteness tests,
-Schur-complement reduction.
+quadratic forms, Schur-complement reduction.
 
 All routines work on small dense matrices (the block inequalities assembled
 elsewhere stay well under dimension ~20). Every eigenvalue comes from
@@ -63,6 +63,18 @@ def min_eig(a) -> float:
 
 def max_eig(a) -> float:
     return float(np.linalg.eigvalsh(sym_matrix(a))[-1])
+
+
+def quad_form(x, m=None):
+    """x' m x (x' x when m is None): a float for one vector, or (P,) values
+    for vectors stacked as (P, n). Each value comes from the same BLAS
+    vector-matrix and dot calls that x_p @ m @ x_p makes."""
+    x = np.asarray(x, dtype=float)
+    row = x[..., None, :]
+    if m is not None:
+        row = row @ m
+    q = (row @ x[..., :, None])[..., 0, 0]
+    return q if q.ndim else float(q)
 
 
 def is_psd(a, tol: float | None = None) -> bool:

@@ -21,8 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SingularBlockError, is_psd, min_eig, sym_matrix
-from .plant import LargeScaleSystem, Subsystem, blend, step_closed_loop
+from .linalg import (SingularBlockError, is_psd, min_eig, quad_form,
+                     sym_matrix)
+from .plant import (LargeScaleSystem, Subsystem, blend, blend_gains,
+                    step_closed_loop)
 
 
 @dataclass
@@ -277,8 +279,7 @@ def _blended_instance(system, params, dv, i, w, h, family, reduced):
     w = np.asarray(w, dtype=float)
     h = np.asarray(h, dtype=float)
     a, b, e = blend(system.subsystems[i], np.atleast_2d(w))
-    k = sum(hm[:, None, None] * km
-            for hm, km in zip(np.atleast_2d(h).T, dv.gains[i]))
+    k = blend_gains(dv.gains[i], np.atleast_2d(h))
     mats, keys, slot_dims, basis = _condition_matrices(
         system, params, i, family, a + b @ k, e, k, dv.xi[i], reduced)
     return LMIInstance(matrix=mats[0] if w.ndim == h.ndim == 1 else mats,
@@ -407,18 +408,17 @@ def check_rpi_pointwise(system: LargeScaleSystem, params: FixedParams,
     return rpi_decrease_scalar(params, dv.xi, x_all, d_all, x_next)
 
 
-def rpi_decrease_scalar(params: FixedParams, xi, x_all, d_all,
-                        x_next) -> float:
+def rpi_decrease_scalar(params: FixedParams, xi, x_all, d_all, x_next):
     """check_rpi_pointwise's scalar for an already computed step
-    x_all -> x_next under disturbances d_all, at set sizes xi."""
+    x_all -> x_next under disturbances d_all, at set sizes xi. States and
+    disturbances stacked as (P, n) give the P samples' scalars as (P,)."""
     total = 0.0
     for i in range(len(xi)):
         xi_i = xi[i]
         p_i = params.X[i] / xi_i
-        v_now = float(x_all[i] @ p_i @ x_all[i])
-        v_next = float(x_next[i] @ p_i @ x_next[i])
+        v_now = quad_form(x_all[i], p_i)
+        v_next = quad_form(x_next[i], p_i)
         inv_eta2 = params.N_const[i] / xi_i
-        d_i = np.asarray(d_all[i], dtype=float)
         total += (v_next - v_now) / xi_i - params.lam[i] * (
-            float(d_i @ d_i) * inv_eta2 - v_now / xi_i)
+            quad_form(d_all[i]) * inv_eta2 - v_now / xi_i)
     return total

@@ -3,6 +3,10 @@
 Each rule carries a lower and an upper sigmoid grade; the plant optionally
 carries a "true" grade (the envelope's interior member, possibly perturbed)
 used when simulating the actual nonlinear system.
+
+Every grade takes a scalar premise (and returns a float) or an array of
+premises (and returns an array of grades of the same shape), computed with
+the same elementwise operations.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-GradeFn = Callable[[float], float]
+GradeFn = Callable[[float], float]   # also maps an array of premises
 
 
 class MissingTrueMFError(ValueError):
@@ -42,12 +46,14 @@ class SigmoidMF:
         if self.form not in ("logistic", "one_minus_logistic"):
             raise ValueError(f"unknown form {self.form!r}")
 
-    def __call__(self, z: float) -> float:
+    def __call__(self, z):
         arg = z + self.shift
         if self.perturb_amplitude != 0.0:
             arg = arg + self.perturb_amplitude * np.sin(z)
         s = arg / self.divisor
-        value = float(expit(-s))  # logistic(s), overflow-safe
+        value = expit(-s)  # logistic(s), overflow-safe
+        if not isinstance(value, np.ndarray):
+            value = float(value)
         if self.form == "one_minus_logistic":
             value = 1.0 - value
         if self.complemented:
@@ -65,11 +71,12 @@ class ResidualMF:
 
     others: tuple[GradeFn, ...]
 
-    def __call__(self, z: float) -> float:
+    def __call__(self, z):
         total = 0.0
         for mf in self.others:
             total += mf(z)
-        return float(min(1.0, max(0.0, 1.0 - total)))
+        value = np.minimum(1.0, np.maximum(0.0, 1.0 - total))
+        return value if isinstance(value, np.ndarray) else float(value)
 
 
 @dataclass(frozen=True)
@@ -90,19 +97,21 @@ class IT2MembershipFamily:
     def n_rules(self) -> int:
         return len(self.lower)
 
-    def lower_grades(self, z: float) -> np.ndarray:
-        return np.array([mf(z) for mf in self.lower])
+    # A scalar premise gives (n_rules,) grades; premises of shape (P,) give
+    # (P, n_rules), row p holding the grades at z[p].
+    def lower_grades(self, z) -> np.ndarray:
+        return np.array([mf(z) for mf in self.lower]).T
 
-    def upper_grades(self, z: float) -> np.ndarray:
-        return np.array([mf(z) for mf in self.upper])
+    def upper_grades(self, z) -> np.ndarray:
+        return np.array([mf(z) for mf in self.upper]).T
 
-    def true_grades(self, z: float) -> np.ndarray:
+    def true_grades(self, z) -> np.ndarray:
         if self.true_mf is None:
             raise MissingTrueMFError("family has no true membership functions")
-        return np.array([mf(z) for mf in self.true_mf])
+        return np.array([mf(z) for mf in self.true_mf]).T
 
     def envelope_gap(self, zs) -> float:
         """Smallest upper-minus-lower gap over the probe points (negative
         means the envelope is inverted somewhere)."""
-        gaps = [self.upper_grades(z) - self.lower_grades(z) for z in np.atleast_1d(zs)]
-        return float(np.min(gaps))
+        zs = np.atleast_1d(np.asarray(zs, dtype=float))
+        return float(np.min(self.upper_grades(zs) - self.lower_grades(zs)))

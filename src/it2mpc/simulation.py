@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import max_eig, min_eig, sym_eig
+from .linalg import quad_form, sym_eig, sym_matrix
 from .lmis import (DecisionVars, FixedParams, containment_size,
                    rpi_decrease_scalar)
 from .plant import LargeScaleSystem, step_closed_loop, step_closed_loop_detail
@@ -44,20 +44,33 @@ class RecursiveFeasibilityViolation(Exception):
         self.step = step
 
 
-def _ball_point(rng: np.random.Generator, n: int, radius: float,
-                boundary: bool = False) -> np.ndarray:
-    """Uniform sample of the radius-ball (or its boundary), projected so the
-    norm bound holds exactly despite rounding."""
+def _ball_draw(rng: np.random.Generator, n: int, radius: float,
+               boundary: bool = False):
+    """The random numbers of one ball sample, in a fixed order: a normal
+    direction v, then (strictly inside the ball) a uniform for the radius.
+    Returns (v, r); r is 0, and nothing more is drawn, when |v| or the
+    radius is 0 (|v| is 0 exactly when every entry is: no nonzero normal
+    draw is small enough for its square to underflow)."""
     v = rng.standard_normal(n)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0 or radius == 0.0:
-        return np.zeros(n)
+    if radius == 0.0 or not any(v.tolist()):
+        return v, 0.0
     r = radius if boundary else radius * float(rng.random()) ** (1.0 / n)
-    d = (r / norm) * v
-    overshoot = float(np.linalg.norm(d))
-    if overshoot > radius > 0.0:
-        d *= radius / overshoot
-    return d
+    return v, r
+
+
+def _ball_points(draws: list, n: int, radius: float) -> np.ndarray:
+    """The points of P _ball_draw results (v, r) as rows (P, n): (r/|v|) v,
+    projected so the norm bound holds exactly despite rounding, and 0 where
+    r is 0. Uniform on the radius-ball (or its boundary)."""
+    v = np.array([vp for vp, _ in draws]).reshape(len(draws), n)
+    r = np.array([rp for _, rp in draws])
+    live = r != 0.0
+    scale = r / np.where(live, np.sqrt(quad_form(v)), 1.0)
+    d = np.where(live[:, None], scale[:, None] * v, 0.0)
+    overshoot = np.sqrt(quad_form(d))
+    out = overshoot > radius
+    shrink = radius / np.where(out, overshoot, 1.0)
+    return np.where(out[:, None], d * shrink[:, None], d)
 
 
 @dataclass(frozen=True)
@@ -90,26 +103,24 @@ class DisturbanceModel:
         n = system.n_subsystems
         radii = [self.radius(system, i) for i in range(n)]
         dims = [sub.n_d for sub in system.subsystems]
-        if self.kind == "sinusoidal":
-            # fixed frequency, random per-channel phases drawn once
-            phases = [rng.uniform(0.0, 2.0 * np.pi, size=dims[i])
-                      for i in range(n)]
-        out = []
-        for k in range(n_steps):
-            step = []
-            for i in range(n):
-                if self.kind == "zero":
-                    d = np.zeros(dims[i])
-                elif self.kind == "uniform_ball":
-                    d = _ball_point(rng, dims[i], radii[i])
-                elif self.kind == "worst_case_boundary":
-                    d = _ball_point(rng, dims[i], radii[i], boundary=True)
-                else:  # sinusoidal
-                    d = (radii[i] / np.sqrt(dims[i])) * np.sin(
-                        0.4 * k + phases[i])
-                step.append(d)
-            out.append(step)
-        return out
+        if self.kind in ("uniform_ball", "worst_case_boundary"):
+            boundary = self.kind == "worst_case_boundary"
+            draws = [[] for _ in range(n)]
+            for _ in range(n_steps):
+                for i in range(n):
+                    draws[i].append(_ball_draw(rng, dims[i], radii[i],
+                                               boundary))
+            balls = [_ball_points(draws[i], dims[i], radii[i])
+                     for i in range(n)]
+            return [[balls[i][k] for i in range(n)] for k in range(n_steps)]
+        if self.kind == "zero":
+            return [[np.zeros(dims[i]) for i in range(n)]
+                    for _ in range(n_steps)]
+        # sinusoidal: fixed frequency, random per-channel phases drawn once
+        phases = [rng.uniform(0.0, 2.0 * np.pi, size=dims[i])
+                  for i in range(n)]
+        return [[(radii[i] / np.sqrt(dims[i])) * np.sin(0.4 * k + phases[i])
+                 for i in range(n)] for k in range(n_steps)]
 
 
 @dataclass
@@ -311,6 +322,8 @@ def iss_check(trace: SimulationTrace, params: FixedParams) -> dict:
     worst_slack = -np.inf
     n_checked = 0
     n = len(params.X)
+    # lambda(X/xi) = lambda(X)/xi: one eigensolve per X_i serves every step
+    x_eigs = [np.linalg.eigvalsh(sym_matrix(x_mat)) for x_mat in params.X]
     for k in range(trace.n_steps):
         xi_all = trace.xi[k]
         x_now = trace.x[k]
@@ -336,7 +349,7 @@ def iss_check(trace: SimulationTrace, params: FixedParams) -> dict:
             violations.append((k, slack))
         for i in range(n):
             p_i = params.X[i] / xi_all[i]
-            w_min, w_max = min_eig(p_i), max_eig(p_i)
+            w_min, w_max = x_eigs[i][[0, -1]] / xi_all[i]
             nrm2 = float(np.asarray(x_now[i]) @ np.asarray(x_now[i]))
             v_i = lyapunov_value(x_now[i], p_i)
             tol = 1e-9 * max(1.0, abs(v_i))
@@ -356,17 +369,16 @@ def _inv_sqrt(x_mat: np.ndarray) -> np.ndarray:
     return eig.vectors @ np.diag(1.0 / np.sqrt(eig.values)) @ eig.vectors.T
 
 
-def _sample_scaled(rng: np.random.Generator, inv_sqrt: np.ndarray,
-                   xi_i: float, boundary: bool) -> np.ndarray:
-    y = _ball_point(rng, inv_sqrt.shape[0], 1.0, boundary=boundary)
-    return xi_i * (inv_sqrt @ y)
-
-
 def sample_in_set(rng: np.random.Generator, x_mat: np.ndarray, xi_i: float,
                   boundary: bool = False) -> np.ndarray:
     """Uniform sample of {x : x' X x <= xi^2} (the certificate set of size
     xi) by pushing a unit-ball sample through the inverse square root."""
-    return _sample_scaled(rng, _inv_sqrt(x_mat), xi_i, boundary)
+    n = x_mat.shape[0]
+    y = _ball_points([_ball_draw(rng, n, 1.0, boundary)], n, 1.0)[0]
+    return xi_i * (_inv_sqrt(x_mat) @ y)
+
+
+RPI_BATCH = 2048    # samples drawn, stepped and checked together
 
 
 def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
@@ -380,39 +392,62 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
     weighting from a grid; it then steps once and requires the one-step
     decrease scalar to be <= tol and every next state to stay in its set
     (relative margin <= tol).
+
+    Draw order: sample by sample, the ball draws of every subsystem's state
+    and then of every subsystem's disturbance, each made by _ball_draw, so
+    a seed gives the samples that stepping one sample at a time would. The samples go in chunks of RPI_BATCH, which bounds memory for
+    any n_samples: one plain loop makes a chunk's draws, then the chunk is
+    scaled, stepped (one step_closed_loop call for its true-plant samples,
+    one for its reconstructed ones) and checked with array operations.
     """
     rng = np.random.default_rng(seed)
     n = system.n_subsystems
-    eta_cert = [float(np.sqrt(dv.xi[i] / params.N_const[i])) for i in range(n)]
+    radii = [1.0] * n + [float(np.sqrt(dv.xi[i] / params.N_const[i]))
+                         for i in range(n)]
+    dims = ([sub.n_x for sub in system.subsystems]
+            + [sub.n_d for sub in system.subsystems])
     inv_sqrts = [_inv_sqrt(params.X[i]) for i in range(n)]
     weight_grid = np.linspace(0.0, 1.0, 5)
     scalar_violations = 0
     exit_events = 0
     worst_scalar = -np.inf
     worst_exit = -np.inf
-    for s in range(n_samples):
-        boundary = (s % 10) == 9
-        x_all = [_sample_scaled(rng, inv_sqrts[i], dv.xi[i], boundary)
+    for start in range(0, n_samples, RPI_BATCH):
+        s = np.arange(start, min(start + RPI_BATCH, n_samples))
+        # per sample: every state (unit ball, every tenth sample on its
+        # boundary), then every disturbance
+        draws = [([], dim, radius, b < n)
+                 for b, (dim, radius) in enumerate(zip(dims, radii))]
+        for k in s.tolist():
+            on_edge = (k % 10) == 9
+            for out, dim, radius, state in draws:
+                out.append(_ball_draw(rng, dim, radius, on_edge and state))
+        balls = [_ball_points(out, dim, radius)
+                 for out, dim, radius, _ in draws]
+        x_all = [dv.xi[i] * (inv_sqrts[i] @ balls[i][:, :, None])[:, :, 0]
                  for i in range(n)]
-        d_all = [_ball_point(rng, system.subsystems[i].n_d, eta_cert[i])
-                 for i in range(n)]
-        rho = float(weight_grid[s % len(weight_grid)])
-        mu = float(weight_grid[(s // len(weight_grid)) % len(weight_grid)])
+        d_all = balls[n:]
+        rho = weight_grid[s % len(weight_grid)]
+        mu = weight_grid[(s // len(weight_grid)) % len(weight_grid)]
+        x_next = [np.empty_like(x) for x in x_all]
         use_true = (s % 3) == 2
-        mode = "true_plant" if use_true else "reconstructed"
-        rho_bar = None if use_true else rho
-        x_next = step_closed_loop(system, dv.gains, x_all, d_all, mu, mode,
-                                  rho_bar)
+        for sel, mode in ((use_true, "true_plant"), (~use_true, "reconstructed")):
+            if not sel.any():
+                continue
+            stepped = step_closed_loop(
+                system, dv.gains, [x[sel] for x in x_all],
+                [d[sel] for d in d_all], mu[sel], mode,
+                None if mode == "true_plant" else rho[sel])
+            for i in range(n):
+                x_next[i][sel] = stepped[i]
         scalar = rpi_decrease_scalar(params, dv.xi, x_all, d_all, x_next)
-        worst_scalar = max(worst_scalar, scalar)
-        if scalar > tol:
-            scalar_violations += 1
+        worst_scalar = max(worst_scalar, float(scalar.max()))
+        scalar_violations += int(np.count_nonzero(scalar > tol))
         for i in range(n):
-            margin = (lyapunov_value(x_next[i], params.X[i]) - dv.xi[i] ** 2) \
-                / dv.xi[i] ** 2
-            worst_exit = max(worst_exit, margin)
-            if margin > tol:
-                exit_events += 1
+            xi2 = dv.xi[i] ** 2
+            margin = (quad_form(x_next[i], params.X[i]) - xi2) / xi2
+            worst_exit = max(worst_exit, float(margin.max()))
+            exit_events += int(np.count_nonzero(margin > tol))
     return {
         "n_samples": n_samples,
         "scalar_violations": scalar_violations,

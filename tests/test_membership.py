@@ -10,7 +10,8 @@ from it2mpc.membership import (
     SigmoidMF,
 )
 
-from conftest import controller_mf_family, model_mf_family
+from conftest import (controller_mf_family, example2_controller_mf_family,
+                      example2_model_mf_family, model_mf_family)
 
 
 class TestSigmoidMF:
@@ -130,3 +131,45 @@ class TestIT2MembershipFamily:
         fam = model_mf_family()
         for z in (-6.0, -4.0, 0.0, 3.0):
             assert fam.true_grades(z).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestArrayPremises:
+    """An array of premises gives, entry by entry, the scalar grades."""
+
+    ZS = np.concatenate([np.linspace(-12.0, 6.0, 37), [0.0, -4.0, 1.5]])
+
+    def test_sigmoid_entries_equal_scalar_calls(self):
+        mfs = [SigmoidMF(shift=4.0, divisor=1.0, perturb_amplitude=1.0),
+               SigmoidMF(shift=4.0, divisor=1.0, perturb_amplitude=1.0,
+                         complemented=True),
+               SigmoidMF(shift=1.5, divisor=-2.0, form="logistic"),
+               SigmoidMF(shift=-0.3, divisor=0.12)]
+        for mf in mfs:
+            got = mf(self.ZS)
+            assert got.shape == self.ZS.shape
+            assert np.array_equal(got, [mf(float(z)) for z in self.ZS])
+
+    def test_residual_entries_equal_scalar_calls_and_clip(self):
+        mid = ResidualMF(others=(SigmoidMF(shift=-2.0, divisor=1.0,
+                                           form="logistic"),
+                                 SigmoidMF(shift=2.0, divisor=1.0)))
+        zs = np.linspace(-8.0, 8.0, 41)
+        got = mid(zs)
+        assert np.array_equal(got, [mid(float(z)) for z in zs])
+        assert got[20] == 0.0           # the others sum past 1 at z = 0
+        assert np.all((got >= 0.0) & (got <= 1.0))
+
+    @pytest.mark.parametrize("family", [model_mf_family, controller_mf_family,
+                                        example2_model_mf_family,
+                                        example2_controller_mf_family])
+    def test_family_grades_stack_rows(self, family):
+        fam = family()
+        tiers = [fam.lower_grades, fam.upper_grades]
+        if fam.true_mf is not None:
+            tiers.append(fam.true_grades)
+        zs = self.ZS / 10.0 if fam.n_rules == 3 else self.ZS
+        for grades in tiers:
+            stacked = grades(zs)
+            assert stacked.shape == (len(zs), fam.n_rules)
+            for p, z in enumerate(zs):
+                assert np.array_equal(stacked[p], grades(float(z)))

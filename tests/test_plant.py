@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from it2mpc.configio import bundled_config_names, load_bundled_config
 from it2mpc.plant import (
     DegenerateFiringWarning,
     LargeScaleSystem,
@@ -75,6 +76,23 @@ class TestMembershipEvaluation:
         with pytest.warns(DegenerateFiringWarning):
             w = normalize_firing(np.array([0.0, 1e-15]))
         assert_allclose(w, [0.5, 0.5])
+
+    def test_stack_falls_back_only_on_its_degenerate_row(self):
+        raw = np.array([[0.2, 0.6, 0.1], [0.0, 1e-15, 0.0], [3.0, 1.0, 0.5]])
+        with pytest.warns(DegenerateFiringWarning):
+            w = normalize_firing(raw)
+        assert np.array_equal(w[1], np.full(3, 1.0 / 3.0))
+        for p in (0, 2):
+            assert np.array_equal(w[p], normalize_firing(raw[p]))
+
+    def test_stacked_weights_reject_out_of_range_entries(self):
+        sub = build_example1_system().subsystems[0]
+        x = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="mu_bar"):
+            eval_controller_memberships(sub, x, np.array([0.2, 1.5, 0.3]))
+        with pytest.raises(ValueError, match="rho_bar"):
+            eval_model_memberships(sub, x, "reconstructed",
+                                   np.array([0.2, -0.1, 0.3]))
 
 
 class TestBlend:
@@ -179,6 +197,58 @@ class TestStep:
         want = double_sum_step(system, gains, x_all, d_all, 0.5)
         for g, w in zip(got, want):
             assert_allclose(g, w, atol=1e-12)
+
+
+class TestStackedStep:
+    """States stacked as (P, n_x) step to exactly the P per-sample results:
+    the 1-D call is the P = 1 case of the same code."""
+
+    @pytest.mark.parametrize("name", bundled_config_names())
+    @pytest.mark.parametrize("mode", ["true_plant", "reconstructed"])
+    def test_stack_equals_per_sample_calls(self, name, mode):
+        cfg = load_bundled_config(name)
+        system = cfg.system
+        gains = cfg.gains or load_bundled_config("example1").gains
+        rng = np.random.default_rng(23)
+        n_samples = 9
+        x_all = [rng.uniform(-1.5, 1.5, size=(n_samples, sub.n_x))
+                 for sub in system.subsystems]
+        d_all = [rng.uniform(-0.1, 0.1, size=(n_samples, sub.n_d))
+                 for sub in system.subsystems]
+        mu = rng.uniform(0.0, 1.0, n_samples)
+        mu[:2] = (0.0, 1.0)
+        rho = None
+        if mode == "reconstructed":
+            rho = rng.uniform(0.0, 1.0, n_samples)
+            rho[2:4] = (1.0, 0.0)
+        stacked = step_closed_loop_detail(system, gains, x_all, d_all, mu,
+                                          mode, rho)
+        for p in range(n_samples):
+            single = step_closed_loop_detail(
+                system, gains, [x[p] for x in x_all], [d[p] for d in d_all],
+                float(mu[p]), mode, None if rho is None else float(rho[p]))
+            for got_all, want_all in zip(stacked, single):
+                for got, want in zip(got_all, want_all):
+                    assert want.ndim == 1
+                    assert np.array_equal(got[p], want)
+        assert np.array_equal(
+            step_closed_loop(system, gains, x_all, d_all, mu, mode, rho)[0],
+            stacked[0][0])
+
+    def test_shared_weight_broadcasts_over_the_stack(self):
+        system = build_example1_system()
+        gains = example1_reference_gains()
+        rng = np.random.default_rng(4)
+        x_all = [rng.uniform(-2, 2, size=(5, 2)) for _ in range(3)]
+        d_all = [rng.uniform(-0.1, 0.1, size=(5, 1)) for _ in range(3)]
+        shared = step_closed_loop(system, gains, x_all, d_all, 0.3,
+                                  "reconstructed", 0.6)
+        per_sample = step_closed_loop(system, gains, x_all, d_all,
+                                      np.full(5, 0.3), "reconstructed",
+                                      np.full(5, 0.6))
+        for a, b in zip(shared, per_sample):
+            assert a.shape == (5, 2)
+            assert np.array_equal(a, b)
 
 
 class TestValidation:
