@@ -9,6 +9,7 @@ upper triangle; identical input gives identical output.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -27,19 +28,30 @@ class EigResult(NamedTuple):
     vectors: np.ndarray   # column k pairs with values[k]
 
 
+@functools.cache
+def _upper_mask(n: int) -> np.ndarray:
+    """Read-only (n, n) boolean mask of the upper triangle, diagonal included."""
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
 def sym_matrix(entries) -> np.ndarray:
     """Build an exactly symmetric matrix by mirroring the upper triangle.
 
     Accepts anything array-like, also a stack (..., n, n) of matrices, each
-    mirrored on its own; rejects non-square or non-finite input.
+    mirrored on its own; rejects non-square or non-finite input. Entries
+    equal np.triu(a) + np.triu(a, 1).T bit for bit: adding 0.0 turns every
+    -0.0 into +0.0, as the zeros of that sum do.
     """
     a = np.asarray(entries, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidMatrixError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidMatrixError("matrix entries must be finite")
-    upper = np.triu(a)
-    return upper + np.triu(a, 1).swapaxes(-1, -2)
+    out = np.where(_upper_mask(a.shape[-1]), a, a.swapaxes(-1, -2))
+    out += 0.0
+    return out
 
 
 def default_tol(a: np.ndarray, base: float = 1e-9) -> float:

@@ -332,8 +332,12 @@ def assemble_input_constraint(sub: Subsystem, dv: DecisionVars, i: int, m: int):
     Z_ss - u_max_s^2 (feasible when every excess is <= 0)."""
     k = dv.gains[i][m]
     z = dv.Z[i]
-    n_u = k.shape[0]
-    mat = sym_matrix(np.block([[z, k.T], [k, np.eye(n_u)]]))
+    n_u, n_x = k.shape
+    mat = np.empty((n_x + n_u, n_x + n_u))
+    mat[:n_x, :n_x] = z
+    _place(mat, n_x, 0, k)
+    mat[n_x:, n_x:] = np.eye(n_u)
+    mat = sym_matrix(mat)
     inst = LMIInstance(matrix=mat, origin="input", sense="psd",
                        subsystem=i, vertex=(None, m))
     if sub.u_max is None:
@@ -388,10 +392,12 @@ def assemble_containment(x: np.ndarray, xi_i: float, x_mat: np.ndarray,
     the caller already has it."""
     if x_inv is None:
         x_inv = shape_inverse(x_mat)
-    inv_scaled = xi_i * x_inv
     x = np.asarray(x, dtype=float)
-    mat = sym_matrix(np.block([[np.array([[xi_i]]), x[None, :]],
-                               [x[:, None], inv_scaled]]))
+    mat = np.empty((x.size + 1, x.size + 1))
+    mat[0, 0] = xi_i
+    _place(mat, 1, 0, x[:, None])
+    mat[1:, 1:] = xi_i * x_inv
+    mat = sym_matrix(mat)
     return LMIInstance(matrix=mat, origin="containment", sense="psd",
                        subsystem=subsystem)
 

@@ -167,22 +167,18 @@ class SimulationTrace:
                 raise ValueError(f"trace field {name} must have one entry per step")
 
 
-def _pick(mat_or_list, i: int):
-    return mat_or_list[i] if isinstance(mat_or_list, (list, tuple)) else mat_or_list
-
-
-def stage_cost(x_all, u_all, d_all, Q, R, tau) -> float:
-    """One-step cost sum_i (x_i'Qx_i + u_i'Ru_i - tau_i d_i'd_i); Q, R, tau
-    may be shared or per-subsystem sequences."""
+def stage_cost(x_all, u_all, d_all, params: FixedParams) -> float:
+    """One-step cost sum_i (x_i'Q_i x_i + u_i'R_i u_i - tau_i d_i'd_i) with
+    the weights of params (Q and R shared or per subsystem)."""
     total = 0.0
     for i, (x, u, d) in enumerate(zip(x_all, u_all, d_all)):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         d = np.asarray(d, dtype=float)
-        q = np.asarray(_pick(Q, i), dtype=float)
-        r = np.asarray(_pick(R, i), dtype=float)
-        t = float(tau[i]) if isinstance(tau, (list, tuple)) else float(tau)
-        total += float(x @ q @ x) + float(u @ r @ u) - t * float(d @ d)
+        q = np.asarray(params.q_mat(i), dtype=float)
+        r = np.asarray(params.r_mat(i), dtype=float)
+        total += (float(x @ q @ x) + float(u @ r @ u)
+                  - float(params.tau[i]) * float(d @ d))
     return total
 
 
@@ -292,8 +288,7 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
         trace.d.append([np.asarray(d, dtype=float) for d in d_all])
         trace.w.append([np.asarray(w, dtype=float) for w in w_all])
         trace.h.append([np.asarray(h, dtype=float) for h in h_all])
-        trace.psi.append(stage_cost(x, u_all, d_all, params.Q, params.R,
-                                    params.tau))
+        trace.psi.append(stage_cost(x, u_all, d_all, params))
         x = x_next
 
     trace.x.append([xi.copy() for xi in x])
@@ -336,7 +331,7 @@ def iss_check(trace: SimulationTrace, params: FixedParams) -> dict:
             p_i = params.X[i] / xi_all[i]
             v_now += lyapunov_value(x_now[i], p_i)
             v_next += lyapunov_value(x_next[i], p_i)
-            q = np.asarray(_pick(params.Q, i), dtype=float)
+            q = np.asarray(params.q_mat(i), dtype=float)
             r_eff = np.asarray(params.M[i], dtype=float) / xi_all[i]
             x = np.asarray(x_now[i], dtype=float)
             u = np.asarray(trace.u[k][i], dtype=float)
@@ -395,8 +390,9 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
 
     Draw order: sample by sample, the ball draws of every subsystem's state
     and then of every subsystem's disturbance, each made by _ball_draw, so
-    a seed gives the samples that stepping one sample at a time would. The samples go in chunks of RPI_BATCH, which bounds memory for
-    any n_samples: one plain loop makes a chunk's draws, then the chunk is
+    a seed gives the samples that stepping one sample at a time would.
+    The samples go in chunks of RPI_BATCH, which bounds memory for any
+    n_samples: one plain loop makes a chunk's draws, then the chunk is
     scaled, stepped (one step_closed_loop call for its true-plant samples,
     one for its reconstructed ones) and checked with array operations.
     """

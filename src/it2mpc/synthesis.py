@@ -169,6 +169,22 @@ def _riccati_start(sub):
     return gains
 
 
+class _SearchRng:
+    """The gain search's random stream, np.random.default_rng(seed) made on
+    the first draw: a search that never draws (a warm step that keeps its
+    gains) never pays for the generator."""
+
+    __slots__ = ("_seed", "_gen")
+
+    def __init__(self, seed):
+        self._seed, self._gen = seed, None
+
+    def standard_normal(self, size):
+        if self._gen is None:
+            self._gen = np.random.default_rng(self._seed)
+        return self._gen.standard_normal(size)
+
+
 def _solve_sub(system, params, i, xi_i, cfg, rng, warm_gains_i=None):
     """Coordinate-descent gain search for one subsystem at fixed set size.
 
@@ -391,7 +407,7 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
     if mode not in XI_MODES:
         raise ValueError(f"unknown xi mode: {mode!r}; "
                          f"expected one of {XI_MODES}")
-    rng = np.random.default_rng(cfg.seed)
+    rng = _SearchRng(cfg.seed)
     n = system.n_subsystems
     if warm is not None and evaluator is None:
         evaluator = FixedGainEvaluator(system, params, DecisionVars(
@@ -567,8 +583,10 @@ class FixedGainEvaluator:
 
     def margins(self, xi, x_all=None) -> dict:
         """certificate_margins of these gains at set sizes xi: the same
-        keys, the same values at xi_ref and within rounding elsewhere."""
+        keys, the same values at xi_ref and within rounding elsewhere.
+        The containment blocks of equal size share one eigensolve."""
         out = {}
+        blocks = {}             # block size -> containment instances
         for i, pencils in enumerate(self._pencils):
             if self._cache[i] is None or self._cache[i][0] != xi[i]:
                 inv, dec = pencils
@@ -593,7 +611,12 @@ class FixedGainEvaluator:
                 cont = assemble_containment(np.asarray(x_all[i], dtype=float),
                                             xi[i], self._x_mats[i], i,
                                             self._x_invs[i])
-                out[cont.key] = -min_eig(cont.matrix)
+                out[cont.key] = None        # keeps the key order; set below
+                blocks.setdefault(len(cont.matrix), []).append(cont)
+        for conts in blocks.values():
+            lows = np.linalg.eigvalsh(np.stack([c.matrix for c in conts]))
+            for cont, low in zip(conts, lows[:, 0].tolist()):
+                out[cont.key] = -low
         return out
 
 

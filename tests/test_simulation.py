@@ -84,17 +84,34 @@ class TestDisturbanceModel:
             DisturbanceModel(kind="gaussian")
 
 
+def _weights(q, r, tau):
+    """FixedParams carrying only the stage-cost weights stage_cost reads."""
+    n = len(tau)
+    return FixedParams(X=[None] * n, lam=[None] * n, N_const=[None] * n,
+                       M=[None] * n, tau=tau, Q=q, R=r)
+
+
 class TestCosts:
     def test_all_zero_is_zero(self):
         z = [np.zeros(2)] * 2
         zu = [np.zeros(1)] * 2
         zd = [np.zeros(1)] * 2
-        assert stage_cost(z, zu, zd, np.eye(2), np.eye(1), [1.0, 1.0]) == 0.0
+        assert stage_cost(z, zu, zd,
+                          _weights(np.eye(2), np.eye(1), [1.0, 1.0])) == 0.0
 
     def test_unit_state_identity_weight(self):
         cost = stage_cost([np.array([1.0, 0.0])], [np.zeros(1)], [np.zeros(1)],
-                          np.eye(2), np.eye(1), [1.0])
+                          _weights(np.eye(2), np.eye(1), [1.0]))
         assert cost == pytest.approx(1.0)
+
+    def test_per_subsystem_weights(self):
+        x_all = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        u_all = [np.ones(1), 2.0 * np.ones(1)]
+        d_all = [np.zeros(1), np.ones(1)]
+        params = _weights([np.eye(2), 3.0 * np.eye(2)],
+                          [np.eye(1), 0.5 * np.eye(1)], [1.0, 4.0])
+        # (1 + 1 - 0) + (3 + 0.5 * 4 - 4)
+        assert stage_cost(x_all, u_all, d_all, params) == 3.0
 
     def test_matches_scalar_expansion(self):
         rng = np.random.default_rng(11)
@@ -111,7 +128,7 @@ class TestCosts:
                             for a in range(2) for b in range(2))
                 want += r[0, 0] * u_all[i][0] ** 2
                 want -= tau[i] * d_all[i][0] ** 2
-            got = stage_cost(x_all, u_all, d_all, q, r, tau)
+            got = stage_cost(x_all, u_all, d_all, _weights(q, r, tau))
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_lyapunov_values(self):

@@ -3,11 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (build_example1_system, build_tiny_system,
-                      example1_reference_params, tiny_params)
+                      controller_mf_family, example1_reference_params,
+                      model_mf_family, tiny_params)
 from it2mpc.configio import bundled_config_names, load_bundled_config
-from it2mpc.linalg import SingularBlockError, max_eig
-from it2mpc.lmis import (DecisionVars, assemble_decrease_blended,
+from it2mpc.linalg import InvalidMatrixError, SingularBlockError, max_eig
+from it2mpc.lmis import (DecisionVars, FixedParams, assemble_decrease_blended,
                          assemble_invariance_blended)
+from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 from it2mpc.synthesis import (XI_HAIR, FixedGainEvaluator, Infeasible,
                               SynthesisConfig, _simplex_grid, build_z,
                               certificate_margins, ellipsoid_input_excess,
@@ -270,7 +272,10 @@ class TestFixedGainEvaluator:
                    for g, sub in zip(cfg.gains, system.subsystems)],
                 xi=[0.7 + 0.4 * i for i in range(system.n_subsystems)])
         evaluator = FixedGainEvaluator(system, params, dv, cfg.synthesis)
-        for x_all in (None, x0):
+        rng = np.random.default_rng(5)
+        states = [[0.8 * rng.standard_normal(sub.n_x)
+                   for sub in system.subsystems] for _ in range(3)]
+        for x_all in (None, x0, *states):
             got = evaluator.margins(dv.xi, x_all)
             want = certificate_margins(system, params, dv, x_all,
                                        cfg.synthesis)
@@ -285,6 +290,69 @@ class TestFixedGainEvaluator:
                 assert list(got) == list(want)
                 for key in want:
                     assert got[key] == pytest.approx(want[key], abs=1e-12)
+                    if key.startswith("containment"):
+                        assert got[key] == want[key]
+
+    @staticmethod
+    def _mixed_sizes():
+        """Three uncoupled subsystems with n_x = 1, 2, 1 (one input, one
+        disturbance each): their containment blocks, of sizes 2, 3, 2, fall
+        in two size groups out of key order."""
+        def sub(a_mats, b, e):
+            return Subsystem(
+                rules=tuple(Rule(A=np.array(a), B=np.array(b), E=np.array(e))
+                            for a in a_mats),
+                model_mfs=model_mf_family(),
+                controller_mfs=controller_mf_family(),
+                u_max=np.array([2.0]), eta=0.1)
+
+        system = LargeScaleSystem(subsystems=(
+            sub([[[0.5]], [[0.7]]], [[1.0]], [[0.1]]),
+            sub([[[0.5, 0.1], [0.0, 0.4]], [[0.45, 0.0], [0.1, 0.5]]],
+                [[1.0], [0.5]], [[0.1], [0.0]]),
+            sub([[[0.3]], [[-0.4]]], [[0.5]], [[0.2]])))
+        system.validate()
+        dims = [s.n_x for s in system.subsystems]
+        params = FixedParams(
+            X=[(2.0 + i) * np.eye(d) for i, d in enumerate(dims)],
+            lam=[0.05] * 3, N_const=[20.0] * 3, M=[np.eye(1)] * 3,
+            tau=[1.0] * 3, Q=[0.05 * np.eye(d) for d in dims], R=np.eye(1))
+        params.validate()
+        gains = [[np.array([[-0.2]]), np.array([[-0.3]])],
+                 [np.array([[-0.2, -0.1]]), np.array([[-0.1, -0.2]])],
+                 [np.array([[0.1]]), np.array([[-0.2]])]]
+        dv = DecisionVars(gains=gains,
+                          Z=[build_z(g, d, 1e-6) for g, d in zip(gains, dims)],
+                          xi=[1.0, 2.0, 3.0])
+        return system, params, dv
+
+    def test_containment_margins_group_blocks_of_each_size(self):
+        system, params, dv = self._mixed_sizes()
+        cfg = SynthesisConfig()
+        evaluator = FixedGainEvaluator(system, params, dv, cfg)
+        rng = np.random.default_rng(9)
+        for xi in (dv.xi, [0.5, 4.0, 1.5]):
+            for _ in range(5):
+                x_all = [rng.standard_normal(sub.n_x)
+                         for sub in system.subsystems]
+                got = evaluator.margins(xi, x_all)
+                want = certificate_margins(
+                    system, params, DecisionVars(dv.gains, dv.Z, xi), x_all,
+                    cfg)
+                assert list(got) == list(want)
+                for i in range(3):
+                    key = f"containment[i={i}]"
+                    assert got[key] == want[key]
+
+    def test_non_finite_state_raises_on_containment(self, ex1_synthesized):
+        system, params, x0, res, _ = ex1_synthesized
+        evaluator = FixedGainEvaluator(system, params, res.dv,
+                                       SynthesisConfig())
+        for bad in (np.nan, np.inf):
+            x_all = [x.copy() for x in x0]
+            x_all[1][0] = bad
+            with pytest.raises(InvalidMatrixError):
+                evaluator.margins(res.dv.xi, x_all)
 
 
     def test_singular_shape_matrix_raises_on_containment(self, tiny,
