@@ -9,10 +9,13 @@ hard-coded to a fixed subsystem count):
     input:       [[Z, k'], [k, I]]                                 ">= 0"
     containment: [[xi, x'], [x, X^{-1} xi]]                        ">= 0"
 
-All blocks are affine in (xi, gains, Z) for fixed shape matrices, so vertex
-enforcement over every (model rule, controller rule) pair covers the blended
-matrices exactly except for the disturbance-channel quadratic E'XE, which the
-membership-grid re-verification covers.
+All blocks are affine in (xi, gains, Z) for fixed shape matrices, and the
+reduced forms' only non-affine parts, [E theta]'(Lam (x) X)[E theta] with
+Lam = [[1, 1], [1, n]] and k'Mk, are matrix-convex, so vertex enforcement
+over every (model rule, controller rule) pair covers the blended matrices
+(synthesis.verify_certificate states the lemma; its membership-grid sweep
+re-checks it). The vertices of one subsystem and family assemble as one
+stack.
 """
 
 from __future__ import annotations
@@ -97,6 +100,17 @@ class DecisionVars:
                 raise ValueError(f"xi[{i}] must be positive, got {xi}")
 
 
+def _format_key(origin: str, subsystem: int, vertex) -> str:
+    tag = f"{origin}[i={subsystem}"
+    if vertex is not None:
+        l, m = vertex
+        if l is not None:
+            tag += f",l={l}"
+        if m is not None:
+            tag += f",m={m}"
+    return tag + "]"
+
+
 @dataclass(frozen=True)
 class LMIInstance:
     """One assembled condition with enough metadata to re-identify it."""
@@ -105,21 +119,31 @@ class LMIInstance:
     origin: str                      # invariance | input | decrease | containment
     sense: str                       # nsd | nsd_strict | psd
     subsystem: int
-    vertex: tuple | None = None      # (model rule, controller rule) when vertexed
+    # (model rule, controller rule) when vertexed; one pair per matrix of a
+    # vertex stack
+    vertex: tuple | None = None
     coupling_keys: tuple = ()
     slot_dims: tuple = ()
     strict_basis: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def key(self) -> str:
-        tag = f"{self.origin}[i={self.subsystem}"
-        if self.vertex is not None:
-            l, m = self.vertex
-            if l is not None:
-                tag += f",l={l}"
-            if m is not None:
-                tag += f",m={m}"
-        return tag + "]"
+        """Identifier of the instance; a vertex stack keys its family, as a
+        blended stack does (`keys` names each matrix)."""
+        stacked = self.matrix.ndim == 3
+        return _format_key(self.origin, self.subsystem,
+                           None if stacked else self.vertex)
+
+    @property
+    def keys(self) -> list:
+        """One key per matrix: [key] for one matrix, each (l, m) pair's key
+        for a vertex stack, and the family key repeated for a blended one."""
+        if self.matrix.ndim == 2:
+            return [self.key]
+        if self.vertex is None:
+            return [self.key] * len(self.matrix)
+        return [_format_key(self.origin, self.subsystem, v)
+                for v in self.vertex]
 
     def test_matrix(self) -> np.ndarray:
         """Matrix the sense is judged on: strict instances are compressed
@@ -130,9 +154,25 @@ class LMIInstance:
         return sym_matrix(self.strict_basis.T @ self.matrix @ self.strict_basis)
 
 
-def theta_vertex(sub: Subsystem, gains_i, l: int, m: int) -> np.ndarray:
-    """Closed-loop vertex matrix A_l + B_l k_m."""
-    return sub.rules[l].A + sub.rules[l].B @ gains_i[m]
+def _vertex_pairs(l, m):
+    """Index arrays (P,) of the vertex pairs (l[p], m[p]); integers l, m
+    are the P = 1 case."""
+    ls, ms = np.atleast_1d(l), np.atleast_1d(m)
+    if np.ndim(l) != np.ndim(m) or ls.ndim != 1 or ls.shape != ms.shape:
+        raise ValueError("l and m must be two integers or two sequences of "
+                         f"equal length, got shapes {np.shape(l)} and "
+                         f"{np.shape(m)}")
+    return ls, ms
+
+
+def theta_vertex(sub: Subsystem, gains_i, l, m) -> np.ndarray:
+    """Closed-loop vertex matrix A_l + B_l k_m; equal-length index
+    sequences l, m give the stack (P, n_x, n_x) of the pairs' matrices."""
+    ls, ms = _vertex_pairs(l, m)
+    a = np.array([sub.rules[j].A for j in ls])
+    b = np.array([sub.rules[j].B for j in ls])
+    theta = a + b @ np.array([gains_i[j] for j in ms])
+    return theta if np.ndim(l) else theta[0]
 
 
 def _range_basis(g: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
@@ -264,15 +304,19 @@ _FAMILY_SENSE = {"invariance": "nsd", "decrease": "nsd_strict"}
 
 
 def _vertex_instance(system, params, dv, i, l, m, family, reduced):
+    ls, ms = _vertex_pairs(l, m)
     sub = system.subsystems[i]
-    theta = theta_vertex(sub, dv.gains[i], l, m)
     mats, keys, slot_dims, basis = _condition_matrices(
-        system, params, i, family, theta[None], sub.rules[l].E[None],
-        dv.gains[i][m][None], dv.xi[i], reduced)
-    return LMIInstance(matrix=mats[0], origin=family,
+        system, params, i, family, theta_vertex(sub, dv.gains[i], ls, ms),
+        np.array([sub.rules[j].E for j in ls]),
+        np.array([dv.gains[i][j] for j in ms]), dv.xi[i], reduced)
+    stacked = np.ndim(l) == 1
+    return LMIInstance(matrix=mats if stacked else mats[0], origin=family,
                        sense=_FAMILY_SENSE[family], subsystem=i,
-                       vertex=(l, m), coupling_keys=keys,
-                       slot_dims=slot_dims, strict_basis=basis)
+                       vertex=tuple(zip(ls.tolist(), ms.tolist()))
+                       if stacked else (l, m),
+                       coupling_keys=keys, slot_dims=slot_dims,
+                       strict_basis=basis)
 
 
 def _blended_instance(system, params, dv, i, w, h, family, reduced):
@@ -289,10 +333,14 @@ def _blended_instance(system, params, dv, i, w, h, family, reduced):
 
 
 def assemble_invariance(system: LargeScaleSystem, params: FixedParams,
-                        dv: DecisionVars, i: int, l: int, m: int,
+                        dv: DecisionVars, i: int, l, m,
                         reduced: bool = False) -> LMIInstance:
     """Invariant-set condition at vertex (model rule l, controller rule m).
 
+    Equal-length integer sequences l, m give one instance whose matrix is
+    the stack (P, size, size) of the P vertices (l[p], m[p]), each equal to
+    its own single-vertex assembly, and whose `keys` name them; the
+    coupling load and strict basis are built once for the whole stack.
     `reduced` folds the trailing slack row into the state block via its Schur
     complement (the scalar-expansion form used by the oracle tests).
     """
@@ -313,9 +361,10 @@ def assemble_invariance_blended(system, params, dv, i, w, h,
 
 
 def assemble_decrease(system: LargeScaleSystem, params: FixedParams,
-                      dv: DecisionVars, i: int, l: int, m: int,
+                      dv: DecisionVars, i: int, l, m,
                       reduced: bool = False) -> LMIInstance:
-    """Cost-decrease condition at vertex (l, m); sense is strict."""
+    """Cost-decrease condition at vertex (l, m); sense is strict. Index
+    sequences give a vertex stack, as for assemble_invariance."""
     return _vertex_instance(system, params, dv, i, l, m, "decrease", reduced)
 
 

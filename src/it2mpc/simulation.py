@@ -312,44 +312,47 @@ def iss_check(trace: SimulationTrace, params: FixedParams) -> dict:
     sandwich w_min ||x||^2 <= V_i(x) <= w_max ||x||^2 from the extreme
     eigenvalues of each P_i = X_i / xi_i.
     """
-    violations = []
-    sandwich_bad = []
-    worst_slack = -np.inf
-    n_checked = 0
     n = len(params.X)
-    # lambda(X/xi) = lambda(X)/xi: one eigensolve per X_i serves every step
-    x_eigs = [np.linalg.eigvalsh(sym_matrix(x_mat)) for x_mat in params.X]
-    for k in range(trace.n_steps):
-        xi_all = trace.xi[k]
-        x_now = trace.x[k]
-        x_next = trace.x[k + 1]
-        if all(float(np.linalg.norm(x)) == 0.0 for x in x_now):
-            continue
-        n_checked += 1
-        v_now = v_next = bound = 0.0
-        for i in range(n):
-            p_i = params.X[i] / xi_all[i]
-            v_now += lyapunov_value(x_now[i], p_i)
-            v_next += lyapunov_value(x_next[i], p_i)
-            q = np.asarray(params.q_mat(i), dtype=float)
-            r_eff = np.asarray(params.M[i], dtype=float) / xi_all[i]
-            x = np.asarray(x_now[i], dtype=float)
-            u = np.asarray(trace.u[k][i], dtype=float)
-            d = np.asarray(trace.d[k][i], dtype=float)
-            bound += (-float(x @ q @ x) - float(u @ r_eff @ u)
-                      + params.tau[i] * float(d @ d))
-        slack = (v_next - v_now) - bound
-        worst_slack = max(worst_slack, slack)
-        if slack >= 0.0:
-            violations.append((k, slack))
-        for i in range(n):
-            p_i = params.X[i] / xi_all[i]
-            w_min, w_max = x_eigs[i][[0, -1]] / xi_all[i]
-            nrm2 = float(np.asarray(x_now[i]) @ np.asarray(x_now[i]))
-            v_i = lyapunov_value(x_now[i], p_i)
-            tol = 1e-9 * max(1.0, abs(v_i))
-            if not (w_min * nrm2 - tol <= v_i <= w_max * nrm2 + tol):
-                sandwich_bad.append((k, i))
+    n_steps = trace.n_steps
+    if n_steps == 0:
+        return {"n_checked": 0, "violations": [], "worst_slack": -np.inf,
+                "sandwich_violations": [], "ok": True}
+    xi = np.array(trace.xi, dtype=float)
+    # per subsystem, over every step at once; subsystems summed in order
+    v_now = np.zeros(n_steps)
+    v_next = np.zeros(n_steps)
+    bound = np.zeros(n_steps)
+    live = np.zeros(n_steps, dtype=bool)
+    sandwich = np.zeros((n_steps, n), dtype=bool)
+    for i in range(n):
+        states = np.array([x[i] for x in trace.x], dtype=float)
+        x_now, x_next = states[:-1], states[1:]
+        u = np.array([u_k[i] for u_k in trace.u], dtype=float)
+        d = np.array([d_k[i] for d_k in trace.d], dtype=float)
+        xi_i = xi[:, i, None, None]
+        p_i = params.X[i] / xi_i
+        v_i = quad_form(x_now, p_i)
+        v_now += v_i
+        v_next += quad_form(x_next, p_i)
+        bound += (-quad_form(x_now, np.asarray(params.q_mat(i), dtype=float))
+                  - quad_form(u, np.asarray(params.M[i], dtype=float) / xi_i)
+                  + params.tau[i] * quad_form(d))
+        nrm2 = quad_form(x_now)
+        live |= nrm2 != 0.0
+        # lambda(X/xi) = lambda(X)/xi: one eigensolve per X_i serves every step
+        x_eigs = np.linalg.eigvalsh(sym_matrix(params.X[i]))
+        w_min, w_max = x_eigs[0] / xi[:, i], x_eigs[-1] / xi[:, i]
+        tol = 1e-9 * np.maximum(1.0, np.abs(v_i))
+        sandwich[:, i] = ~((w_min * nrm2 - tol <= v_i)
+                           & (v_i <= w_max * nrm2 + tol))
+    slack = (v_next - v_now) - bound
+    checked = np.flatnonzero(live)
+    n_checked = len(checked)
+    worst_slack = float(np.max(slack[checked])) if n_checked else -np.inf
+    violations = [(int(k), float(slack[k])) for k in checked
+                  if slack[k] >= 0.0]
+    sandwich_bad = [(int(k), int(i))
+                    for k, i in np.argwhere(sandwich & live[:, None])]
     return {
         "n_checked": n_checked,
         "violations": violations,

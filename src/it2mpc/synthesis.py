@@ -24,13 +24,14 @@ construction and turns the diagonal budget into a gain-norm budget.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .linalg import max_eig, min_eig
+from .linalg import min_eig
 from .lmis import (DecisionVars, FixedParams, assemble_containment,
                    assemble_decrease, assemble_decrease_blended,
                    assemble_input_constraint, assemble_invariance,
@@ -123,6 +124,28 @@ def _sub_dv(n: int, i: int, gains_i, z_i, xi: float) -> DecisionVars:
                         xi=[xi] * n)
 
 
+def _vertex_grid(sub, rules):
+    """Index lists (ls, ms) of every vertex (l, m) with m in `rules`,
+    l-major."""
+    return ([l for l in range(sub.n_rules) for _ in rules],
+            [m for _ in range(sub.n_rules) for m in rules])
+
+
+def _vertex_max_eigs(system, params, dv, i, rules, cfg, reduced=False):
+    """Largest test-matrix eigenvalue at every vertex (l, m) of subsystem i
+    with m in `rules`, l-major: one stacked assembly and one eigensolve per
+    family. Returns (ls, ms, invariance, decrease), each family as (keys,
+    values) with the strictness added to the decrease values."""
+    ls, ms = _vertex_grid(system.subsystems[i], rules)
+    fams = []
+    for assemble, shift in ((assemble_invariance, 0.0),
+                            (assemble_decrease, cfg.strictness)):
+        inst = assemble(system, params, dv, i, ls, ms, reduced)
+        tops = np.linalg.eigvalsh(inst.test_matrix())[:, -1] + shift
+        fams.append((inst.keys, tops.tolist()))
+    return ls, ms, *fams
+
+
 def _sub_excesses(system: LargeScaleSystem, params: FixedParams,
                   dv: DecisionVars, i: int, cfg: SynthesisConfig,
                   rules=None, reduced: bool = True) -> dict:
@@ -133,13 +156,12 @@ def _sub_excesses(system: LargeScaleSystem, params: FixedParams,
     sub = system.subsystems[i]
     if rules is None:
         rules = range(sub.n_controller_rules)
+    ls, ms, inv, dec = _vertex_max_eigs(system, params, dv, i, rules, cfg,
+                                        reduced)
     out = {}
-    for l in range(sub.n_rules):
-        for m in rules:
-            inv = assemble_invariance(system, params, dv, i, l, m, reduced)
-            out[("inv", l, m)] = max_eig(inv.test_matrix())
-            dec = assemble_decrease(system, params, dv, i, l, m, reduced)
-            out[("dec", l, m)] = max_eig(dec.test_matrix()) + cfg.strictness
+    for l, m, v_inv, v_dec in zip(ls, ms, inv[1], dec[1]):
+        out[("inv", l, m)] = v_inv
+        out[("dec", l, m)] = v_dec
     z = dv.Z[i]
     if sub.u_max is not None:
         for s in range(sub.n_u):
@@ -443,16 +465,17 @@ def certificate_margins(system: LargeScaleSystem, params: FixedParams,
                         dv: DecisionVars, x_all=None,
                         cfg: SynthesisConfig | None = None) -> dict:
     """Signed feasibility excesses of the full (slack-row) conditions,
-    keyed by instance; every value <= 0 means the certificate holds."""
+    keyed by instance; every value <= 0 means the certificate holds. The
+    vertex rows of each subsystem and family come from one stacked
+    assembly and one eigensolve."""
     cfg = cfg or SynthesisConfig()
     out = {}
     for i, sub in enumerate(system.subsystems):
-        for l in range(sub.n_rules):
-            for m in range(sub.n_controller_rules):
-                inv = assemble_invariance(system, params, dv, i, l, m)
-                out[inv.key] = max_eig(inv.test_matrix())
-                dec = assemble_decrease(system, params, dv, i, l, m)
-                out[dec.key] = max_eig(dec.test_matrix()) + cfg.strictness
+        _, _, inv, dec = _vertex_max_eigs(system, params, dv, i,
+                                          range(sub.n_controller_rules), cfg)
+        for key_inv, v_inv, key_dec, v_dec in zip(*inv, *dec):
+            out[key_inv] = v_inv
+            out[key_dec] = v_dec
         for m in range(sub.n_controller_rules):
             inst, excess = assemble_input_constraint(sub, dv, i, m)
             out[inst.key] = -min_eig(inst.matrix)
@@ -521,16 +544,13 @@ class FixedGainEvaluator:
         self._pencils, self._fixed, self._peaks = [], [], []
         self._bounds = []       # per subsystem: (xi_lo, xi_hi) or None
         for i, sub in enumerate(system.subsystems):
+            ls, ms = _vertex_grid(sub, range(sub.n_controller_rules))
             pencils = []
             for assemble, shift in ((assemble_invariance, 0.0),
                                     (assemble_decrease, cfg.strictness)):
-                insts = [assemble(system, params, dv, i, l, m)
-                         for l in range(sub.n_rules)
-                         for m in range(sub.n_controller_rules)]
-                pencils.append(_Pencil(
-                    [inst.key for inst in insts],
-                    np.stack([inst.test_matrix() for inst in insts]),
-                    xi_slope(params, insts[0]), shift))
+                inst = assemble(system, params, dv, i, ls, ms)
+                pencils.append(_Pencil(inst.keys, inst.test_matrix(),
+                                       xi_slope(params, inst), shift))
             fixed = {}
             for m in range(sub.n_controller_rules):
                 inst, excess = assemble_input_constraint(sub, dv, i, m)
@@ -642,22 +662,40 @@ def verify_certificate(system: LargeScaleSystem, params: FixedParams,
     """Re-check a certificate: vertex margins on the full forms plus a
     membership-grid sweep of the blended forms.
 
-    Vertex coverage is exact for every block that is affine in the blend
-    weights; the one quadratic block (the disturbance channel) bends toward
-    feasibility under blending, and the grid sweep confirms it numerically:
+    Vertex-to-blend lemma: the vertex margins bound every blend. At weights
+    (w, h) in the simplex product, the blended argument of either form is
+    [E theta k] = sum_lm w_l h_m [E_l theta_lm k_m] exactly, because
+    sum w = sum h = 1 (theta_lm = A_l + B_l k_m). In the reduced form the
+    only parts not affine in that argument are [E theta]' (Lam (x) X)
+    [E theta] with Lam = [[1, 1], [1, n]] >= 0 (X > 0, n >= 1) and, for
+    decrease, k' M k with M >= 0; both are matrix-convex, and so is their
+    compression by the fixed strict basis. By Jensen's inequality the
+    blended test matrix is <= the same convex combination of the vertex
+    test matrices, so its lambda_max is at most the vertex maximum. The
+    full forms border the reduced ones with the negative definite slack
+    rows, so their verdicts agree with the reduced ones point by point
+    (Schur complement). The grid sweep re-checks the blends numerically:
     per subsystem and family, one stacked assembly over every (w, h) grid
     pair and one batched eigensolve.
     Returns {"margins", "blended_worst", "worst", "feasible"}."""
     cfg = cfg or SynthesisConfig()
     margins = certificate_margins(system, params, dv, x_all, cfg)
     blended_worst = -np.inf
+
+    # each distinct grid and pair expansion is built once per call
+    @functools.cache
+    def grid(n_rules):
+        return np.array(list(_simplex_grid(n_rules, cfg.grid_density)))
+
+    @functools.cache
+    def grid_pairs(n_w, n_h):
+        """Every (w, h) grid pair, w-major."""
+        w_grid, h_grid = grid(n_w), grid(n_h)
+        return (np.repeat(w_grid, len(h_grid), axis=0),
+                np.tile(h_grid, (len(w_grid), 1)))
+
     for i, sub in enumerate(system.subsystems):
-        w_grid = np.array(list(_simplex_grid(sub.n_rules, cfg.grid_density)))
-        h_grid = np.array(list(_simplex_grid(sub.n_controller_rules,
-                                             cfg.grid_density)))
-        # every (w, h) pair, w-major
-        w = np.repeat(w_grid, len(h_grid), axis=0)
-        h = np.tile(h_grid, (len(w_grid), 1))
+        w, h = grid_pairs(sub.n_rules, sub.n_controller_rules)
         for assemble, shift in ((assemble_invariance_blended, 0.0),
                                 (assemble_decrease_blended, cfg.strictness)):
             inst = assemble(system, params, dv, i, w, h)

@@ -336,6 +336,75 @@ class TestStackedBlendedAssembly:
         np.testing.assert_array_equal(stacked.matrix[0], single.matrix)
 
 
+class TestStackedVertexAssembly:
+    """Index sequences l, m assemble to exactly the single-vertex matrices,
+    bit for bit, in both forms and after strict compression, with one key
+    per matrix in pair order."""
+
+    @pytest.mark.parametrize("name", bundled_config_names())
+    @pytest.mark.parametrize("assemble", [assemble_invariance,
+                                          assemble_decrease])
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_stack_equals_per_vertex_calls(self, name, assemble, reduced):
+        system, params, dv = _bundled_certificate(name)
+        for i, sub in enumerate(system.subsystems):
+            pairs = [(l, m) for l in range(sub.n_rules)
+                     for m in range(sub.n_controller_rules)]
+            pairs += pairs[::-1][:2]         # any order, repeats allowed
+            ls, ms = [p[0] for p in pairs], [p[1] for p in pairs]
+            stacked = assemble(system, params, dv, i, ls, ms,
+                               reduced=reduced)
+            tests = stacked.test_matrix()
+            assert stacked.matrix.shape[0] == tests.shape[0] == len(pairs)
+            singles = [assemble(system, params, dv, i, l, m, reduced=reduced)
+                       for l, m in pairs]
+            for p, single in enumerate(singles):
+                assert single.matrix.ndim == 2
+                assert single.keys == [single.key]
+                np.testing.assert_array_equal(stacked.matrix[p],
+                                              single.matrix)
+                np.testing.assert_array_equal(tests[p], single.test_matrix())
+                assert stacked.slot_dims == single.slot_dims
+                assert stacked.coupling_keys == single.coupling_keys
+                if single.strict_basis is None:
+                    assert stacked.strict_basis is None
+                else:
+                    np.testing.assert_array_equal(stacked.strict_basis,
+                                                  single.strict_basis)
+            assert stacked.keys == [s.key for s in singles]
+            assert stacked.vertex == tuple(pairs)
+
+    def test_integer_indices_are_the_one_vertex_case(self):
+        system, params, dv = _bundled_certificate("example1")
+        single = assemble_decrease(system, params, dv, 1, 1, 0)
+        stacked = assemble_decrease(system, params, dv, 1, [1], [0])
+        assert single.vertex == (1, 0)
+        assert single.key == "decrease[i=1,l=1,m=0]"
+        assert stacked.matrix.shape == (1,) + single.matrix.shape
+        assert stacked.keys == [single.key]
+        np.testing.assert_array_equal(stacked.matrix[0], single.matrix)
+
+    def test_theta_vertex_stack(self):
+        system, _, dv = _bundled_certificate("example2")
+        sub = system.subsystems[0]
+        ls, ms = [2, 0, 1], [1, 1, 0]
+        stacked = theta_vertex(sub, dv.gains[0], ls, ms)
+        for p, (l, m) in enumerate(zip(ls, ms)):
+            single = theta_vertex(sub, dv.gains[0], l, m)
+            np.testing.assert_array_equal(stacked[p], single)
+            np.testing.assert_array_equal(
+                single, sub.rules[l].A + sub.rules[l].B @ dv.gains[0][m])
+
+    @pytest.mark.parametrize("assemble", [assemble_invariance,
+                                          assemble_decrease])
+    @pytest.mark.parametrize("l, m", [([0, 1], [0]), ([0], []), (0, [0]),
+                                      ([0, 1], 1)])
+    def test_mismatched_indices_raise(self, assemble, l, m):
+        system, params, dv = _bundled_certificate("example1")
+        with pytest.raises(ValueError, match="equal length"):
+            assemble(system, params, dv, 0, l, m)
+
+
 class TestSchurEquivalence:
     def test_folding_slack_rows_reproduces_reduced_invariance(self):
         rng = np.random.default_rng(31)

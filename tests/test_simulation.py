@@ -348,6 +348,66 @@ class TestIssCheck:
         assert report["violations"]
         assert not report["ok"]
 
+    @staticmethod
+    def reference_iss(trace, params):
+        """The step-by-step, subsystem-by-subsystem check iss_check stacks."""
+        violations, sandwich_bad = [], []
+        worst_slack, n_checked = -np.inf, 0
+        n = len(params.X)
+        for k in range(trace.n_steps):
+            xi_all, x_now, x_next = trace.xi[k], trace.x[k], trace.x[k + 1]
+            if all(float(np.linalg.norm(x)) == 0.0 for x in x_now):
+                continue
+            n_checked += 1
+            v_now = v_next = bound = 0.0
+            for i in range(n):
+                p_i = params.X[i] / xi_all[i]
+                v_now += lyapunov_value(x_now[i], p_i)
+                v_next += lyapunov_value(x_next[i], p_i)
+                r_eff = params.M[i] / xi_all[i]
+                x, u, d = x_now[i], trace.u[k][i], trace.d[k][i]
+                bound += (-float(x @ params.q_mat(i) @ x)
+                          - float(u @ r_eff @ u)
+                          + params.tau[i] * float(d @ d))
+            slack = (v_next - v_now) - bound
+            worst_slack = max(worst_slack, slack)
+            if slack >= 0.0:
+                violations.append((k, slack))
+            for i in range(n):
+                eigs = np.linalg.eigvalsh(params.X[i])
+                w_min, w_max = eigs[[0, -1]] / xi_all[i]
+                nrm2 = float(x_now[i] @ x_now[i])
+                v_i = lyapunov_value(x_now[i], params.X[i] / xi_all[i])
+                tol = 1e-9 * max(1.0, abs(v_i))
+                if not (w_min * nrm2 - tol <= v_i <= w_max * nrm2 + tol):
+                    sandwich_bad.append((k, i))
+        return {"n_checked": n_checked, "violations": violations,
+                "worst_slack": worst_slack,
+                "sandwich_violations": sandwich_bad,
+                "ok": not violations and not sandwich_bad}
+
+    def test_matches_per_step_reference(self):
+        system = build_example1_system()
+        params = example1_reference_params()
+        bad = [[np.array([[3.0, 3.0]]), np.array([[3.0, 3.0]])]
+               for _ in range(3)]
+        runs = [
+            # from rest: step 0 has a zero state and is skipped
+            run_online_loop(system, params, [np.zeros(2)] * 3, 12,
+                            dist=DisturbanceModel(kind="uniform_ball",
+                                                  seed=4),
+                            gains=example1_reference_gains()),
+            run_online_loop(system, params, [np.array([1.0, -1.0])] * 3, 12,
+                            gains=bad),
+            run_online_loop(system, params, [np.array([1.0, -1.0])] * 3, 0,
+                            gains=bad),
+        ]
+        for trace in runs:
+            assert iss_check(trace, params) == self.reference_iss(trace,
+                                                                  params)
+        assert iss_check(runs[0], params)["n_checked"] == 11
+        assert iss_check(runs[1], params)["violations"]
+
 
 def contractive_single_subsystem():
     """One decoupled subsystem with x+ = 0.5 x + E d and zero gains."""

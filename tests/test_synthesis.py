@@ -7,11 +7,13 @@ from conftest import (build_example1_system, build_tiny_system,
                       model_mf_family, tiny_params)
 from it2mpc.configio import bundled_config_names, load_bundled_config
 from it2mpc.linalg import InvalidMatrixError, SingularBlockError, max_eig
-from it2mpc.lmis import (DecisionVars, FixedParams, assemble_decrease_blended,
+from it2mpc.lmis import (DecisionVars, FixedParams, assemble_decrease,
+                         assemble_decrease_blended, assemble_invariance,
                          assemble_invariance_blended)
 from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 from it2mpc.synthesis import (XI_HAIR, FixedGainEvaluator, Infeasible,
-                              SynthesisConfig, _simplex_grid, build_z,
+                              SynthesisConfig, _simplex_grid, _sub_dv,
+                              _sub_excesses, build_z,
                               certificate_margins, ellipsoid_input_excess,
                               minimize_xi, solve_fixed_xi,
                               verify_certificate)
@@ -212,6 +214,91 @@ class TestCertificateMargins:
         margins = certificate_margins(system, params, bad)
         assert max(v for k, v in margins.items()
                    if k.startswith("invariance")) > 0.0
+
+
+class TestStackedVertexCallers:
+    """The vertex rows of _sub_excesses and certificate_margins, which
+    assemble every vertex of a subsystem and family as one stack, against
+    per-vertex reference loops written out here."""
+
+    @staticmethod
+    def reference_sub_excesses(system, params, dv, i, cfg, rules, reduced):
+        sub = system.subsystems[i]
+        if rules is None:
+            rules = range(sub.n_controller_rules)
+        out = {}
+        for l in range(sub.n_rules):
+            for m in rules:
+                inv = assemble_invariance(system, params, dv, i, l, m, reduced)
+                out[("inv", l, m)] = max_eig(inv.test_matrix())
+                dec = assemble_decrease(system, params, dv, i, l, m, reduced)
+                out[("dec", l, m)] = max_eig(dec.test_matrix()) + cfg.strictness
+        z = dv.Z[i]
+        if sub.u_max is not None:
+            for s in range(sub.n_u):
+                out[("budget", s)] = z[s, s] - sub.u_max[s] ** 2
+        ell = ellipsoid_input_excess(sub, params.X[i], dv.xi[i], dv.gains[i])
+        for m in rules:
+            for s in range(sub.n_u):
+                if np.isfinite(ell[m, s]):
+                    out[("ell", m, s)] = float(ell[m, s])
+        return out
+
+    @staticmethod
+    def plants():
+        tiny_system, tiny_p = build_tiny_system(), tiny_params()
+        rng = np.random.default_rng(3)
+        tiny_gains = [[0.3 * rng.standard_normal((2, 2)) for _ in range(2)]]
+        yield tiny_system, tiny_p, tiny_gains
+        cfg = load_bundled_config("example1_synthesis")
+        yield cfg.system, cfg.params, load_bundled_config("example1").gains
+
+    @pytest.mark.parametrize("reduced", [True, False])
+    def test_sub_excesses_match_per_vertex_loop(self, reduced):
+        cfg = SynthesisConfig()
+        for system, params, gains in self.plants():
+            for i, sub in enumerate(system.subsystems):
+                z_i = build_z(gains[i], sub.n_x, cfg.input_margin)
+                for xi in (0.8, 9.0):
+                    dv = _sub_dv(system.n_subsystems, i, gains[i], z_i, xi)
+                    for rules in (None, *((m,) for m in
+                                          range(sub.n_controller_rules))):
+                        got = _sub_excesses(system, params, dv, i, cfg,
+                                            rules=rules, reduced=reduced)
+                        want = self.reference_sub_excesses(
+                            system, params, dv, i, cfg, rules, reduced)
+                        assert list(got) == list(want)
+                        assert got == want
+
+    def test_certificate_margins_match_per_vertex_loop(self):
+        cfg = SynthesisConfig()
+        for system, params, gains in self.plants():
+            dv = DecisionVars(
+                gains=gains,
+                Z=[build_z(g, sub.n_x, cfg.input_margin)
+                   for g, sub in zip(gains, system.subsystems)],
+                xi=[1.5 + i for i in range(system.n_subsystems)])
+            x_all = [np.full(sub.n_x, 0.4) for sub in system.subsystems]
+            got = certificate_margins(system, params, dv, x_all, cfg)
+            want = {}
+            for i, sub in enumerate(system.subsystems):
+                for l in range(sub.n_rules):
+                    for m in range(sub.n_controller_rules):
+                        inv = assemble_invariance(system, params, dv, i, l, m)
+                        want[inv.key] = max_eig(inv.test_matrix())
+                        dec = assemble_decrease(system, params, dv, i, l, m)
+                        want[dec.key] = (max_eig(dec.test_matrix())
+                                         + cfg.strictness)
+                for m in range(sub.n_controller_rules):
+                    want[f"input[i={i},m={m}]"] = got[f"input[i={i},m={m}]"]
+                    if sub.u_max is not None:
+                        want[f"budget[i={i},m={m}]"] = \
+                            got[f"budget[i={i},m={m}]"]
+                if sub.u_max is not None:
+                    want[f"input_peak[i={i}]"] = got[f"input_peak[i={i}]"]
+                want[f"containment[i={i}]"] = got[f"containment[i={i}]"]
+            assert list(got) == list(want)
+            assert got == want
 
 
 class TestFixedGainEvaluator:
