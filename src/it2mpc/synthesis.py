@@ -77,6 +77,12 @@ class SynthesisConfig:
         if self.xi_mode not in XI_MODES:
             raise ValueError(f"unknown xi mode: {self.xi_mode!r}; "
                              f"expected one of {XI_MODES}")
+        # the grid needs both ends of every simplex edge
+        if isinstance(self.grid_density, bool) or \
+                not isinstance(self.grid_density, int) or \
+                self.grid_density < 2:
+            raise ValueError(f"grid_density must be an integer >= 2, got "
+                             f"{self.grid_density!r}")
 
 
 @dataclass
@@ -467,18 +473,23 @@ def certificate_margins(system: LargeScaleSystem, params: FixedParams,
     """Signed feasibility excesses of the full (slack-row) conditions,
     keyed by instance; every value <= 0 means the certificate holds. The
     vertex rows of each subsystem and family come from one stacked
-    assembly and one eigensolve."""
+    assembly and one eigensolve, its input rows from one eigensolve, and
+    the containment blocks of equal size share one eigensolve."""
     cfg = cfg or SynthesisConfig()
     out = {}
+    blocks = {}             # block size -> containment instances
     for i, sub in enumerate(system.subsystems):
         _, _, inv, dec = _vertex_max_eigs(system, params, dv, i,
                                           range(sub.n_controller_rules), cfg)
         for key_inv, v_inv, key_dec, v_dec in zip(*inv, *dec):
             out[key_inv] = v_inv
             out[key_dec] = v_dec
-        for m in range(sub.n_controller_rules):
-            inst, excess = assemble_input_constraint(sub, dv, i, m)
-            out[inst.key] = -min_eig(inst.matrix)
+        rows = [assemble_input_constraint(sub, dv, i, m)
+                for m in range(sub.n_controller_rules)]
+        lows = np.linalg.eigvalsh(np.stack([inst.matrix
+                                            for inst, _ in rows]))[:, 0]
+        for m, ((inst, excess), low) in enumerate(zip(rows, lows.tolist())):
+            out[inst.key] = -low
             if np.all(np.isfinite(excess)):
                 out[f"budget[i={i},m={m}]"] = float(np.max(excess))
         ell = ellipsoid_input_excess(sub, params.X[i], dv.xi[i], dv.gains[i])
@@ -487,8 +498,19 @@ def certificate_margins(system: LargeScaleSystem, params: FixedParams,
         if x_all is not None:
             cont = assemble_containment(np.asarray(x_all[i], dtype=float),
                                         dv.xi[i], params.X[i], i)
-            out[cont.key] = -min_eig(cont.matrix)
+            out[cont.key] = None        # keeps the key order; set below
+            blocks.setdefault(len(cont.matrix), []).append(cont)
+    _set_containment_margins(out, blocks)
     return out
+
+
+def _set_containment_margins(out: dict, blocks: dict):
+    """out[key] = -lambda_min of each containment instance in `blocks`
+    (block size -> instances): one eigensolve per block size."""
+    for conts in blocks.values():
+        lows = np.linalg.eigvalsh(np.stack([c.matrix for c in conts]))
+        for cont, low in zip(conts, lows[:, 0].tolist()):
+            out[cont.key] = -low
 
 
 @dataclass
@@ -633,10 +655,7 @@ class FixedGainEvaluator:
                                             self._x_invs[i])
                 out[cont.key] = None        # keeps the key order; set below
                 blocks.setdefault(len(cont.matrix), []).append(cont)
-        for conts in blocks.values():
-            lows = np.linalg.eigvalsh(np.stack([c.matrix for c in conts]))
-            for cont, low in zip(conts, lows[:, 0].tolist()):
-                out[cont.key] = -low
+        _set_containment_margins(out, blocks)
         return out
 
 
@@ -674,9 +693,31 @@ def verify_certificate(system: LargeScaleSystem, params: FixedParams,
     test matrices, so its lambda_max is at most the vertex maximum. The
     full forms border the reduced ones with the negative definite slack
     rows, so their verdicts agree with the reduced ones point by point
-    (Schur complement). The grid sweep re-checks the blends numerically:
-    per subsystem and family, one stacked assembly over every (w, h) grid
-    pair and one batched eigensolve.
+    (Schur complement).
+
+    The grid sweep re-checks the blends numerically: per subsystem and
+    family, one stacked assembly over every (w, h) grid pair. Only its
+    corner rows (w and h both one-hot: the vertices) are eigensolved; t is
+    the largest corner lambda_max + s over every subsystem and family, s
+    the family's shift (the strictness for decrease, else 0). The other
+    rows T_p (n x n) of each stack are cleared together by one batched
+    Cholesky factorization of (t - s - delta) I - T_p, with
+
+        delta = 4 (n+1)^2 eps (|t - s| + max_p sum_jk |T_p,jk|).
+
+    A factorization of A that completes is the exact one of A + E with
+    ||E||_2 <= gamma_{n+1} n ||A + E||_2, about (n+1)^2 eps ||A||_2 / 2
+    (Higham 2002, Thm 10.5, with || |R'| |R| ||_2 <= n ||R' R||_2), so
+    lambda_max(T_p) <= t - s - delta + ||E||_2; eigvalsh is backward
+    stable with an error of the same order, taken as (n+1)^2 eps
+    ||T_p||_2 / 2. Both norms are below |t - s| + delta + sum_jk |T_p,jk|,
+    so delta holds both errors with room to spare for rounding in forming
+    A: every cleared row's computed lambda_max + s is below t and cannot
+    raise the maximum. When the factorization fails (a blend within delta
+    of the corners, or one above them), that stack's other rows are
+    eigensolved as in a full sweep and t rises to what they show. So
+    blended_worst is the maximum of the same LAPACK eigenvalues as a full
+    sweep's: a sub-stack eigensolve gives each matrix's values bit for bit.
     Returns {"margins", "blended_worst", "worst", "feasible"}."""
     cfg = cfg or SynthesisConfig()
     margins = certificate_margins(system, params, dv, x_all, cfg)
@@ -689,17 +730,33 @@ def verify_certificate(system: LargeScaleSystem, params: FixedParams,
 
     @functools.cache
     def grid_pairs(n_w, n_h):
-        """Every (w, h) grid pair, w-major."""
+        """Every (w, h) grid pair, w-major, and the corner-row mask."""
         w_grid, h_grid = grid(n_w), grid(n_h)
+        corner = np.logical_and.outer(w_grid.max(axis=1) == 1.0,
+                                      h_grid.max(axis=1) == 1.0).ravel()
         return (np.repeat(w_grid, len(h_grid), axis=0),
-                np.tile(h_grid, (len(w_grid), 1)))
+                np.tile(h_grid, (len(w_grid), 1)), corner)
 
+    others = []         # (non-corner test matrices, shift) per stack
     for i, sub in enumerate(system.subsystems):
-        w, h = grid_pairs(sub.n_rules, sub.n_controller_rules)
+        w, h, corner = grid_pairs(sub.n_rules, sub.n_controller_rules)
         for assemble, shift in ((assemble_invariance_blended, 0.0),
                                 (assemble_decrease_blended, cfg.strictness)):
-            inst = assemble(system, params, dv, i, w, h)
-            top = np.linalg.eigvalsh(inst.test_matrix())[:, -1] + shift
+            tests = assemble(system, params, dv, i, w, h).test_matrix()
+            top = np.linalg.eigvalsh(tests[corner])[:, -1] + shift
+            blended_worst = max(blended_worst, float(np.max(top)))
+            others.append((tests[~corner], shift))
+    for tests, shift in others:
+        if not len(tests):
+            continue
+        n = tests.shape[-1]
+        level = blended_worst - shift
+        delta = 4.0 * (n + 1) ** 2 * np.finfo(float).eps * (
+            abs(level) + float(np.max(np.sum(np.abs(tests), axis=(1, 2)))))
+        try:
+            np.linalg.cholesky((level - delta) * np.eye(n) - tests)
+        except np.linalg.LinAlgError:
+            top = np.linalg.eigvalsh(tests)[:, -1] + shift
             blended_worst = max(blended_worst, float(np.max(top)))
     worst = max(max(margins.values()), blended_worst)
     return {"margins": margins, "blended_worst": blended_worst,

@@ -229,6 +229,28 @@ class TestErrorReporting:
         assert ".synthesis" in record["message"]
         assert "xi mode" in record["message"]
 
+    @pytest.mark.parametrize("density", [1, 0])
+    def test_grid_density_below_two_is_config_error(self, capsys, tmp_path,
+                                                    density):
+        from it2mpc.configio import save_certificate
+        from it2mpc.lmis import DecisionVars
+        from it2mpc.synthesis import build_z
+        doc = tiny_config_doc()
+        doc["synthesis"]["grid_density"] = density
+        path, cert = tmp_path / "bad.json", tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        gains = [[np.zeros((2, 2)), np.zeros((2, 2))]]
+        save_certificate(DecisionVars(gains=gains, Z=[build_z(gains[0], 2,
+                                                              1e-6)],
+                                      xi=[1.0]), cert)
+        rc, _, stderr = run_cli(capsys, "verify", str(path),
+                                "--gains", str(cert))
+        assert rc == 3
+        record = json.loads(stderr)
+        assert record["error"] == "config"
+        assert ".synthesis" in record["message"]
+        assert "grid_density" in record["message"]
+
     def test_stderr_is_one_json_line(self, capsys):
         rc, _, stderr = run_cli(capsys, "simulate", "nope")
         assert rc == 3

@@ -167,6 +167,21 @@ class TestValidationErrors:
             d["synthesis"]["xi_mode"] = "bogus"
         self.check(doc, mutate, r"cfg\.synthesis.*unknown xi mode: 'bogus'")
 
+    @pytest.mark.parametrize("density", [1, 0, -3, True, 2.5, "11"])
+    def test_grid_density_must_be_an_integer_of_two_or_more(self, doc,
+                                                            density):
+        # 1 made NaN weights and <= 0 an empty grid, each failing in verify
+        def mutate(d):
+            d["synthesis"]["grid_density"] = density
+        self.check(doc, mutate,
+                   r"cfg\.synthesis.*grid_density must be an integer >= 2")
+
+    @pytest.mark.parametrize("density", [2, 3, 11])
+    def test_grid_density_of_two_or_more_loads(self, doc, density):
+        good = copy.deepcopy(doc)
+        good["synthesis"]["grid_density"] = density
+        assert parse_config(good).synthesis.grid_density == density
+
     def test_premise_selector_must_be_one_based(self, doc):
         def mutate(d):
             d["subsystems"][0]["premise_selector"] = 0

@@ -35,6 +35,21 @@ def tiny_result(tiny):
     return minimize_xi(system, params, TINY_X0, FAST)
 
 
+def _bundled_dv(cfg, ex1_synthesized, scale=1.0):
+    """A certificate for a bundled config, its set sizes times `scale`: the
+    config's gains at xi_i = 0.7 + 0.4 i, or the shared example1 solve
+    when the config carries no gains."""
+    if cfg.gains is None:
+        dv = ex1_synthesized[3].dv
+        gains, z, xi = dv.gains, dv.Z, dv.xi
+    else:
+        gains = cfg.gains
+        z = [build_z(g, sub.n_x, cfg.synthesis.input_margin)
+             for g, sub in zip(gains, cfg.system.subsystems)]
+        xi = [0.7 + 0.4 * i for i in range(cfg.system.n_subsystems)]
+    return DecisionVars(gains=gains, Z=z, xi=[scale * v for v in xi])
+
+
 class TestBuildZ:
     def test_accumulates_gain_grams(self):
         k1 = np.array([[1.0, 0.0]])
@@ -350,14 +365,7 @@ class TestFixedGainEvaluator:
     def test_margins_match_certificate_margins(self, name, ex1_synthesized):
         cfg = load_bundled_config(name)
         system, params, x0 = cfg.system, cfg.params, cfg.simulation.x0
-        if cfg.gains is None:
-            dv = ex1_synthesized[3].dv
-        else:
-            dv = DecisionVars(
-                gains=cfg.gains,
-                Z=[build_z(g, sub.n_x, cfg.synthesis.input_margin)
-                   for g, sub in zip(cfg.gains, system.subsystems)],
-                xi=[0.7 + 0.4 * i for i in range(system.n_subsystems)])
+        dv = _bundled_dv(cfg, ex1_synthesized)
         evaluator = FixedGainEvaluator(system, params, dv, cfg.synthesis)
         rng = np.random.default_rng(5)
         states = [[0.8 * rng.standard_normal(sub.n_x)
@@ -465,22 +473,104 @@ class TestVerifyCertificate:
             assert report["margins"] == certificate_margins(
                 system, params, res.dv, x_all)
 
-    def test_batched_sweep_equals_per_pair_loop(self, ex1_synthesized):
-        system, params, _, res, _ = ex1_synthesized
-        cfg = SynthesisConfig()
+    @staticmethod
+    def _per_pair_worst(system, params, dv, cfg):
+        """Largest blended lambda_max (+ shift) over the grid, one max_eig
+        per (w, h) pair. The pairs are assembled as one stack per
+        subsystem and family; TestStackedBlendedAssembly pins each stacked
+        matrix to its single-pair assembly."""
         want = -np.inf
         for i, sub in enumerate(system.subsystems):
-            for w in _simplex_grid(sub.n_rules, cfg.grid_density):
-                for h in _simplex_grid(sub.n_controller_rules,
-                                       cfg.grid_density):
-                    inv = assemble_invariance_blended(system, params, res.dv,
-                                                      i, w, h)
-                    dec = assemble_decrease_blended(system, params, res.dv,
-                                                    i, w, h)
-                    want = max(want, max_eig(inv.test_matrix()),
-                               max_eig(dec.test_matrix()) + cfg.strictness)
-        got = verify_certificate(system, params, res.dv, cfg=cfg)
-        assert got["blended_worst"] == want
+            pairs = [(w, h)
+                     for w in _simplex_grid(sub.n_rules, cfg.grid_density)
+                     for h in _simplex_grid(sub.n_controller_rules,
+                                            cfg.grid_density)]
+            w, h = (np.array(side) for side in zip(*pairs))
+            for assemble, shift in ((assemble_invariance_blended, 0.0),
+                                    (assemble_decrease_blended,
+                                     cfg.strictness)):
+                tests = assemble(system, params, dv, i, w, h).test_matrix()
+                want = max(want, *(max_eig(t) + shift for t in tests))
+        return want
+
+    @staticmethod
+    def _sweep_eigensolves(monkeypatch, system, params, dv, x_all, cfg):
+        """Matrices the blended sweep passes to np.linalg.eigvalsh: those of
+        verify_certificate less those of its certificate_margins."""
+        counted = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            counted.append(1 if np.ndim(a) == 2 else len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        report = verify_certificate(system, params, dv, x_all, cfg)
+        n_verify = sum(counted)
+        counted.clear()
+        certificate_margins(system, params, dv, x_all, cfg)
+        monkeypatch.undo()
+        return n_verify - sum(counted), report
+
+    @staticmethod
+    def _corners(system):
+        """Corner rows of the grid: every vertex (l, m), both families."""
+        return sum(2 * sub.n_rules * sub.n_controller_rules
+                   for sub in system.subsystems)
+
+    @pytest.mark.parametrize("name", bundled_config_names())
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_batched_sweep_equals_per_pair_loop(self, name, scale,
+                                                ex1_synthesized):
+        cfg = load_bundled_config(name)
+        system, params = cfg.system, cfg.params
+        dv = _bundled_dv(cfg, ex1_synthesized, scale)
+        want = self._per_pair_worst(system, params, dv, cfg.synthesis)
+        for x_all in (cfg.simulation.x0, None):
+            got = verify_certificate(system, params, dv, x_all,
+                                     cfg.synthesis)
+            assert got["blended_worst"] == want
+
+    def test_sweep_eigensolves_only_the_corners(self, ex1_synthesized,
+                                                monkeypatch):
+        # the vertices bound every blend, so the Cholesky screen clears
+        # every other grid row of the example1 certificate
+        system, params, x0, res, _ = ex1_synthesized
+        solved, report = self._sweep_eigensolves(
+            monkeypatch, system, params, res.dv, x0, SynthesisConfig())
+        assert solved == self._corners(system)
+        assert report["blended_worst"] == -3.709744999670958e-06
+
+    def test_tied_blends_fall_back_to_eigensolves(self, monkeypatch):
+        # identical rules and gains: every blend equals its vertex up to
+        # rounding, so the screen cannot clear the top stack's rows
+        rule = Rule(A=np.array([[0.5, 0.1], [0.0, 0.4]]), B=np.eye(2),
+                    E=np.array([[0.1], [0.0]]))
+        sub = Subsystem(rules=(rule, rule), model_mfs=model_mf_family(),
+                        controller_mfs=controller_mf_family(),
+                        u_max=np.array([10.0, 10.0]), eta=0.05)
+        system = LargeScaleSystem(subsystems=(sub,))
+        system.validate()
+        params = tiny_params()
+        gains = [[-0.2 * np.eye(2), -0.2 * np.eye(2)]]
+        dv = DecisionVars(gains=gains, Z=[build_z(gains[0], 2, 1e-6)],
+                          xi=[1.0])
+        cfg = SynthesisConfig()
+        solved, report = self._sweep_eigensolves(monkeypatch, system, params,
+                                                 dv, None, cfg)
+        assert solved > self._corners(system)
+        assert report["blended_worst"] == self._per_pair_worst(
+            system, params, dv, cfg)
+
+    def test_density_two_grid_is_all_corners(self, ex1_synthesized,
+                                             monkeypatch):
+        system, params, x0, res, _ = ex1_synthesized
+        cfg = SynthesisConfig(grid_density=2)
+        solved, report = self._sweep_eigensolves(monkeypatch, system, params,
+                                                 res.dv, x0, cfg)
+        assert solved == self._corners(system)
+        assert report["blended_worst"] == self._per_pair_worst(
+            system, params, res.dv, cfg)
 
     def test_synthesized_certificate_passes(self, tiny, tiny_result):
         system, params = tiny
