@@ -618,6 +618,10 @@ def load_certificate(path, system: LargeScaleSystem | None = None):
               for m, k in enumerate(g)]
              for i, g in enumerate(doc["gains"])]
     z = [_matrix(m, f"{src}.Z[{i + 1}]") for i, m in enumerate(doc["Z"])]
+    for fieldname, entries in (("gains", gains), ("Z", z)):
+        if len(entries) != len(xi):
+            _fail(f"{src}.{fieldname}", f"{len(entries)} entries for "
+                                        f"{len(xi)} subsystems")
     if system is not None:
         if len(xi) != system.n_subsystems:
             _fail(src, f"certificate covers {len(xi)} subsystems, "

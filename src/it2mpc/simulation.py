@@ -269,7 +269,7 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
             trace.resynthesized.append(True)
         else:
             # fixed gains: only the containment margins read the state
-            if evaluator is None:
+            if evaluator is None:       # supplied gains, at step 0
                 evaluator = FixedGainEvaluator(system, params, dv, syn_cfg)
             margins = evaluator.margins(dv.xi, x)
             trace.resynthesized.append(False)

@@ -7,14 +7,19 @@ xi, and in the full (slack-row) forms it is affine in the gains and Z as
 well; the feasible xi set at a given state is therefore an interval, which
 makes downward bisection with re-solved gains sound.
 
+Every certificate margin comes from one model, FixedGainEvaluator: the
+conditions at fixed gains as functions of the set sizes. certificate_margins
+is that evaluator read at the certificate's own sizes.
+
 Set-size minimization is one search over a group of subsystems that share
 one xi: the "common" mode passes a single group of all subsystems, the
 "per_subsystem" mode one group per subsystem. With a warm certificate the
 search first keeps its gains: at fixed gains the feasible set sizes are an
 interval [xi_lo, xi_hi] that does not depend on the state (only containment
-does), with exact ends from generalized eigenvalues (FixedGainEvaluator), so
-the set size is max(xi_lo, containment floor) whenever that is <= xi_hi.
-Otherwise the search bisects, re-solving the gains at each probe.
+does), with exact ends from generalized eigenvalues, so the set size is
+max(xi_lo, containment floor) whenever that is <= xi_hi. Otherwise the
+search bisects, re-solving the gains at each probe. Every result carries
+the evaluator of its gains, for the next warm step.
 
 The gain search itself is a derivative-free coordinate descent with multiple
 starts: Z_i is never a free variable but is built from the gains as
@@ -31,7 +36,6 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .linalg import min_eig
 from .lmis import (DecisionVars, FixedParams, assemble_containment,
                    assemble_decrease, assemble_decrease_blended,
                    assemble_input_constraint, assemble_invariance,
@@ -90,9 +94,8 @@ class SynthesisResult:
     dv: DecisionVars
     margins: dict                    # instance key -> signed margin
     violation: float                 # max feasibility excess, clipped at 0
+    evaluator: FixedGainEvaluator    # the conditions at these gains
     solves: int = 0
-    # the conditions at these gains, when they are the warm certificate's
-    evaluator: FixedGainEvaluator | None = None
 
     @property
     def feasible(self) -> bool:
@@ -137,21 +140,6 @@ def _vertex_grid(sub, rules):
             [m for _ in range(sub.n_rules) for m in rules])
 
 
-def _vertex_max_eigs(system, params, dv, i, rules, cfg, reduced=False):
-    """Largest test-matrix eigenvalue at every vertex (l, m) of subsystem i
-    with m in `rules`, l-major: one stacked assembly and one eigensolve per
-    family. Returns (ls, ms, invariance, decrease), each family as (keys,
-    values) with the strictness added to the decrease values."""
-    ls, ms = _vertex_grid(system.subsystems[i], rules)
-    fams = []
-    for assemble, shift in ((assemble_invariance, 0.0),
-                            (assemble_decrease, cfg.strictness)):
-        inst = assemble(system, params, dv, i, ls, ms, reduced)
-        tops = np.linalg.eigvalsh(inst.test_matrix())[:, -1] + shift
-        fams.append((inst.keys, tops.tolist()))
-    return ls, ms, *fams
-
-
 def _sub_excesses(system: LargeScaleSystem, params: FixedParams,
                   dv: DecisionVars, i: int, cfg: SynthesisConfig,
                   rules=None, reduced: bool = True) -> dict:
@@ -162,10 +150,16 @@ def _sub_excesses(system: LargeScaleSystem, params: FixedParams,
     sub = system.subsystems[i]
     if rules is None:
         rules = range(sub.n_controller_rules)
-    ls, ms, inv, dec = _vertex_max_eigs(system, params, dv, i, rules, cfg,
-                                        reduced)
+    # every vertex (l, m) with m in rules, l-major: one stacked assembly
+    # and one eigensolve per family
+    ls, ms = _vertex_grid(sub, rules)
+    inv, dec = [(np.linalg.eigvalsh(assemble(system, params, dv, i, ls, ms,
+                                             reduced).test_matrix())[:, -1]
+                 + shift).tolist()
+                for assemble, shift in ((assemble_invariance, 0.0),
+                                        (assemble_decrease, cfg.strictness))]
     out = {}
-    for l, m, v_inv, v_dec in zip(ls, ms, inv[1], dec[1]):
+    for l, m, v_inv, v_dec in zip(ls, ms, inv, dec):
         out[("inv", l, m)] = v_inv
         out[("dec", l, m)] = v_dec
     z = dv.Z[i]
@@ -429,7 +423,9 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
     the smallest size they certify, so a previously feasible solve can only
     improve — feasibility is preserved across steps. `evaluator` is the
     FixedGainEvaluator of the warm gains (as returned in a previous
-    result's `evaluator`); it is built from `warm` when not given."""
+    result's `evaluator`); it is built from `warm` when not given. The
+    result carries the evaluator of its own gains: the one passed in when
+    every group kept them, else one built here."""
     cfg = cfg or SynthesisConfig()
     mode = mode or cfg.xi_mode
     if mode not in XI_MODES:
@@ -455,73 +451,41 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
             xis[i], gains[i], zs[i] = xi, g_i, z_i
         total_solves += solves
     dv = DecisionVars(gains=gains, Z=zs, xi=xis)
-    if evaluator is not None and all(
-            g is k for g, k in zip(gains, evaluator.gains)):
-        margins = evaluator.margins(xis, x_all)
-    else:
-        evaluator = None
-        margins = certificate_margins(system, params, dv, x_all, cfg)
+    if total_solves:        # some group re-solved its gains
+        evaluator = FixedGainEvaluator(system, params, dv, cfg)
+    margins = evaluator.margins(xis, x_all)
     worst = max(margins.values())
     return SynthesisResult(dv=dv, margins=margins,
-                           violation=max(0.0, worst), solves=total_solves,
-                           evaluator=evaluator)
+                           violation=max(0.0, worst), evaluator=evaluator,
+                           solves=total_solves)
 
 
 def certificate_margins(system: LargeScaleSystem, params: FixedParams,
                         dv: DecisionVars, x_all=None,
                         cfg: SynthesisConfig | None = None) -> dict:
     """Signed feasibility excesses of the full (slack-row) conditions,
-    keyed by instance; every value <= 0 means the certificate holds. The
-    vertex rows of each subsystem and family come from one stacked
-    assembly and one eigensolve, its input rows from one eigensolve, and
-    the containment blocks of equal size share one eigensolve."""
-    cfg = cfg or SynthesisConfig()
-    out = {}
-    blocks = {}             # block size -> containment instances
-    for i, sub in enumerate(system.subsystems):
-        _, _, inv, dec = _vertex_max_eigs(system, params, dv, i,
-                                          range(sub.n_controller_rules), cfg)
-        for key_inv, v_inv, key_dec, v_dec in zip(*inv, *dec):
-            out[key_inv] = v_inv
-            out[key_dec] = v_dec
-        rows = [assemble_input_constraint(sub, dv, i, m)
-                for m in range(sub.n_controller_rules)]
-        lows = np.linalg.eigvalsh(np.stack([inst.matrix
-                                            for inst, _ in rows]))[:, 0]
-        for m, ((inst, excess), low) in enumerate(zip(rows, lows.tolist())):
-            out[inst.key] = -low
-            if np.all(np.isfinite(excess)):
-                out[f"budget[i={i},m={m}]"] = float(np.max(excess))
-        ell = ellipsoid_input_excess(sub, params.X[i], dv.xi[i], dv.gains[i])
-        if np.all(np.isfinite(ell)):
-            out[f"input_peak[i={i}]"] = float(np.max(ell))
-        if x_all is not None:
-            cont = assemble_containment(np.asarray(x_all[i], dtype=float),
-                                        dv.xi[i], params.X[i], i)
-            out[cont.key] = None        # keeps the key order; set below
-            blocks.setdefault(len(cont.matrix), []).append(cont)
-    _set_containment_margins(out, blocks)
-    return out
+    keyed by instance; every value <= 0 means the certificate holds. These
+    are the margins of the FixedGainEvaluator of dv's gains at dv's own set
+    sizes, which reads no xi-slope and locates no interval."""
+    return FixedGainEvaluator(system, params, dv,
+                              cfg or SynthesisConfig()).margins(dv.xi, x_all)
 
 
-def _set_containment_margins(out: dict, blocks: dict):
-    """out[key] = -lambda_min of each containment instance in `blocks`
-    (block size -> instances): one eigensolve per block size."""
-    for conts in blocks.values():
-        lows = np.linalg.eigvalsh(np.stack([c.matrix for c in conts]))
-        for cont, low in zip(conts, lows[:, 0].tolist()):
-            out[cont.key] = -low
-
-
-@dataclass
 class _Pencil:
     """One condition family of one subsystem at fixed gains: the stacked
-    vertex test matrices at the reference set size and their xi-slope."""
+    vertex test matrices at the reference set size and, on first use,
+    their xi-slope."""
 
-    keys: list
-    t_ref: np.ndarray       # (vertices, size, size)
-    slope: np.ndarray       # (size, size)
-    shift: float            # added to lambda_max: the strictness, or 0
+    def __init__(self, params: FixedParams, inst, shift: float):
+        self.keys = inst.keys
+        self.t_ref = inst.test_matrix()     # (vertices, size, size)
+        self.shift = shift      # added to lambda_max: the strictness, or 0
+        self._params, self._inst = params, inst
+
+    @functools.cached_property
+    def slope(self) -> np.ndarray:
+        """(size, size) d T / d xi of every vertex (lmis.xi_slope)."""
+        return xi_slope(self._params, self._inst)
 
     def max_eigs(self, dxi: float) -> np.ndarray:
         t = self.t_ref if dxi == 0.0 else self.t_ref + dxi * self.slope
@@ -546,7 +510,7 @@ class _Pencil:
 
 class FixedGainEvaluator:
     """A certificate's conditions at fixed gains, as functions of the set
-    sizes.
+    sizes: the one model of every certificate margin.
 
     Each full-form vertex test matrix of subsystem i is affine in xi_i,
     T(xi) = T_ref + (xi - xi_ref) T1, with a slope T1 that depends on the
@@ -555,7 +519,9 @@ class FixedGainEvaluator:
     `margins` at any set sizes takes one batched eigensolve per subsystem
     and family (none when the size is unchanged), and the feasible set sizes
     of each subsystem are an exact interval that does not depend on the
-    state (`interval`; only containment reads the state).
+    state (`interval`; only containment reads the state). The slopes and
+    intervals are computed on first use: margins at the reference sizes
+    need neither.
     """
 
     def __init__(self, system: LargeScaleSystem, params: FixedParams,
@@ -564,27 +530,27 @@ class FixedGainEvaluator:
         self._x_mats = params.X
         self._x_invs = [None] * len(params.X)  # shape_inverse, on first use
         self._pencils, self._fixed, self._peaks = [], [], []
-        self._bounds = []       # per subsystem: (xi_lo, xi_hi) or None
+        self._bounds = {}       # subsystem -> (xi_lo, xi_hi) or None
         for i, sub in enumerate(system.subsystems):
             ls, ms = _vertex_grid(sub, range(sub.n_controller_rules))
-            pencils = []
-            for assemble, shift in ((assemble_invariance, 0.0),
-                                    (assemble_decrease, cfg.strictness)):
-                inst = assemble(system, params, dv, i, ls, ms)
-                pencils.append(_Pencil(inst.keys, inst.test_matrix(),
-                                       xi_slope(params, inst), shift))
+            self._pencils.append([
+                _Pencil(params, assemble(system, params, dv, i, ls, ms), shift)
+                for assemble, shift in ((assemble_invariance, 0.0),
+                                        (assemble_decrease, cfg.strictness))])
+            rows = [assemble_input_constraint(sub, dv, i, m)
+                    for m in range(sub.n_controller_rules)]
+            lows = np.linalg.eigvalsh(np.stack([inst.matrix
+                                                for inst, _ in rows]))[:, 0]
             fixed = {}
-            for m in range(sub.n_controller_rules):
-                inst, excess = assemble_input_constraint(sub, dv, i, m)
-                fixed[inst.key] = -min_eig(inst.matrix)
+            for m, ((inst, excess), low) in enumerate(zip(rows,
+                                                          lows.tolist())):
+                fixed[inst.key] = -low
                 if np.all(np.isfinite(excess)):
                     fixed[f"budget[i={i},m={m}]"] = float(np.max(excess))
+            self._fixed.append(fixed)
             peaks = None if sub.u_max is None else \
                 _peak_gains(params.X[i], dv.gains[i])
-            self._pencils.append(pencils)
-            self._fixed.append(fixed)
             self._peaks.append((peaks, sub.u_max))
-            self._bounds.append(self._interval(i))
         self._cache = [None] * len(self._pencils)  # (xi_i, margins) per i
 
     def _interval(self, i: int):
@@ -608,6 +574,9 @@ class FixedGainEvaluator:
         subsystems in `group` but containment holds at these gains; None
         when a subsystem's reference size, from which its interval is
         located, is not strictly feasible."""
+        for i in group:
+            if i not in self._bounds:
+                self._bounds[i] = self._interval(i)
         bounds = [self._bounds[i] for i in group]
         if any(b is None for b in bounds):
             return None
@@ -624,9 +593,10 @@ class FixedGainEvaluator:
         return xi if xi <= bounds[1] else None
 
     def margins(self, xi, x_all=None) -> dict:
-        """certificate_margins of these gains at set sizes xi: the same
-        keys, the same values at xi_ref and within rounding elsewhere.
-        The containment blocks of equal size share one eigensolve."""
+        """Signed excesses of every condition at set sizes xi, keyed by
+        instance (containment only when the state x_all is given); at
+        xi_ref these are certificate_margins. The containment blocks of
+        equal size share one eigensolve."""
         out = {}
         blocks = {}             # block size -> containment instances
         for i, pencils in enumerate(self._pencils):
@@ -655,7 +625,10 @@ class FixedGainEvaluator:
                                             self._x_invs[i])
                 out[cont.key] = None        # keeps the key order; set below
                 blocks.setdefault(len(cont.matrix), []).append(cont)
-        _set_containment_margins(out, blocks)
+        for conts in blocks.values():
+            lows = np.linalg.eigvalsh(np.stack([c.matrix for c in conts]))
+            for cont, low in zip(conts, lows[:, 0].tolist()):
+                out[cont.key] = -low
         return out
 
 

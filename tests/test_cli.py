@@ -251,6 +251,21 @@ class TestErrorReporting:
         assert ".synthesis" in record["message"]
         assert "grid_density" in record["message"]
 
+    def test_certificate_short_of_subsystems_exits_3(self, capsys, tmp_path):
+        # 2 gain lists for the 3 subsystems of example1_synthesis
+        fixture = (Path(__file__).resolve().parents[1] / "perfbench"
+                   / "fixtures" / "example1_certificate.json")
+        raw = json.loads(fixture.read_text())
+        raw["gains"] = raw["gains"][:2]
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(raw))
+        rc, _, stderr = run_cli(capsys, "verify", "example1_synthesis",
+                                "--gains", str(cert))
+        assert rc == 3
+        record = json.loads(stderr)
+        assert record["error"] == "config"
+        assert record["message"].startswith("cert.json.gains: ")
+
     def test_stderr_is_one_json_line(self, capsys):
         rc, _, stderr = run_cli(capsys, "simulate", "nope")
         assert rc == 3

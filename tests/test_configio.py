@@ -333,3 +333,18 @@ class TestCertificateFiles:
             load_certificate(path, cfg.system)
         back, _ = load_certificate(path)  # no system: shapes unchecked
         assert back.gains[0][0].shape == (1, 3)
+
+    @pytest.mark.parametrize("fieldname", ["gains", "Z"])
+    def test_entry_count_checked_against_xi(self, tmp_path, doc, fieldname):
+        # one set size but two entries: rejected with or without a system
+        cfg = parse_config(copy.deepcopy(doc))
+        path = tmp_path / "cert.json"
+        save_certificate(self.make_dv(), path)
+        raw = json.loads(path.read_text())
+        raw[fieldname] = raw[fieldname] * 2
+        path.write_text(json.dumps(raw))
+        for system in (None, cfg.system):
+            with pytest.raises(ConfigError,
+                               match=rf"^cert\.json\.{fieldname}: 2 entries "
+                                     r"for 1 subsystems$"):
+                load_certificate(path, system)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,10 +7,14 @@ from numpy.testing import assert_allclose
 from conftest import (build_example1_system, build_tiny_system,
                       controller_mf_family, example1_reference_params,
                       model_mf_family, tiny_params)
-from it2mpc.configio import bundled_config_names, load_bundled_config
-from it2mpc.linalg import InvalidMatrixError, SingularBlockError, max_eig
-from it2mpc.lmis import (DecisionVars, FixedParams, assemble_decrease,
-                         assemble_decrease_blended, assemble_invariance,
+from it2mpc import synthesis
+from it2mpc.configio import (bundled_config_names, load_bundled_config,
+                             load_certificate)
+from it2mpc.linalg import (InvalidMatrixError, SingularBlockError, max_eig,
+                           min_eig)
+from it2mpc.lmis import (DecisionVars, FixedParams, assemble_containment,
+                         assemble_decrease, assemble_decrease_blended,
+                         assemble_input_constraint, assemble_invariance,
                          assemble_invariance_blended)
 from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 from it2mpc.synthesis import (XI_HAIR, FixedGainEvaluator, Infeasible,
@@ -19,6 +25,8 @@ from it2mpc.synthesis import (XI_HAIR, FixedGainEvaluator, Infeasible,
                               verify_certificate)
 
 TINY_X0 = [np.array([0.3, -0.3])]
+FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+           / "example1_certificate.json")
 FAST = SynthesisConfig(n_starts=2, max_iters=60)
 FAIL_FAST = SynthesisConfig(n_starts=1, max_iters=8, rescue_evals=40,
                             xi_growth_iters=2)
@@ -48,6 +56,34 @@ def _bundled_dv(cfg, ex1_synthesized, scale=1.0):
              for g, sub in zip(gains, cfg.system.subsystems)]
         xi = [0.7 + 0.4 * i for i in range(cfg.system.n_subsystems)]
     return DecisionVars(gains=gains, Z=z, xi=[scale * v for v in xi])
+
+
+def _reference_margins(system, params, dv, x_all, cfg):
+    """Every certificate row written out per instance, in the key order of
+    certificate_margins: one max_eig per vertex and family, one min_eig per
+    input row and containment block, and the largest budget and input-peak
+    excesses."""
+    want = {}
+    for i, sub in enumerate(system.subsystems):
+        for l in range(sub.n_rules):
+            for m in range(sub.n_controller_rules):
+                inv = assemble_invariance(system, params, dv, i, l, m)
+                want[inv.key] = max_eig(inv.test_matrix())
+                dec = assemble_decrease(system, params, dv, i, l, m)
+                want[dec.key] = max_eig(dec.test_matrix()) + cfg.strictness
+        for m in range(sub.n_controller_rules):
+            inst, excess = assemble_input_constraint(sub, dv, i, m)
+            want[inst.key] = -min_eig(inst.matrix)
+            if sub.u_max is not None:
+                want[f"budget[i={i},m={m}]"] = float(np.max(excess))
+        if sub.u_max is not None:
+            want[f"input_peak[i={i}]"] = float(np.max(ellipsoid_input_excess(
+                sub, params.X[i], dv.xi[i], dv.gains[i])))
+        if x_all is not None:
+            cont = assemble_containment(np.asarray(x_all[i], dtype=float),
+                                        dv.xi[i], params.X[i], i)
+            want[cont.key] = -min_eig(cont.matrix)
+    return want
 
 
 class TestBuildZ:
@@ -184,6 +220,32 @@ class TestMinimizeXi:
         assert max(res.margins.values()) <= 0.0
         assert res.dv.xi[0] < 1e4
 
+    def test_results_carry_their_evaluator(self, tiny, tiny_result):
+        # a cold solve and a warm one that must re-solve (positive-feedback
+        # gains) each return the evaluator of their own gains; the next
+        # warm step keeps those gains with it as if rebuilt from `warm`
+        system, params = tiny
+        bad = DecisionVars(
+            gains=[[k + 10.0 * np.eye(2) for k in tiny_result.dv.gains[0]]],
+            Z=tiny_result.dv.Z, xi=list(tiny_result.dv.xi))
+        resolved = minimize_xi(system, params, TINY_X0, FAST, warm=bad)
+        assert resolved.solves > 0
+        x_next = [0.8 * TINY_X0[0]]
+        for res in (tiny_result, resolved):
+            assert res.evaluator.gains is res.dv.gains
+            assert res.margins == certificate_margins(system, params, res.dv,
+                                                      TINY_X0, FAST)
+            kept = minimize_xi(system, params, x_next, FAST, warm=res.dv,
+                               evaluator=res.evaluator)
+            rebuilt = minimize_xi(system, params, x_next, FAST, warm=res.dv)
+            assert kept.solves == rebuilt.solves == 0
+            assert kept.dv.xi == rebuilt.dv.xi
+            assert list(kept.margins.items()) == \
+                list(rebuilt.margins.items())
+            for k_kept, k_rebuilt in zip(kept.dv.gains[0],
+                                         rebuilt.dv.gains[0]):
+                assert np.array_equal(k_kept, k_rebuilt)
+
     def test_infeasible_reports_positive_excess(self):
         system = build_tiny_system(stable=False)
         params = tiny_params(n_u=1)
@@ -295,23 +357,7 @@ class TestStackedVertexCallers:
                 xi=[1.5 + i for i in range(system.n_subsystems)])
             x_all = [np.full(sub.n_x, 0.4) for sub in system.subsystems]
             got = certificate_margins(system, params, dv, x_all, cfg)
-            want = {}
-            for i, sub in enumerate(system.subsystems):
-                for l in range(sub.n_rules):
-                    for m in range(sub.n_controller_rules):
-                        inv = assemble_invariance(system, params, dv, i, l, m)
-                        want[inv.key] = max_eig(inv.test_matrix())
-                        dec = assemble_decrease(system, params, dv, i, l, m)
-                        want[dec.key] = (max_eig(dec.test_matrix())
-                                         + cfg.strictness)
-                for m in range(sub.n_controller_rules):
-                    want[f"input[i={i},m={m}]"] = got[f"input[i={i},m={m}]"]
-                    if sub.u_max is not None:
-                        want[f"budget[i={i},m={m}]"] = \
-                            got[f"budget[i={i},m={m}]"]
-                if sub.u_max is not None:
-                    want[f"input_peak[i={i}]"] = got[f"input_peak[i={i}]"]
-                want[f"containment[i={i}]"] = got[f"containment[i={i}]"]
+            want = _reference_margins(system, params, dv, x_all, cfg)
             assert list(got) == list(want)
             assert got == want
 
@@ -372,14 +418,14 @@ class TestFixedGainEvaluator:
                    for sub in system.subsystems] for _ in range(3)]
         for x_all in (None, x0, *states):
             got = evaluator.margins(dv.xi, x_all)
-            want = certificate_margins(system, params, dv, x_all,
-                                       cfg.synthesis)
+            want = _reference_margins(system, params, dv, x_all,
+                                      cfg.synthesis)
             assert list(got) == list(want)
             assert got == want
             for factor in (0.5, 1.0001, 3.0):
                 xi = [factor * v for v in dv.xi]
                 got = evaluator.margins(xi, x_all)
-                want = certificate_margins(
+                want = _reference_margins(
                     system, params, DecisionVars(dv.gains, dv.Z, xi), x_all,
                     cfg.synthesis)
                 assert list(got) == list(want)
@@ -431,7 +477,7 @@ class TestFixedGainEvaluator:
                 x_all = [rng.standard_normal(sub.n_x)
                          for sub in system.subsystems]
                 got = evaluator.margins(xi, x_all)
-                want = certificate_margins(
+                want = _reference_margins(
                     system, params, DecisionVars(dv.gains, dv.Z, xi), x_all,
                     cfg)
                 assert list(got) == list(want)
@@ -472,6 +518,21 @@ class TestVerifyCertificate:
             assert report["feasible"] is True
             assert report["margins"] == certificate_margins(
                 system, params, res.dv, x_all)
+
+    def test_margins_only_locate_no_interval(self, monkeypatch):
+        # verify reads the evaluator at the certificate's own set sizes
+        # only: no xi-slope and no generalized eigenvalues
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify must not build a pencil's slope "
+                                 "or spectrum")
+
+        cfg = load_bundled_config("example1_synthesis")
+        dv, _ = load_certificate(FIXTURE, cfg.system)
+        monkeypatch.setattr(synthesis, "xi_slope", refuse)
+        monkeypatch.setattr(synthesis._Pencil, "spectrum", refuse)
+        report = verify_certificate(cfg.system, cfg.params, dv,
+                                    cfg.simulation.x0, cfg.synthesis)
+        assert report["feasible"] is True
 
     @staticmethod
     def _per_pair_worst(system, params, dv, cfg):
