@@ -32,10 +32,12 @@ EXIT_RUNTIME = 4
 
 
 def _diag(kind: str, message: str, **extra):
-    """One-line JSON diagnostic on stderr."""
+    """One-line JSON diagnostic on stderr; a non-finite number is written as
+    null, since RFC 8259 JSON has no Infinity or NaN."""
     record = {"error": kind, "message": message}
-    record.update(extra)
-    print(json.dumps(record), file=sys.stderr)
+    record.update({key: None if isinstance(v, float) and not np.isfinite(v)
+                   else v for key, v in extra.items()})
+    print(json.dumps(record, allow_nan=False), file=sys.stderr)
 
 
 def _resolve_config(ref: str) -> SystemConfig:
@@ -55,14 +57,10 @@ def _fmt_list(values) -> str:
 
 
 def _synthesis_overrides(cfg: SystemConfig, args):
-    """Apply --tol/--margin knobs onto the config's synthesis settings."""
-    overrides = {}
-    if getattr(args, "tol", None) is not None:
-        overrides["strictness"] = args.tol
-    if getattr(args, "margin", None) is not None:
-        overrides["input_margin"] = args.margin
-    return dataclasses.replace(cfg.synthesis, **overrides) if overrides \
-        else cfg.synthesis
+    """Apply the --tol knob onto the config's synthesis settings."""
+    if getattr(args, "tol", None) is None:
+        return cfg.synthesis
+    return dataclasses.replace(cfg.synthesis, strictness=args.tol)
 
 
 def cmd_simulate(args) -> int:
@@ -209,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the dissipation check on the finished trace")
     p.add_argument("--tol", type=float,
                    help="override the synthesis strictness margin")
-    p.add_argument("--margin", type=float,
-                   help="override the input-certificate ridge")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("synthesize",
@@ -221,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the set-size minimization mode")
     p.add_argument("--tol", type=float,
                    help="override the synthesis strictness margin")
-    p.add_argument("--margin", type=float,
-                   help="override the input-certificate ridge")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("verify",

@@ -316,6 +316,8 @@ def _parse_params(data: dict, path: str, n: int,
 
 def _parse_synthesis(data: dict, path: str) -> SynthesisConfig:
     _expect(data, path, dict, "an object")
+    # input_margin sized the retired input certificate Z: accepted, dropped
+    data = {key: v for key, v in data.items() if key != "input_margin"}
     allowed = {f.name for f in dataclasses.fields(SynthesisConfig)}
     _keys_subset(data, path, allowed)
     try:
@@ -576,13 +578,12 @@ def save_config(cfg: SystemConfig, path):
 
 
 def save_certificate(dv, path, margins=None, meta=None):
-    """Persist a synthesized certificate (gains, input certificates, set
-    sizes) with optional margin map and run metadata."""
+    """Persist a synthesized certificate (gains and set sizes) with
+    optional margin map and run metadata."""
     doc = {
         "kind": "certificate",
         "xi": [float(v) for v in dv.xi],
         "gains": [[np.asarray(k).tolist() for k in g] for g in dv.gains],
-        "Z": [np.asarray(z).tolist() for z in dv.Z],
     }
     if margins is not None:
         doc["margins"] = {key: float(v) for key, v in margins.items()}
@@ -596,7 +597,7 @@ def load_certificate(path, system: LargeScaleSystem | None = None):
     """Read a certificate file back into decision variables.
 
     Returns (DecisionVars, doc). When a system is given, shapes are checked
-    against it."""
+    against it. The input certificate "Z" of older files is ignored."""
     from .lmis import DecisionVars
 
     path = Path(path)
@@ -610,18 +611,15 @@ def load_certificate(path, system: LargeScaleSystem | None = None):
     _expect(doc, src, dict, "a JSON object")
     if doc.get("kind") != "certificate":
         _fail(src, "not a certificate file (kind != 'certificate')")
-    for fieldname in ("xi", "gains", "Z"):
+    for fieldname in ("xi", "gains"):
         if fieldname not in doc:
             _fail(src, f"missing required field {fieldname!r}")
     xi = [_number(v, f"{src}.xi[{i + 1}]") for i, v in enumerate(doc["xi"])]
     gains = [[_matrix(k, f"{src}.gains[{i + 1}][{m + 1}]")
               for m, k in enumerate(g)]
              for i, g in enumerate(doc["gains"])]
-    z = [_matrix(m, f"{src}.Z[{i + 1}]") for i, m in enumerate(doc["Z"])]
-    for fieldname, entries in (("gains", gains), ("Z", z)):
-        if len(entries) != len(xi):
-            _fail(f"{src}.{fieldname}", f"{len(entries)} entries for "
-                                        f"{len(xi)} subsystems")
+    if len(gains) != len(xi):
+        _fail(f"{src}.gains", f"{len(gains)} entries for {len(xi)} subsystems")
     if system is not None:
         if len(xi) != system.n_subsystems:
             _fail(src, f"certificate covers {len(xi)} subsystems, "
@@ -634,10 +632,7 @@ def load_certificate(path, system: LargeScaleSystem | None = None):
                 if k.shape != (sub.n_u, sub.n_x):
                     _fail(f"{src}.gains[{i + 1}][{m + 1}]",
                           f"shape {k.shape} != {(sub.n_u, sub.n_x)}")
-            if z[i].shape != (sub.n_x, sub.n_x):
-                _fail(f"{src}.Z[{i + 1}]",
-                      f"shape {z[i].shape} != {(sub.n_x, sub.n_x)}")
-    dv = DecisionVars(gains=gains, Z=z, xi=xi)
+    dv = DecisionVars(gains=gains, xi=xi)
     dv.validate()
     return dv, doc
 

@@ -1,15 +1,14 @@
-"""Block-inequality assembly for the invariance, input, decrease, and
-containment conditions, plus the pointwise invariant-set decrease scalar.
+"""Block-inequality assembly for the invariance, decrease, and containment
+conditions, plus the pointwise invariant-set decrease scalar.
 
 Layout conventions (generated from each subsystem's coupling map, never
 hard-coded to a fixed subsystem count):
 
     invariance:  [ d | x_i | x_j (sorted j) | slack(n_x) ]        "<= 0"
     decrease:    [ d | x_i | x_j (sorted j) | slack(n_u) | slack(n_x) ]  "< 0"
-    input:       [[Z, k'], [k, I]]                                 ">= 0"
     containment: [[xi, x'], [x, X^{-1} xi]]                        ">= 0"
 
-All blocks are affine in (xi, gains, Z) for fixed shape matrices, and the
+All blocks are affine in (xi, gains) for fixed shape matrices, and the
 reduced forms' only non-affine parts, [E theta]'(Lam (x) X)[E theta] with
 Lam = [[1, 1], [1, n]] and k'Mk, are matrix-convex, so vertex enforcement
 over every (model rule, controller rule) pair covers the blended matrices
@@ -87,11 +86,9 @@ class FixedParams:
 
 @dataclass
 class DecisionVars:
-    """Online-stage decision variables: per-rule gains, input-constraint
-    certificates Z, and set sizes xi."""
+    """Online-stage decision variables: per-rule gains and set sizes xi."""
 
     gains: list             # gains[i][m] -> (n_u, n_x)
-    Z: list                 # per-subsystem (n_x, n_x)
     xi: list                # per-subsystem positive reals
 
     def validate(self):
@@ -116,7 +113,7 @@ class LMIInstance:
     """One assembled condition with enough metadata to re-identify it."""
 
     matrix: np.ndarray
-    origin: str                      # invariance | input | decrease | containment
+    origin: str                      # invariance | decrease | containment
     sense: str                       # nsd | nsd_strict | psd
     subsystem: int
     # (model rule, controller rule) when vertexed; one pair per matrix of a
@@ -374,26 +371,6 @@ def assemble_decrease_blended(system, params, dv, i, w, h,
     stacks as for assemble_invariance_blended."""
     return _blended_instance(system, params, dv, i, w, h, "decrease",
                              reduced)
-
-
-def assemble_input_constraint(sub: Subsystem, dv: DecisionVars, i: int, m: int):
-    """Input certificate [[Z, k'], [k, I]] plus per-channel diagonal excesses
-    Z_ss - u_max_s^2 (feasible when every excess is <= 0)."""
-    k = dv.gains[i][m]
-    z = dv.Z[i]
-    n_u, n_x = k.shape
-    mat = np.empty((n_x + n_u, n_x + n_u))
-    mat[:n_x, :n_x] = z
-    _place(mat, n_x, 0, k)
-    mat[n_x:, n_x:] = np.eye(n_u)
-    mat = sym_matrix(mat)
-    inst = LMIInstance(matrix=mat, origin="input", sense="psd",
-                       subsystem=i, vertex=(None, m))
-    if sub.u_max is None:
-        excess = np.full(n_u, -np.inf)
-    else:
-        excess = np.array([z[s, s] - sub.u_max[s] ** 2 for s in range(n_u)])
-    return inst, excess
 
 
 def xi_slope(params: FixedParams, inst: LMIInstance) -> np.ndarray:

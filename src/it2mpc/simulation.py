@@ -21,7 +21,7 @@ from .lmis import (DecisionVars, FixedParams, containment_size,
                    rpi_decrease_scalar)
 from .plant import LargeScaleSystem, step_closed_loop, step_closed_loop_detail
 from .synthesis import (XI_HAIR, XI_MODES, FixedGainEvaluator, Infeasible,
-                        SynthesisConfig, build_z, minimize_xi)
+                        SynthesisConfig, minimize_xi)
 
 DISTURBANCE_KINDS = ("zero", "uniform_ball", "sinusoidal", "worst_case_boundary")
 RESYNTH_MODES = ("every_step", "once")
@@ -239,8 +239,6 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
                    syn_cfg.xi_floor) for i in range(n)]
         dv = DecisionVars(
             gains=[[np.asarray(k, dtype=float).copy() for k in g] for g in gains],
-            Z=[build_z(gains[i], system.subsystems[i].n_x, syn_cfg.input_margin)
-               for i in range(n)],
             xi=xi0)
 
     trace = SimulationTrace(Ts=Ts, meta={

@@ -3,9 +3,9 @@
 Every condition of subsystem i involves only that subsystem's gains and set
 size (neighbour states enter through fixed shape matrices), so the search
 decomposes per subsystem. At fixed gains each assembled matrix is affine in
-xi, and in the full (slack-row) forms it is affine in the gains and Z as
-well; the feasible xi set at a given state is therefore an interval, which
-makes downward bisection with re-solved gains sound.
+xi, and in the full (slack-row) forms it is affine in the gains as well;
+the feasible xi set at a given state is therefore an interval, which makes
+downward bisection with re-solved gains sound.
 
 Every certificate margin comes from one model, FixedGainEvaluator: the
 conditions at fixed gains as functions of the set sizes. certificate_margins
@@ -21,10 +21,15 @@ max(xi_lo, containment floor) whenever that is <= xi_hi. Otherwise the
 search bisects, re-solving the gains at each probe. Every result carries
 the evaluator of its gains, for the next warm step.
 
+The input constraint is assumed to take the form of Kothare, Balakrishnan
+& Morari (1996): the paper (arXiv 2108.13790; only its abstract is at hand)
+is read as bounding each input over the set {x' Q^-1 x <= 1} by
+[[U, k Q], [Q k', Q]] >= 0 with U_ss <= u_s^2. Here Q = xi^2 X^-1 with X
+fixed, so that LMI holds for some U exactly when the input-peak rows
+xi^2 (k X^-1 k')_ss <= u_s^2 do; they are the only input rows checked.
+
 The gain search itself is a derivative-free coordinate descent with multiple
-starts: Z_i is never a free variable but is built from the gains as
-sum_m k_m' k_m + margin*I, which satisfies the input certificate block by
-construction and turns the diagonal budget into a gain-norm budget.
+starts.
 """
 
 from __future__ import annotations
@@ -38,9 +43,8 @@ import scipy.optimize
 
 from .lmis import (DecisionVars, FixedParams, assemble_containment,
                    assemble_decrease, assemble_decrease_blended,
-                   assemble_input_constraint, assemble_invariance,
-                   assemble_invariance_blended, containment_size,
-                   shape_inverse, xi_slope)
+                   assemble_invariance, assemble_invariance_blended,
+                   containment_size, shape_inverse, xi_slope)
 from .plant import LargeScaleSystem
 
 
@@ -61,7 +65,6 @@ class Infeasible(Exception):
 @dataclass
 class SynthesisConfig:
     strictness: float = 1e-9        # required margin for strict instances
-    input_margin: float = 1e-6      # ridge added to the constructed Z
     n_starts: int = 4
     max_iters: int = 120            # coordinate-descent passes per start
     init_step: float = 0.4
@@ -102,14 +105,6 @@ class SynthesisResult:
         return self.violation == 0.0
 
 
-def build_z(gains_i, n_x: int, margin: float) -> np.ndarray:
-    """Input certificate matrix from the gains themselves."""
-    z = margin * np.eye(n_x)
-    for k in gains_i:
-        z = z + k.T @ k
-    return z
-
-
 def _peak_gains(x_mat, gains_i) -> np.ndarray:
     """(k_m X^-1 k_m')_ss per rule m and channel s: the squared worst-case
     input of rule m over the set {x' (X/xi) x <= xi} is xi^2 times it."""
@@ -125,11 +120,10 @@ def ellipsoid_input_excess(sub, x_mat, xi_i, gains_i):
     return xi_i ** 2 * _peak_gains(x_mat, gains_i) - sub.u_max ** 2
 
 
-def _sub_dv(n: int, i: int, gains_i, z_i, xi: float) -> DecisionVars:
-    """Decision variables carrying only subsystem i's gains and Z, with set
-    size xi everywhere (subsystem i's conditions read nothing else)."""
+def _sub_dv(n: int, i: int, gains_i, xi: float) -> DecisionVars:
+    """Decision variables carrying only subsystem i's gains, with set size
+    xi everywhere (subsystem i's conditions read nothing else)."""
     return DecisionVars(gains=[gains_i if j == i else None for j in range(n)],
-                        Z=[z_i if j == i else None for j in range(n)],
                         xi=[xi] * n)
 
 
@@ -162,10 +156,6 @@ def _sub_excesses(system: LargeScaleSystem, params: FixedParams,
     for l, m, v_inv, v_dec in zip(ls, ms, inv, dec):
         out[("inv", l, m)] = v_inv
         out[("dec", l, m)] = v_dec
-    z = dv.Z[i]
-    if sub.u_max is not None:
-        for s in range(sub.n_u):
-            out[("budget", s)] = z[s, s] - sub.u_max[s] ** 2
     ell = ellipsoid_input_excess(sub, params.X[i], dv.xi[i], dv.gains[i])
     for m in rules:
         for s in range(sub.n_u):
@@ -210,7 +200,7 @@ class _SearchRng:
 def _solve_sub(system, params, i, xi_i, cfg, rng, warm_gains_i=None):
     """Coordinate-descent gain search for one subsystem at fixed set size.
 
-    Returns (gains_i, Z_i). Raises Infeasible with the best excess seen.
+    Returns gains_i. Raises Infeasible with the best excess seen.
     """
     sub = system.subsystems[i]
     n_m, n_u, n_x = sub.n_controller_rules, sub.n_u, sub.n_x
@@ -227,8 +217,7 @@ def _solve_sub(system, params, i, xi_i, cfg, rng, warm_gains_i=None):
 
     def descend(gains_i):
         """Coordinate descent from one start; returns (worst, gains)."""
-        dv = _sub_dv(system.n_subsystems, i, gains_i,
-                     build_z(gains_i, n_x, cfg.input_margin), xi_i)
+        dv = _sub_dv(system.n_subsystems, i, gains_i, xi_i)
         cache = _sub_excesses(system, params, dv, i, cfg)
         worst = max(cache.values())
         if worst <= 0.0:
@@ -245,7 +234,6 @@ def _solve_sub(system, params, i, xi_i, cfg, rng, warm_gains_i=None):
                 for sign in (1.0, -1.0):
                     old = gains_i[m][r, c]
                     gains_i[m][r, c] = old + sign * steps[coord]
-                    dv.Z[i] = build_z(gains_i, n_x, cfg.input_margin)
                     trial = dict(cache)
                     trial.update(_sub_excesses(system, params, dv, i, cfg,
                                                rules=(m,)))
@@ -267,7 +255,7 @@ def _solve_sub(system, params, i, xi_i, cfg, rng, warm_gains_i=None):
     for gains_i in starts:
         worst, gains_i = descend(gains_i)
         if worst <= 0.0:
-            return gains_i, build_z(gains_i, n_x, cfg.input_margin)
+            return gains_i
         if worst < best_overall:
             best_overall, best_gains = worst, [k.copy() for k in gains_i]
 
@@ -281,8 +269,7 @@ def _solve_sub(system, params, i, xi_i, cfg, rng, warm_gains_i=None):
 
     def objective(v):
         gains_v = unflatten(v)
-        dv = _sub_dv(system.n_subsystems, i, gains_v,
-                     build_z(gains_v, n_x, cfg.input_margin), xi_i)
+        dv = _sub_dv(system.n_subsystems, i, gains_v, xi_i)
         return max(_sub_excesses(system, params, dv, i, cfg).values())
 
     nm = scipy.optimize.minimize(
@@ -290,7 +277,7 @@ def _solve_sub(system, params, i, xi_i, cfg, rng, warm_gains_i=None):
         options={"maxfev": cfg.rescue_evals, "xatol": 1e-10, "fatol": 1e-12})
     worst, gains_i = descend(unflatten(nm.x))
     if worst <= 0.0:
-        return gains_i, build_z(gains_i, n_x, cfg.input_margin)
+        return gains_i
     best_overall = min(best_overall, worst)
 
     raise Infeasible(
@@ -307,13 +294,10 @@ def solve_fixed_xi(system: LargeScaleSystem, params: FixedParams, xi,
     n = system.n_subsystems
     xi_list = [float(xi)] * n if np.isscalar(xi) else [float(v) for v in xi]
     rng = np.random.default_rng(cfg.seed)
-    gains, zs = [], []
-    for i in range(n):
-        warm_i = warm.gains[i] if warm is not None else None
-        g_i, z_i = _solve_sub(system, params, i, xi_list[i], cfg, rng, warm_i)
-        gains.append(g_i)
-        zs.append(z_i)
-    return DecisionVars(gains=gains, Z=zs, xi=xi_list)
+    gains = [_solve_sub(system, params, i, xi_list[i], cfg, rng,
+                        warm.gains[i] if warm is not None else None)
+             for i in range(n)]
+    return DecisionVars(gains=gains, xi=xi_list)
 
 
 def _bisect(lo, hi, hi_val, probe, cfg):
@@ -346,7 +330,7 @@ def _min_xi(system, params, x_all, group, cfg, rng, warm, evaluator, common):
     previous size, which keeps repeated re-synthesis cheap and feasible.
     Otherwise the gains are re-solved at each probe, warm-started from the
     last feasible ones. `common` only words the failure. Returns (xi, gains,
-    zs, solves), with gains and zs aligned with `group`."""
+    solves), with gains aligned with `group`."""
     lo_bound = max(max(containment_size(params.X[i], x_all[i]), cfg.xi_floor)
                    for i in group)
     # keep a hair above the exact containment boundary
@@ -356,28 +340,26 @@ def _min_xi(system, params, x_all, group, cfg, rng, warm, evaluator, common):
     if evaluator is not None:
         xi = evaluator.clamp(group, lo_start)
         if xi is not None:
-            return (xi, [evaluator.gains[i] for i in group],
-                    [evaluator.Z[i] for i in group], solves)
+            return xi, [evaluator.gains[i] for i in group], solves
 
     def solve(xi_val, starts):
-        """Gains and Z for every member at xi_val, or None if one fails."""
+        """Gains for every member at xi_val, or None if one fails."""
         nonlocal solves
-        gains, zs = [], []
+        gains = []
         for idx, i in enumerate(group):
             solves += 1
+            start = None if starts is None else starts[idx]
             try:
-                g, z = _solve_sub(system, params, i, xi_val, cfg, rng,
-                                  None if starts is None else starts[idx])
+                gains.append(_solve_sub(system, params, i, xi_val, cfg, rng,
+                                        start))
             except Infeasible:
                 return None
-            gains.append(g)
-            zs.append(z)
-        return gains, zs
+        return gains
 
     starts = None if warm is None else [warm.gains[i] for i in group]
     val = solve(lo_start, starts)
     if val is not None:
-        return lo_start, *val, solves
+        return lo_start, val, solves
 
     # growing probes from above the floor, after the warm size when that is
     # larger; the feasible sizes are bounded above (input-peak and decrease
@@ -400,9 +382,8 @@ def _min_xi(system, params, x_all, group, cfg, rng, warm, evaluator, common):
                          f"up to {top:.3g}", subsystem=group[0])
 
     # lo_start is known infeasible (or just above the exact floor)
-    xi, (gains, zs) = _bisect(lo_start, probe, val,
-                              lambda xi_val, v: solve(xi_val, v[0]), cfg)
-    return xi, gains, zs, solves
+    xi, gains = _bisect(lo_start, probe, val, solve, cfg)
+    return xi, gains, solves
 
 
 def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
@@ -436,21 +417,18 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
     if warm is not None and evaluator is None:
         evaluator = FixedGainEvaluator(system, params, DecisionVars(
             gains=[[k.copy() for k in g] for g in warm.gains],
-            Z=[build_z(g, sub.n_x, cfg.input_margin)
-               for g, sub in zip(warm.gains, system.subsystems)],
             xi=list(warm.xi)), cfg)
     common = mode == "common"
     groups = [range(n)] if common else [(i,) for i in range(n)]
-    xis, gains, zs = [None] * n, [None] * n, [None] * n
+    xis, gains = [None] * n, [None] * n
     total_solves = 0
     for group in groups:
-        xi, g_group, z_group, solves = _min_xi(system, params, x_all, group,
-                                               cfg, rng, warm, evaluator,
-                                               common)
-        for i, g_i, z_i in zip(group, g_group, z_group):
-            xis[i], gains[i], zs[i] = xi, g_i, z_i
+        xi, g_group, solves = _min_xi(system, params, x_all, group, cfg, rng,
+                                      warm, evaluator, common)
+        for i, g_i in zip(group, g_group):
+            xis[i], gains[i] = xi, g_i
         total_solves += solves
-    dv = DecisionVars(gains=gains, Z=zs, xi=xis)
+    dv = DecisionVars(gains=gains, xi=xis)
     if total_solves:        # some group re-solved its gains
         evaluator = FixedGainEvaluator(system, params, dv, cfg)
     margins = evaluator.margins(xis, x_all)
@@ -514,22 +492,21 @@ class FixedGainEvaluator:
 
     Each full-form vertex test matrix of subsystem i is affine in xi_i,
     T(xi) = T_ref + (xi - xi_ref) T1, with a slope T1 that depends on the
-    parameters only (lmis.xi_slope); the input and budget rows do not move
-    with xi, and the input-peak rows are xi^2 (k X^-1 k')_ss - u_s^2. So
-    `margins` at any set sizes takes one batched eigensolve per subsystem
-    and family (none when the size is unchanged), and the feasible set sizes
-    of each subsystem are an exact interval that does not depend on the
-    state (`interval`; only containment reads the state). The slopes and
-    intervals are computed on first use: margins at the reference sizes
-    need neither.
+    parameters only (lmis.xi_slope), and the input-peak rows are
+    xi^2 (k X^-1 k')_ss - u_s^2. So `margins` at any set sizes takes one
+    batched eigensolve per subsystem and family (none when the size is
+    unchanged), and the feasible set sizes of each subsystem are an exact
+    interval that does not depend on the state (`interval`; only
+    containment reads the state). The slopes and intervals are computed on
+    first use: margins at the reference sizes need neither.
     """
 
     def __init__(self, system: LargeScaleSystem, params: FixedParams,
                  dv: DecisionVars, cfg: SynthesisConfig):
-        self.gains, self.Z, self.xi_ref = dv.gains, dv.Z, list(dv.xi)
+        self.gains, self.xi_ref = dv.gains, list(dv.xi)
         self._x_mats = params.X
         self._x_invs = [None] * len(params.X)  # shape_inverse, on first use
-        self._pencils, self._fixed, self._peaks = [], [], []
+        self._pencils, self._peaks = [], []
         self._bounds = {}       # subsystem -> (xi_lo, xi_hi) or None
         for i, sub in enumerate(system.subsystems):
             ls, ms = _vertex_grid(sub, range(sub.n_controller_rules))
@@ -537,25 +514,12 @@ class FixedGainEvaluator:
                 _Pencil(params, assemble(system, params, dv, i, ls, ms), shift)
                 for assemble, shift in ((assemble_invariance, 0.0),
                                         (assemble_decrease, cfg.strictness))])
-            rows = [assemble_input_constraint(sub, dv, i, m)
-                    for m in range(sub.n_controller_rules)]
-            lows = np.linalg.eigvalsh(np.stack([inst.matrix
-                                                for inst, _ in rows]))[:, 0]
-            fixed = {}
-            for m, ((inst, excess), low) in enumerate(zip(rows,
-                                                          lows.tolist())):
-                fixed[inst.key] = -low
-                if np.all(np.isfinite(excess)):
-                    fixed[f"budget[i={i},m={m}]"] = float(np.max(excess))
-            self._fixed.append(fixed)
             peaks = None if sub.u_max is None else \
                 _peak_gains(params.X[i], dv.gains[i])
             self._peaks.append((peaks, sub.u_max))
         self._cache = [None] * len(self._pencils)  # (xi_i, margins) per i
 
     def _interval(self, i: int):
-        if max(self._fixed[i].values(), default=-np.inf) > 0.0:
-            return None
         mus = [p.spectrum() for p in self._pencils[i]]
         if any(mu is None for mu in mus):
             return None
@@ -609,7 +573,6 @@ class FixedGainEvaluator:
                         dec.keys, dec.max_eigs(dxi)):
                     part[key_inv] = float(m_inv)
                     part[key_dec] = float(m_dec)
-                part.update(self._fixed[i])
                 peaks, u_max = self._peaks[i]
                 if peaks is not None:
                     ell = xi[i] ** 2 * peaks - u_max ** 2

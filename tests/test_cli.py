@@ -97,7 +97,7 @@ class TestSynthesizeVerifyRpi:
                                 "--out", str(cert))
         assert rc == 0
         assert "synthesis feasible" in stdout
-        assert cert.is_file()
+        assert "Z" not in json.loads(cert.read_text())
 
         rc, stdout, _ = run_cli(capsys, "verify", str(tiny_path),
                                 "--gains", str(cert))
@@ -140,9 +140,14 @@ class TestSynthesizeVerifyRpi:
         path.write_text(json.dumps(tiny_config_doc(stable=False)))
         rc, _, stderr = run_cli(capsys, "synthesize", str(path))
         assert rc == 2
-        record = json.loads(stderr)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+        record = json.loads(stderr, parse_constant=reject)
         assert record["error"] == "infeasible"
         assert "message" in record
+        assert record["best_excess"] is None
 
     def test_verify_three_rule_grid(self, capsys, tmp_path):
         # example2's subsystems have three model and three controller rules:
@@ -150,14 +155,9 @@ class TestSynthesizeVerifyRpi:
         # sweep the batched one replaced
         from it2mpc.configio import load_bundled_config, save_certificate
         from it2mpc.lmis import DecisionVars
-        from it2mpc.synthesis import build_z
         cfg = load_bundled_config("example2_stabilized")
-        subs = cfg.system.subsystems
-        dv = DecisionVars(
-            gains=cfg.gains,
-            Z=[build_z(g, sub.n_x, cfg.synthesis.input_margin)
-               for g, sub in zip(cfg.gains, subs)],
-            xi=[3.0] * len(subs))
+        dv = DecisionVars(gains=cfg.gains,
+                          xi=[3.0] * cfg.system.n_subsystems)
         cert, report = tmp_path / "cert.json", tmp_path / "report.json"
         save_certificate(dv, cert)
         rc, stdout, stderr = run_cli(capsys, "verify", "example2_stabilized",
@@ -184,10 +184,16 @@ class TestSynthesizeVerifyRpi:
                                              tmp_path):
         cert = tmp_path / "cert.json"
         rc, stdout, _ = run_cli(capsys, "synthesize", str(tiny_path),
-                                "--out", str(cert), "--tol", "1e-8",
-                                "--margin", "1e-5")
+                                "--out", str(cert), "--tol", "1e-8")
         assert rc == 0
         assert "synthesis feasible" in stdout
+
+    @pytest.mark.parametrize("verb", ["simulate", "synthesize"])
+    def test_retired_margin_flag_is_rejected(self, capsys, tiny_path, verb):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, str(tiny_path), "--margin", "1e-5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --margin" in capsys.readouterr().err
 
     def test_xi_mode_override(self, capsys, tiny_path, tmp_path):
         cert = tmp_path / "cert.json"
@@ -234,15 +240,12 @@ class TestErrorReporting:
                                                     density):
         from it2mpc.configio import save_certificate
         from it2mpc.lmis import DecisionVars
-        from it2mpc.synthesis import build_z
         doc = tiny_config_doc()
         doc["synthesis"]["grid_density"] = density
         path, cert = tmp_path / "bad.json", tmp_path / "cert.json"
         path.write_text(json.dumps(doc))
         gains = [[np.zeros((2, 2)), np.zeros((2, 2))]]
-        save_certificate(DecisionVars(gains=gains, Z=[build_z(gains[0], 2,
-                                                              1e-6)],
-                                      xi=[1.0]), cert)
+        save_certificate(DecisionVars(gains=gains, xi=[1.0]), cert)
         rc, _, stderr = run_cli(capsys, "verify", str(path),
                                 "--gains", str(cert))
         assert rc == 3
@@ -272,6 +275,21 @@ class TestErrorReporting:
         lines = stderr.strip().splitlines()
         assert len(lines) == 1
         json.loads(lines[0])
+
+    def test_non_finite_numbers_are_written_as_null(self, capsys):
+        # RFC 8259 JSON has no Infinity or NaN: every non-finite float,
+        # numpy's included, becomes null and the finite ones pass through
+        from it2mpc.cli import _diag
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+        _diag("infeasible", "m", best_excess=np.float64(np.inf),
+              low=float("-inf"), gap=float("nan"), worst=-0.5, at_step=3)
+        record = json.loads(capsys.readouterr().err, parse_constant=reject)
+        assert record == {"error": "infeasible", "message": "m",
+                          "best_excess": None, "low": None, "gap": None,
+                          "worst": -0.5, "at_step": 3}
 
 
 class TestListing:

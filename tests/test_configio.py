@@ -31,6 +31,13 @@ class TestRoundTrip:
         cfg2 = parse_config(json.loads(json.dumps(serialize_config(cfg1))))
         assert serialize_config(cfg2) == serialize_config(cfg1)
 
+    def test_legacy_input_margin_is_dropped(self, doc):
+        legacy = copy.deepcopy(doc)
+        legacy["synthesis"]["input_margin"] = 1e-6
+        cfg = parse_config(legacy)
+        assert "input_margin" not in serialize_config(cfg)["synthesis"]
+        assert serialize_config(cfg) == doc
+
     def test_save_and_load_file(self, doc, tmp_path):
         cfg = parse_config(copy.deepcopy(doc))
         path = tmp_path / "sys.json"
@@ -295,7 +302,6 @@ class TestCertificateFiles:
         return DecisionVars(
             gains=[[np.array([[-0.5, -0.1], [0.0, -0.4]]),
                     np.array([[-0.3, 0.0], [0.1, -0.2]])]],
-            Z=[np.array([[0.6, 0.0], [0.0, 0.3]])],
             xi=[1.25])
 
     def test_round_trip(self, tmp_path, doc):
@@ -307,7 +313,7 @@ class TestCertificateFiles:
         back, raw = load_certificate(path, cfg.system)
         assert back.xi == [1.25]
         assert_allclose(back.gains[0][1], dv.gains[0][1])
-        assert_allclose(back.Z[0], dv.Z[0])
+        assert "Z" not in raw
         assert raw["worst"] == -0.5
         assert raw["meta"]["xi_mode"] == "common"
 
@@ -334,17 +340,30 @@ class TestCertificateFiles:
         back, _ = load_certificate(path)  # no system: shapes unchecked
         assert back.gains[0][0].shape == (1, 3)
 
-    @pytest.mark.parametrize("fieldname", ["gains", "Z"])
-    def test_entry_count_checked_against_xi(self, tmp_path, doc, fieldname):
-        # one set size but two entries: rejected with or without a system
+    def test_entry_count_checked_against_xi(self, tmp_path, doc):
+        # one set size but two gain lists: rejected with or without a system
         cfg = parse_config(copy.deepcopy(doc))
         path = tmp_path / "cert.json"
         save_certificate(self.make_dv(), path)
         raw = json.loads(path.read_text())
-        raw[fieldname] = raw[fieldname] * 2
+        raw["gains"] = raw["gains"] * 2
         path.write_text(json.dumps(raw))
         for system in (None, cfg.system):
             with pytest.raises(ConfigError,
-                               match=rf"^cert\.json\.{fieldname}: 2 entries "
+                               match=r"^cert\.json\.gains: 2 entries "
                                      r"for 1 subsystems$"):
                 load_certificate(path, system)
+
+    def test_legacy_z_field_is_ignored(self, tmp_path, doc):
+        # certificates written before the input certificate Z was retired
+        # carry it; any value loads, unchecked
+        cfg = parse_config(copy.deepcopy(doc))
+        path = tmp_path / "cert.json"
+        save_certificate(self.make_dv(), path)
+        raw = json.loads(path.read_text())
+        raw["Z"] = [[[1.0]], [[2.0]]]
+        path.write_text(json.dumps(raw))
+        back, _ = load_certificate(path, cfg.system)
+        assert back.xi == [1.25]
+        assert_allclose(back.gains[0][1], self.make_dv().gains[0][1])
+        assert not hasattr(back, "Z")

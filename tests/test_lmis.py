@@ -18,9 +18,9 @@ from it2mpc.linalg import (SingularBlockError, is_nsd, is_psd, max_eig,
                            min_eig, schur_reduce)
 from it2mpc.lmis import (DecisionVars, FixedParams, assemble_containment,
                          assemble_decrease, assemble_decrease_blended,
-                         assemble_input_constraint, assemble_invariance,
-                         assemble_invariance_blended, check_rpi_pointwise,
-                         rpi_decrease_scalar, shape_inverse, theta_vertex)
+                         assemble_invariance, assemble_invariance_blended,
+                         check_rpi_pointwise, rpi_decrease_scalar,
+                         shape_inverse, theta_vertex)
 from it2mpc.plant import step_closed_loop
 from it2mpc.configio import bundled_config_names, load_bundled_config
 from it2mpc.membership import IT2MembershipFamily, SigmoidMF
@@ -87,7 +87,6 @@ def _draw_setup(rng, calm=False):
                 else rng.standard_normal((subs[i].n_u, n_x))
                 for _ in range(subs[i].n_rules)]
                for i in range(n_sub)],
-        Z=[np.eye(n_x) for _ in range(n_sub)],
         xi=[float(rng.uniform(1.0, 3.0) if calm else rng.uniform(0.2, 3.0))
             for _ in range(n_sub)],
     )
@@ -293,8 +292,7 @@ def _bundled_certificate(name):
     cfg = load_bundled_config(name)
     gains = cfg.gains or load_bundled_config("example1").gains
     n = cfg.system.n_subsystems
-    dv = DecisionVars(gains=gains, Z=[None] * n,
-                      xi=[0.7 + 0.4 * i for i in range(n)])
+    dv = DecisionVars(gains=gains, xi=[0.7 + 0.4 * i for i in range(n)])
     return cfg.system, cfg.params, dv
 
 
@@ -460,8 +458,7 @@ class TestStrictBasis:
                              N_const=[1.0] * 2, M=[np.eye(2)] * 2,
                              tau=[1.0] * 2, Q=0.01 * np.eye(2),
                              R=np.eye(2), alpha=2.0)
-        dv = DecisionVars(gains=[[np.zeros((2, 2))]] * 2,
-                          Z=[np.eye(2)] * 2, xi=[1.0] * 2)
+        dv = DecisionVars(gains=[[np.zeros((2, 2))]] * 2, xi=[1.0] * 2)
         return system, params, dv
 
     def test_rank_deficient_coupling_leaves_structural_zeros(self):
@@ -496,8 +493,7 @@ class TestStrictBasis:
                              N_const=[1.0] * 2, M=[np.eye(2)] * 2,
                              tau=[1.0] * 2, Q=0.01 * np.eye(2),
                              R=np.eye(2), alpha=2.0)
-        dv = DecisionVars(gains=[[np.zeros((2, 2))]] * 2,
-                          Z=[np.eye(2)] * 2, xi=[1.0] * 2)
+        dv = DecisionVars(gains=[[np.zeros((2, 2))]] * 2, xi=[1.0] * 2)
         for asm in (assemble_decrease, assemble_invariance):
             inst = asm(system, params, dv, 0, 0, 0)
             assert inst.strict_basis is None
@@ -511,8 +507,7 @@ class TestStrictBasis:
         # eigendirections and must not pin the strict margin at zero
         system = build_example1_system()
         params = example1_reference_params()
-        dv = DecisionVars(gains=example1_reference_gains(),
-                          Z=[np.eye(2)] * 3, xi=[1.0] * 3)
+        dv = DecisionVars(gains=example1_reference_gains(), xi=[1.0] * 3)
         sub = system.subsystems[0]
         g_a, g_b = sub.couplings[1], sub.couplings[2]
         assert np.linalg.matrix_rank(g_a) == 2
@@ -532,43 +527,11 @@ class TestStrictBasis:
     def test_benchmark_plant_rank_one_couplings_are_compressed(self):
         system = build_example1_system()
         params = example1_reference_params()
-        dv = DecisionVars(gains=example1_reference_gains(),
-                          Z=[np.eye(2)] * 3, xi=[1.0] * 3)
+        dv = DecisionVars(gains=example1_reference_gains(), xi=[1.0] * 3)
         inst = assemble_decrease(system, params, dv, 1, 0, 0)
         # both couplings of the middle subsystem have rank one
         assert inst.strict_basis is not None
         assert inst.test_matrix().shape[0] == inst.matrix.shape[0] - 2
-
-
-class TestInputConstraint:
-    def test_certificate_from_gains_is_psd(self):
-        rng = np.random.default_rng(51)
-        for _ in range(30):
-            system, params, dv = _draw_setup(rng)
-            i = int(rng.integers(system.n_subsystems))
-            sub = system.subsystems[i]
-            z = sum(km.T @ km for km in dv.gains[i]) + 1e-9 * np.eye(sub.n_x)
-            dv.Z[i] = z
-            for m in range(sub.n_controller_rules):
-                inst, _ = assemble_input_constraint(sub, dv, i, m)
-                assert inst.origin == "input"
-                assert inst.sense == "psd"
-                assert is_psd(inst.matrix, tol=1e-12)
-
-    def test_excess_reports_budget_violation_per_channel(self):
-        rule = Rule(A=np.eye(2), B=np.ones((2, 2)), E=np.ones((2, 1)))
-        sub = Subsystem(rules=(rule,), u_max=np.array([2.0, 0.5]))
-        dv = DecisionVars(gains=[[np.zeros((2, 2))]],
-                          Z=[np.diag([3.0, 0.2])], xi=[1.0])
-        _, excess = assemble_input_constraint(sub, dv, 0, 0)
-        np.testing.assert_allclose(excess, [3.0 - 4.0, 0.2 - 0.25])
-
-    def test_unbounded_channels_have_no_excess(self):
-        rule = Rule(A=np.eye(1), B=np.eye(1), E=np.eye(1))
-        sub = Subsystem(rules=(rule,))
-        dv = DecisionVars(gains=[[np.zeros((1, 1))]], Z=[np.eye(1)], xi=[1.0])
-        _, excess = assemble_input_constraint(sub, dv, 0, 0)
-        assert np.all(excess == -np.inf)
 
 
 class TestContainment:
@@ -653,7 +616,7 @@ class TestFixedParamsValidation:
         np.testing.assert_array_equal(p.r_mat(0), np.eye(1))
 
     def test_nonpositive_xi_rejected(self):
-        dv = DecisionVars(gains=[[np.zeros((1, 2))]], Z=[np.eye(2)], xi=[0.0])
+        dv = DecisionVars(gains=[[np.zeros((1, 2))]], xi=[0.0])
         with pytest.raises(ValueError, match="xi"):
             dv.validate()
 
@@ -671,7 +634,7 @@ class TestHeterogeneousDims:
                              tau=[1.0] * 2, Q=[np.eye(2), np.eye(3)],
                              R=[np.eye(2), np.eye(3)], alpha=2.0)
         dv = DecisionVars(gains=[[np.zeros((2, 2))], [np.zeros((3, 3))]],
-                          Z=[np.eye(2), np.eye(3)], xi=[1.0, 1.0])
+                          xi=[1.0, 1.0])
         with pytest.raises(ValueError, match="equal state dims"):
             assemble_invariance(system, params, dv, 0, 0, 0)
 
@@ -687,7 +650,7 @@ class TestPointwiseDecreaseScalar:
         params = FixedParams(X=[np.eye(2)], lam=[0.5], N_const=[1.0],
                              M=[np.eye(2)], tau=[1.0], Q=np.eye(2),
                              R=np.eye(2), alpha=2.0)
-        dv = DecisionVars(gains=[[np.zeros((2, 2))]], Z=[np.eye(2)], xi=[1.0])
+        dv = DecisionVars(gains=[[np.zeros((2, 2))]], xi=[1.0])
         return system, params, dv
 
     def test_contractive_step_is_negative(self):
@@ -721,11 +684,7 @@ class TestReferenceConstantsInfeasibility:
     gets noticed."""
 
     def _dv(self, xi):
-        gains = example1_reference_gains()
-        return DecisionVars(gains=gains,
-                            Z=[sum(km.T @ km for km in g) + 1e-9 * np.eye(2)
-                               for g in gains],
-                            xi=[xi] * 3)
+        return DecisionVars(gains=example1_reference_gains(), xi=[xi] * 3)
 
     def _worst_eigs(self, xi):
         system = build_example1_system()

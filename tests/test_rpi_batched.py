@@ -91,14 +91,14 @@ def example2_static_gains():
     """example2_stabilized's gains under its reference constants, which do
     not certify them: the audit finds violations and exits to count."""
     cfg = load_bundled_config("example2_stabilized")
-    dv = DecisionVars(gains=cfg.gains, Z=[None, None], xi=[0.9, 1.3])
+    dv = DecisionVars(gains=cfg.gains, xi=[0.9, 1.3])
     return cfg.system, cfg.params, dv
 
 
 def tiny_plant():
     gains = [[-0.3 * np.eye(2), -0.2 * np.eye(2)]]
-    return build_tiny_system(), tiny_params(), DecisionVars(
-        gains=gains, Z=[None], xi=[0.8])
+    return (build_tiny_system(), tiny_params(),
+            DecisionVars(gains=gains, xi=[0.8]))
 
 
 CASES = {"fixture": fixture_certificate, "example2": example2_static_gains,

@@ -20,8 +20,7 @@ from it2mpc.simulation import (
     stage_cost,
     total_cost,
 )
-from it2mpc.synthesis import (XI_HAIR, FixedGainEvaluator, SynthesisConfig,
-                              build_z)
+from it2mpc.synthesis import XI_HAIR, FixedGainEvaluator, SynthesisConfig
 
 from conftest import (
     build_example1_system,
@@ -423,7 +422,7 @@ def contractive_single_subsystem():
     params = FixedParams(X=[np.eye(2)], lam=[0.5], N_const=[1e12],
                          M=[np.eye(2)], tau=[1.0], Q=np.eye(2), R=np.eye(2),
                          alpha=2.0)
-    dv = DecisionVars(gains=gains, Z=[build_z(gains[0], 2, 1e-6)], xi=[1.0])
+    dv = DecisionVars(gains=gains, xi=[1.0])
     return system, params, dv
 
 

@@ -14,13 +14,12 @@ from it2mpc.linalg import (InvalidMatrixError, SingularBlockError, max_eig,
                            min_eig)
 from it2mpc.lmis import (DecisionVars, FixedParams, assemble_containment,
                          assemble_decrease, assemble_decrease_blended,
-                         assemble_input_constraint, assemble_invariance,
-                         assemble_invariance_blended)
+                         assemble_invariance, assemble_invariance_blended)
 from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 from it2mpc.synthesis import (XI_HAIR, FixedGainEvaluator, Infeasible,
                               SynthesisConfig, _simplex_grid, _sub_dv,
-                              _sub_excesses, build_z,
-                              certificate_margins, ellipsoid_input_excess,
+                              _sub_excesses, certificate_margins,
+                              ellipsoid_input_excess,
                               minimize_xi, solve_fixed_xi,
                               verify_certificate)
 
@@ -48,21 +47,17 @@ def _bundled_dv(cfg, ex1_synthesized, scale=1.0):
     config's gains at xi_i = 0.7 + 0.4 i, or the shared example1 solve
     when the config carries no gains."""
     if cfg.gains is None:
-        dv = ex1_synthesized[3].dv
-        gains, z, xi = dv.gains, dv.Z, dv.xi
+        gains, xi = ex1_synthesized[3].dv.gains, ex1_synthesized[3].dv.xi
     else:
         gains = cfg.gains
-        z = [build_z(g, sub.n_x, cfg.synthesis.input_margin)
-             for g, sub in zip(gains, cfg.system.subsystems)]
         xi = [0.7 + 0.4 * i for i in range(cfg.system.n_subsystems)]
-    return DecisionVars(gains=gains, Z=z, xi=[scale * v for v in xi])
+    return DecisionVars(gains=gains, xi=[scale * v for v in xi])
 
 
 def _reference_margins(system, params, dv, x_all, cfg):
     """Every certificate row written out per instance, in the key order of
     certificate_margins: one max_eig per vertex and family, one min_eig per
-    input row and containment block, and the largest budget and input-peak
-    excesses."""
+    containment block, and the largest input-peak excess."""
     want = {}
     for i, sub in enumerate(system.subsystems):
         for l in range(sub.n_rules):
@@ -71,11 +66,6 @@ def _reference_margins(system, params, dv, x_all, cfg):
                 want[inv.key] = max_eig(inv.test_matrix())
                 dec = assemble_decrease(system, params, dv, i, l, m)
                 want[dec.key] = max_eig(dec.test_matrix()) + cfg.strictness
-        for m in range(sub.n_controller_rules):
-            inst, excess = assemble_input_constraint(sub, dv, i, m)
-            want[inst.key] = -min_eig(inst.matrix)
-            if sub.u_max is not None:
-                want[f"budget[i={i},m={m}]"] = float(np.max(excess))
         if sub.u_max is not None:
             want[f"input_peak[i={i}]"] = float(np.max(ellipsoid_input_excess(
                 sub, params.X[i], dv.xi[i], dv.gains[i])))
@@ -84,18 +74,6 @@ def _reference_margins(system, params, dv, x_all, cfg):
                                         dv.xi[i], params.X[i], i)
             want[cont.key] = -min_eig(cont.matrix)
     return want
-
-
-class TestBuildZ:
-    def test_accumulates_gain_grams(self):
-        k1 = np.array([[1.0, 0.0]])
-        k2 = np.array([[0.0, 2.0]])
-        z = build_z([k1, k2], 2, margin=0.5)
-        assert_allclose(z, [[1.5, 0.0], [0.0, 4.5]])
-
-    def test_positive_definite_even_for_zero_gains(self):
-        z = build_z([np.zeros((1, 3))], 3, margin=1e-6)
-        assert np.all(np.linalg.eigvalsh(z) > 0)
 
 
 class TestInputExcess:
@@ -153,7 +131,7 @@ class TestMinimizeXi:
 
     def test_margins_cover_all_condition_families(self, tiny_result):
         origins = {key.split("[", 1)[0] for key in tiny_result.margins}
-        assert {"invariance", "decrease", "input", "budget",
+        assert {"invariance", "decrease", "input_peak",
                 "containment"} <= origins
 
     def test_common_mode_returns_equal_sizes(self):
@@ -179,7 +157,6 @@ class TestMinimizeXi:
             assert sub.solves == common.solves
             for k_sub, k_common in zip(sub.dv.gains[0], common.dv.gains[0]):
                 assert np.array_equal(k_sub, k_common)
-            assert np.array_equal(sub.dv.Z[0], common.dv.Z[0])
 
     def test_unknown_mode_rejected(self, tiny):
         system, params = tiny
@@ -212,8 +189,7 @@ class TestMinimizeXi:
         cfg = SynthesisConfig(n_starts=2, max_iters=60, xi_rel_tol=0.1,
                               xi_growth_iters=3)
         zero = [np.zeros((2, 2))] * 2
-        warm = DecisionVars(gains=[zero], Z=[build_z(zero, 2, 1e-6)],
-                            xi=[1e4])
+        warm = DecisionVars(gains=[zero], xi=[1e4])
         res = minimize_xi(system, params, [np.array([0.01, -0.01])], cfg,
                           warm=warm)
         assert res.feasible
@@ -227,7 +203,7 @@ class TestMinimizeXi:
         system, params = tiny
         bad = DecisionVars(
             gains=[[k + 10.0 * np.eye(2) for k in tiny_result.dv.gains[0]]],
-            Z=tiny_result.dv.Z, xi=list(tiny_result.dv.xi))
+            xi=list(tiny_result.dv.xi))
         resolved = minimize_xi(system, params, TINY_X0, FAST, warm=bad)
         assert resolved.solves > 0
         x_next = [0.8 * TINY_X0[0]]
@@ -287,7 +263,7 @@ class TestCertificateMargins:
         system, params = tiny
         bad = DecisionVars(
             gains=[[k + 10.0 * np.eye(2) for k in tiny_result.dv.gains[0]]],
-            Z=tiny_result.dv.Z, xi=list(tiny_result.dv.xi))
+            xi=list(tiny_result.dv.xi))
         margins = certificate_margins(system, params, bad)
         assert max(v for k, v in margins.items()
                    if k.startswith("invariance")) > 0.0
@@ -310,10 +286,6 @@ class TestStackedVertexCallers:
                 out[("inv", l, m)] = max_eig(inv.test_matrix())
                 dec = assemble_decrease(system, params, dv, i, l, m, reduced)
                 out[("dec", l, m)] = max_eig(dec.test_matrix()) + cfg.strictness
-        z = dv.Z[i]
-        if sub.u_max is not None:
-            for s in range(sub.n_u):
-                out[("budget", s)] = z[s, s] - sub.u_max[s] ** 2
         ell = ellipsoid_input_excess(sub, params.X[i], dv.xi[i], dv.gains[i])
         for m in rules:
             for s in range(sub.n_u):
@@ -335,9 +307,8 @@ class TestStackedVertexCallers:
         cfg = SynthesisConfig()
         for system, params, gains in self.plants():
             for i, sub in enumerate(system.subsystems):
-                z_i = build_z(gains[i], sub.n_x, cfg.input_margin)
                 for xi in (0.8, 9.0):
-                    dv = _sub_dv(system.n_subsystems, i, gains[i], z_i, xi)
+                    dv = _sub_dv(system.n_subsystems, i, gains[i], xi)
                     for rules in (None, *((m,) for m in
                                           range(sub.n_controller_rules))):
                         got = _sub_excesses(system, params, dv, i, cfg,
@@ -351,10 +322,7 @@ class TestStackedVertexCallers:
         cfg = SynthesisConfig()
         for system, params, gains in self.plants():
             dv = DecisionVars(
-                gains=gains,
-                Z=[build_z(g, sub.n_x, cfg.input_margin)
-                   for g, sub in zip(gains, system.subsystems)],
-                xi=[1.5 + i for i in range(system.n_subsystems)])
+                gains=gains, xi=[1.5 + i for i in range(system.n_subsystems)])
             x_all = [np.full(sub.n_x, 0.4) for sub in system.subsystems]
             got = certificate_margins(system, params, dv, x_all, cfg)
             want = _reference_margins(system, params, dv, x_all, cfg)
@@ -367,7 +335,7 @@ class TestFixedGainEvaluator:
     def _scaled(dv, i, factor):
         xi = list(dv.xi)
         xi[i] *= factor
-        return DecisionVars(gains=dv.gains, Z=dv.Z, xi=xi)
+        return DecisionVars(gains=dv.gains, xi=xi)
 
     def test_interval_is_tight(self, ex1_synthesized):
         # just outside either end of each subsystem's interval some fresh
@@ -426,7 +394,7 @@ class TestFixedGainEvaluator:
                 xi = [factor * v for v in dv.xi]
                 got = evaluator.margins(xi, x_all)
                 want = _reference_margins(
-                    system, params, DecisionVars(dv.gains, dv.Z, xi), x_all,
+                    system, params, DecisionVars(dv.gains, xi), x_all,
                     cfg.synthesis)
                 assert list(got) == list(want)
                 for key in want:
@@ -462,9 +430,7 @@ class TestFixedGainEvaluator:
         gains = [[np.array([[-0.2]]), np.array([[-0.3]])],
                  [np.array([[-0.2, -0.1]]), np.array([[-0.1, -0.2]])],
                  [np.array([[0.1]]), np.array([[-0.2]])]]
-        dv = DecisionVars(gains=gains,
-                          Z=[build_z(g, d, 1e-6) for g, d in zip(gains, dims)],
-                          xi=[1.0, 2.0, 3.0])
+        dv = DecisionVars(gains=gains, xi=[1.0, 2.0, 3.0])
         return system, params, dv
 
     def test_containment_margins_group_blocks_of_each_size(self):
@@ -478,7 +444,7 @@ class TestFixedGainEvaluator:
                          for sub in system.subsystems]
                 got = evaluator.margins(xi, x_all)
                 want = _reference_margins(
-                    system, params, DecisionVars(dv.gains, dv.Z, xi), x_all,
+                    system, params, DecisionVars(dv.gains, xi), x_all,
                     cfg)
                 assert list(got) == list(want)
                 for i in range(3):
@@ -514,10 +480,27 @@ class TestVerifyCertificate:
         for x_all in (x0, None):
             report = verify_certificate(system, params, res.dv, x_all)
             assert report["blended_worst"] == -3.709744999670958e-06
-            assert report["worst"] == -9.082739501663065e-07
+            assert report["worst"] == -3.709744999670958e-06
             assert report["feasible"] is True
             assert report["margins"] == certificate_margins(
                 system, params, res.dv, x_all)
+
+    def test_fixture_worst_is_a_row_that_binds(self):
+        # the stored certificate predates the retired input certificate Z:
+        # it carries Z and input/budget margins, loads, and verifies on the
+        # rows that remain, the worst an invariance vertex
+        cfg = load_bundled_config("example1_synthesis")
+        dv, doc = load_certificate(FIXTURE, cfg.system)
+        assert "Z" in doc
+        assert any(k.startswith(("input[", "budget["))
+                   for k in doc["margins"])
+        report = verify_certificate(cfg.system, cfg.params, dv,
+                                    cfg.simulation.x0, cfg.synthesis)
+        margins = report["margins"]
+        assert report["feasible"] is True
+        assert report["worst"] == -3.709744999670958e-06
+        assert max(margins, key=margins.get) == "invariance[i=2,l=1,m=0]"
+        assert not any(k.startswith(("input[", "budget[")) for k in margins)
 
     def test_margins_only_locate_no_interval(self, monkeypatch):
         # verify reads the evaluator at the certificate's own set sizes
@@ -614,8 +597,7 @@ class TestVerifyCertificate:
         system.validate()
         params = tiny_params()
         gains = [[-0.2 * np.eye(2), -0.2 * np.eye(2)]]
-        dv = DecisionVars(gains=gains, Z=[build_z(gains[0], 2, 1e-6)],
-                          xi=[1.0])
+        dv = DecisionVars(gains=gains, xi=[1.0])
         cfg = SynthesisConfig()
         solved, report = self._sweep_eigensolves(monkeypatch, system, params,
                                                  dv, None, cfg)
@@ -655,7 +637,7 @@ class TestVerifyCertificate:
 
     def test_shrunken_set_fails(self, tiny, tiny_result):
         system, params = tiny
-        bad = DecisionVars(gains=tiny_result.dv.gains, Z=tiny_result.dv.Z,
+        bad = DecisionVars(gains=tiny_result.dv.gains,
                            xi=[0.01 * v for v in tiny_result.dv.xi])
         report = verify_certificate(system, params, bad, TINY_X0)
         assert not report["feasible"]

@@ -48,7 +48,7 @@ def cases(draw):
     scale = draw(st.floats(-2.0, 2.0))
     xi = [10.0 ** scale * (0.7 + 0.4 * j)
           for j in range(system.n_subsystems)]
-    dv = DecisionVars(gains=gains, Z=[None] * system.n_subsystems, xi=xi)
+    dv = DecisionVars(gains=gains, xi=xi)
     w = simplex_point(draw, sub.n_rules)
     h = simplex_point(draw, sub.n_controller_rules)
     return (system, params, dv, i, w, h, draw(st.sampled_from(list(FAMILIES))),
