@@ -112,6 +112,8 @@ def cmd_synthesize(args) -> int:
                          syn_cfg, mode=mode)
     worst = max(result.margins.values())
     print(f"synthesis feasible: xi = {_fmt_list(result.dv.xi)} ({mode} mode)")
+    for i, (xi, lower) in enumerate(zip(result.dv.xi, result.xi_lower)):
+        print(f"  xi[{i + 1}] = {xi:.9g} >= {lower:.9g} (proven lower bound)")
     print(f"  worst condition margin: {worst:.3e}   "
           f"solver calls: {result.solves}")
     for i, g in enumerate(result.dv.gains):

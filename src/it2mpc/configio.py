@@ -314,10 +314,16 @@ def _parse_params(data: dict, path: str, n: int,
     return params
 
 
+# accepted and dropped: input_margin sized the retired input certificate Z,
+# the others tuned the retired derivative-free gain search and xi bisection
+_RETIRED_SYNTHESIS = {"input_margin", "n_starts", "max_iters", "init_step",
+                      "min_step", "step_grow", "step_shrink", "start_scale",
+                      "xi_rel_tol", "xi_growth_iters", "rescue_evals"}
+
+
 def _parse_synthesis(data: dict, path: str) -> SynthesisConfig:
     _expect(data, path, dict, "an object")
-    # input_margin sized the retired input certificate Z: accepted, dropped
-    data = {key: v for key, v in data.items() if key != "input_margin"}
+    data = {key: v for key, v in data.items() if key not in _RETIRED_SYNTHESIS}
     allowed = {f.name for f in dataclasses.fields(SynthesisConfig)}
     _keys_subset(data, path, allowed)
     try:

@@ -1,11 +1,17 @@
 """Gain synthesis and set-size minimization over the assembled conditions.
 
 Every condition of subsystem i involves only that subsystem's gains and set
-size (neighbour states enter through fixed shape matrices), so the search
-decomposes per subsystem. At fixed gains each assembled matrix is affine in
-xi, and in the full (slack-row) forms it is affine in the gains as well;
-the feasible xi set at a given state is therefore an interval, which makes
-downward bisection with re-solved gains sound.
+size (neighbour states enter through fixed shape matrices), and every
+full-form vertex test matrix is jointly affine in y = (vec K_i, xi_i)
+(_affine_rows), its rows tightened as the evaluator judges them. So the
+smallest set size over all gains is an eigenvalue problem, EVP (Boyd, El
+Ghaoui, Feron & Balakrishnan 1994, §2.2), as in Kothare, Balakrishnan &
+Morari (1996), which a log-det barrier method solves (_barrier; Boyd &
+Vandenberghe 2004, §11.4-11.6). Its phase I, min s subject to
+G(y) <= s I, finds a strictly feasible point or a dual lower bound s > 0
+that proves none exists (Infeasible's best_excess); its phase II returns
+the gains of min xi_i and a lower bound on it that holds for the
+certificate's own conditions.
 
 Every certificate margin comes from one model, FixedGainEvaluator: the
 conditions at fixed gains as functions of the set sizes. certificate_margins
@@ -13,13 +19,16 @@ is that evaluator read at the certificate's own sizes.
 
 Set-size minimization is one search over a group of subsystems that share
 one xi: the "common" mode passes a single group of all subsystems, the
-"per_subsystem" mode one group per subsystem. With a warm certificate the
-search first keeps its gains: at fixed gains the feasible set sizes are an
-interval [xi_lo, xi_hi] that does not depend on the state (only containment
-does), with exact ends from generalized eigenvalues, so the set size is
-max(xi_lo, containment floor) whenever that is <= xi_hi. Otherwise the
-search bisects, re-solving the gains at each probe. Every result carries
-the evaluator of its gains, for the next warm step.
+"per_subsystem" mode one group per subsystem. At fixed gains the feasible
+set sizes are an interval [xi_lo, xi_hi] that does not depend on the state
+(only containment does), with exact ends from generalized eigenvalues, so
+the group's size is max(xi_lo, containment floor) whenever that is <=
+xi_hi (FixedGainEvaluator.clamp). A warm certificate's gains are kept
+whenever they fit. Otherwise each member's EVP, without containment and
+input-peak rows, gives its gains, and the group is clamped on their
+evaluator just as a warm step is; only a member whose interval does not
+reach the group's size is re-solved at that size by a fixed-xi feasibility
+SDP that enforces the input-peak rows exactly (solve_fixed_xi).
 
 The input constraint is assumed to take the form of Kothare, Balakrishnan
 & Morari (1996): the paper (arXiv 2108.13790; only its abstract is at hand)
@@ -27,9 +36,8 @@ is read as bounding each input over the set {x' Q^-1 x <= 1} by
 [[U, k Q], [Q k', Q]] >= 0 with U_ss <= u_s^2. Here Q = xi^2 X^-1 with X
 fixed, so that LMI holds for some U exactly when the input-peak rows
 xi^2 (k X^-1 k')_ss <= u_s^2 do; they are the only input rows checked.
-
-The gain search itself is a derivative-free coordinate descent with multiple
-starts.
+They are not jointly affine in (k, xi), but at fixed xi they are the
+Schur LMIs [[u_s^2 / xi^2, k_s], [k_s', X]] >= 0, affine in k.
 """
 
 from __future__ import annotations
@@ -38,10 +46,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
-from .lmis import (DecisionVars, FixedParams, assemble_containment,
+from .lmis import (_FAMILY_SENSE, DecisionVars, FixedParams, LMIInstance,
+                   _condition_matrices, assemble_containment,
                    assemble_decrease, assemble_decrease_blended,
                    assemble_invariance, assemble_invariance_blended,
                    containment_size, shape_inverse, xi_slope)
@@ -50,10 +57,15 @@ from .plant import LargeScaleSystem
 
 XI_MODES = ("common", "per_subsystem")
 XI_HAIR = 1e-6      # relative step kept inside an exact set-size boundary
+_GAP = 1e-9         # barrier stop: duality gap over max(1, |objective|)
+_MU = 10.0          # barrier weight growth per centering
+_NEWTON_CAP = 50    # Newton steps per barrier weight before giving up
 
 
 class Infeasible(Exception):
-    """No gain assignment satisfied the conditions at the requested set size."""
+    """No gain assignment satisfies the conditions. best_excess is the
+    phase-I dual lower bound on min s, G(y) <= s I: a value > 0 proves that
+    no gains exist (at any set size, or at the one the message names)."""
 
     def __init__(self, message: str, best_excess: float = np.inf,
                  subsystem: int | None = None):
@@ -64,20 +76,13 @@ class Infeasible(Exception):
 
 @dataclass
 class SynthesisConfig:
+    """Synthesis settings. `seed` no longer affects synthesis, which draws
+    no random numbers; it is kept for callers that still set it."""
+
     strictness: float = 1e-9        # required margin for strict instances
-    n_starts: int = 4
-    max_iters: int = 120            # coordinate-descent passes per start
-    init_step: float = 0.4
-    min_step: float = 1e-7
-    step_grow: float = 1.6
-    step_shrink: float = 0.5
-    start_scale: float = 0.3        # magnitude of random starting gains
     seed: int = 0
-    xi_rel_tol: float = 1e-3        # bisection stop width, relative
     xi_floor: float = 1e-8
-    xi_growth_iters: int = 24
     xi_mode: str = "common"         # one of XI_MODES
-    rescue_evals: int = 600         # Nelder-Mead budget when descent stalls
     grid_density: int = 11          # membership-grid points per edge
 
     def __post_init__(self):
@@ -99,6 +104,9 @@ class SynthesisResult:
     violation: float                 # max feasibility excess, clipped at 0
     evaluator: FixedGainEvaluator    # the conditions at these gains
     solves: int = 0
+    # per subsystem, a proven lower bound on its group's smallest feasible
+    # size; None where the group kept warm gains
+    xi_lower: list | None = None
 
     @property
     def feasible(self) -> bool:
@@ -120,13 +128,6 @@ def ellipsoid_input_excess(sub, x_mat, xi_i, gains_i):
     return xi_i ** 2 * _peak_gains(x_mat, gains_i) - sub.u_max ** 2
 
 
-def _sub_dv(n: int, i: int, gains_i, xi: float) -> DecisionVars:
-    """Decision variables carrying only subsystem i's gains, with set size
-    xi everywhere (subsystem i's conditions read nothing else)."""
-    return DecisionVars(gains=[gains_i if j == i else None for j in range(n)],
-                        xi=[xi] * n)
-
-
 def _vertex_grid(sub, rules):
     """Index lists (ls, ms) of every vertex (l, m) with m in `rules`,
     l-major."""
@@ -134,256 +135,238 @@ def _vertex_grid(sub, rules):
             [m for _ in range(sub.n_rules) for m in rules])
 
 
-def _sub_excesses(system: LargeScaleSystem, params: FixedParams,
-                  dv: DecisionVars, i: int, cfg: SynthesisConfig,
-                  rules=None, reduced: bool = True) -> dict:
-    """Feasibility excesses (<= 0 everywhere means feasible) for one
-    subsystem's conditions at its current gains and set size. `rules`
-    limits the vertex and input-peak entries to those controller rules
-    (default: all), e.g. to refresh only what one rule's gain moves."""
+def _affine_rows(system: LargeScaleSystem, params: FixedParams, i: int,
+                 family: str):
+    """Subsystem i's full-form vertex test matrices of one family as an
+    affine function of y = (vec K_0, ..., vec K_M-1, xi_i), vec row-major:
+    (g0 (V, n, n), cols (len(y), V, n, n)), vertex v (every (l, m),
+    l-major) being g0[v] + sum_k y_k cols[k, v].
+
+    Every full-form entry is either constant (plus a xi term) or linear in
+    (theta, k_eff), in disjoint places, so one stacked _condition_matrices
+    call at xi = 0 (one strict basis) gives every term, per model rule l:
+    the stack at theta = A_l, k_eff = 0 is g0, and the one at
+    theta = B_l E_rc, k_eff = E_rc (a unit gain) less the one at theta = 0,
+    k_eff = 0 is the K_m[r, c] column of each vertex (l, m), exactly: the
+    constant entries cancel bit for bit. The xi column is lmis.xi_slope."""
     sub = system.subsystems[i]
-    if rules is None:
-        rules = range(sub.n_controller_rules)
-    # every vertex (l, m) with m in rules, l-major: one stacked assembly
-    # and one eigensolve per family
-    ls, ms = _vertex_grid(sub, rules)
-    inv, dec = [(np.linalg.eigvalsh(assemble(system, params, dv, i, ls, ms,
-                                             reduced).test_matrix())[:, -1]
-                 + shift).tolist()
-                for assemble, shift in ((assemble_invariance, 0.0),
-                                        (assemble_decrease, cfg.strictness))]
-    out = {}
-    for l, m, v_inv, v_dec in zip(ls, ms, inv, dec):
-        out[("inv", l, m)] = v_inv
-        out[("dec", l, m)] = v_dec
-    ell = ellipsoid_input_excess(sub, params.X[i], dv.xi[i], dv.gains[i])
-    for m in rules:
-        for s in range(sub.n_u):
-            if np.isfinite(ell[m, s]):
-                out[("ell", m, s)] = float(ell[m, s])
-    return out
+    n_l, n_m, n_u, n_x = (sub.n_rules, sub.n_controller_rules, sub.n_u,
+                          sub.n_x)
+    q = n_u * n_x
+    units = np.eye(q).reshape(q, n_u, n_x)
+    theta = np.concatenate([np.array([rule.A for rule in sub.rules])[:, None],
+                            np.zeros((n_l, 1, n_x, n_x)),
+                            np.array([rule.B for rule in sub.rules])[:, None]
+                            @ units], axis=1)
+    k_eff = np.concatenate([np.zeros((2, n_u, n_x)), units])
+    mats, _, slot_dims, basis = _condition_matrices(
+        system, params, i, family, theta.reshape(-1, n_x, n_x),
+        np.repeat([rule.E for rule in sub.rules], 2 + q, axis=0),
+        np.tile(k_eff, (n_l, 1, 1)), 0.0, False)
+    mats = mats.reshape(n_l, 2 + q, *mats.shape[1:])
+    raw = np.concatenate([mats[:, :1], mats[:, 2:] - mats[:, 1:2]], axis=1)
+    inst = LMIInstance(matrix=raw.reshape(-1, *raw.shape[2:]), origin=family,
+                       sense=_FAMILY_SENSE[family], subsystem=i,
+                       slot_dims=slot_dims, strict_basis=basis)
+    tests = inst.test_matrix()
+    size = tests.shape[-1]
+    tests = tests.reshape(n_l, 1 + q, size, size)
+    cols = np.zeros((n_m * q + 1, n_l, n_m, size, size))
+    for m in range(n_m):
+        cols[m * q:(m + 1) * q, :, m] = tests[:, 1:].swapaxes(0, 1)
+    cols[-1] = xi_slope(params, inst)
+    return (np.repeat(tests[:, 0], n_m, axis=0),
+            cols.reshape(n_m * q + 1, n_l * n_m, size, size))
 
 
-def _riccati_start(sub):
-    """Per-rule discrete LQR gains as a deterministic stabilizing start;
-    None when the Riccati solve fails (e.g. uncontrollable rule)."""
-    gains = []
-    for m in range(sub.n_controller_rules):
-        rule = sub.rules[min(m, sub.n_rules - 1)]
-        try:
-            s = scipy.linalg.solve_discrete_are(
-                rule.A, rule.B, np.eye(sub.n_x), np.eye(sub.n_u))
-            gain = -np.linalg.solve(np.eye(sub.n_u) + rule.B.T @ s @ rule.B,
-                                    rule.B.T @ s @ rule.A)
-        except (np.linalg.LinAlgError, ValueError):
-            return None
-        gains.append(gain)
-    return gains
+def _factors(rows, y):
+    """Cholesky factors of -G(y) per stack (g0, cols), None unless G(y) < 0."""
+    try:
+        return [np.linalg.cholesky(-(g0 + np.tensordot(y, cols, 1)))
+                for g0, cols in rows]
+    except np.linalg.LinAlgError:
+        return None
 
 
-class _SearchRng:
-    """The gain search's random stream, np.random.default_rng(seed) made on
-    the first draw: a search that never draws (a warm step that keeps its
-    gains) never pays for the generator."""
+def _barrier(rows, c, y, stop_below=-np.inf, stop_above=np.inf):
+    """Minimize c'y subject to G(y) = g0 + sum_k y_k cols[k] < 0 for every
+    stack (g0, cols) of equal-size blocks in `rows`, from a strictly
+    feasible y: Newton steps with backtracking on t c'y - log det(-G(y)),
+    one batched Cholesky per stack and point, t grown by _MU once centered.
 
-    __slots__ = ("_seed", "_gen")
+    Returns (y, bound), y strictly feasible, once c'y < stop_below,
+    bound > stop_above or c'y - bound <= _GAP max(1, |c'y|). bound is a
+    lower bound on the optimum: where the Newton step dy has decrement
+    below 1, Z = (F^-1 - F^-1 dF F^-1) / t per block (F = -G(y), dF its
+    change along dy) is PSD and meets the dual's equality constraints, so
+    its dual value c'y - (theta + g'dy) / t bounds the optimum (theta the
+    total block size, g the log-det gradient; c'y - theta / t when
+    centered)."""
+    theta = sum(g0.shape[0] * g0.shape[1] for g0, _ in rows)
+    t = theta / max(1.0, abs(float(c @ y)))
+    chol, bound, steps = _factors(rows, y), -np.inf, 0
 
-    def __init__(self, seed):
-        self._seed, self._gen = seed, None
+    def merit(point, factors):
+        return t * float(c @ point) - 2.0 * sum(
+            np.log(np.diagonal(f, axis1=-2, axis2=-1)).sum() for f in factors)
 
-    def standard_normal(self, size):
-        if self._gen is None:
-            self._gen = np.random.default_rng(self._seed)
-        return self._gen.standard_normal(size)
-
-
-def _solve_sub(system, params, i, xi_i, cfg, rng, warm_gains_i=None):
-    """Coordinate-descent gain search for one subsystem at fixed set size.
-
-    Returns gains_i. Raises Infeasible with the best excess seen.
-    """
-    sub = system.subsystems[i]
-    n_m, n_u, n_x = sub.n_controller_rules, sub.n_u, sub.n_x
-    starts = []
-    if warm_gains_i is not None:
-        starts.append([k.copy() for k in warm_gains_i])
-    starts.append([np.zeros((n_u, n_x)) for _ in range(n_m)])
-    riccati = _riccati_start(sub)
-    if riccati is not None:
-        starts.append(riccati)
-    while len(starts) < cfg.n_starts + (warm_gains_i is not None) + 1:
-        starts.append([cfg.start_scale * rng.standard_normal((n_u, n_x))
-                       for _ in range(n_m)])
-
-    def descend(gains_i):
-        """Coordinate descent from one start; returns (worst, gains)."""
-        dv = _sub_dv(system.n_subsystems, i, gains_i, xi_i)
-        cache = _sub_excesses(system, params, dv, i, cfg)
-        worst = max(cache.values())
-        if worst <= 0.0:
-            return worst, gains_i
-
-        coords = [(m, r, c) for m in range(n_m)
-                  for r in range(n_u) for c in range(n_x)]
-        steps = {coord: cfg.init_step for coord in coords}
-        for _ in range(cfg.max_iters):
-            improved = False
-            for coord in coords:
-                m, r, c = coord
-                moved = False
-                for sign in (1.0, -1.0):
-                    old = gains_i[m][r, c]
-                    gains_i[m][r, c] = old + sign * steps[coord]
-                    trial = dict(cache)
-                    trial.update(_sub_excesses(system, params, dv, i, cfg,
-                                               rules=(m,)))
-                    trial_worst = max(trial.values())
-                    if trial_worst < worst - 1e-15:
-                        cache, worst, moved, improved = trial, trial_worst, True, True
-                        steps[coord] *= cfg.step_grow
-                        break
-                    gains_i[m][r, c] = old
-                if not moved:
-                    steps[coord] *= cfg.step_shrink
-                if worst <= 0.0:
-                    return worst, gains_i
-            if not improved or max(steps.values()) < cfg.min_step:
+    while steps < _NEWTON_CAP:
+        grad, hess = t * c, 0.0
+        for (_, cols), low in zip(rows, chol):
+            inv = np.linalg.inv(low)
+            w = (inv @ cols @ inv.swapaxes(-1, -2)).reshape(len(c), -1)
+            grad = grad + w.reshape(len(c), *cols.shape[1:]).trace(
+                axis1=-2, axis2=-1).sum(axis=1)
+            hess = hess + w @ w.T
+        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        dec2 = float(-grad @ step)
+        value = float(c @ y)
+        if dec2 < 1.0:
+            bound = max(bound, value - (theta + (grad - t * c) @ step) / t)
+        if value < stop_below or bound > stop_above or \
+                value - bound <= _GAP * max(1.0, abs(value)):
+            break
+        if dec2 <= 1e-6:              # centered: raise the weight
+            t, steps = t * _MU, 0
+            continue
+        steps += 1
+        # below decrement 1/2 a full step stays feasible and converges
+        # (self-concordance); rounding would decide an Armijo test there
+        size, base = 1.0, merit(y, chol)
+        while size > 1e-14:
+            trial = y + size * step
+            trial_chol = _factors(rows, trial)
+            if trial_chol is not None and (dec2 < 0.25 or merit(
+                    trial, trial_chol) <= base - 0.01 * size * dec2):
+                y, chol = trial, trial_chol
                 break
-        return worst, gains_i
+            size *= 0.5
+        else:                         # no progress: y is as good as it gets
+            break
+    return y, bound
 
-    best_overall, best_gains = np.inf, None
-    for gains_i in starts:
-        worst, gains_i = descend(gains_i)
-        if worst <= 0.0:
-            return gains_i
-        if worst < best_overall:
-            best_overall, best_gains = worst, [k.copy() for k in gains_i]
 
-    # Simplex rescue: coordinate descent stalls on the curved valleys of a
-    # max-of-eigenvalues surface, so polish the best stall point with
-    # Nelder-Mead and give the result one more descent pass.
-    shape = (n_m, n_u, n_x)
+def _phase_one(rows, y0, stop_below, i, where):
+    """min s over (y, s) subject to G(y) <= s I, from y0, stopping early
+    once s < stop_below: returns y, or raises Infeasible for subsystem i
+    with the dual lower bound on s (> 0 proves G(y) < 0 infeasible)."""
+    s0 = max(float(np.linalg.eigvalsh(g0 + np.tensordot(y0, cols, 1))[..., -1]
+                   .max()) for g0, cols in rows)
+    lifted = [(g0, np.concatenate([cols, np.broadcast_to(
+        -np.eye(g0.shape[-1]), (1,) + g0.shape)])) for g0, cols in rows]
+    y, bound = _barrier(lifted, np.eye(len(y0) + 1)[-1],
+                        np.append(y0, s0 + max(1.0, abs(s0))),
+                        stop_below=stop_below, stop_above=0.0)
+    if y[-1] >= 0.0:
+        raise Infeasible(f"subsystem {i} has no feasible gains at {where} "
+                         f"(phase-I bound {bound:.3e})", float(bound), i)
+    return y[:-1]
 
-    def unflatten(v):
-        return [np.asarray(b, dtype=float) for b in v.reshape(shape)]
 
-    def objective(v):
-        gains_v = unflatten(v)
-        dv = _sub_dv(system.n_subsystems, i, gains_v, xi_i)
-        return max(_sub_excesses(system, params, dv, i, cfg).values())
+class _GainModel:
+    """Subsystem i's vertex conditions as affine functions of
+    y = (vec K_i, xi_i) (_affine_rows), each family tightened as the
+    evaluator judges it (decrease by cfg.strictness), and its input
+    limits."""
 
-    nm = scipy.optimize.minimize(
-        objective, np.array(best_gains).ravel(), method="Nelder-Mead",
-        options={"maxfev": cfg.rescue_evals, "xatol": 1e-10, "fatol": 1e-12})
-    worst, gains_i = descend(unflatten(nm.x))
-    if worst <= 0.0:
-        return gains_i
-    best_overall = min(best_overall, worst)
+    def __init__(self, system, params, i, cfg):
+        sub = system.subsystems[i]
+        self.i, self.u_max, self.x_mat = i, sub.u_max, params.X[i]
+        self.shape = (sub.n_controller_rules, sub.n_u, sub.n_x)
+        self.rows = []
+        for family, shift in (("invariance", 0.0),
+                              ("decrease", cfg.strictness)):
+            g0, cols = _affine_rows(system, params, i, family)
+            self.rows.append((g0 + shift * np.eye(g0.shape[-1]), cols))
 
-    raise Infeasible(
-        f"subsystem {i}: no feasible gains at set size {xi_i:.6g} "
-        f"(best excess {best_overall:.3e})", best_overall, i)
+    def _gains(self, y):
+        return list(y[:np.prod(self.shape)].reshape(self.shape).copy())
+
+    def min_xi(self):
+        """The EVP min xi_i over gains and size, input-peak rows left out:
+        (gains, xi, bound), xi strictly feasible at those gains and bound a
+        lower bound on the optimum. Raises Infeasible."""
+        y = _phase_one(self.rows, np.append(np.zeros(np.prod(self.shape)), 1.0),
+                       0.0, self.i, "any set size")
+        y, bound = _barrier(self.rows, np.eye(len(y))[-1], y)
+        return self._gains(y), float(y[-1]), float(bound)
+
+    def _input_rows(self, xi):
+        """[[u_s^2 / xi^2, k_s], [k_s', X]] >= 0 per rule m and channel s,
+        as rows G(vec K_i) <= 0."""
+        n_m, n_u, n_x = self.shape
+        k = np.arange(n_m * n_u * n_x)
+        g0 = np.zeros((n_m * n_u, n_x + 1, n_x + 1))
+        g0[:, 0, 0] = -np.tile(self.u_max ** 2, n_m) / xi ** 2
+        g0[:, 1:, 1:] = -self.x_mat
+        cols = np.zeros((len(k),) + g0.shape)
+        cols[k, k // n_x, 0, 1 + k % n_x] = -1.0    # k_s is row k // n_x
+        cols[k, k // n_x, 1 + k % n_x, 0] = -1.0
+        return g0, cols
+
+    def at_xi(self, xi):
+        """Gains with every row feasible at set size xi, the input-peak
+        rows included: the phase-I optimum, the gains of largest margin.
+        Raises Infeasible."""
+        rows = [(g0 + xi * cols[-1], cols[:-1]) for g0, cols in self.rows]
+        if self.u_max is not None:
+            rows.append(self._input_rows(xi))
+        return self._gains(_phase_one(rows, np.zeros(np.prod(self.shape)),
+                                      -np.inf, self.i, f"set size {xi:.6g}"))
 
 
 def solve_fixed_xi(system: LargeScaleSystem, params: FixedParams, xi,
-                   cfg: SynthesisConfig | None = None,
-                   warm: DecisionVars | None = None) -> DecisionVars:
-    """Find gains satisfying every subsystem's conditions at the given set
-    sizes (scalar xi is broadcast). Raises Infeasible."""
+                   cfg: SynthesisConfig | None = None) -> DecisionVars:
+    """Gains satisfying every subsystem's conditions, input-peak rows
+    included, at the given set sizes (scalar xi is broadcast): per
+    subsystem the feasibility SDP min s subject to G(K) <= s I at fixed xi.
+    Raises Infeasible, whose best_excess > 0 proves that no gains exist."""
     cfg = cfg or SynthesisConfig()
     n = system.n_subsystems
     xi_list = [float(xi)] * n if np.isscalar(xi) else [float(v) for v in xi]
-    rng = np.random.default_rng(cfg.seed)
-    gains = [_solve_sub(system, params, i, xi_list[i], cfg, rng,
-                        warm.gains[i] if warm is not None else None)
+    gains = [_GainModel(system, params, i, cfg).at_xi(xi_list[i])
              for i in range(n)]
     return DecisionVars(gains=gains, xi=xi_list)
 
 
-def _bisect(lo, hi, hi_val, probe, cfg):
-    """Shrink [lo, hi] to the relative tolerance with hi kept feasible.
-
-    probe(xi, hi_val) returns the value that makes xi feasible (hi_val is
-    the one at the current upper end) or None when xi is infeasible.
-    Returns (hi, hi_val)."""
-    while hi - lo > cfg.xi_rel_tol * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        val = probe(mid, hi_val)
-        if val is None:
-            lo = mid
-        else:
-            hi, hi_val = mid, val
-    return hi, hi_val
-
-
-def _min_xi(system, params, x_all, group, cfg, rng, warm, evaluator, common):
-    """Smallest set size shared by the subsystems in `group` at the current
-    state.
-
-    Each subsystem's feasible set sizes form an interval, so their
-    intersection is one too and bisection applies; the containment floor
-    sqrt(x' X x) is exact, so the search starts just above it. With a warm
-    certificate its gains are kept whenever they fit: `evaluator` holds
-    their exact feasible interval, and the set size is its lower end or the
-    containment floor, whichever is larger (FixedGainEvaluator.clamp).
-    While the state is inside the previous set that value cannot exceed the
-    previous size, which keeps repeated re-synthesis cheap and feasible.
-    Otherwise the gains are re-solved at each probe, warm-started from the
-    last feasible ones. `common` only words the failure. Returns (xi, gains,
-    solves), with gains aligned with `group`."""
-    lo_bound = max(max(containment_size(params.X[i], x_all[i]), cfg.xi_floor)
-                   for i in group)
-    # keep a hair above the exact containment boundary
-    lo_start = lo_bound * (1.0 + XI_HAIR)
-    solves = 0
-
-    if evaluator is not None:
-        xi = evaluator.clamp(group, lo_start)
-        if xi is not None:
-            return xi, [evaluator.gains[i] for i in group], solves
-
-    def solve(xi_val, starts):
-        """Gains for every member at xi_val, or None if one fails."""
-        nonlocal solves
-        gains = []
-        for idx, i in enumerate(group):
-            solves += 1
-            start = None if starts is None else starts[idx]
-            try:
-                gains.append(_solve_sub(system, params, i, xi_val, cfg, rng,
-                                        start))
-            except Infeasible:
-                return None
-        return gains
-
-    starts = None if warm is None else [warm.gains[i] for i in group]
-    val = solve(lo_start, starts)
-    if val is not None:
-        return lo_start, val, solves
-
-    # growing probes from above the floor, after the warm size when that is
-    # larger; the feasible sizes are bounded above (input-peak and decrease
-    # rows), so growing from a failed warm size would only overshoot them
-    probes = [max(2.0 * lo_bound, 1.0) * 4.0 ** t
-              for t in range(cfg.xi_growth_iters)]
-    warm_xi = None if warm is None else max(warm.xi[i] for i in group)
-    if warm is not None and warm_xi > lo_start:
-        probes.insert(0, warm_xi)
-    for probe in probes:
-        val = solve(probe, starts)
-        if val is not None:
-            break
-    else:
-        top = max(probes, default=lo_start)
-        if common:
-            raise Infeasible("no common set size feasible for every "
-                             f"subsystem up to {top:.3g}")
-        raise Infeasible(f"subsystem {group[0]}: no feasible set size found "
-                         f"up to {top:.3g}", subsystem=group[0])
-
-    # lo_start is known infeasible (or just above the exact floor)
-    xi, gains = _bisect(lo_start, probe, val, solve, cfg)
-    return xi, gains, solves
+def _solve_cold(system, params, groups, floors, cfg, common, gains, xis,
+                xi_lower):
+    """Gains, set sizes and proven lower bounds of the groups that keep no
+    warm gains, written into gains, xis and xi_lower; returns the number of
+    SDP solves. A member re-solved at its group's size and infeasible there
+    is infeasible at every larger size too: its feasible sizes over all
+    gains form an interval that holds its EVP optimum."""
+    models = {i: _GainModel(system, params, i, cfg)
+              for group in groups for i in group}
+    evp = {}
+    try:
+        for i, model in models.items():
+            evp[i] = model.min_xi()
+        at_evp = FixedGainEvaluator(system, params, DecisionVars(
+            gains=[evp[i][0] if i in evp else gains[i]
+                   for i in range(system.n_subsystems)],
+            xi=[evp[i][1] if i in evp else xis[i]
+                for i in range(system.n_subsystems)]), cfg)
+        solves = len(evp)
+        for group in groups:
+            # the clamp, naming the members whose interval stops short
+            floor = max(floors[i] for i in group)
+            ends = [at_evp.interval((i,)) or (evp[i][1], -np.inf)
+                    for i in group]
+            size = max(max(lo for lo, _ in ends), floor) * (1.0 + XI_HAIR)
+            short = [i for i, (_, hi) in zip(group, ends) if hi < size]
+            lower = max(max(evp[i][2] for i in group), floor)
+            for i in group:
+                gains[i], xis[i], xi_lower[i] = evp[i][0], size, lower
+            for i in short:
+                gains[i] = models[i].at_xi(size)
+                solves += 1
+    except Infeasible as exc:
+        where = None if common else exc.subsystem
+        head = "no common set size feasible for every subsystem" if common \
+            else f"subsystem {where}: no feasible set size"
+        raise Infeasible(f"{head}: {exc}", exc.best_excess, where) from exc
+    return solves
 
 
 def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
@@ -402,17 +385,17 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
     group of all of them, or one group per subsystem. With a warm
     certificate whose set still contains the state, its gains are kept at
     the smallest size they certify, so a previously feasible solve can only
-    improve — feasibility is preserved across steps. `evaluator` is the
-    FixedGainEvaluator of the warm gains (as returned in a previous
-    result's `evaluator`); it is built from `warm` when not given. The
-    result carries the evaluator of its own gains: the one passed in when
-    every group kept them, else one built here."""
+    improve — feasibility is preserved across steps; other groups are
+    solved cold. `evaluator` is the FixedGainEvaluator of the warm gains
+    (as returned in a previous result's `evaluator`); it is built from
+    `warm` when not given. The result carries the evaluator of its own
+    gains: the one passed in when every group kept them, else one built
+    here."""
     cfg = cfg or SynthesisConfig()
     mode = mode or cfg.xi_mode
     if mode not in XI_MODES:
         raise ValueError(f"unknown xi mode: {mode!r}; "
                          f"expected one of {XI_MODES}")
-    rng = _SearchRng(cfg.seed)
     n = system.n_subsystems
     if warm is not None and evaluator is None:
         evaluator = FixedGainEvaluator(system, params, DecisionVars(
@@ -420,22 +403,29 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
             xi=list(warm.xi)), cfg)
     common = mode == "common"
     groups = [range(n)] if common else [(i,) for i in range(n)]
-    xis, gains = [None] * n, [None] * n
-    total_solves = 0
+    floors = [max(containment_size(params.X[i], x_all[i]), cfg.xi_floor)
+              for i in range(n)]
+    xis, gains, xi_lower = [None] * n, [None] * n, [None] * n
+    cold = []
     for group in groups:
-        xi, g_group, solves = _min_xi(system, params, x_all, group, cfg, rng,
-                                      warm, evaluator, common)
-        for i, g_i in zip(group, g_group):
-            xis[i], gains[i] = xi, g_i
-        total_solves += solves
+        # keep a hair above the exact containment boundary
+        xi = None if evaluator is None else evaluator.clamp(
+            group, max(floors[i] for i in group) * (1.0 + XI_HAIR))
+        if xi is None:
+            cold.append(group)
+            continue
+        for i in group:
+            xis[i], gains[i] = xi, evaluator.gains[i]
+    solves = _solve_cold(system, params, cold, floors, cfg, common, gains,
+                         xis, xi_lower) if cold else 0
     dv = DecisionVars(gains=gains, xi=xis)
-    if total_solves:        # some group re-solved its gains
+    if solves:              # some group re-solved its gains
         evaluator = FixedGainEvaluator(system, params, dv, cfg)
     margins = evaluator.margins(xis, x_all)
     worst = max(margins.values())
     return SynthesisResult(dv=dv, margins=margins,
                            violation=max(0.0, worst), evaluator=evaluator,
-                           solves=total_solves)
+                           solves=solves, xi_lower=xi_lower)
 
 
 def certificate_margins(system: LargeScaleSystem, params: FixedParams,

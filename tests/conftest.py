@@ -216,9 +216,9 @@ def ex1_params():
 
 @pytest.fixture(scope="session")
 def ex1_synthesized():
-    """One shared feasible certificate on the retuned benchmark constants
-    (the cold solve costs ~8 s, so the suite computes it once). Yields
-    (system, params, x0, result, solve_seconds)."""
+    """One shared feasible certificate on the retuned benchmark constants:
+    one EVP per subsystem and one clamp, about 0.1 s, computed once for the
+    suite. Yields (system, params, x0, result, solve_seconds)."""
     import time
 
     from it2mpc.synthesis import SynthesisConfig, minimize_xi
@@ -252,9 +252,9 @@ def _tiny_family(true_tier):
 
 
 def build_tiny_system(stable=True):
-    """One two-rule subsystem, no couplings; synthesis takes well under a
-    second (feasible when stable, quickly infeasible otherwise thanks to a
-    near-dead actuator)."""
+    """One two-rule subsystem, no couplings; synthesis takes a few
+    milliseconds (feasible when stable, proven infeasible otherwise: the
+    actuator is nearly dead and every rule unstable)."""
     if stable:
         rules = (Rule(A=np.array([[0.5, 0.1], [0.0, 0.4]]), B=np.eye(2),
                       E=np.array([[0.1], [0.0]])),
@@ -287,14 +287,11 @@ def tiny_config_doc(stable=True):
     from it2mpc.simulation import DisturbanceModel
     from it2mpc.synthesis import SynthesisConfig
 
-    syn = SynthesisConfig(n_starts=2, max_iters=60) if stable else \
-        SynthesisConfig(n_starts=1, max_iters=8, rescue_evals=40,
-                        xi_growth_iters=2)
     cfg = SystemConfig(
         schema_version=1, name="tiny" if stable else "tiny-infeasible",
         notes=[], Ts=0.1,
         system=build_tiny_system(stable), params=tiny_params(2 if stable else 1),
-        synthesis=syn,
+        synthesis=SynthesisConfig(),
         simulation=SimulationSettings(
             x0=[np.array([0.3, -0.3])], steps=20,
             disturbance=DisturbanceModel(kind="uniform_ball", seed=3),

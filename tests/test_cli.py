@@ -97,6 +97,7 @@ class TestSynthesizeVerifyRpi:
                                 "--out", str(cert))
         assert rc == 0
         assert "synthesis feasible" in stdout
+        assert "proven lower bound" in stdout
         assert "Z" not in json.loads(cert.read_text())
 
         rc, stdout, _ = run_cli(capsys, "verify", str(tiny_path),
@@ -147,7 +148,8 @@ class TestSynthesizeVerifyRpi:
         record = json.loads(stderr, parse_constant=reject)
         assert record["error"] == "infeasible"
         assert "message" in record
-        assert record["best_excess"] is None
+        # the phase-I lower bound, finite and positive: a proof
+        assert record["best_excess"] > 0.0
 
     def test_verify_three_rule_grid(self, capsys, tmp_path):
         # example2's subsystems have three model and three controller rules:

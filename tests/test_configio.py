@@ -12,6 +12,7 @@ from it2mpc.configio import (ConfigError, bundled_config_names,
                              save_config, serialize_config)
 from it2mpc.lmis import DecisionVars
 from it2mpc.membership import ResidualMF, SigmoidMF
+from it2mpc.synthesis import SynthesisConfig
 
 
 @pytest.fixture
@@ -31,12 +32,20 @@ class TestRoundTrip:
         cfg2 = parse_config(json.loads(json.dumps(serialize_config(cfg1))))
         assert serialize_config(cfg2) == serialize_config(cfg1)
 
-    def test_legacy_input_margin_is_dropped(self, doc):
+    @pytest.mark.parametrize("key, value", [
+        ("input_margin", 1e-6), ("n_starts", 2), ("max_iters", 60),
+        ("init_step", 0.4), ("min_step", 1e-7), ("step_grow", 1.6),
+        ("step_shrink", 0.5), ("start_scale", 0.3), ("xi_rel_tol", 1e-3),
+        ("xi_growth_iters", 24), ("rescue_evals", 600)])
+    def test_legacy_synthesis_key_is_dropped(self, doc, key, value):
+        # keys of the retired input certificate Z and of the retired
+        # derivative-free gain search: a config carrying them still loads
         legacy = copy.deepcopy(doc)
-        legacy["synthesis"]["input_margin"] = 1e-6
+        legacy["synthesis"][key] = value
         cfg = parse_config(legacy)
-        assert "input_margin" not in serialize_config(cfg)["synthesis"]
+        assert key not in serialize_config(cfg)["synthesis"]
         assert serialize_config(cfg) == doc
+        assert parse_config(serialize_config(cfg)).data == doc
 
     def test_save_and_load_file(self, doc, tmp_path):
         cfg = parse_config(copy.deepcopy(doc))
@@ -56,7 +65,7 @@ class TestRoundTrip:
         assert cfg.params.lam == [0.05]
         assert cfg.simulation.steps == 20
         assert cfg.simulation.disturbance.kind == "uniform_ball"
-        assert cfg.synthesis.n_starts == 2
+        assert cfg.synthesis == SynthesisConfig()
         assert cfg.gains is None
 
     def test_unreadable_path(self, tmp_path):

@@ -233,11 +233,9 @@ class TestRunOnlineLoop:
             for j in sub.couplings:
                 sub.couplings[j] = 10.0 * np.eye(2)
         params = example1_synthesis_params()
-        cfg = SynthesisConfig(n_starts=1, max_iters=8, rescue_evals=40,
-                              xi_growth_iters=2)
         with pytest.raises(InitialInfeasible):
             run_online_loop(system, params, [np.array([1.0, -1.0])] * 3, 3,
-                            syn_cfg=cfg)
+                            syn_cfg=SynthesisConfig())
 
     def test_every_step_reuses_warm_certificate(self, ex1_synthesized):
         system, params, x0, res, _ = ex1_synthesized
@@ -270,14 +268,19 @@ class TestRunOnlineLoop:
             assert xis[0] < xis[2]
         # the exact interval end replaces a 1e-3 bisection: never larger
         # than the bisected sizes [0.908320214914707, 8.969839902582537,
-        # 9.901832152969146]
+        # 9.901832152969146]; and the EVP gains replace the gains of the
+        # derivative-free search: never larger than their interval ends
+        # [0.9082536879483349, 8.965972058830245, 9.900614785636536]
         final = trace.meta["final_xi"]
         assert final == pytest.approx(
-            [0.9082536879483349, 8.965972058830245, 9.900614785636536],
+            [0.7788184905784066, 8.190346085818252, 9.895246779437825],
             rel=1e-9)
-        for xi, bisected in zip(final, [0.908320214914707, 8.969839902582537,
-                                        9.901832152969146]):
+        for xi, bisected, searched in zip(
+                final, [0.908320214914707, 8.969839902582537,
+                        9.901832152969146],
+                [0.9082536879483349, 8.965972058830245, 9.900614785636536]):
             assert xi <= bisected
+            assert xi <= searched
 
     @pytest.mark.parametrize("xi_mode", ["common", "per_subsystem"])
     def test_every_step_xi_is_interval_end_or_containment(self,

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,8 @@ from it2mpc.lmis import (DecisionVars, FixedParams, assemble_containment,
                          assemble_invariance, assemble_invariance_blended)
 from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 from it2mpc.synthesis import (XI_HAIR, FixedGainEvaluator, Infeasible,
-                              SynthesisConfig, _simplex_grid, _sub_dv,
-                              _sub_excesses, certificate_margins,
+                              SynthesisConfig, _affine_rows, _simplex_grid,
+                              _vertex_grid, certificate_margins,
                               ellipsoid_input_excess,
                               minimize_xi, solve_fixed_xi,
                               verify_certificate)
@@ -26,9 +27,7 @@ from it2mpc.synthesis import (XI_HAIR, FixedGainEvaluator, Infeasible,
 TINY_X0 = [np.array([0.3, -0.3])]
 FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
            / "example1_certificate.json")
-FAST = SynthesisConfig(n_starts=2, max_iters=60)
-FAIL_FAST = SynthesisConfig(n_starts=1, max_iters=8, rescue_evals=40,
-                            xi_growth_iters=2)
+CFG = SynthesisConfig()
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +38,7 @@ def tiny():
 @pytest.fixture(scope="module")
 def tiny_result(tiny):
     system, params = tiny
-    return minimize_xi(system, params, TINY_X0, FAST)
+    return minimize_xi(system, params, TINY_X0, CFG)
 
 
 def _bundled_dv(cfg, ex1_synthesized, scale=1.0):
@@ -100,7 +99,7 @@ class TestInputExcess:
 class TestSolveFixedXi:
     def test_feasible_at_generous_size(self, tiny):
         system, params = tiny
-        dv = solve_fixed_xi(system, params, 2.0, FAST)
+        dv = solve_fixed_xi(system, params, 2.0, CFG)
         assert dv.xi == [2.0]
         margins = certificate_margins(system, params, dv)
         assert max(margins.values()) <= 0.0
@@ -109,14 +108,17 @@ class TestSolveFixedXi:
         system = build_example1_system()
         params = example1_reference_params()
         with pytest.raises(Infeasible) as info:
-            solve_fixed_xi(system, params, 0.5, FAIL_FAST)
+            solve_fixed_xi(system, params, 0.5, CFG)
         assert info.value.best_excess > 0.0
 
     def test_unstabilizable_plant_raises(self):
         system = build_tiny_system(stable=False)
         params = tiny_params(n_u=1)
-        with pytest.raises(Infeasible):
-            solve_fixed_xi(system, params, 1.0, FAIL_FAST)
+        t0 = time.perf_counter()
+        with pytest.raises(Infeasible) as info:
+            solve_fixed_xi(system, params, 1.0, CFG)
+        assert time.perf_counter() - t0 < 0.5
+        assert info.value.best_excess > 0.0     # the phase-I bound proves it
 
 
 class TestMinimizeXi:
@@ -140,7 +142,7 @@ class TestMinimizeXi:
         # infeasible family: common-mode search still reports one scalar
         with pytest.raises(Infeasible):
             minimize_xi(system, params, [np.array([1.0, -1.0])] * 3,
-                        FAIL_FAST, mode="common")
+                        CFG, mode="common")
 
     def test_per_subsystem_matches_common_for_single_subsystem(self, tiny,
                                                                tiny_result):
@@ -149,9 +151,9 @@ class TestMinimizeXi:
         system, params = tiny
         for x, warm in ((TINY_X0, None),
                         ([0.5 * TINY_X0[0]], tiny_result.dv)):
-            common = minimize_xi(system, params, x, FAST, warm=warm,
+            common = minimize_xi(system, params, x, CFG, warm=warm,
                                  mode="common")
-            sub = minimize_xi(system, params, x, FAST, warm=warm,
+            sub = minimize_xi(system, params, x, CFG, warm=warm,
                               mode="per_subsystem")
             assert sub.dv.xi == common.dv.xi
             assert sub.solves == common.solves
@@ -161,12 +163,12 @@ class TestMinimizeXi:
     def test_unknown_mode_rejected(self, tiny):
         system, params = tiny
         with pytest.raises(ValueError, match="xi mode"):
-            minimize_xi(system, params, TINY_X0, FAST, mode="smallest")
+            minimize_xi(system, params, TINY_X0, CFG, mode="smallest")
 
     def test_warm_start_never_grows_the_set(self, tiny, tiny_result):
         system, params = tiny
         x_shrunk = [0.5 * TINY_X0[0]]
-        res = minimize_xi(system, params, x_shrunk, FAST,
+        res = minimize_xi(system, params, x_shrunk, CFG,
                           warm=tiny_result.dv)
         assert res.feasible
         assert res.dv.xi[0] <= tiny_result.dv.xi[0] * (1 + 1e-6)
@@ -181,13 +183,12 @@ class TestMinimizeXi:
         _, _, _, res, _ = ex1_synthesized
         assert max(res.dv.xi) <= 9.901832152969146
 
-    def test_failed_warm_size_falls_back_to_cold_probes(self, tiny):
+    def test_failed_warm_size_falls_back_to_cold_solve(self, tiny):
         # the warm size lies far above the decrease conditions' upper end
-        # (xi Q outgrows X), so growing probes from it can never succeed;
-        # the search must go on from the cold probe sequence instead
+        # (xi Q outgrows X), so the warm gains certify nothing there; the
+        # search must solve cold instead
         system, params = tiny
-        cfg = SynthesisConfig(n_starts=2, max_iters=60, xi_rel_tol=0.1,
-                              xi_growth_iters=3)
+        cfg = SynthesisConfig()
         zero = [np.zeros((2, 2))] * 2
         warm = DecisionVars(gains=[zero], xi=[1e4])
         res = minimize_xi(system, params, [np.array([0.01, -0.01])], cfg,
@@ -195,6 +196,37 @@ class TestMinimizeXi:
         assert res.feasible
         assert max(res.margins.values()) <= 0.0
         assert res.dv.xi[0] < 1e4
+
+    @staticmethod
+    def _far_state(scale):
+        """example1_synthesis with subsystem 1's state scale * [1, -1]."""
+        cfg = load_bundled_config("example1_synthesis")
+        x0 = [np.array([1.0, -1.0]), np.array([scale, -scale]),
+              np.array([1.0, -1.0])]
+        return cfg.system, cfg.params, x0
+
+    @pytest.mark.parametrize("mode", ["common", "per_subsystem"])
+    def test_member_short_of_the_size_is_resolved_at_it(self, mode):
+        # subsystem 1's containment floor, sqrt(540) ~ 23.2, lies above the
+        # upper end (~16.4) of its EVP gains' interval: only it is re-solved,
+        # at the haired floor, by the fixed-xi SDP with its input-peak rows
+        system, params, x0 = self._far_state(3.0)
+        res = minimize_xi(system, params, x0, CFG, mode=mode)
+        floor = float(np.sqrt(x0[1] @ params.X[1] @ x0[1]))
+        assert res.solves == 4
+        assert res.feasible
+        assert res.dv.xi[1] == floor * (1.0 + XI_HAIR)
+        lo, hi = res.evaluator.interval((1,))
+        assert lo < res.dv.xi[1] <= hi
+        assert res.xi_lower[1] == floor
+
+    @pytest.mark.parametrize("mode", ["common", "per_subsystem"])
+    def test_member_infeasible_at_the_size_is_proven(self, mode):
+        system, params, x0 = self._far_state(6.0)
+        with pytest.raises(Infeasible, match="subsystem 1 has no feasible "
+                                             "gains at set size") as info:
+            minimize_xi(system, params, x0, CFG, mode=mode)
+        assert info.value.best_excess > 0.0
 
     def test_results_carry_their_evaluator(self, tiny, tiny_result):
         # a cold solve and a warm one that must re-solve (positive-feedback
@@ -204,16 +236,16 @@ class TestMinimizeXi:
         bad = DecisionVars(
             gains=[[k + 10.0 * np.eye(2) for k in tiny_result.dv.gains[0]]],
             xi=list(tiny_result.dv.xi))
-        resolved = minimize_xi(system, params, TINY_X0, FAST, warm=bad)
+        resolved = minimize_xi(system, params, TINY_X0, CFG, warm=bad)
         assert resolved.solves > 0
         x_next = [0.8 * TINY_X0[0]]
         for res in (tiny_result, resolved):
             assert res.evaluator.gains is res.dv.gains
             assert res.margins == certificate_margins(system, params, res.dv,
-                                                      TINY_X0, FAST)
-            kept = minimize_xi(system, params, x_next, FAST, warm=res.dv,
+                                                      TINY_X0, CFG)
+            kept = minimize_xi(system, params, x_next, CFG, warm=res.dv,
                                evaluator=res.evaluator)
-            rebuilt = minimize_xi(system, params, x_next, FAST, warm=res.dv)
+            rebuilt = minimize_xi(system, params, x_next, CFG, warm=res.dv)
             assert kept.solves == rebuilt.solves == 0
             assert kept.dv.xi == rebuilt.dv.xi
             assert list(kept.margins.items()) == \
@@ -222,12 +254,18 @@ class TestMinimizeXi:
                                          rebuilt.dv.gains[0]):
                 assert np.array_equal(k_kept, k_rebuilt)
 
-    def test_infeasible_reports_positive_excess(self):
+    @pytest.mark.parametrize("mode", ["common", "per_subsystem"])
+    def test_infeasible_reports_positive_excess(self, mode):
+        # the unstable plant is proven infeasible, fast: the phase-I lower
+        # bound is positive
         system = build_tiny_system(stable=False)
         params = tiny_params(n_u=1)
+        t0 = time.perf_counter()
         with pytest.raises(Infeasible) as info:
-            minimize_xi(system, params, TINY_X0, FAIL_FAST)
+            minimize_xi(system, params, TINY_X0, CFG, mode=mode)
+        assert time.perf_counter() - t0 < 0.5
         assert "set size" in str(info.value)
+        assert 0.0 < info.value.best_excess < np.inf
 
     @pytest.mark.parametrize("mode, subsystem, message", [
         ("common", None, "no common set size"),
@@ -237,7 +275,7 @@ class TestMinimizeXi:
         system = build_tiny_system(stable=False)
         params = tiny_params(n_u=1)
         with pytest.raises(Infeasible, match=message) as info:
-            minimize_xi(system, params, TINY_X0, FAIL_FAST, mode=mode)
+            minimize_xi(system, params, TINY_X0, CFG, mode=mode)
         assert info.value.subsystem == subsystem
 
     def test_unknown_config_mode_rejected(self):
@@ -270,28 +308,9 @@ class TestCertificateMargins:
 
 
 class TestStackedVertexCallers:
-    """The vertex rows of _sub_excesses and certificate_margins, which
+    """The vertex rows of the gain model and of certificate_margins, which
     assemble every vertex of a subsystem and family as one stack, against
-    per-vertex reference loops written out here."""
-
-    @staticmethod
-    def reference_sub_excesses(system, params, dv, i, cfg, rules, reduced):
-        sub = system.subsystems[i]
-        if rules is None:
-            rules = range(sub.n_controller_rules)
-        out = {}
-        for l in range(sub.n_rules):
-            for m in rules:
-                inv = assemble_invariance(system, params, dv, i, l, m, reduced)
-                out[("inv", l, m)] = max_eig(inv.test_matrix())
-                dec = assemble_decrease(system, params, dv, i, l, m, reduced)
-                out[("dec", l, m)] = max_eig(dec.test_matrix()) + cfg.strictness
-        ell = ellipsoid_input_excess(sub, params.X[i], dv.xi[i], dv.gains[i])
-        for m in rules:
-            for s in range(sub.n_u):
-                if np.isfinite(ell[m, s]):
-                    out[("ell", m, s)] = float(ell[m, s])
-        return out
+    per-vertex assemblies."""
 
     @staticmethod
     def plants():
@@ -302,21 +321,34 @@ class TestStackedVertexCallers:
         cfg = load_bundled_config("example1_synthesis")
         yield cfg.system, cfg.params, load_bundled_config("example1").gains
 
-    @pytest.mark.parametrize("reduced", [True, False])
-    def test_sub_excesses_match_per_vertex_loop(self, reduced):
-        cfg = SynthesisConfig()
-        for system, params, gains in self.plants():
-            for i, sub in enumerate(system.subsystems):
-                for xi in (0.8, 9.0):
-                    dv = _sub_dv(system.n_subsystems, i, gains[i], xi)
-                    for rules in (None, *((m,) for m in
-                                          range(sub.n_controller_rules))):
-                        got = _sub_excesses(system, params, dv, i, cfg,
-                                            rules=rules, reduced=reduced)
-                        want = self.reference_sub_excesses(
-                            system, params, dv, i, cfg, rules, reduced)
-                        assert list(got) == list(want)
-                        assert got == want
+    @pytest.mark.parametrize("name", [None, *bundled_config_names()])
+    def test_affine_rows_match_assembled_matrices(self, name):
+        # G0 + sum_k y_k G_k at random y = (vec K_i, xi_i) against the
+        # assembled full-form test matrices, vertex by vertex
+        if name is None:
+            system, params = build_tiny_system(), tiny_params()
+        else:
+            cfg = load_bundled_config(name)
+            system, params = cfg.system, cfg.params
+        rng = np.random.default_rng(11)
+        for i, sub in enumerate(system.subsystems):
+            ls, ms = _vertex_grid(sub, range(sub.n_controller_rules))
+            for family, assemble in (("invariance", assemble_invariance),
+                                     ("decrease", assemble_decrease)):
+                g0, cols = _affine_rows(system, params, i, family)
+                for _ in range(3):
+                    gains = [rng.standard_normal((sub.n_u, sub.n_x))
+                             for _ in range(sub.n_controller_rules)]
+                    xi = float(rng.uniform(0.1, 20.0))
+                    y = np.append(np.ravel(gains), xi)
+                    dv = DecisionVars(gains=[gains] * system.n_subsystems,
+                                      xi=[xi] * system.n_subsystems)
+                    want = assemble(system, params, dv, i, ls, ms)
+                    got = g0 + np.tensordot(y, cols, 1)
+                    assert got.shape == want.matrix.shape[:1] + \
+                        want.test_matrix().shape[1:]
+                    assert_allclose(got, want.test_matrix(), rtol=0.0,
+                                    atol=1e-12)
 
     def test_certificate_margins_match_per_vertex_loop(self):
         cfg = SynthesisConfig()
@@ -354,15 +386,18 @@ class TestFixedGainEvaluator:
                 assert max(v for k, v in margins.items()
                            if f"i={i}" in k) > 0.0
 
-    def test_lower_end_within_bisection_tolerance(self, ex1_synthesized):
-        # the cold optimum was bisected to xi_rel_tol; the exact lower end
-        # lies below it, by at most that tolerance
-        system, params, _, res, _ = ex1_synthesized
+    def test_cold_xi_is_its_evaluator_clamp(self, ex1_synthesized):
+        # the cold size is the clamp of its own gains at the haired floor,
+        # and no smaller than the proven lower bound
+        system, params, x0, res, _ = ex1_synthesized
         cfg = SynthesisConfig()
-        lo, _ = FixedGainEvaluator(system, params, res.dv,
-                                   cfg).interval(range(3))
-        bisected = res.dv.xi[0]
-        assert bisected * (1.0 - cfg.xi_rel_tol) <= lo <= bisected
+        floor = max(max(np.sqrt(x @ params.X[i] @ x), cfg.xi_floor)
+                    for i, x in enumerate(x0))
+        clamp = res.evaluator.clamp(range(3), floor * (1.0 + XI_HAIR))
+        assert res.dv.xi == pytest.approx([clamp] * 3, rel=1e-12)
+        assert len(res.xi_lower) == 3
+        for xi, lower in zip(res.dv.xi, res.xi_lower):
+            assert lower <= xi
 
     def test_warm_step_sits_at_the_lower_end(self, ex1_synthesized):
         system, params, x0, res, _ = ex1_synthesized
@@ -467,7 +502,7 @@ class TestFixedGainEvaluator:
         system, _ = tiny
         params = tiny_params()
         params.X = [np.diag([5.0, 1e-14])]
-        evaluator = FixedGainEvaluator(system, params, tiny_result.dv, FAST)
+        evaluator = FixedGainEvaluator(system, params, tiny_result.dv, CFG)
         evaluator.margins(tiny_result.dv.xi)
         with pytest.raises(SingularBlockError):
             evaluator.margins(tiny_result.dv.xi, TINY_X0)
@@ -475,12 +510,13 @@ class TestFixedGainEvaluator:
 
 class TestVerifyCertificate:
     def test_example1_report_is_unchanged(self, ex1_synthesized):
-        # figures of the per-point sweep the batched one replaced
+        # figures of the per-point sweep the batched one replaced, on the
+        # cold EVP certificate
         system, params, x0, res, _ = ex1_synthesized
         for x_all in (x0, None):
             report = verify_certificate(system, params, res.dv, x_all)
-            assert report["blended_worst"] == -3.709744999670958e-06
-            assert report["worst"] == -3.709744999670958e-06
+            assert report["blended_worst"] == -2.938460501393633e-08
+            assert report["worst"] == -2.938460501393633e-08
             assert report["feasible"] is True
             assert report["margins"] == certificate_margins(
                 system, params, res.dv, x_all)
@@ -575,14 +611,17 @@ class TestVerifyCertificate:
                                      cfg.synthesis)
             assert got["blended_worst"] == want
 
-    def test_sweep_eigensolves_only_the_corners(self, ex1_synthesized,
-                                                monkeypatch):
+    def test_sweep_eigensolves_only_the_corners(self, monkeypatch):
         # the vertices bound every blend, so the Cholesky screen clears
-        # every other grid row of the example1 certificate
-        system, params, x0, res, _ = ex1_synthesized
+        # every other grid row of the stored example1 certificate (an EVP
+        # optimum ties vertices, and with them blends, so a stack of the
+        # cold certificate is eigensolved in full)
+        cfg = load_bundled_config("example1_synthesis")
+        dv, _ = load_certificate(FIXTURE, cfg.system)
         solved, report = self._sweep_eigensolves(
-            monkeypatch, system, params, res.dv, x0, SynthesisConfig())
-        assert solved == self._corners(system)
+            monkeypatch, cfg.system, cfg.params, dv, cfg.simulation.x0,
+            SynthesisConfig())
+        assert solved == self._corners(cfg.system)
         assert report["blended_worst"] == -3.709744999670958e-06
 
     def test_tied_blends_fall_back_to_eigensolves(self, monkeypatch):
