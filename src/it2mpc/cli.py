@@ -60,7 +60,10 @@ def _synthesis_overrides(cfg: SystemConfig, args):
     """Apply the --tol knob onto the config's synthesis settings."""
     if getattr(args, "tol", None) is None:
         return cfg.synthesis
-    return dataclasses.replace(cfg.synthesis, strictness=args.tol)
+    try:
+        return dataclasses.replace(cfg.synthesis, strictness=args.tol)
+    except ValueError as exc:
+        raise ConfigError(f"--tol: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:

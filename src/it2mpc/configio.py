@@ -620,10 +620,14 @@ def load_certificate(path, system: LargeScaleSystem | None = None):
     for fieldname in ("xi", "gains"):
         if fieldname not in doc:
             _fail(src, f"missing required field {fieldname!r}")
-    xi = [_number(v, f"{src}.xi[{i + 1}]") for i, v in enumerate(doc["xi"])]
+    xi = [_number(v, f"{src}.xi[{i + 1}]") for i, v in enumerate(
+        _expect(doc["xi"], f"{src}.xi", list, "one set size per subsystem"))]
     gains = [[_matrix(k, f"{src}.gains[{i + 1}][{m + 1}]")
-              for m, k in enumerate(g)]
-             for i, g in enumerate(doc["gains"])]
+              for m, k in enumerate(_expect(
+                  g, f"{src}.gains[{i + 1}]", list,
+                  "one gain matrix per controller rule"))]
+             for i, g in enumerate(_expect(doc["gains"], f"{src}.gains", list,
+                                           "one gain list per subsystem"))]
     if len(gains) != len(xi):
         _fail(f"{src}.gains", f"{len(gains)} entries for {len(xi)} subsystems")
     if system is not None:

@@ -14,8 +14,9 @@ the gains of min xi_i and a lower bound on it that holds for the
 certificate's own conditions.
 
 Every certificate margin comes from one model, FixedGainEvaluator: the
-conditions at fixed gains as functions of the set sizes. certificate_margins
-is that evaluator read at the certificate's own sizes.
+conditions at fixed gains as functions of the set sizes, one part per
+subsystem reading only (K_i, xi_i), so a re-solve rebuilds only the parts it
+re-solved. certificate_margins is that evaluator at the certificate's sizes.
 
 Set-size minimization is one search over a group of subsystems that share
 one xi: the "common" mode passes a single group of all subsystems, the
@@ -26,7 +27,7 @@ the group's size is max(xi_lo, containment floor) whenever that is <=
 xi_hi (FixedGainEvaluator.clamp). A warm certificate's gains are kept
 whenever they fit. Otherwise each member's EVP, without containment and
 input-peak rows, gives its gains, and the group is clamped on their
-evaluator just as a warm step is; only a member whose interval does not
+parts just as a warm step is; only a member whose interval does not
 reach the group's size is re-solved at that size by a fixed-xi feasibility
 SDP that enforces the input-peak rows exactly (solve_fixed_xi).
 
@@ -90,11 +91,15 @@ class SynthesisConfig:
             raise ValueError(f"unknown xi mode: {self.xi_mode!r}; "
                              f"expected one of {XI_MODES}")
         # the grid needs both ends of every simplex edge
-        if isinstance(self.grid_density, bool) or \
-                not isinstance(self.grid_density, int) or \
-                self.grid_density < 2:
-            raise ValueError(f"grid_density must be an integer >= 2, got "
-                             f"{self.grid_density!r}")
+        for name, kind, valid, rule in (
+                ("grid_density", int, lambda v: v >= 2, "an integer >= 2"),
+                ("strictness", (int, float), lambda v: 0.0 <= v < np.inf,
+                 "a finite number >= 0"),
+                ("xi_floor", (int, float), lambda v: 0.0 < v < np.inf,
+                 "a finite number > 0")):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, kind) or not valid(v):
+                raise ValueError(f"{name} must be {rule}, got {v!r}")
 
 
 @dataclass
@@ -329,44 +334,41 @@ def solve_fixed_xi(system: LargeScaleSystem, params: FixedParams, xi,
     return DecisionVars(gains=gains, xi=xi_list)
 
 
-def _solve_cold(system, params, groups, floors, cfg, common, gains, xis,
-                xi_lower):
-    """Gains, set sizes and proven lower bounds of the groups that keep no
-    warm gains, written into gains, xis and xi_lower; returns the number of
-    SDP solves. A member re-solved at its group's size and infeasible there
-    is infeasible at every larger size too: its feasible sizes over all
-    gains form an interval that holds its EVP optimum."""
+def _solve_cold(system, params, groups, floors, cfg, common):
+    """The groups that keep no warm gains, solved: {i: (part at the final
+    gains and size, proven lower bound on the group's size)}, and the number
+    of SDP solves. A member re-solved at its group's size and infeasible
+    there is infeasible at every larger size too: its feasible sizes over
+    all gains form an interval that holds its EVP optimum."""
+    n = system.n_subsystems
     models = {i: _GainModel(system, params, i, cfg)
               for group in groups for i in group}
-    evp = {}
+    gains, xis, bounds, lowers = [None] * n, [None] * n, [None] * n, {}
     try:
         for i, model in models.items():
-            evp[i] = model.min_xi()
-        at_evp = FixedGainEvaluator(system, params, DecisionVars(
-            gains=[evp[i][0] if i in evp else gains[i]
-                   for i in range(system.n_subsystems)],
-            xi=[evp[i][1] if i in evp else xis[i]
-                for i in range(system.n_subsystems)]), cfg)
-        solves = len(evp)
+            gains[i], xis[i], bounds[i] = model.min_xi()
+        at_evp = DecisionVars(gains=list(gains), xi=list(xis))
+        solves = len(models)
         for group in groups:
             # the clamp, naming the members whose interval stops short
             floor = max(floors[i] for i in group)
-            ends = [at_evp.interval((i,)) or (evp[i][1], -np.inf)
-                    for i in group]
+            ends = [_Part(system, params, at_evp, i, cfg).interval
+                    or (at_evp.xi[i], -np.inf) for i in group]
             size = max(max(lo for lo, _ in ends), floor) * (1.0 + XI_HAIR)
-            short = [i for i, (_, hi) in zip(group, ends) if hi < size]
-            lower = max(max(evp[i][2] for i in group), floor)
-            for i in group:
-                gains[i], xis[i], xi_lower[i] = evp[i][0], size, lower
-            for i in short:
-                gains[i] = models[i].at_xi(size)
-                solves += 1
+            lower = max(max(bounds[i] for i in group), floor)
+            for i, (_, hi) in zip(group, ends):
+                xis[i], lowers[i] = size, lower
+                if hi < size:
+                    gains[i] = models[i].at_xi(size)
+                    solves += 1
     except Infeasible as exc:
         where = None if common else exc.subsystem
         head = "no common set size feasible for every subsystem" if common \
             else f"subsystem {where}: no feasible set size"
         raise Infeasible(f"{head}: {exc}", exc.best_excess, where) from exc
-    return solves
+    at_size = DecisionVars(gains=gains, xi=xis)
+    return {i: (_Part(system, params, at_size, i, cfg), lowers[i])
+            for i in models}, solves
 
 
 def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
@@ -389,8 +391,8 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
     solved cold. `evaluator` is the FixedGainEvaluator of the warm gains
     (as returned in a previous result's `evaluator`); it is built from
     `warm` when not given. The result carries the evaluator of its own
-    gains: the one passed in when every group kept them, else one built
-    here."""
+    gains: the one passed in when every group kept them, else one made of
+    its parts for those groups and new ones for the subsystems solved cold."""
     cfg = cfg or SynthesisConfig()
     mode = mode or cfg.xi_mode
     if mode not in XI_MODES:
@@ -405,8 +407,7 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
     groups = [range(n)] if common else [(i,) for i in range(n)]
     floors = [max(containment_size(params.X[i], x_all[i]), cfg.xi_floor)
               for i in range(n)]
-    xis, gains, xi_lower = [None] * n, [None] * n, [None] * n
-    cold = []
+    xis, parts, xi_lower, cold = [None] * n, [None] * n, [None] * n, []
     for group in groups:
         # keep a hair above the exact containment boundary
         xi = None if evaluator is None else evaluator.clamp(
@@ -415,12 +416,14 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
             cold.append(group)
             continue
         for i in group:
-            xis[i], gains[i] = xi, evaluator.gains[i]
-    solves = _solve_cold(system, params, cold, floors, cfg, common, gains,
-                         xis, xi_lower) if cold else 0
-    dv = DecisionVars(gains=gains, xi=xis)
-    if solves:              # some group re-solved its gains
-        evaluator = FixedGainEvaluator(system, params, dv, cfg)
+            xis[i], parts[i] = xi, evaluator.parts[i]
+    solves = 0
+    if cold:
+        new, solves = _solve_cold(system, params, cold, floors, cfg, common)
+        for i, (part, lower) in new.items():
+            parts[i], xis[i], xi_lower[i] = part, part.xi_ref, lower
+        evaluator = FixedGainEvaluator._of_parts(parts)
+    dv = DecisionVars(gains=evaluator.gains, xi=xis)
     margins = evaluator.margins(xis, x_all)
     worst = max(margins.values())
     return SynthesisResult(dv=dv, margins=margins,
@@ -439,99 +442,111 @@ def certificate_margins(system: LargeScaleSystem, params: FixedParams,
                               cfg or SynthesisConfig()).margins(dv.xi, x_all)
 
 
-class _Pencil:
-    """One condition family of one subsystem at fixed gains: the stacked
-    vertex test matrices at the reference set size and, on first use,
-    their xi-slope."""
+class _Part:
+    """Subsystem i's conditions at fixed gains K_i as functions of xi_i,
+    built from (params, K_i, xi_ref) alone: its vertex test matrices at
+    xi_ref and, on first use, their xi-slopes, its interval and X^-1."""
 
-    def __init__(self, params: FixedParams, inst, shift: float):
-        self.keys = inst.keys
-        self.t_ref = inst.test_matrix()     # (vertices, size, size)
-        self.shift = shift      # added to lambda_max: the strictness, or 0
-        self._params, self._inst = params, inst
+    def __init__(self, system: LargeScaleSystem, params: FixedParams,
+                 dv: DecisionVars, i: int, cfg: SynthesisConfig):
+        sub = system.subsystems[i]
+        self.i, self.gains, self.xi_ref = i, dv.gains[i], dv.xi[i]
+        ls, ms = _vertex_grid(sub, range(sub.n_controller_rules))
+        self._insts = [assemble(system, params, dv, i, ls, ms)
+                       for assemble in (assemble_invariance, assemble_decrease)]
+        self.t_refs = [inst.test_matrix() for inst in self._insts]
+        self.shifts = (0.0, cfg.strictness)     # added to lambda_max
+        self.keys = [key for pair in zip(*(inst.keys for inst in self._insts))
+                     for key in pair]       # per vertex: invariance, decrease
+        self.u_max, self.x_mat, self._params = sub.u_max, params.X[i], params
+        self.peaks = None if sub.u_max is None else \
+            _peak_gains(self.x_mat, self.gains)
+        self._cache = None      # (xi_i, margins)
 
     @functools.cached_property
-    def slope(self) -> np.ndarray:
-        """(size, size) d T / d xi of every vertex (lmis.xi_slope)."""
-        return xi_slope(self._params, self._inst)
+    def slopes(self) -> list:
+        """(size, size) d T / d xi of each family's vertices (lmis.xi_slope)."""
+        return [xi_slope(self._params, inst) for inst in self._insts]
 
-    def max_eigs(self, dxi: float) -> np.ndarray:
-        t = self.t_ref if dxi == 0.0 else self.t_ref + dxi * self.slope
-        return np.linalg.eigvalsh(t)[:, -1] + self.shift
+    @functools.cached_property
+    def x_inv(self) -> np.ndarray:
+        return shape_inverse(self.x_mat)
 
-    def spectrum(self) -> np.ndarray | None:
-        """Eigenvalues mu of L^-1 slope L^-T, -(t_ref + shift I) = L L', per
-        vertex: the condition holds exactly for xi - xi_ref in
-        [1/min mu, 1/max mu] (a generalized eigenvalue problem; an end is
-        infinite when no mu has its sign). None when the reference size is
-        not strictly feasible."""
-        size = self.slope.shape[0]
-        try:
-            chol = np.linalg.cholesky(-(self.t_ref + self.shift * np.eye(size)))
-        except np.linalg.LinAlgError:
-            return None
-        half = np.linalg.solve(chol, np.broadcast_to(self.slope,
-                                                     self.t_ref.shape))
-        w = np.linalg.solve(chol, np.swapaxes(half, -1, -2))
-        return np.linalg.eigvalsh(0.5 * (w + np.swapaxes(w, -1, -2)))
+    @functools.cached_property
+    def interval(self) -> tuple | None:
+        """Exact set sizes (xi_lo, xi_hi) at which every condition but
+        containment holds, None unless xi_ref is strictly feasible: each
+        family holds for xi - xi_ref in [1/min mu, 1/max mu], mu the
+        eigenvalues of L^-1 slope L^-T, -(t_ref + shift I) = L L' per vertex
+        (an end is infinite when no mu has its sign)."""
+        mu_min, mu_max = np.inf, -np.inf
+        for t_ref, slope, shift in zip(self.t_refs, self.slopes, self.shifts):
+            try:
+                chol = np.linalg.cholesky(-(t_ref + shift * np.eye(len(slope))))
+            except np.linalg.LinAlgError:
+                return None
+            half = np.linalg.solve(chol, np.broadcast_to(slope, t_ref.shape))
+            w = np.linalg.solve(chol, np.swapaxes(half, -1, -2))
+            mu = np.linalg.eigvalsh(0.5 * (w + np.swapaxes(w, -1, -2)))
+            mu_min = min(mu_min, float(mu.min()))
+            mu_max = max(mu_max, float(mu.max()))
+        lo = self.xi_ref + 1.0 / mu_min if mu_min < 0.0 else -np.inf
+        hi = self.xi_ref + 1.0 / mu_max if mu_max > 0.0 else np.inf
+        if self.peaks is not None:
+            with np.errstate(divide="ignore"):
+                hi = min(hi, float(np.min(self.u_max / np.sqrt(self.peaks))))
+        return lo, hi
+
+    def margins(self, xi_i: float) -> dict:
+        """Signed excesses of every condition but containment at xi_i: one
+        batched eigensolve per family, none at the last size asked for."""
+        if self._cache is None or self._cache[0] != xi_i:
+            dxi = xi_i - self.xi_ref
+            tops = []
+            for f, (t_ref, shift) in enumerate(zip(self.t_refs, self.shifts)):
+                t = t_ref if dxi == 0.0 else t_ref + dxi * self.slopes[f]
+                tops.append((np.linalg.eigvalsh(t)[:, -1] + shift).tolist())
+            part = dict(zip(self.keys, (v for pair in zip(*tops) for v in pair)))
+            if self.peaks is not None:
+                ell = xi_i ** 2 * self.peaks - self.u_max ** 2
+                if np.all(np.isfinite(ell)):
+                    part[f"input_peak[i={self.i}]"] = float(np.max(ell))
+            self._cache = (xi_i, part)
+        return self._cache[1]
 
 
 class FixedGainEvaluator:
     """A certificate's conditions at fixed gains, as functions of the set
-    sizes: the one model of every certificate margin.
+    sizes: the one model of every certificate margin, one part per
+    subsystem (`parts`), as subsystem i's rows read only K_i and xi_i.
 
     Each full-form vertex test matrix of subsystem i is affine in xi_i,
     T(xi) = T_ref + (xi - xi_ref) T1, with a slope T1 that depends on the
     parameters only (lmis.xi_slope), and the input-peak rows are
-    xi^2 (k X^-1 k')_ss - u_s^2. So `margins` at any set sizes takes one
-    batched eigensolve per subsystem and family (none when the size is
-    unchanged), and the feasible set sizes of each subsystem are an exact
-    interval that does not depend on the state (`interval`; only
-    containment reads the state). The slopes and intervals are computed on
-    first use: margins at the reference sizes need neither.
-    """
+    xi^2 (k X^-1 k')_ss - u_s^2. So `margins` takes one batched eigensolve
+    per subsystem and family (none at an unchanged size), and each
+    subsystem's feasible sizes are an exact interval that does not depend
+    on the state (`interval`; only containment reads it). Slopes and
+    intervals are computed on first use: margins at xi_ref need neither."""
 
     def __init__(self, system: LargeScaleSystem, params: FixedParams,
                  dv: DecisionVars, cfg: SynthesisConfig):
-        self.gains, self.xi_ref = dv.gains, list(dv.xi)
-        self._x_mats = params.X
-        self._x_invs = [None] * len(params.X)  # shape_inverse, on first use
-        self._pencils, self._peaks = [], []
-        self._bounds = {}       # subsystem -> (xi_lo, xi_hi) or None
-        for i, sub in enumerate(system.subsystems):
-            ls, ms = _vertex_grid(sub, range(sub.n_controller_rules))
-            self._pencils.append([
-                _Pencil(params, assemble(system, params, dv, i, ls, ms), shift)
-                for assemble, shift in ((assemble_invariance, 0.0),
-                                        (assemble_decrease, cfg.strictness))])
-            peaks = None if sub.u_max is None else \
-                _peak_gains(params.X[i], dv.gains[i])
-            self._peaks.append((peaks, sub.u_max))
-        self._cache = [None] * len(self._pencils)  # (xi_i, margins) per i
+        self.parts = tuple(_Part(system, params, dv, i, cfg)
+                           for i in range(system.n_subsystems))
+        self.gains = dv.gains
 
-    def _interval(self, i: int):
-        mus = [p.spectrum() for p in self._pencils[i]]
-        if any(mu is None for mu in mus):
-            return None
-        mu_min = min(float(mu.min()) for mu in mus)
-        mu_max = max(float(mu.max()) for mu in mus)
-        lo = self.xi_ref[i] + 1.0 / mu_min if mu_min < 0.0 else -np.inf
-        hi = self.xi_ref[i] + 1.0 / mu_max if mu_max > 0.0 else np.inf
-        peaks, u_max = self._peaks[i]
-        if peaks is not None:
-            with np.errstate(divide="ignore"):
-                hi = min(hi, float(np.min(u_max / np.sqrt(peaks))))
-        return lo, hi
+    @classmethod
+    def _of_parts(cls, parts):
+        """The evaluator made of these parts, one per subsystem in order."""
+        evaluator = cls.__new__(cls)
+        evaluator.parts, evaluator.gains = tuple(parts), [p.gains for p in parts]
+        return evaluator
 
     def interval(self, group) -> tuple | None:
         """Exact set sizes [xi_lo, xi_hi] at which every condition of the
         subsystems in `group` but containment holds at these gains; None
-        when a subsystem's reference size, from which its interval is
-        located, is not strictly feasible."""
-        for i in group:
-            if i not in self._bounds:
-                self._bounds[i] = self._interval(i)
-        bounds = [self._bounds[i] for i in group]
+        when a member's reference size is not strictly feasible."""
+        bounds = [self.parts[i].interval for i in group]
         if any(b is None for b in bounds):
             return None
         return max(b[0] for b in bounds), min(b[1] for b in bounds)
@@ -553,29 +568,12 @@ class FixedGainEvaluator:
         equal size share one eigensolve."""
         out = {}
         blocks = {}             # block size -> containment instances
-        for i, pencils in enumerate(self._pencils):
-            if self._cache[i] is None or self._cache[i][0] != xi[i]:
-                inv, dec = pencils
-                dxi = xi[i] - self.xi_ref[i]
-                part = {}
-                for key_inv, m_inv, key_dec, m_dec in zip(
-                        inv.keys, inv.max_eigs(dxi),
-                        dec.keys, dec.max_eigs(dxi)):
-                    part[key_inv] = float(m_inv)
-                    part[key_dec] = float(m_dec)
-                peaks, u_max = self._peaks[i]
-                if peaks is not None:
-                    ell = xi[i] ** 2 * peaks - u_max ** 2
-                    if np.all(np.isfinite(ell)):
-                        part[f"input_peak[i={i}]"] = float(np.max(ell))
-                self._cache[i] = (xi[i], part)
-            out.update(self._cache[i][1])
+        for part, xi_i in zip(self.parts, xi):
+            out.update(part.margins(xi_i))
             if x_all is not None:
-                if self._x_invs[i] is None:
-                    self._x_invs[i] = shape_inverse(self._x_mats[i])
-                cont = assemble_containment(np.asarray(x_all[i], dtype=float),
-                                            xi[i], self._x_mats[i], i,
-                                            self._x_invs[i])
+                cont = assemble_containment(
+                    np.asarray(x_all[part.i], dtype=float), xi_i, part.x_mat,
+                    part.i, part.x_inv)
                 out[cont.key] = None        # keeps the key order; set below
                 blocks.setdefault(len(cont.matrix), []).append(cont)
         for conts in blocks.values():
@@ -587,9 +585,6 @@ class FixedGainEvaluator:
 
 def _simplex_grid(n_rules: int, density: int):
     """Barycentric grid over the weight simplex, density points per edge."""
-    if n_rules == 1:
-        yield np.ones(1)
-        return
     ticks = density - 1
     def rec(prefix, remaining, slots):
         if slots == 1:
@@ -649,15 +644,11 @@ def verify_certificate(system: LargeScaleSystem, params: FixedParams,
     margins = certificate_margins(system, params, dv, x_all, cfg)
     blended_worst = -np.inf
 
-    # each distinct grid and pair expansion is built once per call
-    @functools.cache
-    def grid(n_rules):
-        return np.array(list(_simplex_grid(n_rules, cfg.grid_density)))
-
-    @functools.cache
+    @functools.cache        # each distinct expansion is built once per call
     def grid_pairs(n_w, n_h):
         """Every (w, h) grid pair, w-major, and the corner-row mask."""
-        w_grid, h_grid = grid(n_w), grid(n_h)
+        w_grid, h_grid = (np.array(list(_simplex_grid(k, cfg.grid_density)))
+                          for k in (n_w, n_h))
         corner = np.logical_and.outer(w_grid.max(axis=1) == 1.0,
                                       h_grid.max(axis=1) == 1.0).ravel()
         return (np.repeat(w_grid, len(h_grid), axis=0),

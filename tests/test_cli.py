@@ -256,6 +256,50 @@ class TestErrorReporting:
         assert ".synthesis" in record["message"]
         assert "grid_density" in record["message"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("strictness", "1e-9"), ("strictness", -1.0),
+        ("strictness", float("nan")), ("xi_floor", "x"), ("xi_floor", 0.0)])
+    def test_bad_tolerance_is_config_error(self, capsys, tmp_path, field,
+                                           value):
+        doc = tiny_config_doc()
+        doc["synthesis"][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc, _, stderr = run_cli(capsys, "synthesize", str(path))
+        assert rc == 3
+        record = json.loads(stderr)
+        assert record["error"] == "config"
+        assert record["message"].startswith(f"bad.json.synthesis: {field} ")
+
+    @pytest.mark.parametrize("verb", ["simulate", "synthesize"])
+    @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf"])
+    def test_bad_tol_override_is_config_error(self, capsys, tiny_path, verb,
+                                              tol):
+        rc, _, stderr = run_cli(capsys, verb, str(tiny_path), f"--tol={tol}")
+        assert rc == 3
+        record = json.loads(stderr)
+        assert record["error"] == "config"
+        assert record["message"].startswith("--tol: strictness must be a "
+                                            "finite number >= 0")
+
+    @pytest.mark.parametrize("field, value, path", [
+        ("xi", 5, "cert.json.xi: "), ("gains", 3, "cert.json.gains: "),
+        ("gains", [5, 5, 5], "cert.json.gains[1]: ")])
+    def test_mistyped_certificate_exits_3(self, capsys, tmp_path, field,
+                                          value, path):
+        fixture = (Path(__file__).resolve().parents[1] / "perfbench"
+                   / "fixtures" / "example1_certificate.json")
+        raw = json.loads(fixture.read_text())
+        raw[field] = value
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(raw))
+        rc, _, stderr = run_cli(capsys, "verify", "example1_synthesis",
+                                "--gains", str(cert))
+        assert rc == 3
+        record = json.loads(stderr)
+        assert record["error"] == "config"
+        assert record["message"].startswith(path)
+
     def test_certificate_short_of_subsystems_exits_3(self, capsys, tmp_path):
         # 2 gain lists for the 3 subsystems of example1_synthesis
         fixture = (Path(__file__).resolve().parents[1] / "perfbench"

@@ -192,6 +192,29 @@ class TestValidationErrors:
         self.check(doc, mutate,
                    r"cfg\.synthesis.*grid_density must be an integer >= 2")
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("strictness", "1e-9", ">= 0"), ("strictness", -1.0, ">= 0"),
+        ("strictness", float("nan"), ">= 0"), ("strictness", True, ">= 0"),
+        ("strictness", float("inf"), ">= 0"), ("xi_floor", "x", "> 0"),
+        ("xi_floor", 0.0, "> 0"), ("xi_floor", -1e-8, "> 0"),
+        ("xi_floor", float("nan"), "> 0"), ("xi_floor", False, "> 0")])
+    def test_tolerances_must_be_finite_numbers(self, doc, field, value,
+                                               rule):
+        # a string failed deep in numpy, a negative strictness was judged as
+        # an allowance, and NaN failed only at run time
+        def mutate(d):
+            d["synthesis"][field] = value
+        self.check(doc, mutate, rf"cfg\.synthesis: {field} must be a "
+                                rf"finite number {rule}, got")
+
+    @pytest.mark.parametrize("field, value", [
+        ("strictness", 0), ("strictness", 0.0), ("strictness", 1e-6),
+        ("xi_floor", 1e-12), ("xi_floor", 2)])
+    def test_finite_tolerances_load(self, doc, field, value):
+        good = copy.deepcopy(doc)
+        good["synthesis"][field] = value
+        assert getattr(parse_config(good).synthesis, field) == value
+
     @pytest.mark.parametrize("density", [2, 3, 11])
     def test_grid_density_of_two_or_more_loads(self, doc, density):
         good = copy.deepcopy(doc)
@@ -362,6 +385,22 @@ class TestCertificateFiles:
                                match=r"^cert\.json\.gains: 2 entries "
                                      r"for 1 subsystems$"):
                 load_certificate(path, system)
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("xi", 5, r"\.xi: expected one set size per subsystem, got int"),
+        ("gains", 3, r"\.gains: expected one gain list per subsystem, "
+                     r"got int"),
+        ("gains", [5], r"\.gains\[1\]: expected one gain matrix per "
+                       r"controller rule, got int")])
+    def test_field_types_checked(self, tmp_path, field, value, where):
+        # each was a TypeError ('int' object is not iterable)
+        path = tmp_path / "cert.json"
+        save_certificate(self.make_dv(), path)
+        raw = json.loads(path.read_text())
+        raw[field] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=r"^cert\.json" + where):
+            load_certificate(path)
 
     def test_legacy_z_field_is_ignored(self, tmp_path, doc):
         # certificates written before the input certificate Z was retired

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from conftest import (build_example1_system, build_tiny_system,
                       controller_mf_family, example1_reference_params,
                       model_mf_family, tiny_params)
-from it2mpc import synthesis
+from it2mpc import lmis, synthesis
 from it2mpc.configio import (bundled_config_names, load_bundled_config,
                              load_certificate)
 from it2mpc.linalg import (InvalidMatrixError, SingularBlockError, max_eig,
@@ -253,6 +253,37 @@ class TestMinimizeXi:
             for k_kept, k_rebuilt in zip(kept.dv.gains[0],
                                          rebuilt.dv.gains[0]):
                 assert np.array_equal(k_kept, k_rebuilt)
+
+    def test_partial_resolve_rebuilds_only_its_part(self, monkeypatch):
+        # subsystem 1's gains times -3 leave it no interval: per subsystem,
+        # only it is re-solved (its EVP), subsystems 0 and 2 keep the passed
+        # evaluator's parts, and only subsystem 1's two families are
+        # assembled, once at its EVP gains and once at its final size
+        cfg = load_bundled_config("example1_synthesis")
+        system, params, x0 = cfg.system, cfg.params, cfg.simulation.x0
+        dv, _ = load_certificate(FIXTURE, system)
+        dv.gains[1] = [-3.0 * k for k in dv.gains[1]]
+        warm = FixedGainEvaluator(system, params, dv, cfg.synthesis)
+        assembled, inner = [], lmis._condition_matrices
+
+        def counted(*args, **kwargs):
+            assembled.append(args[2])           # the subsystem
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(lmis, "_condition_matrices", counted)
+        res = minimize_xi(system, params, x0, cfg.synthesis, warm=dv,
+                          mode="per_subsystem", evaluator=warm)
+        monkeypatch.undo()
+        assert res.solves == 1
+        assert res.evaluator.parts[0] is warm.parts[0]
+        assert res.evaluator.parts[2] is warm.parts[2]
+        assert assembled == [1] * 4
+        assert res.dv.xi == [5.477231052277236, 8.190346085818256,
+                             9.900614785636536]
+        assert res.evaluator.gains is res.dv.gains
+        report = verify_certificate(system, params, res.dv, x0,
+                                    cfg.synthesis)
+        assert report["feasible"] is True
 
     @pytest.mark.parametrize("mode", ["common", "per_subsystem"])
     def test_infeasible_reports_positive_excess(self, mode):
@@ -509,6 +540,13 @@ class TestFixedGainEvaluator:
 
 
 class TestVerifyCertificate:
+    @pytest.mark.parametrize("density", [2, 3, 11])
+    def test_single_rule_grid_is_one_point(self, density):
+        # the general recursion gives the one-rule simplex its only point
+        grid = list(_simplex_grid(1, density))
+        assert len(grid) == 1
+        assert np.array_equal(grid[0], np.ones(1))
+
     def test_example1_report_is_unchanged(self, ex1_synthesized):
         # figures of the per-point sweep the batched one replaced, on the
         # cold EVP certificate
@@ -540,15 +578,21 @@ class TestVerifyCertificate:
 
     def test_margins_only_locate_no_interval(self, monkeypatch):
         # verify reads the evaluator at the certificate's own set sizes
-        # only: no xi-slope and no generalized eigenvalues
+        # only: no part builds its xi-slopes or locates its interval
         def refuse(*args, **kwargs):
-            raise AssertionError("verify must not build a pencil's slope "
-                                 "or spectrum")
+            raise AssertionError("verify must not build a part's slopes "
+                                 "or interval")
 
         cfg = load_bundled_config("example1_synthesis")
         dv, _ = load_certificate(FIXTURE, cfg.system)
         monkeypatch.setattr(synthesis, "xi_slope", refuse)
-        monkeypatch.setattr(synthesis._Pencil, "spectrum", refuse)
+        for name in ("slopes", "interval"):
+            monkeypatch.setattr(synthesis._Part, name, property(refuse))
+        part = FixedGainEvaluator(cfg.system, cfg.params, dv,
+                                  cfg.synthesis).parts[0]
+        for name in ("slopes", "interval"):
+            with pytest.raises(AssertionError, match="must not build"):
+                getattr(part, name)
         report = verify_certificate(cfg.system, cfg.params, dv,
                                     cfg.simulation.x0, cfg.synthesis)
         assert report["feasible"] is True
