@@ -3,8 +3,8 @@
 Subcommands: simulate a closed loop from a config (optionally writing a
 trace CSV), synthesize a certificate, verify a stored certificate, and
 Monte-Carlo check robust invariance. Exit codes: 0 success/feasible,
-2 infeasible, 3 configuration error, 4 runtime failure; failures also emit
-one machine-parseable JSON line on stderr.
+2 infeasible, 3 configuration or command-line usage error, 4 runtime
+failure; failures also emit one machine-parseable JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -192,8 +192,19 @@ def cmd_configs(_args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit EXIT_CONFIG: argparse's
+    own code, 2, is this CLI's "infeasible". Subparsers are made of the
+    same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _diag("usage", f"{self.prog}: {message}")
+        self.exit(EXIT_CONFIG)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="it2mpc",
         description="Decentralized robust MPC for interval type-2 fuzzy "
                     "large-scale systems: simulate, synthesize, verify.")

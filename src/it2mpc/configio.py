@@ -6,6 +6,14 @@ is idempotent: serialize_config emits the normalized document, so
 parse -> serialize -> parse is the identity. Matrices are plain nested
 lists; JSON doubles survive the round trip bit-exactly.
 
+A load checks each thing once. A matrix or vector whose entries pass one
+type scan (exact JSON int or float, so never a bool) is converted by one
+numpy call; only one that fails it is read entry by entry, so that the
+error names its first bad entry. Each subsystem is validated in
+_parse_subsystem and the couplings once all are parsed;
+FixedParams.validate judges each matrix family with one stacked eigensolve
+per shape.
+
 Schema conventions (documented in the repository README):
 - subsystem ids, coupling keys, rule indices, and premise selectors are
   1-based in files and 0-based in memory;
@@ -20,6 +28,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +57,10 @@ def _expect(data, path: str, typ, typename: str):
     return data
 
 
+# the exact types json.loads gives numbers; bool, an int subclass, is not one
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def _number(data, path: str) -> float:
     if isinstance(data, bool) or not isinstance(data, (int, float)):
         _fail(path, f"expected a number, got {type(data).__name__}")
@@ -62,9 +75,12 @@ def _matrix(data, path: str, rows: int | None = None,
     width = len(data[0])
     if width == 0 or any(len(r) != width for r in data):
         _fail(path, "matrix rows must be nonempty and equal-length")
-    out = np.array([[_number(v, f"{path}[{i + 1}][{j + 1}]")
-                     for j, v in enumerate(row)]
-                    for i, row in enumerate(data)])
+    if _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(data))):
+        out = np.array(data, dtype=float)
+    else:   # entry by entry, naming the first one that is not a number
+        out = np.array([[_number(v, f"{path}[{i + 1}][{j + 1}]")
+                         for j, v in enumerate(row)]
+                        for i, row in enumerate(data)])
     if rows is not None and out.shape[0] != rows:
         _fail(path, f"expected {rows} rows, got {out.shape[0]}")
     if cols is not None and out.shape[1] != cols:
@@ -74,7 +90,11 @@ def _matrix(data, path: str, rows: int | None = None,
 
 def _vector(data, path: str, length: int | None = None) -> np.ndarray:
     _expect(data, path, list, "a vector (list of numbers)")
-    out = np.array([_number(v, f"{path}[{i + 1}]") for i, v in enumerate(data)])
+    if _NUMBER_TYPES.issuperset(map(type, data)):
+        out = np.array(data, dtype=float)
+    else:   # entry by entry, naming the first one that is not a number
+        out = np.array([_number(v, f"{path}[{i + 1}]")
+                        for i, v in enumerate(data)])
     if length is not None and out.size != length:
         _fail(path, f"expected {length} entries, got {out.size}")
     return out
@@ -424,8 +444,8 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
                          need_true_mfs=(mode == "true_plant"))
         for i, s in enumerate(subs_data)]
     system = LargeScaleSystem(subsystems=tuple(subsystems))
-    try:
-        system.validate()
+    try:    # each subsystem passed its own validate in _parse_subsystem
+        system.validate_couplings()
     except ValueError as exc:
         _fail(f"{source}.subsystems", str(exc))
 

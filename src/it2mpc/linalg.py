@@ -4,7 +4,10 @@ quadratic forms, Schur-complement reduction.
 All routines work on small dense matrices (the block inequalities assembled
 elsewhere stay well under dimension ~20). Every eigenvalue comes from
 LAPACK's symmetric solvers (numpy's eigh/eigvalsh) applied to the mirrored
-upper triangle; identical input gives identical output.
+upper triangle; identical input gives identical output. min_eig and is_psd
+also take a stack (..., n, n): one LAPACK call gives one value or verdict
+per matrix, each bit for bit that of the matrix's own call (the default
+tolerance is taken per matrix).
 """
 
 from __future__ import annotations
@@ -54,10 +57,11 @@ def sym_matrix(entries) -> np.ndarray:
     return out
 
 
-def default_tol(a: np.ndarray, base: float = 1e-9) -> float:
-    """Absolute eigenvalue tolerance scaled by max(1, inf-norm of a)."""
-    scale = max(1.0, float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 1.0)
-    return base * scale
+def default_tol(a: np.ndarray, base: float = 1e-9):
+    """Absolute eigenvalue tolerance scaled by max(1, inf-norm of a); for a
+    stack (..., n, n), one tolerance per matrix."""
+    return _per_matrix(base * np.maximum(
+        1.0, np.abs(a).sum(axis=-1).max(axis=-1, initial=0.0)))
 
 
 def sym_eig(a) -> EigResult:
@@ -69,8 +73,13 @@ def sym_eig(a) -> EigResult:
     return EigResult(*np.linalg.eigh(sym_matrix(a)))
 
 
-def min_eig(a) -> float:
-    return float(np.linalg.eigvalsh(sym_matrix(a))[0])
+def _per_matrix(values: np.ndarray):
+    """A float for one matrix, else the array of one value per matrix."""
+    return values if values.ndim else float(values)
+
+
+def min_eig(a):
+    return _per_matrix(np.linalg.eigvalsh(sym_matrix(a))[..., 0])
 
 
 def max_eig(a) -> float:
@@ -89,7 +98,7 @@ def quad_form(x, m=None):
     return q if q.ndim else float(q)
 
 
-def is_psd(a, tol: float | None = None) -> bool:
+def is_psd(a, tol: float | None = None):
     """Positive semidefinite up to an absolute eigenvalue tolerance."""
     a = sym_matrix(a)
     if tol is None:

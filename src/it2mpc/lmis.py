@@ -55,14 +55,18 @@ class FixedParams:
         return self.R[i] if isinstance(self.R, (list, tuple)) else self.R
 
     def validate(self):
+        """Check every constant, raising ValueError for the first bad one in
+        a fixed order: X, lam, N_const, tau, M, then Q and R per subsystem
+        (a shared Q or R once). Each matrix family is judged with one
+        stacked eigensolve per shape (_raise_first_failure)."""
         n = self.n_subsystems
         for name, seq in (("lam", self.lam), ("N_const", self.N_const),
                           ("M", self.M), ("tau", self.tau)):
             if len(seq) != n:
                 raise ValueError(f"{name} must have one entry per subsystem")
-        for i, x in enumerate(self.X):
-            if min_eig(x) <= 0.0:
-                raise ValueError(f"X[{i}] must be positive definite")
+        _raise_first_failure(lambda: (
+            (_is_pd, x, f"X[{i}] must be positive definite")
+            for i, x in enumerate(self.X)))
         for i, lam in enumerate(self.lam):
             if not 0.0 < lam < 1.0:
                 raise ValueError(f"lam[{i}] must lie in (0, 1), got {lam}")
@@ -72,16 +76,57 @@ class FixedParams:
         for i, tau in enumerate(self.tau):
             if tau <= 0:
                 raise ValueError(f"tau[{i}] must be positive")
-        for i, m in enumerate(self.M):
-            if not is_psd(m):
-                raise ValueError(f"M[{i}] must be positive semidefinite")
-        for i in range(n):
-            if not is_psd(self.q_mat(i)):
-                raise ValueError("Q must be positive semidefinite")
-            if min_eig(self.r_mat(i)) <= 0.0:
-                raise ValueError("R must be positive definite")
+        _raise_first_failure(self._m_q_r_checks)
         if self.alpha < 2.0:
             raise ValueError(f"alpha must be >= 2, got {self.alpha}")
+
+    def _m_q_r_checks(self):
+        """(test, matrix, message) for M, then Q and R per subsystem in
+        turn; a shared Q or R is the same matrix for every subsystem, so it
+        is judged once, where subsystem 0 judges it."""
+        for i, m in enumerate(self.M):
+            yield is_psd, m, f"M[{i}] must be positive semidefinite"
+        shared_q = not isinstance(self.Q, (list, tuple))
+        shared_r = not isinstance(self.R, (list, tuple))
+        for i in range(self.n_subsystems):
+            if i == 0 or not shared_q:
+                yield is_psd, self.q_mat(i), "Q must be positive semidefinite"
+            if i == 0 or not shared_r:
+                yield _is_pd, self.r_mat(i), "R must be positive definite"
+
+
+def _is_pd(a):
+    """Positive definite: the smallest eigenvalue (of each matrix of a
+    stack) is above 0."""
+    return min_eig(a) > 0.0
+
+
+def _raise_first_failure(checks):
+    """Raise ValueError(message) for the first (test, matrix, message) that
+    checks() yields whose test fails.
+
+    The matrices of one test and shape are judged as one stack, so each
+    test and shape costs one eigensolve. When the matrices are not all
+    finite and square (or cannot be read as float arrays, or checks()
+    itself raises), they are judged one by one in order instead, so the
+    exception raised is the one the first offending check raises."""
+    try:
+        items = list(checks())
+        arrays = [np.asarray(m, dtype=float) for _, m, _ in items]
+        groups = {}
+        for k, ((test, _, _), a) in enumerate(zip(items, arrays)):
+            groups.setdefault((test, a.shape), []).append(k)
+        failed = [k for (test, _), ks in groups.items()
+                  for k, ok in zip(ks, test(np.stack([arrays[k] for k in ks])))
+                  if not ok]
+    except (ValueError, TypeError, IndexError):
+        failed = None
+    if failed is None:
+        for test, m, message in checks():
+            if not test(m):
+                raise ValueError(message)
+    elif failed:
+        raise ValueError(items[min(failed)][2])
 
 
 @dataclass

@@ -107,16 +107,25 @@ class LargeScaleSystem:
         return len(self.subsystems)
 
     def validate(self):
-        n = self.n_subsystems
         for i, sub in enumerate(self.subsystems):
             sub.validate()
-            for j, g in sub.couplings.items():
-                if not 0 <= j < n or j == i:
-                    raise ValueError(f"subsystem {i}: coupling key {j} invalid")
-                want = (sub.n_x, self.subsystems[j].n_x)
-                if g.shape != want:
-                    raise ValueError(
-                        f"subsystem {i}: coupling to {j} has shape {g.shape}, expected {want}")
+            self._validate_couplings(i)
+
+    def validate_couplings(self):
+        """validate's coupling checks alone, for subsystems that each passed
+        their own validate already."""
+        for i in range(self.n_subsystems):
+            self._validate_couplings(i)
+
+    def _validate_couplings(self, i: int):
+        sub = self.subsystems[i]
+        for j, g in sub.couplings.items():
+            if not 0 <= j < self.n_subsystems or j == i:
+                raise ValueError(f"subsystem {i}: coupling key {j} invalid")
+            want = (sub.n_x, self.subsystems[j].n_x)
+            if g.shape != want:
+                raise ValueError(
+                    f"subsystem {i}: coupling to {j} has shape {g.shape}, expected {want}")
 
 
 def normalize_firing(raw: np.ndarray, floor: float = DEGENERATE_FIRING_FLOOR) -> np.ndarray:

@@ -635,10 +635,17 @@ def verify_certificate(system: LargeScaleSystem, params: FixedParams,
     so delta holds both errors with room to spare for rounding in forming
     A: every cleared row's computed lambda_max + s is below t and cannot
     raise the maximum. When the factorization fails (a blend within delta
-    of the corners, or one above them), that stack's other rows are
-    eigensolved as in a full sweep and t rises to what they show. So
+    of the corners, or one above them), the stack is split in halves and
+    each half screened again at the same t, with its own delta (a bound on
+    its rows' norms). While exactly one half fails it is split again; when
+    both fail, their rows are eigensolved together in one call, and a
+    failing single row is eigensolved alone. t rises to what they show,
+    and a t that has risen still bounds the rows cleared before. So
     blended_worst is the maximum of the same LAPACK eigenvalues as a full
-    sweep's: a sub-stack eigensolve gives each matrix's values bit for bit.
+    sweep's: a sub-stack eigensolve gives each matrix's values bit for
+    bit. A stack whose rows all tie costs three factorizations and one
+    stacked eigensolve; one tied row among N costs about 2 log2 N
+    factorizations and one single-row eigensolve.
     Returns {"margins", "blended_worst", "worst", "feasible"}."""
     cfg = cfg or SynthesisConfig()
     margins = certificate_margins(system, params, dv, x_all, cfg)
@@ -663,9 +670,9 @@ def verify_certificate(system: LargeScaleSystem, params: FixedParams,
             top = np.linalg.eigvalsh(tests[corner])[:, -1] + shift
             blended_worst = max(blended_worst, float(np.max(top)))
             others.append((tests[~corner], shift))
-    for tests, shift in others:
-        if not len(tests):
-            continue
+
+    def cleared(tests, shift):
+        """Whether one batched Cholesky proves every row below t."""
         n = tests.shape[-1]
         level = blended_worst - shift
         delta = 4.0 * (n + 1) ** 2 * np.finfo(float).eps * (
@@ -673,8 +680,27 @@ def verify_certificate(system: LargeScaleSystem, params: FixedParams,
         try:
             np.linalg.cholesky((level - delta) * np.eye(n) - tests)
         except np.linalg.LinAlgError:
-            top = np.linalg.eigvalsh(tests)[:, -1] + shift
-            blended_worst = max(blended_worst, float(np.max(top)))
+            return False
+        return True
+
+    def uncleared(tests, shift):
+        """The rows to eigensolve of a stack that failed its screen: halve
+        it while exactly one half fails; two failing halves go together."""
+        while len(tests) > 1:
+            half = len(tests) // 2
+            failed = [part for part in (tests[:half], tests[half:])
+                      if not cleared(part, shift)]
+            if len(failed) != 1:
+                return tests if failed else tests[:0]
+            tests = failed[0]
+        return tests
+
+    for tests, shift in others:
+        if len(tests) and not cleared(tests, shift):
+            tests = uncleared(tests, shift)
+            if len(tests):
+                top = np.linalg.eigvalsh(tests)[:, -1] + shift
+                blended_worst = max(blended_worst, float(np.max(top)))
     worst = max(max(margins.values()), blended_worst)
     return {"margins": margins, "blended_worst": blended_worst,
             "worst": worst, "feasible": worst <= 0.0}

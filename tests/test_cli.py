@@ -194,7 +194,7 @@ class TestSynthesizeVerifyRpi:
     def test_retired_margin_flag_is_rejected(self, capsys, tiny_path, verb):
         with pytest.raises(SystemExit) as exc:
             main([verb, str(tiny_path), "--margin", "1e-5"])
-        assert exc.value.code == 2
+        assert exc.value.code == 3      # a usage error, not "infeasible"
         assert "unrecognized arguments: --margin" in capsys.readouterr().err
 
     def test_xi_mode_override(self, capsys, tiny_path, tmp_path):
@@ -206,6 +206,51 @@ class TestSynthesizeVerifyRpi:
         assert "per_subsystem mode" in stdout
         assert json.loads(cert.read_text())["meta"]["xi_mode"] == \
             "per_subsystem"
+
+
+class TestUsageErrors:
+    """argparse's own exit code, 2, is the CLI's "infeasible"; a command
+    line it cannot read must exit 3 like any other configuration error."""
+
+    @staticmethod
+    def exit_code(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    def test_option_value_read_as_an_option(self, capsys):
+        # "-1e-9" looks like an option to argparse, so --tol has no value
+        rc = self.exit_code(["synthesize", "example1_synthesis", "--tol",
+                             "-1e-9"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: it2mpc synthesize")
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record == {"error": "usage",
+                          "message": "it2mpc synthesize: argument --tol: "
+                                     "expected one argument"}
+
+    def test_attached_negative_tol_is_a_config_error(self, capsys):
+        rc = self.exit_code(["synthesize", "example1_synthesis",
+                             "--tol=-1e-9"])
+        assert rc == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "config"
+        assert record["message"].startswith("--tol: ")
+
+    def test_unknown_verb(self, capsys):
+        rc = self.exit_code(["bogus"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: it2mpc ")
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "usage"
+        assert "invalid choice: 'bogus'" in record["message"]
+
+    def test_help_still_exits_0(self, capsys):
+        assert self.exit_code(["verify", "--help"]) == 0
+        assert "--gains" in capsys.readouterr().out
 
 
 class TestErrorReporting:

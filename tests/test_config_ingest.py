@@ -1,0 +1,418 @@
+"""Config and certificate ingestion: bulk conversion with per-entry errors.
+
+A load converts each matrix and vector with one numpy call once a type scan
+finds only JSON numbers, and judges each family of fixed-parameter matrices
+with one stacked eigensolve per shape. Neither may change what a load
+returns or what it raises: the tables below pin the exception type and the
+exact message of malformed input, and the bundled configs are compared
+entry by entry, as float hex, with a per-entry reference parse."""
+
+import hashlib
+import json
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import tiny_config_doc
+from it2mpc.configio import (ConfigError, bundled_config_names,
+                             load_bundled_config, load_certificate,
+                             parse_config, serialize_config)
+from it2mpc.linalg import InvalidMatrixError
+from it2mpc.lmis import FixedParams
+from it2mpc.membership import SigmoidMF
+
+FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+           / "example1_certificate.json")
+BIG = 10 ** 400                     # a JSON integer no float can hold
+OVERFLOW = (OverflowError, "int too large to convert to float")
+A = ("subsystems", 0, "rules", 0, "A")
+SIG = ("subsystems", 0, "model_mfs", "upper", 1)
+REF = ("subsystems", 0, "model_mfs", "lower", 1, "of", 0)
+A_PATH = "<config>.subsystems[1].rules[1].A"
+SIG_PATH = "<config>.subsystems[1].model_mfs.upper[2]"
+REF_PATH = "<config>.subsystems[1].model_mfs.lower[2].of[1]"
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _with_residual(doc):
+    """The tiny doc with model lower rule 2 a residual of lower rule 1."""
+    doc["subsystems"][0]["model_mfs"]["lower"][1] = {
+        "kind": "residual", "of": [{"tier": "lower", "rule": 1}]}
+    return doc
+
+
+def _not_a_number(path, typename):
+    return ConfigError, f"{path}: expected a number, got {typename}"
+
+
+RAGGED = (ConfigError, f"{A_PATH}: matrix rows must be nonempty and "
+                       "equal-length")
+
+CONFIG_CASES = [
+    # matrices
+    (A + (0, 1), True, _not_a_number(f"{A_PATH}[1][2]", "bool")),
+    (A + (0, 1), "0.1", _not_a_number(f"{A_PATH}[1][2]", "str")),
+    (A + (0, 1), None, _not_a_number(f"{A_PATH}[1][2]", "NoneType")),
+    (A + (0, 1), [0.1], _not_a_number(f"{A_PATH}[1][2]", "list")),
+    (A, [[0.5, 0.1], [0.0]], RAGGED),
+    (A, [[], []], RAGGED),
+    (A, [[0.5, 0.1], []], RAGGED),
+    (A + (1, 0), BIG, OVERFLOW),
+    # the first bad entry in row-major order decides, across rows too
+    (A, [[BIG, 0.1], [True, 0.4]], OVERFLOW),
+    (A, [[True, 0.1], [BIG, 0.4]], _not_a_number(f"{A_PATH}[1][1]", "bool")),
+    (A, [[0.5, BIG], [0.0, "x"]], OVERFLOW),
+    (A, "x", (ConfigError, f"{A_PATH}: expected a matrix (list of rows), "
+                           "got str")),
+    (A, [], (ConfigError, f"{A_PATH}: matrix must be a nonempty list of "
+                          "rows")),
+    (A, [1.0, 2.0], (ConfigError, f"{A_PATH}: matrix must be a nonempty "
+                                  "list of rows")),
+    (("fixed_params", "X", 0, 1, 1), False,
+     _not_a_number("<config>.fixed_params.X[1][2][2]", "bool")),
+    (("fixed_params", "Q", 0, 0), None,
+     _not_a_number("<config>.fixed_params.Q[1][1]", "NoneType")),
+    # vectors and scalar lists
+    (("subsystems", 0, "u_max", 1), True,
+     _not_a_number("<config>.subsystems[1].u_max[2]", "bool")),
+    (("subsystems", 0, "u_max", 0), None,
+     _not_a_number("<config>.subsystems[1].u_max[1]", "NoneType")),
+    (("subsystems", 0, "u_max"), [10.0, BIG], OVERFLOW),
+    (("subsystems", 0, "u_max"), [10.0, [1.0]],
+     _not_a_number("<config>.subsystems[1].u_max[2]", "list")),
+    (("subsystems", 0, "u_max"), [],
+     (ConfigError, "<config>.subsystems[1]: u_max must be positive with one "
+                   "entry per input channel")),
+    (("simulation", "x0", 0, 1), "x",
+     _not_a_number("<config>.simulation.x0[1][2]", "str")),
+    (("simulation", "x0", 0), [BIG, True], OVERFLOW),
+    (("simulation", "x0", 0), [True, BIG],
+     _not_a_number("<config>.simulation.x0[1][1]", "bool")),
+    (("fixed_params", "lam", 0), True,
+     _not_a_number("<config>.fixed_params.lam[1]", "bool")),
+    # sigmoid records: a bad number is named inside the record's path
+    (SIG + ("shift",), True,
+     (ConfigError, f"{SIG_PATH}: {SIG_PATH}.shift: expected a number, "
+                   "got bool")),
+    (SIG + ("shift",), "0.5",
+     (ConfigError, f"{SIG_PATH}: {SIG_PATH}.shift: expected a number, "
+                   "got str")),
+    (SIG + ("divisor",), None,
+     (ConfigError, f"{SIG_PATH}: {SIG_PATH}.divisor: expected a number, "
+                   "got NoneType")),
+    (SIG + ("divisor",), [0.4],
+     (ConfigError, f"{SIG_PATH}: {SIG_PATH}.divisor: expected a number, "
+                   "got list")),
+    (SIG + ("perturb_amplitude",), BIG, OVERFLOW),
+    (SIG + ("shift",), BIG, OVERFLOW),
+    (SIG + ("divisor",), 0, (ConfigError, f"{SIG_PATH}: divisor must be "
+                                          "nonzero")),
+    (SIG + ("form",), "bogus", (ConfigError, f"{SIG_PATH}: unknown form "
+                                             "'bogus'")),
+    (SIG + ("extra",), 1,
+     (ConfigError, f"{SIG_PATH}: unknown field(s) ['extra']; allowed: "
+                   "['complemented', 'divisor', 'form', 'kind', "
+                   "'perturb_amplitude', 'shift']")),
+    (SIG + ("kind",), "bogus",
+     (ConfigError, f"{SIG_PATH}: unknown membership kind 'bogus'")),
+    (SIG + ("kind",), None,
+     (ConfigError, f"{SIG_PATH}: unknown membership kind None")),
+    (("subsystems", 0, "model_mfs", "upper", 0), "sigmoid",
+     (ConfigError, "<config>.subsystems[1].model_mfs.upper[1]: expected an "
+                   "object, got str")),
+    (("subsystems", 0, "model_mfs", "upper", 0),
+     {"kind": "sigmoid", "shift": 1.0},
+     (ConfigError, "<config>.subsystems[1].model_mfs.upper[1]: missing "
+                   "required field 'divisor'")),
+]
+
+OUT_OF_RANGE = (ConfigError, f"{REF_PATH}: rule must be in 1..2")
+
+RESIDUAL_CASES = [
+    (REF + ("rule",), "1", OUT_OF_RANGE),
+    (REF + ("rule",), None, OUT_OF_RANGE),
+    (REF + ("rule",), [1], OUT_OF_RANGE),
+    (REF + ("rule",), BIG, OUT_OF_RANGE),
+    (REF + ("rule",), 0, OUT_OF_RANGE),
+    (REF + ("rule",), 3, OUT_OF_RANGE),
+    (REF + ("rule",), 2,
+     (ConfigError, f"{REF_PATH}: residual records may reference only "
+                   "sigmoid records")),
+    (REF + ("tier",), "bogus",
+     (ConfigError, f"{REF_PATH}: tier 'bogus' not present in this family")),
+    (REF + ("tier",), ["lower"], (TypeError, "unhashable type: 'list'")),
+    (REF[:-1], [{"tier": "lower"}],
+     (ConfigError, f"{REF_PATH}: missing required field 'rule'")),
+    (REF[:-1], ["x"], (ConfigError, f"{REF_PATH}: expected an object, "
+                                    "got str")),
+    (REF[:-1], "x",
+     (ConfigError, "<config>.subsystems[1].model_mfs.lower[2].of: expected "
+                   "a list of references, got str")),
+    (REF[:-2] + ("extra",), 1,
+     (ConfigError, "<config>.subsystems[1].model_mfs.lower[2]: unknown "
+                   "field(s) ['extra']; allowed: ['kind', 'of']")),
+]
+
+G = ("gains", 1, 0)
+G_PATH = "cert.json.gains[2][1]"
+
+CERTIFICATE_CASES = [
+    (G + (0, 1), True, _not_a_number(f"{G_PATH}[1][2]", "bool")),
+    (G + (0, 0), "1", _not_a_number(f"{G_PATH}[1][1]", "str")),
+    (G + (0, 0), None, _not_a_number(f"{G_PATH}[1][1]", "NoneType")),
+    (G + (0, 0), [1.0], _not_a_number(f"{G_PATH}[1][1]", "list")),
+    (G, [[1.0, 2.0], [3.0]],
+     (ConfigError, f"{G_PATH}: matrix rows must be nonempty and "
+                   "equal-length")),
+    (G, [[]], (ConfigError, f"{G_PATH}: matrix rows must be nonempty and "
+                            "equal-length")),
+    (G + (0, 1), BIG, OVERFLOW),
+    (G, [[BIG, True]], OVERFLOW),
+    (("xi", 1), True, _not_a_number("cert.json.xi[2]", "bool")),
+    (("xi", 2), BIG, OVERFLOW),
+    (G, [[1.0, 2.0, 3.0]],
+     (ConfigError, f"{G_PATH}: shape (1, 3) != (1, 2)")),
+]
+
+
+def _raises_exactly(call, expected):
+    kind, message = expected
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is kind
+    assert str(info.value) == message
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("path, value, expected", CONFIG_CASES)
+    def test_config(self, path, value, expected):
+        doc = _set(tiny_config_doc(), path, value)
+        _raises_exactly(lambda: parse_config(doc), expected)
+
+    @pytest.mark.parametrize("path, value, expected", RESIDUAL_CASES)
+    def test_residual_reference(self, path, value, expected):
+        doc = _set(_with_residual(tiny_config_doc()), path, value)
+        _raises_exactly(lambda: parse_config(doc), expected)
+
+    @pytest.mark.parametrize("path, value", [
+        (REF + ("rule",), True), (REF + ("tier",), "true")])
+    def test_residual_reference_accepted(self, path, value):
+        # True is an int to the reference check, so it reads as rule 1
+        doc = _set(_with_residual(tiny_config_doc()), path, value)
+        fam = parse_config(doc).system.subsystems[0].model_mfs
+        tier = fam.lower if path[-1] == "rule" else fam.true_mf
+        assert fam.lower[1].others == (tier[0],)
+
+    @pytest.mark.parametrize("path, value, expected", CERTIFICATE_CASES)
+    def test_certificate(self, tmp_path, path, value, expected):
+        doc = _set(json.loads(FIXTURE.read_text()), path, value)
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        system = load_bundled_config("example1_synthesis").system
+        _raises_exactly(lambda: load_certificate(cert, system), expected)
+
+
+def _params(**changes):
+    """Three subsystems, n_x = 2 and n_u = 1, every constant valid, with
+    `changes` applied; list entries are replaced by index."""
+    eye = np.eye(2)
+    fields = dict(X=[5.0 * eye, 6.0 * eye, 7.0 * eye], lam=[0.1] * 3,
+                  N_const=[2.0] * 3, M=[np.eye(1)] * 3, tau=[1.0] * 3,
+                  Q=0.05 * eye, R=np.eye(1), alpha=2.0)
+    for name, value in changes.items():
+        if isinstance(value, dict):
+            seq = list(fields[name])
+            for i, m in value.items():
+                seq[i] = m
+            value = seq
+        fields[name] = value
+    return FixedParams(**fields)
+
+
+NOT_PD = np.array([[1.0, 2.0], [2.0, 1.0]])
+NAN = np.array([[1.0, np.nan], [np.nan, 1.0]])
+NEG1 = -np.eye(1)
+
+PARAMS_CASES = [
+    (dict(X={1: NOT_PD}, M={0: NEG1}),
+     (ValueError, "X[1] must be positive definite")),
+    (dict(X={2: NAN, 0: NOT_PD}), (ValueError, "X[0] must be positive "
+                                               "definite")),
+    (dict(X={2: NAN}), (InvalidMatrixError, "matrix entries must be finite")),
+    (dict(X={1: np.zeros((2, 3)), 0: NOT_PD}),
+     (ValueError, "X[0] must be positive definite")),
+    (dict(X={1: np.zeros((2, 3))}),
+     (InvalidMatrixError, "expected a square matrix, got shape (2, 3)")),
+    # shapes are stacked apart; the first failing subsystem still decides
+    (dict(X={1: -np.eye(3), 2: NOT_PD}),
+     (ValueError, "X[1] must be positive definite")),
+    (dict(lam={0: 1.5}, M={0: NEG1}), (ValueError, "lam[0] must lie in "
+                                                   "(0, 1), got 1.5")),
+    (dict(M={2: NEG1}, Q=NOT_PD), (ValueError, "M[2] must be positive "
+                                               "semidefinite")),
+    (dict(Q=NOT_PD), (ValueError, "Q must be positive semidefinite")),
+    (dict(Q=NOT_PD, R=NEG1), (ValueError, "Q must be positive "
+                                          "semidefinite")),
+    (dict(R=NEG1), (ValueError, "R must be positive definite")),
+    (dict(R=np.zeros((1, 1))), (ValueError, "R must be positive definite")),
+    (dict(Q=[0.05 * np.eye(2), NOT_PD, 0.05 * np.eye(2)]),
+     (ValueError, "Q must be positive semidefinite")),
+    # per subsystem, Q and R are judged in turn: R[0] comes before Q[1]
+    (dict(Q=[0.05 * np.eye(2), NOT_PD, 0.05 * np.eye(2)],
+          R=[NEG1, np.eye(1), np.eye(1)]),
+     (ValueError, "R must be positive definite")),
+    (dict(Q=[NOT_PD] * 3, R=NEG1), (ValueError, "Q must be positive "
+                                                "semidefinite")),
+    (dict(R=[np.eye(1), np.eye(1), NEG1]),
+     (ValueError, "R must be positive definite")),
+    (dict(Q=[0.05 * np.eye(2), NAN, NOT_PD], R=[np.eye(1), NEG1, NEG1]),
+     (InvalidMatrixError, "matrix entries must be finite")),
+    (dict(Q=[0.05 * np.eye(2), NAN, 0.05 * np.eye(2)]),
+     (InvalidMatrixError, "matrix entries must be finite")),
+    # a per-subsystem list one short fails where subsystem 2 reads it
+    (dict(Q=[0.05 * np.eye(2)] * 2), (IndexError, "list index out of "
+                                                  "range")),
+    (dict(Q=[0.05 * np.eye(2)] * 2, R=[np.eye(1), NEG1, np.eye(1)]),
+     (ValueError, "R must be positive definite")),
+    (dict(alpha=1.0, R=NEG1), (ValueError, "R must be positive definite")),
+    (dict(alpha=1.0), (ValueError, "alpha must be >= 2, got 1.0")),
+]
+
+
+class TestParamsFirstError:
+    def test_valid_params_pass(self):
+        _params().validate()
+
+    @pytest.mark.parametrize("changes, expected", PARAMS_CASES)
+    def test_first_error(self, changes, expected):
+        _raises_exactly(_params(**changes).validate, expected)
+
+    def test_config_path_is_kept(self):
+        doc = tiny_config_doc()
+        doc["fixed_params"]["X"] = [NOT_PD.tolist()]
+        doc["fixed_params"]["M"] = [(-np.eye(2)).tolist()]
+        _raises_exactly(lambda: parse_config(doc), (
+            ConfigError,
+            "<config>.fixed_params: X[0] must be positive definite"))
+
+
+# sha256 of json.dumps(serialize_config(cfg), sort_keys=True); a deliberate
+# edit of a bundled config changes its pin
+SERIALIZED_SHA256 = {
+    "example1": "a95a966d4bb91fffca15afd16ae5167c8a89350dbe5aef1b7520ddf2a4afbc90",
+    "example1_synthesis":
+        "560b6e836e730ffbc99a9dbc3570e094da2302b3d8d8f9abf28fbe19098535fa",
+    "example2": "67eeba5bd2a6024bf9bd13047ffaa69491fb4a575d53a8d48cfe10b455345f07",
+    "example2_stabilized":
+        "5dbf75cb260c129235b502889fe0aaa2daf206f7df1af68e902c6104655cec41",
+}
+
+
+def _reference_hex(raw):
+    """Per-entry parse of a JSON matrix or vector, as float hex."""
+    if isinstance(raw[0], list):
+        return [[float(v).hex() for v in row] for row in raw]
+    return [float(v).hex() for v in raw]
+
+
+def _assert_hex_equal(array, raw):
+    assert isinstance(array, np.ndarray) and array.dtype == np.float64
+    assert array.flags.c_contiguous
+    got = array.tolist()
+    got = [[v.hex() for v in row] for row in got] if array.ndim == 2 \
+        else [v.hex() for v in got]
+    assert got == _reference_hex(raw)
+
+
+def _shared_or_each(value, raw, n):
+    if isinstance(value, (list, tuple)):
+        for m, r in zip(value, raw):
+            _assert_hex_equal(m, r)
+        assert len(value) == n
+    else:
+        _assert_hex_equal(value, raw)
+
+
+def _resource_doc(name):
+    return json.loads((resources.files("it2mpc") / "configs"
+                       / f"{name}.json").read_text())
+
+
+class TestBundledParse:
+    @pytest.mark.parametrize("name", sorted(SERIALIZED_SHA256))
+    def test_arrays_equal_a_per_entry_parse(self, name):
+        raw = _resource_doc(name)
+        cfg = load_bundled_config(name)
+        for sub, raw_sub in zip(cfg.system.subsystems, raw["subsystems"],
+                                strict=True):
+            for rule, raw_rule in zip(sub.rules, raw_sub["rules"],
+                                      strict=True):
+                for field in "ABE":
+                    _assert_hex_equal(getattr(rule, field), raw_rule[field])
+            for key, g in raw_sub.get("couplings", {}).items():
+                _assert_hex_equal(sub.couplings[int(key) - 1], g)
+            for field in ("u_max", "H"):
+                if raw_sub.get(field) is not None:
+                    _assert_hex_equal(getattr(sub, field), raw_sub[field])
+            for fam_name in ("model_mfs", "controller_mfs"):
+                fam, raw_fam = getattr(sub, fam_name), raw_sub[fam_name]
+                for tier, mfs in (("lower", fam.lower), ("upper", fam.upper),
+                                  ("true", fam.true_mf)):
+                    for mf, rec in zip(mfs or (), raw_fam.get(tier) or ()):
+                        if rec["kind"] != "sigmoid":
+                            continue
+                        assert isinstance(mf, SigmoidMF)
+                        for attr, key in (("shift", "shift"),
+                                          ("divisor", "divisor"),
+                                          ("perturb_amplitude",
+                                           "perturb_amplitude")):
+                            assert type(getattr(mf, attr)) is float
+                            assert getattr(mf, attr).hex() == \
+                                float(rec.get(key, 0.0)).hex()
+        params, raw_params = cfg.params, raw["fixed_params"]
+        n = cfg.n_subsystems
+        for field in ("X", "M"):
+            _shared_or_each(getattr(params, field), raw_params[field], n)
+        for field in ("Q", "R"):
+            value = getattr(params, field)
+            if isinstance(value, list):
+                _shared_or_each(value, raw_params[field], n)
+            else:
+                _assert_hex_equal(value, raw_params[field])
+        for v, raw_x0 in zip(cfg.simulation.x0, raw["simulation"]["x0"],
+                             strict=True):
+            _assert_hex_equal(v, raw_x0)
+        if raw.get("gains") is not None:
+            for g, raw_g in zip(cfg.gains, raw["gains"], strict=True):
+                for k, raw_k in zip(g, raw_g, strict=True):
+                    _assert_hex_equal(k, raw_k)
+
+    @pytest.mark.parametrize("name", sorted(SERIALIZED_SHA256))
+    def test_serialization_is_pinned(self, name):
+        cfg = load_bundled_config(name)
+        text = json.dumps(serialize_config(cfg), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            SERIALIZED_SHA256[name]
+        assert cfg.data == serialize_config(cfg)
+
+    def test_every_bundled_config_is_covered(self):
+        assert sorted(SERIALIZED_SHA256) == bundled_config_names()
+
+    def test_fixture_certificate_equals_a_per_entry_parse(self):
+        raw = json.loads(FIXTURE.read_text())
+        system = load_bundled_config("example1_synthesis").system
+        dv, doc = load_certificate(FIXTURE, system)
+        assert doc == raw
+        assert [v.hex() for v in dv.xi] == [float(v).hex() for v in raw["xi"]]
+        for g, raw_g in zip(dv.gains, raw["gains"], strict=True):
+            for k, raw_k in zip(g, raw_g, strict=True):
+                _assert_hex_equal(k, raw_k)

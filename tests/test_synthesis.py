@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 from conftest import (build_example1_system, build_tiny_system,
                       controller_mf_family, example1_reference_params,
                       model_mf_family, tiny_params)
+from test_lmis import _draw_setup
 from it2mpc import lmis, synthesis
 from it2mpc.configio import (bundled_config_names, load_bundled_config,
                              load_certificate)
@@ -312,6 +314,50 @@ class TestMinimizeXi:
     def test_unknown_config_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown xi mode"):
             SynthesisConfig(xi_mode="bogus")
+
+    @pytest.mark.parametrize("mode", ["common", "per_subsystem"])
+    def test_near_degenerate_draw_is_certified_or_proven(self, monkeypatch,
+                                                         mode):
+        # _draw_setup(default_rng(78), calm=True) with random input limits:
+        # the Newton Hessian of subsystem 1's EVP reaches condition number
+        # 1e18, and its phase II stops centering with the duality gap stuck
+        # near 8e-9 (target 1e-9) at xi = 0.151. The solve must still end
+        # in a certificate that verifies, above its own lower bounds, or in
+        # a proven Infeasible, and in few Newton steps (430 today)
+        rng = np.random.default_rng(78)
+        system, params, _ = _draw_setup(rng, calm=True)
+        system = LargeScaleSystem(subsystems=tuple(
+            dataclasses.replace(sub, u_max=rng.uniform(0.5, 5.0, sub.n_u))
+            for sub in system.subsystems))
+        x0 = [np.zeros(sub.n_x) for sub in system.subsystems]
+        steps, gaps = [], []        # one lstsq solve per Newton step
+        lstsq, barrier = np.linalg.lstsq, synthesis._barrier
+
+        def counting(*args, **kwargs):
+            steps.append(1)
+            return lstsq(*args, **kwargs)
+
+        def recording(rows, c, y, stop_below=-np.inf, stop_above=np.inf):
+            y, bound = barrier(rows, c, y, stop_below, stop_above)
+            if np.isinf(stop_below) and np.isinf(stop_above):
+                value = float(c @ y)        # a phase II: runs to its gap
+                gaps.append((value - bound) / max(1.0, abs(value)))
+            return y, bound
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        monkeypatch.setattr(synthesis, "_barrier", recording)
+        try:
+            result = minimize_xi(system, params, x0, CFG, mode=mode)
+        except Infeasible as exc:
+            assert exc.best_excess > 0.0
+        else:
+            assert all(xi >= lower for xi, lower
+                       in zip(result.dv.xi, result.xi_lower, strict=True))
+            assert verify_certificate(system, params, result.dv, x0,
+                                      CFG)["feasible"]
+        # the draw still stalls: one phase II stops short of its gap
+        assert max(gaps) > synthesis._GAP
+        assert len(steps) < 1000
 
 
 class TestCertificateMargins:
@@ -658,8 +704,8 @@ class TestVerifyCertificate:
     def test_sweep_eigensolves_only_the_corners(self, monkeypatch):
         # the vertices bound every blend, so the Cholesky screen clears
         # every other grid row of the stored example1 certificate (an EVP
-        # optimum ties vertices, and with them blends, so a stack of the
-        # cold certificate is eigensolved in full)
+        # optimum ties vertices, and with them blends, so the sweep of the
+        # cold certificate eigensolves those tied rows as well)
         cfg = load_bundled_config("example1_synthesis")
         dv, _ = load_certificate(FIXTURE, cfg.system)
         solved, report = self._sweep_eigensolves(
@@ -667,6 +713,23 @@ class TestVerifyCertificate:
             SynthesisConfig())
         assert solved == self._corners(cfg.system)
         assert report["blended_worst"] == -3.709744999670958e-06
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_failed_screen_eigensolves_only_tied_rows(self, monkeypatch,
+                                                      scale):
+        # example2_stabilized's rules 1 and 2 are identical and its gains
+        # are shared across rules, so the blends along that edge tie the
+        # corners and one stack's screen fails. Split by halves, the sweep
+        # eigensolves 67 of that stack's 4,347 non-corner rows, not all
+        cfg = load_bundled_config("example2_stabilized")
+        dv = _bundled_dv(cfg, None, scale)
+        solved, report = self._sweep_eigensolves(
+            monkeypatch, cfg.system, cfg.params, dv, cfg.simulation.x0,
+            cfg.synthesis)
+        assert self._corners(cfg.system) < solved \
+            < self._corners(cfg.system) + 100
+        assert report["blended_worst"] == self._per_pair_worst(
+            cfg.system, cfg.params, dv, cfg.synthesis)
 
     def test_tied_blends_fall_back_to_eigensolves(self, monkeypatch):
         # identical rules and gains: every blend equals its vertex up to
@@ -682,11 +745,22 @@ class TestVerifyCertificate:
         gains = [[-0.2 * np.eye(2), -0.2 * np.eye(2)]]
         dv = DecisionVars(gains=gains, xi=[1.0])
         cfg = SynthesisConfig()
+        factorized, cholesky = [], np.linalg.cholesky
+
+        def counting(a, *args, **kwargs):
+            factorized.append(len(a))
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
         solved, report = self._sweep_eigensolves(monkeypatch, system, params,
                                                  dv, None, cfg)
         assert solved > self._corners(system)
         assert report["blended_worst"] == self._per_pair_worst(
             system, params, dv, cfg)
+        # both halves of the tied stack fail too, so they are eigensolved
+        # together rather than split further: 1 + 2 factorizations for it,
+        # 1 for the other stack
+        assert len(factorized) == 4
 
     def test_density_two_grid_is_all_corners(self, ex1_synthesized,
                                              monkeypatch):
