@@ -25,6 +25,7 @@ Schema conventions (documented in the repository README):
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -204,7 +205,8 @@ class SimulationSettings:
 
 @dataclass
 class SystemConfig:
-    """Validated configuration: built objects plus the normalized document."""
+    """Validated configuration: built objects plus the normalized document
+    (`data`, serialized on first read)."""
 
     schema_version: int
     name: str
@@ -215,11 +217,14 @@ class SystemConfig:
     synthesis: SynthesisConfig
     simulation: SimulationSettings
     gains: list | None
-    data: dict
 
     @property
     def n_subsystems(self) -> int:
         return self.system.n_subsystems
+
+    @functools.cached_property
+    def data(self) -> dict:
+        return serialize_config(self)
 
 
 _SUBSYSTEM_FIELDS = ("rules", "couplings", "model_mfs", "controller_mfs",
@@ -462,7 +467,7 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
     if ts <= 0:
         _fail(f"{source}.Ts", "sampling time must be positive")
 
-    cfg = SystemConfig(
+    return SystemConfig(
         schema_version=SCHEMA_VERSION,
         name=str(data.get("name", "")),
         notes=list(data.get("notes", [])),
@@ -472,10 +477,7 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
         synthesis=synthesis,
         simulation=simulation,
         gains=gains,
-        data={},
     )
-    cfg.data = serialize_config(cfg)
-    return cfg
 
 
 def load_config(path) -> SystemConfig:

@@ -2,21 +2,24 @@
 
 Every condition of subsystem i involves only that subsystem's gains and set
 size (neighbour states enter through fixed shape matrices), and every
-full-form vertex test matrix is jointly affine in y = (vec K_i, xi_i)
-(_affine_rows), its rows tightened as the evaluator judges them. So the
-smallest set size over all gains is an eigenvalue problem, EVP (Boyd, El
-Ghaoui, Feron & Balakrishnan 1994, §2.2), as in Kothare, Balakrishnan &
-Morari (1996), which a log-det barrier method solves (_barrier; Boyd &
-Vandenberghe 2004, §11.4-11.6). Its phase I, min s subject to
-G(y) <= s I, finds a strictly feasible point or a dual lower bound s > 0
-that proves none exists (Infeasible's best_excess); its phase II returns
-the gains of min xi_i and a lower bound on it that holds for the
-certificate's own conditions.
+full-form vertex test matrix is jointly affine in y = (vec K_i, xi_i): one
+model per subsystem (_Model) holds both families as G(y), built from one
+stacked vertex assembly per family, its rows tightened as the evaluator
+judges them. So the smallest set size over all gains is an eigenvalue
+problem, EVP (Boyd, El Ghaoui, Feron & Balakrishnan 1994, §2.2), as in
+Kothare, Balakrishnan & Morari (1996), which a log-det barrier method
+solves (_barrier; Boyd & Vandenberghe 2004, §11.4-11.6). Its phase I,
+min s subject to G(y) <= s I, finds a strictly feasible point or a dual
+lower bound s > 0 that proves none exists (Infeasible's best_excess); its
+phase II returns the gains of min xi_i and a lower bound on it that holds
+for the certificate's own conditions.
 
-Every certificate margin comes from one model, FixedGainEvaluator: the
-conditions at fixed gains as functions of the set sizes, one part per
-subsystem reading only (K_i, xi_i), so a re-solve rebuilds only the parts it
-re-solved. certificate_margins is that evaluator at the certificate's sizes.
+Every certificate margin comes from that model read at fixed gains: a part
+per subsystem (_Part) is its model at (K_i, xi_ref), the conditions as
+functions of xi_i alone, and FixedGainEvaluator is one part per subsystem,
+so a re-solve makes new parts only for the subsystems it re-solved, off the
+models they already hold, and assembles nothing. certificate_margins is
+that evaluator at the certificate's sizes.
 
 Set-size minimization is one search over a group of subsystems that share
 one xi: the "common" mode passes a single group of all subsystems, the
@@ -44,12 +47,11 @@ Schur LMIs [[u_s^2 / xi^2, k_s], [k_s', X]] >= 0, affine in k.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lmis import (_FAMILY_SENSE, DecisionVars, FixedParams, LMIInstance,
-                   _condition_matrices, assemble_containment,
+from .lmis import (DecisionVars, FixedParams, assemble_containment,
                    assemble_decrease, assemble_decrease_blended,
                    assemble_invariance, assemble_invariance_blended,
                    containment_size, shape_inverse, xi_slope)
@@ -131,57 +133,6 @@ def ellipsoid_input_excess(sub, x_mat, xi_i, gains_i):
     if sub.u_max is None:
         return np.full((len(gains_i), sub.n_u), -np.inf)
     return xi_i ** 2 * _peak_gains(x_mat, gains_i) - sub.u_max ** 2
-
-
-def _vertex_grid(sub, rules):
-    """Index lists (ls, ms) of every vertex (l, m) with m in `rules`,
-    l-major."""
-    return ([l for l in range(sub.n_rules) for _ in rules],
-            [m for _ in range(sub.n_rules) for m in rules])
-
-
-def _affine_rows(system: LargeScaleSystem, params: FixedParams, i: int,
-                 family: str):
-    """Subsystem i's full-form vertex test matrices of one family as an
-    affine function of y = (vec K_0, ..., vec K_M-1, xi_i), vec row-major:
-    (g0 (V, n, n), cols (len(y), V, n, n)), vertex v (every (l, m),
-    l-major) being g0[v] + sum_k y_k cols[k, v].
-
-    Every full-form entry is either constant (plus a xi term) or linear in
-    (theta, k_eff), in disjoint places, so one stacked _condition_matrices
-    call at xi = 0 (one strict basis) gives every term, per model rule l:
-    the stack at theta = A_l, k_eff = 0 is g0, and the one at
-    theta = B_l E_rc, k_eff = E_rc (a unit gain) less the one at theta = 0,
-    k_eff = 0 is the K_m[r, c] column of each vertex (l, m), exactly: the
-    constant entries cancel bit for bit. The xi column is lmis.xi_slope."""
-    sub = system.subsystems[i]
-    n_l, n_m, n_u, n_x = (sub.n_rules, sub.n_controller_rules, sub.n_u,
-                          sub.n_x)
-    q = n_u * n_x
-    units = np.eye(q).reshape(q, n_u, n_x)
-    theta = np.concatenate([np.array([rule.A for rule in sub.rules])[:, None],
-                            np.zeros((n_l, 1, n_x, n_x)),
-                            np.array([rule.B for rule in sub.rules])[:, None]
-                            @ units], axis=1)
-    k_eff = np.concatenate([np.zeros((2, n_u, n_x)), units])
-    mats, _, slot_dims, basis = _condition_matrices(
-        system, params, i, family, theta.reshape(-1, n_x, n_x),
-        np.repeat([rule.E for rule in sub.rules], 2 + q, axis=0),
-        np.tile(k_eff, (n_l, 1, 1)), 0.0, False)
-    mats = mats.reshape(n_l, 2 + q, *mats.shape[1:])
-    raw = np.concatenate([mats[:, :1], mats[:, 2:] - mats[:, 1:2]], axis=1)
-    inst = LMIInstance(matrix=raw.reshape(-1, *raw.shape[2:]), origin=family,
-                       sense=_FAMILY_SENSE[family], subsystem=i,
-                       slot_dims=slot_dims, strict_basis=basis)
-    tests = inst.test_matrix()
-    size = tests.shape[-1]
-    tests = tests.reshape(n_l, 1 + q, size, size)
-    cols = np.zeros((n_m * q + 1, n_l, n_m, size, size))
-    for m in range(n_m):
-        cols[m * q:(m + 1) * q, :, m] = tests[:, 1:].swapaxes(0, 1)
-    cols[-1] = xi_slope(params, inst)
-    return (np.repeat(tests[:, 0], n_m, axis=0),
-            cols.reshape(n_m * q + 1, n_l * n_m, size, size))
 
 
 def _factors(rows, y):
@@ -268,21 +219,67 @@ def _phase_one(rows, y0, stop_below, i, where):
     return y[:-1]
 
 
-class _GainModel:
-    """Subsystem i's vertex conditions as affine functions of
-    y = (vec K_i, xi_i) (_affine_rows), each family tightened as the
-    evaluator judges it (decrease by cfg.strictness), and its input
-    limits."""
+class _Model:
+    """Subsystem i's full-form vertex test matrices as an affine function of
+    y = (vec K_0, ..., vec K_M-1, xi_i), vec row-major as np.ravel(gains):
+    per family (invariance, decrease), vertex (l, m) is
+    g0[l] + sum_k K_m[k] cols[l, k] + xi_i slope, judged with `shifts`
+    added to its lambda_max (decrease by cfg.strictness); and its input
+    limits.
+
+    Every full-form entry is either constant (plus a xi term) or linear in
+    (theta, k), in disjoint places, so one stacked vertex assembly per
+    family at xi = 0, over every model rule l and the gains 0, E_1 ... E_q
+    (unit gains, q = n_u n_x), gives every term: the gain-0 row of rule l
+    (theta = A_l) is g0[l], and each unit row (theta = A_l + B_l E_k) less
+    it is the K[k] column, the constant entries cancelling bit for bit. The
+    xi column is lmis.xi_slope. Keys are built once: vertex (l, m) l-major,
+    invariance then decrease."""
 
     def __init__(self, system, params, i, cfg):
         sub = system.subsystems[i]
+        n, n_l, n_m = system.n_subsystems, sub.n_rules, sub.n_controller_rules
         self.i, self.u_max, self.x_mat = i, sub.u_max, params.X[i]
-        self.shape = (sub.n_controller_rules, sub.n_u, sub.n_x)
-        self.rows = []
-        for family, shift in (("invariance", 0.0),
-                              ("decrease", cfg.strictness)):
-            g0, cols = _affine_rows(system, params, i, family)
-            self.rows.append((g0 + shift * np.eye(g0.shape[-1]), cols))
+        self.shape = (n_m, sub.n_u, sub.n_x)
+        self.shifts = (0.0, cfg.strictness)
+        q = sub.n_u * sub.n_x
+        units = [np.zeros(self.shape[1:]),
+                 *np.eye(q).reshape(q, *self.shape[1:])]
+        dv = DecisionVars(gains=[units] * n, xi=[0.0] * n)
+        ls, ms = [l for l in range(n_l) for _ in units], [*range(1 + q)] * n_l
+        pairs = [(l, m) for l in range(n_l) for m in range(n_m)]
+        self.g0s, self.cols, self.slopes, keys = [], [], [], []
+        for assemble in (assemble_invariance, assemble_decrease):
+            inst = assemble(system, params, dv, i, ls, ms)
+            tests = inst.test_matrix()
+            tests = tests.reshape(n_l, 1 + q, *tests.shape[1:])
+            self.g0s.append(tests[:, 0])
+            self.cols.append(tests[:, 1:] - tests[:, :1])
+            self.slopes.append(xi_slope(params, inst))
+            keys.append(replace(inst, vertex=pairs).keys)
+        self.keys = [key for pair in zip(*keys) for key in pair]
+
+    @functools.cached_property
+    def rows(self) -> list:
+        """The barrier's (g0, cols) per family: vertex v (every (l, m),
+        l-major) is g0[v] + sum_k y_k cols[k, v] + shift I."""
+        n_m, n_u, n_x = self.shape
+        q = n_u * n_x
+        rows = []
+        for g0, cols, slope, shift in zip(self.g0s, self.cols, self.slopes,
+                                          self.shifts):
+            n_l, size = len(g0), len(slope)
+            full = np.zeros((n_m * q + 1, n_l, n_m, size, size))
+            for m in range(n_m):
+                full[m * q:(m + 1) * q, :, m] = cols.swapaxes(0, 1)
+            full[-1] = slope
+            rows.append((np.repeat(g0, n_m, axis=0) + shift * np.eye(size),
+                         full.reshape(n_m * q + 1, n_l * n_m, size, size)))
+        return rows
+
+    @functools.cached_property
+    def x_inv(self) -> np.ndarray:
+        return shape_inverse(self.x_mat)
 
     def _gains(self, y):
         return list(y[:np.prod(self.shape)].reshape(self.shape).copy())
@@ -329,46 +326,41 @@ def solve_fixed_xi(system: LargeScaleSystem, params: FixedParams, xi,
     cfg = cfg or SynthesisConfig()
     n = system.n_subsystems
     xi_list = [float(xi)] * n if np.isscalar(xi) else [float(v) for v in xi]
-    gains = [_GainModel(system, params, i, cfg).at_xi(xi_list[i])
+    gains = [_Model(system, params, i, cfg).at_xi(xi_list[i])
              for i in range(n)]
     return DecisionVars(gains=gains, xi=xi_list)
 
 
-def _solve_cold(system, params, groups, floors, cfg, common):
-    """The groups that keep no warm gains, solved: {i: (part at the final
-    gains and size, proven lower bound on the group's size)}, and the number
-    of SDP solves. A member re-solved at its group's size and infeasible
-    there is infeasible at every larger size too: its feasible sizes over
-    all gains form an interval that holds its EVP optimum."""
-    n = system.n_subsystems
-    models = {i: _GainModel(system, params, i, cfg)
-              for group in groups for i in group}
-    gains, xis, bounds, lowers = [None] * n, [None] * n, [None] * n, {}
+def _solve_cold(models, groups, floors, common):
+    """The groups that keep no warm gains, solved on their members' models
+    {i: _Model}: {i: (part at the final gains and size, proven lower bound
+    on the group's size)}, and the number of SDP solves. A member re-solved
+    at its group's size and infeasible there is infeasible at every larger
+    size too: its feasible sizes over all gains form an interval that holds
+    its EVP optimum."""
+    gains, xis, bounds, out = {}, {}, {}, {}
     try:
         for i, model in models.items():
             gains[i], xis[i], bounds[i] = model.min_xi()
-        at_evp = DecisionVars(gains=list(gains), xi=list(xis))
         solves = len(models)
         for group in groups:
             # the clamp, naming the members whose interval stops short
             floor = max(floors[i] for i in group)
-            ends = [_Part(system, params, at_evp, i, cfg).interval
-                    or (at_evp.xi[i], -np.inf) for i in group]
+            ends = [_Part(models[i], gains[i], xis[i]).interval
+                    or (xis[i], -np.inf) for i in group]
             size = max(max(lo for lo, _ in ends), floor) * (1.0 + XI_HAIR)
             lower = max(max(bounds[i] for i in group), floor)
             for i, (_, hi) in zip(group, ends):
-                xis[i], lowers[i] = size, lower
                 if hi < size:
                     gains[i] = models[i].at_xi(size)
                     solves += 1
+                out[i] = (_Part(models[i], gains[i], size), lower)
     except Infeasible as exc:
         where = None if common else exc.subsystem
         head = "no common set size feasible for every subsystem" if common \
             else f"subsystem {where}: no feasible set size"
         raise Infeasible(f"{head}: {exc}", exc.best_excess, where) from exc
-    at_size = DecisionVars(gains=gains, xi=xis)
-    return {i: (_Part(system, params, at_size, i, cfg), lowers[i])
-            for i in models}, solves
+    return out, solves
 
 
 def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
@@ -419,7 +411,10 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
             xis[i], parts[i] = xi, evaluator.parts[i]
     solves = 0
     if cold:
-        new, solves = _solve_cold(system, params, cold, floors, cfg, common)
+        models = {i: _Model(system, params, i, cfg) if evaluator is None
+                  else evaluator.parts[i].model
+                  for group in cold for i in group}
+        new, solves = _solve_cold(models, cold, floors, common)
         for i, (part, lower) in new.items():
             parts[i], xis[i], xi_lower[i] = part, part.xi_ref, lower
         evaluator = FixedGainEvaluator._of_parts(parts)
@@ -437,40 +432,32 @@ def certificate_margins(system: LargeScaleSystem, params: FixedParams,
     """Signed feasibility excesses of the full (slack-row) conditions,
     keyed by instance; every value <= 0 means the certificate holds. These
     are the margins of the FixedGainEvaluator of dv's gains at dv's own set
-    sizes, which reads no xi-slope and locates no interval."""
+    sizes, which locates no interval."""
     return FixedGainEvaluator(system, params, dv,
                               cfg or SynthesisConfig()).margins(dv.xi, x_all)
 
 
 class _Part:
-    """Subsystem i's conditions at fixed gains K_i as functions of xi_i,
-    built from (params, K_i, xi_ref) alone: its vertex test matrices at
-    xi_ref and, on first use, their xi-slopes, its interval and X^-1."""
+    """Subsystem i's conditions at fixed gains K_i as functions of xi_i: its
+    _Model read at (vec K_i, xi_ref), the vertex test matrices at xi_ref
+    (T_ref, one contraction of the K-columns per family) whose xi-slope is
+    the model's xi column, its input peaks and, on first use, its
+    interval."""
 
-    def __init__(self, system: LargeScaleSystem, params: FixedParams,
-                 dv: DecisionVars, i: int, cfg: SynthesisConfig):
-        sub = system.subsystems[i]
-        self.i, self.gains, self.xi_ref = i, dv.gains[i], dv.xi[i]
-        ls, ms = _vertex_grid(sub, range(sub.n_controller_rules))
-        self._insts = [assemble(system, params, dv, i, ls, ms)
-                       for assemble in (assemble_invariance, assemble_decrease)]
-        self.t_refs = [inst.test_matrix() for inst in self._insts]
-        self.shifts = (0.0, cfg.strictness)     # added to lambda_max
-        self.keys = [key for pair in zip(*(inst.keys for inst in self._insts))
-                     for key in pair]       # per vertex: invariance, decrease
-        self.u_max, self.x_mat, self._params = sub.u_max, params.X[i], params
-        self.peaks = None if sub.u_max is None else \
-            _peak_gains(self.x_mat, self.gains)
+    def __init__(self, model: _Model, gains, xi_ref: float):
+        self.model, self.gains, self.xi_ref = model, gains, xi_ref
+        self.i = model.i
+        flat = np.reshape(gains, (len(gains), -1))      # (n_m, q)
+        self.t_refs = []
+        for g0, cols, slope in zip(model.g0s, model.cols, model.slopes):
+            n_l, q, size, _ = cols.shape
+            at_k = (flat @ cols.reshape(n_l, q, -1)).reshape(n_l, -1, size,
+                                                              size)
+            self.t_refs.append(((g0 + xi_ref * slope)[:, None] + at_k)
+                               .reshape(-1, size, size))
+        self.peaks = None if model.u_max is None else \
+            _peak_gains(model.x_mat, gains)
         self._cache = None      # (xi_i, margins)
-
-    @functools.cached_property
-    def slopes(self) -> list:
-        """(size, size) d T / d xi of each family's vertices (lmis.xi_slope)."""
-        return [xi_slope(self._params, inst) for inst in self._insts]
-
-    @functools.cached_property
-    def x_inv(self) -> np.ndarray:
-        return shape_inverse(self.x_mat)
 
     @functools.cached_property
     def interval(self) -> tuple | None:
@@ -479,8 +466,9 @@ class _Part:
         family holds for xi - xi_ref in [1/min mu, 1/max mu], mu the
         eigenvalues of L^-1 slope L^-T, -(t_ref + shift I) = L L' per vertex
         (an end is infinite when no mu has its sign)."""
-        mu_min, mu_max = np.inf, -np.inf
-        for t_ref, slope, shift in zip(self.t_refs, self.slopes, self.shifts):
+        model, mu_min, mu_max = self.model, np.inf, -np.inf
+        for t_ref, slope, shift in zip(self.t_refs, model.slopes,
+                                       model.shifts):
             try:
                 chol = np.linalg.cholesky(-(t_ref + shift * np.eye(len(slope))))
             except np.linalg.LinAlgError:
@@ -494,21 +482,22 @@ class _Part:
         hi = self.xi_ref + 1.0 / mu_max if mu_max > 0.0 else np.inf
         if self.peaks is not None:
             with np.errstate(divide="ignore"):
-                hi = min(hi, float(np.min(self.u_max / np.sqrt(self.peaks))))
+                hi = min(hi, float(np.min(model.u_max / np.sqrt(self.peaks))))
         return lo, hi
 
     def margins(self, xi_i: float) -> dict:
         """Signed excesses of every condition but containment at xi_i: one
         batched eigensolve per family, none at the last size asked for."""
         if self._cache is None or self._cache[0] != xi_i:
-            dxi = xi_i - self.xi_ref
-            tops = []
-            for f, (t_ref, shift) in enumerate(zip(self.t_refs, self.shifts)):
-                t = t_ref if dxi == 0.0 else t_ref + dxi * self.slopes[f]
+            model, dxi, tops = self.model, xi_i - self.xi_ref, []
+            for t_ref, slope, shift in zip(self.t_refs, model.slopes,
+                                           model.shifts):
+                t = t_ref if dxi == 0.0 else t_ref + dxi * slope
                 tops.append((np.linalg.eigvalsh(t)[:, -1] + shift).tolist())
-            part = dict(zip(self.keys, (v for pair in zip(*tops) for v in pair)))
+            part = dict(zip(model.keys,
+                            (v for pair in zip(*tops) for v in pair)))
             if self.peaks is not None:
-                ell = xi_i ** 2 * self.peaks - self.u_max ** 2
+                ell = xi_i ** 2 * self.peaks - model.u_max ** 2
                 if np.all(np.isfinite(ell)):
                     part[f"input_peak[i={self.i}]"] = float(np.max(ell))
             self._cache = (xi_i, part)
@@ -520,19 +509,20 @@ class FixedGainEvaluator:
     sizes: the one model of every certificate margin, one part per
     subsystem (`parts`), as subsystem i's rows read only K_i and xi_i.
 
-    Each full-form vertex test matrix of subsystem i is affine in xi_i,
-    T(xi) = T_ref + (xi - xi_ref) T1, with a slope T1 that depends on the
-    parameters only (lmis.xi_slope), and the input-peak rows are
-    xi^2 (k X^-1 k')_ss - u_s^2. So `margins` takes one batched eigensolve
-    per subsystem and family (none at an unchanged size), and each
-    subsystem's feasible sizes are an exact interval that does not depend
-    on the state (`interval`; only containment reads it). Slopes and
-    intervals are computed on first use: margins at xi_ref need neither."""
+    Each part is its subsystem's _Model read at fixed gains: every
+    full-form vertex test matrix is affine in xi_i,
+    T(xi) = T_ref + (xi - xi_ref) T1, with the model's xi column T1
+    (lmis.xi_slope), and the input-peak rows are xi^2 (k X^-1 k')_ss - u_s^2.
+    So `margins` takes one batched eigensolve per subsystem and family (none
+    at an unchanged size), and each subsystem's feasible sizes are an exact
+    interval that does not depend on the state (`interval`; only
+    containment reads it). Intervals are located on first use: margins at
+    xi_ref need none."""
 
     def __init__(self, system: LargeScaleSystem, params: FixedParams,
                  dv: DecisionVars, cfg: SynthesisConfig):
-        self.parts = tuple(_Part(system, params, dv, i, cfg)
-                           for i in range(system.n_subsystems))
+        self.parts = tuple(_Part(_Model(system, params, i, cfg), dv.gains[i],
+                                 dv.xi[i]) for i in range(system.n_subsystems))
         self.gains = dv.gains
 
     @classmethod
@@ -572,8 +562,8 @@ class FixedGainEvaluator:
             out.update(part.margins(xi_i))
             if x_all is not None:
                 cont = assemble_containment(
-                    np.asarray(x_all[part.i], dtype=float), xi_i, part.x_mat,
-                    part.i, part.x_inv)
+                    np.asarray(x_all[part.i], dtype=float), xi_i,
+                    part.model.x_mat, part.i, part.model.x_inv)
                 out[cont.key] = None        # keeps the key order; set below
                 blocks.setdefault(len(cont.matrix), []).append(cont)
         for conts in blocks.values():

@@ -296,5 +296,5 @@ def tiny_config_doc(stable=True):
             x0=[np.array([0.3, -0.3])], steps=20,
             disturbance=DisturbanceModel(kind="uniform_ball", seed=3),
             resynth="once"),
-        gains=None, data={})
+        gains=None)
     return serialize_config(cfg)

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 
 from conftest import (build_example1_system, build_tiny_system,
                       controller_mf_family, example1_reference_params,
-                      model_mf_family, tiny_params)
+                      example1_synthesis_params, model_mf_family,
+                      tiny_params)
 from test_lmis import _draw_setup
 from it2mpc import lmis, synthesis
 from it2mpc.configio import (bundled_config_names, load_bundled_config,
@@ -20,9 +21,8 @@ from it2mpc.lmis import (DecisionVars, FixedParams, assemble_containment,
                          assemble_invariance, assemble_invariance_blended)
 from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 from it2mpc.synthesis import (XI_HAIR, FixedGainEvaluator, Infeasible,
-                              SynthesisConfig, _affine_rows, _simplex_grid,
-                              _vertex_grid, certificate_margins,
-                              ellipsoid_input_excess,
+                              SynthesisConfig, _Model, _Part, _simplex_grid,
+                              certificate_margins, ellipsoid_input_excess,
                               minimize_xi, solve_fixed_xi,
                               verify_certificate)
 
@@ -75,6 +75,31 @@ def _reference_margins(system, params, dv, x_all, cfg):
                                         dv.xi[i], params.X[i], i)
             want[cont.key] = -min_eig(cont.matrix)
     return want
+
+
+def _assert_margins_match(got, want):
+    """Same keys in the same order; vertex rows within 1e-12 of the
+    per-instance assembly (the evaluator reads them off the affine model),
+    containment and input-peak rows bit for bit."""
+    assert list(got) == list(want)
+    for key in want:
+        if key.startswith(("containment", "input_peak")):
+            assert got[key] == want[key]
+        else:
+            assert got[key] == pytest.approx(want[key], abs=1e-12)
+
+
+def _count_assemblies(monkeypatch):
+    """The subsystem of every condition assembly (lmis._condition_matrices
+    call) made from now on, in order."""
+    assembled, inner = [], lmis._condition_matrices
+
+    def counted(*args, **kwargs):
+        assembled.append(args[2])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(lmis, "_condition_matrices", counted)
+    return assembled
 
 
 class TestInputExcess:
@@ -185,6 +210,26 @@ class TestMinimizeXi:
         _, _, _, res, _ = ex1_synthesized
         assert max(res.dv.xi) <= 9.901832152969146
 
+    @pytest.mark.parametrize("mode", ["common", "per_subsystem"])
+    def test_cold_example1_assembles_each_member_once(self, monkeypatch,
+                                                      mode):
+        # one stacked assembly per subsystem and family builds its model;
+        # the EVP, the clamp and the result's parts are all read off it, and
+        # the result's margins are its certificate_margins bit for bit
+        system, params = build_example1_system(), \
+            example1_synthesis_params()
+        x0 = [np.array([1.0, -1.0])] * 3
+        assembled = _count_assemblies(monkeypatch)
+        res = minimize_xi(system, params, x0, CFG, mode=mode)
+        monkeypatch.undo()
+        assert assembled == [0, 0, 1, 1, 2, 2]
+        assert res.feasible
+        assert list(res.margins.items()) == list(certificate_margins(
+            system, params, res.dv, x0, CFG).items())
+        assert res.dv.xi[2] == pytest.approx(9.895246779437825, rel=1e-12)
+        assert res.xi_lower[2] == pytest.approx(9.895236878375064,
+                                                rel=1e-12)
+
     def test_failed_warm_size_falls_back_to_cold_solve(self, tiny):
         # the warm size lies far above the decrease conditions' upper end
         # (xi Q outgrows X), so the warm gains certify nothing there; the
@@ -259,29 +304,25 @@ class TestMinimizeXi:
     def test_partial_resolve_rebuilds_only_its_part(self, monkeypatch):
         # subsystem 1's gains times -3 leave it no interval: per subsystem,
         # only it is re-solved (its EVP), subsystems 0 and 2 keep the passed
-        # evaluator's parts, and only subsystem 1's two families are
-        # assembled, once at its EVP gains and once at its final size
+        # evaluator's parts, and subsystem 1's EVP and new part are read off
+        # the model the passed evaluator already holds: nothing is assembled
         cfg = load_bundled_config("example1_synthesis")
         system, params, x0 = cfg.system, cfg.params, cfg.simulation.x0
         dv, _ = load_certificate(FIXTURE, system)
         dv.gains[1] = [-3.0 * k for k in dv.gains[1]]
         warm = FixedGainEvaluator(system, params, dv, cfg.synthesis)
-        assembled, inner = [], lmis._condition_matrices
-
-        def counted(*args, **kwargs):
-            assembled.append(args[2])           # the subsystem
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(lmis, "_condition_matrices", counted)
+        assembled = _count_assemblies(monkeypatch)
         res = minimize_xi(system, params, x0, cfg.synthesis, warm=dv,
                           mode="per_subsystem", evaluator=warm)
         monkeypatch.undo()
         assert res.solves == 1
         assert res.evaluator.parts[0] is warm.parts[0]
         assert res.evaluator.parts[2] is warm.parts[2]
-        assert assembled == [1] * 4
-        assert res.dv.xi == [5.477231052277236, 8.190346085818256,
-                             9.900614785636536]
+        assert res.evaluator.parts[1].model is warm.parts[1].model
+        assert assembled == []
+        assert res.dv.xi == pytest.approx(
+            [5.477231052277236, 8.190346085818256, 9.900614785636536],
+            rel=1e-12)
         assert res.evaluator.gains is res.dv.gains
         report = verify_certificate(system, params, res.dv, x0,
                                     cfg.synthesis)
@@ -398,34 +439,46 @@ class TestStackedVertexCallers:
         cfg = load_bundled_config("example1_synthesis")
         yield cfg.system, cfg.params, load_bundled_config("example1").gains
 
-    @pytest.mark.parametrize("name", [None, *bundled_config_names()])
-    def test_affine_rows_match_assembled_matrices(self, name):
-        # G0 + sum_k y_k G_k at random y = (vec K_i, xi_i) against the
-        # assembled full-form test matrices, vertex by vertex
+    @pytest.mark.parametrize("name", [
+        None, *bundled_config_names(),
+        *(f"draw-{seed}-{calm}" for seed in (3, 41, 78)
+          for calm in ("calm", "wild"))])
+    def test_model_matches_assembled_matrices(self, name):
+        # the barrier rows G0 + sum_k y_k G_k and the part's contraction at
+        # random y = (vec K_i, xi_i) against the assembled full-form test
+        # matrices, vertex by vertex; the draws are tests/test_lmis plants
+        # (seed 78 calm is the near-degenerate one)
         if name is None:
             system, params = build_tiny_system(), tiny_params()
+        elif name.startswith("draw-"):
+            _, seed, calm = name.split("-")
+            system, params, _ = _draw_setup(np.random.default_rng(int(seed)),
+                                            calm=calm == "calm")
         else:
             cfg = load_bundled_config(name)
             system, params = cfg.system, cfg.params
         rng = np.random.default_rng(11)
         for i, sub in enumerate(system.subsystems):
-            ls, ms = _vertex_grid(sub, range(sub.n_controller_rules))
-            for family, assemble in (("invariance", assemble_invariance),
-                                     ("decrease", assemble_decrease)):
-                g0, cols = _affine_rows(system, params, i, family)
-                for _ in range(3):
-                    gains = [rng.standard_normal((sub.n_u, sub.n_x))
-                             for _ in range(sub.n_controller_rules)]
-                    xi = float(rng.uniform(0.1, 20.0))
-                    y = np.append(np.ravel(gains), xi)
-                    dv = DecisionVars(gains=[gains] * system.n_subsystems,
-                                      xi=[xi] * system.n_subsystems)
-                    want = assemble(system, params, dv, i, ls, ms)
-                    got = g0 + np.tensordot(y, cols, 1)
-                    assert got.shape == want.matrix.shape[:1] + \
-                        want.test_matrix().shape[1:]
-                    assert_allclose(got, want.test_matrix(), rtol=0.0,
-                                    atol=1e-12)
+            model = _Model(system, params, i, CFG)
+            ls, ms = zip(*((l, m) for l in range(sub.n_rules)
+                           for m in range(sub.n_controller_rules)))
+            for _ in range(3):
+                gains = [rng.standard_normal((sub.n_u, sub.n_x))
+                         for _ in range(sub.n_controller_rules)]
+                xi = float(rng.uniform(0.1, 20.0))
+                y = np.append(np.ravel(gains), xi)
+                dv = DecisionVars(gains=[gains] * system.n_subsystems,
+                                  xi=[xi] * system.n_subsystems)
+                part = _Part(model, gains, xi)
+                for assemble, (g0, cols), shift, t_ref in zip(
+                        (assemble_invariance, assemble_decrease), model.rows,
+                        model.shifts, part.t_refs):
+                    want = assemble(system, params, dv, i, list(ls),
+                                    list(ms)).test_matrix()
+                    for got in (g0 + np.tensordot(y, cols, 1)
+                                - shift * np.eye(want.shape[-1]), t_ref):
+                        assert got.shape == want.shape
+                        assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_certificate_margins_match_per_vertex_loop(self):
         cfg = SynthesisConfig()
@@ -435,8 +488,7 @@ class TestStackedVertexCallers:
             x_all = [np.full(sub.n_x, 0.4) for sub in system.subsystems]
             got = certificate_margins(system, params, dv, x_all, cfg)
             want = _reference_margins(system, params, dv, x_all, cfg)
-            assert list(got) == list(want)
-            assert got == want
+            _assert_margins_match(got, want)
 
 
 class TestFixedGainEvaluator:
@@ -497,22 +549,13 @@ class TestFixedGainEvaluator:
         states = [[0.8 * rng.standard_normal(sub.n_x)
                    for sub in system.subsystems] for _ in range(3)]
         for x_all in (None, x0, *states):
-            got = evaluator.margins(dv.xi, x_all)
-            want = _reference_margins(system, params, dv, x_all,
-                                      cfg.synthesis)
-            assert list(got) == list(want)
-            assert got == want
-            for factor in (0.5, 1.0001, 3.0):
+            for factor in (1.0, 0.5, 1.0001, 3.0):
                 xi = [factor * v for v in dv.xi]
                 got = evaluator.margins(xi, x_all)
                 want = _reference_margins(
                     system, params, DecisionVars(dv.gains, xi), x_all,
                     cfg.synthesis)
-                assert list(got) == list(want)
-                for key in want:
-                    assert got[key] == pytest.approx(want[key], abs=1e-12)
-                    if key.startswith("containment"):
-                        assert got[key] == want[key]
+                _assert_margins_match(got, want)
 
     @staticmethod
     def _mixed_sizes():
@@ -597,10 +640,12 @@ class TestVerifyCertificate:
         # figures of the per-point sweep the batched one replaced, on the
         # cold EVP certificate
         system, params, x0, res, _ = ex1_synthesized
+        want = self._per_pair_worst(system, params, res.dv, SynthesisConfig())
         for x_all in (x0, None):
             report = verify_certificate(system, params, res.dv, x_all)
-            assert report["blended_worst"] == -2.938460501393633e-08
-            assert report["worst"] == -2.938460501393633e-08
+            assert report["blended_worst"] == want
+            assert report["worst"] == pytest.approx(want, abs=1e-12)
+            assert report["worst"] <= -1e-9
             assert report["feasible"] is True
             assert report["margins"] == certificate_margins(
                 system, params, res.dv, x_all)
@@ -618,27 +663,24 @@ class TestVerifyCertificate:
                                     cfg.simulation.x0, cfg.synthesis)
         margins = report["margins"]
         assert report["feasible"] is True
-        assert report["worst"] == -3.709744999670958e-06
+        assert report["worst"] == pytest.approx(-3.709744999670958e-06,
+                                                abs=1e-12)
         assert max(margins, key=margins.get) == "invariance[i=2,l=1,m=0]"
         assert not any(k.startswith(("input[", "budget[")) for k in margins)
 
     def test_margins_only_locate_no_interval(self, monkeypatch):
         # verify reads the evaluator at the certificate's own set sizes
-        # only: no part builds its xi-slopes or locates its interval
+        # only: no part locates its interval
         def refuse(*args, **kwargs):
-            raise AssertionError("verify must not build a part's slopes "
-                                 "or interval")
+            raise AssertionError("verify must not locate a part's interval")
 
         cfg = load_bundled_config("example1_synthesis")
         dv, _ = load_certificate(FIXTURE, cfg.system)
-        monkeypatch.setattr(synthesis, "xi_slope", refuse)
-        for name in ("slopes", "interval"):
-            monkeypatch.setattr(synthesis._Part, name, property(refuse))
+        monkeypatch.setattr(synthesis._Part, "interval", property(refuse))
         part = FixedGainEvaluator(cfg.system, cfg.params, dv,
                                   cfg.synthesis).parts[0]
-        for name in ("slopes", "interval"):
-            with pytest.raises(AssertionError, match="must not build"):
-                getattr(part, name)
+        with pytest.raises(AssertionError, match="must not locate"):
+            part.interval
         report = verify_certificate(cfg.system, cfg.params, dv,
                                     cfg.simulation.x0, cfg.synthesis)
         assert report["feasible"] is True
