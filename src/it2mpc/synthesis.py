@@ -14,6 +14,12 @@ lower bound s > 0 that proves none exists (Infeasible's best_excess); its
 phase II returns the gains of min xi_i and a lower bound on it that holds
 for the certificate's own conditions.
 
+Symmetry lemma: vertex (l, m) reads K_m alone, so every K_m faces the same
+rows ({G_l(K_m, xi) <= s I for every l} and the input-peak rows), and per-rule
+gains meet them at (xi, s) exactly when each K_m, taken for every rule, does.
+So the EVP and phase I over (K_0 ... K_M-1, xi_i) have the optima and bounds
+of those over one gain, y = (vec K, xi_i): the cold gains are [K] * n_m.
+
 Every certificate margin comes from that model read at fixed gains: a part
 per subsystem (_Part) is its model at (K_i, xi_ref), the conditions as
 functions of xi_i alone, and FixedGainEvaluator is one part per subsystem,
@@ -221,11 +227,11 @@ def _phase_one(rows, y0, stop_below, i, where):
 
 class _Model:
     """Subsystem i's full-form vertex test matrices as an affine function of
-    y = (vec K_0, ..., vec K_M-1, xi_i), vec row-major as np.ravel(gains):
-    per family (invariance, decrease), vertex (l, m) is
-    g0[l] + sum_k K_m[k] cols[l, k] + xi_i slope, judged with `shifts`
-    added to its lambda_max (decrease by cfg.strictness); and its input
-    limits.
+    its gains and set size: per family (invariance, decrease), vertex (l, m)
+    is g0[l] + sum_k K_m[k] cols[l, k] + xi_i slope (vec row-major as
+    np.ravel), judged with `shifts` added to its lambda_max (decrease by
+    cfg.strictness); and its input limits. The warm parts read it at
+    per-rule gains; the cold solve (`rows`) at one gain K for every rule.
 
     Every full-form entry is either constant (plus a xi term) or linear in
     (theta, k), in disjoint places, so one stacked vertex assembly per
@@ -238,16 +244,15 @@ class _Model:
 
     def __init__(self, system, params, i, cfg):
         sub = system.subsystems[i]
-        n, n_l, n_m = system.n_subsystems, sub.n_rules, sub.n_controller_rules
+        n, n_l = system.n_subsystems, sub.n_rules
         self.i, self.u_max, self.x_mat = i, sub.u_max, params.X[i]
-        self.shape = (n_m, sub.n_u, sub.n_x)
+        self.n_m, self.shape = sub.n_controller_rules, (sub.n_u, sub.n_x)
         self.shifts = (0.0, cfg.strictness)
-        q = sub.n_u * sub.n_x
-        units = [np.zeros(self.shape[1:]),
-                 *np.eye(q).reshape(q, *self.shape[1:])]
+        q = self.q = sub.n_u * sub.n_x
+        units = [np.zeros(self.shape), *np.eye(q).reshape(q, *self.shape)]
         dv = DecisionVars(gains=[units] * n, xi=[0.0] * n)
         ls, ms = [l for l in range(n_l) for _ in units], [*range(1 + q)] * n_l
-        pairs = [(l, m) for l in range(n_l) for m in range(n_m)]
+        pairs = [(l, m) for l in range(n_l) for m in range(self.n_m)]
         self.g0s, self.cols, self.slopes, keys = [], [], [], []
         for assemble in (assemble_invariance, assemble_decrease):
             inst = assemble(system, params, dv, i, ls, ms)
@@ -261,45 +266,36 @@ class _Model:
 
     @functools.cached_property
     def rows(self) -> list:
-        """The barrier's (g0, cols) per family: vertex v (every (l, m),
-        l-major) is g0[v] + sum_k y_k cols[k, v] + shift I."""
-        n_m, n_u, n_x = self.shape
-        q = n_u * n_x
-        rows = []
-        for g0, cols, slope, shift in zip(self.g0s, self.cols, self.slopes,
-                                          self.shifts):
-            n_l, size = len(g0), len(slope)
-            full = np.zeros((n_m * q + 1, n_l, n_m, size, size))
-            for m in range(n_m):
-                full[m * q:(m + 1) * q, :, m] = cols.swapaxes(0, 1)
-            full[-1] = slope
-            rows.append((np.repeat(g0, n_m, axis=0) + shift * np.eye(size),
-                         full.reshape(n_m * q + 1, n_l * n_m, size, size)))
-        return rows
+        """The barrier's (g0, cols) per family over y = (vec K, xi_i), one
+        gain for every rule (the symmetry lemma): model rule l's block is
+        g0[l] + sum_k y_k cols[k, l] + shift I."""
+        return [(g0 + shift * np.eye(len(slope)),
+                 np.concatenate([cols.swapaxes(0, 1),
+                                 np.broadcast_to(slope, (1,) + g0.shape)]))
+                for g0, cols, slope, shift in zip(self.g0s, self.cols,
+                                                  self.slopes, self.shifts)]
 
     @functools.cached_property
     def x_inv(self) -> np.ndarray:
         return shape_inverse(self.x_mat)
 
-    def _gains(self, y):
-        return list(y[:np.prod(self.shape)].reshape(self.shape).copy())
-
     def min_xi(self):
-        """The EVP min xi_i over gains and size, input-peak rows left out:
-        (gains, xi, bound), xi strictly feasible at those gains and bound a
-        lower bound on the optimum. Raises Infeasible."""
-        y = _phase_one(self.rows, np.append(np.zeros(np.prod(self.shape)), 1.0),
-                       0.0, self.i, "any set size")
+        """The EVP min xi_i over one gain and the size, input-peak rows left
+        out: (gains, xi, bound), xi strictly feasible at those gains and
+        bound a lower bound on the optimum. Raises Infeasible."""
+        y = _phase_one(self.rows, np.eye(self.q + 1)[-1], 0.0, self.i,
+                       "any set size")
         y, bound = _barrier(self.rows, np.eye(len(y))[-1], y)
-        return self._gains(y), float(y[-1]), float(bound)
+        gain = y[:-1].reshape(self.shape)
+        return [gain] * self.n_m, float(y[-1]), float(bound)
 
     def _input_rows(self, xi):
-        """[[u_s^2 / xi^2, k_s], [k_s', X]] >= 0 per rule m and channel s,
-        as rows G(vec K_i) <= 0."""
-        n_m, n_u, n_x = self.shape
-        k = np.arange(n_m * n_u * n_x)
-        g0 = np.zeros((n_m * n_u, n_x + 1, n_x + 1))
-        g0[:, 0, 0] = -np.tile(self.u_max ** 2, n_m) / xi ** 2
+        """[[u_s^2 / xi^2, k_s], [k_s', X]] >= 0 per channel s, as rows
+        G(vec K) <= 0."""
+        n_u, n_x = self.shape
+        k = np.arange(self.q)
+        g0 = np.zeros((n_u, n_x + 1, n_x + 1))
+        g0[:, 0, 0] = -self.u_max ** 2 / xi ** 2
         g0[:, 1:, 1:] = -self.x_mat
         cols = np.zeros((len(k),) + g0.shape)
         cols[k, k // n_x, 0, 1 + k % n_x] = -1.0    # k_s is row k // n_x
@@ -307,14 +303,15 @@ class _Model:
         return g0, cols
 
     def at_xi(self, xi):
-        """Gains with every row feasible at set size xi, the input-peak
-        rows included: the phase-I optimum, the gains of largest margin.
-        Raises Infeasible."""
+        """One gain for every rule with every row feasible at set size xi,
+        the input-peak rows included: the phase-I optimum, the gain of
+        largest margin. Raises Infeasible."""
         rows = [(g0 + xi * cols[-1], cols[:-1]) for g0, cols in self.rows]
         if self.u_max is not None:
             rows.append(self._input_rows(xi))
-        return self._gains(_phase_one(rows, np.zeros(np.prod(self.shape)),
-                                      -np.inf, self.i, f"set size {xi:.6g}"))
+        y = _phase_one(rows, np.zeros(self.q), -np.inf, self.i,
+                       f"set size {xi:.6g}")
+        return [y.reshape(self.shape)] * self.n_m
 
 
 def solve_fixed_xi(system: LargeScaleSystem, params: FixedParams, xi,
@@ -322,10 +319,13 @@ def solve_fixed_xi(system: LargeScaleSystem, params: FixedParams, xi,
     """Gains satisfying every subsystem's conditions, input-peak rows
     included, at the given set sizes (scalar xi is broadcast): per
     subsystem the feasibility SDP min s subject to G(K) <= s I at fixed xi.
-    Raises Infeasible, whose best_excess > 0 proves that no gains exist."""
+    Raises Infeasible, whose best_excess > 0 proves that no gains exist,
+    and ValueError unless there is one finite size > 0 per subsystem."""
     cfg = cfg or SynthesisConfig()
     n = system.n_subsystems
-    xi_list = [float(xi)] * n if np.isscalar(xi) else [float(v) for v in xi]
+    xi_list = [float(xi)] * n if np.ndim(xi) == 0 else [float(v) for v in xi]
+    if len(xi_list) != n or not all(0.0 < v < np.inf for v in xi_list):
+        raise ValueError(f"xi must be {n} finite set sizes > 0, got {xi!r}")
     gains = [_Model(system, params, i, cfg).at_xi(xi_list[i])
              for i in range(n)]
     return DecisionVars(gains=gains, xi=xi_list)
@@ -509,15 +509,13 @@ class FixedGainEvaluator:
     sizes: the one model of every certificate margin, one part per
     subsystem (`parts`), as subsystem i's rows read only K_i and xi_i.
 
-    Each part is its subsystem's _Model read at fixed gains: every
-    full-form vertex test matrix is affine in xi_i,
-    T(xi) = T_ref + (xi - xi_ref) T1, with the model's xi column T1
-    (lmis.xi_slope), and the input-peak rows are xi^2 (k X^-1 k')_ss - u_s^2.
-    So `margins` takes one batched eigensolve per subsystem and family (none
-    at an unchanged size), and each subsystem's feasible sizes are an exact
-    interval that does not depend on the state (`interval`; only
-    containment reads it). Intervals are located on first use: margins at
-    xi_ref need none."""
+    Each part is its subsystem's _Model read at fixed gains, affine in xi_i
+    (T(xi) = T_ref + (xi - xi_ref) T1) but for the input-peak rows
+    xi^2 (k X^-1 k')_ss - u_s^2. So `margins` takes one batched eigensolve
+    per subsystem and family (none at an unchanged size), and each
+    subsystem's feasible sizes are an exact interval that does not depend
+    on the state (`interval`, located on first use; margins at xi_ref need
+    none, and only containment reads the state)."""
 
     def __init__(self, system: LargeScaleSystem, params: FixedParams,
                  dv: DecisionVars, cfg: SynthesisConfig):

@@ -131,6 +131,11 @@ class TestSolveFixedXi:
         margins = certificate_margins(system, params, dv)
         assert max(margins.values()) <= 0.0
 
+    def test_zero_dim_array_is_a_scalar(self, tiny):
+        system, params = tiny
+        dv = solve_fixed_xi(system, params, np.array(2.0), CFG)
+        assert dv.xi == [2.0]
+
     def test_scalar_broadcasts_to_all_subsystems(self):
         system = build_example1_system()
         params = example1_reference_params()
@@ -146,6 +151,17 @@ class TestSolveFixedXi:
             solve_fixed_xi(system, params, 1.0, CFG)
         assert time.perf_counter() - t0 < 0.5
         assert info.value.best_excess > 0.0     # the phase-I bound proves it
+
+    @pytest.mark.parametrize("xi", [[2.0] * 4, 0.0, -1.0, np.nan],
+                             ids=["four-sizes", "zero", "negative", "nan"])
+    def test_unusable_sizes_rejected(self, xi):
+        # example1_synthesis has three subsystems: a fourth size has no
+        # subsystem, and a size that is not finite and > 0 has no set (at 0
+        # the input-peak rows would divide by it), so none may reach the
+        # SDP and come back as a proof
+        cfg = load_bundled_config("example1_synthesis")
+        with pytest.raises(ValueError, match="3 finite set sizes > 0"):
+            solve_fixed_xi(cfg.system, cfg.params, xi, CFG)
 
 
 class TestMinimizeXi:
@@ -215,7 +231,8 @@ class TestMinimizeXi:
                                                       mode):
         # one stacked assembly per subsystem and family builds its model;
         # the EVP, the clamp and the result's parts are all read off it, and
-        # the result's margins are its certificate_margins bit for bit
+        # the result's margins are its certificate_margins bit for bit; the
+        # EVP returns one gain for both controller rules (symmetry lemma)
         system, params = build_example1_system(), \
             example1_synthesis_params()
         x0 = [np.array([1.0, -1.0])] * 3
@@ -229,6 +246,9 @@ class TestMinimizeXi:
         assert res.dv.xi[2] == pytest.approx(9.895246779437825, rel=1e-12)
         assert res.xi_lower[2] == pytest.approx(9.895236878375064,
                                                 rel=1e-12)
+        for gains in res.dv.gains:
+            assert len(gains) == 2
+            assert all(np.array_equal(k, gains[0]) for k in gains)
 
     def test_failed_warm_size_falls_back_to_cold_solve(self, tiny):
         # the warm size lies far above the decrease conditions' upper end
@@ -263,6 +283,8 @@ class TestMinimizeXi:
         assert res.solves == 4
         assert res.feasible
         assert res.dv.xi[1] == floor * (1.0 + XI_HAIR)
+        assert all(np.array_equal(k, res.dv.gains[1][0])
+                   for k in res.dv.gains[1])
         lo, hi = res.evaluator.interval((1,))
         assert lo < res.dv.xi[1] <= hi
         assert res.xi_lower[1] == floor
@@ -401,6 +423,54 @@ class TestMinimizeXi:
         assert len(steps) < 1000
 
 
+def _per_rule_evp(model):
+    """The EVP over every rule's gain, y = (vec K_0 ... vec K_M-1, xi_i):
+    the model's one-gain columns scattered to rule m's vertices (l, m) for
+    each m, solved as the cold solve solves its rows; (xi, bound)."""
+    n_m, q, rows = model.n_m, model.q, []
+    for g0, cols in model.rows:
+        n_l, size = g0.shape[0], g0.shape[-1]
+        full = np.zeros((n_m * q + 1, n_l, n_m, size, size))
+        for m in range(n_m):
+            full[m * q:(m + 1) * q, :, m] = cols[:-1]
+        full[-1] = cols[-1][:, None]
+        rows.append((np.repeat(g0, n_m, axis=0),
+                     full.reshape(n_m * q + 1, n_l * n_m, size, size)))
+    y = synthesis._phase_one(rows, np.eye(n_m * q + 1)[-1], 0.0, model.i,
+                             "any set size")
+    y, bound = synthesis._barrier(rows, np.eye(len(y))[-1], y)
+    return float(y[-1]), float(bound)
+
+
+class TestOneGainPerSubsystem:
+    """The symmetry lemma: vertex (l, m) reads K_m alone, so the cold EVP
+    over one gain has the optimum of the EVP over every rule's gain."""
+
+    @pytest.mark.parametrize("name", ["example1_synthesis", "draw-33",
+                                      "draw-53", "draw-57"])
+    def test_evp_matches_the_per_rule_evp(self, name):
+        # every subsystem with two or more controller rules; the draws are
+        # calm tests/test_lmis plants whose EVPs are all feasible
+        if name.startswith("draw-"):
+            system, params, _ = _draw_setup(
+                np.random.default_rng(int(name.split("-")[1])), calm=True)
+        else:
+            cfg = load_bundled_config(name)
+            system, params = cfg.system, cfg.params
+        solved = 0
+        for i, sub in enumerate(system.subsystems):
+            if sub.n_controller_rules < 2:
+                continue
+            model = _Model(system, params, i, CFG)
+            gains, xi, bound = model.min_xi()
+            per_rule_xi, per_rule_bound = _per_rule_evp(model)
+            assert bound <= per_rule_xi and per_rule_bound <= xi
+            assert xi == pytest.approx(per_rule_xi, rel=1e-9)
+            assert len(gains) == sub.n_controller_rules
+            solved += 1
+        assert solved >= 2
+
+
 class TestCertificateMargins:
     def test_containment_only_with_state(self, tiny, tiny_result):
         system, params = tiny
@@ -444,10 +514,11 @@ class TestStackedVertexCallers:
         *(f"draw-{seed}-{calm}" for seed in (3, 41, 78)
           for calm in ("calm", "wild"))])
     def test_model_matches_assembled_matrices(self, name):
-        # the barrier rows G0 + sum_k y_k G_k and the part's contraction at
-        # random y = (vec K_i, xi_i) against the assembled full-form test
-        # matrices, vertex by vertex; the draws are tests/test_lmis plants
-        # (seed 78 calm is the near-degenerate one)
+        # the barrier rows G0 + sum_k y_k G_k at random y = (vec K, xi_i)
+        # against the assembled full-form test matrices of the gains
+        # [K] * n_m at the vertices (l, 0), and the part's contraction at
+        # random per-rule gains against every vertex; the draws are
+        # tests/test_lmis plants (seed 78 calm is the near-degenerate one)
         if name is None:
             system, params = build_tiny_system(), tiny_params()
         elif name.startswith("draw-"):
@@ -458,27 +529,32 @@ class TestStackedVertexCallers:
             cfg = load_bundled_config(name)
             system, params = cfg.system, cfg.params
         rng = np.random.default_rng(11)
+        n = system.n_subsystems
         for i, sub in enumerate(system.subsystems):
             model = _Model(system, params, i, CFG)
-            ls, ms = zip(*((l, m) for l in range(sub.n_rules)
-                           for m in range(sub.n_controller_rules)))
+            n_l, n_m = sub.n_rules, sub.n_controller_rules
+            ls, ms = zip(*((l, m) for l in range(n_l) for m in range(n_m)))
             for _ in range(3):
                 gains = [rng.standard_normal((sub.n_u, sub.n_x))
-                         for _ in range(sub.n_controller_rules)]
+                         for _ in range(n_m)]
                 xi = float(rng.uniform(0.1, 20.0))
-                y = np.append(np.ravel(gains), xi)
-                dv = DecisionVars(gains=[gains] * system.n_subsystems,
-                                  xi=[xi] * system.n_subsystems)
+                y = np.append(np.ravel(gains[0]), xi)
+                one = DecisionVars(gains=[[gains[0]] * n_m] * n, xi=[xi] * n)
+                dv = DecisionVars(gains=[gains] * n, xi=[xi] * n)
                 part = _Part(model, gains, xi)
                 for assemble, (g0, cols), shift, t_ref in zip(
                         (assemble_invariance, assemble_decrease), model.rows,
                         model.shifts, part.t_refs):
+                    want = assemble(system, params, one, i, list(range(n_l)),
+                                    [0] * n_l).test_matrix()
+                    got = g0 + np.tensordot(y, cols, 1) \
+                        - shift * np.eye(want.shape[-1])
+                    assert got.shape == want.shape
+                    assert_allclose(got, want, rtol=0.0, atol=1e-12)
                     want = assemble(system, params, dv, i, list(ls),
                                     list(ms)).test_matrix()
-                    for got in (g0 + np.tensordot(y, cols, 1)
-                                - shift * np.eye(want.shape[-1]), t_ref):
-                        assert got.shape == want.shape
-                        assert_allclose(got, want, rtol=0.0, atol=1e-12)
+                    assert t_ref.shape == want.shape
+                    assert_allclose(t_ref, want, rtol=0.0, atol=1e-12)
 
     def test_certificate_margins_match_per_vertex_loop(self):
         cfg = SynthesisConfig()
