@@ -15,6 +15,23 @@ over every (model rule, controller rule) pair covers the blended matrices
 (synthesis.verify_certificate states the lemma; its membership-grid sweep
 re-checks it). The vertices of one subsystem and family assemble as one
 stack.
+
+Layout. Everything in subsystem i's invariance and decrease matrices that
+depends on neither the gains nor xi is held by one _Layout(system, params,
+i): the coupling keys and slot dims, the stacked g' and g'X_i blocks, the
+constant coupling block -(alpha - 1) g'X_i g, the load n sqrt(alpha)
+sum_j g_j'X_j g_j, and the row-space basis of the coupling map [g_1 g_2
+...] from one SVD (each family's strict basis only adds its identity
+tail). Its `stack` emits either family in either form, for a whole stack
+of vertices or blends, from a constant template plus a handful of batched
+products, and symmetrizes once. Every entry is the one a block-by-block
+assembly computes, by the same products in the same order; factors of 1/2
+move only where scaling by them is exact (the tests keep that assembly as
+a reference). Each public assemble_* call builds exactly one
+layout: the four assemblers and LMIInstance.test_matrix are the names the
+benchmark's layer tracer (perfbench/tracer.py) binds, so sharing a layout
+across calls would need a cache keyed by the arguments, a layout argument
+on those functions, or a tracer that binds the layout instead.
 """
 
 from __future__ import annotations
@@ -23,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (SingularBlockError, is_psd, min_eig, quad_form,
-                     sym_matrix)
+from .linalg import (InvalidMatrixError, SingularBlockError, is_psd, min_eig,
+                     quad_form, sym_matrix)
 from .plant import (LargeScaleSystem, Subsystem, blend, blend_gains,
                     step_closed_loop)
 
@@ -210,136 +227,156 @@ def _vertex_pairs(l, m):
 def theta_vertex(sub: Subsystem, gains_i, l, m) -> np.ndarray:
     """Closed-loop vertex matrix A_l + B_l k_m; equal-length index
     sequences l, m give the stack (P, n_x, n_x) of the pairs' matrices."""
-    ls, ms = _vertex_pairs(l, m)
-    a = np.array([sub.rules[j].A for j in ls])
-    b = np.array([sub.rules[j].B for j in ls])
-    theta = a + b @ np.array([gains_i[j] for j in ms])
+    theta, _, _ = _vertex_stacks(sub, gains_i, *_vertex_pairs(l, m))
     return theta if np.ndim(l) else theta[0]
 
 
-def _range_basis(g: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the row space of g (complement of its kernel)."""
-    _, s, vt = np.linalg.svd(g)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((g.shape[1], 0))
-    rank = int(np.sum(s > rtol * s[0]))
-    return vt[:rank].T
+def _vertex_stacks(sub: Subsystem, gains_i, ls, ms):
+    """(theta, E, k) stacks of the vertex pairs (ls[p], ms[p])."""
+    rules = [sub.rules[j] for j in ls]
+    k = np.array([gains_i[j] for j in ms])
+    return (np.array([r.A for r in rules]) + np.array([r.B for r in rules]) @ k,
+            np.array([r.E for r in rules]), k)
 
 
-def _coupling_blocks(system: LargeScaleSystem, params: FixedParams, i: int):
-    sub = system.subsystems[i]
-    keys = tuple(sorted(sub.couplings))
-    gs = [sub.couplings[j] for j in keys]
-    dims = [system.subsystems[j].n_x for j in keys]
-    x_i = params.X[i]
-    root_alpha = np.sqrt(params.alpha)
-    n = system.n_subsystems
-    # state-block coupling load: N sqrt(alpha) sum_j g' X_j g
-    load = np.zeros((sub.n_x, sub.n_x))
-    for j, g in zip(keys, gs):
-        if g.shape[0] != g.shape[1]:
-            raise ValueError(
-                f"subsystem {i}: coupling to {j} is {g.shape}; the state-block "
-                "load g' X_j g needs coupled subsystems with equal state dims")
-        load = load + g.T @ params.X[j] @ g
-    load = n * root_alpha * load
-    return keys, gs, dims, x_i, root_alpha, load
+class _Layout:
+    """Subsystem i's block layout: every part of its invariance and
+    decrease matrices that depends on neither the gains nor xi (module
+    docstring, "Layout"). `stack` emits either family in either form."""
 
+    def __init__(self, system: LargeScaleSystem, params: FixedParams, i: int):
+        sub = system.subsystems[i]
+        self.i, self.params, self.n = i, params, system.n_subsystems
+        self.n_d, self.n_x, self.n_u = sub.n_d, sub.n_x, sub.n_u
+        keys = self.coupling_keys = tuple(sorted(sub.couplings))
+        gs = [sub.couplings[j] for j in keys]
+        for j, g in zip(keys, gs):
+            if g.shape[0] != g.shape[1]:
+                raise ValueError(
+                    f"subsystem {i}: coupling to {j} is {g.shape}; the "
+                    "state-block load g' X_j g needs coupled subsystems with "
+                    "equal state dims")
+        # so every coupling slot is n_x wide, and the couplings stack
+        nc, n_x, x_i = len(keys), sub.n_x, params.X[i]
+        self.coupling_dims = (n_x,) * nc
+        g = np.array(gs).reshape(nc, n_x, n_x)
+        self.gt = g.swapaxes(-1, -2)                   # g_a' per slot a
+        self.gx = self.gt @ x_i                        # g_a' X_i
+        self.gx_weight = 1.0 - np.sqrt(params.alpha)   # of g_a' X_i theta
+        # -(alpha - 1) g_b' X_i g_a in slot (b, a): below the diagonal, and
+        # at half weight on it (see stack)
+        slot = np.arange(nc)
+        weight = np.greater.outer(slot, slot) + 0.5 * np.eye(nc)
+        blocks = -(params.alpha - 1.0) * (self.gx[:, None] @ g[None])
+        self.coupling = (weight[:, :, None, None] * blocks).swapaxes(
+            1, 2).reshape(nc * n_x, nc * n_x)
+        # state-block coupling load: n sqrt(alpha) sum_j g' X_j g
+        x_j = np.array([params.X[j] for j in keys]).reshape(nc, n_x, n_x)
+        self.load = self.n * np.sqrt(params.alpha) * (
+            self.gt @ x_j @ g).sum(axis=0)
+        # orthonormal basis of the row space of [g_1 g_2 ...] when that map
+        # has a kernel: one SVD for both families' strict bases
+        self.basis = None
+        if gs:
+            _, s, vt = np.linalg.svd(np.hstack(gs))
+            rank = np.count_nonzero(s > 1e-10 * s[0])
+            if rank < len(vt):
+                self.basis = vt[:rank].T
 
-def _place(mat, row_ofs, col_ofs, block):
-    r, c = block.shape[-2:]
-    mat[..., row_ofs:row_ofs + r, col_ofs:col_ofs + c] = block
-    mat[..., col_ofs:col_ofs + c, row_ofs:row_ofs + r] = block.swapaxes(-1, -2)
+    def slot_dims(self, family: str, reduced: bool) -> tuple:
+        """[d | x_i | x_j (sorted j) | tail]: the full forms' slack tail is
+        (n_u, n_x) for decrease and (n_x,) for invariance; reduced has none."""
+        tail = () if reduced else (
+            (self.n_u, self.n_x) if family == "decrease" else (self.n_x,))
+        return (self.n_d, self.n_x) + self.coupling_dims + tail
 
+    def strict_basis(self, family: str, reduced: bool):
+        """Compression onto the row space of the stacked coupling map
+        [g_1 g_2 ...]; None when that map has full column rank.
 
-def _strict_basis_for(dims_head, gs, dims_coupling, dims_tail):
-    """Compression basis onto the row space of the stacked coupling map
-    [g_1 g_2 ...]; None when that map has full column rank.
+        The conditions touch the coupling slots only through the summed
+        contribution sum_j g_j x_j, so any stacked direction in the kernel
+        of the concatenation is an exact zero eigendirection of the whole
+        matrix. Judging strictness on the compressed matrix removes those
+        structural zeros; they satisfy the conditions with equality by
+        construction. A subsystem with several individually full-rank
+        couplings still has a joint kernel whenever the stacked map is
+        wide."""
+        if self.basis is None:
+            return None
+        head = self.n_d + self.n_x
+        size = sum(self.slot_dims(family, reduced))
+        c, r = self.basis.shape
+        cols = size - c + r
+        out = np.zeros((size, cols))
+        out.flat[:head * (cols + 1):cols + 1] = 1.0     # I on d, x_i
+        out[head:head + c, head:head + r] = self.basis
+        out.flat[(head + c) * cols + head + r::cols + 1] = 1.0  # I on tail
+        return out
 
-    The assembled conditions touch the coupling slots only through the summed
-    contribution sum_j g_j x_j, so any stacked direction in the kernel of the
-    horizontal concatenation is an exact zero eigendirection of the whole
-    matrix.  Judging strictness on the compressed matrix removes those
-    structural zeros; they satisfy the conditions with equality by
-    construction.  Note a subsystem with several individually full-rank
-    couplings still has a joint kernel whenever the stacked map is wide."""
-    if not gs:
-        return None
-    basis = _range_basis(np.hstack(gs))
-    if basis.shape[1] == basis.shape[0]:
-        return None
-    blocks = [np.eye(d) for d in dims_head] + [basis] + [np.eye(d) for d in dims_tail]
-    total_rows = sum(b.shape[0] for b in blocks)
-    total_cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((total_rows, total_cols))
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
+    def stack(self, family, theta, e_mu, k_eff, xi_i, reduced):
+        """Invariance or decrease matrices of the subsystem, stacked (P,
+        size, size), for stacks of closed-loop matrices theta (P, n_x,
+        n_x), disturbance maps e_mu (P, n_x, n_d) and gains k_eff (P, n_u,
+        n_x; only decrease reads them).
 
-
-def _condition_matrices(system, params, i, family, theta, e_mu, k_eff, xi_i,
-                        reduced):
-    """Invariance or decrease matrices of subsystem i, stacked (P, size,
-    size), for stacks of closed-loop matrices theta (P, n_x, n_x),
-    disturbance maps e_mu (P, n_x, n_d) and gains k_eff (P, n_u, n_x; only
-    decrease reads them). The coupling load, the g'X blocks and the strict
-    basis depend on neither the gains nor xi and are built once per call.
-    Returns (matrices, coupling keys, slot dims, strict basis)."""
-    sub = system.subsystems[i]
-    keys, gs, dims, x_i, root_alpha, load = _coupling_blocks(system, params, i)
-    n = system.n_subsystems
-    n_d, n_x, n_u = sub.n_d, sub.n_x, sub.n_u
-    decrease = family == "decrease"
-    if decrease:
-        d_coef = xi_i * params.tau[i]
-        state_block = load - x_i + xi_i * params.q_mat(i)
-        tail = [n_u, n_x]
-    else:
-        d_coef = xi_i * params.lam[i] * params.N_const[i]
-        state_block = load - (1.0 - params.lam[i]) * x_i
-        tail = [n_x]
-    if reduced:
-        tail = []
-
-    slot_dims = [n_d, n_x] + dims + tail
-    size = sum(slot_dims)
-    mat = np.zeros((theta.shape[0], size, size))
-    ofs = np.concatenate(([0], np.cumsum(slot_dims))).astype(int)
-    theta_t = theta.swapaxes(-1, -2)
-
-    xe = x_i @ e_mu
-    mat[:, :n_d, :n_d] = e_mu.swapaxes(-1, -2) @ xe - d_coef * np.eye(n_d)
-    _place(mat, ofs[1], 0, theta_t @ xe)
-    if reduced:
-        state_block = state_block + n * (theta_t @ x_i @ theta)
+        A constant template (the xi terms, the state block, the coupling
+        slots, the slack diagonal) plus the products Xe, e'Xe, theta'Xe,
+        g'Xe, (1 - sqrt alpha) g'X theta, Mk and X theta fill the block
+        lower triangle, each diagonal block at half weight; adding the
+        transpose then mirrors every off-diagonal block and averages each
+        diagonal block with its own transpose."""
+        p, i, n_d, n_x = self.params, self.i, self.n_d, self.n_x
+        x_i, decrease = p.X[i], family == "decrease"
+        size, head = sum(self.slot_dims(family, reduced)), n_d + n_x
+        cpl = slice(head, head + len(self.coupling))
+        tmpl = np.zeros((size, size))
         if decrease:
-            state_block = state_block + \
-                k_eff.swapaxes(-1, -2) @ params.M[i] @ k_eff
-    mat[:, ofs[1]:ofs[2], ofs[1]:ofs[2]] = state_block
-    gx = [g.T @ x_i for g in gs]
-    for a, g_a in enumerate(gs):
-        ra = ofs[2 + a]
-        _place(mat, ra, 0, g_a.T @ xe)
-        _place(mat, ra, ofs[1], (1.0 - root_alpha) * (gx[a] @ theta))
-        for b in range(a, len(gs)):
-            rb = ofs[2 + b]
-            block = -(params.alpha - 1.0) * (gx[b] @ g_a)
-            mat[:, rb:rb + dims[b], ra:ra + dims[a]] = block
-            mat[:, ra:ra + dims[a], rb:rb + dims[b]] = block.T
-    if not reduced:
-        if decrease:
-            m_row = ofs[-3]
-            _place(mat, m_row, ofs[1], params.M[i] @ k_eff)
-            mat[:, m_row:m_row + n_u, m_row:m_row + n_u] = -params.M[i]
-        last = ofs[-2]
-        _place(mat, last, ofs[1], x_i @ theta)
-        mat[:, last:, last:] = -(1.0 / n) * x_i
-    basis = _strict_basis_for([n_d, n_x], gs, dims, tail)
-    return (sym_matrix(0.5 * (mat + mat.swapaxes(-1, -2))), keys,
-            tuple(slot_dims), basis)
+            d_coef = xi_i * p.tau[i]
+            state = self.load - x_i + xi_i * p.q_mat(i)
+        else:
+            d_coef = xi_i * p.lam[i] * p.N_const[i]
+            state = self.load - (1.0 - p.lam[i]) * x_i
+        tmpl.flat[:n_d * (size + 1):size + 1] = -0.5 * d_coef  # d block
+        tmpl[n_d:head, n_d:head] = 0.5 * state
+        tmpl[cpl, cpl] = self.coupling
+        if not reduced:
+            if decrease:
+                tmpl[cpl.stop:-n_x, cpl.stop:-n_x] = -0.5 * p.M[i]
+            tmpl[-n_x:, -n_x:] = -0.5 / self.n * x_i
+
+        mat = np.empty((len(theta), size, size))
+        mat[:] = tmpl
+        # the coupling slots' rows, (P, slot, n_x, size): a view of mat
+        rows = mat[:, cpl].reshape(len(theta), len(self.gt), n_x, size)
+        theta_t = theta.swapaxes(-1, -2)
+        xe = x_i @ e_mu
+        mat[:, :n_d, :n_d] += 0.5 * (e_mu.swapaxes(-1, -2) @ xe)
+        mat[:, n_d:head, :n_d] = theta_t @ xe
+        rows[..., :n_d] = self.gt @ xe[:, None]
+        rows[..., n_d:head] = self.gx_weight * (self.gx @ theta[:, None])
+        if reduced:
+            mat[:, n_d:head, n_d:head] += 0.5 * self.n * (
+                theta_t @ x_i @ theta)
+            if decrease:
+                mat[:, n_d:head, n_d:head] += 0.5 * (
+                    k_eff.swapaxes(-1, -2) @ p.M[i] @ k_eff)
+        else:
+            if decrease:
+                mat[:, cpl.stop:-n_x, n_d:head] = p.M[i] @ k_eff
+            mat[:, -n_x:, n_d:head] = x_i @ theta
+        mat = mat + mat.swapaxes(-1, -2)
+        if not np.isfinite(mat).all():
+            raise InvalidMatrixError("matrix entries must be finite")
+        return mat
+
+    def instance(self, family, reduced, mats, vertex=None) -> LMIInstance:
+        """The LMIInstance of matrices `mats` this layout stacked."""
+        return LMIInstance(matrix=mats, origin=family,
+                           sense=_FAMILY_SENSE[family], subsystem=self.i,
+                           vertex=vertex, coupling_keys=self.coupling_keys,
+                           slot_dims=self.slot_dims(family, reduced),
+                           strict_basis=self.strict_basis(family, reduced))
 
 
 _FAMILY_SENSE = {"invariance": "nsd", "decrease": "nsd_strict"}
@@ -347,31 +384,35 @@ _FAMILY_SENSE = {"invariance": "nsd", "decrease": "nsd_strict"}
 
 def _vertex_instance(system, params, dv, i, l, m, family, reduced):
     ls, ms = _vertex_pairs(l, m)
-    sub = system.subsystems[i]
-    mats, keys, slot_dims, basis = _condition_matrices(
-        system, params, i, family, theta_vertex(sub, dv.gains[i], ls, ms),
-        np.array([sub.rules[j].E for j in ls]),
-        np.array([dv.gains[i][j] for j in ms]), dv.xi[i], reduced)
-    stacked = np.ndim(l) == 1
-    return LMIInstance(matrix=mats if stacked else mats[0], origin=family,
-                       sense=_FAMILY_SENSE[family], subsystem=i,
-                       vertex=tuple(zip(ls.tolist(), ms.tolist()))
-                       if stacked else (l, m),
-                       coupling_keys=keys, slot_dims=slot_dims,
-                       strict_basis=basis)
+    layout = _Layout(system, params, i)
+    mats = layout.stack(family, *_vertex_stacks(system.subsystems[i],
+                                                dv.gains[i], ls, ms),
+                        dv.xi[i], reduced)
+    if np.ndim(l):
+        return layout.instance(family, reduced, mats,
+                               tuple(zip(ls.tolist(), ms.tolist())))
+    return layout.instance(family, reduced, mats[0], (l, m))
+
+
+def _weight_pairs(w, h):
+    """Weights (w, h) as float arrays: two vectors (one blend) or two
+    stacks (P, n_rules) and (P, n_controller_rules) of P blends."""
+    w, h = np.asarray(w, dtype=float), np.asarray(h, dtype=float)
+    if w.ndim != h.ndim or w.ndim not in (1, 2) or \
+            w.shape[:-1] != h.shape[:-1]:
+        raise ValueError("w and h must be two weight vectors or two weight "
+                         "stacks of equal length, got shapes "
+                         f"{w.shape} and {h.shape}")
+    return w, h
 
 
 def _blended_instance(system, params, dv, i, w, h, family, reduced):
-    w = np.asarray(w, dtype=float)
-    h = np.asarray(h, dtype=float)
+    w, h = _weight_pairs(w, h)
     a, b, e = blend(system.subsystems[i], np.atleast_2d(w))
     k = blend_gains(dv.gains[i], np.atleast_2d(h))
-    mats, keys, slot_dims, basis = _condition_matrices(
-        system, params, i, family, a + b @ k, e, k, dv.xi[i], reduced)
-    return LMIInstance(matrix=mats[0] if w.ndim == h.ndim == 1 else mats,
-                       origin=family, sense=_FAMILY_SENSE[family],
-                       subsystem=i, vertex=None, coupling_keys=keys,
-                       slot_dims=slot_dims, strict_basis=basis)
+    layout = _Layout(system, params, i)
+    mats = layout.stack(family, a + b @ k, e, k, dv.xi[i], reduced)
+    return layout.instance(family, reduced, mats if w.ndim == 2 else mats[0])
 
 
 def assemble_invariance(system: LargeScaleSystem, params: FixedParams,
@@ -466,7 +507,7 @@ def assemble_containment(x: np.ndarray, xi_i: float, x_mat: np.ndarray,
     x = np.asarray(x, dtype=float)
     mat = np.empty((x.size + 1, x.size + 1))
     mat[0, 0] = xi_i
-    _place(mat, 1, 0, x[:, None])
+    mat[0, 1:] = mat[1:, 0] = x
     mat[1:, 1:] = xi_i * x_inv
     mat = sym_matrix(mat)
     return LMIInstance(matrix=mat, origin="containment", sense="psd",

@@ -9,25 +9,36 @@ placement and no shared assembly helpers. The exact bridges to the assembled
     decrease:    v' M v = xi_i   * scalar(P-scale)
 
 with every coupling sum carrying the neighbour's own xi_j through X_j = xi_j P_j.
+
+A second reference, the block-by-block assembly that lmis._Layout replaced,
+pins the layout's stacks entry for entry.
 """
+
+import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from it2mpc.linalg import (SingularBlockError, is_nsd, is_psd, max_eig,
-                           min_eig, schur_reduce)
+from it2mpc import lmis
+from it2mpc.linalg import (InvalidMatrixError, SingularBlockError, is_nsd,
+                           is_psd, max_eig, min_eig, schur_reduce,
+                           sym_matrix)
 from it2mpc.lmis import (DecisionVars, FixedParams, assemble_containment,
                          assemble_decrease, assemble_decrease_blended,
                          assemble_invariance, assemble_invariance_blended,
                          check_rpi_pointwise, rpi_decrease_scalar,
                          shape_inverse, theta_vertex)
-from it2mpc.plant import step_closed_loop
-from it2mpc.configio import bundled_config_names, load_bundled_config
+from it2mpc.plant import blend, blend_gains, step_closed_loop
+from it2mpc.configio import (bundled_config_names, load_bundled_config,
+                             load_certificate)
 from it2mpc.membership import IT2MembershipFamily, SigmoidMF
 from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 
-from conftest import (build_example1_system, example1_reference_gains,
-                      example1_reference_params)
+from conftest import (build_example1_system, build_tiny_system,
+                      example1_reference_gains, example1_reference_params,
+                      tiny_params)
 
 
 # ---------------------------------------------------------------- helpers
@@ -175,6 +186,113 @@ def _decrease_scalar(system, params, dv, i, theta, e, k, d, x_i, x_js):
 def _vertex_theta_e(sub, dv, i, l, m):
     k = dv.gains[i][m]
     return sub.rules[l].A + sub.rules[l].B @ k, sub.rules[l].E, k
+
+
+# ------------------------------------------------ per-block reference
+
+def _reference_range_basis(g, rtol=1e-10):
+    """Orthonormal basis of the row space of g (complement of its kernel)."""
+    _, s, vt = np.linalg.svd(g)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((g.shape[1], 0))
+    rank = int(np.sum(s > rtol * s[0]))
+    return vt[:rank].T
+
+
+def _reference_place(mat, row_ofs, col_ofs, block):
+    r, c = block.shape[-2:]
+    mat[..., row_ofs:row_ofs + r, col_ofs:col_ofs + c] = block
+    mat[..., col_ofs:col_ofs + c, row_ofs:row_ofs + r] = block.swapaxes(-1, -2)
+
+
+def _reference_strict_basis(dims_head, gs, dims_tail):
+    """Block-diagonal compression: identity on the head and tail slots, the
+    row-space basis of [g_1 g_2 ...] on the coupling slots; None when that
+    map has full column rank."""
+    if not gs:
+        return None
+    basis = _reference_range_basis(np.hstack(gs))
+    if basis.shape[1] == basis.shape[0]:
+        return None
+    blocks = ([np.eye(d) for d in dims_head] + [basis]
+              + [np.eye(d) for d in dims_tail])
+    out = np.zeros((sum(b.shape[0] for b in blocks),
+                    sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
+
+
+def _reference_condition_matrices(system, params, i, family, theta, e_mu,
+                                  k_eff, xi_i, reduced):
+    """Invariance or decrease matrices of subsystem i, stacked (P, size,
+    size), assembled block by block: the coupling load, the g'X blocks and
+    the strict basis rebuilt for the call, and every coupling block placed
+    in its own loop. Returns (matrices, coupling keys, slot dims, strict
+    basis)."""
+    sub = system.subsystems[i]
+    keys = tuple(sorted(sub.couplings))
+    gs = [sub.couplings[j] for j in keys]
+    dims = [system.subsystems[j].n_x for j in keys]
+    x_i = params.X[i]
+    root_alpha = np.sqrt(params.alpha)
+    n = system.n_subsystems
+    load = np.zeros((sub.n_x, sub.n_x))
+    for j, g in zip(keys, gs):
+        load = load + g.T @ params.X[j] @ g
+    load = n * root_alpha * load
+    n_d, n_x, n_u = sub.n_d, sub.n_x, sub.n_u
+    decrease = family == "decrease"
+    if decrease:
+        d_coef = xi_i * params.tau[i]
+        state_block = load - x_i + xi_i * params.q_mat(i)
+        tail = [n_u, n_x]
+    else:
+        d_coef = xi_i * params.lam[i] * params.N_const[i]
+        state_block = load - (1.0 - params.lam[i]) * x_i
+        tail = [n_x]
+    if reduced:
+        tail = []
+
+    slot_dims = [n_d, n_x] + dims + tail
+    size = sum(slot_dims)
+    mat = np.zeros((theta.shape[0], size, size))
+    ofs = np.concatenate(([0], np.cumsum(slot_dims))).astype(int)
+    theta_t = theta.swapaxes(-1, -2)
+
+    xe = x_i @ e_mu
+    mat[:, :n_d, :n_d] = e_mu.swapaxes(-1, -2) @ xe - d_coef * np.eye(n_d)
+    _reference_place(mat, ofs[1], 0, theta_t @ xe)
+    if reduced:
+        state_block = state_block + n * (theta_t @ x_i @ theta)
+        if decrease:
+            state_block = state_block + \
+                k_eff.swapaxes(-1, -2) @ params.M[i] @ k_eff
+    mat[:, ofs[1]:ofs[2], ofs[1]:ofs[2]] = state_block
+    gx = [g.T @ x_i for g in gs]
+    for a, g_a in enumerate(gs):
+        ra = ofs[2 + a]
+        _reference_place(mat, ra, 0, g_a.T @ xe)
+        _reference_place(mat, ra, ofs[1], (1.0 - root_alpha) * (gx[a] @ theta))
+        for b in range(a, len(gs)):
+            rb = ofs[2 + b]
+            block = -(params.alpha - 1.0) * (gx[b] @ g_a)
+            mat[:, rb:rb + dims[b], ra:ra + dims[a]] = block
+            mat[:, ra:ra + dims[a], rb:rb + dims[b]] = block.T
+    if not reduced:
+        if decrease:
+            m_row = ofs[-3]
+            _reference_place(mat, m_row, ofs[1], params.M[i] @ k_eff)
+            mat[:, m_row:m_row + n_u, m_row:m_row + n_u] = -params.M[i]
+        last = ofs[-2]
+        _reference_place(mat, last, ofs[1], x_i @ theta)
+        mat[:, last:, last:] = -(1.0 / n) * x_i
+    basis = _reference_strict_basis([n_d, n_x], gs, tail)
+    return (sym_matrix(0.5 * (mat + mat.swapaxes(-1, -2))), keys,
+            tuple(slot_dims), basis)
 
 
 # ---------------------------------------------------------------- tests
@@ -401,6 +519,118 @@ class TestStackedVertexAssembly:
         system, params, dv = _bundled_certificate("example1")
         with pytest.raises(ValueError, match="equal length"):
             assemble(system, params, dv, 0, l, m)
+
+    @pytest.mark.parametrize("blended", [False, True])
+    def test_non_finite_gains_raise(self, blended):
+        system, params, dv = _bundled_certificate("example1")
+        dv.gains[0] = [np.full_like(k, np.nan) for k in dv.gains[0]]
+        with pytest.raises(InvalidMatrixError, match="finite"):
+            if blended:
+                assemble_decrease_blended(system, params, dv, 0,
+                                          [0.5, 0.5], [0.5, 0.5])
+            else:
+                assemble_decrease(system, params, dv, 0, [0, 1], [1, 0])
+
+    @pytest.mark.parametrize("assemble", [assemble_invariance_blended,
+                                          assemble_decrease_blended])
+    @pytest.mark.parametrize("w_shape, h_shape", [
+        ((2,), (3, 2)), ((3, 2), (2,)), ((2, 2), (3, 2)), ((2,), (1, 1, 2)),
+        ((), ())])
+    def test_mismatched_weights_raise(self, assemble, w_shape, h_shape):
+        # a vector against a stack, or stacks of unequal length, are
+        # rejected with both shapes named (a vector against a stack was
+        # broadcast to a stack; unequal stacks raised a numpy error)
+        system, params, dv = _bundled_certificate("example1")
+        w, h = np.full(w_shape, 0.5), np.full(h_shape, 0.5)
+        message = f"equal length, got shapes {w_shape} and {h_shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            assemble(system, params, dv, 0, w, h)
+
+
+FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+           / "example1_certificate.json")
+REFERENCE_CASES = [*bundled_config_names(), "fixture", "tiny", "zeroed"] + [
+    f"draw-{seed}-{kind}" for seed in range(20) for kind in ("wild", "calm")]
+
+
+def _reference_setup(case):
+    """(system, params, dv) of one case the per-block reference is compared
+    on: a bundled config, the stored example1 certificate, the tiny plant
+    (no couplings) or a random draw."""
+    if case == "fixture":
+        cfg = load_bundled_config("example1_synthesis")
+        dv, _ = load_certificate(FIXTURE, cfg.system)
+        return cfg.system, cfg.params, dv
+    if case == "tiny":
+        gains = [np.array([[-0.3, 0.1], [0.05, -0.2]]),
+                 np.array([[-0.1, 0.0], [0.2, -0.4]])]
+        return build_tiny_system(), tiny_params(), DecisionVars([gains], [1.3])
+    if case == "zeroed":
+        # draw 0 with zero couplings: subsystem 0's only one (a zero map,
+        # no row space) and the first of each other subsystem's
+        system, params, dv = _draw_setup(np.random.default_rng(0))
+        subs = [dataclasses.replace(sub, couplings={
+            j: np.zeros_like(g) if n == 0 else g
+            for n, (j, g) in enumerate(sorted(sub.couplings.items()))})
+            for sub in system.subsystems]
+        return LargeScaleSystem(subsystems=tuple(subs)), params, dv
+    if case.startswith("draw-"):
+        _, seed, kind = case.split("-")
+        return _draw_setup(np.random.default_rng(int(seed)), kind == "calm")
+    return _bundled_certificate(case)
+
+
+class TestLayoutMatchesPerBlockReference:
+    """_Layout.stack against the per-block assembly it replaced, in both
+    families and both forms, on vertex and blended stacks; the public
+    assemblers return its stack, with the reference's coupling keys, slot
+    dims and strict basis. The layout does the reference's arithmetic in
+    the same order (one BLAS product per block and matrix, factors of 1/2
+    moved only where they are exact), so the entries must be equal, not
+    merely within rounding."""
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_stacks_match(self, case):
+        system, params, dv = _reference_setup(case)
+        rng = np.random.default_rng(7)
+        for i, sub in enumerate(system.subsystems):
+            pairs = [(l, m) for l in range(sub.n_rules)
+                     for m in range(sub.n_controller_rules)]
+            ls, ms = [p[0] for p in pairs], [p[1] for p in pairs]
+            w = rng.dirichlet(np.ones(sub.n_rules), size=5)
+            h = rng.dirichlet(np.ones(sub.n_controller_rules), size=5)
+            a, b, e = blend(sub, w)
+            k = blend_gains(dv.gains[i], h)
+            inputs = {
+                "vertex": (theta_vertex(sub, dv.gains[i], ls, ms),
+                           np.array([sub.rules[l].E for l in ls]),
+                           np.array([dv.gains[i][m] for m in ms])),
+                "blended": (a + b @ k, e, k)}
+            layout = lmis._Layout(system, params, i)
+            for family, vertex, blended in (
+                    ("invariance", assemble_invariance,
+                     assemble_invariance_blended),
+                    ("decrease", assemble_decrease,
+                     assemble_decrease_blended)):
+                for reduced in (False, True):
+                    for kind, args in inputs.items():
+                        want, keys, slot_dims, basis = \
+                            _reference_condition_matrices(
+                                system, params, i, family, *args, dv.xi[i],
+                                reduced)
+                        got = layout.stack(family, *args, dv.xi[i], reduced)
+                        np.testing.assert_array_equal(got, want)
+                        inst = (vertex(system, params, dv, i, ls, ms,
+                                       reduced) if kind == "vertex" else
+                                blended(system, params, dv, i, w, h, reduced))
+                        np.testing.assert_array_equal(inst.matrix, got)
+                        assert inst.coupling_keys == keys
+                        assert inst.slot_dims == slot_dims
+                        if basis is None:
+                            assert inst.strict_basis is None
+                        else:
+                            assert inst.strict_basis.shape == basis.shape
+                            assert np.array_equal(inst.strict_basis, basis)
 
 
 class TestSchurEquivalence:

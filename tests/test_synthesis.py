@@ -90,15 +90,15 @@ def _assert_margins_match(got, want):
 
 
 def _count_assemblies(monkeypatch):
-    """The subsystem of every condition assembly (lmis._condition_matrices
-    call) made from now on, in order."""
-    assembled, inner = [], lmis._condition_matrices
+    """The subsystem of every condition assembly (lmis._Layout.stack call)
+    made from now on, in order."""
+    assembled, inner = [], lmis._Layout.stack
 
-    def counted(*args, **kwargs):
-        assembled.append(args[2])
-        return inner(*args, **kwargs)
+    def counted(layout, *args, **kwargs):
+        assembled.append(layout.i)
+        return inner(layout, *args, **kwargs)
 
-    monkeypatch.setattr(lmis, "_condition_matrices", counted)
+    monkeypatch.setattr(lmis._Layout, "stack", counted)
     return assembled
 
 
