@@ -170,6 +170,11 @@ def _format_key(origin: str, subsystem: int, vertex) -> str:
     return tag + "]"
 
 
+def vertex_keys(origin: str, subsystem: int, pairs) -> list:
+    """The keys of a vertex stack's matrices, one per pair (l, m)."""
+    return [_format_key(origin, subsystem, v) for v in pairs]
+
+
 @dataclass(frozen=True)
 class LMIInstance:
     """One assembled condition with enough metadata to re-identify it."""
@@ -201,8 +206,7 @@ class LMIInstance:
             return [self.key]
         if self.vertex is None:
             return [self.key] * len(self.matrix)
-        return [_format_key(self.origin, self.subsystem, v)
-                for v in self.vertex]
+        return vertex_keys(self.origin, self.subsystem, self.vertex)
 
     def test_matrix(self) -> np.ndarray:
         """Matrix the sense is judged on: strict instances are compressed

@@ -9,10 +9,38 @@ The membership, control and step functions take one state per subsystem,
 x_all[i] of shape (n_x,), or P of them stacked as (P, n_x); a stack steps
 P independent samples at once, and sample p gets exactly the result of a
 call with its own states (the 1-D call is the P = 1 case of the same code).
+
+Shape groups. A step runs one kernel per group of equal-shaped subsystems:
+equal (n_x, n_u, n_d, n_rules, n_controller_rules) and equal state dims of
+their coupling slots, taken in sorted order of the coupling keys (each
+bundled config is one group). The grades stay per subsystem, through the
+membership family's own methods; a group then normalizes its S subsystems'
+grades at once, blends its rule rows [A|B|E] (n_rules, S, F) in one
+weighted sum and its gains in another, and forms u = K x,
+A x + B u + E d and one product per coupling slot for all S together.
+blend and blend_gains are the same weighted sums over one subsystem.
+
+Bit for bit. Each entry is made by the same floating-point operations, in
+the same order, as a step of its subsystem alone: a weighted sum adds the
+products w_l M_l in rule order; every blended matrix is row-contiguous
+with its own row length, so each product is the one BLAS matrix-vector call
+that matrix @ vector makes; and x+ = ((A x + B u) + E d) + g_ij x_j adds
+the coupling terms in sorted-j order. Grouping changes only how many
+entries one numpy call computes.
+
+Identity contract. A system's groups are built at its first step and kept
+on it (building them costs about as much as grouping saves in a step).
+Each step compares the objects they were built from, by identity
+(the subsystems tuple, each subsystem, its rules tuple, its controller
+family and its coupling matrices; the coupling keys by value), and
+rebuilds the groups when one was rebound, so rebinding takes effect at the
+next step. Changing one of those arrays (or a rules list) in place is not
+seen: rebind it instead.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -101,6 +129,8 @@ class Subsystem:
 @dataclass
 class LargeScaleSystem:
     subsystems: tuple[Subsystem, ...]
+    # the shape groups of the step, built at the first step (see _groups)
+    _plan: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_subsystems(self) -> int:
@@ -157,6 +187,54 @@ def _unit_weight(v, message: str):
     raise ValueError(message)
 
 
+def _family(fam, role: str) -> IT2MembershipFamily:
+    if fam is None:
+        raise ValueError(f"subsystem has no {role} membership family")
+    return fam
+
+
+def _stack_grades(grades: list) -> np.ndarray:
+    """S subsystems' grades (n_rules,) or (P, n_rules) as (S, n_rules) or
+    (S, P, n_rules). A stack is stored rules-major, as the grade methods
+    lay out each (P, n_rules), so that elementwise work runs along P."""
+    if grades[0].ndim == 1:
+        return np.array(grades)
+    return np.array([g.T for g in grades]).transpose(0, 2, 1)
+
+
+def _interval_grades(fams, zs, weight) -> np.ndarray:
+    """weight * upper + (1 - weight) * lower grades of family f at premise
+    z, stacked over the pairs (f, z)."""
+    return (weight * _stack_grades([f.upper_grades(z) for f, z in zip(fams, zs)])
+            + (1.0 - weight) * _stack_grades([f.lower_grades(z)
+                                              for f, z in zip(fams, zs)]))
+
+
+def _mode_weight(mode: str, rho_bar):
+    """The checked rho_bar of mode "reconstructed"; None for "true_plant"."""
+    if mode == "reconstructed":
+        return _unit_weight(rho_bar, "reconstructed mode needs rho_bar in [0, 1]")
+    if mode != "true_plant":
+        raise ValueError(f"unknown membership mode {mode!r}")
+    return None
+
+
+def _model_weights(subs, zs, rho) -> np.ndarray:
+    """Normalized model firing strengths of subsystem s at premise z,
+    stacked over the pairs (s, z): true grades at rho None, else the
+    envelope blended by rho."""
+    fams = [_family(sub.model_mfs, "model") for sub in subs]
+    return normalize_firing(
+        _stack_grades([f.true_grades(z) for f, z in zip(fams, zs)])
+        if rho is None else _interval_grades(fams, zs, rho))
+
+
+def _controller_weights(subs, zs, mu) -> np.ndarray:
+    """Normalized controller firing strengths, stacked as _model_weights."""
+    return normalize_firing(_interval_grades(
+        [_family(sub.controller_mfs, "controller") for sub in subs], zs, mu))
+
+
 def eval_model_memberships(sub: Subsystem, x: np.ndarray, mode: str = "true_plant",
                            rho_bar=None) -> np.ndarray:
     """Normalized model firing strengths at state x.
@@ -165,88 +243,190 @@ def eval_model_memberships(sub: Subsystem, x: np.ndarray, mode: str = "true_plan
     blends the envelope as rho_bar*upper + (1 - rho_bar)*lower. States
     (P, n_x) give (P, n_rules), with rho_bar a float or one per state.
     """
-    z = sub.premise(x)
-    fam = sub.model_mfs
-    if fam is None:
-        raise ValueError("subsystem has no model membership family")
-    if mode == "true_plant":
-        raw = fam.true_grades(z)
-    elif mode == "reconstructed":
-        rho = _unit_weight(rho_bar, "reconstructed mode needs rho_bar in [0, 1]")
-        raw = rho * fam.upper_grades(z) + (1.0 - rho) * fam.lower_grades(z)
-    else:
-        raise ValueError(f"unknown membership mode {mode!r}")
-    return normalize_firing(raw)
+    return _model_weights([sub], [sub.premise(x)],
+                          _mode_weight(mode, rho_bar))[0]
 
 
 def eval_controller_memberships(sub: Subsystem, x: np.ndarray, mu_bar) -> np.ndarray:
     """Normalized controller firing strengths weighted by mu_bar in [0, 1]
     (a float, or one per state of a stack)."""
     mu = _unit_weight(mu_bar, "mu_bar must lie in [0, 1]")
-    fam = sub.controller_mfs
-    if fam is None:
-        raise ValueError("subsystem has no controller membership family")
-    z = sub.premise(x)
-    raw = mu * fam.upper_grades(z) + (1.0 - mu) * fam.lower_grades(z)
-    return normalize_firing(raw)
+    return _controller_weights([sub], [sub.premise(x)], mu)[0]
 
 
-def _weighted_sums(w, terms) -> list:
-    """[sum_l w[..., l] * terms[l][t] for each t]: weights (n,) give one
-    matrix per t, a stack (P, n) gives (P, ...) of them. Accumulated in
-    the order of terms, so each stacked entry equals its unstacked sum."""
-    sums = None
-    for c, mats in zip(np.asarray(w, dtype=float).T[..., None, None], terms):
-        sums = ([c * m for m in mats] if sums is None
-                else [s + c * m for s, m in zip(sums, mats)])
-    return sums
+def _weighted_sum(w, terms) -> np.ndarray:
+    """sum_l w[..., l] * terms[l], added in the order of l. Weights (S, n)
+    or (S, P, n) against terms (n, S, F) give (S, F) or (S, P, F): each
+    entry is the sum its own weight vector gives."""
+    if w.ndim == 3:
+        terms = terms[:, :, None]
+    products = (w.T if w.ndim == 2 else w.transpose(2, 0, 1))[..., None] * terms
+    total = products[0]
+    for p in products[1:]:
+        total = total + p
+    return total
+
+
+def _rule_stack(subs) -> np.ndarray:
+    """(n_rules, S, F): rule l of each same-shaped subsystem as one row,
+    its A, B and E each flattened row-major and concatenated."""
+    return np.array([[np.concatenate((r.A.ravel(), r.B.ravel(), r.E.ravel()))
+                      for r in rules] for rules in zip(*(s.rules for s in subs))],
+                    dtype=float)
+
+
+def _split_rules(m, n_x: int, n_u: int, n_d: int):
+    """The (A, B, E) views of blended rule rows m (..., F); each matrix
+    row-contiguous, as an array of its own would be."""
+    lead, a, b = m.shape[:-1], n_x * n_x, n_x * (n_x + n_u)
+    return (m[..., :a].reshape(lead + (n_x, n_x)),
+            m[..., a:b].reshape(lead + (n_x, n_u)),
+            m[..., b:].reshape(lead + (n_x, n_d)))
+
+
+def _check_count(got: int, want: int, what: str, where: str = ""):
+    if got != want:
+        raise ValueError(f"{where}expected {want} {what}, got {got}")
 
 
 def blend(sub: Subsystem, w: np.ndarray):
     """Membership-weighted (A, B, E); exact at one-hot weights.
 
     A stack of weights w (P, n_rules) gives stacks (P, ...) of the three,
-    each entry summed in the same order as for its own weight vector."""
-    return tuple(_weighted_sums(w, [(r.A, r.B, r.E) for r in sub.rules]))
+    each entry summed in the same order as for its own weight vector. They
+    are returned contiguous: products over stacks of the views run slower."""
+    w = np.asarray(w, dtype=float)
+    _check_count(w.shape[-1], sub.n_rules, "rule weights (one per rule)")
+    m = _weighted_sum(w[None], _rule_stack([sub]))[0]
+    return tuple(np.ascontiguousarray(v)
+                 for v in _split_rules(m, sub.n_x, sub.n_u, sub.n_d))
 
 
-def _matvec(m, v) -> np.ndarray:
-    """m @ v over stacks: (..., r, c) matrices times (..., c) vectors. Each
-    product is the one BLAS matrix-vector call that m_p @ v_p makes (matmul
-    reads a 1-D v as that column already)."""
-    v = np.asarray(v)
-    return m @ v if v.ndim == 1 else (m @ v[..., None])[..., 0]
+def _gain_sum(h, k) -> np.ndarray:
+    """sum_m h[..., m] k[:, m] for S subsystems' gains k (S, n_gains, n_u,
+    n_x) and weights h (S, n_gains) or (S, P, n_gains)."""
+    total = _weighted_sum(h, k.reshape(k.shape[:2] + (-1,)).swapaxes(0, 1))
+    return total.reshape(total.shape[:-1] + k.shape[2:])
 
 
 def blend_gains(gains, h: np.ndarray) -> np.ndarray:
     """sum_m h_m k_m; a stack h (P, n_gains) gives (P, n_u, n_x)."""
-    k, = _weighted_sums(h, [(km,) for km in gains])
-    return k
+    h = np.asarray(h, dtype=float)
+    _check_count(h.shape[-1], len(gains), "gain weights (one per gain)")
+    return _gain_sum(h[None], np.array([gains], dtype=float))[0]
 
 
 def control_law(sub: Subsystem, gains, h: np.ndarray, x: np.ndarray) -> np.ndarray:
     """u = (sum_m h_m k_m) x; stacks h (P, n_gains), x (P, n_x) give (P, n_u)."""
-    return _matvec(blend_gains(gains, h), x)
+    _check_count(len(gains), sub.n_controller_rules,
+                 "controller gains (one per controller rule)")
+    k, x = blend_gains(gains, h), np.asarray(x)
+    return k @ x if x.ndim == 1 else (k @ x[..., None])[..., 0]
 
 
-def _advance(system: LargeScaleSystem, x_all, u_all, d_all, w_all):
-    x_next = []
-    for i, sub in enumerate(system.subsystems):
-        a, b, e = blend(sub, w_all[i])
-        nxt = (_matvec(a, x_all[i]) + _matvec(b, u_all[i])
-               + _matvec(e, d_all[i]))
-        for j in sorted(sub.couplings):
-            nxt = nxt + _matvec(sub.couplings[j], x_all[j])
-        x_next.append(nxt)
-    return x_next
+class _Group:
+    """Subsystems `members` of one shape: equal (n_x, n_u, n_d, n_rules,
+    n_controller_rules) and equal state dims of their sorted coupling slots.
+    Holds their rule rows (n_rules, S, F) and, per slot c, the coupling
+    matrices (S, n_x, n_xj) with the subsystem each one reads."""
+
+    def __init__(self, system: LargeScaleSystem, members: list):
+        self.members = members
+        subs = self.subs = [system.subsystems[i] for i in members]
+        sub = subs[0]
+        self.shape = (sub.n_x, sub.n_u, sub.n_d)
+        self.n_m = sub.n_controller_rules
+        self.rules = _rule_stack(subs)
+        keys = [sorted(s.couplings) for s in subs]
+        self.slots = [(np.array([s.couplings[k[c]] for s, k in zip(subs, keys)],
+                                dtype=float), [k[c] for k in keys])
+                      for c in range(len(keys[0]))]
+
+    def step(self, x_all, d_all, rho, mu, gains_all, u_all):
+        """(x_next, u, w, h) stacked over the members; h is None when the
+        inputs u_all are given (open loop). States and inputs are carried as
+        columns (..., n, 1), so each product is one matrix-vector call."""
+        subs, members = self.subs, self.members
+        xs = [x_all[i] for i in members]
+        zs = [sub.premise(x) for sub, x in zip(subs, xs)]
+        w = _model_weights(subs, zs, rho)
+        x = np.array(xs)[..., None]
+        h = None
+        if gains_all is None:
+            u = np.array([u_all[i] for i in members])[..., None]
+        else:
+            for i in members:
+                _check_count(len(gains_all[i]), self.n_m,
+                             "controller gains (one per controller rule)",
+                             f"subsystem {i}: ")
+            h = _controller_weights(subs, zs, mu)
+            u = _gain_sum(h, np.array([gains_all[i] for i in members],
+                                      dtype=float)) @ x
+        a, b, e = _split_rules(_weighted_sum(w, self.rules), *self.shape)
+        nxt = a @ x + b @ u + e @ np.array([d_all[i] for i in members])[..., None]
+        for g, sources in self.slots:
+            x_j = np.array([x_all[j] for j in sources])[..., None]
+            nxt = nxt + (g if x_j.ndim == 3 else g[:, None]) @ x_j
+        return nxt[..., 0], u[..., 0], w, h
+
+
+class _Plan:
+    """A system's shape groups, with what they were built from (_sources)."""
+
+    def __init__(self, system: LargeScaleSystem, objs: list, keys: list):
+        self.objs, self.keys = objs, keys
+        members = {}
+        for i, sub in enumerate(system.subsystems):
+            key = (sub.n_x, sub.n_u, sub.n_d, sub.n_rules,
+                   sub.n_controller_rules,
+                   tuple(system.subsystems[j].n_x for j in sorted(sub.couplings)))
+            members.setdefault(key, []).append(i)
+        self.groups = [_Group(system, m) for m in members.values()]
+
+
+def _sources(system: LargeScaleSystem):
+    """What the groups are built from: the objects, compared by identity,
+    and each subsystem's coupling keys, compared by value (equal keys make
+    equally long object lists)."""
+    objs, keys = [system.subsystems], []
+    for sub in system.subsystems:
+        objs += (sub, sub.rules, sub.controller_mfs, *sub.couplings.values())
+        keys.append(tuple(sub.couplings))
+    return objs, keys
+
+
+def _groups(system: LargeScaleSystem) -> list:
+    """The system's shape groups, rebuilt when one of their sources was
+    rebound since they were built."""
+    objs, keys = _sources(system)
+    plan = system._plan
+    if (plan is None or plan.keys != keys
+            or not all(map(operator.is_, plan.objs, objs))):
+        plan = system._plan = _Plan(system, objs, keys)
+    return plan.groups
+
+
+def _step(system: LargeScaleSystem, x_all, d_all, mode, rho_bar,
+          gains_all=None, mu_bar=None, u_all=None):
+    """One step of every shape group: (x_next, u_all, w_all, h_all), with
+    the inputs u_all given (and h_all all None) or made from gains_all."""
+    rho = _mode_weight(mode, rho_bar)
+    mu = None if gains_all is None else _unit_weight(
+        mu_bar, "mu_bar must lie in [0, 1]")
+    out = [[None] * system.n_subsystems for _ in range(4)]
+    for grp in _groups(system):
+        for part, rows in zip(out, grp.step(x_all, d_all, rho, mu, gains_all,
+                                            u_all)):
+            if rows is not None:
+                for i, row in zip(grp.members, rows):
+                    part[i] = row
+    return tuple(out)
 
 
 def step_open_loop(system: LargeScaleSystem, x_all, u_all, d_all,
                    mode: str = "true_plant", rho_bar=None):
     """One step of every subsystem under externally supplied inputs."""
-    w_all = [eval_model_memberships(sub, x_all[i], mode, rho_bar)
-             for i, sub in enumerate(system.subsystems)]
-    return _advance(system, x_all, u_all, d_all, w_all)
+    return _step(system, x_all, d_all, mode, rho_bar, u_all=u_all)[0]
 
 
 def step_closed_loop_detail(system: LargeScaleSystem, gains_all, x_all, d_all,
@@ -257,16 +437,7 @@ def step_closed_loop_detail(system: LargeScaleSystem, gains_all, x_all, d_all,
     With states stacked as x_all[i] (P, n_x) and disturbances d_all[i]
     (P, n_d), mu_bar and rho_bar may be floats or (P,) arrays, and every
     returned entry gains the leading P axis."""
-    w_all = []
-    h_all = []
-    u_all = []
-    for i, sub in enumerate(system.subsystems):
-        w_all.append(eval_model_memberships(sub, x_all[i], mode, rho_bar))
-        h = eval_controller_memberships(sub, x_all[i], mu_bar)
-        h_all.append(h)
-        u_all.append(control_law(sub, gains_all[i], h, x_all[i]))
-    x_next = _advance(system, x_all, u_all, d_all, w_all)
-    return x_next, u_all, w_all, h_all
+    return _step(system, x_all, d_all, mode, rho_bar, gains_all, mu_bar)
 
 
 def step_closed_loop(system: LargeScaleSystem, gains_all, x_all, d_all,

@@ -53,14 +53,15 @@ Schur LMIs [[u_s^2 / xi^2, k_s], [k_s', X]] >= 0, affine in k.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lmis import (DecisionVars, FixedParams, assemble_containment,
                    assemble_decrease, assemble_decrease_blended,
                    assemble_invariance, assemble_invariance_blended,
-                   containment_size, shape_inverse, xi_slope)
+                   containment_size, shape_inverse, vertex_keys,
+                   xi_slope)
 from .plant import LargeScaleSystem
 
 
@@ -261,7 +262,7 @@ class _Model:
             self.g0s.append(tests[:, 0])
             self.cols.append(tests[:, 1:] - tests[:, :1])
             self.slopes.append(xi_slope(params, inst))
-            keys.append(replace(inst, vertex=pairs).keys)
+            keys.append(vertex_keys(inst.origin, i, pairs))
         self.keys = [key for pair in zip(*keys) for key in pair]
 
     @functools.cached_property

@@ -1,17 +1,22 @@
 """Plant blending and one-step dynamics, checked against an independently
-coded double-sum expansion of the closed-loop update."""
+coded double-sum expansion of the closed-loop update and, bit for bit,
+against the per-subsystem step that the shape-group kernel replaced."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from it2mpc.configio import bundled_config_names, load_bundled_config
+from it2mpc.membership import IT2MembershipFamily, SigmoidMF
 from it2mpc.plant import (
     DegenerateFiringWarning,
     LargeScaleSystem,
     Rule,
     Subsystem,
     blend,
+    blend_gains,
     control_law,
     eval_controller_memberships,
     eval_model_memberships,
@@ -20,8 +25,87 @@ from it2mpc.plant import (
     step_closed_loop_detail,
     step_open_loop,
 )
+from it2mpc.simulation import run_online_loop
 
 from conftest import build_example1_system, example1_reference_gains
+
+
+# -- reference: the per-subsystem step --------------------------------------
+# One subsystem at a time, each blend a loop of products over the rules.
+# The plant's shape-group kernel must reproduce every entry of it exactly.
+
+def _reference_model_memberships(sub, x, mode, rho_bar):
+    z = sub.premise(x)
+    fam = sub.model_mfs
+    if mode == "true_plant":
+        return normalize_firing(fam.true_grades(z))
+    rho = rho_bar if np.ndim(rho_bar) == 0 else rho_bar[:, None]
+    return normalize_firing(rho * fam.upper_grades(z)
+                            + (1.0 - rho) * fam.lower_grades(z))
+
+
+def _reference_controller_memberships(sub, x, mu_bar):
+    z = sub.premise(x)
+    mu = mu_bar if np.ndim(mu_bar) == 0 else mu_bar[:, None]
+    fam = sub.controller_mfs
+    return normalize_firing(mu * fam.upper_grades(z)
+                            + (1.0 - mu) * fam.lower_grades(z))
+
+
+def _reference_weighted_sums(w, terms) -> list:
+    sums = None
+    for c, mats in zip(np.asarray(w, dtype=float).T[..., None, None], terms):
+        sums = ([c * m for m in mats] if sums is None
+                else [s + c * m for s, m in zip(sums, mats)])
+    return sums
+
+
+def _reference_matvec(m, v):
+    v = np.asarray(v)
+    return m @ v if v.ndim == 1 else (m @ v[..., None])[..., 0]
+
+
+def _reference_advance(system, x_all, u_all, d_all, w_all):
+    x_next = []
+    for i, sub in enumerate(system.subsystems):
+        a, b, e = _reference_weighted_sums(
+            w_all[i], [(r.A, r.B, r.E) for r in sub.rules])
+        nxt = (_reference_matvec(a, x_all[i]) + _reference_matvec(b, u_all[i])
+               + _reference_matvec(e, d_all[i]))
+        for j in sorted(sub.couplings):
+            nxt = nxt + _reference_matvec(sub.couplings[j], x_all[j])
+        x_next.append(nxt)
+    return x_next
+
+
+def reference_step_detail(system, gains_all, x_all, d_all, mu_bar=0.5,
+                          mode="true_plant", rho_bar=None):
+    """(x_next, u_all, w_all, h_all), one subsystem at a time."""
+    w_all, h_all, u_all = [], [], []
+    for i, sub in enumerate(system.subsystems):
+        w_all.append(_reference_model_memberships(sub, x_all[i], mode,
+                                                  rho_bar))
+        h = _reference_controller_memberships(sub, x_all[i], mu_bar)
+        h_all.append(h)
+        k, = _reference_weighted_sums(h, [(km,) for km in gains_all[i]])
+        u_all.append(_reference_matvec(k, x_all[i]))
+    return (_reference_advance(system, x_all, u_all, d_all, w_all),
+            u_all, w_all, h_all)
+
+
+def reference_step_open_loop(system, x_all, u_all, d_all, mode="true_plant",
+                             rho_bar=None):
+    w_all = [_reference_model_memberships(sub, x_all[i], mode, rho_bar)
+             for i, sub in enumerate(system.subsystems)]
+    return _reference_advance(system, x_all, u_all, d_all, w_all)
+
+
+def assert_same_step(got, want):
+    """Every entry of every returned list equal, with equal shapes."""
+    for got_all, want_all in zip(got, want, strict=True):
+        for g, w in zip(got_all, want_all, strict=True):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
 
 
 def double_sum_step(system, gains_all, x_all, d_all, mu_bar):
@@ -249,6 +333,170 @@ class TestStackedStep:
         for a, b in zip(shared, per_sample):
             assert a.shape == (5, 2)
             assert np.array_equal(a, b)
+
+
+def _bundled_inputs(name, n_samples, mode, seed=23):
+    """A bundled config's system and gains (example1's where it ships
+    none), with states, disturbances and weights: 1-D at n_samples None,
+    else stacked (n_samples, n) with per-sample mu and rho."""
+    cfg = load_bundled_config(name)
+    system = cfg.system
+    gains = cfg.gains or load_bundled_config("example1").gains
+    rng = np.random.default_rng(seed)
+    lead = () if n_samples is None else (n_samples,)
+    x_all = [rng.uniform(-1.5, 1.5, size=lead + (sub.n_x,))
+             for sub in system.subsystems]
+    d_all = [rng.uniform(-0.1, 0.1, size=lead + (sub.n_d,))
+             for sub in system.subsystems]
+    mu = 0.3 if n_samples is None else rng.uniform(0.0, 1.0, n_samples)
+    rho = None
+    if mode == "reconstructed":
+        rho = 0.6 if n_samples is None else rng.uniform(0.0, 1.0, n_samples)
+    return system, gains, x_all, d_all, mu, rho
+
+
+class TestGroupedStepMatchesReference:
+    """The shape-group kernel against the per-subsystem step above, entry
+    for entry (tests/test_plant_groups.py draws mixed-shape plants)."""
+
+    @pytest.mark.parametrize("name", bundled_config_names())
+    @pytest.mark.parametrize("mode", ["true_plant", "reconstructed"])
+    @pytest.mark.parametrize("n_samples", [None, 7])
+    def test_bundled_configs(self, name, mode, n_samples):
+        system, gains, x_all, d_all, mu, rho = _bundled_inputs(
+            name, n_samples, mode)
+        for _ in range(3):
+            got = step_closed_loop_detail(system, gains, x_all, d_all, mu,
+                                          mode, rho)
+            assert_same_step(got, reference_step_detail(
+                system, gains, x_all, d_all, mu, mode, rho))
+            assert_same_step(
+                [step_open_loop(system, x_all, got[1], d_all, mode, rho)],
+                [reference_step_open_loop(system, x_all, got[1], d_all,
+                                          mode, rho)])
+            for sub, x in zip(system.subsystems, x_all):
+                assert_same_step(
+                    [[eval_model_memberships(sub, x, mode, rho),
+                      eval_controller_memberships(sub, x, mu)]],
+                    [[_reference_model_memberships(sub, x, mode, rho),
+                      _reference_controller_memberships(sub, x, mu)]])
+            x_all = got[0]
+
+    def test_blends_match_reference(self):
+        sub = build_example1_system().subsystems[1]
+        gains = example1_reference_gains()[1]
+        for w in (np.array([0.3, 0.7]), np.array([[0.3, 0.7], [1.0, 0.0]])):
+            want = _reference_weighted_sums(
+                w, [(r.A, r.B, r.E) for r in sub.rules])
+            for got, ref in zip(blend(sub, w), want, strict=True):
+                assert np.array_equal(got, ref)
+            ref, = _reference_weighted_sums(w, [(k,) for k in gains])
+            assert np.array_equal(blend_gains(gains, w), ref)
+
+
+class TestCountChecks:
+    """Weights and gains must come one per rule: a mismatch raises rather
+    than dropping or ignoring rules."""
+
+    def test_blend_gains_rejects_extra_weights(self):
+        with pytest.raises(ValueError, match="expected 1 gain weights.*got 2"):
+            blend_gains([np.array([[1.0, 2.0]])], [0.3, 0.7])
+
+    def test_blend_gains_rejects_missing_weights(self):
+        gains = example1_reference_gains()[0]
+        with pytest.raises(ValueError, match="expected 2 gain weights.*got 1"):
+            blend_gains(gains, np.array([[1.0], [1.0]]))
+
+    @pytest.mark.parametrize("w", [[1.0], [0.2, 0.3, 0.5],
+                                   [[0.2, 0.3, 0.5]]])
+    def test_blend_rejects_wrong_weight_count(self, w):
+        sub = build_example1_system().subsystems[0]
+        with pytest.raises(ValueError, match="expected 2 rule weights"):
+            blend(sub, np.array(w))
+
+    def test_control_law_rejects_wrong_gain_count(self):
+        sub = build_example1_system().subsystems[0]
+        k = example1_reference_gains()[0][0]
+        with pytest.raises(ValueError, match="expected 2 controller gains.*"
+                                             "got 1"):
+            control_law(sub, [k], np.array([1.0]), np.zeros(2))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_step_names_the_subsystem(self, count):
+        system = build_example1_system()
+        gains = example1_reference_gains()
+        gains[2] = [gains[2][0]] * count
+        with pytest.raises(ValueError, match=f"subsystem 2: expected 2 "
+                                             f"controller gains.*got {count}"):
+            step_closed_loop(system, gains, [np.zeros(2)] * 3,
+                             [np.zeros(1)] * 3)
+
+    def test_online_loop_rejects_one_gain_per_two_rule_controller(self):
+        cfg = load_bundled_config("example1_synthesis")
+        with pytest.raises(ValueError, match="subsystem 0: expected 2 "
+                                             "controller gains.*got 1"):
+            run_online_loop(cfg.system, cfg.params, cfg.simulation.x0, 3,
+                            resynth="once", syn_cfg=cfg.synthesis,
+                            gains=[[np.zeros((1, 2))]] * 3)
+
+
+class TestGroupsFollowRebinding:
+    """A system keeps its shape groups between steps; rebinding a coupling,
+    a subsystem's rules or a subsystem takes effect at the next step."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(8)
+        return ([rng.uniform(-1.0, 1.0, 2) for _ in range(3)],
+                [rng.uniform(-0.1, 0.1, 1) for _ in range(3)])
+
+    @staticmethod
+    def _rebind_coupling(system):
+        couplings = system.subsystems[0].couplings
+        couplings[2] = 3.0 * couplings[2]
+
+    @staticmethod
+    def _drop_coupling(system):
+        del system.subsystems[1].couplings[0]
+
+    @staticmethod
+    def _rebind_rules(system):
+        sub = system.subsystems[1]
+        sub.rules = tuple(Rule(A=0.5 * r.A, B=r.B, E=r.E) for r in sub.rules)
+
+    @staticmethod
+    def _rebind_subsystem(system):
+        old = system.subsystems[2]
+        new = dataclasses.replace(
+            old, rules=old.rules + (Rule(A=np.eye(2), B=np.ones((2, 1)),
+                                         E=np.zeros((2, 1))),),
+            couplings={1: -old.couplings[1], 0: old.couplings[0]},
+            model_mfs=IT2MembershipFamily(
+                lower=old.model_mfs.lower + (SigmoidMF(0.5, 1.0),),
+                upper=old.model_mfs.upper + (SigmoidMF(-0.5, 1.0),),
+                true_mf=old.model_mfs.true_mf + (SigmoidMF(0.0, 1.0),)))
+        system.subsystems = system.subsystems[:2] + (new,)
+
+    @pytest.mark.parametrize("rebind", ["_rebind_coupling", "_drop_coupling",
+                                        "_rebind_rules", "_rebind_subsystem"])
+    def test_next_step_equals_a_fresh_system(self, rebind):
+        system = build_example1_system()
+        gains = example1_reference_gains()
+        x_all, d_all = self._inputs()
+        before = step_closed_loop_detail(system, gains, x_all, d_all, 0.4)
+        plan = system._plan
+        assert_same_step(step_closed_loop_detail(system, gains, x_all, d_all,
+                                                 0.4), before)
+        assert system._plan is plan        # built once, then kept
+        getattr(self, rebind)(system)
+        system.validate()
+        got = step_closed_loop_detail(system, gains, x_all, d_all, 0.4)
+        fresh = LargeScaleSystem(subsystems=tuple(system.subsystems))
+        assert_same_step(got, step_closed_loop_detail(fresh, gains, x_all,
+                                                      d_all, 0.4))
+        assert_same_step(got, reference_step_detail(system, gains, x_all,
+                                                    d_all, 0.4))
+        assert not all(np.array_equal(a, b) for a, b in zip(got[0], before[0]))
 
 
 class TestValidation:

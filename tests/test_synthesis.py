@@ -556,6 +556,26 @@ class TestStackedVertexCallers:
                     assert t_ref.shape == want.shape
                     assert_allclose(t_ref, want, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("name", [None, *bundled_config_names()])
+    def test_model_keys_name_the_vertex_assemblies(self, name):
+        # vertex (l, m) l-major, its invariance key then its decrease key,
+        # as the single-vertex assemblies name them
+        if name is None:
+            system, params = build_tiny_system(), tiny_params()
+        else:
+            cfg = load_bundled_config(name)
+            system, params = cfg.system, cfg.params
+        n = system.n_subsystems
+        dv = DecisionVars(gains=[[np.zeros((s.n_u, s.n_x))]
+                                 * s.n_controller_rules
+                                 for s in system.subsystems], xi=[1.0] * n)
+        for i, sub in enumerate(system.subsystems):
+            want = [assemble(system, params, dv, i, l, m).key
+                    for l in range(sub.n_rules)
+                    for m in range(sub.n_controller_rules)
+                    for assemble in (assemble_invariance, assemble_decrease)]
+            assert _Model(system, params, i, CFG).keys == want
+
     def test_certificate_margins_match_per_vertex_loop(self):
         cfg = SynthesisConfig()
         for system, params, gains in self.plants():
