@@ -192,6 +192,28 @@ def cmd_configs(_args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """A --samples value: an integer >= 1, so that a check checks something."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1, got {value}")
+    return value
+
+
+def _finite(text: str) -> float:
+    """A verdict --tol: a finite number (at inf or NaN every check passes)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors exit EXIT_CONFIG: argparse's
     own code, 2, is this CLI's "infeasible". Subparsers are made of the
@@ -243,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the full margin report JSON here")
     p.add_argument("--no-containment", action="store_true",
                    help="skip the initial-state containment conditions")
-    p.add_argument("--tol", type=float,
+    p.add_argument("--tol", type=_finite,
                    help="feasibility verdict tolerance (default: exact 0)")
     p.set_defaults(func=cmd_verify)
 
@@ -252,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="config file path or bundled name")
     p.add_argument("--gains", required=True,
                    help="certificate JSON produced by synthesize")
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=_count, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite, default=1e-9)
     p.set_defaults(func=cmd_rpi_check)
 
     p = sub.add_parser("configs", help="list the bundled example configs")

@@ -7,9 +7,10 @@ parse -> serialize -> parse is the identity. Matrices are plain nested
 lists; JSON doubles survive the round trip bit-exactly.
 
 A load checks each thing once. A matrix or vector whose entries pass one
-type scan (exact JSON int or float, so never a bool) is converted by one
-numpy call; only one that fails it is read entry by entry, so that the
-error names its first bad entry. Each subsystem is validated in
+scan (exact JSON int or float, so never a bool, and finite, so never the
+NaN or Infinity that json.loads reads) is converted by one numpy call;
+only one that fails it is read entry by entry, so that the error names its
+first bad entry. Each subsystem is validated in
 _parse_subsystem and the couplings once all are parsed;
 FixedParams.validate judges each matrix family with one stacked eigensolve
 per shape.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
@@ -65,7 +67,23 @@ _NUMBER_TYPES = frozenset({int, float})
 def _number(data, path: str) -> float:
     if isinstance(data, bool) or not isinstance(data, (int, float)):
         _fail(path, f"expected a number, got {type(data).__name__}")
-    return float(data)
+    value = float(data)
+    if not math.isfinite(value):     # json.loads reads NaN and Infinity
+        _fail(path, f"expected a finite number, got {value}")
+    return value
+
+
+def _all_finite_numbers(entries: list) -> bool:
+    """Whether every entry is a JSON number (never a bool) and finite. One
+    NaN or infinite term makes the sum non-finite; a sum that overflows, or
+    an int too large for a float, only sends the entries to the per-entry
+    read, which names the first bad one."""
+    if not _NUMBER_TYPES.issuperset(map(type, entries)):
+        return False
+    try:
+        return math.isfinite(sum(entries, 0.0))
+    except OverflowError:
+        return False
 
 
 def _matrix(data, path: str, rows: int | None = None,
@@ -76,9 +94,10 @@ def _matrix(data, path: str, rows: int | None = None,
     width = len(data[0])
     if width == 0 or any(len(r) != width for r in data):
         _fail(path, "matrix rows must be nonempty and equal-length")
-    if _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(data))):
+    entries = list(chain.from_iterable(data))
+    if _all_finite_numbers(entries):
         out = np.array(data, dtype=float)
-    else:   # entry by entry, naming the first one that is not a number
+    else:   # entry by entry, naming the first one that is not a finite number
         out = np.array([[_number(v, f"{path}[{i + 1}][{j + 1}]")
                          for j, v in enumerate(row)]
                         for i, row in enumerate(data)])
@@ -91,9 +110,9 @@ def _matrix(data, path: str, rows: int | None = None,
 
 def _vector(data, path: str, length: int | None = None) -> np.ndarray:
     _expect(data, path, list, "a vector (list of numbers)")
-    if _NUMBER_TYPES.issuperset(map(type, data)):
+    if _all_finite_numbers(data):
         out = np.array(data, dtype=float)
-    else:   # entry by entry, naming the first one that is not a number
+    else:   # entry by entry, naming the first one that is not a finite number
         out = np.array([_number(v, f"{path}[{i + 1}]")
                         for i, v in enumerate(data)])
     if length is not None and out.size != length:
@@ -267,7 +286,7 @@ def _parse_subsystem(data: dict, path: str, need_true_mfs: bool) -> Subsystem:
         _fail(f"{path}.premise_selector", "expected a 1-based state index")
 
     sub = Subsystem(
-        rules=tuple(rules),
+        rules=rules,
         couplings=couplings,
         model_mfs=_parse_mf_family(data["model_mfs"], f"{path}.model_mfs",
                                    require_true=need_true_mfs),
@@ -448,7 +467,7 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
         _parse_subsystem(s, f"{source}.subsystems[{i + 1}]",
                          need_true_mfs=(mode == "true_plant"))
         for i, s in enumerate(subs_data)]
-    system = LargeScaleSystem(subsystems=tuple(subsystems))
+    system = LargeScaleSystem(subsystems=subsystems)
     try:    # each subsystem passed its own validate in _parse_subsystem
         system.validate_couplings()
     except ValueError as exc:

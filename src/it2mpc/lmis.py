@@ -87,15 +87,17 @@ class FixedParams:
         for i, lam in enumerate(self.lam):
             if not 0.0 < lam < 1.0:
                 raise ValueError(f"lam[{i}] must lie in (0, 1), got {lam}")
-        for i, nc in enumerate(self.N_const):
-            if nc <= 0:
-                raise ValueError(f"N_const[{i}] must be positive")
-        for i, tau in enumerate(self.tau):
-            if tau <= 0:
-                raise ValueError(f"tau[{i}] must be positive")
+        for name, seq in (("N_const", self.N_const), ("tau", self.tau)):
+            for i, v in enumerate(seq):
+                if v <= 0:
+                    raise ValueError(f"{name}[{i}] must be positive")
+                if not np.isfinite(v):
+                    raise ValueError(f"{name}[{i}] must be finite, got {v}")
         _raise_first_failure(self._m_q_r_checks)
         if self.alpha < 2.0:
             raise ValueError(f"alpha must be >= 2, got {self.alpha}")
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
     def _m_q_r_checks(self):
         """(test, matrix, message) for M, then Q and R per subsystem in

@@ -28,21 +28,22 @@ that matrix @ vector makes; and x+ = ((A x + B u) + E d) + g_ij x_j adds
 the coupling terms in sorted-j order. Grouping changes only how many
 entries one numpy call computes.
 
-Identity contract. A system's groups are built at its first step and kept
-on it (building them costs about as much as grouping saves in a step).
-Each step compares the objects they were built from, by identity
-(the subsystems tuple, each subsystem, its rules tuple, its controller
-family and its coupling matrices; the coupling keys by value), and
-rebuilds the groups when one was rebound, so rebinding takes effect at the
-next step. Changing one of those arrays (or a rules list) in place is not
-seen: rebind it instead.
+Immutability. A plant is a value: Rule, Subsystem and LargeScaleSystem
+are frozen dataclasses holding read-only float copies of their arrays, a
+read-only couplings mapping and tuples. What is derived from a plant is
+built once, on first use, and kept on its owner: a subsystem's rule rows
+and a system's shape groups (made at its first step, since building them
+costs about what grouping saves in a step). A changed plant is a new
+object, made with dataclasses.replace.
 """
 
 from __future__ import annotations
 
-import operator
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -55,6 +56,13 @@ class DegenerateFiringWarning(UserWarning):
     """All raw firing strengths fell below the floor; uniform weights used."""
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy of a."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Rule:
     """One linear local model x+ = A x + B u + E d."""
@@ -63,17 +71,32 @@ class Rule:
     B: np.ndarray
     E: np.ndarray
 
+    def __post_init__(self):
+        for name in ("A", "B", "E"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
-@dataclass
+
+@dataclass(frozen=True)
 class Subsystem:
     rules: tuple[Rule, ...]
-    couplings: dict[int, np.ndarray] = field(default_factory=dict)
+    couplings: Mapping[int, np.ndarray] = field(default_factory=dict)
     model_mfs: IT2MembershipFamily | None = None
     controller_mfs: IT2MembershipFamily | None = None
     u_max: np.ndarray | None = None
     eta: float = 1.0
     H: np.ndarray | None = None
     premise_selector: int = 0
+
+    def __post_init__(self):
+        put = object.__setattr__
+        put(self, "rules", tuple(self.rules))
+        put(self, "couplings", MappingProxyType(
+            {j: _frozen(g) for j, g in self.couplings.items()}))
+        put(self, "u_max", None if self.u_max is None else _frozen(self.u_max))
+        put(self, "H", None if self.H is None else _frozen(self.H))
+
+    def __deepcopy__(self, memo):   # a value, and a mappingproxy cannot be copied
+        return self
 
     @property
     def n_x(self) -> int:
@@ -96,6 +119,12 @@ class Subsystem:
         if self.controller_mfs is None:
             return self.n_rules
         return self.controller_mfs.n_rules
+
+    @cached_property
+    def rule_rows(self) -> np.ndarray:
+        """(n_rules, F), read-only: each rule's A, B and E, flattened, joined."""
+        return _frozen([np.concatenate((r.A.ravel(), r.B.ravel(), r.E.ravel()))
+                        for r in self.rules])
 
     def premise(self, x: np.ndarray):
         """The premise variable: a float, or (P,) for states (P, n_x)."""
@@ -120,21 +149,36 @@ class Subsystem:
         if self.u_max is not None:
             if self.u_max.shape != (n_u,) or np.any(self.u_max <= 0):
                 raise ValueError("u_max must be positive with one entry per input channel")
+            if not (self.u_max < np.inf).all():     # NaN compares false
+                raise ValueError("u_max must be finite")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
+        if not self.eta < np.inf:
+            raise ValueError("eta must be finite")
         if self.H is not None and self.H.shape[1] != n_x:
             raise ValueError("H must have one column per state")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LargeScaleSystem:
     subsystems: tuple[Subsystem, ...]
-    # the shape groups of the step, built at the first step (see _groups)
-    _plan: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "subsystems", tuple(self.subsystems))
 
     @property
     def n_subsystems(self) -> int:
         return len(self.subsystems)
+
+    @cached_property
+    def shape_groups(self) -> tuple:
+        """The step's _Groups, in the order of their first members."""
+        members = {}
+        for i, sub in enumerate(self.subsystems):
+            key = (sub.n_x, sub.n_u, sub.n_d, sub.n_rules, sub.n_controller_rules,
+                   tuple(self.subsystems[j].n_x for j in sorted(sub.couplings)))
+            members.setdefault(key, []).append(i)
+        return tuple(_Group(self, m) for m in members.values())
 
     def validate(self):
         for i, sub in enumerate(self.subsystems):
@@ -142,8 +186,7 @@ class LargeScaleSystem:
             self._validate_couplings(i)
 
     def validate_couplings(self):
-        """validate's coupling checks alone, for subsystems that each passed
-        their own validate already."""
+        """validate's coupling checks alone, for subsystems already validated."""
         for i in range(self.n_subsystems):
             self._validate_couplings(i)
 
@@ -267,14 +310,6 @@ def _weighted_sum(w, terms) -> np.ndarray:
     return total
 
 
-def _rule_stack(subs) -> np.ndarray:
-    """(n_rules, S, F): rule l of each same-shaped subsystem as one row,
-    its A, B and E each flattened row-major and concatenated."""
-    return np.array([[np.concatenate((r.A.ravel(), r.B.ravel(), r.E.ravel()))
-                      for r in rules] for rules in zip(*(s.rules for s in subs))],
-                    dtype=float)
-
-
 def _split_rules(m, n_x: int, n_u: int, n_d: int):
     """The (A, B, E) views of blended rule rows m (..., F); each matrix
     row-contiguous, as an array of its own would be."""
@@ -297,7 +332,7 @@ def blend(sub: Subsystem, w: np.ndarray):
     are returned contiguous: products over stacks of the views run slower."""
     w = np.asarray(w, dtype=float)
     _check_count(w.shape[-1], sub.n_rules, "rule weights (one per rule)")
-    m = _weighted_sum(w[None], _rule_stack([sub]))[0]
+    m = _weighted_sum(w[None], sub.rule_rows[:, None])[0]
     return tuple(np.ascontiguousarray(v)
                  for v in _split_rules(m, sub.n_x, sub.n_u, sub.n_d))
 
@@ -336,7 +371,7 @@ class _Group:
         sub = subs[0]
         self.shape = (sub.n_x, sub.n_u, sub.n_d)
         self.n_m = sub.n_controller_rules
-        self.rules = _rule_stack(subs)
+        self.rules = np.stack([s.rule_rows for s in subs], axis=1)
         keys = [sorted(s.couplings) for s in subs]
         self.slots = [(np.array([s.couplings[k[c]] for s, k in zip(subs, keys)],
                                 dtype=float), [k[c] for k in keys])
@@ -370,42 +405,6 @@ class _Group:
         return nxt[..., 0], u[..., 0], w, h
 
 
-class _Plan:
-    """A system's shape groups, with what they were built from (_sources)."""
-
-    def __init__(self, system: LargeScaleSystem, objs: list, keys: list):
-        self.objs, self.keys = objs, keys
-        members = {}
-        for i, sub in enumerate(system.subsystems):
-            key = (sub.n_x, sub.n_u, sub.n_d, sub.n_rules,
-                   sub.n_controller_rules,
-                   tuple(system.subsystems[j].n_x for j in sorted(sub.couplings)))
-            members.setdefault(key, []).append(i)
-        self.groups = [_Group(system, m) for m in members.values()]
-
-
-def _sources(system: LargeScaleSystem):
-    """What the groups are built from: the objects, compared by identity,
-    and each subsystem's coupling keys, compared by value (equal keys make
-    equally long object lists)."""
-    objs, keys = [system.subsystems], []
-    for sub in system.subsystems:
-        objs += (sub, sub.rules, sub.controller_mfs, *sub.couplings.values())
-        keys.append(tuple(sub.couplings))
-    return objs, keys
-
-
-def _groups(system: LargeScaleSystem) -> list:
-    """The system's shape groups, rebuilt when one of their sources was
-    rebound since they were built."""
-    objs, keys = _sources(system)
-    plan = system._plan
-    if (plan is None or plan.keys != keys
-            or not all(map(operator.is_, plan.objs, objs))):
-        plan = system._plan = _Plan(system, objs, keys)
-    return plan.groups
-
-
 def _step(system: LargeScaleSystem, x_all, d_all, mode, rho_bar,
           gains_all=None, mu_bar=None, u_all=None):
     """One step of every shape group: (x_next, u_all, w_all, h_all), with
@@ -414,7 +413,7 @@ def _step(system: LargeScaleSystem, x_all, d_all, mode, rho_bar,
     mu = None if gains_all is None else _unit_weight(
         mu_bar, "mu_bar must lie in [0, 1]")
     out = [[None] * system.n_subsystems for _ in range(4)]
-    for grp in _groups(system):
+    for grp in system.shape_groups:
         for part, rows in zip(out, grp.step(x_all, d_all, rho, mu, gains_all,
                                             u_all)):
             if rows is not None:

@@ -12,6 +12,7 @@ three, so a trace from any mode feeds the same checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -377,6 +378,18 @@ def sample_in_set(rng: np.random.Generator, x_mat: np.ndarray, xi_i: float,
 RPI_BATCH = 2048    # samples drawn, stepped and checked together
 
 
+def _worst(worst: float, values: np.ndarray) -> float:
+    """The larger of worst and the largest of values; NaN once any is NaN
+    (max keeps a NaN worst, as NaN compares false)."""
+    top = float(values.max())
+    return top if math.isnan(top) else max(worst, top)
+
+
+def _violations(values: np.ndarray, tol: float) -> int:
+    """How many values are not <= tol: above it, or NaN."""
+    return values.size - int(np.count_nonzero(values <= tol))
+
+
 def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
                     dv: DecisionVars, n_samples: int = 10_000, seed: int = 0,
                     tol: float = 1e-9) -> dict:
@@ -387,7 +400,8 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
     certified radius sqrt(xi/N_const), and a membership reconstruction
     weighting from a grid; it then steps once and requires the one-step
     decrease scalar to be <= tol and every next state to stay in its set
-    (relative margin <= tol).
+    (relative margin <= tol); a NaN scalar or margin is a violation. It
+    needs n_samples >= 1 and a finite tol, so that passing checks something.
 
     Draw order: sample by sample, the ball draws of every subsystem's state
     and then of every subsystem's disturbance, each made by _ball_draw, so
@@ -397,6 +411,9 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
     scaled, stepped (one step_closed_loop call for its true-plant samples,
     one for its reconstructed ones) and checked with array operations.
     """
+    if not (n_samples >= 1 and np.isfinite(tol)):
+        raise ValueError(f"rpi_monte_carlo needs n_samples >= 1 and a finite "
+                         f"tol, got {n_samples} and {tol}")
     rng = np.random.default_rng(seed)
     n = system.n_subsystems
     radii = [1.0] * n + [float(np.sqrt(dv.xi[i] / params.N_const[i]))
@@ -438,13 +455,13 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
             for i in range(n):
                 x_next[i][sel] = stepped[i]
         scalar = rpi_decrease_scalar(params, dv.xi, x_all, d_all, x_next)
-        worst_scalar = max(worst_scalar, float(scalar.max()))
-        scalar_violations += int(np.count_nonzero(scalar > tol))
+        worst_scalar = _worst(worst_scalar, scalar)
+        scalar_violations += _violations(scalar, tol)
         for i in range(n):
             xi2 = dv.xi[i] ** 2
             margin = (quad_form(x_next[i], params.X[i]) - xi2) / xi2
-            worst_exit = max(worst_exit, float(margin.max()))
-            exit_events += int(np.count_nonzero(margin > tol))
+            worst_exit = _worst(worst_exit, margin)
+            exit_events += _violations(margin, tol)
     return {
         "n_samples": n_samples,
         "scalar_violations": scalar_violations,

@@ -408,3 +408,79 @@ class TestListing:
                               text=True)
         assert proc.returncode == 0
         assert "example1" in proc.stdout
+
+
+class TestChecksThatCheckNothing:
+    """rpi-check and verify pass only when something was checked: a sample
+    count below 1 or a non-finite tolerance is a usage error, and a
+    non-finite number in a config or certificate a config error (exit 3)."""
+
+    FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+               / "example1_certificate.json")
+
+    @staticmethod
+    def usage_message(capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "usage"
+        return record["message"]
+
+    @pytest.mark.parametrize("option, message", [
+        ("--samples=0", "argument --samples: expected at least 1, got 0"),
+        ("--samples=-5", "argument --samples: expected at least 1, got -5"),
+        ("--tol=nan", "argument --tol: expected a finite number, got 'nan'"),
+        ("--tol=inf", "argument --tol: expected a finite number, got 'inf'")])
+    def test_rpi_check_usage(self, capsys, option, message):
+        got = self.usage_message(capsys, ["rpi-check", "example1_synthesis",
+                                          "--gains", str(self.FIXTURE), option])
+        assert got == f"it2mpc rpi-check: {message}"
+
+    @pytest.mark.parametrize("config", ["example1_synthesis",
+                                        "example2_stabilized"])
+    def test_verify_infinite_tol(self, capsys, tmp_path, config):
+        # at --tol inf example2_stabilized's infeasible gains read FEASIBLE
+        cert = self.FIXTURE
+        if config == "example2_stabilized":
+            from it2mpc.configio import load_bundled_config, save_certificate
+            from it2mpc.lmis import DecisionVars
+            cfg = load_bundled_config(config)
+            cert = tmp_path / "cert.json"
+            save_certificate(DecisionVars(gains=cfg.gains, xi=[3.0] * 2), cert)
+        got = self.usage_message(capsys, ["verify", config, "--gains",
+                                          str(cert), "--tol", "inf"])
+        assert got == ("it2mpc verify: argument --tol: expected a finite "
+                       "number, got 'inf'")
+
+    @pytest.mark.parametrize("verb", ["rpi-check", "verify"])
+    @pytest.mark.parametrize("field, path", [
+        ("xi", "cert.json.xi[1]"), ("gains", "cert.json.gains[1][1][1][1]")])
+    def test_nan_certificate_exits_3(self, capsys, tmp_path, verb, field,
+                                     path):
+        raw = json.loads(self.FIXTURE.read_text())
+        if field == "xi":
+            raw["xi"][0] = float("nan")
+        else:
+            raw["gains"][0][0][0][0] = float("nan")
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(raw))
+        rc, _, stderr = run_cli(capsys, verb, "example1_synthesis",
+                                "--gains", str(cert))
+        assert rc == 3
+        assert json.loads(stderr) == {
+            "error": "config",
+            "message": f"{path}: expected a finite number, got nan"}
+
+    def test_nan_input_limit_exits_3(self, capsys, tmp_path):
+        # a NaN u_max used to give a feasible certificate with no input rows
+        from it2mpc.configio import load_bundled_config
+        doc = load_bundled_config("example1_synthesis").data
+        doc["subsystems"][0]["u_max"] = [float("nan")]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc, _, stderr = run_cli(capsys, "synthesize", str(path))
+        assert rc == 3
+        assert json.loads(stderr)["message"] == (
+            "bad.json.subsystems[1].u_max[1]: expected a finite number, "
+            "got nan")

@@ -9,6 +9,7 @@ entry by entry, as float hex, with a per-entry reference parse."""
 
 import hashlib
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -184,6 +185,45 @@ CERTIFICATE_CASES = [
 ]
 
 
+def _not_finite(path, shown):
+    return ConfigError, f"{path}: expected a finite number, got {shown}"
+
+
+# json.loads reads NaN, Infinity and -Infinity; each is a config error that
+# names its entry, never a value that loads
+NON_FINITE_CASES = [
+    (A + (1, 0), math.nan, _not_finite(f"{A_PATH}[2][1]", "nan")),
+    (A + (0, 1), math.inf, _not_finite(f"{A_PATH}[1][2]", "inf")),
+    # the first bad entry in row-major order decides, of either kind
+    (A, [[True, math.nan], [0.0, 0.4]], _not_a_number(f"{A_PATH}[1][1]", "bool")),
+    (A, [[0.5, -math.inf], [True, 0.4]], _not_finite(f"{A_PATH}[1][2]", "-inf")),
+    (A, [[0.5, math.nan], [BIG, 0.4]], _not_finite(f"{A_PATH}[1][2]", "nan")),
+    (A, [[BIG, math.nan], [0.0, 0.4]], OVERFLOW),
+    (("subsystems", 0, "u_max", 0), math.nan,
+     _not_finite("<config>.subsystems[1].u_max[1]", "nan")),
+    (("subsystems", 0, "eta"), math.inf,
+     _not_finite("<config>.subsystems[1].eta", "inf")),
+    (("fixed_params", "alpha"), math.nan,
+     _not_finite("<config>.fixed_params.alpha", "nan")),
+    (("fixed_params", "tau", 0), math.nan,
+     _not_finite("<config>.fixed_params.tau[1]", "nan")),
+    (("fixed_params", "N_const", 0), math.inf,
+     _not_finite("<config>.fixed_params.N_const[1]", "inf")),
+    (("fixed_params", "X", 0, 1, 1), math.nan,
+     _not_finite("<config>.fixed_params.X[1][2][2]", "nan")),
+    (("simulation", "x0", 0, 1), -math.inf,
+     _not_finite("<config>.simulation.x0[1][2]", "-inf")),
+    (SIG + ("shift",), math.nan,
+     (ConfigError, f"{SIG_PATH}: {SIG_PATH}.shift: expected a finite "
+                   "number, got nan")),
+]
+
+NON_FINITE_CERTIFICATE_CASES = [
+    (("xi", 0), math.nan, _not_finite("cert.json.xi[1]", "nan")),
+    (G + (0, 1), math.inf, _not_finite(f"{G_PATH}[1][2]", "inf")),
+]
+
+
 def _raises_exactly(call, expected):
     kind, message = expected
     with pytest.raises(Exception) as info:
@@ -212,7 +252,13 @@ class TestMalformedInput:
         tier = fam.lower if path[-1] == "rule" else fam.true_mf
         assert fam.lower[1].others == (tier[0],)
 
-    @pytest.mark.parametrize("path, value, expected", CERTIFICATE_CASES)
+    @pytest.mark.parametrize("path, value, expected", NON_FINITE_CASES)
+    def test_non_finite_config(self, path, value, expected):
+        doc = _set(tiny_config_doc(), path, value)
+        _raises_exactly(lambda: parse_config(doc), expected)
+
+    @pytest.mark.parametrize("path, value, expected",
+                             CERTIFICATE_CASES + NON_FINITE_CERTIFICATE_CASES)
     def test_certificate(self, tmp_path, path, value, expected):
         doc = _set(json.loads(FIXTURE.read_text()), path, value)
         cert = tmp_path / "cert.json"
@@ -288,12 +334,28 @@ PARAMS_CASES = [
 ]
 
 
+NON_FINITE_PARAMS_CASES = [
+    (dict(N_const={2: math.nan}),
+     (ValueError, "N_const[2] must be finite, got nan")),
+    (dict(N_const={0: math.inf}),
+     (ValueError, "N_const[0] must be finite, got inf")),
+    (dict(tau={1: math.nan}), (ValueError, "tau[1] must be finite, got nan")),
+    (dict(alpha=math.nan), (ValueError, "alpha must be finite, got nan")),
+    (dict(alpha=math.inf), (ValueError, "alpha must be finite, got inf")),
+    (dict(tau={1: -math.inf}), (ValueError, "tau[1] must be positive")),
+]
+
+
 class TestParamsFirstError:
     def test_valid_params_pass(self):
         _params().validate()
 
     @pytest.mark.parametrize("changes, expected", PARAMS_CASES)
     def test_first_error(self, changes, expected):
+        _raises_exactly(_params(**changes).validate, expected)
+
+    @pytest.mark.parametrize("changes, expected", NON_FINITE_PARAMS_CASES)
+    def test_non_finite_constant(self, changes, expected):
         _raises_exactly(_params(**changes).validate, expected)
 
     def test_config_path_is_kept(self):

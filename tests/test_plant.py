@@ -2,6 +2,7 @@
 coded double-sum expansion of the closed-loop update and, bit for bit,
 against the per-subsystem step that the shape-group kernel replaced."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from it2mpc.configio import bundled_config_names, load_bundled_config
+from it2mpc import plant
 from it2mpc.membership import IT2MembershipFamily, SigmoidMF
 from it2mpc.plant import (
     DegenerateFiringWarning,
@@ -440,9 +442,17 @@ class TestCountChecks:
                             gains=[[np.zeros((1, 2))]] * 3)
 
 
-class TestGroupsFollowRebinding:
-    """A system keeps its shape groups between steps; rebinding a coupling,
-    a subsystem's rules or a subsystem takes effect at the next step."""
+def with_subsystem(system, i, **changes):
+    """The system with subsystem i replaced by a copy carrying `changes`."""
+    subs = list(system.subsystems)
+    subs[i] = dataclasses.replace(subs[i], **changes)
+    return dataclasses.replace(system, subsystems=tuple(subs))
+
+
+class TestImmutablePlant:
+    """A plant is a value: its fields cannot be rebound, its couplings not
+    set or deleted, its arrays not written. A changed plant is a new object,
+    built with dataclasses.replace, and steps as a freshly built one."""
 
     @staticmethod
     def _inputs():
@@ -451,69 +461,151 @@ class TestGroupsFollowRebinding:
                 [rng.uniform(-0.1, 0.1, 1) for _ in range(3)])
 
     @staticmethod
-    def _rebind_coupling(system):
+    def _scale_coupling(system):
         couplings = system.subsystems[0].couplings
-        couplings[2] = 3.0 * couplings[2]
+        return with_subsystem(system, 0,
+                              couplings={**couplings, 2: 3.0 * couplings[2]})
 
     @staticmethod
     def _drop_coupling(system):
-        del system.subsystems[1].couplings[0]
+        return with_subsystem(system, 1, couplings={
+            j: g for j, g in system.subsystems[1].couplings.items() if j != 0})
 
     @staticmethod
-    def _rebind_rules(system):
-        sub = system.subsystems[1]
-        sub.rules = tuple(Rule(A=0.5 * r.A, B=r.B, E=r.E) for r in sub.rules)
+    def _scale_rules(system):
+        return with_subsystem(system, 1, rules=tuple(
+            Rule(A=0.5 * r.A, B=r.B, E=r.E) for r in system.subsystems[1].rules))
 
     @staticmethod
-    def _rebind_subsystem(system):
+    def _swap_subsystem(system):
         old = system.subsystems[2]
-        new = dataclasses.replace(
-            old, rules=old.rules + (Rule(A=np.eye(2), B=np.ones((2, 1)),
-                                         E=np.zeros((2, 1))),),
+        return with_subsystem(
+            system, 2,
+            rules=old.rules + (Rule(A=np.eye(2), B=np.ones((2, 1)),
+                                    E=np.zeros((2, 1))),),
             couplings={1: -old.couplings[1], 0: old.couplings[0]},
             model_mfs=IT2MembershipFamily(
                 lower=old.model_mfs.lower + (SigmoidMF(0.5, 1.0),),
                 upper=old.model_mfs.upper + (SigmoidMF(-0.5, 1.0),),
                 true_mf=old.model_mfs.true_mf + (SigmoidMF(0.0, 1.0),)))
-        system.subsystems = system.subsystems[:2] + (new,)
 
-    @pytest.mark.parametrize("rebind", ["_rebind_coupling", "_drop_coupling",
-                                        "_rebind_rules", "_rebind_subsystem"])
-    def test_next_step_equals_a_fresh_system(self, rebind):
+    @pytest.mark.parametrize("change", ["_scale_coupling", "_drop_coupling",
+                                        "_scale_rules", "_swap_subsystem"])
+    def test_replaced_plant_steps_as_a_fresh_system(self, change):
         system = build_example1_system()
         gains = example1_reference_gains()
         x_all, d_all = self._inputs()
         before = step_closed_loop_detail(system, gains, x_all, d_all, 0.4)
-        plan = system._plan
-        assert_same_step(step_closed_loop_detail(system, gains, x_all, d_all,
-                                                 0.4), before)
-        assert system._plan is plan        # built once, then kept
-        getattr(self, rebind)(system)
-        system.validate()
-        got = step_closed_loop_detail(system, gains, x_all, d_all, 0.4)
-        fresh = LargeScaleSystem(subsystems=tuple(system.subsystems))
+        changed = getattr(self, change)(system)
+        changed.validate()
+        got = step_closed_loop_detail(changed, gains, x_all, d_all, 0.4)
+        fresh = LargeScaleSystem(subsystems=tuple(
+            dataclasses.replace(sub) for sub in changed.subsystems))
         assert_same_step(got, step_closed_loop_detail(fresh, gains, x_all,
                                                       d_all, 0.4))
-        assert_same_step(got, reference_step_detail(system, gains, x_all,
+        assert_same_step(got, reference_step_detail(changed, gains, x_all,
                                                     d_all, 0.4))
         assert not all(np.array_equal(a, b) for a, b in zip(got[0], before[0]))
+        # the plant it was made from steps as before
+        assert_same_step(step_closed_loop_detail(system, gains, x_all, d_all,
+                                                 0.4), before)
+
+    def test_fields_cannot_be_rebound(self):
+        system = build_example1_system()
+        sub = system.subsystems[0]
+        for obj, name, value in ((system, "subsystems", system.subsystems[:2]),
+                                 (sub, "rules", sub.rules[:1]),
+                                 (sub, "couplings", {}),
+                                 (sub, "premise_selector", 1),
+                                 (sub.rules[0], "A", np.eye(2))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+
+    @pytest.mark.parametrize("key", [1, 0])
+    def test_couplings_cannot_be_set_or_deleted(self, key):
+        couplings = build_example1_system().subsystems[0].couplings
+        with pytest.raises(TypeError):
+            couplings[key] = np.eye(2)
+        with pytest.raises(TypeError):
+            del couplings[key]
+        assert list(couplings) == [1, 2]
+
+    def test_arrays_are_read_only_copies(self):
+        a = np.array([[1, 0], [0, 1]])
+        sub = Subsystem(rules=(Rule(A=a, B=np.ones((2, 1)), E=np.ones((2, 1))),),
+                        couplings={1: a}, u_max=np.array([2.0]), H=a)
+        a[0, 0] = 7
+        rule = sub.rules[0]
+        arrays = (rule.A, rule.B, rule.E, sub.couplings[1], sub.u_max, sub.H,
+                  sub.rule_rows)
+        for array in arrays:
+            assert array.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 5.0
+        for array in (rule.A, sub.couplings[1], sub.H):
+            assert np.array_equal(array, np.eye(2))
+
+    def test_deep_copy_keeps_the_plant(self):
+        # a plant is a value, so a deep copy of a config shares it
+        cfg = load_bundled_config("example1_synthesis")
+        copied = copy.deepcopy(cfg)
+        assert copied.params is not cfg.params
+        assert all(a is b for a, b in zip(copied.system.subsystems,
+                                          cfg.system.subsystems))
+
+    def test_groups_are_built_once_per_system(self, monkeypatch):
+        built = []
+        init = plant._Group.__init__
+
+        def counting_init(grp, system, members):
+            built.append(system)
+            init(grp, system, members)
+
+        monkeypatch.setattr(plant._Group, "__init__", counting_init)
+        system = build_example1_system()
+        gains = example1_reference_gains()
+        x_all, d_all = self._inputs()
+        for _ in range(3):
+            step_closed_loop(system, gains, x_all, d_all)
+            step_open_loop(system, x_all, [np.zeros(1)] * 3, d_all)
+        assert built == [system]
+        changed = self._scale_rules(system)
+        for _ in range(2):
+            step_closed_loop(changed, gains, x_all, d_all)
+            step_closed_loop(system, gains, x_all, d_all)
+        assert built == [system, changed]
 
 
 class TestValidation:
     def test_bad_coupling_shape_rejected(self):
         system = build_example1_system()
-        system.subsystems[0].couplings[1] = np.eye(3)
+        couplings = system.subsystems[0].couplings
+        system = with_subsystem(system, 0, couplings={**couplings, 1: np.eye(3)})
         with pytest.raises(ValueError, match="coupling"):
             system.validate()
 
     def test_coupling_to_self_rejected(self):
         system = build_example1_system()
-        system.subsystems[0].couplings[0] = np.eye(2)
+        couplings = system.subsystems[0].couplings
+        system = with_subsystem(system, 0, couplings={**couplings, 0: np.eye(2)})
         with pytest.raises(ValueError):
             system.validate()
 
     def test_premise_selector_range(self):
-        system = build_example1_system()
-        system.subsystems[2].premise_selector = 5
+        system = with_subsystem(build_example1_system(), 2, premise_selector=5)
         with pytest.raises(ValueError):
+            system.validate()
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(u_max=np.array([np.nan])), "u_max must be finite"),
+        (dict(u_max=np.array([np.inf])), "u_max must be finite"),
+        (dict(eta=np.nan), "eta must be finite"),
+        (dict(eta=np.inf), "eta must be finite"),
+        (dict(u_max=np.array([-np.inf])), "u_max must be positive"),
+        (dict(eta=-np.inf), "eta must be positive")])
+    def test_non_finite_limits_rejected(self, changes, message):
+        system = with_subsystem(build_example1_system(), 1, **changes)
+        with pytest.raises(ValueError, match=message):
             system.validate()

@@ -46,20 +46,21 @@ def _family(rng, n_rules, with_true):
 def build_plant(shapes, links, seed):
     """The system, its gains and a generator for the inputs."""
     rng = np.random.default_rng(seed)
-    subs = []
+    fields = []
     for n_x, n_u, n_d, n_rules, n_ctrl in shapes:
         rules = tuple(Rule(A=rng.uniform(-1.0, 1.0, (n_x, n_x)),
                            B=rng.uniform(-1.0, 1.0, (n_x, n_u)),
                            E=rng.uniform(-1.0, 1.0, (n_x, n_d)))
                       for _ in range(n_rules))
-        subs.append(Subsystem(rules=rules, couplings={},
-                              model_mfs=_family(rng, n_rules, True),
-                              controller_mfs=_family(rng, n_ctrl, False),
-                              premise_selector=int(rng.integers(n_x))))
+        fields.append(dict(rules=rules, couplings={},
+                           model_mfs=_family(rng, n_rules, True),
+                           controller_mfs=_family(rng, n_ctrl, False),
+                           premise_selector=int(rng.integers(n_x))))
     for k in rng.permutation(len(links)):
         i, j = links[k]
-        subs[i].couplings[j] = rng.uniform(-0.5, 0.5,
-                                           (shapes[i][0], shapes[j][0]))
+        fields[i]["couplings"][j] = rng.uniform(-0.5, 0.5,
+                                                (shapes[i][0], shapes[j][0]))
+    subs = [Subsystem(**f) for f in fields]
     system = LargeScaleSystem(subsystems=tuple(subs))
     system.validate()
     gains = [[rng.uniform(-1.0, 1.0, (n_u, n_x)) for _ in range(n_ctrl)]
@@ -121,4 +122,4 @@ def test_two_groups_of_two_with_unequal_couplings():
     got = step_closed_loop_detail(system, gains, x_all, d_all, 0.3)
     assert_same_step(got, reference_step_detail(system, gains, x_all, d_all,
                                                 0.3))
-    assert sorted(g.members for g in system._plan.groups) == [[0, 2], [1, 3]]
+    assert sorted(g.members for g in system.shape_groups) == [[0, 2], [1, 3]]

@@ -117,7 +117,7 @@ def assert_reports_agree(got, want):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 @settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_samples=st.integers(0, 90),
+@given(seed=st.integers(0, 2**32 - 1), n_samples=st.integers(1, 90),
        batch=st.integers(1, 40))
 def test_batched_audit_matches_per_sample_loop(case, seed, n_samples, batch):
     system, params, dv = CASES[case]()
@@ -133,3 +133,34 @@ def test_example2_case_reports_violations():
     report = rpi_monte_carlo(system, params, dv, n_samples=60, seed=1)
     assert report["scalar_violations"] > 0 or report["exit_events"] > 0
     assert_reports_agree(report, reference_rpi(system, params, dv, 60, 1))
+
+
+@pytest.mark.parametrize("n_samples, tol", [
+    (0, 1e-9), (-5, 1e-9), (10, np.nan), (10, np.inf), (10, -np.inf)])
+def test_audit_that_checks_nothing_raises(n_samples, tol):
+    system, params, dv = fixture_certificate()
+    with pytest.raises(ValueError, match="n_samples >= 1 and a finite tol"):
+        rpi_monte_carlo(system, params, dv, n_samples=n_samples, tol=tol)
+
+
+def _with_nan(dv, where):
+    if where == "xi":
+        return DecisionVars(gains=dv.gains, xi=[np.nan] + list(dv.xi[1:]))
+    gains = [list(g) for g in dv.gains]
+    gains[1][0] = gains[1][0].copy()
+    gains[1][0][0, 1] = np.nan
+    return DecisionVars(gains=gains, xi=dv.xi)
+
+
+@pytest.mark.parametrize("where", ["xi", "gain"])
+def test_nan_certificate_fails_every_sample(where):
+    # NaN compares false with tol, so an audit that counts only values
+    # above tol would pass a NaN certificate
+    system, params, dv = fixture_certificate()
+    report = rpi_monte_carlo(system, params, _with_nan(dv, where),
+                             n_samples=20, seed=0)
+    assert report["scalar_violations"] == 20
+    assert report["exit_events"] >= 20
+    assert np.isnan(report["worst_scalar"])
+    assert np.isnan(report["worst_exit_margin"])
+    assert not report["ok"]

@@ -1,6 +1,8 @@
 """Closed-loop runner, disturbance admissibility, cost bookkeeping, and the
 run-time certificate diagnostics (decrease checks and set Monte-Carlo)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -229,9 +231,10 @@ class TestRunOnlineLoop:
     def test_infeasible_constants_raise_at_step_zero(self):
         # coupling loads far above the shape scale make synthesis hopeless
         system = build_example1_system()
-        for sub in system.subsystems:
-            for j in sub.couplings:
-                sub.couplings[j] = 10.0 * np.eye(2)
+        system = dataclasses.replace(system, subsystems=tuple(
+            dataclasses.replace(sub, couplings={j: 10.0 * np.eye(2)
+                                                for j in sub.couplings})
+            for sub in system.subsystems))
         params = example1_synthesis_params()
         with pytest.raises(InitialInfeasible):
             run_online_loop(system, params, [np.array([1.0, -1.0])] * 3, 3,
