@@ -73,6 +73,12 @@ def sym_eig(a) -> EigResult:
     return EigResult(*np.linalg.eigh(sym_matrix(a)))
 
 
+def inv_sqrt(a) -> np.ndarray:
+    """a^{-1/2} of a symmetric positive definite matrix, from sym_eig."""
+    eig = sym_eig(a)
+    return eig.vectors @ np.diag(1.0 / np.sqrt(eig.values)) @ eig.vectors.T
+
+
 def _per_matrix(values: np.ndarray):
     """A float for one matrix, else the array of one value per matrix."""
     return values if values.ndim else float(values)

@@ -18,46 +18,82 @@ stack.
 
 Layout. Everything in subsystem i's invariance and decrease matrices that
 depends on neither the gains nor xi is held by one _Layout(system, params,
-i): the coupling keys and slot dims, the stacked g' and g'X_i blocks, the
-constant coupling block -(alpha - 1) g'X_i g, the load n sqrt(alpha)
-sum_j g_j'X_j g_j, and the row-space basis of the coupling map [g_1 g_2
-...] from one SVD (each family's strict basis only adds its identity
-tail). Its `stack` emits either family in either form, for a whole stack
-of vertices or blends, from a constant template plus a handful of batched
-products, and symmetrizes once. Every entry is the one a block-by-block
-assembly computes, by the same products in the same order; factors of 1/2
-move only where scaling by them is exact (the tests keep that assembly as
-a reference). Each public assemble_* call builds exactly one
-layout: the four assemblers and LMIInstance.test_matrix are the names the
-benchmark's layer tracer (perfbench/tracer.py) binds, so sharing a layout
-across calls would need a cache keyed by the arguments, a layout argument
-on those functions, or a tracer that binds the layout instead.
+i). Its X-free half, built once on the Subsystem, is the sorted coupling
+keys, the stacked g blocks and the row-space basis of the coupling map
+[g_1 g_2 ...] from one SVD (each family's strict basis only adds its
+identity tail); the layout adds the slot dims, g'X_i, the constant
+coupling block -(alpha - 1) g'X_i g and the load n sqrt(alpha) sum_j
+g_j'X_j g_j. Its `stack` emits either family in either form, for a whole
+stack of vertices or blends, from a constant template plus a handful of
+batched products, and symmetrizes once. Every entry is the one a
+block-by-block assembly computes, by the same products in the same order;
+factors of 1/2 move only where scaling by them is exact (the tests keep
+that assembly as a reference). Each public assemble_* call builds exactly
+one layout: the four assemblers and LMIInstance.test_matrix are the names
+the benchmark's layer tracer (perfbench/tracer.py) binds, so sharing the X
+half across calls would need a layout argument on those functions, or a
+tracer that binds the layout instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import (InvalidMatrixError, SingularBlockError, is_psd, min_eig,
-                     quad_form, sym_matrix)
-from .plant import (LargeScaleSystem, Subsystem, blend, blend_gains,
+from .linalg import (InvalidMatrixError, SingularBlockError, inv_sqrt, is_psd,
+                     min_eig, quad_form, sym_matrix)
+from .plant import (LargeScaleSystem, Subsystem, _frozen, blend, blend_gains,
                     step_closed_loop)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FixedParams:
-    """Offline-stage constants shared by every assembled condition."""
+    """Offline-stage constants shared by every assembled condition: a value
+    as the plant is (read-only float copies and tuples; a changed one is a
+    new object, made with dataclasses.replace), whose tables of X are built
+    once, on first use. validate() is an explicit call."""
 
-    X: list                 # per-subsystem shape matrices, positive definite
-    lam: list               # per-subsystem decay weights, each in (0, 1)
-    N_const: list           # per-subsystem xi/eta^2 constants, positive
-    M: list                 # per-subsystem input-weight matrices (n_u x n_u)
-    tau: list               # per-subsystem disturbance-budget weights
+    X: tuple                # per-subsystem shape matrices, positive definite
+    lam: tuple              # per-subsystem decay weights, each in (0, 1)
+    N_const: tuple          # per-subsystem xi/eta^2 constants, positive
+    M: tuple                # per-subsystem input-weight matrices (n_u x n_u)
+    tau: tuple              # per-subsystem disturbance-budget weights
     Q: np.ndarray           # state stage weight, PSD
     R: np.ndarray           # nominal input stage weight, PD
     alpha: float = 2.0      # coupling majorization constant, >= 2
+
+    def __post_init__(self):
+        for name in ("lam", "N_const", "tau"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("X", "M", "Q", "R"):
+            v = getattr(self, name)
+            shared = name in ("Q", "R") and not isinstance(v, (list, tuple))
+            object.__setattr__(self, name, _frozen(v) if shared else tuple(map(_frozen, v)))
+
+    @cached_property
+    def x_eigs(self) -> tuple:
+        """Per subsystem: X_i's eigenvalues, ascending."""
+        return tuple(_frozen(np.linalg.eigvalsh(sym_matrix(x))) for x in self.X)
+
+    @cached_property
+    def x_inv(self) -> tuple:
+        """Per subsystem: X_i^{-1} = solve(X_i, I)."""
+        return tuple(_frozen(np.linalg.solve(x, np.eye(len(x)))) for x in self.X)
+
+    @cached_property
+    def x_inv_sqrt(self) -> tuple:
+        """Per subsystem: X_i^{-1/2}, mapping the unit ball onto x' X_i x <= 1."""
+        return tuple(_frozen(inv_sqrt(x)) for x in self.X)
+
+    @cached_property
+    def shape_inverses(self) -> tuple:
+        """x_inv for the containment blocks, once every X_i has passed
+        shape_inverse's singularity check (SingularBlockError otherwise)."""
+        for eigs in self.x_eigs:
+            _raise_if_singular(eigs)
+        return self.x_inv
 
     @property
     def n_subsystems(self) -> int:
@@ -148,17 +184,35 @@ def _raise_first_failure(checks):
         raise ValueError(items[min(failed)][2])
 
 
-@dataclass
-class DecisionVars:
-    """Online-stage decision variables: per-rule gains and set sizes xi."""
+class _Gains(tuple):
+    """DecisionVars.gains: per subsystem, a tuple of read-only float arrays.
+    Made only of gains already so held, so a certificate keeps it uncopied."""
 
-    gains: list             # gains[i][m] -> (n_u, n_x)
-    xi: list                # per-subsystem positive reals
+    def __deepcopy__(self, memo):   # a deep copy would make them writable
+        return self
+
+
+@dataclass(frozen=True)
+class DecisionVars:
+    """Online-stage decision variables: per-rule gains and set sizes xi, a
+    value as FixedParams is. Another certificate's gains (or an evaluator's)
+    are kept uncopied; validate() is an explicit call, since the synthesis
+    models assemble at xi = 0."""
+
+    gains: tuple            # gains[i][m] -> (n_u, n_x)
+    xi: tuple               # per-subsystem positive reals
+
+    def __post_init__(self):
+        if type(self.gains) is not _Gains:
+            object.__setattr__(self, "gains", _Gains(tuple(map(_frozen, g)) for g in self.gains))
+        object.__setattr__(self, "xi", tuple(self.xi))
 
     def validate(self):
         for i, xi in enumerate(self.xi):
             if xi <= 0:
                 raise ValueError(f"xi[{i}] must be positive, got {xi}")
+            if not np.isfinite(xi):
+                raise ValueError(f"xi[{i}] must be finite, got {xi}")
 
 
 def _format_key(origin: str, subsystem: int, vertex) -> str:
@@ -254,9 +308,9 @@ class _Layout:
         sub = system.subsystems[i]
         self.i, self.params, self.n = i, params, system.n_subsystems
         self.n_d, self.n_x, self.n_u = sub.n_d, sub.n_x, sub.n_u
-        keys = self.coupling_keys = tuple(sorted(sub.couplings))
-        gs = [sub.couplings[j] for j in keys]
-        for j, g in zip(keys, gs):
+        keys = self.coupling_keys = sub.coupling_keys
+        for j in keys:
+            g = sub.couplings[j]
             if g.shape[0] != g.shape[1]:
                 raise ValueError(
                     f"subsystem {i}: coupling to {j} is {g.shape}; the "
@@ -265,7 +319,7 @@ class _Layout:
         # so every coupling slot is n_x wide, and the couplings stack
         nc, n_x, x_i = len(keys), sub.n_x, params.X[i]
         self.coupling_dims = (n_x,) * nc
-        g = np.array(gs).reshape(nc, n_x, n_x)
+        g = sub.coupling_stack
         self.gt = g.swapaxes(-1, -2)                   # g_a' per slot a
         self.gx = self.gt @ x_i                        # g_a' X_i
         self.gx_weight = 1.0 - np.sqrt(params.alpha)   # of g_a' X_i theta
@@ -280,14 +334,7 @@ class _Layout:
         x_j = np.array([params.X[j] for j in keys]).reshape(nc, n_x, n_x)
         self.load = self.n * np.sqrt(params.alpha) * (
             self.gt @ x_j @ g).sum(axis=0)
-        # orthonormal basis of the row space of [g_1 g_2 ...] when that map
-        # has a kernel: one SVD for both families' strict bases
-        self.basis = None
-        if gs:
-            _, s, vt = np.linalg.svd(np.hstack(gs))
-            rank = np.count_nonzero(s > 1e-10 * s[0])
-            if rank < len(vt):
-                self.basis = vt[:rank].T
+        self.basis = sub.coupling_basis     # of both families' strict bases
 
     def slot_dims(self, family: str, reduced: bool) -> tuple:
         """[d | x_i | x_j (sorted j) | tail]: the full forms' slack tail is
@@ -492,13 +539,16 @@ def containment_size(x_mat: np.ndarray, x) -> float:
     return float(np.sqrt(x @ x_mat @ x))
 
 
-def shape_inverse(x_mat: np.ndarray) -> np.ndarray:
-    """X^{-1} for the containment block; raises SingularBlockError when X is
-    singular to working precision."""
-    eigs = np.linalg.eigvalsh(sym_matrix(x_mat))
+def _raise_if_singular(eigs):     # of a shape matrix
     scale = max(1.0, float(np.max(np.abs(eigs))))
     if float(np.min(np.abs(eigs))) <= 1e-12 * scale:
         raise SingularBlockError("shape matrix is singular; containment undefined")
+
+
+def shape_inverse(x_mat: np.ndarray) -> np.ndarray:
+    """X^{-1} for the containment block; raises SingularBlockError when X is
+    singular to working precision."""
+    _raise_if_singular(np.linalg.eigvalsh(sym_matrix(x_mat)))
     return np.linalg.solve(x_mat, np.eye(x_mat.shape[0]))
 
 

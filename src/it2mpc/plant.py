@@ -32,9 +32,10 @@ Immutability. A plant is a value: Rule, Subsystem and LargeScaleSystem
 are frozen dataclasses holding read-only float copies of their arrays, a
 read-only couplings mapping and tuples. What is derived from a plant is
 built once, on first use, and kept on its owner: a subsystem's rule rows
-and a system's shape groups (made at its first step, since building them
-costs about what grouping saves in a step). A changed plant is a new
-object, made with dataclasses.replace.
+and coupling tables (keys, stacked maps, their row-space basis) and a
+system's shape groups (made at its first step, since building them costs
+about what grouping saves in a step). A changed plant is a new object,
+made with dataclasses.replace.
 """
 
 from __future__ import annotations
@@ -126,6 +127,28 @@ class Subsystem:
         return _frozen([np.concatenate((r.A.ravel(), r.B.ravel(), r.E.ravel()))
                         for r in self.rules])
 
+    @cached_property
+    def coupling_keys(self) -> tuple:
+        """The coupling keys j, sorted: the order of the coupling slots."""
+        return tuple(sorted(self.couplings))
+
+    @cached_property
+    def coupling_stack(self) -> np.ndarray:
+        """(n_couplings, n_x, n_x), read-only: g_j in key order. For square
+        couplings only (lmis._Layout checks them first), as is the basis."""
+        return _frozen([self.couplings[j] for j in self.coupling_keys]
+                       ).reshape(len(self.couplings), self.n_x, self.n_x)
+
+    @cached_property
+    def coupling_basis(self) -> np.ndarray | None:
+        """Read-only orthonormal basis (columns) of the row space of [g_1
+        g_2 ...] from one SVD; None when that map has no kernel."""
+        if not self.couplings:
+            return None
+        _, s, vt = np.linalg.svd(np.hstack(self.coupling_stack))
+        rank = np.count_nonzero(s > 1e-10 * s[0])
+        return _frozen(vt[:rank].T) if rank < len(vt) else None
+
     def premise(self, x: np.ndarray):
         """The premise variable: a float, or (P,) for states (P, n_x)."""
         z = np.asarray(x)[..., self.premise_selector]
@@ -176,7 +199,7 @@ class LargeScaleSystem:
         members = {}
         for i, sub in enumerate(self.subsystems):
             key = (sub.n_x, sub.n_u, sub.n_d, sub.n_rules, sub.n_controller_rules,
-                   tuple(self.subsystems[j].n_x for j in sorted(sub.couplings)))
+                   tuple(self.subsystems[j].n_x for j in sub.coupling_keys))
             members.setdefault(key, []).append(i)
         return tuple(_Group(self, m) for m in members.values())
 
@@ -372,7 +395,7 @@ class _Group:
         self.shape = (sub.n_x, sub.n_u, sub.n_d)
         self.n_m = sub.n_controller_rules
         self.rules = np.stack([s.rule_rows for s in subs], axis=1)
-        keys = [sorted(s.couplings) for s in subs]
+        keys = [s.coupling_keys for s in subs]
         self.slots = [(np.array([s.couplings[k[c]] for s, k in zip(subs, keys)],
                                 dtype=float), [k[c] for k in keys])
                       for c in range(len(keys[0]))]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import quad_form, sym_eig, sym_matrix
+from .linalg import inv_sqrt, quad_form
 from .lmis import (DecisionVars, FixedParams, containment_size,
                    rpi_decrease_scalar)
 from .plant import LargeScaleSystem, step_closed_loop, step_closed_loop_detail
@@ -176,9 +176,7 @@ def stage_cost(x_all, u_all, d_all, params: FixedParams) -> float:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         d = np.asarray(d, dtype=float)
-        q = np.asarray(params.q_mat(i), dtype=float)
-        r = np.asarray(params.r_mat(i), dtype=float)
-        total += (float(x @ q @ x) + float(u @ r @ u)
+        total += (float(x @ params.q_mat(i) @ x) + float(u @ params.r_mat(i) @ u)
                   - float(params.tau[i]) * float(d @ d))
     return total
 
@@ -238,9 +236,7 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
     if supplied:
         xi0 = [max(containment_size(params.X[i], x[i]) * (1.0 + XI_HAIR),
                    syn_cfg.xi_floor) for i in range(n)]
-        dv = DecisionVars(
-            gains=[[np.asarray(k, dtype=float).copy() for k in g] for g in gains],
-            xi=xi0)
+        dv = DecisionVars(gains=gains, xi=xi0)    # frozen copies of the gains
 
     trace = SimulationTrace(Ts=Ts, meta={
         "resynth": resynth, "supplied_gains": supplied, "mode": mode,
@@ -333,13 +329,12 @@ def iss_check(trace: SimulationTrace, params: FixedParams) -> dict:
         v_i = quad_form(x_now, p_i)
         v_now += v_i
         v_next += quad_form(x_next, p_i)
-        bound += (-quad_form(x_now, np.asarray(params.q_mat(i), dtype=float))
-                  - quad_form(u, np.asarray(params.M[i], dtype=float) / xi_i)
+        bound += (-quad_form(x_now, params.q_mat(i)) - quad_form(u, params.M[i] / xi_i)
                   + params.tau[i] * quad_form(d))
         nrm2 = quad_form(x_now)
         live |= nrm2 != 0.0
-        # lambda(X/xi) = lambda(X)/xi: one eigensolve per X_i serves every step
-        x_eigs = np.linalg.eigvalsh(sym_matrix(params.X[i]))
+        # lambda(X/xi) = lambda(X)/xi: X_i's spectrum serves every step
+        x_eigs = params.x_eigs[i]
         w_min, w_max = x_eigs[0] / xi[:, i], x_eigs[-1] / xi[:, i]
         tol = 1e-9 * np.maximum(1.0, np.abs(v_i))
         sandwich[:, i] = ~((w_min * nrm2 - tol <= v_i)
@@ -361,18 +356,13 @@ def iss_check(trace: SimulationTrace, params: FixedParams) -> dict:
     }
 
 
-def _inv_sqrt(x_mat: np.ndarray) -> np.ndarray:
-    eig = sym_eig(x_mat)
-    return eig.vectors @ np.diag(1.0 / np.sqrt(eig.values)) @ eig.vectors.T
-
-
 def sample_in_set(rng: np.random.Generator, x_mat: np.ndarray, xi_i: float,
                   boundary: bool = False) -> np.ndarray:
     """Uniform sample of {x : x' X x <= xi^2} (the certificate set of size
     xi) by pushing a unit-ball sample through the inverse square root."""
     n = x_mat.shape[0]
     y = _ball_points([_ball_draw(rng, n, 1.0, boundary)], n, 1.0)[0]
-    return xi_i * (_inv_sqrt(x_mat) @ y)
+    return xi_i * (inv_sqrt(x_mat) @ y)
 
 
 RPI_BATCH = 2048    # samples drawn, stepped and checked together
@@ -420,7 +410,7 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
                          for i in range(n)]
     dims = ([sub.n_x for sub in system.subsystems]
             + [sub.n_d for sub in system.subsystems])
-    inv_sqrts = [_inv_sqrt(params.X[i]) for i in range(n)]
+    inv_sqrts = params.x_inv_sqrt
     weight_grid = np.linspace(0.0, 1.0, 5)
     scalar_violations = 0
     exit_events = 0

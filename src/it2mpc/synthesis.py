@@ -57,12 +57,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lmis import (DecisionVars, FixedParams, assemble_containment,
+from .lmis import (DecisionVars, FixedParams, _Gains, assemble_containment,
                    assemble_decrease, assemble_decrease_blended,
                    assemble_invariance, assemble_invariance_blended,
-                   containment_size, shape_inverse, vertex_keys,
-                   xi_slope)
-from .plant import LargeScaleSystem
+                   containment_size, vertex_keys, xi_slope)
+from .plant import LargeScaleSystem, _frozen
 
 
 XI_MODES = ("common", "per_subsystem")
@@ -127,10 +126,9 @@ class SynthesisResult:
         return self.violation == 0.0
 
 
-def _peak_gains(x_mat, gains_i) -> np.ndarray:
+def _peak_gains(x_inv, gains_i) -> np.ndarray:
     """(k_m X^-1 k_m')_ss per rule m and channel s: the squared worst-case
     input of rule m over the set {x' (X/xi) x <= xi} is xi^2 times it."""
-    x_inv = np.linalg.solve(x_mat, np.eye(x_mat.shape[0]))
     return np.array([np.diag(k @ x_inv @ k.T) for k in gains_i])
 
 
@@ -139,7 +137,8 @@ def ellipsoid_input_excess(sub, x_mat, xi_i, gains_i):
     the set {x' (X/xi) x <= xi}: xi^2 (k X^-1 k')_ss - u_max_s^2."""
     if sub.u_max is None:
         return np.full((len(gains_i), sub.n_u), -np.inf)
-    return xi_i ** 2 * _peak_gains(x_mat, gains_i) - sub.u_max ** 2
+    x_inv = np.linalg.solve(x_mat, np.eye(x_mat.shape[0]))
+    return xi_i ** 2 * _peak_gains(x_inv, gains_i) - sub.u_max ** 2
 
 
 def _factors(rows, y):
@@ -246,12 +245,12 @@ class _Model:
     def __init__(self, system, params, i, cfg):
         sub = system.subsystems[i]
         n, n_l = system.n_subsystems, sub.n_rules
-        self.i, self.u_max, self.x_mat = i, sub.u_max, params.X[i]
+        self.i, self.u_max, self.params = i, sub.u_max, params
         self.n_m, self.shape = sub.n_controller_rules, (sub.n_u, sub.n_x)
         self.shifts = (0.0, cfg.strictness)
         q = self.q = sub.n_u * sub.n_x
-        units = [np.zeros(self.shape), *np.eye(q).reshape(q, *self.shape)]
-        dv = DecisionVars(gains=[units] * n, xi=[0.0] * n)
+        units = tuple(map(_frozen, [np.zeros(self.shape), *np.eye(q).reshape(q, *self.shape)]))
+        dv = DecisionVars(gains=_Gains((units,) * n), xi=(0.0,) * n)
         ls, ms = [l for l in range(n_l) for _ in units], [*range(1 + q)] * n_l
         pairs = [(l, m) for l in range(n_l) for m in range(self.n_m)]
         self.g0s, self.cols, self.slopes, keys = [], [], [], []
@@ -276,10 +275,6 @@ class _Model:
                 for g0, cols, slope, shift in zip(self.g0s, self.cols,
                                                   self.slopes, self.shifts)]
 
-    @functools.cached_property
-    def x_inv(self) -> np.ndarray:
-        return shape_inverse(self.x_mat)
-
     def min_xi(self):
         """The EVP min xi_i over one gain and the size, input-peak rows left
         out: (gains, xi, bound), xi strictly feasible at those gains and
@@ -287,8 +282,8 @@ class _Model:
         y = _phase_one(self.rows, np.eye(self.q + 1)[-1], 0.0, self.i,
                        "any set size")
         y, bound = _barrier(self.rows, np.eye(len(y))[-1], y)
-        gain = y[:-1].reshape(self.shape)
-        return [gain] * self.n_m, float(y[-1]), float(bound)
+        gain = _frozen(y[:-1].reshape(self.shape))
+        return (gain,) * self.n_m, float(y[-1]), float(bound)
 
     def _input_rows(self, xi):
         """[[u_s^2 / xi^2, k_s], [k_s', X]] >= 0 per channel s, as rows
@@ -297,7 +292,7 @@ class _Model:
         k = np.arange(self.q)
         g0 = np.zeros((n_u, n_x + 1, n_x + 1))
         g0[:, 0, 0] = -self.u_max ** 2 / xi ** 2
-        g0[:, 1:, 1:] = -self.x_mat
+        g0[:, 1:, 1:] = -self.params.X[self.i]
         cols = np.zeros((len(k),) + g0.shape)
         cols[k, k // n_x, 0, 1 + k % n_x] = -1.0    # k_s is row k // n_x
         cols[k, k // n_x, 1 + k % n_x, 0] = -1.0
@@ -312,7 +307,7 @@ class _Model:
             rows.append(self._input_rows(xi))
         y = _phase_one(rows, np.zeros(self.q), -np.inf, self.i,
                        f"set size {xi:.6g}")
-        return [y.reshape(self.shape)] * self.n_m
+        return (_frozen(y.reshape(self.shape)),) * self.n_m
 
 
 def solve_fixed_xi(system: LargeScaleSystem, params: FixedParams, xi,
@@ -393,9 +388,7 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
                          f"expected one of {XI_MODES}")
     n = system.n_subsystems
     if warm is not None and evaluator is None:
-        evaluator = FixedGainEvaluator(system, params, DecisionVars(
-            gains=[[k.copy() for k in g] for g in warm.gains],
-            xi=list(warm.xi)), cfg)
+        evaluator = FixedGainEvaluator(system, params, warm, cfg)
     common = mode == "common"
     groups = [range(n)] if common else [(i,) for i in range(n)]
     floors = [max(containment_size(params.X[i], x_all[i]), cfg.xi_floor)
@@ -457,7 +450,7 @@ class _Part:
             self.t_refs.append(((g0 + xi_ref * slope)[:, None] + at_k)
                                .reshape(-1, size, size))
         self.peaks = None if model.u_max is None else \
-            _peak_gains(model.x_mat, gains)
+            _peak_gains(model.params.x_inv[self.i], gains)
         self._cache = None      # (xi_i, margins)
 
     @functools.cached_property
@@ -497,10 +490,10 @@ class _Part:
                 tops.append((np.linalg.eigvalsh(t)[:, -1] + shift).tolist())
             part = dict(zip(model.keys,
                             (v for pair in zip(*tops) for v in pair)))
-            if self.peaks is not None:
+            if self.peaks is not None:      # +inf when it cannot be computed
                 ell = xi_i ** 2 * self.peaks - model.u_max ** 2
-                if np.all(np.isfinite(ell)):
-                    part[f"input_peak[i={self.i}]"] = float(np.max(ell))
+                part[f"input_peak[i={self.i}]"] = float(np.max(ell)) \
+                    if np.all(np.isfinite(ell)) else np.inf
             self._cache = (xi_i, part)
         return self._cache[1]
 
@@ -526,9 +519,11 @@ class FixedGainEvaluator:
 
     @classmethod
     def _of_parts(cls, parts):
-        """The evaluator made of these parts, one per subsystem in order."""
+        """The evaluator made of these parts, one per subsystem in order;
+        their gains are frozen (a certificate's or a solve's), so a
+        certificate over the evaluator's gains keeps them uncopied."""
         evaluator = cls.__new__(cls)
-        evaluator.parts, evaluator.gains = tuple(parts), [p.gains for p in parts]
+        evaluator.parts, evaluator.gains = tuple(parts), _Gains(p.gains for p in parts)
         return evaluator
 
     def interval(self, group) -> tuple | None:
@@ -560,9 +555,10 @@ class FixedGainEvaluator:
         for part, xi_i in zip(self.parts, xi):
             out.update(part.margins(xi_i))
             if x_all is not None:
+                params = part.model.params
                 cont = assemble_containment(
                     np.asarray(x_all[part.i], dtype=float), xi_i,
-                    part.model.x_mat, part.i, part.model.x_inv)
+                    params.X[part.i], part.i, params.shape_inverses[part.i])
                 out[cont.key] = None        # keeps the key order; set below
                 blocks.setdefault(len(cont.matrix), []).append(cont)
         for conts in blocks.values():
@@ -637,6 +633,7 @@ def verify_certificate(system: LargeScaleSystem, params: FixedParams,
     factorizations and one single-row eigensolve.
     Returns {"margins", "blended_worst", "worst", "feasible"}."""
     cfg = cfg or SynthesisConfig()
+    dv.validate()
     margins = certificate_margins(system, params, dv, x_all, cfg)
     blended_worst = -np.inf
 

@@ -324,8 +324,9 @@ PARAMS_CASES = [
      (InvalidMatrixError, "matrix entries must be finite")),
     (dict(Q=[0.05 * np.eye(2), NAN, 0.05 * np.eye(2)]),
      (InvalidMatrixError, "matrix entries must be finite")),
-    # a per-subsystem list one short fails where subsystem 2 reads it
-    (dict(Q=[0.05 * np.eye(2)] * 2), (IndexError, "list index out of "
+    # a per-subsystem list one short fails where subsystem 2 reads it (the
+    # constants hold it as a tuple)
+    (dict(Q=[0.05 * np.eye(2)] * 2), (IndexError, "tuple index out of "
                                                   "range")),
     (dict(Q=[0.05 * np.eye(2)] * 2, R=[np.eye(1), NEG1, np.eye(1)]),
      (ValueError, "R must be positive definite")),

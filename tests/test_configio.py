@@ -62,7 +62,7 @@ class TestRoundTrip:
         assert sub.n_rules == 2 and sub.n_u == 2
         assert_allclose(sub.rules[0].A, [[0.5, 0.1], [0.0, 0.4]])
         assert sub.H.shape == (1, 2)
-        assert cfg.params.lam == [0.05]
+        assert cfg.params.lam == (0.05,)
         assert cfg.simulation.steps == 20
         assert cfg.simulation.disturbance.kind == "uniform_ball"
         assert cfg.synthesis == SynthesisConfig()
@@ -291,7 +291,7 @@ class TestBundledConfigs:
         assert cfg.n_subsystems == 3
         assert_allclose(cfg.system.subsystems[0].rules[0].A,
                         [[0.55, 0.05], [0.0, 0.42]])
-        assert cfg.params.lam == [0.5, 0.488, 0.487]
+        assert cfg.params.lam == (0.5, 0.488, 0.487)
         assert cfg.params.tau[2] == 2.0
         assert cfg.gains is not None
         assert_allclose(cfg.gains[0][0], [[-0.549, -0.222]])
@@ -343,7 +343,7 @@ class TestCertificateFiles:
         save_certificate(dv, path, margins={"invariance[i=0]": -0.5},
                          meta={"xi_mode": "common"})
         back, raw = load_certificate(path, cfg.system)
-        assert back.xi == [1.25]
+        assert back.xi == (1.25,)
         assert_allclose(back.gains[0][1], dv.gains[0][1])
         assert "Z" not in raw
         assert raw["worst"] == -0.5
@@ -363,8 +363,9 @@ class TestCertificateFiles:
 
     def test_shape_checked_against_system(self, tmp_path, doc):
         cfg = parse_config(copy.deepcopy(doc))
-        dv = self.make_dv()
-        dv.gains[0][0] = np.array([[1.0, 2.0, 3.0]])
+        good = self.make_dv()
+        dv = DecisionVars(gains=[[np.array([[1.0, 2.0, 3.0]]),
+                                  good.gains[0][1]]], xi=good.xi)
         path = tmp_path / "cert.json"
         save_certificate(dv, path)
         with pytest.raises(ConfigError, match=r"gains\[1\]\[1\].*shape"):
@@ -412,6 +413,6 @@ class TestCertificateFiles:
         raw["Z"] = [[[1.0]], [[2.0]]]
         path.write_text(json.dumps(raw))
         back, _ = load_certificate(path, cfg.system)
-        assert back.xi == [1.25]
+        assert back.xi == (1.25,)
         assert_allclose(back.gains[0][1], self.make_dv().gains[0][1])
         assert not hasattr(back, "Z")

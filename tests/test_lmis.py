@@ -523,7 +523,8 @@ class TestStackedVertexAssembly:
     @pytest.mark.parametrize("blended", [False, True])
     def test_non_finite_gains_raise(self, blended):
         system, params, dv = _bundled_certificate("example1")
-        dv.gains[0] = [np.full_like(k, np.nan) for k in dv.gains[0]]
+        dv = dataclasses.replace(dv, gains=(
+            [np.full_like(k, np.nan) for k in dv.gains[0]], *dv.gains[1:]))
         with pytest.raises(InvalidMatrixError, match="finite"):
             if blended:
                 assemble_decrease_blended(system, params, dv, 0,

@@ -127,14 +127,14 @@ class TestSolveFixedXi:
     def test_feasible_at_generous_size(self, tiny):
         system, params = tiny
         dv = solve_fixed_xi(system, params, 2.0, CFG)
-        assert dv.xi == [2.0]
+        assert dv.xi == (2.0,)
         margins = certificate_margins(system, params, dv)
         assert max(margins.values()) <= 0.0
 
     def test_zero_dim_array_is_a_scalar(self, tiny):
         system, params = tiny
         dv = solve_fixed_xi(system, params, np.array(2.0), CFG)
-        assert dv.xi == [2.0]
+        assert dv.xi == (2.0,)
 
     def test_scalar_broadcasts_to_all_subsystems(self):
         system = build_example1_system()
@@ -331,7 +331,8 @@ class TestMinimizeXi:
         cfg = load_bundled_config("example1_synthesis")
         system, params, x0 = cfg.system, cfg.params, cfg.simulation.x0
         dv, _ = load_certificate(FIXTURE, system)
-        dv.gains[1] = [-3.0 * k for k in dv.gains[1]]
+        dv = dataclasses.replace(dv, gains=(
+            dv.gains[0], [-3.0 * k for k in dv.gains[1]], dv.gains[2]))
         warm = FixedGainEvaluator(system, params, dv, cfg.synthesis)
         assembled = _count_assemblies(monkeypatch)
         res = minimize_xi(system, params, x0, cfg.synthesis, warm=dv,
@@ -629,7 +630,7 @@ class TestFixedGainEvaluator:
         warm = minimize_xi(system, params, x0, warm=res.dv)
         lo, _ = warm.evaluator.interval(range(3))
         assert warm.solves == 0
-        assert warm.dv.xi == [lo * (1.0 + XI_HAIR)] * 3
+        assert warm.dv.xi == (lo * (1.0 + XI_HAIR),) * 3
         assert warm.feasible
         fresh = certificate_margins(system, params, warm.dv, x0)
         assert fresh.keys() == warm.margins.keys()
@@ -716,8 +717,8 @@ class TestFixedGainEvaluator:
     def test_singular_shape_matrix_raises_on_containment(self, tiny,
                                                          tiny_result):
         system, _ = tiny
-        params = tiny_params()
-        params.X = [np.diag([5.0, 1e-14])]
+        params = dataclasses.replace(tiny_params(),
+                                     X=[np.diag([5.0, 1e-14])])
         evaluator = FixedGainEvaluator(system, params, tiny_result.dv, CFG)
         evaluator.margins(tiny_result.dv.xi)
         with pytest.raises(SingularBlockError):
@@ -804,7 +805,11 @@ class TestVerifyCertificate:
     @staticmethod
     def _sweep_eigensolves(monkeypatch, system, params, dv, x_all, cfg):
         """Matrices the blended sweep passes to np.linalg.eigvalsh: those of
-        verify_certificate less those of its certificate_margins."""
+        verify_certificate less those of its certificate_margins. A first
+        call builds the constants' tables (X_i's spectrum is eigensolved
+        once per FixedParams), so both counted calls do the same margin
+        work."""
+        certificate_margins(system, params, dv, x_all, cfg)
         counted = []
         eigvalsh = np.linalg.eigvalsh
 
