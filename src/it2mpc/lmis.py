@@ -37,7 +37,7 @@ tracer that binds the layout instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -71,6 +71,9 @@ class FixedParams:
             v = getattr(self, name)
             shared = name in ("Q", "R") and not isinstance(v, (list, tuple))
             object.__setattr__(self, name, _frozen(v) if shared else tuple(map(_frozen, v)))
+
+    def __deepcopy__(self, memo):   # numpy's deep copy would be writable
+        return replace(self)        # fresh read-only copies, no tables yet
 
     @cached_property
     def x_eigs(self) -> tuple:

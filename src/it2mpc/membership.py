@@ -1,12 +1,21 @@
 """Interval type-2 sigmoid membership families.
 
-Each rule carries a lower and an upper sigmoid grade; the plant optionally
-carries a "true" grade (the envelope's interior member, possibly perturbed)
-used when simulating the actual nonlinear system.
+Each rule carries a lower and an upper grade; the plant optionally carries
+a "true" grade (the envelope's interior member, possibly perturbed) used
+when simulating the actual nonlinear system.
 
 Every grade takes a scalar premise (and returns a float) or an array of
 premises (and returns an array of grades of the same shape), computed with
 the same elementwise operations.
+
+A family grades a whole tier (its lower, upper or true grades) per call,
+and a FamilyStack grades the tier of S families per call, each member at
+its own premises: the plant grades a shape group's subsystems so, once per
+tier. Each grade is its own rule object's call, so it is bit for bit that
+call's value. (Coefficient arrays with one expit call per tier do not pay
+here: on a freshly loaded plant building them costs more than a
+Monte-Carlo chunk's two steps save, and on long sample stacks, where the
+elementwise work dominates, they save nothing.)
 """
 
 from __future__ import annotations
@@ -50,8 +59,9 @@ class SigmoidMF:
         arg = z + self.shift
         if self.perturb_amplitude != 0.0:
             arg = arg + self.perturb_amplitude * np.sin(z)
-        s = arg / self.divisor
-        value = expit(-s)  # logistic(s), overflow-safe
+        # logistic(s) of s = arg / divisor, overflow-safe; arg / -divisor
+        # is -s exactly, one array operation fewer
+        value = expit(arg / -self.divisor)
         if not isinstance(value, np.ndarray):
             value = float(value)
         if self.form == "one_minus_logistic":
@@ -93,25 +103,67 @@ class IT2MembershipFamily:
         if self.true_mf is not None and len(self.true_mf) != len(self.lower):
             raise ValueError("true grade list must match the rule count")
 
+    _depth = 0      # leading member axes of premises and grades
+
     @property
     def n_rules(self) -> int:
         return len(self.lower)
 
-    # A scalar premise gives (n_rules,) grades; premises of shape (P,) give
-    # (P, n_rules), row p holding the grades at z[p].
+    @property
+    def members(self) -> tuple:
+        """The families graded: this one alone."""
+        return (self,)
+
+    def _grades(self, name: str, z) -> np.ndarray:
+        """The tier's grades at premises z: for one family a scalar gives
+        (n_rules,) and (P,) premises give (P, n_rules); a stack of S takes
+        (S,) or (S, P) premises, one row per member, and gives (S, n_rules)
+        or (S, P, n_rules). A (P, n_rules) is laid out rules-major, so that
+        elementwise work on it runs along P."""
+        z = np.asarray(z, dtype=float)
+        single = z.ndim == self._depth      # one premise per member, a float
+        rows = (z.reshape(-1).tolist() if single
+                else z.reshape(len(self.members), -1))
+        grades = np.array([[mf(zs) for mf in getattr(f, name)]
+                           for f, zs in zip(self.members, rows)])
+        if not single:
+            grades = grades.transpose(0, 2, 1)
+        return grades if self._depth else grades[0]
+
     def lower_grades(self, z) -> np.ndarray:
-        return np.array([mf(z) for mf in self.lower]).T
+        return self._grades("lower", z)
 
     def upper_grades(self, z) -> np.ndarray:
-        return np.array([mf(z) for mf in self.upper]).T
+        return self._grades("upper", z)
 
     def true_grades(self, z) -> np.ndarray:
         if self.true_mf is None:
             raise MissingTrueMFError("family has no true membership functions")
-        return np.array([mf(z) for mf in self.true_mf]).T
+        return self._grades("true_mf", z)
 
     def envelope_gap(self, zs) -> float:
         """Smallest upper-minus-lower gap over the probe points (negative
         means the envelope is inverted somewhere)."""
         zs = np.atleast_1d(np.asarray(zs, dtype=float))
         return float(np.min(self.upper_grades(zs) - self.lower_grades(zs)))
+
+
+class FamilyStack(IT2MembershipFamily):
+    """S families with equal rule counts, graded together through the
+    family's own methods: premises (S,) or (S, P), member s at row s, give
+    grades (S, n_rules) or (S, P, n_rules). Its tiers are its first
+    member's (it has true grades when every member has)."""
+
+    _depth = 1
+
+    def __init__(self, families):   # fields checked on the first member
+        put, first = object.__setattr__, families[0]
+        put(self, "lower", first.lower)
+        put(self, "upper", first.upper)
+        put(self, "true_mf", None if any(f.true_mf is None for f in families)
+            else first.true_mf)
+        put(self, "_members", tuple(families))
+
+    @property
+    def members(self) -> tuple:
+        return self._members

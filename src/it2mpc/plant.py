@@ -13,12 +13,15 @@ call with its own states (the 1-D call is the P = 1 case of the same code).
 Shape groups. A step runs one kernel per group of equal-shaped subsystems:
 equal (n_x, n_u, n_d, n_rules, n_controller_rules) and equal state dims of
 their coupling slots, taken in sorted order of the coupling keys (each
-bundled config is one group). The grades stay per subsystem, through the
-membership family's own methods; a group then normalizes its S subsystems'
-grades at once, blends its rule rows [A|B|E] (n_rules, S, F) in one
-weighted sum and its gains in another, and forms u = K x,
-A x + B u + E d and one product per coupling slot for all S together.
-blend and blend_gains are the same weighted sums over one subsystem.
+bundled config is one group). A group holds its members' families as one
+FamilyStack per role, so it grades each tier it needs once for all S
+subsystems, through the family's own grade methods (model true, or model
+upper and lower; then controller upper and lower), each member at its own
+premise. It then normalizes the S subsystems' grades at once, blends its
+rule rows [A|B|E] (n_rules, S, F) in one weighted sum and its gains in
+another, and forms u = K x, A x + B u + E d and one product per coupling
+slot for all S together. blend and blend_gains are the same weighted sums
+over one subsystem.
 
 Bit for bit. Each entry is made by the same floating-point operations, in
 the same order, as a step of its subsystem alone: a weighted sum adds the
@@ -35,20 +38,22 @@ built once, on first use, and kept on its owner: a subsystem's rule rows
 and coupling tables (keys, stacked maps, their row-space basis) and a
 system's shape groups (made at its first step, since building them costs
 about what grouping saves in a step). A changed plant is a new object,
-made with dataclasses.replace.
+made with dataclasses.replace; so is a deep copy of a Rule, since numpy's
+own deep copy would make its arrays writable.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
-from .membership import IT2MembershipFamily
+from .membership import FamilyStack, IT2MembershipFamily
 
 DEGENERATE_FIRING_FLOOR = 1e-12
 
@@ -64,6 +69,12 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry is finite; read as floats, which for a plant's
+    small matrices is cheaper than numpy's isfinite and all."""
+    return all(map(math.isfinite, a.ravel().tolist()))
+
+
 @dataclass(frozen=True)
 class Rule:
     """One linear local model x+ = A x + B u + E d."""
@@ -75,6 +86,9 @@ class Rule:
     def __post_init__(self):
         for name in ("A", "B", "E"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+
+    def __deepcopy__(self, memo):   # numpy's deep copy would be writable
+        return replace(self)
 
 
 @dataclass(frozen=True)
@@ -180,6 +194,10 @@ class Subsystem:
             raise ValueError("eta must be finite")
         if self.H is not None and self.H.shape[1] != n_x:
             raise ValueError("H must have one column per state")
+        for r, rule in enumerate(self.rules):
+            for name in ("A", "B", "E"):
+                if not _finite(getattr(rule, name)):
+                    raise ValueError(f"rule {r}: {name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -207,11 +225,13 @@ class LargeScaleSystem:
         for i, sub in enumerate(self.subsystems):
             sub.validate()
             self._validate_couplings(i)
+        self._validate_finite_couplings()
 
     def validate_couplings(self):
         """validate's coupling checks alone, for subsystems already validated."""
         for i in range(self.n_subsystems):
             self._validate_couplings(i)
+        self._validate_finite_couplings()
 
     def _validate_couplings(self, i: int):
         sub = self.subsystems[i]
@@ -223,20 +243,28 @@ class LargeScaleSystem:
                 raise ValueError(
                     f"subsystem {i}: coupling to {j} has shape {g.shape}, expected {want}")
 
+    def _validate_finite_couplings(self):
+        """The couplings' last check, after every other one."""
+        for i, sub in enumerate(self.subsystems):
+            for j, g in sub.couplings.items():
+                if not _finite(g):
+                    raise ValueError(f"subsystem {i}: coupling to {j} must be finite")
+
 
 def normalize_firing(raw: np.ndarray, floor: float = DEGENERATE_FIRING_FLOOR) -> np.ndarray:
     """Normalize raw firing strengths into a partition of unity.
 
     Falls back to uniform weights (with a warning) when every strength is
     below the floor, so a blend is always defined. A stack (P, n_rules) is
-    normalized row by row; only its degenerate rows fall back.
+    normalized row by row; only its degenerate rows fall back, each as a
+    call with that row alone would (a NaN row elsewhere changes nothing).
     """
     raw = np.asarray(raw, dtype=float)
     total = np.add.reduce(raw, axis=-1, keepdims=True)
-    if min(total.flat) < floor:
+    low = total < floor
+    if np.count_nonzero(low):       # cheaper than low.any() on a few rows
         warnings.warn("all firing strengths below floor; using uniform weights",
                       DegenerateFiringWarning, stacklevel=2)
-        low = total < floor
         return np.where(low, 1.0 / raw.shape[-1],
                         raw / np.where(low, 1.0, total))
     return raw / total
@@ -259,21 +287,10 @@ def _family(fam, role: str) -> IT2MembershipFamily:
     return fam
 
 
-def _stack_grades(grades: list) -> np.ndarray:
-    """S subsystems' grades (n_rules,) or (P, n_rules) as (S, n_rules) or
-    (S, P, n_rules). A stack is stored rules-major, as the grade methods
-    lay out each (P, n_rules), so that elementwise work runs along P."""
-    if grades[0].ndim == 1:
-        return np.array(grades)
-    return np.array([g.T for g in grades]).transpose(0, 2, 1)
-
-
-def _interval_grades(fams, zs, weight) -> np.ndarray:
-    """weight * upper + (1 - weight) * lower grades of family f at premise
-    z, stacked over the pairs (f, z)."""
-    return (weight * _stack_grades([f.upper_grades(z) for f, z in zip(fams, zs)])
-            + (1.0 - weight) * _stack_grades([f.lower_grades(z)
-                                              for f, z in zip(fams, zs)]))
+def _interval_grades(fam, z, weight) -> np.ndarray:
+    """weight * upper + (1 - weight) * lower grades of a family (or a
+    FamilyStack) at premises z."""
+    return weight * fam.upper_grades(z) + (1.0 - weight) * fam.lower_grades(z)
 
 
 def _mode_weight(mode: str, rho_bar):
@@ -285,20 +302,16 @@ def _mode_weight(mode: str, rho_bar):
     return None
 
 
-def _model_weights(subs, zs, rho) -> np.ndarray:
-    """Normalized model firing strengths of subsystem s at premise z,
-    stacked over the pairs (s, z): true grades at rho None, else the
-    envelope blended by rho."""
-    fams = [_family(sub.model_mfs, "model") for sub in subs]
-    return normalize_firing(
-        _stack_grades([f.true_grades(z) for f, z in zip(fams, zs)])
-        if rho is None else _interval_grades(fams, zs, rho))
+def _model_weights(fam, z, rho) -> np.ndarray:
+    """Normalized model firing strengths of a family (or a FamilyStack) at
+    premises z: true grades at rho None, else the envelope blended by rho."""
+    return normalize_firing(fam.true_grades(z) if rho is None
+                            else _interval_grades(fam, z, rho))
 
 
-def _controller_weights(subs, zs, mu) -> np.ndarray:
-    """Normalized controller firing strengths, stacked as _model_weights."""
-    return normalize_firing(_interval_grades(
-        [_family(sub.controller_mfs, "controller") for sub in subs], zs, mu))
+def _controller_weights(fam, z, mu) -> np.ndarray:
+    """Normalized controller firing strengths, as _model_weights."""
+    return normalize_firing(_interval_grades(fam, z, mu))
 
 
 def eval_model_memberships(sub: Subsystem, x: np.ndarray, mode: str = "true_plant",
@@ -309,15 +322,16 @@ def eval_model_memberships(sub: Subsystem, x: np.ndarray, mode: str = "true_plan
     blends the envelope as rho_bar*upper + (1 - rho_bar)*lower. States
     (P, n_x) give (P, n_rules), with rho_bar a float or one per state.
     """
-    return _model_weights([sub], [sub.premise(x)],
-                          _mode_weight(mode, rho_bar))[0]
+    return _model_weights(_family(sub.model_mfs, "model"), sub.premise(x),
+                          _mode_weight(mode, rho_bar))
 
 
 def eval_controller_memberships(sub: Subsystem, x: np.ndarray, mu_bar) -> np.ndarray:
     """Normalized controller firing strengths weighted by mu_bar in [0, 1]
     (a float, or one per state of a stack)."""
     mu = _unit_weight(mu_bar, "mu_bar must lie in [0, 1]")
-    return _controller_weights([sub], [sub.premise(x)], mu)[0]
+    return _controller_weights(_family(sub.controller_mfs, "controller"),
+                               sub.premise(x), mu)
 
 
 def _weighted_sum(w, terms) -> np.ndarray:
@@ -385,7 +399,8 @@ def control_law(sub: Subsystem, gains, h: np.ndarray, x: np.ndarray) -> np.ndarr
 class _Group:
     """Subsystems `members` of one shape: equal (n_x, n_u, n_d, n_rules,
     n_controller_rules) and equal state dims of their sorted coupling slots.
-    Holds their rule rows (n_rules, S, F) and, per slot c, the coupling
+    Holds their families as one FamilyStack per role (None when one of them
+    has none), their rule rows (n_rules, S, F) and, per slot c, the coupling
     matrices (S, n_x, n_xj) with the subsystem each one reads."""
 
     def __init__(self, system: LargeScaleSystem, members: list):
@@ -394,6 +409,12 @@ class _Group:
         sub = subs[0]
         self.shape = (sub.n_x, sub.n_u, sub.n_d)
         self.n_m = sub.n_controller_rules
+        model = [s.model_mfs for s in subs]
+        controller = [s.controller_mfs for s in subs]
+        self.model = (None if any(f is None for f in model)
+                      else FamilyStack(model))
+        self.controller = (None if any(f is None for f in controller)
+                           else FamilyStack(controller))
         self.rules = np.stack([s.rule_rows for s in subs], axis=1)
         keys = [s.coupling_keys for s in subs]
         self.slots = [(np.array([s.couplings[k[c]] for s, k in zip(subs, keys)],
@@ -406,8 +427,8 @@ class _Group:
         columns (..., n, 1), so each product is one matrix-vector call."""
         subs, members = self.subs, self.members
         xs = [x_all[i] for i in members]
-        zs = [sub.premise(x) for sub, x in zip(subs, xs)]
-        w = _model_weights(subs, zs, rho)
+        z = [sub.premise(x) for sub, x in zip(subs, xs)]   # one per member
+        w = _model_weights(_family(self.model, "model"), z, rho)
         x = np.array(xs)[..., None]
         h = None
         if gains_all is None:
@@ -417,7 +438,8 @@ class _Group:
                 _check_count(len(gains_all[i]), self.n_m,
                              "controller gains (one per controller rule)",
                              f"subsystem {i}: ")
-            h = _controller_weights(subs, zs, mu)
+            h = _controller_weights(_family(self.controller, "controller"),
+                                    z, mu)
             u = _gain_sum(h, np.array([gains_all[i] for i in members],
                                       dtype=float)) @ x
         a, b, e = _split_rules(_weighted_sum(w, self.rules), *self.shape)

@@ -45,33 +45,65 @@ class RecursiveFeasibilityViolation(Exception):
         self.step = step
 
 
-def _ball_draw(rng: np.random.Generator, n: int, radius: float,
-               boundary: bool = False):
-    """The random numbers of one ball sample, in a fixed order: a normal
-    direction v, then (strictly inside the ball) a uniform for the radius.
-    Returns (v, r); r is 0, and nothing more is drawn, when |v| or the
-    radius is 0 (|v| is 0 exactly when every entry is: no nonzero normal
-    draw is small enough for its square to underflow)."""
-    v = rng.standard_normal(n)
-    if radius == 0.0 or not any(v.tolist()):
-        return v, 0.0
-    r = radius if boundary else radius * float(rng.random()) ** (1.0 / n)
-    return v, r
-
-
-def _ball_points(draws: list, n: int, radius: float) -> np.ndarray:
-    """The points of P _ball_draw results (v, r) as rows (P, n): (r/|v|) v,
-    projected so the norm bound holds exactly despite rounding, and 0 where
-    r is 0. Uniform on the radius-ball (or its boundary)."""
-    v = np.array([vp for vp, _ in draws]).reshape(len(draws), n)
-    r = np.array([rp for _, rp in draws])
+def _ball_points(v: np.ndarray, r: np.ndarray, radius) -> np.ndarray:
+    """The points (r/|v|) v of normals v (..., P, n) and radii r (..., P)
+    in balls of radius (..., 1) or a float: projected so the norm bound
+    holds exactly despite rounding, and 0 where r is 0. Uniform on the
+    radius-ball (or its boundary)."""
     live = r != 0.0
     scale = r / np.where(live, np.sqrt(quad_form(v)), 1.0)
-    d = np.where(live[:, None], scale[:, None] * v, 0.0)
+    d = np.where(live[..., None], scale[..., None] * v, 0.0)
     overshoot = np.sqrt(quad_form(d))
     out = overshoot > radius
     shrink = radius / np.where(out, overshoot, 1.0)
-    return np.where(out[:, None], d * shrink[:, None], d)
+    return np.where(out[..., None], d * shrink[..., None], d)
+
+
+def _ball_samples(rng: np.random.Generator, balls, edges) -> list:
+    """Per ball (n, radius, edged), its points (P, n) of P = len(edges)
+    samples.
+
+    The random numbers come sample by sample and ball by ball: a normal
+    direction v, then (strictly inside the ball) a uniform u for the radius
+    r = radius * u**(1/n). Ball b of sample p lies on its boundary (r =
+    radius, no uniform) when b is edged and edges[p] is true; r is 0, and no
+    uniform is drawn, when the radius or |v| is 0 (|v| is 0 exactly when
+    every entry is: no nonzero normal draw is small enough for its square
+    to underflow). A one-dimensional normal is drawn as a scalar, the same
+    draw without the array. The draws go into flat per-ball lists, and the
+    balls of one dimension become one array, scaled by one _ball_points."""
+    normal, uniform = rng.standard_normal, rng.random
+    normals, radii = [[] for _ in balls], [[] for _ in balls]
+    draws = [(n, radius, 1.0 / n if n else None, edged, vs, rs)
+             for (n, radius, edged), vs, rs in zip(balls, normals, radii)]
+    for edge in edges:
+        for n, radius, power, edged, vs, rs in draws:
+            if n == 1:
+                v = normal()
+                vs.append(v)
+                live = v != 0.0
+            else:
+                v = normal(n).tolist()
+                vs += v
+                live = any(v)
+            if radius == 0.0 or not live:
+                rs.append(0.0)
+            elif edge and edged:
+                rs.append(radius)
+            else:
+                rs.append(radius * uniform() ** power)
+    by_dim = {}
+    for b, (n, _, _) in enumerate(balls):
+        by_dim.setdefault(n, []).append(b)
+    points = [None] * len(balls)
+    for n, members in by_dim.items():
+        v = np.array([normals[b] for b in members]).reshape(
+            len(members), len(edges), n)
+        r = np.array([radii[b] for b in members])
+        radius = np.array([[balls[b][1]] for b in members])
+        for b, p in zip(members, _ball_points(v, r, radius)):
+            points[b] = p
+    return points
 
 
 @dataclass(frozen=True)
@@ -106,13 +138,8 @@ class DisturbanceModel:
         dims = [sub.n_d for sub in system.subsystems]
         if self.kind in ("uniform_ball", "worst_case_boundary"):
             boundary = self.kind == "worst_case_boundary"
-            draws = [[] for _ in range(n)]
-            for _ in range(n_steps):
-                for i in range(n):
-                    draws[i].append(_ball_draw(rng, dims[i], radii[i],
-                                               boundary))
-            balls = [_ball_points(draws[i], dims[i], radii[i])
-                     for i in range(n)]
+            balls = _ball_samples(rng, list(zip(dims, radii, [boundary] * n)),
+                                  [True] * n_steps)
             return [[balls[i][k] for i in range(n)] for k in range(n_steps)]
         if self.kind == "zero":
             return [[np.zeros(dims[i]) for i in range(n)]
@@ -360,8 +387,7 @@ def sample_in_set(rng: np.random.Generator, x_mat: np.ndarray, xi_i: float,
                   boundary: bool = False) -> np.ndarray:
     """Uniform sample of {x : x' X x <= xi^2} (the certificate set of size
     xi) by pushing a unit-ball sample through the inverse square root."""
-    n = x_mat.shape[0]
-    y = _ball_points([_ball_draw(rng, n, 1.0, boundary)], n, 1.0)[0]
+    y = _ball_samples(rng, [(x_mat.shape[0], 1.0, boundary)], [True])[0][0]
     return xi_i * (inv_sqrt(x_mat) @ y)
 
 
@@ -394,22 +420,23 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
     needs n_samples >= 1 and a finite tol, so that passing checks something.
 
     Draw order: sample by sample, the ball draws of every subsystem's state
-    and then of every subsystem's disturbance, each made by _ball_draw, so
-    a seed gives the samples that stepping one sample at a time would.
-    The samples go in chunks of RPI_BATCH, which bounds memory for any
-    n_samples: one plain loop makes a chunk's draws, then the chunk is
-    scaled, stepped (one step_closed_loop call for its true-plant samples,
-    one for its reconstructed ones) and checked with array operations.
+    and then of every subsystem's disturbance (_ball_samples), so a seed
+    gives the samples that stepping one sample at a time would. The samples
+    go in chunks of RPI_BATCH, which bounds memory for any n_samples: one
+    plain loop makes a chunk's Generator calls into flat per-ball lists,
+    then the chunk is scaled (one _ball_points call per ball dimension),
+    stepped (one step_closed_loop call for its true-plant samples, one for
+    its reconstructed ones) and checked with array operations.
     """
     if not (n_samples >= 1 and np.isfinite(tol)):
         raise ValueError(f"rpi_monte_carlo needs n_samples >= 1 and a finite "
                          f"tol, got {n_samples} and {tol}")
     rng = np.random.default_rng(seed)
     n = system.n_subsystems
-    radii = [1.0] * n + [float(np.sqrt(dv.xi[i] / params.N_const[i]))
-                         for i in range(n)]
-    dims = ([sub.n_x for sub in system.subsystems]
-            + [sub.n_d for sub in system.subsystems])
+    # per sample: every state in its unit ball, then every disturbance
+    ball_specs = ([(sub.n_x, 1.0, True) for sub in system.subsystems]
+                  + [(sub.n_d, math.sqrt(dv.xi[i] / params.N_const[i]), False)
+                     for i, sub in enumerate(system.subsystems)])
     inv_sqrts = params.x_inv_sqrt
     weight_grid = np.linspace(0.0, 1.0, 5)
     scalar_violations = 0
@@ -418,16 +445,8 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
     worst_exit = -np.inf
     for start in range(0, n_samples, RPI_BATCH):
         s = np.arange(start, min(start + RPI_BATCH, n_samples))
-        # per sample: every state (unit ball, every tenth sample on its
-        # boundary), then every disturbance
-        draws = [([], dim, radius, b < n)
-                 for b, (dim, radius) in enumerate(zip(dims, radii))]
-        for k in s.tolist():
-            on_edge = (k % 10) == 9
-            for out, dim, radius, state in draws:
-                out.append(_ball_draw(rng, dim, radius, on_edge and state))
-        balls = [_ball_points(out, dim, radius)
-                 for out, dim, radius, _ in draws]
+        # every state on its unit sphere in every tenth sample
+        balls = _ball_samples(rng, ball_specs, ((s % 10) == 9).tolist())
         x_all = [dv.xi[i] * (inv_sqrts[i] @ balls[i][:, :, None])[:, :, 0]
                  for i in range(n)]
         d_all = balls[n:]

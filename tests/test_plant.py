@@ -171,6 +171,16 @@ class TestMembershipEvaluation:
         for p in (0, 2):
             assert np.array_equal(w[p], normalize_firing(raw[p]))
 
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_nan_row_does_not_hide_a_degenerate_row(self, order):
+        # the fallback is decided row by row, wherever the NaN row sits
+        rows = np.array([[np.nan, 1.0], [1e-20, 3e-20]])[list(order)]
+        with pytest.warns(DegenerateFiringWarning):
+            w = normalize_firing(rows)
+        low = order.index(1)
+        assert np.array_equal(w[low], [0.5, 0.5])
+        assert np.isnan(w[1 - low]).all()
+
     def test_stacked_weights_reject_out_of_range_entries(self):
         sub = build_example1_system().subsystems[0]
         x = np.zeros((3, 2))
@@ -555,6 +565,17 @@ class TestImmutablePlant:
         assert all(a is b for a, b in zip(copied.system.subsystems,
                                           cfg.system.subsystems))
 
+    def test_deep_copy_of_a_rule_is_read_only(self):
+        rule = build_example1_system().subsystems[1].rules[0]
+        copied = copy.deepcopy(rule)
+        assert copied is not rule
+        for name in ("A", "B", "E"):
+            array, original = getattr(copied, name), getattr(rule, name)
+            assert array is not original
+            assert np.array_equal(array, original)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 5.0
+
     def test_groups_are_built_once_per_system(self, monkeypatch):
         built = []
         init = plant._Group.__init__
@@ -608,4 +629,37 @@ class TestValidation:
     def test_non_finite_limits_rejected(self, changes, message):
         system = with_subsystem(build_example1_system(), 1, **changes)
         with pytest.raises(ValueError, match=message):
+            system.validate()
+
+    @pytest.mark.parametrize("name", ["A", "B", "E"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rule_matrix_rejected(self, name, value):
+        system = build_example1_system()
+        rules = list(system.subsystems[2].rules)
+        bad = getattr(rules[1], name).copy()
+        bad[-1, 0] = value
+        rules[1] = dataclasses.replace(rules[1], **{name: bad})
+        system = with_subsystem(system, 2, rules=tuple(rules))
+        with pytest.raises(ValueError, match=f"^rule 1: {name} must be finite$"):
+            system.validate()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coupling_rejected(self, value):
+        system = build_example1_system()
+        couplings = dict(system.subsystems[1].couplings)
+        bad = couplings[2].copy()
+        bad[0, 1] = value
+        system = with_subsystem(system, 1, couplings={**couplings, 2: bad})
+        with pytest.raises(ValueError,
+                           match="^subsystem 1: coupling to 2 must be finite$"):
+            system.validate()
+        with pytest.raises(ValueError, match="coupling to 2 must be finite"):
+            system.validate_couplings()
+
+    def test_shape_errors_come_before_finite_checks(self):
+        system = build_example1_system()
+        first, rule = system.subsystems[0].rules
+        bad = dataclasses.replace(rule, A=np.full((3, 3), np.nan))
+        system = with_subsystem(system, 0, rules=(first, bad))
+        with pytest.raises(ValueError, match="^rule 1: A has shape"):
             system.validate()

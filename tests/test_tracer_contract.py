@@ -3,11 +3,12 @@
 perfbench/tracer.py times the program by rebinding named functions at every
 ``it2mpc.*`` module attribute that refers to them, and the benchmark counts
 a failed operation when a layer it relies on reads 0 calls. These tests run
-that tracer over a certificate check and a short every-step loop from the
-stored certificate, so that a refactor which bypasses those names (an
-assembly no longer made through ``assemble_*``, a margin pass no longer made
-through ``certificate_margins``) fails here and not only in the benchmark's
-traced smoke runs.
+that tracer over a certificate check, a short every-step loop from the
+stored certificate and a Monte-Carlo audit, so that a refactor which
+bypasses those names (an assembly no longer made through ``assemble_*``, a
+margin pass no longer made through ``certificate_margins``, grades no
+longer made through the membership family's grade methods) fails here and
+not only in the benchmark's traced smoke runs.
 """
 
 import importlib.util
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import it2mpc  # noqa: F401  (loads every module the tracer binds)
+from it2mpc import plant, simulation
 from it2mpc.configio import load_bundled_config, load_certificate
 from it2mpc.simulation import DisturbanceModel, run_online_loop
 from it2mpc.synthesis import verify_certificate
@@ -78,5 +80,41 @@ def test_every_step_loop_reaches_the_traced_layers(tracer,
         rho_bar=sim.rho_bar, resynth="every_step", warm=dv,
         xi_mode=xi_mode)))
     assert traces[0].n_steps == 3
-    for layer in ("lmis.vertex", "lmis.test_matrix", "lmis.containment"):
+    for layer in ("lmis.vertex", "lmis.test_matrix", "lmis.containment",
+                  "plant.step", "membership.grades"):
         assert calls[layer] > 0, layer
+
+
+def test_audit_reaches_the_traced_layers(tracer, fixture_certificate):
+    # 250 samples in two chunks: each steps its true-plant and its
+    # reconstructed samples once
+    cfg, dv = fixture_certificate
+    reports = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "RPI_BATCH", 200)
+        # through the module, whose binding the tracer replaces
+        calls = _calls(tracer, lambda: reports.append(
+            simulation.rpi_monte_carlo(cfg.system, cfg.params, dv,
+                                       n_samples=250, seed=3)))
+    assert reports[0]["ok"]
+    assert calls["simulation.rpi_monte_carlo"] == 1
+    assert calls["plant.step"] == 4
+    # one grade call per role of the one shape group: true, then
+    # controller upper and lower; model upper and lower, then controller
+    assert calls["membership.grades"] == 2 * (3 + 4)
+
+
+def test_steady_step_grades_each_role_once(tracer, fixture_certificate):
+    cfg, dv = fixture_certificate
+    sim = cfg.simulation
+    x_all = [x.copy() for x in sim.x0]
+    d_all = [[0.0]] * cfg.system.n_subsystems
+
+    def step():
+        plant.step_closed_loop_detail(cfg.system, dv.gains, x_all, d_all,
+                                      sim.mu_bar, sim.mode, sim.rho_bar)
+    step()
+    assert sim.mode == "true_plant"
+    calls = _calls(tracer, step)
+    assert calls["plant.step"] == 1
+    assert calls["membership.grades"] == 3      # 9 when graded per subsystem

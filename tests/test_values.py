@@ -100,6 +100,23 @@ class TestFrozen:
         copied = copy.deepcopy(dv)
         assert copied is not dv and copied.gains is dv.gains
 
+    def test_deep_copy_of_params_is_read_only(self):
+        params = load_bundled_config("example1_synthesis").params
+        params.x_inv_sqrt           # a table built on the original
+        copied = copy.deepcopy(params)
+        assert copied is not params and "x_inv_sqrt" not in vars(copied)
+        for name in ("X", "M", "Q", "R"):
+            got, want = getattr(copied, name), getattr(params, name)
+            assert type(got) is type(want)
+            for array, original in (zip(got, want) if isinstance(got, tuple)
+                                    else [(got, want)]):
+                assert array is not original
+                np.testing.assert_array_equal(array, original)
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = 1.0
+        for name in ("lam", "N_const", "tau", "alpha"):
+            assert getattr(copied, name) == getattr(params, name)
+
     def test_replace_builds_new_tables(self):
         params = load_bundled_config("example1_synthesis").params
         scaled = dataclasses.replace(params, X=[2.0 * x for x in params.X])
