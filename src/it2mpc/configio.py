@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lmis import FixedParams
+from .lmis import DecisionVars, FixedParams
 from .membership import IT2MembershipFamily, ResidualMF, SigmoidMF
 from .plant import LargeScaleSystem, Rule, Subsystem
 from .simulation import (DISTURBANCE_KINDS, RESYNTH_MODES, DisturbanceModel)
@@ -144,7 +144,8 @@ def _parse_sigmoid(rec: dict, path: str) -> SigmoidMF:
             shift=_number(rec["shift"], f"{path}.shift"),
             divisor=_number(rec["divisor"], f"{path}.divisor"),
             form=rec.get("form", "one_minus_logistic"),
-            complemented=bool(rec.get("complemented", False)),
+            complemented=_expect(rec.get("complemented", False),
+                                 f"{path}.complemented", bool, "true or false"),
             perturb_amplitude=_number(rec.get("perturb_amplitude", 0.0),
                                       f"{path}.perturb_amplitude"))
     except ValueError as exc:
@@ -188,7 +189,7 @@ def _parse_mf_family(data: dict, path: str, require_true: bool) -> IT2Membership
             t, rule = ref["tier"], ref["rule"]
             if t not in records:
                 _fail(ref_path, f"tier {t!r} not present in this family")
-            if not isinstance(rule, int) or not 1 <= rule <= len(records[t]):
+            if type(rule) is not int or not 1 <= rule <= len(records[t]):
                 _fail(ref_path, f"rule must be in 1..{len(records[t])}")
             if (t, rule - 1) not in sigmoids:
                 _fail(ref_path, "residual records may reference only sigmoid records")
@@ -282,7 +283,7 @@ def _parse_subsystem(data: dict, path: str, need_true_mfs: bool) -> Subsystem:
     if h is not None:
         h = _matrix(h, f"{path}.H")
     selector = data.get("premise_selector", 1)
-    if not isinstance(selector, int) or selector < 1:
+    if type(selector) is not int or selector < 1:      # a bool is not one
         _fail(f"{path}.premise_selector", "expected a 1-based state index")
 
     sub = Subsystem(
@@ -401,14 +402,18 @@ def _parse_simulation(data: dict, path: str, subsystems: list) -> SimulationSett
     if radii is not None:
         radii = tuple(_vector(radii, f"{path}.disturbance.radii",
                               len(subsystems)))
-    dist = DisturbanceModel(kind=kind, seed=int(dist_data.get("seed", 42)),
-                            radii=radii)
+        if min(radii) < 0.0:
+            _fail(f"{path}.disturbance.radii", "radii must be nonnegative")
+    seed = dist_data.get("seed", 42)
+    if type(seed) is not int or seed < 0:
+        _fail(f"{path}.disturbance.seed", "expected a nonnegative integer")
+    dist = DisturbanceModel(kind=kind, seed=seed, radii=radii)
 
     resynth = data.get("resynth", "every_step")
     if resynth not in RESYNTH_MODES:
         _fail(f"{path}.resynth", f"expected one of {RESYNTH_MODES}, got {resynth!r}")
     steps = data.get("steps", 100)
-    if not isinstance(steps, int) or steps < 0:
+    if type(steps) is not int or steps < 0:
         _fail(f"{path}.steps", "expected a nonnegative integer")
     mu_bar = _number(data.get("mu_bar", 0.5), f"{path}.mu_bar")
     if not 0.0 <= mu_bar <= 1.0:
@@ -419,6 +424,8 @@ def _parse_simulation(data: dict, path: str, subsystems: list) -> SimulationSett
     rho_bar = data.get("rho_bar")
     if rho_bar is not None:
         rho_bar = _number(rho_bar, f"{path}.rho_bar")
+        if not 0.0 <= rho_bar <= 1.0:
+            _fail(f"{path}.rho_bar", "must lie in [0, 1]")
     if mode == "reconstructed" and rho_bar is None:
         _fail(f"{path}.rho_bar", "reconstructed mode needs rho_bar")
     return SimulationSettings(x0=x0, steps=steps, disturbance=dist,
@@ -482,6 +489,9 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
     if data.get("gains") is not None:
         gains = _parse_gains(data["gains"], f"{source}.gains", subsystems)
 
+    notes = data.get("notes", [])
+    if not isinstance(notes, list) or not all(isinstance(v, str) for v in notes):
+        _fail(f"{source}.notes", "expected a list of strings")
     ts = _number(data.get("Ts", 0.2), f"{source}.Ts")
     if ts <= 0:
         _fail(f"{source}.Ts", "sampling time must be positive")
@@ -489,7 +499,7 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
     return SystemConfig(
         schema_version=SCHEMA_VERSION,
         name=str(data.get("name", "")),
-        notes=list(data.get("notes", [])),
+        notes=list(notes),
         Ts=ts,
         system=system,
         params=params,
@@ -645,8 +655,6 @@ def load_certificate(path, system: LargeScaleSystem | None = None):
 
     Returns (DecisionVars, doc). When a system is given, shapes are checked
     against it. The input certificate "Z" of older files is ignored."""
-    from .lmis import DecisionVars
-
     path = Path(path)
     try:
         doc = json.loads(path.read_text())

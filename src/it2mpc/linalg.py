@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+_TOL_SCALE = 1e-9    # default_tol per unit of a matrix's inf-norm
+
 
 class InvalidMatrixError(ValueError):
     """Input is not a finite, square, real matrix."""
@@ -57,10 +59,10 @@ def sym_matrix(entries) -> np.ndarray:
     return out
 
 
-def default_tol(a: np.ndarray, base: float = 1e-9):
-    """Absolute eigenvalue tolerance scaled by max(1, inf-norm of a); for a
-    stack (..., n, n), one tolerance per matrix."""
-    return _per_matrix(base * np.maximum(
+def default_tol(a: np.ndarray):
+    """Absolute eigenvalue tolerance _TOL_SCALE * max(1, inf-norm of a);
+    for a stack (..., n, n), one tolerance per matrix."""
+    return _per_matrix(_TOL_SCALE * np.maximum(
         1.0, np.abs(a).sum(axis=-1).max(axis=-1, initial=0.0)))
 
 

@@ -538,8 +538,7 @@ def xi_slope(params: FixedParams, inst: LMIInstance) -> np.ndarray:
 
 def containment_size(x_mat: np.ndarray, x) -> float:
     """Smallest set size whose set {x' (X/xi) x <= xi} holds x: sqrt(x' X x)."""
-    x = np.asarray(x, dtype=float)
-    return float(np.sqrt(x @ x_mat @ x))
+    return float(np.sqrt(quad_form(x, x_mat)))
 
 
 def _raise_if_singular(eigs):     # of a shape matrix

@@ -251,7 +251,7 @@ class LargeScaleSystem:
                     raise ValueError(f"subsystem {i}: coupling to {j} must be finite")
 
 
-def normalize_firing(raw: np.ndarray, floor: float = DEGENERATE_FIRING_FLOOR) -> np.ndarray:
+def normalize_firing(raw: np.ndarray) -> np.ndarray:
     """Normalize raw firing strengths into a partition of unity.
 
     Falls back to uniform weights (with a warning) when every strength is
@@ -261,7 +261,7 @@ def normalize_firing(raw: np.ndarray, floor: float = DEGENERATE_FIRING_FLOOR) ->
     """
     raw = np.asarray(raw, dtype=float)
     total = np.add.reduce(raw, axis=-1, keepdims=True)
-    low = total < floor
+    low = total < DEGENERATE_FIRING_FLOOR
     if np.count_nonzero(low):       # cheaper than low.any() on a few rows
         warnings.warn("all firing strengths below floor; using uniform weights",
                       DegenerateFiringWarning, stacklevel=2)

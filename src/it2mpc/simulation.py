@@ -6,8 +6,10 @@ recursive-feasibility bookkeeping.
 The loop supports three gain sources: re-synthesis at every step (the online
 algorithm), a single synthesis at step 0 reused afterwards, and externally
 supplied static gains (no synthesis at all — the mode used to exercise
-reported controllers directly). Diagnostics are recorded identically in all
-three, so a trace from any mode feeds the same checks.
+reported controllers directly). Each step records what it decides and
+observes, alike in all three; the certificate values V and stage costs psi
+are derived after the run from the recorded states, inputs, disturbances
+and set sizes, so a trace from any mode feeds the same checks.
 """
 
 from __future__ import annotations
@@ -123,6 +125,8 @@ class DisturbanceModel:
         if self.kind not in DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}; "
                              f"expected one of {DISTURBANCE_KINDS}")
+        if self.radii is not None and not all(r >= 0.0 for r in self.radii):
+            raise ValueError(f"disturbance radii must be nonnegative, got {self.radii}")
 
     def radius(self, system: LargeScaleSystem, i: int) -> float:
         if self.radii is not None:
@@ -195,23 +199,21 @@ class SimulationTrace:
                 raise ValueError(f"trace field {name} must have one entry per step")
 
 
-def stage_cost(x_all, u_all, d_all, params: FixedParams) -> float:
+def stage_cost(x_all, u_all, d_all, params: FixedParams):
     """One-step cost sum_i (x_i'Q_i x_i + u_i'R_i u_i - tau_i d_i'd_i) with
-    the weights of params (Q and R shared or per subsystem)."""
+    the weights of params (Q and R shared or per subsystem); per-subsystem
+    stacks (K, n) give one cost per step, as the loop derives after the run
+    from the recorded states, inputs and disturbances."""
     total = 0.0
     for i, (x, u, d) in enumerate(zip(x_all, u_all, d_all)):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        d = np.asarray(d, dtype=float)
-        total += (float(x @ params.q_mat(i) @ x) + float(u @ params.r_mat(i) @ u)
-                  - float(params.tau[i]) * float(d @ d))
+        total += (quad_form(x, params.q_mat(i)) + quad_form(u, params.r_mat(i))
+                  - params.tau[i] * quad_form(d))
     return total
 
 
-def lyapunov_value(x_i, p_i) -> float:
-    """Certificate value x' P x of one subsystem state."""
-    x = np.asarray(x_i, dtype=float)
-    return float(x @ np.asarray(p_i, dtype=float) @ x)
+def _stacks(rows, n: int) -> list:
+    """Per subsystem i, the rows[k][i] of a recorded field as (len(rows), n_i)."""
+    return [np.array([r[i] for r in rows], dtype=float) for i in range(n)]
 
 
 def total_cost(trace: SimulationTrace, params: FixedParams, T: int = 10) -> float:
@@ -220,11 +222,6 @@ def total_cost(trace: SimulationTrace, params: FixedParams, T: int = 10) -> floa
     if T < 0 or T > trace.n_steps:
         raise ValueError(f"horizon T={T} outside the recorded {trace.n_steps} steps")
     return float(sum(trace.psi[:T]) + sum(trace.V[T]))
-
-
-def _certificate_values(params: FixedParams, xi_all, x_all) -> list:
-    return [lyapunov_value(x_all[i], params.X[i] / xi_all[i])
-            for i in range(len(x_all))]
 
 
 def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
@@ -256,7 +253,6 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
     params.validate()
     n = system.n_subsystems
     x = [np.asarray(x0_all[i], dtype=float).copy() for i in range(n)]
-    d_seq = dist.realize(system, n_steps)
 
     supplied = gains is not None
     dv = warm
@@ -265,7 +261,7 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
                    syn_cfg.xi_floor) for i in range(n)]
         dv = DecisionVars(gains=gains, xi=xi0)    # frozen copies of the gains
 
-    trace = SimulationTrace(Ts=Ts, meta={
+    trace = SimulationTrace(Ts=Ts, d=dist.realize(system, n_steps), meta={
         "resynth": resynth, "supplied_gains": supplied, "mode": mode,
         "mu_bar": mu_bar, "rho_bar": rho_bar, "xi_mode": xi_mode,
         "disturbance": {"kind": dist.kind, "seed": dist.seed,
@@ -299,23 +295,26 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
         worst = float(max(margins.values()))
         trace.worst_margin.append(worst)
         trace.feasible.append(worst <= 0.0)
-        trace.x.append([xi.copy() for xi in x])
+        trace.x.append(x)
         trace.xi.append(list(dv.xi))
-        trace.V.append(_certificate_values(params, dv.xi, x))
 
-        d_all = d_seq[k]
-        x_next, u_all, w_all, h_all = step_closed_loop_detail(
-            system, dv.gains, x, d_all, mu_bar, mode, rho_bar)
-        trace.u.append([np.asarray(u, dtype=float) for u in u_all])
-        trace.d.append([np.asarray(d, dtype=float) for d in d_all])
-        trace.w.append([np.asarray(w, dtype=float) for w in w_all])
-        trace.h.append([np.asarray(h, dtype=float) for h in h_all])
-        trace.psi.append(stage_cost(x, u_all, d_all, params))
-        x = x_next
+        x, u_all, w_all, h_all = step_closed_loop_detail(
+            system, dv.gains, x, trace.d[k], mu_bar, mode, rho_bar)
+        trace.u.append(u_all)
+        trace.w.append(w_all)
+        trace.h.append(h_all)
 
-    trace.x.append([xi.copy() for xi in x])
+    trace.x.append(x)
     final_xi = dv.xi if dv is not None else [1.0] * n
-    trace.V.append(_certificate_values(params, final_xi, x))
+    # V[k] under step k's certificate, the terminal state's under the final one
+    xi = np.array(trace.xi + [final_xi], dtype=float)
+    states = _stacks(trace.x, n)
+    trace.V = np.column_stack([
+        quad_form(states[i], params.X[i] / xi[:, i, None, None])
+        for i in range(n)]).tolist()
+    if n_steps:
+        trace.psi = stage_cost([s[:-1] for s in states], _stacks(trace.u, n),
+                               _stacks(trace.d, n), params).tolist()
     trace.meta["final_xi"] = list(final_xi)
     trace.meta["final_gains"] = [[k.tolist() for k in g] for g in dv.gains] \
         if dv is not None else None
@@ -346,11 +345,10 @@ def iss_check(trace: SimulationTrace, params: FixedParams) -> dict:
     bound = np.zeros(n_steps)
     live = np.zeros(n_steps, dtype=bool)
     sandwich = np.zeros((n_steps, n), dtype=bool)
-    for i in range(n):
-        states = np.array([x[i] for x in trace.x], dtype=float)
-        x_now, x_next = states[:-1], states[1:]
-        u = np.array([u_k[i] for u_k in trace.u], dtype=float)
-        d = np.array([d_k[i] for d_k in trace.d], dtype=float)
+    states, inputs, dists = (_stacks(rows, n)
+                             for rows in (trace.x, trace.u, trace.d))
+    for i, (x_i, u, d) in enumerate(zip(states, inputs, dists)):
+        x_now, x_next = x_i[:-1], x_i[1:]
         xi_i = xi[:, i, None, None]
         p_i = params.X[i] / xi_i
         v_i = quad_form(x_now, p_i)

@@ -556,9 +556,8 @@ class FixedGainEvaluator:
             out.update(part.margins(xi_i))
             if x_all is not None:
                 params = part.model.params
-                cont = assemble_containment(
-                    np.asarray(x_all[part.i], dtype=float), xi_i,
-                    params.X[part.i], part.i, params.shape_inverses[part.i])
+                cont = assemble_containment(x_all[part.i], xi_i, params.X[part.i],
+                                            part.i, params.shape_inverses[part.i])
                 out[cont.key] = None        # keeps the key order; set below
                 blocks.setdefault(len(cont.matrix), []).append(cont)
         for conts in blocks.values():

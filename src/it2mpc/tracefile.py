@@ -30,14 +30,11 @@ def sidecar_path(path) -> Path:
 def trace_columns(trace: SimulationTrace) -> list:
     """Column names for a trace's CSV, derived from its own shapes."""
     x0 = trace.x[0]
-    cols = ["k", "t"]
-    for i, xi in enumerate(x0):
-        cols += [f"x{i + 1}_{c + 1}" for c in range(len(xi))]
+    parts = [("x", x0)]
     if trace.n_steps:  # a zero-step trace has no input/disturbance columns
-        for i, ui in enumerate(trace.u[0]):
-            cols += [f"u{i + 1}_{c + 1}" for c in range(len(ui))]
-        for i, di in enumerate(trace.d[0]):
-            cols += [f"d{i + 1}_{c + 1}" for c in range(len(di))]
+        parts += [("u", trace.u[0]), ("d", trace.d[0])]
+    cols = ["k", "t"] + [f"{name}{i + 1}_{c + 1}" for name, vecs in parts
+                         for i, vec in enumerate(vecs) for c in range(len(vec))]
     n = len(x0)
     cols += [f"V{i + 1}" for i in range(n)]
     cols += [f"xi{i + 1}" for i in range(n)]
@@ -80,13 +77,8 @@ def write_trace(trace: SimulationTrace, path) -> Path:
         writer.writerow(cols)
         for k in range(trace.n_steps):
             row = [str(k), _fmt(k * trace.Ts)]
-            for xi in trace.x[k]:
-                row += [_fmt(v) for v in xi]
-            for ui in trace.u[k]:
-                row += [_fmt(v) for v in ui]
-            for di in trace.d[k]:
-                row += [_fmt(v) for v in di]
-            row += [_fmt(v) for v in trace.V[k]]
+            for vec in (*trace.x[k], *trace.u[k], *trace.d[k], trace.V[k]):
+                row += [_fmt(v) for v in vec]
             row += [_fmt(v) for v in trace.xi[k]]
             row += [_fmt(trace.psi[k]), _fmt(trace.worst_margin[k]),
                     str(int(bool(trace.feasible[k]))),

@@ -270,6 +270,25 @@ class TestErrorReporting:
         assert rc == 3
         assert "lam" in json.loads(stderr)["message"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("rho_bar", 1.5), ("seed", -1)])
+    def test_late_failing_field_is_config_error(self, capsys, tmp_path,
+                                                field, value):
+        # both loaded, and then simulate exited 4 on the first step
+        doc = tiny_config_doc()
+        if field == "rho_bar":
+            doc["simulation"].update(mode="reconstructed", rho_bar=value)
+            want = "bad.json.simulation.rho_bar: must lie in [0, 1]"
+        else:
+            doc["simulation"]["disturbance"]["seed"] = value
+            want = ("bad.json.simulation.disturbance.seed: expected a "
+                    "nonnegative integer")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc, _, stderr = run_cli(capsys, "simulate", str(path), "--steps", "2")
+        assert rc == 3
+        assert json.loads(stderr) == {"error": "config", "message": want}
+
     def test_unknown_xi_mode_is_config_error(self, capsys, tmp_path):
         doc = tiny_config_doc()
         doc["synthesis"]["xi_mode"] = "bogus"

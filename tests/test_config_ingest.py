@@ -161,6 +161,7 @@ RESIDUAL_CASES = [
     (REF[:-2] + ("extra",), 1,
      (ConfigError, "<config>.subsystems[1].model_mfs.lower[2]: unknown "
                    "field(s) ['extra']; allowed: ['kind', 'of']")),
+    (REF + ("rule",), True, OUT_OF_RANGE),      # a bool is not a rule number
 ]
 
 G = ("gains", 1, 0)
@@ -224,6 +225,61 @@ NON_FINITE_CERTIFICATE_CASES = [
 ]
 
 
+SIM = ("simulation",)
+DIST = SIM + ("disturbance",)
+SEED = (ConfigError, "<config>.simulation.disturbance.seed: expected a "
+                     "nonnegative integer")
+RHO_BAR = (ConfigError, "<config>.simulation.rho_bar: must lie in [0, 1]")
+NOTES = (ConfigError, "<config>.notes: expected a list of strings")
+
+
+def _not_a_flag(typename):
+    return (ConfigError, f"{SIG_PATH}: {SIG_PATH}.complemented: expected "
+                         f"true or false, got {typename}")
+
+
+# fields that loaded wrong (a truthy string, a bool as an integer, a
+# truncated or negative seed, an out-of-range weight, a negative radius,
+# a string as a list of notes) or failed only when the run started
+FIELD_CASES = [
+    (SIG + ("complemented",), "false", _not_a_flag("str")),
+    (SIG + ("complemented",), "no", _not_a_flag("str")),
+    (SIG + ("complemented",), [0], _not_a_flag("list")),
+    (SIG + ("complemented",), 0, _not_a_flag("int")),
+    (("subsystems", 0, "premise_selector"), True,
+     (ConfigError, "<config>.subsystems[1].premise_selector: expected a "
+                   "1-based state index")),
+    (SIM + ("steps",), True,
+     (ConfigError, "<config>.simulation.steps: expected a nonnegative "
+                   "integer")),
+    (DIST + ("seed",), "7", SEED),
+    (DIST + ("seed",), 1.9, SEED),
+    (DIST + ("seed",), 7.0, SEED),
+    (DIST + ("seed",), -1, SEED),
+    (DIST + ("seed",), True, SEED),
+    (SIM + ("rho_bar",), 1.5, RHO_BAR),
+    (SIM + ("rho_bar",), -0.5, RHO_BAR),
+    (DIST + ("radii",), [-0.1],
+     (ConfigError, "<config>.simulation.disturbance.radii: radii must be "
+                   "nonnegative")),
+    (("notes",), "abc", NOTES),
+    (("notes",), ["ok", 1], NOTES),
+    (("notes",), {"a": "b"}, NOTES),
+]
+
+FIELD_ACCEPTED = [
+    (SIG + ("complemented",), True,
+     lambda cfg: cfg.system.subsystems[0].model_mfs.upper[1].complemented),
+    (SIG + ("complemented",), False,
+     lambda cfg: not cfg.system.subsystems[0].model_mfs.upper[1].complemented),
+    (DIST + ("seed",), 0, lambda cfg: cfg.simulation.disturbance.seed == 0),
+    (SIM + ("rho_bar",), 1.0, lambda cfg: cfg.simulation.rho_bar == 1.0),
+    (DIST + ("radii",), [0.0],
+     lambda cfg: cfg.simulation.disturbance.radii == (0.0,)),
+    (("notes",), ["a", "b"], lambda cfg: cfg.notes == ["a", "b"]),
+]
+
+
 def _raises_exactly(call, expected):
     kind, message = expected
     with pytest.raises(Exception) as info:
@@ -243,14 +299,34 @@ class TestMalformedInput:
         doc = _set(_with_residual(tiny_config_doc()), path, value)
         _raises_exactly(lambda: parse_config(doc), expected)
 
-    @pytest.mark.parametrize("path, value", [
-        (REF + ("rule",), True), (REF + ("tier",), "true")])
-    def test_residual_reference_accepted(self, path, value):
-        # True is an int to the reference check, so it reads as rule 1
-        doc = _set(_with_residual(tiny_config_doc()), path, value)
+    def test_residual_reference_accepted(self):
+        doc = _set(_with_residual(tiny_config_doc()), REF + ("tier",), "true")
         fam = parse_config(doc).system.subsystems[0].model_mfs
-        tier = fam.lower if path[-1] == "rule" else fam.true_mf
-        assert fam.lower[1].others == (tier[0],)
+        assert fam.lower[1].others == (fam.true_mf[0],)
+
+    @pytest.mark.parametrize("path, value, expected", FIELD_CASES)
+    def test_field(self, path, value, expected):
+        doc = _set(tiny_config_doc(), path, value)
+        _raises_exactly(lambda: parse_config(doc), expected)
+
+    @pytest.mark.parametrize("path, value, expected", FIELD_ACCEPTED)
+    def test_field_accepted(self, path, value, expected):
+        cfg = parse_config(_set(tiny_config_doc(), path, value))
+        assert expected(cfg)
+
+    @pytest.mark.parametrize("rho_bar", [1.5, -0.25])
+    def test_rho_bar_in_reconstructed_mode(self, rho_bar):
+        doc = tiny_config_doc()
+        doc["simulation"].update(mode="reconstructed", rho_bar=rho_bar)
+        _raises_exactly(lambda: parse_config(doc), RHO_BAR)
+
+    def test_library_disturbance_radii(self):
+        from it2mpc.simulation import DisturbanceModel
+        _raises_exactly(lambda: DisturbanceModel(radii=(0.2, -0.1)), (
+            ValueError, "disturbance radii must be nonnegative, got (0.2, -0.1)"))
+        _raises_exactly(lambda: DisturbanceModel(radii=(math.nan,)), (
+            ValueError, "disturbance radii must be nonnegative, got (nan,)"))
+        assert DisturbanceModel(radii=(0.0, 0.1)).radii == (0.0, 0.1)
 
     @pytest.mark.parametrize("path, value, expected", NON_FINITE_CASES)
     def test_non_finite_config(self, path, value, expected):

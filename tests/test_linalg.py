@@ -13,6 +13,7 @@ from it2mpc.linalg import (
     is_psd,
     max_eig,
     min_eig,
+    quad_form,
     schur_reduce,
     sym_eig,
     sym_matrix,
@@ -22,6 +23,59 @@ from it2mpc.linalg import (
 def random_symmetric(rng, n, scale=1.0):
     a = rng.standard_normal((n, n)) * scale
     return sym_matrix(a + a.T)
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+class TestQuadForm:
+    """quad_form against the expressions it replaces, compared as float
+    hex: every certificate value, stage cost and containment floor goes
+    through it."""
+
+    @staticmethod
+    def draws(n, count, seed):
+        rng = np.random.default_rng(seed)
+        for k in range(count):
+            scale = 10.0 ** rng.integers(-3, 4)
+            m = rng.standard_normal((n, n)) * scale
+            yield rng.standard_normal(n), (m + m.T if k % 2 else m)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_vector_equals_the_products(self, n):
+        for x, m in self.draws(n, 300, n):
+            got = quad_form(x, m)
+            assert type(got) is float
+            assert got.hex() == float(x @ m @ x).hex()
+            assert quad_form(x).hex() == float(x @ x).hex()
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, 8))
+    def test_stacked_rows_equal_row_calls(self, n):
+        draws = list(self.draws(n, 40, 100 + n))
+        xs = np.array([x for x, _ in draws])
+        m = draws[0][1]
+        assert _hex(quad_form(xs, m)) == _hex(quad_form(x, m) for x in xs)
+        assert _hex(quad_form(xs)) == _hex(quad_form(x) for x in xs)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, 8))
+    def test_matrix_stack_equals_step_calls(self, n):
+        draws = list(self.draws(n, 40, 200 + n))
+        xs = np.array([x for x, _ in draws])
+        ms = np.array([m for _, m in draws])
+        assert _hex(quad_form(xs, ms)) == _hex(
+            quad_form(x, m) for x, m in draws)
+        xi = np.linspace(0.5, 4.0, len(draws))
+        scaled = ms[0] / xi[:, None, None]        # as the loop's V is formed
+        assert _hex(quad_form(xs, scaled)) == _hex(
+            quad_form(x, ms[0] / s) for x, s in zip(xs, xi))
+
+    @pytest.mark.parametrize("n", (1, 3))
+    def test_empty_stack(self, n):
+        for m in (None, np.eye(n), np.empty((0, n, n))):
+            got = quad_form(np.empty((0, n)), m)
+            assert isinstance(got, np.ndarray)
+            assert got.shape == (0,) and got.dtype == float
 
 
 class TestSymMatrix:

@@ -15,10 +15,10 @@ import pytest
 
 from it2mpc import simulation
 from it2mpc.configio import load_bundled_config, load_certificate
-from it2mpc.linalg import sym_eig
+from it2mpc.linalg import quad_form, sym_eig
 from it2mpc.lmis import DecisionVars, rpi_decrease_scalar
 from it2mpc.plant import step_closed_loop
-from it2mpc.simulation import lyapunov_value, rpi_monte_carlo
+from it2mpc.simulation import rpi_monte_carlo
 
 from conftest import build_tiny_system, tiny_params
 
@@ -72,7 +72,7 @@ def reference_rpi(system, params, dv, n_samples, seed, tol=1e-9):
         scalar_violations += scalar > tol
         for i in range(n):
             xi2 = dv.xi[i] ** 2
-            margin = (lyapunov_value(x_next[i], params.X[i]) - xi2) / xi2
+            margin = (quad_form(x_next[i], params.X[i]) - xi2) / xi2
             worst_exit = max(worst_exit, margin)
             exit_events += margin > tol
     return {"n_samples": n_samples, "scalar_violations": scalar_violations,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from it2mpc.linalg import quad_form
 from it2mpc.lmis import DecisionVars, FixedParams
 from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 from it2mpc.simulation import (
@@ -15,7 +16,6 @@ from it2mpc.simulation import (
     RecursiveFeasibilityViolation,
     SimulationTrace,
     iss_check,
-    lyapunov_value,
     rpi_monte_carlo,
     run_online_loop,
     sample_in_set,
@@ -132,9 +132,9 @@ class TestCosts:
             got = stage_cost(x_all, u_all, d_all, _weights(q, r, tau))
             assert got == pytest.approx(want, abs=1e-12)
 
-    def test_lyapunov_values(self):
-        assert lyapunov_value(np.zeros(3), np.eye(3)) == 0.0
-        assert lyapunov_value(np.array([3.0, 4.0]), np.eye(2)) == pytest.approx(25.0)
+    def test_quad_form_values(self):
+        assert quad_form(np.zeros(3), np.eye(3)) == 0.0
+        assert quad_form(np.array([3.0, 4.0]), np.eye(2)) == pytest.approx(25.0)
 
     def test_total_cost_terminal_only_at_zero_horizon(self):
         system = build_example1_system()
@@ -367,8 +367,8 @@ class TestIssCheck:
             v_now = v_next = bound = 0.0
             for i in range(n):
                 p_i = params.X[i] / xi_all[i]
-                v_now += lyapunov_value(x_now[i], p_i)
-                v_next += lyapunov_value(x_next[i], p_i)
+                v_now += quad_form(x_now[i], p_i)
+                v_next += quad_form(x_next[i], p_i)
                 r_eff = params.M[i] / xi_all[i]
                 x, u, d = x_now[i], trace.u[k][i], trace.d[k][i]
                 bound += (-float(x @ params.q_mat(i) @ x)
@@ -382,7 +382,7 @@ class TestIssCheck:
                 eigs = np.linalg.eigvalsh(params.X[i])
                 w_min, w_max = eigs[[0, -1]] / xi_all[i]
                 nrm2 = float(x_now[i] @ x_now[i])
-                v_i = lyapunov_value(x_now[i], params.X[i] / xi_all[i])
+                v_i = quad_form(x_now[i], params.X[i] / xi_all[i])
                 tol = 1e-9 * max(1.0, abs(v_i))
                 if not (w_min * nrm2 - tol <= v_i <= w_max * nrm2 + tol):
                     sandwich_bad.append((k, i))
