@@ -139,5 +139,5 @@ def schur_reduce(m, split: int) -> np.ndarray:
     c_scale = max(1.0, float(np.max(np.abs(c_eigs))))
     if float(np.min(np.abs(c_eigs))) <= 1e-12 * c_scale:
         raise SingularBlockError("trailing block is singular to working precision")
-    reduced = a - bt @ np.linalg.solve(c, bt.T)
-    return sym_matrix(0.5 * (reduced + reduced.T))
+    schur = a - bt @ np.linalg.solve(c, bt.T)
+    return sym_matrix(0.5 * (schur + schur.T))

@@ -8,10 +8,13 @@ hard-coded to a fixed subsystem count):
     decrease:    [ d | x_i | x_j (sorted j) | slack(n_u) | slack(n_x) ]  "< 0"
     containment: [[xi, x'], [x, X^{-1} xi]]                        ">= 0"
 
-All blocks are affine in (xi, gains) for fixed shape matrices, and the
-reduced forms' only non-affine parts, [E theta]'(Lam (x) X)[E theta] with
-Lam = [[1, 1], [1, n]] and k'Mk, are matrix-convex, so vertex enforcement
-over every (model rule, controller rule) pair covers the blended matrices
+All blocks are affine in (xi, gains) for fixed shape matrices: the slack
+rows carry X theta and M k linearly. Folding them into the head by their
+Schur complement, linalg.schur_reduce(matrix, size - tail) with tail n_x
+for invariance and n_u + n_x for decrease, leaves as the only non-affine
+parts [E theta]'(Lam (x) X)[E theta] with Lam = [[1, 1], [1, n]] and k'Mk,
+which are matrix-convex, so vertex enforcement over every (model rule,
+controller rule) pair covers the blended matrices
 (synthesis.verify_certificate states the lemma; its membership-grid sweep
 re-checks it). The vertices of one subsystem and family assemble as one
 stack.
@@ -23,9 +26,9 @@ keys, the stacked g blocks and the row-space basis of the coupling map
 [g_1 g_2 ...] from one SVD (each family's strict basis only adds its
 identity tail); the layout adds the slot dims, g'X_i, the constant
 coupling block -(alpha - 1) g'X_i g and the load n sqrt(alpha) sum_j
-g_j'X_j g_j. Its `stack` emits either family in either form, for a whole
-stack of vertices or blends, from a constant template plus a handful of
-batched products, and symmetrizes once. Every entry is the one a
+g_j'X_j g_j. Its `stack` emits either family, for a whole stack of
+vertices or blends, from a constant template plus a handful of batched
+products, and symmetrizes once. Every entry is the one a
 block-by-block assembly computes, by the same products in the same order;
 factors of 1/2 move only where scaling by them is exact (the tests keep
 that assembly as a reference). Each public assemble_* call builds exactly
@@ -44,8 +47,7 @@ import numpy as np
 
 from .linalg import (InvalidMatrixError, SingularBlockError, inv_sqrt, is_psd,
                      min_eig, quad_form, sym_matrix)
-from .plant import (LargeScaleSystem, Subsystem, _frozen, blend, blend_gains,
-                    step_closed_loop)
+from .plant import LargeScaleSystem, Subsystem, _frozen, blend, blend_gains
 
 
 @dataclass(frozen=True)
@@ -240,12 +242,10 @@ class LMIInstance:
 
     matrix: np.ndarray
     origin: str                      # invariance | decrease | containment
-    sense: str                       # nsd | nsd_strict | psd
     subsystem: int
     # (model rule, controller rule) when vertexed; one pair per matrix of a
     # vertex stack
     vertex: tuple | None = None
-    coupling_keys: tuple = ()
     slot_dims: tuple = ()
     strict_basis: np.ndarray | None = field(default=None, compare=False)
 
@@ -268,7 +268,7 @@ class LMIInstance:
         return vertex_keys(self.origin, self.subsystem, self.vertex)
 
     def test_matrix(self) -> np.ndarray:
-        """Matrix the sense is judged on: strict instances are compressed
+        """Matrix the condition is judged on: strict instances are compressed
         onto the complement of structural coupling kernels (each matrix of
         a stacked instance on its own)."""
         if self.strict_basis is None:
@@ -305,13 +305,13 @@ def _vertex_stacks(sub: Subsystem, gains_i, ls, ms):
 class _Layout:
     """Subsystem i's block layout: every part of its invariance and
     decrease matrices that depends on neither the gains nor xi (module
-    docstring, "Layout"). `stack` emits either family in either form."""
+    docstring, "Layout"). `stack` emits either family."""
 
     def __init__(self, system: LargeScaleSystem, params: FixedParams, i: int):
         sub = system.subsystems[i]
         self.i, self.params, self.n = i, params, system.n_subsystems
         self.n_d, self.n_x, self.n_u = sub.n_d, sub.n_x, sub.n_u
-        keys = self.coupling_keys = sub.coupling_keys
+        keys = sub.coupling_keys
         for j in keys:
             g = sub.couplings[j]
             if g.shape[0] != g.shape[1]:
@@ -339,14 +339,13 @@ class _Layout:
             self.gt @ x_j @ g).sum(axis=0)
         self.basis = sub.coupling_basis     # of both families' strict bases
 
-    def slot_dims(self, family: str, reduced: bool) -> tuple:
-        """[d | x_i | x_j (sorted j) | tail]: the full forms' slack tail is
-        (n_u, n_x) for decrease and (n_x,) for invariance; reduced has none."""
-        tail = () if reduced else (
-            (self.n_u, self.n_x) if family == "decrease" else (self.n_x,))
+    def slot_dims(self, family: str) -> tuple:
+        """[d | x_i | x_j (sorted j) | slack tail]: the tail is (n_u, n_x)
+        for decrease and (n_x,) for invariance."""
+        tail = (self.n_u, self.n_x) if family == "decrease" else (self.n_x,)
         return (self.n_d, self.n_x) + self.coupling_dims + tail
 
-    def strict_basis(self, family: str, reduced: bool):
+    def strict_basis(self, family: str):
         """Compression onto the row space of the stacked coupling map
         [g_1 g_2 ...]; None when that map has full column rank.
 
@@ -361,7 +360,7 @@ class _Layout:
         if self.basis is None:
             return None
         head = self.n_d + self.n_x
-        size = sum(self.slot_dims(family, reduced))
+        size = sum(self.slot_dims(family))
         c, r = self.basis.shape
         cols = size - c + r
         out = np.zeros((size, cols))
@@ -370,7 +369,7 @@ class _Layout:
         out.flat[(head + c) * cols + head + r::cols + 1] = 1.0  # I on tail
         return out
 
-    def stack(self, family, theta, e_mu, k_eff, xi_i, reduced):
+    def stack(self, family, theta, e_mu, k_eff, xi_i):
         """Invariance or decrease matrices of the subsystem, stacked (P,
         size, size), for stacks of closed-loop matrices theta (P, n_x,
         n_x), disturbance maps e_mu (P, n_x, n_d) and gains k_eff (P, n_u,
@@ -384,7 +383,7 @@ class _Layout:
         diagonal block with its own transpose."""
         p, i, n_d, n_x = self.params, self.i, self.n_d, self.n_x
         x_i, decrease = p.X[i], family == "decrease"
-        size, head = sum(self.slot_dims(family, reduced)), n_d + n_x
+        size, head = sum(self.slot_dims(family)), n_d + n_x
         cpl = slice(head, head + len(self.coupling))
         tmpl = np.zeros((size, size))
         if decrease:
@@ -396,10 +395,9 @@ class _Layout:
         tmpl.flat[:n_d * (size + 1):size + 1] = -0.5 * d_coef  # d block
         tmpl[n_d:head, n_d:head] = 0.5 * state
         tmpl[cpl, cpl] = self.coupling
-        if not reduced:
-            if decrease:
-                tmpl[cpl.stop:-n_x, cpl.stop:-n_x] = -0.5 * p.M[i]
-            tmpl[-n_x:, -n_x:] = -0.5 / self.n * x_i
+        if decrease:
+            tmpl[cpl.stop:-n_x, cpl.stop:-n_x] = -0.5 * p.M[i]
+        tmpl[-n_x:, -n_x:] = -0.5 / self.n * x_i
 
         mat = np.empty((len(theta), size, size))
         mat[:] = tmpl
@@ -411,43 +409,31 @@ class _Layout:
         mat[:, n_d:head, :n_d] = theta_t @ xe
         rows[..., :n_d] = self.gt @ xe[:, None]
         rows[..., n_d:head] = self.gx_weight * (self.gx @ theta[:, None])
-        if reduced:
-            mat[:, n_d:head, n_d:head] += 0.5 * self.n * (
-                theta_t @ x_i @ theta)
-            if decrease:
-                mat[:, n_d:head, n_d:head] += 0.5 * (
-                    k_eff.swapaxes(-1, -2) @ p.M[i] @ k_eff)
-        else:
-            if decrease:
-                mat[:, cpl.stop:-n_x, n_d:head] = p.M[i] @ k_eff
-            mat[:, -n_x:, n_d:head] = x_i @ theta
+        if decrease:
+            mat[:, cpl.stop:-n_x, n_d:head] = p.M[i] @ k_eff
+        mat[:, -n_x:, n_d:head] = x_i @ theta
         mat = mat + mat.swapaxes(-1, -2)
         if not np.isfinite(mat).all():
             raise InvalidMatrixError("matrix entries must be finite")
         return mat
 
-    def instance(self, family, reduced, mats, vertex=None) -> LMIInstance:
+    def instance(self, family, mats, vertex=None) -> LMIInstance:
         """The LMIInstance of matrices `mats` this layout stacked."""
-        return LMIInstance(matrix=mats, origin=family,
-                           sense=_FAMILY_SENSE[family], subsystem=self.i,
-                           vertex=vertex, coupling_keys=self.coupling_keys,
-                           slot_dims=self.slot_dims(family, reduced),
-                           strict_basis=self.strict_basis(family, reduced))
+        return LMIInstance(matrix=mats, origin=family, subsystem=self.i,
+                           vertex=vertex, slot_dims=self.slot_dims(family),
+                           strict_basis=self.strict_basis(family))
 
 
-_FAMILY_SENSE = {"invariance": "nsd", "decrease": "nsd_strict"}
-
-
-def _vertex_instance(system, params, dv, i, l, m, family, reduced):
+def _vertex_instance(system, params, dv, i, l, m, family):
     ls, ms = _vertex_pairs(l, m)
     layout = _Layout(system, params, i)
     mats = layout.stack(family, *_vertex_stacks(system.subsystems[i],
                                                 dv.gains[i], ls, ms),
-                        dv.xi[i], reduced)
+                        dv.xi[i])
     if np.ndim(l):
-        return layout.instance(family, reduced, mats,
+        return layout.instance(family, mats,
                                tuple(zip(ls.tolist(), ms.tolist())))
-    return layout.instance(family, reduced, mats[0], (l, m))
+    return layout.instance(family, mats[0], (l, m))
 
 
 def _weight_pairs(w, h):
@@ -462,64 +448,57 @@ def _weight_pairs(w, h):
     return w, h
 
 
-def _blended_instance(system, params, dv, i, w, h, family, reduced):
+def _blended_instance(system, params, dv, i, w, h, family):
     w, h = _weight_pairs(w, h)
     a, b, e = blend(system.subsystems[i], np.atleast_2d(w))
     k = blend_gains(dv.gains[i], np.atleast_2d(h))
     layout = _Layout(system, params, i)
-    mats = layout.stack(family, a + b @ k, e, k, dv.xi[i], reduced)
-    return layout.instance(family, reduced, mats if w.ndim == 2 else mats[0])
+    mats = layout.stack(family, a + b @ k, e, k, dv.xi[i])
+    return layout.instance(family, mats if w.ndim == 2 else mats[0])
 
 
 def assemble_invariance(system: LargeScaleSystem, params: FixedParams,
-                        dv: DecisionVars, i: int, l, m,
-                        reduced: bool = False) -> LMIInstance:
+                        dv: DecisionVars, i: int, l, m) -> LMIInstance:
     """Invariant-set condition at vertex (model rule l, controller rule m).
 
     Equal-length integer sequences l, m give one instance whose matrix is
     the stack (P, size, size) of the P vertices (l[p], m[p]), each equal to
     its own single-vertex assembly, and whose `keys` name them; the
     coupling load and strict basis are built once for the whole stack.
-    `reduced` folds the trailing slack row into the state block via its Schur
-    complement (the scalar-expansion form used by the oracle tests).
     """
-    return _vertex_instance(system, params, dv, i, l, m, "invariance",
-                            reduced)
+    return _vertex_instance(system, params, dv, i, l, m, "invariance")
 
 
-def assemble_invariance_blended(system, params, dv, i, w, h,
-                                reduced: bool = False) -> LMIInstance:
+def assemble_invariance_blended(system, params, dv, i, w, h) -> LMIInstance:
     """Invariance condition with membership-blended matrices.
 
     Weights w (n_rules,) and h (n_controller_rules,) give one matrix;
     stacks w (P, n_rules) and h (P, n_controller_rules) give one instance
     whose matrix is the stack (P, size, size) of the P blends, each equal
     to its own single-weight assembly."""
-    return _blended_instance(system, params, dv, i, w, h, "invariance",
-                             reduced)
+    return _blended_instance(system, params, dv, i, w, h, "invariance")
 
 
 def assemble_decrease(system: LargeScaleSystem, params: FixedParams,
-                      dv: DecisionVars, i: int, l, m,
-                      reduced: bool = False) -> LMIInstance:
+                      dv: DecisionVars, i: int, l, m) -> LMIInstance:
     """Cost-decrease condition at vertex (l, m); sense is strict. Index
     sequences give a vertex stack, as for assemble_invariance."""
-    return _vertex_instance(system, params, dv, i, l, m, "decrease", reduced)
+    return _vertex_instance(system, params, dv, i, l, m, "decrease")
 
 
-def assemble_decrease_blended(system, params, dv, i, w, h,
-                              reduced: bool = False) -> LMIInstance:
+def assemble_decrease_blended(system, params, dv, i, w, h) -> LMIInstance:
     """Cost-decrease condition with membership-blended matrices; weight
     stacks as for assemble_invariance_blended."""
-    return _blended_instance(system, params, dv, i, w, h, "decrease",
-                             reduced)
+    return _blended_instance(system, params, dv, i, w, h, "decrease")
 
 
 def xi_slope(params: FixedParams, inst: LMIInstance) -> np.ndarray:
     """Constant xi-derivative of an invariance or decrease instance's test
-    matrix, at any vertex or blend and in either form: -lam N I on the
-    disturbance block for invariance; -tau I there and +Q on the state block
-    for decrease; compressed by the instance's strict basis."""
+    matrix, at any vertex or blend: -lam N I on the disturbance block for
+    invariance; -tau I there and +Q on the state block for decrease;
+    compressed by the instance's strict basis. The slack tail has no xi
+    term, so the Schur fold of the full form has the same slope on its
+    head."""
     i = inst.subsystem
     n_d, n_x = inst.slot_dims[:2]
     size = sum(inst.slot_dims)
@@ -568,26 +547,17 @@ def assemble_containment(x: np.ndarray, xi_i: float, x_mat: np.ndarray,
     mat[0, 1:] = mat[1:, 0] = x
     mat[1:, 1:] = xi_i * x_inv
     mat = sym_matrix(mat)
-    return LMIInstance(matrix=mat, origin="containment", sense="psd",
-                       subsystem=subsystem)
-
-
-def check_rpi_pointwise(system: LargeScaleSystem, params: FixedParams,
-                        dv: DecisionVars, x_all, d_all, mu_bar: float = 0.5,
-                        mode: str = "true_plant", rho_bar: float | None = None) -> float:
-    """Summed one-step decrease scalar of the invariant-set condition.
-
-    Negative or zero means the normalized set-membership functions decayed as
-    certified. Uses the implied admissible radius eta^2 = xi / N_const.
-    """
-    x_next = step_closed_loop(system, dv.gains, x_all, d_all, mu_bar, mode, rho_bar)
-    return rpi_decrease_scalar(params, dv.xi, x_all, d_all, x_next)
+    return LMIInstance(matrix=mat, origin="containment", subsystem=subsystem)
 
 
 def rpi_decrease_scalar(params: FixedParams, xi, x_all, d_all, x_next):
-    """check_rpi_pointwise's scalar for an already computed step
-    x_all -> x_next under disturbances d_all, at set sizes xi. States and
-    disturbances stacked as (P, n) give the P samples' scalars as (P,)."""
+    """Summed one-step decrease scalar of the invariant-set condition, for a
+    computed step x_all -> x_next under disturbances d_all, at set sizes xi.
+
+    Negative or zero means the normalized set-membership functions decayed as
+    certified. Uses the implied admissible radius eta^2 = xi / N_const.
+    States and disturbances stacked as (P, n) give the P samples' scalars
+    as (P,)."""
     total = 0.0
     for i in range(len(xi)):
         xi_i = xi[i]

@@ -113,8 +113,9 @@ class DisturbanceModel:
     """Admissible disturbance generator: every emitted d_i satisfies
     d_i' d_i <= radius_i^2 exactly (samples are projected onto the ball).
 
-    radii overrides the per-subsystem radius; by default each subsystem's
-    configured eta is used.
+    radii overrides the per-subsystem radius, one per subsystem; by default
+    each subsystem's configured eta is used. seed is an integer >= 0 (a
+    numpy integer is kept as the equal int; a bool is refused).
     """
 
     kind: str = "uniform_ball"
@@ -125,6 +126,11 @@ class DisturbanceModel:
         if self.kind not in DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}; "
                              f"expected one of {DISTURBANCE_KINDS}")
+        if isinstance(self.seed, bool) or \
+                not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("disturbance seed must be an integer >= 0, "
+                             f"got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.radii is not None and not all(r >= 0.0 for r in self.radii):
             raise ValueError(f"disturbance radii must be nonnegative, got {self.radii}")
 
@@ -136,8 +142,11 @@ class DisturbanceModel:
     def realize(self, system: LargeScaleSystem, n_steps: int) -> list:
         """Full disturbance sequence, deterministic given the seed:
         realize(...)[k][i] is subsystem i's disturbance at step k."""
-        rng = np.random.default_rng(self.seed)
         n = system.n_subsystems
+        if self.radii is not None and len(self.radii) != n:
+            raise ValueError(f"disturbance radii has {len(self.radii)} "
+                             f"entries for {n} subsystems")
+        rng = np.random.default_rng(self.seed)
         radii = [self.radius(system, i) for i in range(n)]
         dims = [sub.n_d for sub in system.subsystems]
         if self.kind in ("uniform_ball", "worst_case_boundary"):

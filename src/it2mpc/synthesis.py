@@ -587,18 +587,20 @@ def verify_certificate(system: LargeScaleSystem, params: FixedParams,
     membership-grid sweep of the blended forms.
 
     Vertex-to-blend lemma: the vertex margins bound every blend. At weights
-    (w, h) in the simplex product, the blended argument of either form is
+    (w, h) in the simplex product, the blended argument of a condition is
     [E theta k] = sum_lm w_l h_m [E_l theta_lm k_m] exactly, because
-    sum w = sum h = 1 (theta_lm = A_l + B_l k_m). In the reduced form the
-    only parts not affine in that argument are [E theta]' (Lam (x) X)
-    [E theta] with Lam = [[1, 1], [1, n]] >= 0 (X > 0, n >= 1) and, for
-    decrease, k' M k with M >= 0; both are matrix-convex, and so is their
-    compression by the fixed strict basis. By Jensen's inequality the
-    blended test matrix is <= the same convex combination of the vertex
-    test matrices, so its lambda_max is at most the vertex maximum. The
-    full forms border the reduced ones with the negative definite slack
-    rows, so their verdicts agree with the reduced ones point by point
-    (Schur complement).
+    sum w = sum h = 1 (theta_lm = A_l + B_l k_m). Fold the negative
+    definite slack rows into the rest by their Schur complement
+    (linalg.schur_reduce): the fold's only parts not affine in that
+    argument are [E theta]' (Lam (x) X) [E theta] with Lam = [[1, 1],
+    [1, n]] >= 0 (X > 0, n >= 1) and, for decrease, k' M k with M >= 0;
+    both are matrix-convex, and so is their compression by the fixed
+    strict basis (the identity on the slack rows, so folding and
+    compressing commute). By Jensen's inequality the blended folded test
+    matrix is <= the same convex combination of the vertex ones, so its
+    lambda_max is at most the vertex maximum; and each matrix is negative
+    (semi)definite exactly when its fold is (Schur complement), so the
+    verdicts carry over to the full forms point by point.
 
     The grid sweep re-checks the blends numerically: per subsystem and
     family, one stacked assembly over every (w, h) grid pair. Only its

@@ -21,8 +21,9 @@ from it2mpc.lmis import (assemble_containment, assemble_decrease,
 from it2mpc.simulation import (DisturbanceModel, iss_check, rpi_monte_carlo,
                                run_online_loop)
 from test_linalg import random_symmetric
-from test_lmis import (_decrease_scalar, _draw_setup, _invariance_scalar,
-                       _pick_vertex, _draw_point, _vertex_theta_e)
+from test_lmis import (_decrease_scalar, _draw_setup, _folded,
+                       _invariance_scalar, _pick_vertex, _draw_point,
+                       _vertex_theta_e)
 
 
 def _verdict(num: int, ok: bool, desc: str):
@@ -49,18 +50,17 @@ class TestOracleCriteria:
             d, x_i, x_js, v = _draw_point(rng, system, sub)
             theta, e, k = _vertex_theta_e(sub, dv, i, l, m)
 
-            inv = assemble_invariance(system, params, dv, i, l, m,
-                                      reduced=True)
+            inv = assemble_invariance(system, params, dv, i, l, m)
             want = dv.xi[i] ** 2 * _invariance_scalar(
                 system, params, dv, i, theta, e, d, x_i, x_js)
-            got = float(v @ inv.matrix @ v)
+            got = float(v @ _folded(inv) @ v)
             err = abs(got - want) / max(1.0, abs(want))
             worst = max(worst, err)
 
-            dec = assemble_decrease(system, params, dv, i, l, m, reduced=True)
+            dec = assemble_decrease(system, params, dv, i, l, m)
             want = dv.xi[i] * _decrease_scalar(
                 system, params, dv, i, theta, e, k, d, x_i, x_js)
-            got = float(v @ dec.matrix @ v)
+            got = float(v @ _folded(dec) @ v)
             err = abs(got - want) / max(1.0, abs(want))
             worst = max(worst, err)
         elapsed = time.perf_counter() - t0
@@ -77,11 +77,9 @@ class TestOracleCriteria:
             system, params, dv = _draw_setup(rng, calm=trial % 2 == 0)
             i, sub, l, m = _pick_vertex(rng, system)
             full = assemble_invariance(system, params, dv, i, l, m)
-            red = assemble_invariance(system, params, dv, i, l, m,
-                                      reduced=True)
             v_full = is_nsd(full.matrix, tol=1e-8)
-            v_red = is_nsd(red.matrix, tol=1e-8)
-            agree += v_full == v_red
+            v_fold = is_nsd(_folded(full), tol=1e-8)
+            agree += v_full == v_fold
             outcomes.append(v_full)
         elapsed = time.perf_counter() - t0
         mixed = 5 <= sum(outcomes) <= 95

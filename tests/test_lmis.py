@@ -10,8 +10,14 @@ placement and no shared assembly helpers. The exact bridges to the assembled
 
 with every coupling sum carrying the neighbour's own xi_j through X_j = xi_j P_j.
 
+The oracles expand the Schur fold of each full form: its slack tail (n_x
+for invariance, n_u + n_x for decrease) folded into the head by
+linalg.schur_reduce, which puts n theta'X theta (and k'Mk) on the state
+block.
+
 A second reference, the block-by-block assembly that lmis._Layout replaced,
-pins the layout's stacks entry for entry.
+pins the layout's stacks entry for entry, and its folded form pins the
+folds.
 """
 
 import dataclasses
@@ -28,8 +34,7 @@ from it2mpc.linalg import (InvalidMatrixError, SingularBlockError, is_nsd,
 from it2mpc.lmis import (DecisionVars, FixedParams, assemble_containment,
                          assemble_decrease, assemble_decrease_blended,
                          assemble_invariance, assemble_invariance_blended,
-                         check_rpi_pointwise, rpi_decrease_scalar,
-                         shape_inverse, theta_vertex)
+                         rpi_decrease_scalar, shape_inverse, theta_vertex)
 from it2mpc.plant import blend, blend_gains, step_closed_loop
 from it2mpc.configio import (bundled_config_names, load_bundled_config,
                              load_certificate)
@@ -120,6 +125,25 @@ def _draw_point(rng, system, sub):
     x_js = {j: rng.standard_normal(system.subsystems[j].n_x) for j in keys}
     v = np.concatenate([d, x_i] + [x_js[j] for j in keys])
     return d, x_i, x_js, v
+
+
+def _slack_tail(inst):
+    """Width of a full form's slack tail: n_x for invariance, n_u + n_x for
+    decrease."""
+    return sum(inst.slot_dims[-2 if inst.origin == "decrease" else -1:])
+
+
+def _fold(mats, tail):
+    """schur_reduce(m, size - tail) of a matrix, or of each of a stack."""
+    split = mats.shape[-1] - tail
+    if mats.ndim == 2:
+        return schur_reduce(mats, split)
+    return np.array([schur_reduce(m, split) for m in mats])
+
+
+def _folded(inst):
+    """The Schur fold of a full-form instance's matrix (or stack)."""
+    return _fold(inst.matrix, _slack_tail(inst))
 
 
 # ------------------------------------------------------- scalar oracles
@@ -231,8 +255,9 @@ def _reference_condition_matrices(system, params, i, family, theta, e_mu,
     """Invariance or decrease matrices of subsystem i, stacked (P, size,
     size), assembled block by block: the coupling load, the g'X blocks and
     the strict basis rebuilt for the call, and every coupling block placed
-    in its own loop. Returns (matrices, coupling keys, slot dims, strict
-    basis)."""
+    in its own loop. reduced=True gives the folded form: no slack tail, its
+    products n theta'X theta (and k'Mk) on the state block. Returns
+    (matrices, slot dims, strict basis)."""
     sub = system.subsystems[i]
     keys = tuple(sorted(sub.couplings))
     gs = [sub.couplings[j] for j in keys]
@@ -291,8 +316,8 @@ def _reference_condition_matrices(system, params, i, family, theta, e_mu,
         _reference_place(mat, last, ofs[1], x_i @ theta)
         mat[:, last:, last:] = -(1.0 / n) * x_i
     basis = _reference_strict_basis([n_d, n_x], gs, tail)
-    return (sym_matrix(0.5 * (mat + mat.swapaxes(-1, -2))), keys,
-            tuple(slot_dims), basis)
+    return (sym_matrix(0.5 * (mat + mat.swapaxes(-1, -2))), tuple(slot_dims),
+            basis)
 
 
 # ---------------------------------------------------------------- tests
@@ -303,10 +328,10 @@ class TestInvarianceOracle:
         for _ in range(200):
             system, params, dv = _draw_setup(rng)
             i, sub, l, m = _pick_vertex(rng, system)
-            inst = assemble_invariance(system, params, dv, i, l, m, reduced=True)
+            inst = assemble_invariance(system, params, dv, i, l, m)
             d, x_i, x_js, v = _draw_point(rng, system, sub)
             theta, e, _ = _vertex_theta_e(sub, dv, i, l, m)
-            got = float(v @ inst.matrix @ v)
+            got = float(v @ _folded(inst) @ v)
             want = dv.xi[i] ** 2 * _invariance_scalar(
                 system, params, dv, i, theta, e, d, x_i, x_js)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
@@ -320,14 +345,13 @@ class TestInvarianceOracle:
             w /= w.sum()
             h = rng.uniform(0.05, 1.0, sub.n_controller_rules)
             h /= h.sum()
-            inst = assemble_invariance_blended(system, params, dv, i, w, h,
-                                               reduced=True)
+            inst = assemble_invariance_blended(system, params, dv, i, w, h)
             a = sum(wl * r.A for wl, r in zip(w, sub.rules))
             b = sum(wl * r.B for wl, r in zip(w, sub.rules))
             e = sum(wl * r.E for wl, r in zip(w, sub.rules))
             k = sum(hm * km for hm, km in zip(h, dv.gains[i]))
             d, x_i, x_js, v = _draw_point(rng, system, sub)
-            got = float(v @ inst.matrix @ v)
+            got = float(v @ _folded(inst) @ v)
             want = dv.xi[i] ** 2 * _invariance_scalar(
                 system, params, dv, i, a + b @ k, e, d, x_i, x_js)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
@@ -349,7 +373,6 @@ class TestInvarianceOracle:
         system, params, dv = _draw_setup(np.random.default_rng(1))
         inst = assemble_invariance(system, params, dv, 0, 0, 0)
         assert inst.origin == "invariance"
-        assert inst.sense == "nsd"
         assert inst.vertex == (0, 0)
         assert inst.key == "invariance[i=0,l=0,m=0]"
         assert sum(inst.slot_dims) == inst.matrix.shape[0]
@@ -361,10 +384,10 @@ class TestDecreaseOracle:
         for _ in range(200):
             system, params, dv = _draw_setup(rng)
             i, sub, l, m = _pick_vertex(rng, system)
-            inst = assemble_decrease(system, params, dv, i, l, m, reduced=True)
+            inst = assemble_decrease(system, params, dv, i, l, m)
             d, x_i, x_js, v = _draw_point(rng, system, sub)
             theta, e, k = _vertex_theta_e(sub, dv, i, l, m)
-            got = float(v @ inst.matrix @ v)
+            got = float(v @ _folded(inst) @ v)
             want = dv.xi[i] * _decrease_scalar(
                 system, params, dv, i, theta, e, k, d, x_i, x_js)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
@@ -378,14 +401,13 @@ class TestDecreaseOracle:
             w /= w.sum()
             h = rng.uniform(0.05, 1.0, sub.n_controller_rules)
             h /= h.sum()
-            inst = assemble_decrease_blended(system, params, dv, i, w, h,
-                                             reduced=True)
+            inst = assemble_decrease_blended(system, params, dv, i, w, h)
             a = sum(wl * r.A for wl, r in zip(w, sub.rules))
             b = sum(wl * r.B for wl, r in zip(w, sub.rules))
             e = sum(wl * r.E for wl, r in zip(w, sub.rules))
             k = sum(hm * km for hm, km in zip(h, dv.gains[i]))
             d, x_i, x_js, v = _draw_point(rng, system, sub)
-            got = float(v @ inst.matrix @ v)
+            got = float(v @ _folded(inst) @ v)
             want = dv.xi[i] * _decrease_scalar(
                 system, params, dv, i, a + b @ k, e, k, d, x_i, x_js)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
@@ -416,13 +438,12 @@ def _bundled_certificate(name):
 
 class TestStackedBlendedAssembly:
     """A stack of P weight pairs assembles to exactly the P single-pair
-    matrices, bit for bit, in both forms and after strict compression."""
+    matrices, bit for bit, and after strict compression."""
 
     @pytest.mark.parametrize("name", bundled_config_names())
     @pytest.mark.parametrize("assemble", [assemble_invariance_blended,
                                           assemble_decrease_blended])
-    @pytest.mark.parametrize("reduced", [False, True])
-    def test_stack_equals_per_point_calls(self, name, assemble, reduced):
+    def test_stack_equals_per_point_calls(self, name, assemble):
         system, params, dv = _bundled_certificate(name)
         rng = np.random.default_rng(41)
         for i, sub in enumerate(system.subsystems):
@@ -430,12 +451,11 @@ class TestStackedBlendedAssembly:
             h = rng.dirichlet(np.ones(sub.n_controller_rules), size=7)
             w[0] = np.eye(sub.n_rules)[-1]          # one vertex pair
             h[0] = np.eye(sub.n_controller_rules)[0]
-            stacked = assemble(system, params, dv, i, w, h, reduced=reduced)
+            stacked = assemble(system, params, dv, i, w, h)
             tests = stacked.test_matrix()
             assert stacked.matrix.shape[0] == tests.shape[0] == len(w)
             for p in range(len(w)):
-                single = assemble(system, params, dv, i, w[p], h[p],
-                                  reduced=reduced)
+                single = assemble(system, params, dv, i, w[p], h[p])
                 assert single.matrix.ndim == 2
                 np.testing.assert_array_equal(stacked.matrix[p],
                                               single.matrix)
@@ -454,25 +474,23 @@ class TestStackedBlendedAssembly:
 
 class TestStackedVertexAssembly:
     """Index sequences l, m assemble to exactly the single-vertex matrices,
-    bit for bit, in both forms and after strict compression, with one key
-    per matrix in pair order."""
+    bit for bit, and after strict compression, with one key per matrix in
+    pair order."""
 
     @pytest.mark.parametrize("name", bundled_config_names())
     @pytest.mark.parametrize("assemble", [assemble_invariance,
                                           assemble_decrease])
-    @pytest.mark.parametrize("reduced", [False, True])
-    def test_stack_equals_per_vertex_calls(self, name, assemble, reduced):
+    def test_stack_equals_per_vertex_calls(self, name, assemble):
         system, params, dv = _bundled_certificate(name)
         for i, sub in enumerate(system.subsystems):
             pairs = [(l, m) for l in range(sub.n_rules)
                      for m in range(sub.n_controller_rules)]
             pairs += pairs[::-1][:2]         # any order, repeats allowed
             ls, ms = [p[0] for p in pairs], [p[1] for p in pairs]
-            stacked = assemble(system, params, dv, i, ls, ms,
-                               reduced=reduced)
+            stacked = assemble(system, params, dv, i, ls, ms)
             tests = stacked.test_matrix()
             assert stacked.matrix.shape[0] == tests.shape[0] == len(pairs)
-            singles = [assemble(system, params, dv, i, l, m, reduced=reduced)
+            singles = [assemble(system, params, dv, i, l, m)
                        for l, m in pairs]
             for p, single in enumerate(singles):
                 assert single.matrix.ndim == 2
@@ -481,7 +499,6 @@ class TestStackedVertexAssembly:
                                               single.matrix)
                 np.testing.assert_array_equal(tests[p], single.test_matrix())
                 assert stacked.slot_dims == single.slot_dims
-                assert stacked.coupling_keys == single.coupling_keys
                 if single.strict_basis is None:
                     assert stacked.strict_basis is None
                 else:
@@ -581,72 +598,120 @@ def _reference_setup(case):
     return _bundled_certificate(case)
 
 
+def _reference_inputs(system, dv, i, rng):
+    """Vertex (every pair, in order) and blended (five random weight pairs)
+    stack inputs (theta, e, k) of subsystem i, with the arguments the public
+    assemblers take for them."""
+    sub = system.subsystems[i]
+    pairs = [(l, m) for l in range(sub.n_rules)
+             for m in range(sub.n_controller_rules)]
+    ls, ms = [p[0] for p in pairs], [p[1] for p in pairs]
+    w = rng.dirichlet(np.ones(sub.n_rules), size=5)
+    h = rng.dirichlet(np.ones(sub.n_controller_rules), size=5)
+    a, b, e = blend(sub, w)
+    k = blend_gains(dv.gains[i], h)
+    return {"vertex": ((theta_vertex(sub, dv.gains[i], ls, ms),
+                        np.array([sub.rules[l].E for l in ls]),
+                        np.array([dv.gains[i][m] for m in ms])), (ls, ms)),
+            "blended": ((a + b @ k, e, k), (w, h))}
+
+
+FAMILIES = {"invariance": (assemble_invariance, assemble_invariance_blended),
+            "decrease": (assemble_decrease, assemble_decrease_blended)}
+
+
+def _assert_fold_close(got, want):
+    scale = max(1.0, float(np.abs(want).max()))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale)
+
+
 class TestLayoutMatchesPerBlockReference:
     """_Layout.stack against the per-block assembly it replaced, in both
-    families and both forms, on vertex and blended stacks; the public
-    assemblers return its stack, with the reference's coupling keys, slot
-    dims and strict basis. The layout does the reference's arithmetic in
-    the same order (one BLAS product per block and matrix, factors of 1/2
-    moved only where they are exact), so the entries must be equal, not
-    merely within rounding."""
+    families, on vertex and blended stacks; the public assemblers return its
+    stack, with the reference's slot dims and strict basis. The layout does
+    the reference's arithmetic in the same order (one BLAS product per
+    block and matrix, factors of 1/2 moved only where they are exact), so
+    the entries must be equal, not merely within rounding. The Schur fold
+    of each stack, and of its compression, matches the reference's folded
+    form (and its compression) within rounding."""
 
     @pytest.mark.parametrize("case", REFERENCE_CASES)
     def test_stacks_match(self, case):
         system, params, dv = _reference_setup(case)
         rng = np.random.default_rng(7)
-        for i, sub in enumerate(system.subsystems):
-            pairs = [(l, m) for l in range(sub.n_rules)
-                     for m in range(sub.n_controller_rules)]
-            ls, ms = [p[0] for p in pairs], [p[1] for p in pairs]
-            w = rng.dirichlet(np.ones(sub.n_rules), size=5)
-            h = rng.dirichlet(np.ones(sub.n_controller_rules), size=5)
-            a, b, e = blend(sub, w)
-            k = blend_gains(dv.gains[i], h)
-            inputs = {
-                "vertex": (theta_vertex(sub, dv.gains[i], ls, ms),
-                           np.array([sub.rules[l].E for l in ls]),
-                           np.array([dv.gains[i][m] for m in ms])),
-                "blended": (a + b @ k, e, k)}
+        for i in range(system.n_subsystems):
+            inputs = _reference_inputs(system, dv, i, rng)
             layout = lmis._Layout(system, params, i)
-            for family, vertex, blended in (
-                    ("invariance", assemble_invariance,
-                     assemble_invariance_blended),
-                    ("decrease", assemble_decrease,
-                     assemble_decrease_blended)):
-                for reduced in (False, True):
-                    for kind, args in inputs.items():
-                        want, keys, slot_dims, basis = \
-                            _reference_condition_matrices(
-                                system, params, i, family, *args, dv.xi[i],
-                                reduced)
-                        got = layout.stack(family, *args, dv.xi[i], reduced)
-                        np.testing.assert_array_equal(got, want)
-                        inst = (vertex(system, params, dv, i, ls, ms,
-                                       reduced) if kind == "vertex" else
-                                blended(system, params, dv, i, w, h, reduced))
-                        np.testing.assert_array_equal(inst.matrix, got)
-                        assert inst.coupling_keys == keys
-                        assert inst.slot_dims == slot_dims
-                        if basis is None:
-                            assert inst.strict_basis is None
-                        else:
-                            assert inst.strict_basis.shape == basis.shape
-                            assert np.array_equal(inst.strict_basis, basis)
+            for family, assemblers in FAMILIES.items():
+                for assemble, (args, points) in zip(assemblers,
+                                                    inputs.values()):
+                    want, slot_dims, basis = _reference_condition_matrices(
+                        system, params, i, family, *args, dv.xi[i], False)
+                    got = layout.stack(family, *args, dv.xi[i])
+                    np.testing.assert_array_equal(got, want)
+                    inst = assemble(system, params, dv, i, *points)
+                    np.testing.assert_array_equal(inst.matrix, got)
+                    assert inst.slot_dims == slot_dims
+                    if basis is None:
+                        assert inst.strict_basis is None
+                    else:
+                        assert inst.strict_basis.shape == basis.shape
+                        assert np.array_equal(inst.strict_basis, basis)
+                    want, _, basis = _reference_condition_matrices(
+                        system, params, i, family, *args, dv.xi[i], True)
+                    tail = _slack_tail(inst)
+                    _assert_fold_close(_fold(got, tail), want)
+                    if basis is not None:
+                        want = sym_matrix(basis.T @ want @ basis)
+                    _assert_fold_close(_fold(inst.test_matrix(), tail), want)
+
+
+class TestFoldCommutesWithCompression:
+    """The strict basis is the identity on the slack tail, so folding the
+    compressed test matrix equals compressing the folded matrix by the
+    basis's head block: the fold of test_matrix() is the compressed fold
+    the vertex-to-blend lemma bounds."""
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_fold_of_test_matrix_is_compressed_fold(self, case):
+        system, params, dv = _reference_setup(case)
+        rng = np.random.default_rng(8)
+        for i in range(system.n_subsystems):
+            inputs = _reference_inputs(system, dv, i, rng)
+            for assemblers in FAMILIES.values():
+                for assemble, (_, points) in zip(assemblers, inputs.values()):
+                    inst = assemble(system, params, dv, i, *points)
+                    tail = _slack_tail(inst)
+                    folded = _fold(inst.matrix, tail)
+                    basis = inst.strict_basis
+                    if basis is not None:
+                        size, cols = basis.shape
+                        np.testing.assert_array_equal(
+                            basis[:, cols - tail:], np.eye(size)[:, -tail:])
+                        np.testing.assert_array_equal(
+                            basis[size - tail:], np.eye(cols)[-tail:])
+                        head = basis[:size - tail, :cols - tail]
+                        folded = sym_matrix(head.T @ folded @ head)
+                    _assert_fold_close(_fold(inst.test_matrix(), tail),
+                                       folded)
 
 
 class TestSchurEquivalence:
+    """The Schur fold of each full form against the reference's folded
+    (block-by-block) assembly, and the two forms' verdicts."""
+
     def test_folding_slack_rows_reproduces_reduced_invariance(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             system, params, dv = _draw_setup(rng)
             i, sub, l, m = _pick_vertex(rng, system)
             full = assemble_invariance(system, params, dv, i, l, m)
-            red = assemble_invariance(system, params, dv, i, l, m, reduced=True)
+            theta, e, k = _vertex_theta_e(sub, dv, i, l, m)
+            red, _, _ = _reference_condition_matrices(
+                system, params, i, "invariance", theta[None], e[None],
+                k[None], dv.xi[i], True)
             split = full.matrix.shape[0] - sub.n_x
-            folded = schur_reduce(full.matrix, split)
-            scale = max(1.0, float(np.abs(red.matrix).max()))
-            np.testing.assert_allclose(folded, red.matrix, rtol=0,
-                                       atol=1e-10 * scale)
+            _assert_fold_close(schur_reduce(full.matrix, split), red[0])
 
     def test_folding_slack_rows_reproduces_reduced_decrease(self):
         rng = np.random.default_rng(32)
@@ -654,12 +719,12 @@ class TestSchurEquivalence:
             system, params, dv = _draw_setup(rng)
             i, sub, l, m = _pick_vertex(rng, system)
             full = assemble_decrease(system, params, dv, i, l, m)
-            red = assemble_decrease(system, params, dv, i, l, m, reduced=True)
+            theta, e, k = _vertex_theta_e(sub, dv, i, l, m)
+            red, _, _ = _reference_condition_matrices(
+                system, params, i, "decrease", theta[None], e[None],
+                k[None], dv.xi[i], True)
             split = full.matrix.shape[0] - sub.n_x - sub.n_u
-            folded = schur_reduce(full.matrix, split)
-            scale = max(1.0, float(np.abs(red.matrix).max()))
-            np.testing.assert_allclose(folded, red.matrix, rtol=0,
-                                       atol=1e-10 * scale)
+            _assert_fold_close(schur_reduce(full.matrix, split), red[0])
 
     def test_nsd_verdicts_agree_between_forms(self):
         rng = np.random.default_rng(33)
@@ -668,10 +733,9 @@ class TestSchurEquivalence:
             system, params, dv = _draw_setup(rng, calm=trial % 2 == 0)
             i, sub, l, m = _pick_vertex(rng, system)
             full = assemble_invariance(system, params, dv, i, l, m)
-            red = assemble_invariance(system, params, dv, i, l, m, reduced=True)
             v_full = is_nsd(full.matrix, tol=1e-8)
-            v_red = is_nsd(red.matrix, tol=1e-8)
-            assert v_full == v_red
+            v_fold = is_nsd(_folded(full), tol=1e-8)
+            assert v_full == v_fold
             verdicts.append(v_full)
         # the draw mix must exercise both outcomes for the check to mean much
         assert sum(verdicts) >= 5
@@ -692,25 +756,31 @@ class TestStrictBasis:
         dv = DecisionVars(gains=[[np.zeros((2, 2))]] * 2, xi=[1.0] * 2)
         return system, params, dv
 
+    def _forms(self, inst):
+        """(matrix, test matrix) of the full form, then of its fold."""
+        tail = _slack_tail(inst)
+        return [(inst.matrix, inst.test_matrix()),
+                (_folded(inst), _fold(inst.test_matrix(), tail))]
+
     def test_rank_deficient_coupling_leaves_structural_zeros(self):
         system, params, dv = self._toy()
-        inst = assemble_decrease(system, params, dv, 0, 0, 0, reduced=True)
-        # directions in the coupling's kernel hit only zero entries
-        size = inst.matrix.shape[0]
-        kernel_dir = np.zeros(size)
-        kernel_dir[2 + 2 + 1] = 1.0   # second component of the x_j slot
-        np.testing.assert_array_equal(inst.matrix @ kernel_dir,
-                                      np.zeros(size))
-        assert max_eig(inst.matrix) >= -1e-12
+        inst = assemble_decrease(system, params, dv, 0, 0, 0)
+        for mat, _ in self._forms(inst):
+            # directions in the coupling's kernel hit only zero entries
+            size = mat.shape[0]
+            kernel_dir = np.zeros(size)
+            kernel_dir[2 + 2 + 1] = 1.0   # second component of the x_j slot
+            np.testing.assert_array_equal(mat @ kernel_dir, np.zeros(size))
+            assert max_eig(mat) >= -1e-12
 
     def test_compressed_matrix_recovers_strict_verdict(self):
         system, params, dv = self._toy()
-        inst = assemble_decrease(system, params, dv, 0, 0, 0, reduced=True)
+        inst = assemble_decrease(system, params, dv, 0, 0, 0)
         assert inst.strict_basis is not None
-        compressed = inst.test_matrix()
-        assert compressed.shape[0] == inst.matrix.shape[0] - 1
-        assert max_eig(compressed) < -1e-6
-        assert not is_nsd(inst.matrix, tol=-1e-9)
+        for mat, compressed in self._forms(inst):
+            assert compressed.shape[0] == mat.shape[0] - 1
+            assert max_eig(compressed) < -1e-6
+            assert not is_nsd(mat, tol=-1e-9)
 
     def test_joint_full_column_rank_needs_no_basis(self):
         # a single invertible coupling leaves the stacked map square and
@@ -744,16 +814,18 @@ class TestStrictBasis:
         assert np.linalg.matrix_rank(g_a) == 2
         assert np.linalg.matrix_rank(g_b) == 2
         for asm in (assemble_decrease, assemble_invariance):
-            inst = asm(system, params, dv, 0, 0, 0, reduced=True)
-            v_a = np.array([1.0, -0.5])
-            v_b = -np.linalg.solve(g_b, g_a @ v_a)
-            direction = np.zeros(inst.matrix.shape[0])
-            direction[3:5] = v_a
-            direction[5:7] = v_b
-            np.testing.assert_allclose(inst.matrix @ direction,
-                                       np.zeros_like(direction), atol=1e-12)
+            inst = asm(system, params, dv, 0, 0, 0)
             assert inst.strict_basis is not None
-            assert inst.test_matrix().shape[0] == inst.matrix.shape[0] - 2
+            for mat, compressed in self._forms(inst):
+                v_a = np.array([1.0, -0.5])
+                v_b = -np.linalg.solve(g_b, g_a @ v_a)
+                direction = np.zeros(mat.shape[0])
+                direction[3:5] = v_a
+                direction[5:7] = v_b
+                np.testing.assert_allclose(mat @ direction,
+                                           np.zeros_like(direction),
+                                           atol=1e-12)
+                assert compressed.shape[0] == mat.shape[0] - 2
 
     def test_benchmark_plant_rank_one_couplings_are_compressed(self):
         system = build_example1_system()
@@ -884,27 +956,19 @@ class TestPointwiseDecreaseScalar:
         dv = DecisionVars(gains=[[np.zeros((2, 2))]], xi=[1.0])
         return system, params, dv
 
+    def _scalar(self, a_gain):
+        """The scalar of one step from x = (1, -1) with no disturbance."""
+        system, params, dv = self._single(a_gain)
+        x_all, d_all = [np.array([1.0, -1.0])], [np.zeros(1)]
+        x_next = step_closed_loop(system, dv.gains, x_all, d_all)
+        return rpi_decrease_scalar(params, dv.xi, x_all, d_all, x_next)
+
     def test_contractive_step_is_negative(self):
-        system, params, dv = self._single(0.5)
-        val = check_rpi_pointwise(system, params, dv,
-                                  [np.array([1.0, -1.0])], [np.zeros(1)])
         # (0.25 - 1) * 2 + 0.5 * 2 = -0.5
-        assert val == pytest.approx(-0.5, abs=1e-12)
+        assert self._scalar(0.5) == pytest.approx(-0.5, abs=1e-12)
 
     def test_expansive_step_is_positive(self):
-        system, params, dv = self._single(1.2)
-        val = check_rpi_pointwise(system, params, dv,
-                                  [np.array([1.0, -1.0])], [np.zeros(1)])
-        assert val > 0
-
-    def test_scalar_of_a_computed_step_matches(self):
-        system, params, dv = _bundled_certificate("example1")
-        rng = np.random.default_rng(5)
-        x_all = [rng.standard_normal(2) for _ in range(3)]
-        d_all = [0.1 * rng.standard_normal(1) for _ in range(3)]
-        x_next = step_closed_loop(system, dv.gains, x_all, d_all, 0.3)
-        assert rpi_decrease_scalar(params, dv.xi, x_all, d_all, x_next) == \
-            check_rpi_pointwise(system, params, dv, x_all, d_all, 0.3)
+        assert self._scalar(1.2) > 0
 
 
 class TestReferenceConstantsInfeasibility:

@@ -2,6 +2,7 @@
 run-time certificate diagnostics (decrease checks and set Monte-Carlo)."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,33 @@ class TestDisturbanceModel:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             DisturbanceModel(kind="gaussian")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+    def test_bad_seed_rejected_at_construction(self, seed):
+        # each was accepted, then failed in numpy at realize (or, for True,
+        # ran as seed 1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"disturbance seed must be an integer >= 0, got {seed!r}")):
+            DisturbanceModel(seed=seed)
+
+    def test_numpy_integer_seed_is_the_equal_int(self):
+        system = build_example1_system()
+        dist = DisturbanceModel(seed=np.int64(9))
+        assert type(dist.seed) is int and dist.seed == 9
+        a = dist.realize(system, 5)
+        b = DisturbanceModel(seed=9).realize(system, 5)
+        for sa, sb in zip(a, b):
+            for da, db in zip(sa, sb):
+                assert np.array_equal(da, db)
+
+    @pytest.mark.parametrize("radii", [(0.1,), (0.1, 0.1, 0.1, 0.1)])
+    def test_radii_count_must_match_subsystems(self, radii):
+        system = build_example1_system()
+        dist = DisturbanceModel(radii=radii)
+        with pytest.raises(ValueError, match=re.escape(
+                f"disturbance radii has {len(radii)} entries for 3 "
+                "subsystems")):
+            dist.realize(system, 5)
 
 
 def _weights(q, r, tau):

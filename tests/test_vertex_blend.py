@@ -3,8 +3,9 @@
 At any weights (w, h) in the simplex product, the blended test matrix of a
 subsystem and family is bounded by its vertices: its largest eigenvalue is
 at most the largest vertex eigenvalue, up to rounding scaled by the matrix
-size. Drawn on the four bundled configs at random set sizes and weights, in
-the reduced form (where the lemma is proved) and in the full form."""
+size. Drawn on the four bundled configs at random set sizes and weights, on
+the Schur fold of the full form (where the lemma is proved) and on the full
+form itself."""
 
 import functools
 
@@ -12,15 +13,12 @@ import numpy as np
 import pytest
 
 from it2mpc.configio import bundled_config_names, load_bundled_config
-from it2mpc.lmis import (DecisionVars, assemble_decrease,
-                         assemble_decrease_blended, assemble_invariance,
-                         assemble_invariance_blended)
+from it2mpc.lmis import DecisionVars
+
+from test_lmis import FAMILIES, _fold, _slack_tail
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
-
-FAMILIES = {"invariance": (assemble_invariance, assemble_invariance_blended),
-            "decrease": (assemble_decrease, assemble_decrease_blended)}
 
 
 @functools.cache
@@ -58,13 +56,17 @@ def cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(cases())
 def test_blend_bounded_by_vertices(case):
-    system, params, dv, i, w, h, family, reduced = case
+    system, params, dv, i, w, h, family, folded = case
     vertex, blended = FAMILIES[family]
     sub = system.subsystems[i]
     ls = [l for l in range(sub.n_rules) for _ in range(sub.n_controller_rules)]
     ms = list(range(sub.n_controller_rules)) * sub.n_rules
-    corners = vertex(system, params, dv, i, ls, ms, reduced).test_matrix()
-    blend = blended(system, params, dv, i, w, h, reduced).test_matrix()
+    corners = vertex(system, params, dv, i, ls, ms)
+    tail = _slack_tail(corners)
+    corners = corners.test_matrix()
+    blend = blended(system, params, dv, i, w, h).test_matrix()
+    if folded:   # the fold of the compression is the compressed fold
+        corners, blend = _fold(corners, tail), _fold(blend, tail)
     top_vertex = float(np.max(np.linalg.eigvalsh(corners)[:, -1]))
     top_blend = float(np.linalg.eigvalsh(blend)[-1])
     norm = max(float(np.max(np.sum(np.abs(t), axis=-1)))
