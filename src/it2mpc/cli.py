@@ -192,15 +192,25 @@ def cmd_configs(_args) -> int:
     return EXIT_OK
 
 
-def _count(text: str) -> int:
-    """A --samples value: an integer >= 1, so that a check checks something."""
+def _integer(text: str, low: int) -> int:
+    """An integer option value of at least `low`."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected at least {low}, got {value}")
     return value
+
+
+def _count(text: str) -> int:
+    """A --samples value: an integer >= 1, so that a check checks something."""
+    return _integer(text, 1)
+
+
+def _natural(text: str) -> int:
+    """A --steps or --seed value: an integer >= 0."""
+    return _integer(text, 0)
 
 
 def _finite(text: str) -> float:
@@ -235,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the closed loop from a config")
     p.add_argument("config", help="config file path or bundled name")
     p.add_argument("--out", help="write the trace CSV (plus summary JSON)")
-    p.add_argument("--steps", type=int, help="override the step count")
-    p.add_argument("--seed", type=int, help="override the disturbance seed")
+    p.add_argument("--steps", type=_natural, help="override the step count")
+    p.add_argument("--seed", type=_natural,
+                   help="override the disturbance seed")
     p.add_argument("--resynth", choices=["once", "every-step"],
                    help="override the resynthesis mode")
     p.add_argument("--ignore-gains", action="store_true",
@@ -275,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gains", required=True,
                    help="certificate JSON produced by synthesize")
     p.add_argument("--samples", type=_count, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--tol", type=_finite, default=1e-9)
     p.set_defaults(func=cmd_rpi_check)
 

@@ -210,7 +210,7 @@ def _parse_mf_family(data: dict, path: str, require_true: bool) -> IT2Membership
 # ---------------------------------------------------------------------------
 # sections
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationSettings:
     """Simulation defaults carried by a config file."""
 
@@ -223,7 +223,7 @@ class SimulationSettings:
     rho_bar: float | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
     """Validated configuration: built objects plus the normalized document
     (`data`, serialized on first read)."""

@@ -94,10 +94,14 @@ class FixedParams:
 
     @cached_property
     def shape_inverses(self) -> tuple:
-        """x_inv for the containment blocks, once every X_i has passed
-        shape_inverse's singularity check (SingularBlockError otherwise)."""
+        """x_inv for the containment blocks, once no X_i is singular to
+        working precision: the one place that test runs. SingularBlockError
+        when one is (no containment block is defined then)."""
         for eigs in self.x_eigs:
-            _raise_if_singular(eigs)
+            scale = max(1.0, float(np.max(np.abs(eigs))))
+            if float(np.min(np.abs(eigs))) <= 1e-12 * scale:
+                raise SingularBlockError(
+                    "shape matrix is singular; containment undefined")
         return self.x_inv
 
     @property
@@ -114,13 +118,16 @@ class FixedParams:
 
     def validate(self):
         """Check every constant, raising ValueError for the first bad one in
-        a fixed order: X, lam, N_const, tau, M, then Q and R per subsystem
-        (a shared Q or R once). Each matrix family is judged with one
+        a fixed order: the entry counts (lam, N_const, M, tau, then a
+        per-subsystem Q or R), X, lam, N_const, tau, M, then Q and R per
+        subsystem (a shared Q or R once). Each matrix family is judged with one
         stacked eigensolve per shape (_raise_first_failure)."""
         n = self.n_subsystems
         for name, seq in (("lam", self.lam), ("N_const", self.N_const),
-                          ("M", self.M), ("tau", self.tau)):
-            if len(seq) != n:
+                          ("M", self.M), ("tau", self.tau),
+                          ("Q", self.Q), ("R", self.R)):
+            # a shared Q or R is one matrix, not a tuple
+            if isinstance(seq, tuple) and len(seq) != n:
                 raise ValueError(f"{name} must have one entry per subsystem")
         _raise_first_failure(lambda: (
             (_is_pd, x, f"X[{i}] must be positive definite")
@@ -213,6 +220,9 @@ class DecisionVars:
         object.__setattr__(self, "xi", tuple(self.xi))
 
     def validate(self):
+        if len(self.gains) != len(self.xi):
+            raise ValueError(f"gains must have one list per set size: "
+                             f"{len(self.gains)} for {len(self.xi)} sizes")
         for i, xi in enumerate(self.xi):
             if xi <= 0:
                 raise ValueError(f"xi[{i}] must be positive, got {xi}")
@@ -520,34 +530,18 @@ def containment_size(x_mat: np.ndarray, x) -> float:
     return float(np.sqrt(quad_form(x, x_mat)))
 
 
-def _raise_if_singular(eigs):     # of a shape matrix
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    if float(np.min(np.abs(eigs))) <= 1e-12 * scale:
-        raise SingularBlockError("shape matrix is singular; containment undefined")
-
-
-def shape_inverse(x_mat: np.ndarray) -> np.ndarray:
-    """X^{-1} for the containment block; raises SingularBlockError when X is
-    singular to working precision."""
-    _raise_if_singular(np.linalg.eigvalsh(sym_matrix(x_mat)))
-    return np.linalg.solve(x_mat, np.eye(x_mat.shape[0]))
-
-
-def assemble_containment(x: np.ndarray, xi_i: float, x_mat: np.ndarray,
-                         subsystem: int = 0,
-                         x_inv: np.ndarray | None = None) -> LMIInstance:
-    """State-containment certificate [[xi, x'], [x, X^{-1} xi]] >= 0,
-    equivalent to x' (X/xi) x <= xi. `x_inv` is shape_inverse(x_mat) when
-    the caller already has it."""
-    if x_inv is None:
-        x_inv = shape_inverse(x_mat)
+def assemble_containment(params: FixedParams, i: int, x: np.ndarray,
+                         xi_i: float) -> LMIInstance:
+    """State-containment certificate [[xi, x'], [x, X_i^{-1} xi]] >= 0 of
+    subsystem i, equivalent to x' (X_i/xi) x <= xi; X_i^{-1} is the
+    checked params.shape_inverses[i]."""
     x = np.asarray(x, dtype=float)
     mat = np.empty((x.size + 1, x.size + 1))
     mat[0, 0] = xi_i
     mat[0, 1:] = mat[1:, 0] = x
-    mat[1:, 1:] = xi_i * x_inv
+    mat[1:, 1:] = xi_i * params.shape_inverses[i]
     mat = sym_matrix(mat)
-    return LMIInstance(matrix=mat, origin="containment", subsystem=subsystem)
+    return LMIInstance(matrix=mat, origin="containment", subsystem=i)
 
 
 def rpi_decrease_scalar(params: FixedParams, xi, x_all, d_all, x_next):

@@ -1,5 +1,5 @@
 """Closed-loop rollout with online set-size minimization, plus run-time
-diagnostics: admissible disturbance generation, stage and horizon costs,
+diagnostics: admissible disturbance generation, stage costs,
 set-membership (Lyapunov) decrease checks, invariant-set Monte-Carlo, and
 recursive-feasibility bookkeeping.
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import inv_sqrt, quad_form
+from .linalg import quad_form
 from .lmis import (DecisionVars, FixedParams, containment_size,
                    rpi_decrease_scalar)
 from .plant import LargeScaleSystem, step_closed_loop, step_closed_loop_detail
@@ -45,6 +45,11 @@ class RecursiveFeasibilityViolation(Exception):
     def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, but not a bool (True would count as 1)."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
 def _ball_points(v: np.ndarray, r: np.ndarray, radius) -> np.ndarray:
@@ -126,8 +131,7 @@ class DisturbanceModel:
         if self.kind not in DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}; "
                              f"expected one of {DISTURBANCE_KINDS}")
-        if isinstance(self.seed, bool) or \
-                not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError("disturbance seed must be an integer >= 0, "
                              f"got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
@@ -193,10 +197,6 @@ class SimulationTrace:
     def n_steps(self) -> int:
         return len(self.u)
 
-    def times(self) -> np.ndarray:
-        """Timestamps k*Ts for every recorded state."""
-        return self.Ts * np.arange(len(self.x))
-
     def validate(self):
         k = self.n_steps
         if len(self.x) != k + 1 or len(self.V) != k + 1:
@@ -225,14 +225,6 @@ def _stacks(rows, n: int) -> list:
     return [np.array([r[i] for r in rows], dtype=float) for i in range(n)]
 
 
-def total_cost(trace: SimulationTrace, params: FixedParams, T: int = 10) -> float:
-    """Finite-horizon diagnostic cost: summed stage costs over the first T
-    steps plus the terminal certificate value at step T."""
-    if T < 0 or T > trace.n_steps:
-        raise ValueError(f"horizon T={T} outside the recorded {trace.n_steps} steps")
-    return float(sum(trace.psi[:T]) + sum(trace.V[T]))
-
-
 def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
                     n_steps: int, dist: DisturbanceModel | None = None,
                     resynth: str = "every_step",
@@ -250,6 +242,9 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
     certificate. An optional warm certificate seeds the step-0 synthesis.
     Deterministic given the disturbance seed.
     """
+    if not _is_integer(n_steps) or n_steps < 0:
+        raise ValueError(f"run_online_loop needs an integer n_steps >= 0, "
+                         f"got {n_steps!r}")
     if resynth not in RESYNTH_MODES:
         raise ValueError(f"unknown resynth mode {resynth!r}; "
                          f"expected one of {RESYNTH_MODES}")
@@ -390,14 +385,6 @@ def iss_check(trace: SimulationTrace, params: FixedParams) -> dict:
     }
 
 
-def sample_in_set(rng: np.random.Generator, x_mat: np.ndarray, xi_i: float,
-                  boundary: bool = False) -> np.ndarray:
-    """Uniform sample of {x : x' X x <= xi^2} (the certificate set of size
-    xi) by pushing a unit-ball sample through the inverse square root."""
-    y = _ball_samples(rng, [(x_mat.shape[0], 1.0, boundary)], [True])[0][0]
-    return xi_i * (inv_sqrt(x_mat) @ y)
-
-
 RPI_BATCH = 2048    # samples drawn, stepped and checked together
 
 
@@ -424,7 +411,9 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
     weighting from a grid; it then steps once and requires the one-step
     decrease scalar to be <= tol and every next state to stay in its set
     (relative margin <= tol); a NaN scalar or margin is a violation. It
-    needs n_samples >= 1 and a finite tol, so that passing checks something.
+    needs an integer n_samples >= 1 and a finite tol, so that passing
+    checks something, and an integer seed >= 0 (a numpy integer is kept, a
+    bool refused, as DisturbanceModel does).
 
     Draw order: sample by sample, the ball draws of every subsystem's state
     and then of every subsystem's disturbance (_ball_samples), so a seed
@@ -435,9 +424,12 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
     stepped (one step_closed_loop call for its true-plant samples, one for
     its reconstructed ones) and checked with array operations.
     """
-    if not (n_samples >= 1 and np.isfinite(tol)):
-        raise ValueError(f"rpi_monte_carlo needs n_samples >= 1 and a finite "
-                         f"tol, got {n_samples} and {tol}")
+    if not (_is_integer(n_samples) and n_samples >= 1 and np.isfinite(tol)):
+        raise ValueError(f"rpi_monte_carlo needs an integer n_samples >= 1 and "
+                         f"a finite tol, got {n_samples!r} and {tol}")
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"rpi_monte_carlo needs an integer seed >= 0, "
+                         f"got {seed!r}")
     rng = np.random.default_rng(seed)
     n = system.n_subsystems
     # per sample: every state in its unit ball, then every disturbance
@@ -479,7 +471,7 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
             worst_exit = _worst(worst_exit, margin)
             exit_events += _violations(margin, tol)
     return {
-        "n_samples": n_samples,
+        "n_samples": int(n_samples),
         "scalar_violations": scalar_violations,
         "exit_events": exit_events,
         "worst_scalar": worst_scalar,

@@ -83,7 +83,7 @@ class Infeasible(Exception):
         self.subsystem = subsystem
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthesisConfig:
     """Synthesis settings. `seed` no longer affects synthesis, which draws
     no random numbers; it is kept for callers that still set it."""
@@ -555,9 +555,8 @@ class FixedGainEvaluator:
         for part, xi_i in zip(self.parts, xi):
             out.update(part.margins(xi_i))
             if x_all is not None:
-                params = part.model.params
-                cont = assemble_containment(x_all[part.i], xi_i, params.X[part.i],
-                                            part.i, params.shape_inverses[part.i])
+                cont = assemble_containment(part.model.params, part.i,
+                                            x_all[part.i], xi_i)
                 out[cont.key] = None        # keeps the key order; set below
                 blocks.setdefault(len(cont.matrix), []).append(cont)
         for conts in blocks.values():

@@ -1,6 +1,8 @@
 """Shared builders: the three-subsystem benchmark plant, its reference gains,
 and small synthetic systems used across the suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,12 @@ def tiny_params(n_u=2):
     return FixedParams(X=[5.0 * np.eye(2)], lam=[0.05], N_const=[20.0],
                        M=[np.eye(n_u)], tau=[1.0], Q=0.05 * np.eye(2),
                        R=np.eye(n_u), alpha=2.0)
+
+
+def shape_params(x_mat):
+    """tiny_params with the shape matrix x_mat: enough for subsystem 0's
+    containment block, which reads only X."""
+    return dataclasses.replace(tiny_params(), X=[x_mat])
 
 
 def tiny_config_doc(stable=True):

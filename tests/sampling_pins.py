@@ -1,6 +1,6 @@
 """The pinned cases of tests/test_sampling_pins.py, and the writer of their
 pins, tests/data/sampling_pins.json: the Monte-Carlo audit's reports, the
-disturbance sequences and certificate-set samples, every float as hex.
+and the disturbance sequences, every float as hex.
 
 The pins fix the sampling path's random stream and arithmetic: any change
 that reorders a Generator call or rounds a draw differently moves them.
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
-from it2mpc.simulation import DisturbanceModel, rpi_monte_carlo, sample_in_set
+from it2mpc.simulation import DisturbanceModel, rpi_monte_carlo
 
 from test_rpi_batched import CASES
 
@@ -61,17 +61,6 @@ def realize_pins() -> dict:
             for kind in ("uniform_ball", "worst_case_boundary")}
 
 
-def sample_in_set_pins() -> list:
-    _, params, dv = CASES["fixture"]()
-    rng = np.random.default_rng(11)
-    out = []
-    for k in range(30):
-        i = k % len(params.X)
-        x = sample_in_set(rng, params.X[i], dv.xi[i], boundary=k % 4 == 3)
-        out.append([float(v).hex() for v in x])
-    return out
-
-
 def main():
     reports = {}
     for case in sorted(CASES):
@@ -80,8 +69,7 @@ def main():
             for count in COUNTS:
                 reports[f"{case}/{seed}/{count}"] = hexed(rpi_monte_carlo(
                     system, params, dv, n_samples=count, seed=seed))
-    pins = {"rpi_monte_carlo": reports, "realize": realize_pins(),
-            "sample_in_set": sample_in_set_pins()}
+    pins = {"rpi_monte_carlo": reports, "realize": realize_pins()}
     PINS.write_text(json.dumps(pins, separators=(",", ":")) + "\n")
 
 

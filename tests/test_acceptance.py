@@ -14,7 +14,8 @@ import pytest
 
 from conftest import (build_example1_system, build_example2_system,
                       example1_reference_gains, example1_reference_params,
-                      example2_stabilizing_gains, example2_reference_params)
+                      example2_stabilizing_gains, example2_reference_params,
+                      shape_params)
 from it2mpc.linalg import is_nsd, min_eig, sym_eig
 from it2mpc.lmis import (assemble_containment, assemble_decrease,
                          assemble_invariance)
@@ -217,7 +218,8 @@ class TestNumericsCriterion:
             w, v = sym_eig(a)
             resid = float(np.abs(a @ v - v * w).max())
             worst = max(worst, resid / max(1.0, float(np.abs(a).max())))
-        boundary = assemble_containment(np.array([1.0, 0.0]), 1.0, np.eye(2))
+        boundary = assemble_containment(shape_params(np.eye(2)), 0,
+                                        np.array([1.0, 0.0]), 1.0)
         boundary_eig = abs(min_eig(boundary.matrix))
         ok = worst <= 1e-9 and boundary_eig <= 1e-10
         _verdict(9, ok, f"eigen-residuals on 1000 matrices (dim <= 16): "

@@ -432,7 +432,8 @@ class TestListing:
 class TestChecksThatCheckNothing:
     """rpi-check and verify pass only when something was checked: a sample
     count below 1 or a non-finite tolerance is a usage error, and a
-    non-finite number in a config or certificate a config error (exit 3)."""
+    non-finite number in a config or certificate a config error (exit 3).
+    A step count or seed below 0 is a usage error too."""
 
     FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
                / "example1_certificate.json")
@@ -450,11 +451,22 @@ class TestChecksThatCheckNothing:
         ("--samples=0", "argument --samples: expected at least 1, got 0"),
         ("--samples=-5", "argument --samples: expected at least 1, got -5"),
         ("--tol=nan", "argument --tol: expected a finite number, got 'nan'"),
-        ("--tol=inf", "argument --tol: expected a finite number, got 'inf'")])
+        ("--tol=inf", "argument --tol: expected a finite number, got 'inf'"),
+        ("--seed=-1", "argument --seed: expected at least 0, got -1")])
     def test_rpi_check_usage(self, capsys, option, message):
         got = self.usage_message(capsys, ["rpi-check", "example1_synthesis",
                                           "--gains", str(self.FIXTURE), option])
         assert got == f"it2mpc rpi-check: {message}"
+
+    @pytest.mark.parametrize("options, message", [
+        # a negative step count or seed reached the run and exited 4
+        (["--steps", "-1"], "argument --steps: expected at least 0, got -1"),
+        (["--steps", "1", "--seed", "-1"],
+         "argument --seed: expected at least 0, got -1"),
+        (["--steps", "2.5"], "argument --steps: expected an integer, got '2.5'")])
+    def test_simulate_usage(self, capsys, options, message):
+        got = self.usage_message(capsys, ["simulate", "example1", *options])
+        assert got == f"it2mpc simulate: {message}"
 
     @pytest.mark.parametrize("config", ["example1_synthesis",
                                         "example2_stabilized"])

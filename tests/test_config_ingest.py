@@ -400,12 +400,14 @@ PARAMS_CASES = [
      (InvalidMatrixError, "matrix entries must be finite")),
     (dict(Q=[0.05 * np.eye(2), NAN, 0.05 * np.eye(2)]),
      (InvalidMatrixError, "matrix entries must be finite")),
-    # a per-subsystem list one short fails where subsystem 2 reads it (the
-    # constants hold it as a tuple)
-    (dict(Q=[0.05 * np.eye(2)] * 2), (IndexError, "tuple index out of "
-                                                  "range")),
+    # a per-subsystem list of the wrong length fails its count, before any
+    # matrix is judged
+    (dict(Q=[0.05 * np.eye(2)] * 2), (ValueError, "Q must have one entry "
+                                                  "per subsystem")),
     (dict(Q=[0.05 * np.eye(2)] * 2, R=[np.eye(1), NEG1, np.eye(1)]),
-     (ValueError, "R must be positive definite")),
+     (ValueError, "Q must have one entry per subsystem")),
+    (dict(R=[np.eye(1)] * 4), (ValueError, "R must have one entry per "
+                                           "subsystem")),
     (dict(alpha=1.0, R=NEG1), (ValueError, "R must be positive definite")),
     (dict(alpha=1.0), (ValueError, "alpha must be >= 2, got 1.0")),
 ]

@@ -276,6 +276,66 @@ class TestMembershipRecords:
         assert cfg.system.subsystems[0].model_mfs.true_mf is None
 
 
+def _unequal_dims_doc():
+    """The tiny document plus a second, one-state subsystem (two rules, two
+    inputs), with per-subsystem Q and R."""
+    doc = tiny_config_doc()
+    sub = copy.deepcopy(doc["subsystems"][0])
+    for rule in sub["rules"]:
+        rule.update(A=[[0.5]], B=[[1.0, 0.0]], E=[[0.1]])
+    sub["H"] = [[1.0]]
+    doc["subsystems"].append(sub)
+    fp = doc["fixed_params"]
+    for name, value in (("X", [[5.0]]), ("lam", 0.05), ("N_const", 20.0),
+                        ("M", fp["M"][0]), ("tau", 1.0)):
+        fp[name].append(value)
+    fp["Q"] = [fp["Q"], [[0.07]]]
+    fp["R"] = [fp["R"], [[2.0, 0.0], [0.0, 3.0]]]
+    doc["simulation"]["x0"].append([0.1])
+    return doc
+
+
+class TestPerSubsystemWeights:
+    """The per-subsystem Q/R form: one matrix per subsystem in place of a
+    shared one."""
+
+    @staticmethod
+    def _example1_doc():
+        doc = load_bundled_config("example1_synthesis").data
+        doc["fixed_params"]["Q"] = [(0.1 * (i + 1) * np.eye(2)).tolist()
+                                    for i in range(3)]
+        doc["fixed_params"]["R"] = [[[float(i + 1)]] for i in range(3)]
+        return doc
+
+    @pytest.mark.parametrize("make", ["example1", "unequal_dims"])
+    def test_parses_and_round_trips(self, make):
+        doc = self._example1_doc() if make == "example1" \
+            else _unequal_dims_doc()
+        cfg = parse_config(copy.deepcopy(doc))
+        for i, (q, r) in enumerate(zip(doc["fixed_params"]["Q"],
+                                       doc["fixed_params"]["R"])):
+            assert np.array_equal(cfg.params.q_mat(i), np.array(q))
+            assert np.array_equal(cfg.params.r_mat(i), np.array(r))
+        assert serialize_config(cfg) == doc
+        assert serialize_config(parse_config(serialize_config(cfg))) == doc
+
+    def test_wrong_length_list_names_the_field(self):
+        doc = self._example1_doc()
+        del doc["fixed_params"]["Q"][2]
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == \
+            "<config>.fixed_params.Q: expected 3 entries, got 2"
+
+    def test_shared_matrix_needs_equal_dims(self):
+        doc = _unequal_dims_doc()
+        doc["fixed_params"]["Q"] = doc["fixed_params"]["Q"][0]
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == ("<config>.fixed_params.Q: shared matrix "
+                                   "needs equal dimensions across subsystems")
+
+
 class TestBundledConfigs:
     def test_names(self):
         assert bundled_config_names() == [

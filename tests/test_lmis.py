@@ -34,7 +34,7 @@ from it2mpc.linalg import (InvalidMatrixError, SingularBlockError, is_nsd,
 from it2mpc.lmis import (DecisionVars, FixedParams, assemble_containment,
                          assemble_decrease, assemble_decrease_blended,
                          assemble_invariance, assemble_invariance_blended,
-                         rpi_decrease_scalar, shape_inverse, theta_vertex)
+                         rpi_decrease_scalar, theta_vertex)
 from it2mpc.plant import blend, blend_gains, step_closed_loop
 from it2mpc.configio import (bundled_config_names, load_bundled_config,
                              load_certificate)
@@ -43,7 +43,7 @@ from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 
 from conftest import (build_example1_system, build_tiny_system,
                       example1_reference_gains, example1_reference_params,
-                      tiny_params)
+                      shape_params, tiny_params)
 
 
 # ---------------------------------------------------------------- helpers
@@ -839,7 +839,8 @@ class TestStrictBasis:
 
 class TestContainment:
     def test_boundary_state_sits_at_zero_eigenvalue(self):
-        inst = assemble_containment(np.array([1.0, 0.0]), 1.0, np.eye(2))
+        inst = assemble_containment(shape_params(np.eye(2)), 0,
+                                    np.array([1.0, 0.0]), 1.0)
         expected = np.array([[1.0, 1.0, 0.0],
                              [1.0, 1.0, 0.0],
                              [0.0, 0.0, 1.0]])
@@ -857,24 +858,15 @@ class TestContainment:
             # rescale the state clearly inside or clearly outside
             target = 0.5 * xi if rng.random() < 0.5 else 1.5 * xi
             x = x * np.sqrt(target / level)
-            inst = assemble_containment(x, xi, x_mat)
+            inst = assemble_containment(shape_params(x_mat), 0, x, xi)
             inside = float(x @ (x_mat / xi) @ x) <= xi
             assert is_psd(inst.matrix) == inside
 
     def test_singular_shape_matrix_raises(self):
-        with pytest.raises(SingularBlockError):
-            assemble_containment(np.array([1.0, 0.0]), 1.0,
-                                 np.diag([1.0, 0.0]))
-        with pytest.raises(SingularBlockError):
-            shape_inverse(np.diag([1.0, 1e-14]))
-
-    def test_precomputed_inverse_gives_the_same_block(self):
-        x_mat = np.array([[2.0, 0.3], [0.3, 0.7]])
-        x = np.array([0.4, -1.1])
-        own = assemble_containment(x, 1.7, x_mat, 2)
-        shared = assemble_containment(x, 1.7, x_mat, 2, shape_inverse(x_mat))
-        np.testing.assert_array_equal(shared.matrix, own.matrix)
-        assert shared.key == own.key
+        for x_mat in (np.diag([1.0, 0.0]), np.diag([1.0, 1e-14])):
+            with pytest.raises(SingularBlockError):
+                assemble_containment(shape_params(x_mat), 0,
+                                     np.array([1.0, 0.0]), 1.0)
 
 
 class TestFixedParamsValidation:
@@ -1013,7 +1005,7 @@ class TestReferenceConstantsInfeasibility:
         x0 = np.array([1.0, -1.0])
         need = float(np.sqrt(x0 @ params.X[0] @ x0))
         assert need == pytest.approx(np.sqrt(0.03), rel=1e-12)
-        below = assemble_containment(x0, need * 0.999, params.X[0])
-        above = assemble_containment(x0, need * 1.001, params.X[0])
+        below = assemble_containment(params, 0, x0, need * 0.999)
+        above = assemble_containment(params, 0, x0, need * 1.001)
         assert not is_psd(below.matrix)
         assert is_psd(above.matrix)

@@ -136,7 +136,8 @@ def test_example2_case_reports_violations():
 
 
 @pytest.mark.parametrize("n_samples, tol", [
-    (0, 1e-9), (-5, 1e-9), (10, np.nan), (10, np.inf), (10, -np.inf)])
+    (0, 1e-9), (-5, 1e-9), (10, np.nan), (10, np.inf), (10, -np.inf),
+    (2.5, 1e-9), (True, 1e-9), ("10", 1e-9)])
 def test_audit_that_checks_nothing_raises(n_samples, tol):
     system, params, dv = fixture_certificate()
     with pytest.raises(ValueError, match="n_samples >= 1 and a finite tol"):

@@ -1,10 +1,10 @@
 """The sampling path's outputs, pinned as float hex.
 
-tests/data/sampling_pins.json holds Monte-Carlo audit reports,
-disturbance sequences and certificate-set samples recorded before the
-sampler drew a chunk into per-ball arrays (tests/sampling_pins.py writes
-it). They must stay bit for bit: the same Generator calls in the same
-order, and the same arithmetic on each draw. The audit cases are those of
+tests/data/sampling_pins.json holds Monte-Carlo audit reports and
+disturbance sequences recorded before the sampler drew a chunk into
+per-ball arrays (tests/sampling_pins.py writes it). They must stay bit
+for bit: the same Generator calls in the same order, and the same
+arithmetic on each draw. The audit cases are those of
 tests/test_rpi_batched.py; 2049 samples cross a 2048-sample chunk edge."""
 
 import json
@@ -35,10 +35,6 @@ def test_audit_reports_are_pinned(case):
 @pytest.mark.parametrize("kind", ["uniform_ball", "worst_case_boundary"])
 def test_disturbance_sequences_are_pinned(name, kind):
     assert pins.realize_hex(name, kind) == PINS["realize"][f"{name}/{kind}"]
-
-
-def test_set_samples_are_pinned():
-    assert pins.sample_in_set_pins() == PINS["sample_in_set"]
 
 
 def test_zero_radius_balls_stay_at_the_origin():

@@ -6,7 +6,6 @@ import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from it2mpc.linalg import quad_form
 from it2mpc.lmis import DecisionVars, FixedParams
@@ -19,9 +18,7 @@ from it2mpc.simulation import (
     iss_check,
     rpi_monte_carlo,
     run_online_loop,
-    sample_in_set,
     stage_cost,
-    total_cost,
 )
 from it2mpc.synthesis import XI_HAIR, FixedGainEvaluator, SynthesisConfig
 
@@ -164,18 +161,6 @@ class TestCosts:
         assert quad_form(np.zeros(3), np.eye(3)) == 0.0
         assert quad_form(np.array([3.0, 4.0]), np.eye(2)) == pytest.approx(25.0)
 
-    def test_total_cost_terminal_only_at_zero_horizon(self):
-        system = build_example1_system()
-        params = example1_reference_params()
-        x0 = [np.array([1.0, -1.0])] * 3
-        trace = run_online_loop(system, params, x0, 12, resynth="once",
-                                gains=example1_reference_gains())
-        assert total_cost(trace, params, T=0) == pytest.approx(sum(trace.V[0]))
-        full = total_cost(trace, params, T=10)
-        assert full == pytest.approx(sum(trace.psi[:10]) + sum(trace.V[10]))
-        with pytest.raises(ValueError, match="horizon"):
-            total_cost(trace, params, T=13)
-
 
 class TestRunOnlineLoop:
     def test_zero_start_zero_disturbance_stays_zero(self):
@@ -187,7 +172,26 @@ class TestRunOnlineLoop:
             for x in trace.x[k]:
                 assert np.array_equal(x, np.zeros(2))
         assert all(p == 0.0 for p in trace.psi)
-        assert total_cost(trace, example1_reference_params(), T=8) == 0.0
+
+    @pytest.mark.parametrize("n_steps", [-1, 2.5, True])
+    def test_bad_step_count_rejected(self, n_steps):
+        # -1 ran no step and then failed deriving the stage costs of an
+        # empty run; True ran one step
+        with pytest.raises(ValueError, match=re.escape(
+                f"run_online_loop needs an integer n_steps >= 0, "
+                f"got {n_steps!r}")):
+            run_online_loop(build_example1_system(),
+                            example1_reference_params(),
+                            [np.zeros(2)] * 3, n_steps, resynth="once",
+                            gains=example1_reference_gains())
+
+    def test_numpy_integer_step_count_runs(self):
+        trace = run_online_loop(build_example1_system(),
+                                example1_reference_params(),
+                                [np.array([1.0, -1.0])] * 3, np.int64(3),
+                                resynth="once",
+                                gains=example1_reference_gains())
+        assert trace.n_steps == 3
 
     def test_reference_gains_drive_states_to_zero(self):
         system = build_example1_system()
@@ -240,7 +244,6 @@ class TestRunOnlineLoop:
         trace.validate()
         assert trace.n_steps == 15
         assert len(trace.x) == 16 and len(trace.V) == 16
-        assert_allclose(trace.times(), 0.2 * np.arange(16))
         assert trace.meta["supplied_gains"] is True
         assert trace.solves == 0
         # recorded memberships are normalized
@@ -461,14 +464,21 @@ def contractive_single_subsystem():
 
 
 class TestRpiMonteCarlo:
-    def test_sample_in_set_respects_the_set(self):
-        rng = np.random.default_rng(0)
-        x_mat = np.array([[2.0, 0.3], [0.3, 1.0]])
-        for _ in range(200):
-            x = sample_in_set(rng, x_mat, 3.0)
-            assert float(x @ x_mat @ x) <= 9.0 * (1.0 + 1e-12)
-        on_edge = sample_in_set(rng, x_mat, 3.0, boundary=True)
-        assert float(on_edge @ x_mat @ on_edge) == pytest.approx(9.0, rel=1e-9)
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        # -1 failed in numpy; True ran as seed 1
+        system, params, dv = contractive_single_subsystem()
+        with pytest.raises(ValueError, match=re.escape(
+                f"rpi_monte_carlo needs an integer seed >= 0, got {seed!r}")):
+            rpi_monte_carlo(system, params, dv, n_samples=10, seed=seed)
+
+    def test_numpy_integers_are_kept(self):
+        system, params, dv = contractive_single_subsystem()
+        report = rpi_monte_carlo(system, params, dv, n_samples=np.int64(30),
+                                 seed=np.uint8(4))
+        assert type(report["n_samples"]) is int
+        assert report == rpi_monte_carlo(system, params, dv, n_samples=30,
+                                         seed=4)
 
     def test_contractive_decoupled_system_never_exits(self):
         system, params, dv = contractive_single_subsystem()

@@ -71,8 +71,9 @@ def _reference_margins(system, params, dv, x_all, cfg):
             want[f"input_peak[i={i}]"] = float(np.max(ellipsoid_input_excess(
                 sub, params.X[i], dv.xi[i], dv.gains[i])))
         if x_all is not None:
-            cont = assemble_containment(np.asarray(x_all[i], dtype=float),
-                                        dv.xi[i], params.X[i], i)
+            cont = assemble_containment(params, i,
+                                        np.asarray(x_all[i], dtype=float),
+                                        dv.xi[i])
             want[cont.key] = -min_eig(cont.matrix)
     return want
 
@@ -746,6 +747,16 @@ class TestVerifyCertificate:
             assert report["feasible"] is True
             assert report["margins"] == certificate_margins(
                 system, params, res.dv, x_all)
+
+    def test_gain_lists_short_of_the_set_sizes_are_refused(self):
+        # two gain lists for three set sizes validated, and the check then
+        # failed with an IndexError
+        cfg = load_bundled_config("example1_synthesis")
+        dv, _ = load_certificate(FIXTURE, cfg.system)
+        short = DecisionVars(gains=dv.gains[:2], xi=dv.xi)
+        with pytest.raises(ValueError, match="gains must have one list per "
+                                             "set size: 2 for 3 sizes"):
+            verify_certificate(cfg.system, cfg.params, short)
 
     def test_fixture_worst_is_a_row_that_binds(self):
         # the stored certificate predates the retired input certificate Z:

@@ -1,7 +1,9 @@
-"""Constants and certificates are values: FixedParams and DecisionVars are
-frozen and hold read-only arrays; what is derived from X, and the X-free
-half of a subsystem's condition layout, is built once on its owner, each
-table equal to the expression it replaced."""
+"""Constants, certificates and settings are values: FixedParams and
+DecisionVars are frozen and hold read-only arrays, and the settings
+objects (SynthesisConfig, SimulationSettings, SystemConfig) are frozen;
+what is derived from X, and the X-free half of a subsystem's condition
+layout, is built once on its owner, each table equal to the expression it
+replaced."""
 
 import copy
 import dataclasses
@@ -60,6 +62,18 @@ class TestFrozen:
         for name in ("gains", "xi"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(dv, name, getattr(dv, name))
+
+    def test_settings_fields_cannot_be_rebound(self):
+        # a rebound grid_density bypassed its check (verify then swept a
+        # NaN grid), and a rebound Ts left the serialized data stale
+        cfg = load_bundled_config("example1_synthesis")
+        assert cfg.data["Ts"] == cfg.Ts
+        for obj, name, value in ((cfg.synthesis, "grid_density", 1),
+                                 (cfg.simulation, "steps", 3),
+                                 (cfg, "Ts", 0.5)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+        assert cfg.data["Ts"] == cfg.Ts == 0.2
 
     def test_certificate_gains_are_read_only(self):
         _, dv = _fixture()
