@@ -76,9 +76,13 @@ def sym_eig(a) -> EigResult:
 
 
 def inv_sqrt(a) -> np.ndarray:
-    """a^{-1/2} of a symmetric positive definite matrix, from sym_eig."""
-    eig = sym_eig(a)
-    return eig.vectors @ np.diag(1.0 / np.sqrt(eig.values)) @ eig.vectors.T
+    """a^{-1/2} of a symmetric positive definite matrix, or of each of a
+    stack (..., n, n), from sym_eig: V diag(1/sqrt(values)) V'."""
+    values, vectors = sym_eig(a)
+    scale = np.zeros(vectors.shape)
+    diagonal = np.arange(values.shape[-1])
+    scale[..., diagonal, diagonal] = 1.0 / np.sqrt(values)
+    return vectors @ scale @ vectors.swapaxes(-1, -2)
 
 
 def _per_matrix(values: np.ndarray):

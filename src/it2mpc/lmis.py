@@ -77,20 +77,34 @@ class FixedParams:
     def __deepcopy__(self, memo):   # numpy's deep copy would be writable
         return replace(self)        # fresh read-only copies, no tables yet
 
+    def _x_table(self, table) -> tuple:
+        """Per subsystem, read-only table(X_i), from one call of table on the
+        stack (k, n, n) of each group of equal-shape X_i. A stacked LAPACK
+        call runs per matrix, so each entry is that of X_i's own call."""
+        groups = {}
+        for i, x in enumerate(self.X):
+            groups.setdefault(x.shape, []).append(i)
+        out = [None] * len(self.X)
+        for members in groups.values():
+            stack = table(np.array([self.X[i] for i in members]))
+            for i, t in zip(members, stack):
+                out[i] = _frozen(t)
+        return tuple(out)
+
     @cached_property
     def x_eigs(self) -> tuple:
         """Per subsystem: X_i's eigenvalues, ascending."""
-        return tuple(_frozen(np.linalg.eigvalsh(sym_matrix(x))) for x in self.X)
+        return self._x_table(lambda x: np.linalg.eigvalsh(sym_matrix(x)))
 
     @cached_property
     def x_inv(self) -> tuple:
         """Per subsystem: X_i^{-1} = solve(X_i, I)."""
-        return tuple(_frozen(np.linalg.solve(x, np.eye(len(x)))) for x in self.X)
+        return self._x_table(lambda x: np.linalg.solve(x, np.eye(x.shape[-1])))
 
     @cached_property
     def x_inv_sqrt(self) -> tuple:
         """Per subsystem: X_i^{-1/2}, mapping the unit ball onto x' X_i x <= 1."""
-        return tuple(_frozen(inv_sqrt(x)) for x in self.X)
+        return self._x_table(inv_sqrt)
 
     @cached_property
     def shape_inverses(self) -> tuple:

@@ -17,11 +17,13 @@ bundled config is one group). A group holds its members' families as one
 FamilyStack per role, so it grades each tier it needs once for all S
 subsystems, through the family's own grade methods (model true, or model
 upper and lower; then controller upper and lower), each member at its own
-premise. It then normalizes the S subsystems' grades at once, blends its
-rule rows [A|B|E] (n_rules, S, F) in one weighted sum and its gains in
-another, and forms u = K x, A x + B u + E d and one product per coupling
-slot for all S together. blend and blend_gains are the same weighted sums
-over one subsystem.
+premise. With one membership mode per sample, it grades the model's
+true-plant rows and its reconstructed rows apart, one call per tier each.
+It then normalizes the S subsystems' grades at once, blends its rule rows
+[A|B|E] (n_rules, S, F) in one weighted sum and its gains in another, and
+forms u = K x, A x + B u + E d and one product per coupling slot for all S
+together, and for all samples of either mode. blend and blend_gains are
+the same weighted sums over one subsystem.
 
 Bit for bit. Each entry is made by the same floating-point operations, in
 the same order, as a step of its subsystem alone: a weighted sum adds the
@@ -302,6 +304,36 @@ def _mode_weight(mode: str, rho_bar):
     return None
 
 
+def _mode_parts(mode, rho_bar, x) -> tuple:
+    """The model weighting as (rows, rho) parts, each rho as _mode_weight
+    gives it for its mode. A mode name is one part of every row (rows
+    None). A (P,) array of mode names, one per state of a stack x (P, n_x),
+    is one part per mode present, with the indices of its rows (rows None
+    when every row has one mode); the reconstructed part reads rho_bar (a
+    float, or (P,) of which it checks its own rows)."""
+    if isinstance(mode, str):
+        return ((None, _mode_weight(mode, rho_bar)),)
+    mode = np.asarray(mode)
+    if mode.ndim != 1 or mode.shape != np.shape(x)[:-1]:
+        raise ValueError(f"a mode array needs one entry per stacked state; "
+                         f"got shape {mode.shape} for states {np.shape(x)}")
+    true = mode == "true_plant"
+    reconstructed = mode == "reconstructed"
+    n_true = np.count_nonzero(true)
+    n_reconstructed = np.count_nonzero(reconstructed)
+    if n_true + n_reconstructed != len(mode):
+        unknown = mode[~(true | reconstructed)][0]
+        raise ValueError(f"unknown membership mode {str(unknown)!r}")
+    if not n_reconstructed:
+        return ((None, None),)
+    if not n_true:
+        return ((None, _mode_weight("reconstructed", rho_bar)),)
+    rows = np.flatnonzero(reconstructed)
+    rho = rho_bar[rows] if isinstance(rho_bar, np.ndarray) else rho_bar
+    return ((np.flatnonzero(true), None),
+            (rows, _mode_weight("reconstructed", rho)))
+
+
 def _model_weights(fam, z, rho) -> np.ndarray:
     """Normalized model firing strengths of a family (or a FamilyStack) at
     premises z: true grades at rho None, else the envelope blended by rho."""
@@ -421,23 +453,34 @@ class _Group:
                                 dtype=float), [k[c] for k in keys])
                       for c in range(len(keys[0]))]
 
-    def step(self, x_all, d_all, rho, mu, gains_all, u_all):
+    def step(self, x_all, d_all, parts, mu, gains_all, u_all):
         """(x_next, u, w, h) stacked over the members; h is None when the
-        inputs u_all are given (open loop). States and inputs are carried as
-        columns (..., n, 1), so each product is one matrix-vector call."""
+        inputs u_all are given (open loop). The model grades come per part
+        of _mode_parts, each part's rows from its own mode; everything
+        after them is computed once for every row. States and inputs are
+        carried as columns (..., n, 1), so each product is one
+        matrix-vector call."""
         subs, members = self.subs, self.members
         xs = [x_all[i] for i in members]
         z = [sub.premise(x) for sub, x in zip(subs, xs)]   # one per member
-        w = _model_weights(_family(self.model, "model"), z, rho)
+        model = _family(self.model, "model")
+        if len(parts) == 1:         # every row in one mode
+            w = _model_weights(model, z, parts[0][1])
+        else:
+            z = np.array(z)
+            w = np.empty(z.shape + (model.n_rules,))
+            for rows, rho in parts:
+                w[:, rows] = _model_weights(model, z[:, rows], rho)
         x = np.array(xs)[..., None]
         h = None
         if gains_all is None:
             u = np.array([u_all[i] for i in members])[..., None]
         else:
             for i in members:
-                _check_count(len(gains_all[i]), self.n_m,
-                             "controller gains (one per controller rule)",
-                             f"subsystem {i}: ")
+                if len(gains_all[i]) != self.n_m:   # names i only then
+                    _check_count(len(gains_all[i]), self.n_m,
+                                 "controller gains (one per controller rule)",
+                                 f"subsystem {i}: ")
             h = _controller_weights(_family(self.controller, "controller"),
                                     z, mu)
             u = _gain_sum(h, np.array([gains_all[i] for i in members],
@@ -454,12 +497,12 @@ def _step(system: LargeScaleSystem, x_all, d_all, mode, rho_bar,
           gains_all=None, mu_bar=None, u_all=None):
     """One step of every shape group: (x_next, u_all, w_all, h_all), with
     the inputs u_all given (and h_all all None) or made from gains_all."""
-    rho = _mode_weight(mode, rho_bar)
+    parts = _mode_parts(mode, rho_bar, x_all[0])
     mu = None if gains_all is None else _unit_weight(
         mu_bar, "mu_bar must lie in [0, 1]")
     out = [[None] * system.n_subsystems for _ in range(4)]
     for grp in system.shape_groups:
-        for part, rows in zip(out, grp.step(x_all, d_all, rho, mu, gains_all,
+        for part, rows in zip(out, grp.step(x_all, d_all, parts, mu, gains_all,
                                             u_all)):
             if rows is not None:
                 for i, row in zip(grp.members, rows):
@@ -479,8 +522,11 @@ def step_closed_loop_detail(system: LargeScaleSystem, gains_all, x_all, d_all,
     """One closed-loop step; returns (x_next, u_all, w_all, h_all).
 
     With states stacked as x_all[i] (P, n_x) and disturbances d_all[i]
-    (P, n_d), mu_bar and rho_bar may be floats or (P,) arrays, and every
-    returned entry gains the leading P axis."""
+    (P, n_d), mu_bar and rho_bar may be floats or (P,) arrays, mode may be
+    a (P,) array of mode names, one per sample, and every returned entry
+    gains the leading P axis. Each sample gets the result of a call with
+    its own states, weights and mode; rho_bar is read (and must lie in
+    [0, 1]) at the reconstructed samples only."""
     return _step(system, x_all, d_all, mode, rho_bar, gains_all, mu_bar)
 
 

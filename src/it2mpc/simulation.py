@@ -386,6 +386,7 @@ def iss_check(trace: SimulationTrace, params: FixedParams) -> dict:
 
 
 RPI_BATCH = 2048    # samples drawn, stepped and checked together
+RPI_MODES = np.array(["reconstructed", "reconstructed", "true_plant"])
 
 
 def _worst(worst: float, values: np.ndarray) -> float:
@@ -421,8 +422,8 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
     go in chunks of RPI_BATCH, which bounds memory for any n_samples: one
     plain loop makes a chunk's Generator calls into flat per-ball lists,
     then the chunk is scaled (one _ball_points call per ball dimension),
-    stepped (one step_closed_loop call for its true-plant samples, one for
-    its reconstructed ones) and checked with array operations.
+    stepped (one step_closed_loop call, with one membership mode per
+    sample) and checked with array operations.
     """
     if not (_is_integer(n_samples) and n_samples >= 1 and np.isfinite(tol)):
         raise ValueError(f"rpi_monte_carlo needs an integer n_samples >= 1 and "
@@ -451,17 +452,9 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
         d_all = balls[n:]
         rho = weight_grid[s % len(weight_grid)]
         mu = weight_grid[(s // len(weight_grid)) % len(weight_grid)]
-        x_next = [np.empty_like(x) for x in x_all]
-        use_true = (s % 3) == 2
-        for sel, mode in ((use_true, "true_plant"), (~use_true, "reconstructed")):
-            if not sel.any():
-                continue
-            stepped = step_closed_loop(
-                system, dv.gains, [x[sel] for x in x_all],
-                [d[sel] for d in d_all], mu[sel], mode,
-                None if mode == "true_plant" else rho[sel])
-            for i in range(n):
-                x_next[i][sel] = stepped[i]
+        # every third sample steps the true plant
+        x_next = step_closed_loop(system, dv.gains, x_all, d_all, mu,
+                                  RPI_MODES[s % len(RPI_MODES)], rho)
         scalar = rpi_decrease_scalar(params, dv.xi, x_all, d_all, x_next)
         worst_scalar = _worst(worst_scalar, scalar)
         scalar_violations += _violations(scalar, tol)

@@ -86,8 +86,8 @@ def test_every_step_loop_reaches_the_traced_layers(tracer,
 
 
 def test_audit_reaches_the_traced_layers(tracer, fixture_certificate):
-    # 250 samples in two chunks: each steps its true-plant and its
-    # reconstructed samples once
+    # 250 samples in two chunks: each steps all its samples once, with one
+    # membership mode per sample
     cfg, dv = fixture_certificate
     reports = []
     with pytest.MonkeyPatch.context() as patch:
@@ -98,10 +98,11 @@ def test_audit_reaches_the_traced_layers(tracer, fixture_certificate):
                                        n_samples=250, seed=3)))
     assert reports[0]["ok"]
     assert calls["simulation.rpi_monte_carlo"] == 1
-    assert calls["plant.step"] == 4
-    # one grade call per role of the one shape group: true, then
-    # controller upper and lower; model upper and lower, then controller
-    assert calls["membership.grades"] == 2 * (3 + 4)
+    assert calls["plant.step"] == 2
+    # per chunk, one grade call per tier of the one shape group: model true
+    # (true-plant rows), model upper and lower (reconstructed rows), then
+    # controller upper and lower (every row)
+    assert calls["membership.grades"] == 2 * 5
 
 
 def test_steady_step_grades_each_role_once(tracer, fixture_certificate):

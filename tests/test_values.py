@@ -19,6 +19,8 @@ from it2mpc.lmis import DecisionVars
 from it2mpc.simulation import run_online_loop
 from it2mpc.synthesis import minimize_xi, verify_certificate
 
+from conftest import tiny_params
+
 FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
            / "example1_certificate.json")
 
@@ -244,3 +246,37 @@ class TestNonFiniteInputs:
         assert report["margins"][key] == np.inf
         assert report["worst"] == np.inf
         assert report["feasible"] is False
+
+
+def test_tables_take_one_lapack_call_per_shape(monkeypatch):
+    """X_i of three shapes, interleaved: each table is one stacked call per
+    shape, and each entry, as float hex, that of X_i's own call."""
+    rng = np.random.default_rng(11)
+    xs = []
+    for n in (2, 3, 2, 1, 3, 2):
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2, 2)
+        xs.append(a @ a.T + 0.1 * np.eye(n))
+    params = dataclasses.replace(tiny_params(), X=xs)
+    calls = []
+    for name in ("eigh", "eigvalsh", "solve"):
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name):
+            calls.append((_name, args[0].shape))
+            return _fn(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    tables = params.x_eigs, params.x_inv, params.x_inv_sqrt
+    monkeypatch.undo()
+    assert sorted(calls) == sorted(
+        (name, (k, n, n)) for name in ("eigh", "eigvalsh", "solve")
+        for n, k in ((2, 3), (3, 2), (1, 1)))
+
+    def hexes(a):
+        return [float(v).hex() for v in np.ravel(a)]
+    for i, x in enumerate(xs):
+        eig = sym_eig(x)
+        want = (np.linalg.eigvalsh(sym_matrix(x)),
+                np.linalg.solve(x, np.eye(len(x))),
+                eig.vectors @ np.diag(1.0 / np.sqrt(eig.values))
+                @ eig.vectors.T)
+        for table, value in zip(tables, want):
+            assert hexes(table[i]) == hexes(value)
+            assert not table[i].flags.writeable
