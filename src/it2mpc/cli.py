@@ -20,9 +20,11 @@ import numpy as np
 from .configio import (ConfigError, SystemConfig, bundled_config_names,
                        load_bundled_config, load_certificate, load_config,
                        save_certificate)
+from .plant import FieldError
 from .simulation import (InitialInfeasible, RecursiveFeasibilityViolation,
                          iss_check, rpi_monte_carlo, run_online_loop)
-from .synthesis import XI_MODES, Infeasible, minimize_xi, verify_certificate
+from .synthesis import (XI_MODES, Infeasible, _is_integer, minimize_xi,
+                        verify_certificate)
 from .tracefile import sidecar_path, write_trace
 
 EXIT_OK = 0
@@ -62,8 +64,8 @@ def _synthesis_overrides(cfg: SystemConfig, args):
         return cfg.synthesis
     try:
         return dataclasses.replace(cfg.synthesis, strictness=args.tol)
-    except ValueError as exc:
-        raise ConfigError(f"--tol: {exc}") from exc
+    except FieldError as exc:
+        raise ConfigError(f"--tol: {exc.reason}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -198,7 +200,7 @@ def _integer(text: str, low: int) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < low:
+    if not _is_integer(value, low):
         raise argparse.ArgumentTypeError(f"expected at least {low}, got {value}")
     return value
 

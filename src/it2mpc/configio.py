@@ -10,10 +10,10 @@ A load checks each thing once. A matrix or vector whose entries pass one
 scan (exact JSON int or float, so never a bool, and finite, so never the
 NaN or Infinity that json.loads reads) is converted by one numpy call;
 only one that fails it is read entry by entry, so that the error names its
-first bad entry. Each subsystem is validated in
-_parse_subsystem and the couplings once all are parsed;
-FixedParams.validate judges each matrix family with one stacked eigensolve
-per shape.
+first bad entry. Each subsystem is validated in _parse_subsystem and the
+couplings once all are parsed; FixedParams.validate judges each matrix
+family with one stacked eigensolve per shape. The settings values check
+their own fields, and _checked maps a refused field to its path.
 
 Schema conventions (documented in the repository README):
 - subsystem ids, coupling keys, rule indices, and premise selectors are
@@ -38,9 +38,9 @@ import numpy as np
 
 from .lmis import DecisionVars, FixedParams
 from .membership import IT2MembershipFamily, ResidualMF, SigmoidMF
-from .plant import LargeScaleSystem, Rule, Subsystem
-from .simulation import (DISTURBANCE_KINDS, RESYNTH_MODES, DisturbanceModel)
-from .synthesis import SynthesisConfig
+from .plant import FieldError, LargeScaleSystem, Rule, Subsystem
+from .simulation import DisturbanceModel, SimulationSettings
+from .synthesis import SynthesisConfig, _is_integer
 
 SCHEMA_VERSION = 1
 _MF_TIERS = ("lower", "upper", "true")
@@ -52,6 +52,17 @@ class ConfigError(ValueError):
 
 def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
+
+
+def _checked(path: str, make, **fields):
+    """make(**fields), with a ValueError it raises as the ConfigError of
+    path, or of path.<field> for a settings value's FieldError."""
+    try:
+        return make(**fields)
+    except FieldError as exc:
+        _fail(f"{path}.{exc.field}", exc.reason)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def _expect(data, path: str, typ, typename: str):
@@ -189,7 +200,7 @@ def _parse_mf_family(data: dict, path: str, require_true: bool) -> IT2Membership
             t, rule = ref["tier"], ref["rule"]
             if t not in records:
                 _fail(ref_path, f"tier {t!r} not present in this family")
-            if type(rule) is not int or not 1 <= rule <= len(records[t]):
+            if not (_is_integer(rule, 1) and rule <= len(records[t])):
                 _fail(ref_path, f"rule must be in 1..{len(records[t])}")
             if (t, rule - 1) not in sigmoids:
                 _fail(ref_path, "residual records may reference only sigmoid records")
@@ -200,28 +211,12 @@ def _parse_mf_family(data: dict, path: str, require_true: bool) -> IT2Membership
              for tier, recs in records.items()}
     if require_true and "true" not in tiers:
         _fail(path, "model membership family needs a 'true' tier for simulation")
-    try:
-        return IT2MembershipFamily(lower=tiers["lower"], upper=tiers["upper"],
-                                   true_mf=tiers.get("true"))
-    except ValueError as exc:
-        _fail(path, str(exc))
+    return _checked(path, IT2MembershipFamily, lower=tiers["lower"],
+                    upper=tiers["upper"], true_mf=tiers.get("true"))
 
 
 # ---------------------------------------------------------------------------
 # sections
-
-@dataclass(frozen=True)
-class SimulationSettings:
-    """Simulation defaults carried by a config file."""
-
-    x0: list
-    steps: int
-    disturbance: DisturbanceModel
-    resynth: str = "every_step"
-    mu_bar: float = 0.5
-    mode: str = "true_plant"
-    rho_bar: float | None = None
-
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -283,7 +278,7 @@ def _parse_subsystem(data: dict, path: str, need_true_mfs: bool) -> Subsystem:
     if h is not None:
         h = _matrix(h, f"{path}.H")
     selector = data.get("premise_selector", 1)
-    if type(selector) is not int or selector < 1:      # a bool is not one
+    if not _is_integer(selector, 1):
         _fail(f"{path}.premise_selector", "expected a 1-based state index")
 
     sub = Subsystem(
@@ -299,10 +294,7 @@ def _parse_subsystem(data: dict, path: str, need_true_mfs: bool) -> Subsystem:
         H=h,
         premise_selector=selector - 1,
     )
-    try:
-        sub.validate()
-    except ValueError as exc:
-        _fail(path, str(exc))
+    _checked(path, sub.validate)
     return sub
 
 
@@ -352,10 +344,7 @@ def _parse_params(data: dict, path: str, n: int,
         R=shared_or_per_sub("R", nu),
         alpha=_number(data["alpha"], f"{path}.alpha"),
     )
-    try:
-        params.validate()
-    except ValueError as exc:
-        _fail(path, str(exc))
+    _checked(path, params.validate)
     return params
 
 
@@ -369,68 +358,37 @@ _RETIRED_SYNTHESIS = {"input_margin", "n_starts", "max_iters", "init_step",
 def _parse_synthesis(data: dict, path: str) -> SynthesisConfig:
     _expect(data, path, dict, "an object")
     data = {key: v for key, v in data.items() if key not in _RETIRED_SYNTHESIS}
-    allowed = {f.name for f in dataclasses.fields(SynthesisConfig)}
-    _keys_subset(data, path, allowed)
-    try:
-        return SynthesisConfig(**data)
-    except (TypeError, ValueError) as exc:
-        _fail(path, str(exc))
-
-
-_SIM_FIELDS = ("x0", "steps", "disturbance", "resynth", "mu_bar", "mode",
-               "rho_bar")
-_DIST_FIELDS = ("kind", "seed", "radii")
+    _keys_subset(data, path, [f.name for f in dataclasses.fields(SynthesisConfig)])
+    return _checked(path, SynthesisConfig, **data)
 
 
 def _parse_simulation(data: dict, path: str, subsystems: list) -> SimulationSettings:
     _expect(data, path, dict, "an object")
-    _keys_subset(data, path, _SIM_FIELDS, required=("x0",))
+    _keys_subset(data, path, [f.name for f in dataclasses.fields(SimulationSettings)],
+                 required=("x0",))
     x0_data = _expect(data["x0"], f"{path}.x0", list, "one vector per subsystem")
     if len(x0_data) != len(subsystems):
         _fail(f"{path}.x0", f"expected {len(subsystems)} vectors, got {len(x0_data)}")
     x0 = [_vector(v, f"{path}.x0[{i + 1}]", subsystems[i].n_x)
           for i, v in enumerate(x0_data)]
 
-    dist_data = data.get("disturbance", {"kind": "uniform_ball", "seed": 42})
-    _expect(dist_data, f"{path}.disturbance", dict, "an object")
-    _keys_subset(dist_data, f"{path}.disturbance", _DIST_FIELDS, required=("kind",))
-    kind = dist_data["kind"]
-    if kind not in DISTURBANCE_KINDS:
-        _fail(f"{path}.disturbance.kind",
-              f"expected one of {DISTURBANCE_KINDS}, got {kind!r}")
-    radii = dist_data.get("radii")
-    if radii is not None:
-        radii = tuple(_vector(radii, f"{path}.disturbance.radii",
-                              len(subsystems)))
-        if min(radii) < 0.0:
-            _fail(f"{path}.disturbance.radii", "radii must be nonnegative")
-    seed = dist_data.get("seed", 42)
-    if type(seed) is not int or seed < 0:
-        _fail(f"{path}.disturbance.seed", "expected a nonnegative integer")
-    dist = DisturbanceModel(kind=kind, seed=seed, radii=radii)
-
-    resynth = data.get("resynth", "every_step")
-    if resynth not in RESYNTH_MODES:
-        _fail(f"{path}.resynth", f"expected one of {RESYNTH_MODES}, got {resynth!r}")
-    steps = data.get("steps", 100)
-    if type(steps) is not int or steps < 0:
-        _fail(f"{path}.steps", "expected a nonnegative integer")
-    mu_bar = _number(data.get("mu_bar", 0.5), f"{path}.mu_bar")
-    if not 0.0 <= mu_bar <= 1.0:
-        _fail(f"{path}.mu_bar", "must lie in [0, 1]")
-    mode = data.get("mode", "true_plant")
-    if mode not in ("true_plant", "reconstructed"):
-        _fail(f"{path}.mode", f"unknown membership mode {mode!r}")
+    dist_path = f"{path}.disturbance"
+    dist_data = dict(_expect(data.get("disturbance", {"kind": "uniform_ball"}),
+                             dist_path, dict, "an object"))
+    _keys_subset(dist_data, dist_path,
+                 [f.name for f in dataclasses.fields(DisturbanceModel)],
+                 required=("kind",))
+    if dist_data.get("radii") is not None:
+        dist_data["radii"] = _vector(dist_data["radii"], f"{dist_path}.radii",
+                                     len(subsystems))
     rho_bar = data.get("rho_bar")
-    if rho_bar is not None:
-        rho_bar = _number(rho_bar, f"{path}.rho_bar")
-        if not 0.0 <= rho_bar <= 1.0:
-            _fail(f"{path}.rho_bar", "must lie in [0, 1]")
-    if mode == "reconstructed" and rho_bar is None:
-        _fail(f"{path}.rho_bar", "reconstructed mode needs rho_bar")
-    return SimulationSettings(x0=x0, steps=steps, disturbance=dist,
-                              resynth=resynth, mu_bar=mu_bar, mode=mode,
-                              rho_bar=rho_bar)
+    return _checked(
+        path, SimulationSettings, x0=x0, steps=data.get("steps", 100),
+        disturbance=_checked(dist_path, DisturbanceModel, **dist_data),
+        resynth=data.get("resynth", "every_step"),
+        mu_bar=_number(data.get("mu_bar", 0.5), f"{path}.mu_bar"),
+        mode=data.get("mode", "true_plant"),
+        rho_bar=None if rho_bar is None else _number(rho_bar, f"{path}.rho_bar"))
 
 
 def _parse_gains(data, path: str, subsystems: list) -> list:
@@ -475,10 +433,8 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
                          need_true_mfs=(mode == "true_plant"))
         for i, s in enumerate(subs_data)]
     system = LargeScaleSystem(subsystems=subsystems)
-    try:    # each subsystem passed its own validate in _parse_subsystem
-        system.validate_couplings()
-    except ValueError as exc:
-        _fail(f"{source}.subsystems", str(exc))
+    # each subsystem passed its own validate in _parse_subsystem
+    _checked(f"{source}.subsystems", system.validate_couplings)
 
     params = _parse_params(data["fixed_params"], f"{source}.fixed_params",
                            len(subsystems), subsystems)

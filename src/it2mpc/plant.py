@@ -272,7 +272,16 @@ def normalize_firing(raw: np.ndarray) -> np.ndarray:
     return raw / total
 
 
-def _unit_weight(v, message: str):
+class FieldError(ValueError):
+    """An input refused by its rule: `field` names the input and `reason`
+    says why; the message is "<field>: <reason>"."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field, self.reason = field, reason
+
+
+def _unit_weight(v, field: str, reason: str = "must lie in [0, 1]"):
     """A weight checked to lie in [0, 1]: a float, or a (P,) array of them
     returned as a (P, 1) column that scales stacked (P, n_rules) grades."""
     if isinstance(v, np.ndarray):
@@ -280,7 +289,7 @@ def _unit_weight(v, message: str):
             return v[..., None]
     elif v is not None and 0.0 <= v <= 1.0:
         return v
-    raise ValueError(message)
+    raise FieldError(field, reason)
 
 
 def _family(fam, role: str) -> IT2MembershipFamily:
@@ -298,9 +307,10 @@ def _interval_grades(fam, z, weight) -> np.ndarray:
 def _mode_weight(mode: str, rho_bar):
     """The checked rho_bar of mode "reconstructed"; None for "true_plant"."""
     if mode == "reconstructed":
-        return _unit_weight(rho_bar, "reconstructed mode needs rho_bar in [0, 1]")
+        return _unit_weight(rho_bar, "rho_bar",
+                            "reconstructed mode needs rho_bar in [0, 1]")
     if mode != "true_plant":
-        raise ValueError(f"unknown membership mode {mode!r}")
+        raise FieldError("mode", f"unknown membership mode {mode!r}")
     return None
 
 
@@ -321,9 +331,8 @@ def _mode_parts(mode, rho_bar, x) -> tuple:
     reconstructed = mode == "reconstructed"
     n_true = np.count_nonzero(true)
     n_reconstructed = np.count_nonzero(reconstructed)
-    if n_true + n_reconstructed != len(mode):
-        unknown = mode[~(true | reconstructed)][0]
-        raise ValueError(f"unknown membership mode {str(unknown)!r}")
+    if n_true + n_reconstructed != len(mode):     # _mode_weight refuses it
+        _mode_weight(str(mode[~(true | reconstructed)][0]), None)
     if not n_reconstructed:
         return ((None, None),)
     if not n_true:
@@ -361,7 +370,7 @@ def eval_model_memberships(sub: Subsystem, x: np.ndarray, mode: str = "true_plan
 def eval_controller_memberships(sub: Subsystem, x: np.ndarray, mu_bar) -> np.ndarray:
     """Normalized controller firing strengths weighted by mu_bar in [0, 1]
     (a float, or one per state of a stack)."""
-    mu = _unit_weight(mu_bar, "mu_bar must lie in [0, 1]")
+    mu = _unit_weight(mu_bar, "mu_bar")
     return _controller_weights(_family(sub.controller_mfs, "controller"),
                                sub.premise(x), mu)
 
@@ -498,8 +507,7 @@ def _step(system: LargeScaleSystem, x_all, d_all, mode, rho_bar,
     """One step of every shape group: (x_next, u_all, w_all, h_all), with
     the inputs u_all given (and h_all all None) or made from gains_all."""
     parts = _mode_parts(mode, rho_bar, x_all[0])
-    mu = None if gains_all is None else _unit_weight(
-        mu_bar, "mu_bar must lie in [0, 1]")
+    mu = None if gains_all is None else _unit_weight(mu_bar, "mu_bar")
     out = [[None] * system.n_subsystems for _ in range(4)]
     for grp in system.shape_groups:
         for part, rows in zip(out, grp.step(x_all, d_all, parts, mu, gains_all,

@@ -22,9 +22,10 @@ import numpy as np
 from .linalg import quad_form
 from .lmis import (DecisionVars, FixedParams, containment_size,
                    rpi_decrease_scalar)
-from .plant import LargeScaleSystem, step_closed_loop, step_closed_loop_detail
-from .synthesis import (XI_HAIR, XI_MODES, FixedGainEvaluator, Infeasible,
-                        SynthesisConfig, minimize_xi)
+from .plant import (FieldError, LargeScaleSystem, _mode_weight, _unit_weight,
+                    step_closed_loop, step_closed_loop_detail)
+from .synthesis import (XI_HAIR, FixedGainEvaluator, Infeasible,
+                        SynthesisConfig, _is_integer, _xi_mode, minimize_xi)
 
 DISTURBANCE_KINDS = ("zero", "uniform_ball", "sinusoidal", "worst_case_boundary")
 RESYNTH_MODES = ("every_step", "once")
@@ -45,11 +46,6 @@ class RecursiveFeasibilityViolation(Exception):
     def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
-
-
-def _is_integer(value) -> bool:
-    """An int or a numpy integer, but not a bool (True would count as 1)."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
 def _ball_points(v: np.ndarray, r: np.ndarray, radius) -> np.ndarray:
@@ -118,9 +114,10 @@ class DisturbanceModel:
     """Admissible disturbance generator: every emitted d_i satisfies
     d_i' d_i <= radius_i^2 exactly (samples are projected onto the ball).
 
-    radii overrides the per-subsystem radius, one per subsystem; by default
-    each subsystem's configured eta is used. seed is an integer >= 0 (a
-    numpy integer is kept as the equal int; a bool is refused).
+    radii overrides the per-subsystem radius, one finite radius >= 0 per
+    subsystem; by default each subsystem's configured eta is used. seed is
+    an integer >= 0 (a numpy integer is kept as the equal int; a bool is
+    refused). A bad field raises FieldError.
     """
 
     kind: str = "uniform_ball"
@@ -129,14 +126,16 @@ class DisturbanceModel:
 
     def __post_init__(self):
         if self.kind not in DISTURBANCE_KINDS:
-            raise ValueError(f"unknown disturbance kind {self.kind!r}; "
-                             f"expected one of {DISTURBANCE_KINDS}")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ValueError("disturbance seed must be an integer >= 0, "
-                             f"got {self.seed!r}")
+            raise FieldError("kind", f"expected one of {DISTURBANCE_KINDS}, "
+                                     f"got {self.kind!r}")
+        if not _is_integer(self.seed, 0):
+            raise FieldError("seed", "expected a nonnegative integer")
         object.__setattr__(self, "seed", int(self.seed))
-        if self.radii is not None and not all(r >= 0.0 for r in self.radii):
-            raise ValueError(f"disturbance radii must be nonnegative, got {self.radii}")
+        if self.radii is not None:
+            radii = tuple(map(float, self.radii))
+            if not all(0.0 <= r < math.inf for r in radii):   # NaN fails too
+                raise FieldError("radii", "must be finite and nonnegative")
+            object.__setattr__(self, "radii", radii)
 
     def radius(self, system: LargeScaleSystem, i: int) -> float:
         if self.radii is not None:
@@ -166,6 +165,33 @@ class DisturbanceModel:
                   for i in range(n)]
         return [[(radii[i] / np.sqrt(dims[i])) * np.sin(0.4 * k + phases[i])
                  for i in range(n)] for k in range(n_steps)]
+
+
+@dataclass(frozen=True)
+class SimulationSettings:
+    """Closed-loop settings, as a config file carries them. Each field is
+    checked on construction (FieldError); run_online_loop checks its own
+    arguments by making one."""
+
+    x0: list
+    steps: int
+    disturbance: DisturbanceModel
+    resynth: str = "every_step"
+    mu_bar: float = 0.5
+    mode: str = "true_plant"
+    rho_bar: float | None = None
+
+    def __post_init__(self):
+        if not _is_integer(self.steps, 0):
+            raise FieldError("steps", "expected a nonnegative integer")
+        object.__setattr__(self, "steps", int(self.steps))
+        if self.resynth not in RESYNTH_MODES:
+            raise FieldError("resynth", f"expected one of {RESYNTH_MODES}, "
+                                        f"got {self.resynth!r}")
+        _unit_weight(self.mu_bar, "mu_bar")
+        if self.rho_bar is not None:
+            _unit_weight(self.rho_bar, "rho_bar")
+        _mode_weight(self.mode, self.rho_bar)   # reconstructed needs rho_bar
 
 
 @dataclass
@@ -240,20 +266,13 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
     reuses those gains. Externally supplied gains skip synthesis entirely and
     carry a diagnostic set size from state containment instead of a
     certificate. An optional warm certificate seeds the step-0 synthesis.
-    Deterministic given the disturbance seed.
+    Deterministic given the disturbance seed. The arguments are checked
+    first, as SimulationSettings fields (n_steps as "steps").
     """
-    if not _is_integer(n_steps) or n_steps < 0:
-        raise ValueError(f"run_online_loop needs an integer n_steps >= 0, "
-                         f"got {n_steps!r}")
-    if resynth not in RESYNTH_MODES:
-        raise ValueError(f"unknown resynth mode {resynth!r}; "
-                         f"expected one of {RESYNTH_MODES}")
-    syn_cfg = syn_cfg or SynthesisConfig()
-    xi_mode = xi_mode or syn_cfg.xi_mode
-    if xi_mode not in XI_MODES:
-        raise ValueError(f"unknown xi mode: {xi_mode!r}; "
-                         f"expected one of {XI_MODES}")
     dist = dist or DisturbanceModel(kind="zero")
+    SimulationSettings(x0_all, n_steps, dist, resynth, mu_bar, mode, rho_bar)
+    syn_cfg = syn_cfg or SynthesisConfig()
+    xi_mode = _xi_mode(xi_mode or syn_cfg.xi_mode)
     params.validate()
     n = system.n_subsystems
     x = [np.asarray(x0_all[i], dtype=float).copy() for i in range(n)]
@@ -425,10 +444,10 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
     stepped (one step_closed_loop call, with one membership mode per
     sample) and checked with array operations.
     """
-    if not (_is_integer(n_samples) and n_samples >= 1 and np.isfinite(tol)):
+    if not (_is_integer(n_samples, 1) and np.isfinite(tol)):
         raise ValueError(f"rpi_monte_carlo needs an integer n_samples >= 1 and "
                          f"a finite tol, got {n_samples!r} and {tol}")
-    if not _is_integer(seed) or seed < 0:
+    if not _is_integer(seed, 0):
         raise ValueError(f"rpi_monte_carlo needs an integer seed >= 0, "
                          f"got {seed!r}")
     rng = np.random.default_rng(seed)

@@ -61,7 +61,7 @@ from .lmis import (DecisionVars, FixedParams, _Gains, assemble_containment,
                    assemble_decrease, assemble_decrease_blended,
                    assemble_invariance, assemble_invariance_blended,
                    containment_size, vertex_keys, xi_slope)
-from .plant import LargeScaleSystem, _frozen
+from .plant import FieldError, LargeScaleSystem, _frozen
 
 
 XI_MODES = ("common", "per_subsystem")
@@ -83,10 +83,25 @@ class Infeasible(Exception):
         self.subsystem = subsystem
 
 
+def _is_integer(value, low: int) -> bool:
+    """Whether value is an integer >= low: an int or a numpy integer, but
+    not a bool (True would count as 1). The one test of a seed or a count."""
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, np.integer)) and value >= low)
+
+
+def _xi_mode(mode) -> str:
+    """mode, checked to be one of XI_MODES."""
+    if mode not in XI_MODES:
+        raise FieldError("xi_mode", f"unknown xi mode: {mode!r}; "
+                                    f"expected one of {XI_MODES}")
+    return mode
+
+
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """Synthesis settings. `seed` no longer affects synthesis, which draws
-    no random numbers; it is kept for callers that still set it."""
+    """Synthesis settings, checked on construction. `seed` no longer affects
+    synthesis, which draws no random numbers; it is kept for callers."""
 
     strictness: float = 1e-9        # required margin for strict instances
     seed: int = 0
@@ -95,19 +110,20 @@ class SynthesisConfig:
     grid_density: int = 11          # membership-grid points per edge
 
     def __post_init__(self):
-        if self.xi_mode not in XI_MODES:
-            raise ValueError(f"unknown xi mode: {self.xi_mode!r}; "
-                             f"expected one of {XI_MODES}")
+        _xi_mode(self.xi_mode)
         # the grid needs both ends of every simplex edge
-        for name, kind, valid, rule in (
-                ("grid_density", int, lambda v: v >= 2, "an integer >= 2"),
-                ("strictness", (int, float), lambda v: 0.0 <= v < np.inf,
+        if not _is_integer(self.grid_density, 2):
+            raise FieldError("grid_density", "must be an integer >= 2, "
+                                             f"got {self.grid_density!r}")
+        object.__setattr__(self, "grid_density", int(self.grid_density))
+        for name, valid, rule in (
+                ("strictness", lambda v: 0.0 <= v < np.inf,
                  "a finite number >= 0"),
-                ("xi_floor", (int, float), lambda v: 0.0 < v < np.inf,
+                ("xi_floor", lambda v: 0.0 < v < np.inf,
                  "a finite number > 0")):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, kind) or not valid(v):
-                raise ValueError(f"{name} must be {rule}, got {v!r}")
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not valid(v):
+                raise FieldError(name, f"must be {rule}, got {v!r}")
 
 
 @dataclass
@@ -382,10 +398,7 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
     gains: the one passed in when every group kept them, else one made of
     its parts for those groups and new ones for the subsystems solved cold."""
     cfg = cfg or SynthesisConfig()
-    mode = mode or cfg.xi_mode
-    if mode not in XI_MODES:
-        raise ValueError(f"unknown xi mode: {mode!r}; "
-                         f"expected one of {XI_MODES}")
+    mode = _xi_mode(mode or cfg.xi_mode)
     n = system.n_subsystems
     if warm is not None and evaluator is None:
         evaluator = FixedGainEvaluator(system, params, warm, cfg)

@@ -333,7 +333,7 @@ class TestErrorReporting:
         assert rc == 3
         record = json.loads(stderr)
         assert record["error"] == "config"
-        assert record["message"].startswith(f"bad.json.synthesis: {field} ")
+        assert record["message"].startswith(f"bad.json.synthesis.{field}: ")
 
     @pytest.mark.parametrize("verb", ["simulate", "synthesize"])
     @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf"])
@@ -343,8 +343,8 @@ class TestErrorReporting:
         assert rc == 3
         record = json.loads(stderr)
         assert record["error"] == "config"
-        assert record["message"].startswith("--tol: strictness must be a "
-                                            "finite number >= 0")
+        assert record["message"].startswith("--tol: must be a finite number "
+                                            ">= 0")
 
     @pytest.mark.parametrize("field, value, path", [
         ("xi", 5, "cert.json.xi: "), ("gains", 3, "cert.json.gains: "),

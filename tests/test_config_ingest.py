@@ -23,6 +23,9 @@ from it2mpc.configio import (ConfigError, bundled_config_names,
 from it2mpc.linalg import InvalidMatrixError
 from it2mpc.lmis import FixedParams
 from it2mpc.membership import SigmoidMF
+from it2mpc.plant import FieldError
+from it2mpc.simulation import DisturbanceModel, SimulationSettings
+from it2mpc.synthesis import SynthesisConfig
 
 FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
            / "example1_certificate.json")
@@ -260,8 +263,8 @@ FIELD_CASES = [
     (SIM + ("rho_bar",), 1.5, RHO_BAR),
     (SIM + ("rho_bar",), -0.5, RHO_BAR),
     (DIST + ("radii",), [-0.1],
-     (ConfigError, "<config>.simulation.disturbance.radii: radii must be "
-                   "nonnegative")),
+     (ConfigError, "<config>.simulation.disturbance.radii: must be finite "
+                   "and nonnegative")),
     (("notes",), "abc", NOTES),
     (("notes",), ["ok", 1], NOTES),
     (("notes",), {"a": "b"}, NOTES),
@@ -320,13 +323,16 @@ class TestMalformedInput:
         doc["simulation"].update(mode="reconstructed", rho_bar=rho_bar)
         _raises_exactly(lambda: parse_config(doc), RHO_BAR)
 
-    def test_library_disturbance_radii(self):
-        from it2mpc.simulation import DisturbanceModel
-        _raises_exactly(lambda: DisturbanceModel(radii=(0.2, -0.1)), (
-            ValueError, "disturbance radii must be nonnegative, got (0.2, -0.1)"))
-        _raises_exactly(lambda: DisturbanceModel(radii=(math.nan,)), (
-            ValueError, "disturbance radii must be nonnegative, got (nan,)"))
-        assert DisturbanceModel(radii=(0.0, 0.1)).radii == (0.0, 0.1)
+    @pytest.mark.parametrize("radii", [
+        (0.2, -0.1), (math.nan,), (math.inf, 0.2, 0.2), (0.2, -math.inf)])
+    def test_library_disturbance_radii(self, radii):
+        # an infinite radius was kept, and realize drew infinite disturbances
+        _raises_exactly(lambda: DisturbanceModel(radii=radii), (
+            FieldError, "radii: must be finite and nonnegative"))
+
+    def test_library_disturbance_radii_accepted(self):
+        dist = DisturbanceModel(radii=np.array([0.0, 0.1]))
+        assert dist.radii == (0.0, 0.1) and type(dist.radii[1]) is float
 
     @pytest.mark.parametrize("path, value, expected", NON_FINITE_CASES)
     def test_non_finite_config(self, path, value, expected):
@@ -557,3 +563,128 @@ class TestBundledParse:
         for g, raw_g in zip(dv.gains, raw["gains"], strict=True):
             for k, raw_k in zip(g, raw_g, strict=True):
                 _assert_hex_equal(k, raw_k)
+
+
+# The settings values own their input rules: each bad value below fails in
+# parse_config at its field path and in the owner's constructor as a
+# FieldError naming the field. A row is (field path under "<config>.",
+# value, reason through parse_config, reason through the constructor). The
+# constructor's reason is None where only the JSON type check refuses the
+# value (a bool weight or radius, which Python reads as 0 or 1); a "[1]"
+# reason names the vector entry that the JSON check refused.
+NONNEGATIVE = "expected a nonnegative integer"
+UNIT = "must lie in [0, 1]"
+RADII = "must be finite and nonnegative"
+RESYNTHS = "expected one of ('every_step', 'once')"
+KINDS = ("expected one of ('zero', 'uniform_ball', 'sinusoidal', "
+         "'worst_case_boundary')")
+INF = math.inf
+NAN = math.nan
+
+
+def _density(shown):
+    return f"must be an integer >= 2, got {shown}"
+
+
+def _finite(shown):
+    return f"expected a finite number, got {shown}"
+
+
+def _xi_mode(v):
+    return f"unknown xi mode: {v!r}; expected one of ('common', 'per_subsystem')"
+
+
+SETTINGS_BAD = [
+    *[("simulation.steps", v, NONNEGATIVE, NONNEGATIVE)
+      for v in (-1, True, 1.5, NAN, INF, -INF, "100")],
+    *[("simulation.disturbance.seed", v, NONNEGATIVE, NONNEGATIVE)
+      for v in (-1, True, 1.5, NAN, INF, -INF, "7")],
+    *[("simulation.resynth", v, f"{RESYNTHS}, got {v!r}",
+       f"{RESYNTHS}, got {v!r}") for v in ("sometimes", -1, True)],
+    *[("simulation.disturbance.kind", v, f"{KINDS}, got {v!r}",
+       f"{KINDS}, got {v!r}") for v in ("gauss", -1)],
+    *[("simulation.mode", v, f"unknown membership mode {v!r}",
+       f"unknown membership mode {v!r}") for v in ("bogus", -1)],
+    *[(f"simulation.{field}", v, UNIT, UNIT)
+      for field in ("mu_bar", "rho_bar") for v in (-1, 1.5, -1e-300)],
+    *[(f"simulation.{field}", v, _finite(v), UNIT)
+      for field in ("mu_bar", "rho_bar") for v in (NAN, INF, -INF)],
+    *[(f"simulation.{field}", True, "expected a number, got bool", None)
+      for field in ("mu_bar", "rho_bar")],
+    ("simulation.disturbance.radii", [-1.0], RADII, RADII),
+    ("simulation.disturbance.radii", [-1e-300], RADII, RADII),
+    *[("simulation.disturbance.radii", [v], f"[1]: {_finite(v)}", RADII)
+      for v in (NAN, INF, -INF)],
+    ("simulation.disturbance.radii", [True], "[1]: expected a number, got bool",
+     None),
+    *[("synthesis.xi_mode", v, _xi_mode(v), _xi_mode(v)) for v in ("bogus", -1)],
+    *[("synthesis.grid_density", v, _density(repr(v)), _density(repr(v)))
+      for v in (-1, 1, True, 1.5, NAN, INF, -INF, "11")],
+]
+
+SETTINGS_GOOD = [
+    ("simulation.steps", 0), ("simulation.steps", np.int64(7)),
+    ("simulation.disturbance.seed", 0),
+    ("simulation.disturbance.seed", np.uint8(3)),
+    ("simulation.resynth", "once"), ("simulation.disturbance.kind", "zero"),
+    ("simulation.mode", "true_plant"),
+    *[(f"simulation.{field}", v) for field in ("mu_bar", "rho_bar")
+      for v in (0, 0.0, 1.0, np.float64(0.5))],
+    ("simulation.disturbance.radii", [0.0]),
+    ("simulation.disturbance.radii", [1.0]),
+    ("synthesis.xi_mode", "per_subsystem"),
+    ("synthesis.grid_density", 2), ("synthesis.grid_density", np.int64(11)),
+]
+
+
+def _owner(path: str, value):
+    """The settings value that owns the field at path, made with value."""
+    *section, field = path.split(".")
+    if section == ["synthesis"]:
+        return SynthesisConfig(**{field: value})
+    if section == ["simulation", "disturbance"]:
+        return DisturbanceModel(**{field: value})
+    fields = dict(x0=[np.zeros(2)], steps=1, disturbance=DisturbanceModel())
+    return SimulationSettings(**{**fields, field: value})
+
+
+def _doc_with(path: str, value):
+    return _set(tiny_config_doc(), tuple(path.split(".")), value)
+
+
+class TestSettingsRules:
+    @pytest.mark.parametrize("path, value, config_reason, value_reason",
+                             SETTINGS_BAD)
+    def test_bad_value(self, path, value, config_reason, value_reason):
+        sep = "" if config_reason.startswith("[") else ": "
+        _raises_exactly(lambda: parse_config(_doc_with(path, value)), (
+            ConfigError, f"<config>.{path}{sep}{config_reason}"))
+        field = path.rsplit(".", 1)[1]
+        if value_reason is None:
+            _owner(path, value)
+        else:
+            _raises_exactly(lambda: _owner(path, value),
+                            (FieldError, f"{field}: {value_reason}"))
+
+    @pytest.mark.parametrize("path, value", SETTINGS_GOOD)
+    def test_good_value(self, path, value):
+        field = path.rsplit(".", 1)[1]
+        cfg = parse_config(_doc_with(path, value))
+        node = cfg
+        for key in path.split("."):
+            node = getattr(node, key)
+        owned = getattr(_owner(path, value), field)
+        expected = tuple(value) if field == "radii" else value
+        assert node == owned == expected
+        # a numpy integer is kept as the equal int, so the document serializes
+        if isinstance(value, np.integer):
+            assert type(node) is type(owned) is int
+        json.dumps(serialize_config(cfg))
+
+    def test_reconstructed_mode_needs_rho_bar(self):
+        _raises_exactly(lambda: parse_config(_doc_with(
+            "simulation.mode", "reconstructed")), (
+            ConfigError, "<config>.simulation.rho_bar: reconstructed mode "
+                         "needs rho_bar in [0, 1]"))
+        _raises_exactly(lambda: _owner("simulation.mode", "reconstructed"), (
+            FieldError, "rho_bar: reconstructed mode needs rho_bar in [0, 1]"))

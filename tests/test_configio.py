@@ -190,7 +190,7 @@ class TestValidationErrors:
         def mutate(d):
             d["synthesis"]["grid_density"] = density
         self.check(doc, mutate,
-                   r"cfg\.synthesis.*grid_density must be an integer >= 2")
+                   r"cfg\.synthesis\.grid_density: must be an integer >= 2")
 
     @pytest.mark.parametrize("field, value, rule", [
         ("strictness", "1e-9", ">= 0"), ("strictness", -1.0, ">= 0"),
@@ -204,7 +204,7 @@ class TestValidationErrors:
         # an allowance, and NaN failed only at run time
         def mutate(d):
             d["synthesis"][field] = value
-        self.check(doc, mutate, rf"cfg\.synthesis: {field} must be a "
+        self.check(doc, mutate, rf"cfg\.synthesis\.{field}: must be a "
                                 rf"finite number {rule}, got")
 
     @pytest.mark.parametrize("field, value", [

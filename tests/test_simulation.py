@@ -9,7 +9,8 @@ import pytest
 
 from it2mpc.linalg import quad_form
 from it2mpc.lmis import DecisionVars, FixedParams
-from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
+from it2mpc.plant import FieldError, LargeScaleSystem, Rule, Subsystem
+from it2mpc import simulation
 from it2mpc.simulation import (
     DisturbanceModel,
     InitialInfeasible,
@@ -86,8 +87,8 @@ class TestDisturbanceModel:
     def test_bad_seed_rejected_at_construction(self, seed):
         # each was accepted, then failed in numpy at realize (or, for True,
         # ran as seed 1)
-        with pytest.raises(ValueError, match=re.escape(
-                f"disturbance seed must be an integer >= 0, got {seed!r}")):
+        with pytest.raises(FieldError, match=re.escape(
+                "seed: expected a nonnegative integer")):
             DisturbanceModel(seed=seed)
 
     def test_numpy_integer_seed_is_the_equal_int(self):
@@ -177,9 +178,8 @@ class TestRunOnlineLoop:
     def test_bad_step_count_rejected(self, n_steps):
         # -1 ran no step and then failed deriving the stage costs of an
         # empty run; True ran one step
-        with pytest.raises(ValueError, match=re.escape(
-                f"run_online_loop needs an integer n_steps >= 0, "
-                f"got {n_steps!r}")):
+        with pytest.raises(FieldError, match=re.escape(
+                "steps: expected a nonnegative integer")):
             run_online_loop(build_example1_system(),
                             example1_reference_params(),
                             [np.zeros(2)] * 3, n_steps, resynth="once",
@@ -258,6 +258,28 @@ class TestRunOnlineLoop:
             run_online_loop(system, example1_reference_params(),
                             [np.zeros(2)] * 3, 3, resynth="sometimes",
                             gains=example1_reference_gains())
+
+    @pytest.mark.parametrize("n_steps", [0, 3])
+    @pytest.mark.parametrize("settings, message", [
+        (dict(mu_bar=2.0), "mu_bar: must lie in [0, 1]"),
+        (dict(mode="bogus"), "mode: unknown membership mode 'bogus'"),
+        (dict(mode="reconstructed"),
+         "rho_bar: reconstructed mode needs rho_bar in [0, 1]"),
+        (dict(rho_bar=-0.5), "rho_bar: must lie in [0, 1]")])
+    def test_bad_weighting_rejected_before_any_synthesis(
+            self, monkeypatch, n_steps, settings, message):
+        # a cold minimize_xi ran before the first step refused these, and
+        # a run of no steps kept them (trace.meta["mu_bar"] read 2.0)
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesis ran before the settings check")
+
+        monkeypatch.setattr(simulation, "minimize_xi", no_synthesis)
+        with pytest.raises(FieldError) as info:
+            run_online_loop(build_example1_system(),
+                            example1_synthesis_params(),
+                            [np.array([1.0, -1.0])] * 3, n_steps,
+                            resynth="every_step", **settings)
+        assert str(info.value) == message
 
     def test_infeasible_constants_raise_at_step_zero(self):
         # coupling loads far above the shape scale make synthesis hopeless
