@@ -40,7 +40,7 @@ from .lmis import DecisionVars, FixedParams
 from .membership import IT2MembershipFamily, ResidualMF, SigmoidMF
 from .plant import FieldError, LargeScaleSystem, Rule, Subsystem
 from .simulation import DisturbanceModel, SimulationSettings
-from .synthesis import SynthesisConfig, _is_integer
+from .synthesis import SynthesisConfig, _is_integer, _is_number
 
 SCHEMA_VERSION = 1
 _MF_TIERS = ("lower", "upper", "true")
@@ -76,7 +76,7 @@ _NUMBER_TYPES = frozenset({int, float})
 
 
 def _number(data, path: str) -> float:
-    if isinstance(data, bool) or not isinstance(data, (int, float)):
+    if not _is_number(data):
         _fail(path, f"expected a number, got {type(data).__name__}")
     value = float(data)
     if not math.isfinite(value):     # json.loads reads NaN and Infinity
@@ -150,17 +150,16 @@ _RESIDUAL_FIELDS = ("kind", "of")
 
 def _parse_sigmoid(rec: dict, path: str) -> SigmoidMF:
     _keys_subset(rec, path, _SIGMOID_FIELDS, required=("kind", "shift", "divisor"))
-    try:
-        return SigmoidMF(
-            shift=_number(rec["shift"], f"{path}.shift"),
-            divisor=_number(rec["divisor"], f"{path}.divisor"),
-            form=rec.get("form", "one_minus_logistic"),
-            complemented=_expect(rec.get("complemented", False),
-                                 f"{path}.complemented", bool, "true or false"),
-            perturb_amplitude=_number(rec.get("perturb_amplitude", 0.0),
-                                      f"{path}.perturb_amplitude"))
-    except ValueError as exc:
-        _fail(path, str(exc))
+    # each field names its own path; SigmoidMF's errors name the record's
+    return _checked(
+        path, SigmoidMF,
+        shift=_number(rec["shift"], f"{path}.shift"),
+        divisor=_number(rec["divisor"], f"{path}.divisor"),
+        form=rec.get("form", "one_minus_logistic"),
+        complemented=_expect(rec.get("complemented", False),
+                             f"{path}.complemented", bool, "true or false"),
+        perturb_amplitude=_number(rec.get("perturb_amplitude", 0.0),
+                                  f"{path}.perturb_amplitude"))
 
 
 def _parse_mf_family(data: dict, path: str, require_true: bool) -> IT2MembershipFamily:

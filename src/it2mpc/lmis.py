@@ -47,15 +47,17 @@ import numpy as np
 
 from .linalg import (InvalidMatrixError, SingularBlockError, inv_sqrt, is_psd,
                      min_eig, quad_form, sym_matrix)
-from .plant import LargeScaleSystem, Subsystem, _frozen, blend, blend_gains
+from .plant import (LargeScaleSystem, Subsystem, _as_gains, _frozen,
+                    _verdict_kept, blend, blend_gains)
 
 
 @dataclass(frozen=True)
 class FixedParams:
     """Offline-stage constants shared by every assembled condition: a value
     as the plant is (read-only float copies and tuples; a changed one is a
-    new object, made with dataclasses.replace), whose tables of X are built
-    once, on first use. validate() is an explicit call."""
+    new object, made with dataclasses.replace), whose groups of equal-shape
+    X_i and tables of X are built once, on first use. validate() is an
+    explicit call, and a passing verdict is kept on the value."""
 
     X: tuple                # per-subsystem shape matrices, positive definite
     lam: tuple              # per-subsystem decay weights, each in (0, 1)
@@ -77,46 +79,75 @@ class FixedParams:
     def __deepcopy__(self, memo):   # numpy's deep copy would be writable
         return replace(self)        # fresh read-only copies, no tables yet
 
-    def _x_table(self, table) -> tuple:
-        """Per subsystem, read-only table(X_i), from one call of table on the
-        stack (k, n, n) of each group of equal-shape X_i. A stacked LAPACK
-        call runs per matrix, so each entry is that of X_i's own call."""
+    @cached_property
+    def x_groups(self) -> tuple:
+        """The groups of equal-shape X_i, in the order of their first
+        members: a tuple of subsystem indices each. Every table of X, the
+        containment sizes and the containment blocks are made per group."""
         groups = {}
         for i, x in enumerate(self.X):
             groups.setdefault(x.shape, []).append(i)
-        out = [None] * len(self.X)
-        for members in groups.values():
-            stack = table(np.array([self.X[i] for i in members]))
-            for i, t in zip(members, stack):
-                out[i] = _frozen(t)
-        return tuple(out)
+        return tuple(map(tuple, groups.values()))
+
+    @cached_property
+    def x_stacks(self) -> tuple:
+        """Per group of x_groups: its X_i stacked, read-only (k, n, n)."""
+        return tuple(_frozen([self.X[i] for i in members])
+                     for members in self.x_groups)
+
+    def group_stacks(self, per_subsystem) -> list:
+        """Per group of x_groups: its members' entries of per_subsystem (a
+        state per subsystem, say) stacked as one float array."""
+        return [np.array([per_subsystem[i] for i in members], dtype=float)
+                for members in self.x_groups]
+
+    def ungroup(self, per_group) -> list:
+        """Per subsystem: its entry of per_group, one sequence per group of
+        x_groups with one entry per member (group_stacks undone)."""
+        out = [None] * self.n_subsystems
+        for members, entries in zip(self.x_groups, per_group):
+            for i, entry in zip(members, entries):
+                out[i] = entry
+        return out
+
+    def _x_table(self, table) -> tuple:
+        """Per group of x_groups, read-only table(stack), from one call of
+        table on the group's stack (k, n, n). A stacked LAPACK call runs per
+        matrix, so each entry is that of X_i's own call."""
+        return tuple(_frozen(table(stack)) for stack in self.x_stacks)
 
     @cached_property
     def x_eigs(self) -> tuple:
         """Per subsystem: X_i's eigenvalues, ascending."""
-        return self._x_table(lambda x: np.linalg.eigvalsh(sym_matrix(x)))
+        return tuple(self.ungroup(
+            self._x_table(lambda x: np.linalg.eigvalsh(sym_matrix(x)))))
+
+    @cached_property
+    def x_inv_stacks(self) -> tuple:
+        """Per group of x_groups: its X_i^{-1} = solve(X_i, I) stacked."""
+        return self._x_table(lambda x: np.linalg.solve(x, np.eye(x.shape[-1])))
 
     @cached_property
     def x_inv(self) -> tuple:
-        """Per subsystem: X_i^{-1} = solve(X_i, I)."""
-        return self._x_table(lambda x: np.linalg.solve(x, np.eye(x.shape[-1])))
+        """Per subsystem: X_i^{-1}, a view of its group's x_inv_stacks."""
+        return tuple(self.ungroup(self.x_inv_stacks))
 
     @cached_property
     def x_inv_sqrt(self) -> tuple:
         """Per subsystem: X_i^{-1/2}, mapping the unit ball onto x' X_i x <= 1."""
-        return self._x_table(inv_sqrt)
+        return tuple(self.ungroup(self._x_table(inv_sqrt)))
 
     @cached_property
     def shape_inverses(self) -> tuple:
-        """x_inv for the containment blocks, once no X_i is singular to
-        working precision: the one place that test runs. SingularBlockError
+        """x_inv_stacks for the containment blocks, once no X_i is singular
+        to working precision: the one place that test runs. SingularBlockError
         when one is (no containment block is defined then)."""
         for eigs in self.x_eigs:
             scale = max(1.0, float(np.max(np.abs(eigs))))
             if float(np.min(np.abs(eigs))) <= 1e-12 * scale:
                 raise SingularBlockError(
                     "shape matrix is singular; containment undefined")
-        return self.x_inv
+        return self.x_inv_stacks
 
     @property
     def n_subsystems(self) -> int:
@@ -130,6 +161,7 @@ class FixedParams:
         """Input weight for subsystem i (R may be shared or a per-subsystem list)."""
         return self.R[i] if isinstance(self.R, (list, tuple)) else self.R
 
+    @_verdict_kept
     def validate(self):
         """Check every constant, raising ValueError for the first bad one in
         a fixed order: the entry counts (lam, N_const, M, tau, then a
@@ -210,14 +242,6 @@ def _raise_first_failure(checks):
         raise ValueError(items[min(failed)][2])
 
 
-class _Gains(tuple):
-    """DecisionVars.gains: per subsystem, a tuple of read-only float arrays.
-    Made only of gains already so held, so a certificate keeps it uncopied."""
-
-    def __deepcopy__(self, memo):   # a deep copy would make them writable
-        return self
-
-
 @dataclass(frozen=True)
 class DecisionVars:
     """Online-stage decision variables: per-rule gains and set sizes xi, a
@@ -229,8 +253,7 @@ class DecisionVars:
     xi: tuple               # per-subsystem positive reals
 
     def __post_init__(self):
-        if type(self.gains) is not _Gains:
-            object.__setattr__(self, "gains", _Gains(tuple(map(_frozen, g)) for g in self.gains))
+        object.__setattr__(self, "gains", _as_gains(self.gains))
         object.__setattr__(self, "xi", tuple(self.xi))
 
     def validate(self):
@@ -266,7 +289,8 @@ class LMIInstance:
 
     matrix: np.ndarray
     origin: str                      # invariance | decrease | containment
-    subsystem: int
+    subsystem: int | tuple           # a shape group's indices for a
+                                     # stacked containment instance
     # (model rule, controller rule) when vertexed; one pair per matrix of a
     # vertex stack
     vertex: tuple | None = None
@@ -284,9 +308,12 @@ class LMIInstance:
     @property
     def keys(self) -> list:
         """One key per matrix: [key] for one matrix, each (l, m) pair's key
-        for a vertex stack, and the family key repeated for a blended one."""
+        for a vertex stack, each member's key for a shape group's
+        containment stack, and the family key repeated for a blended one."""
         if self.matrix.ndim == 2:
             return [self.key]
+        if isinstance(self.subsystem, tuple):
+            return [_format_key(self.origin, i, None) for i in self.subsystem]
         if self.vertex is None:
             return [self.key] * len(self.matrix)
         return vertex_keys(self.origin, self.subsystem, self.vertex)
@@ -539,23 +566,52 @@ def xi_slope(params: FixedParams, inst: LMIInstance) -> np.ndarray:
     return sym_matrix(inst.strict_basis.T @ slope @ inst.strict_basis)
 
 
-def containment_size(x_mat: np.ndarray, x) -> float:
-    """Smallest set size whose set {x' (X/xi) x <= xi} holds x: sqrt(x' X x)."""
-    return float(np.sqrt(quad_form(x, x_mat)))
+def containment_size(x_mat: np.ndarray, x):
+    """Smallest set size whose set {x' (X/xi) x <= xi} holds x: sqrt(x' X x).
+    A shape group's stacked X (k, n, n) and states (k, n) give its members'
+    k sizes, each bit for bit that of its own call."""
+    size = np.sqrt(quad_form(x, x_mat))
+    return size if size.ndim else float(size)
 
 
-def assemble_containment(params: FixedParams, i: int, x: np.ndarray,
-                         xi_i: float) -> LMIInstance:
+def containment_sizes(params: FixedParams, x_all) -> list:
+    """Per subsystem: the containment_size of its state x_all[i], from one
+    stacked call per group of equal-shape X_i."""
+    return params.ungroup(
+        containment_size(x_mat, x).tolist()
+        for x_mat, x in zip(params.x_stacks, params.group_stacks(x_all)))
+
+
+def assemble_containment(params: FixedParams, i, x, xi_i) -> LMIInstance:
     """State-containment certificate [[xi, x'], [x, X_i^{-1} xi]] >= 0 of
     subsystem i, equivalent to x' (X_i/xi) x <= xi; X_i^{-1} is the
-    checked params.shape_inverses[i]."""
-    x = np.asarray(x, dtype=float)
-    mat = np.empty((x.size + 1, x.size + 1))
-    mat[0, 0] = xi_i
-    mat[0, 1:] = mat[1:, 0] = x
-    mat[1:, 1:] = xi_i * params.shape_inverses[i]
+    checked params.shape_inverses.
+
+    A group of params.x_groups as i, with its members' states stacked (k,
+    n) and their k set sizes, gives one instance whose matrix is the stack
+    (k, n + 1, n + 1) of the members' blocks, each equal to its own
+    single-subsystem assembly, and whose `keys` name the members."""
+    inverses = params.shape_inverses    # raises when an X_i is singular
+    single = isinstance(i, (int, np.integer))
+    if single:
+        inv, xi = params.x_inv[i], np.array([xi_i], dtype=float)
+        x = np.asarray(x, dtype=float)[None]
+    else:
+        i = tuple(i)
+        try:
+            inv = inverses[params.x_groups.index(i)]
+        except ValueError:
+            raise ValueError(f"{i} is no shape group of the constants; "
+                             f"expected one of {params.x_groups}") from None
+        xi, x = np.asarray(xi_i, dtype=float), np.asarray(x, dtype=float)
+    size = x.shape[-1] + 1
+    mat = np.empty((len(xi), size, size))
+    mat[:, 0, 0] = xi
+    mat[:, 0, 1:] = mat[:, 1:, 0] = x
+    mat[:, 1:, 1:] = xi[:, None, None] * inv
     mat = sym_matrix(mat)
-    return LMIInstance(matrix=mat, origin="containment", subsystem=i)
+    return LMIInstance(matrix=mat[0] if single else mat,
+                       origin="containment", subsystem=i)
 
 
 def rpi_decrease_scalar(params: FixedParams, xi, x_all, d_all, x_next):

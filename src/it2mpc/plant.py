@@ -39,9 +39,12 @@ read-only couplings mapping and tuples. What is derived from a plant is
 built once, on first use, and kept on its owner: a subsystem's rule rows
 and coupling tables (keys, stacked maps, their row-space basis) and a
 system's shape groups (made at its first step, since building them costs
-about what grouping saves in a step). A changed plant is a new object,
-made with dataclasses.replace; so is a deep copy of a Rule, since numpy's
-own deep copy would make its arrays writable.
+about what grouping saves in a step). Frozen gains (_Gains, as a
+certificate holds them) keep each shape group's gain stack the same way;
+plain lists of gains are frozen once per step call. A changed plant is a
+new object, made with dataclasses.replace; so is a deep copy of a Rule,
+since numpy's own deep copy would make its arrays writable. A system that
+passed validate() keeps that verdict.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import math
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, wraps
 from types import MappingProxyType
 
 import numpy as np
@@ -69,6 +72,56 @@ def _frozen(a) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _verdict_kept(validate):
+    """validate, run once per value: a frozen value keeps its passing
+    verdict, so a second call is free; a failing value raises again on
+    every call, and a dataclasses.replace copy is judged afresh."""
+    passed = f"_{validate.__name__}_passed"
+
+    @wraps(validate)
+    def checked(self):
+        if passed not in self.__dict__:
+            validate(self)
+            self.__dict__[passed] = True
+    return checked
+
+
+class _Gains(tuple):
+    """Controller gains per subsystem: a tuple of read-only float arrays
+    each, the one form a certificate and the step hold them in. Made only
+    of gains already so held, so a certificate keeps it uncopied; the
+    gains of a shape group are stacked once, on its first step."""
+
+    def __deepcopy__(self, memo):   # a deep copy would make them writable
+        return self
+
+    @cached_property
+    def _stacks(self) -> dict:
+        return {}
+
+    def stacked(self, members, n_m: int) -> np.ndarray:
+        """The gains of subsystems `members` stacked, read-only (S, n_m,
+        n_u, n_x), built once; ValueError naming the first member that has
+        not n_m gains."""
+        key = (tuple(members), n_m)
+        stack = self._stacks.get(key)
+        if stack is None:
+            for i in members:
+                _check_count(len(self[i]), n_m,
+                             "controller gains (one per controller rule)",
+                             f"subsystem {i}: ")
+            stack = self._stacks[key] = _frozen([self[i] for i in members])
+        return stack
+
+
+def _as_gains(gains) -> _Gains:
+    """gains as a _Gains: itself when it is one, else read-only float
+    copies of its arrays."""
+    if type(gains) is _Gains:
+        return gains
+    return _Gains(tuple(map(_frozen, g)) for g in gains)
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -223,6 +276,7 @@ class LargeScaleSystem:
             members.setdefault(key, []).append(i)
         return tuple(_Group(self, m) for m in members.values())
 
+    @_verdict_kept
     def validate(self):
         for i, sub in enumerate(self.subsystems):
             sub.validate()
@@ -485,15 +539,10 @@ class _Group:
         if gains_all is None:
             u = np.array([u_all[i] for i in members])[..., None]
         else:
-            for i in members:
-                if len(gains_all[i]) != self.n_m:   # names i only then
-                    _check_count(len(gains_all[i]), self.n_m,
-                                 "controller gains (one per controller rule)",
-                                 f"subsystem {i}: ")
+            k = gains_all.stacked(members, self.n_m)
             h = _controller_weights(_family(self.controller, "controller"),
                                     z, mu)
-            u = _gain_sum(h, np.array([gains_all[i] for i in members],
-                                      dtype=float)) @ x
+            u = _gain_sum(h, k) @ x
         a, b, e = _split_rules(_weighted_sum(w, self.rules), *self.shape)
         nxt = a @ x + b @ u + e @ np.array([d_all[i] for i in members])[..., None]
         for g, sources in self.slots:
@@ -507,7 +556,9 @@ def _step(system: LargeScaleSystem, x_all, d_all, mode, rho_bar,
     """One step of every shape group: (x_next, u_all, w_all, h_all), with
     the inputs u_all given (and h_all all None) or made from gains_all."""
     parts = _mode_parts(mode, rho_bar, x_all[0])
-    mu = None if gains_all is None else _unit_weight(mu_bar, "mu_bar")
+    mu = None
+    if gains_all is not None:
+        gains_all, mu = _as_gains(gains_all), _unit_weight(mu_bar, "mu_bar")
     out = [[None] * system.n_subsystems for _ in range(4)]
     for grp in system.shape_groups:
         for part, rows in zip(out, grp.step(x_all, d_all, parts, mu, gains_all,

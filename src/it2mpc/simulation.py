@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import quad_form
-from .lmis import (DecisionVars, FixedParams, containment_size,
+from .lmis import (DecisionVars, FixedParams, containment_sizes,
                    rpi_decrease_scalar)
 from .plant import (FieldError, LargeScaleSystem, _mode_weight, _unit_weight,
                     step_closed_loop, step_closed_loop_detail)
@@ -280,8 +280,8 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
     supplied = gains is not None
     dv = warm
     if supplied:
-        xi0 = [max(containment_size(params.X[i], x[i]) * (1.0 + XI_HAIR),
-                   syn_cfg.xi_floor) for i in range(n)]
+        xi0 = [max(size * (1.0 + XI_HAIR), syn_cfg.xi_floor)
+               for size in containment_sizes(params, x)]
         dv = DecisionVars(gains=gains, xi=xi0)    # frozen copies of the gains
 
     trace = SimulationTrace(Ts=Ts, d=dist.realize(system, n_steps), meta={

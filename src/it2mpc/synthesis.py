@@ -57,11 +57,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lmis import (DecisionVars, FixedParams, _Gains, assemble_containment,
-                   assemble_decrease, assemble_decrease_blended,
-                   assemble_invariance, assemble_invariance_blended,
-                   containment_size, vertex_keys, xi_slope)
-from .plant import FieldError, LargeScaleSystem, _frozen
+from .lmis import (DecisionVars, FixedParams, _format_key,
+                   assemble_containment, assemble_decrease,
+                   assemble_decrease_blended, assemble_invariance,
+                   assemble_invariance_blended, containment_sizes,
+                   vertex_keys, xi_slope)
+from .plant import FieldError, LargeScaleSystem, _frozen, _Gains
 
 
 XI_MODES = ("common", "per_subsystem")
@@ -88,6 +89,14 @@ def _is_integer(value, low: int) -> bool:
     not a bool (True would count as 1). The one test of a seed or a count."""
     return (not isinstance(value, bool)
             and isinstance(value, (int, np.integer)) and value >= low)
+
+
+def _is_number(value) -> bool:
+    """Whether value is a number: an int, a float or a numpy integer or
+    float, but not a bool. The one type test of a real-valued setting or
+    config entry; each caller then tests the value's range."""
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, float, np.integer, np.floating)))
 
 
 def _xi_mode(mode) -> str:
@@ -122,8 +131,9 @@ class SynthesisConfig:
                 ("xi_floor", lambda v: 0.0 < v < np.inf,
                  "a finite number > 0")):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not valid(v):
+            if not (_is_number(v) and valid(v)):
                 raise FieldError(name, f"must be {rule}, got {v!r}")
+            object.__setattr__(self, name, float(v))
 
 
 @dataclass
@@ -404,8 +414,8 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
         evaluator = FixedGainEvaluator(system, params, warm, cfg)
     common = mode == "common"
     groups = [range(n)] if common else [(i,) for i in range(n)]
-    floors = [max(containment_size(params.X[i], x_all[i]), cfg.xi_floor)
-              for i in range(n)]
+    floors = [max(size, cfg.xi_floor)
+              for size in containment_sizes(params, x_all)]
     xis, parts, xi_lower, cold = [None] * n, [None] * n, [None] * n, []
     for group in groups:
         # keep a hair above the exact containment boundary
@@ -558,24 +568,31 @@ class FixedGainEvaluator:
         xi = max(bounds[0] * (1.0 + XI_HAIR), lo_start)
         return xi if xi <= bounds[1] else None
 
+    @functools.cached_property
+    def _containment_keys(self) -> tuple:
+        """Per subsystem: the key of its containment row."""
+        return tuple(_format_key("containment", i, None)
+                     for i in range(len(self.parts)))
+
     def margins(self, xi, x_all=None) -> dict:
         """Signed excesses of every condition at set sizes xi, keyed by
         instance (containment only when the state x_all is given); at
-        xi_ref these are certificate_margins. The containment blocks of
-        equal size share one eigensolve."""
-        out = {}
-        blocks = {}             # block size -> containment instances
+        xi_ref these are certificate_margins. The containment blocks are
+        one stacked assembly and one eigensolve per group of equal-shape
+        X_i (FixedParams.x_groups)."""
+        out, keys, lows = {}, self._containment_keys, None
+        if x_all is not None:
+            params = self.parts[0].model.params
+            lows = params.ungroup(
+                np.linalg.eigvalsh(assemble_containment(
+                    params, members, x, [xi[i] for i in members]).matrix
+                )[:, 0].tolist()
+                for members, x in zip(params.x_groups,
+                                      params.group_stacks(x_all)))
         for part, xi_i in zip(self.parts, xi):
             out.update(part.margins(xi_i))
-            if x_all is not None:
-                cont = assemble_containment(part.model.params, part.i,
-                                            x_all[part.i], xi_i)
-                out[cont.key] = None        # keeps the key order; set below
-                blocks.setdefault(len(cont.matrix), []).append(cont)
-        for conts in blocks.values():
-            lows = np.linalg.eigvalsh(np.stack([c.matrix for c in conts]))
-            for cont, low in zip(conts, lows[:, 0].tolist()):
-                out[cont.key] = -low
+            if lows is not None:
+                out[keys[part.i]] = -lows[part.i]
         return out
 
 

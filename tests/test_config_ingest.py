@@ -103,21 +103,18 @@ CONFIG_CASES = [
      _not_a_number("<config>.simulation.x0[1][1]", "bool")),
     (("fixed_params", "lam", 0), True,
      _not_a_number("<config>.fixed_params.lam[1]", "bool")),
-    # sigmoid records: a bad number is named inside the record's path
+    # sigmoid records: a bad number names its own field's path, once
     (SIG + ("shift",), True,
-     (ConfigError, f"{SIG_PATH}: {SIG_PATH}.shift: expected a number, "
-                   "got bool")),
+     _not_a_number(f"{SIG_PATH}.shift", "bool")),
     (SIG + ("shift",), "0.5",
-     (ConfigError, f"{SIG_PATH}: {SIG_PATH}.shift: expected a number, "
-                   "got str")),
+     _not_a_number(f"{SIG_PATH}.shift", "str")),
     (SIG + ("divisor",), None,
-     (ConfigError, f"{SIG_PATH}: {SIG_PATH}.divisor: expected a number, "
-                   "got NoneType")),
+     _not_a_number(f"{SIG_PATH}.divisor", "NoneType")),
     (SIG + ("divisor",), [0.4],
-     (ConfigError, f"{SIG_PATH}: {SIG_PATH}.divisor: expected a number, "
-                   "got list")),
+     _not_a_number(f"{SIG_PATH}.divisor", "list")),
     (SIG + ("perturb_amplitude",), BIG, OVERFLOW),
     (SIG + ("shift",), BIG, OVERFLOW),
+    (("synthesis", "strictness"), BIG, OVERFLOW),
     (SIG + ("divisor",), 0, (ConfigError, f"{SIG_PATH}: divisor must be "
                                           "nonzero")),
     (SIG + ("form",), "bogus", (ConfigError, f"{SIG_PATH}: unknown form "
@@ -218,8 +215,7 @@ NON_FINITE_CASES = [
     (("simulation", "x0", 0, 1), -math.inf,
      _not_finite("<config>.simulation.x0[1][2]", "-inf")),
     (SIG + ("shift",), math.nan,
-     (ConfigError, f"{SIG_PATH}: {SIG_PATH}.shift: expected a finite "
-                   "number, got nan")),
+     _not_finite(f"{SIG_PATH}.shift", "nan")),
 ]
 
 NON_FINITE_CERTIFICATE_CASES = [
@@ -237,7 +233,7 @@ NOTES = (ConfigError, "<config>.notes: expected a list of strings")
 
 
 def _not_a_flag(typename):
-    return (ConfigError, f"{SIG_PATH}: {SIG_PATH}.complemented: expected "
+    return (ConfigError, f"{SIG_PATH}.complemented: expected "
                          f"true or false, got {typename}")
 
 
@@ -590,6 +586,10 @@ def _finite(shown):
     return f"expected a finite number, got {shown}"
 
 
+def _bound(rule, v):
+    return f"must be a finite number {rule}, got {v!r}"
+
+
 def _xi_mode(v):
     return f"unknown xi mode: {v!r}; expected one of ('common', 'per_subsystem')"
 
@@ -620,6 +620,17 @@ SETTINGS_BAD = [
     *[("synthesis.xi_mode", v, _xi_mode(v), _xi_mode(v)) for v in ("bogus", -1)],
     *[("synthesis.grid_density", v, _density(repr(v)), _density(repr(v)))
       for v in (-1, 1, True, 1.5, NAN, INF, -INF, "11")],
+    *[("synthesis.strictness", v, _bound(">= 0", v), _bound(">= 0", v))
+      for v in (-1, -1e-300, True, np.bool_(False), NAN, INF, -INF, "0", None)],
+    *[("synthesis.xi_floor", v, _bound("> 0", v), _bound("> 0", v))
+      for v in (0, -1, 0.0, True, np.bool_(True), NAN, INF, "1e-8")],
+]
+
+# a real-valued setting takes any finite number in range, a numpy one too,
+# and keeps it as the equal float
+NUMBERS_GOOD = [
+    *[("strictness", v) for v in (0, 0.0, 1e-9, np.int64(0), np.float64(0.0))],
+    *[("xi_floor", v) for v in (1, 1e-8, np.int64(1), np.float64(1e-8))],
 ]
 
 SETTINGS_GOOD = [
@@ -680,6 +691,14 @@ class TestSettingsRules:
         if isinstance(value, np.integer):
             assert type(node) is type(owned) is int
         json.dumps(serialize_config(cfg))
+
+    @pytest.mark.parametrize("field, value", NUMBERS_GOOD)
+    def test_good_number(self, field, value):
+        cfg = parse_config(_doc_with(f"synthesis.{field}", value))
+        node = getattr(cfg.synthesis, field)
+        owned = getattr(SynthesisConfig(**{field: value}), field)
+        assert node == owned == value
+        assert type(node) is type(owned) is float
 
     def test_reconstructed_mode_needs_rho_bar(self):
         _raises_exactly(lambda: parse_config(_doc_with(

@@ -13,6 +13,7 @@ weights."""
 import numpy as np
 import pytest
 
+from it2mpc.lmis import DecisionVars
 from it2mpc.membership import IT2MembershipFamily, SigmoidMF
 from it2mpc.plant import (LargeScaleSystem, Rule, Subsystem,
                           step_closed_loop_detail, step_open_loop)
@@ -123,3 +124,45 @@ def test_two_groups_of_two_with_unequal_couplings():
     assert_same_step(got, reference_step_detail(system, gains, x_all, d_all,
                                                 0.3))
     assert sorted(g.members for g in system.shape_groups) == [[0, 2], [1, 3]]
+
+
+def test_gain_stacks_are_built_once_per_gains_value():
+    """The certificate's gains (a frozen _Gains) stack once per shape group,
+    on the first step; later steps read the same stacks. A plain list is
+    frozen anew on each call and steps the same."""
+    shapes = [(2, 1, 1, 2, 2), (3, 2, 1, 3, 1), (2, 1, 1, 2, 2),
+              (3, 2, 1, 3, 1)]
+    system, gains, rng = build_plant(shapes, [(0, 1), (1, 0), (2, 3), (3, 2)],
+                                     7)
+    frozen = DecisionVars(gains=gains, xi=[1.0] * len(shapes)).gains
+    x_all = [rng.uniform(-2.0, 2.0, s[0]) for s in shapes]
+    d_all = [rng.uniform(-0.2, 0.2, s[2]) for s in shapes]
+    first = step_closed_loop_detail(system, frozen, x_all, d_all, 0.3)
+    stacks = {tuple(grp.members): frozen.stacked(grp.members, grp.n_m)
+              for grp in system.shape_groups}
+    assert len(frozen._stacks) == len(stacks) == 2
+    for members, stack in stacks.items():
+        assert not stack.flags.writeable
+        np.testing.assert_array_equal(stack, [gains[i] for i in members])
+    again = step_closed_loop_detail(system, frozen, x_all, d_all, 0.3)
+    assert_same_step(again, first)
+    assert_same_step(step_closed_loop_detail(system, gains, x_all, d_all,
+                                             0.3), first)
+    for grp in system.shape_groups:
+        assert frozen.stacked(grp.members, grp.n_m) is \
+            stacks[tuple(grp.members)]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_frozen_wrong_gain_count_raises_on_every_step(count):
+    shapes = [(2, 1, 1, 2, 3), (2, 1, 1, 2, 3)]
+    system, gains, rng = build_plant(shapes, [], 3)
+    gains[1] = gains[1][:count]
+    frozen = DecisionVars(gains=gains, xi=[1.0, 1.0]).gains
+    x_all = [rng.uniform(-2.0, 2.0, 2) for _ in shapes]
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"subsystem 1: expected 3 "
+                                             f"controller gains.*got {count}"):
+            step_closed_loop_detail(system, frozen, x_all,
+                                    [np.zeros(1)] * 2, 0.3)
+    assert not frozen._stacks

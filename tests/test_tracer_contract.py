@@ -83,6 +83,9 @@ def test_every_step_loop_reaches_the_traced_layers(tracer,
     for layer in ("lmis.vertex", "lmis.test_matrix", "lmis.containment",
                   "plant.step", "membership.grades"):
         assert calls[layer] > 0, layer
+    # one stacked containment assembly per step and group of equal-shape X_i
+    assert len(cfg.params.x_groups) == 1
+    assert calls["lmis.containment"] == 3
 
 
 def test_audit_reaches_the_traced_layers(tracer, fixture_certificate):

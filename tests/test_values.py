@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from it2mpc import lmis, plant
 from it2mpc.configio import (bundled_config_names, load_bundled_config,
                              load_certificate)
 from it2mpc.linalg import sym_eig, sym_matrix
@@ -156,7 +157,14 @@ class TestTables:
             np.testing.assert_array_equal(
                 params.x_inv_sqrt[i], eig.vectors @ np.diag(
                     1.0 / np.sqrt(eig.values)) @ eig.vectors.T)
-        assert params.shape_inverses is params.x_inv      # built once
+        # built once, per group of equal-shape X_i; x_inv views the stacks
+        assert params.shape_inverses is params.x_inv_stacks
+        for members, x_mat, inv in zip(params.x_groups, params.x_stacks,
+                                       params.x_inv_stacks):
+            np.testing.assert_array_equal(
+                x_mat, np.array([params.X[i] for i in members]))
+            for i, inv_i in zip(members, inv):
+                assert np.shares_memory(params.x_inv[i], inv_i)
 
     def test_coupling_tables(self, name):
         for sub in load_bundled_config(name).system.subsystems:
@@ -280,3 +288,74 @@ def test_tables_take_one_lapack_call_per_shape(monkeypatch):
         for table, value in zip(tables, want):
             assert hexes(table[i]) == hexes(value)
             assert not table[i].flags.writeable
+
+
+class TestValidateVerdict:
+    """A frozen value keeps its passing validate() verdict: a second call
+    checks nothing. A failing value raises on every call with the same
+    message, and a dataclasses.replace copy is judged afresh."""
+
+    @staticmethod
+    def _counting(monkeypatch, owner, name):
+        """Count the calls of owner.name, a check validate() makes first."""
+        calls = []
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def _values(self):
+        cfg = load_bundled_config("example1_synthesis")
+        # new objects: configio judged the originals
+        return (dataclasses.replace(cfg.params),
+                dataclasses.replace(cfg.system))
+
+    def test_a_passing_verdict_is_kept(self, monkeypatch):
+        params, system = self._values()
+        gains = load_bundled_config("example1").gains
+        checks = self._counting(monkeypatch, lmis, "_raise_first_failure")
+        subs = self._counting(monkeypatch, plant.Subsystem, "validate")
+        for _ in range(3):
+            params.validate()
+            system.validate()
+        assert len(checks) == 2         # X, then M, Q and R: once
+        assert len(subs) == system.n_subsystems
+        # an episode validates its constants again, for free
+        run_online_loop(system, params, [np.zeros(2)] * 3, 2, gains=gains)
+        assert len(checks) == 2
+
+    def test_a_failing_value_raises_on_every_call(self):
+        params, system = self._values()
+        bad = dataclasses.replace(params, lam=(0.5, 1.5, 0.5))
+        for _ in range(3):
+            with pytest.raises(ValueError,
+                               match=r"^lam\[1\] must lie in \(0, 1\), got 1.5$"):
+                bad.validate()
+        sub = dataclasses.replace(system.subsystems[1], eta=-1.0)
+        broken = dataclasses.replace(
+            system, subsystems=(system.subsystems[0], sub,
+                                system.subsystems[2]))
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ValueError) as exc:
+                broken.validate()
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+
+    def test_a_replaced_copy_is_judged_afresh(self):
+        params, system = self._values()
+        params.validate()
+        system.validate()
+        bad = dataclasses.replace(params, alpha=1.0)
+        with pytest.raises(ValueError, match="alpha must be >= 2, got 1.0"):
+            bad.validate()
+        subs = list(system.subsystems)
+        subs[0] = dataclasses.replace(subs[0], couplings={0: np.eye(2)})
+        with pytest.raises(ValueError, match="coupling key 0 invalid"):
+            dataclasses.replace(system, subsystems=tuple(subs)).validate()
+        # the originals keep their verdicts
+        params.validate()
+        system.validate()
