@@ -11,7 +11,8 @@ scan (exact JSON int or float, so never a bool, and finite, so never the
 NaN or Infinity that json.loads reads) is converted by one numpy call;
 only one that fails it is read entry by entry, so that the error names its
 first bad entry. Each subsystem is validated in _parse_subsystem and the
-couplings once all are parsed; FixedParams.validate judges each matrix
+system once all are parsed, which judges only the couplings again (a
+value keeps a passing verdict); FixedParams.validate judges each matrix
 family with one stacked eigensolve per shape. The settings values check
 their own fields, and _checked maps a refused field to its path.
 
@@ -40,7 +41,7 @@ from .lmis import DecisionVars, FixedParams
 from .membership import IT2MembershipFamily, ResidualMF, SigmoidMF
 from .plant import FieldError, LargeScaleSystem, Rule, Subsystem
 from .simulation import DisturbanceModel, SimulationSettings
-from .synthesis import SynthesisConfig, _is_integer, _is_number
+from .synthesis import SynthesisConfig, _is_finite, _is_integer, _is_number
 
 SCHEMA_VERSION = 1
 _MF_TIERS = ("lower", "upper", "true")
@@ -78,10 +79,10 @@ _NUMBER_TYPES = frozenset({int, float})
 def _number(data, path: str) -> float:
     if not _is_number(data):
         _fail(path, f"expected a number, got {type(data).__name__}")
-    value = float(data)
-    if not math.isfinite(value):     # json.loads reads NaN and Infinity
-        _fail(path, f"expected a finite number, got {value}")
-    return value
+    # json.loads reads NaN and Infinity, and integers no float holds
+    if not _is_finite(data):
+        _fail(path, f"expected a finite number, got {data}")
+    return float(data)
 
 
 def _all_finite_numbers(entries: list) -> bool:
@@ -432,8 +433,9 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
                          need_true_mfs=(mode == "true_plant"))
         for i, s in enumerate(subs_data)]
     system = LargeScaleSystem(subsystems=subsystems)
-    # each subsystem passed its own validate in _parse_subsystem
-    _checked(f"{source}.subsystems", system.validate_couplings)
+    # each subsystem keeps the verdict of its validate in _parse_subsystem,
+    # so only the couplings are judged here
+    _checked(f"{source}.subsystems", system.validate)
 
     params = _parse_params(data["fixed_params"], f"{source}.fixed_params",
                            len(subsystems), subsystems)

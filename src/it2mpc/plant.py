@@ -223,6 +223,7 @@ class Subsystem:
         z = np.asarray(x)[..., self.premise_selector]
         return z if z.ndim else float(z)
 
+    @_verdict_kept
     def validate(self):
         if not self.rules:
             raise ValueError("subsystem needs at least one rule")
@@ -280,12 +281,6 @@ class LargeScaleSystem:
     def validate(self):
         for i, sub in enumerate(self.subsystems):
             sub.validate()
-            self._validate_couplings(i)
-        self._validate_finite_couplings()
-
-    def validate_couplings(self):
-        """validate's coupling checks alone, for subsystems already validated."""
-        for i in range(self.n_subsystems):
             self._validate_couplings(i)
         self._validate_finite_couplings()
 

@@ -32,13 +32,14 @@ one xi: the "common" mode passes a single group of all subsystems, the
 "per_subsystem" mode one group per subsystem. At fixed gains the feasible
 set sizes are an interval [xi_lo, xi_hi] that does not depend on the state
 (only containment does), with exact ends from generalized eigenvalues, so
-the group's size is max(xi_lo, containment floor) whenever that is <=
-xi_hi (FixedGainEvaluator.clamp). A warm certificate's gains are kept
+the group's size is max(xi_lo, containment floor), a hair above it,
+whenever every member's xi_hi reaches that: one rule (_settle) sets it for
+a warm step and a cold solve alike. A warm certificate's gains are kept
 whenever they fit. Otherwise each member's EVP, without containment and
-input-peak rows, gives its gains, and the group is clamped on their
-parts just as a warm step is; only a member whose interval does not
-reach the group's size is re-solved at that size by a fixed-xi feasibility
-SDP that enforces the input-peak rows exactly (solve_fixed_xi).
+input-peak rows, gives its gains, the same rule sizes the group on their
+parts, and only a member whose interval does not reach the group's size
+is re-solved at that size by a fixed-xi feasibility SDP that enforces the
+input-peak rows exactly (solve_fixed_xi).
 
 The input constraint is assumed to take the form of Kothare, Balakrishnan
 & Morari (1996): the paper (arXiv 2108.13790; only its abstract is at hand)
@@ -53,6 +54,7 @@ Schur LMIs [[u_s^2 / xi^2, k_s], [k_s', X]] >= 0, affine in k.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +101,17 @@ def _is_number(value) -> bool:
             and isinstance(value, (int, float, np.integer, np.floating)))
 
 
+def _is_finite(value) -> bool:
+    """Whether value is a finite number (_is_number): not NaN, not an
+    infinity, and not an integer too large for a float, which no float
+    holds. The one finiteness test of a real-valued setting or config
+    entry; each caller then tests the value's range."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _xi_mode(mode) -> str:
     """mode, checked to be one of XI_MODES."""
     if mode not in XI_MODES:
@@ -126,12 +139,10 @@ class SynthesisConfig:
                                              f"got {self.grid_density!r}")
         object.__setattr__(self, "grid_density", int(self.grid_density))
         for name, valid, rule in (
-                ("strictness", lambda v: 0.0 <= v < np.inf,
-                 "a finite number >= 0"),
-                ("xi_floor", lambda v: 0.0 < v < np.inf,
-                 "a finite number > 0")):
+                ("strictness", lambda v: v >= 0.0, "a finite number >= 0"),
+                ("xi_floor", lambda v: v > 0.0, "a finite number > 0")):
             v = getattr(self, name)
-            if not (_is_number(v) and valid(v)):
+            if not (_is_finite(v) and valid(v)):
                 raise FieldError(name, f"must be {rule}, got {v!r}")
             object.__setattr__(self, name, float(v))
 
@@ -353,6 +364,17 @@ def solve_fixed_xi(system: LargeScaleSystem, params: FixedParams, xi,
     return DecisionVars(gains=gains, xi=xi_list)
 
 
+def _settle(parts, floor):
+    """A group's set size at its members' parts, and the members short of
+    it: size = max(every xi_lo, floor) (1 + XI_HAIR), kept a hair above the
+    exact boundary, and short the subsystems whose xi_hi < size. A part
+    with no interval reads as (xi_ref, -inf), so it is always short. The
+    one rule of the size, for a warm step and a cold solve alike."""
+    ends = [part.interval or (part.xi_ref, -np.inf) for part in parts]
+    size = max(max(lo for lo, _ in ends), floor) * (1.0 + XI_HAIR)
+    return size, [part.i for part, (_, hi) in zip(parts, ends) if hi < size]
+
+
 def _solve_cold(models, groups, floors, common):
     """The groups that keep no warm gains, solved on their members' models
     {i: _Model}: {i: (part at the final gains and size, proven lower bound
@@ -366,16 +388,14 @@ def _solve_cold(models, groups, floors, common):
             gains[i], xis[i], bounds[i] = model.min_xi()
         solves = len(models)
         for group in groups:
-            # the clamp, naming the members whose interval stops short
             floor = max(floors[i] for i in group)
-            ends = [_Part(models[i], gains[i], xis[i]).interval
-                    or (xis[i], -np.inf) for i in group]
-            size = max(max(lo for lo, _ in ends), floor) * (1.0 + XI_HAIR)
+            size, short = _settle([_Part(models[i], gains[i], xis[i])
+                                   for i in group], floor)
+            for i in short:
+                gains[i] = models[i].at_xi(size)
+                solves += 1
             lower = max(max(bounds[i] for i in group), floor)
-            for i, (_, hi) in zip(group, ends):
-                if hi < size:
-                    gains[i] = models[i].at_xi(size)
-                    solves += 1
+            for i in group:
                 out[i] = (_Part(models[i], gains[i], size), lower)
     except Infeasible as exc:
         where = None if common else exc.subsystem
@@ -418,10 +438,10 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
               for size in containment_sizes(params, x_all)]
     xis, parts, xi_lower, cold = [None] * n, [None] * n, [None] * n, []
     for group in groups:
-        # keep a hair above the exact containment boundary
-        xi = None if evaluator is None else evaluator.clamp(
-            group, max(floors[i] for i in group) * (1.0 + XI_HAIR))
-        if xi is None:
+        if evaluator is not None:
+            xi, short = _settle([evaluator.parts[i] for i in group],
+                                max(floors[i] for i in group))
+        if evaluator is None or short:
             cold.append(group)
             continue
         for i in group:
@@ -531,8 +551,8 @@ class FixedGainEvaluator:
     xi^2 (k X^-1 k')_ss - u_s^2. So `margins` takes one batched eigensolve
     per subsystem and family (none at an unchanged size), and each
     subsystem's feasible sizes are an exact interval that does not depend
-    on the state (`interval`, located on first use; margins at xi_ref need
-    none, and only containment reads the state)."""
+    on the state (the part's `interval`, located on first use; margins at
+    xi_ref need none, and only containment reads the state)."""
 
     def __init__(self, system: LargeScaleSystem, params: FixedParams,
                  dv: DecisionVars, cfg: SynthesisConfig):
@@ -548,25 +568,6 @@ class FixedGainEvaluator:
         evaluator = cls.__new__(cls)
         evaluator.parts, evaluator.gains = tuple(parts), _Gains(p.gains for p in parts)
         return evaluator
-
-    def interval(self, group) -> tuple | None:
-        """Exact set sizes [xi_lo, xi_hi] at which every condition of the
-        subsystems in `group` but containment holds at these gains; None
-        when a member's reference size is not strictly feasible."""
-        bounds = [self.parts[i].interval for i in group]
-        if any(b is None for b in bounds):
-            return None
-        return max(b[0] for b in bounds), min(b[1] for b in bounds)
-
-    def clamp(self, group, lo_start: float) -> float | None:
-        """The group's smallest set size at these gains above the haired
-        containment floor `lo_start`: max(xi_lo (1 + XI_HAIR), lo_start),
-        or None when that exceeds xi_hi."""
-        bounds = self.interval(group)
-        if bounds is None:
-            return None
-        xi = max(bounds[0] * (1.0 + XI_HAIR), lo_start)
-        return xi if xi <= bounds[1] else None
 
     @functools.cached_property
     def _containment_keys(self) -> tuple:

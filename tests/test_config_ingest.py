@@ -30,7 +30,6 @@ from it2mpc.synthesis import SynthesisConfig
 FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
            / "example1_certificate.json")
 BIG = 10 ** 400                     # a JSON integer no float can hold
-OVERFLOW = (OverflowError, "int too large to convert to float")
 A = ("subsystems", 0, "rules", 0, "A")
 SIG = ("subsystems", 0, "model_mfs", "upper", 1)
 REF = ("subsystems", 0, "model_mfs", "lower", 1, "of", 0)
@@ -58,6 +57,10 @@ def _not_a_number(path, typename):
     return ConfigError, f"{path}: expected a number, got {typename}"
 
 
+def _not_finite(path, shown):
+    return ConfigError, f"{path}: expected a finite number, got {shown}"
+
+
 RAGGED = (ConfigError, f"{A_PATH}: matrix rows must be nonempty and "
                        "equal-length")
 
@@ -70,11 +73,11 @@ CONFIG_CASES = [
     (A, [[0.5, 0.1], [0.0]], RAGGED),
     (A, [[], []], RAGGED),
     (A, [[0.5, 0.1], []], RAGGED),
-    (A + (1, 0), BIG, OVERFLOW),
+    (A + (1, 0), BIG, _not_finite(f"{A_PATH}[2][1]", BIG)),
     # the first bad entry in row-major order decides, across rows too
-    (A, [[BIG, 0.1], [True, 0.4]], OVERFLOW),
+    (A, [[BIG, 0.1], [True, 0.4]], _not_finite(f"{A_PATH}[1][1]", BIG)),
     (A, [[True, 0.1], [BIG, 0.4]], _not_a_number(f"{A_PATH}[1][1]", "bool")),
-    (A, [[0.5, BIG], [0.0, "x"]], OVERFLOW),
+    (A, [[0.5, BIG], [0.0, "x"]], _not_finite(f"{A_PATH}[1][2]", BIG)),
     (A, "x", (ConfigError, f"{A_PATH}: expected a matrix (list of rows), "
                            "got str")),
     (A, [], (ConfigError, f"{A_PATH}: matrix must be a nonempty list of "
@@ -90,7 +93,8 @@ CONFIG_CASES = [
      _not_a_number("<config>.subsystems[1].u_max[2]", "bool")),
     (("subsystems", 0, "u_max", 0), None,
      _not_a_number("<config>.subsystems[1].u_max[1]", "NoneType")),
-    (("subsystems", 0, "u_max"), [10.0, BIG], OVERFLOW),
+    (("subsystems", 0, "u_max"), [10.0, BIG],
+     _not_finite("<config>.subsystems[1].u_max[2]", BIG)),
     (("subsystems", 0, "u_max"), [10.0, [1.0]],
      _not_a_number("<config>.subsystems[1].u_max[2]", "list")),
     (("subsystems", 0, "u_max"), [],
@@ -98,7 +102,8 @@ CONFIG_CASES = [
                    "entry per input channel")),
     (("simulation", "x0", 0, 1), "x",
      _not_a_number("<config>.simulation.x0[1][2]", "str")),
-    (("simulation", "x0", 0), [BIG, True], OVERFLOW),
+    (("simulation", "x0", 0), [BIG, True],
+     _not_finite("<config>.simulation.x0[1][1]", BIG)),
     (("simulation", "x0", 0), [True, BIG],
      _not_a_number("<config>.simulation.x0[1][1]", "bool")),
     (("fixed_params", "lam", 0), True,
@@ -112,9 +117,17 @@ CONFIG_CASES = [
      _not_a_number(f"{SIG_PATH}.divisor", "NoneType")),
     (SIG + ("divisor",), [0.4],
      _not_a_number(f"{SIG_PATH}.divisor", "list")),
-    (SIG + ("perturb_amplitude",), BIG, OVERFLOW),
-    (SIG + ("shift",), BIG, OVERFLOW),
-    (("synthesis", "strictness"), BIG, OVERFLOW),
+    (SIG + ("perturb_amplitude",), BIG,
+     _not_finite(f"{SIG_PATH}.perturb_amplitude", BIG)),
+    (SIG + ("shift",), BIG, _not_finite(f"{SIG_PATH}.shift", BIG)),
+    (("fixed_params", "alpha"), BIG,
+     _not_finite("<config>.fixed_params.alpha", BIG)),
+    (("synthesis", "strictness"), BIG,
+     (ConfigError, "<config>.synthesis.strictness: must be a finite number "
+                   f">= 0, got {BIG}")),
+    (("synthesis", "xi_floor"), BIG,
+     (ConfigError, "<config>.synthesis.xi_floor: must be a finite number "
+                   f"> 0, got {BIG}")),
     (SIG + ("divisor",), 0, (ConfigError, f"{SIG_PATH}: divisor must be "
                                           "nonzero")),
     (SIG + ("form",), "bogus", (ConfigError, f"{SIG_PATH}: unknown form "
@@ -177,17 +190,13 @@ CERTIFICATE_CASES = [
                    "equal-length")),
     (G, [[]], (ConfigError, f"{G_PATH}: matrix rows must be nonempty and "
                             "equal-length")),
-    (G + (0, 1), BIG, OVERFLOW),
-    (G, [[BIG, True]], OVERFLOW),
+    (G + (0, 1), BIG, _not_finite(f"{G_PATH}[1][2]", BIG)),
+    (G, [[BIG, True]], _not_finite(f"{G_PATH}[1][1]", BIG)),
     (("xi", 1), True, _not_a_number("cert.json.xi[2]", "bool")),
-    (("xi", 2), BIG, OVERFLOW),
+    (("xi", 2), BIG, _not_finite("cert.json.xi[3]", BIG)),
     (G, [[1.0, 2.0, 3.0]],
      (ConfigError, f"{G_PATH}: shape (1, 3) != (1, 2)")),
 ]
-
-
-def _not_finite(path, shown):
-    return ConfigError, f"{path}: expected a finite number, got {shown}"
 
 
 # json.loads reads NaN, Infinity and -Infinity; each is a config error that
@@ -199,7 +208,7 @@ NON_FINITE_CASES = [
     (A, [[True, math.nan], [0.0, 0.4]], _not_a_number(f"{A_PATH}[1][1]", "bool")),
     (A, [[0.5, -math.inf], [True, 0.4]], _not_finite(f"{A_PATH}[1][2]", "-inf")),
     (A, [[0.5, math.nan], [BIG, 0.4]], _not_finite(f"{A_PATH}[1][2]", "nan")),
-    (A, [[BIG, math.nan], [0.0, 0.4]], OVERFLOW),
+    (A, [[BIG, math.nan], [0.0, 0.4]], _not_finite(f"{A_PATH}[1][1]", BIG)),
     (("subsystems", 0, "u_max", 0), math.nan,
      _not_finite("<config>.subsystems[1].u_max[1]", "nan")),
     (("subsystems", 0, "eta"), math.inf,

@@ -653,8 +653,6 @@ class TestValidation:
         with pytest.raises(ValueError,
                            match="^subsystem 1: coupling to 2 must be finite$"):
             system.validate()
-        with pytest.raises(ValueError, match="coupling to 2 must be finite"):
-            system.validate_couplings()
 
     def test_shape_errors_come_before_finite_checks(self):
         system = build_example1_system()

@@ -357,7 +357,7 @@ class TestRunOnlineLoop:
         groups = [range(3)] if xi_mode == "common" else [(0,), (1,), (2,)]
         for xs, xis in zip(trace.x, trace.xi):
             for group in groups:
-                lo, _ = evaluator.interval(group)
+                lo = max(evaluator.parts[i].interval[0] for i in group)
                 floor = max(max(np.sqrt(xs[i] @ params.X[i] @ xs[i]),
                                 cfg.xi_floor) for i in group)
                 want = max(lo * (1.0 + XI_HAIR), floor * (1.0 + XI_HAIR))

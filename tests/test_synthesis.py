@@ -1,6 +1,7 @@
 import dataclasses
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -286,7 +287,7 @@ class TestMinimizeXi:
         assert res.dv.xi[1] == floor * (1.0 + XI_HAIR)
         assert all(np.array_equal(k, res.dv.gains[1][0])
                    for k in res.dv.gains[1])
-        lo, hi = res.evaluator.interval((1,))
+        lo, hi = res.evaluator.parts[1].interval
         assert lo < res.dv.xi[1] <= hi
         assert res.xi_lower[1] == floor
 
@@ -603,7 +604,7 @@ class TestFixedGainEvaluator:
         evaluator = FixedGainEvaluator(system, params, res.dv,
                                        SynthesisConfig())
         for i in range(system.n_subsystems):
-            lo, hi = evaluator.interval((i,))
+            lo, hi = evaluator.parts[i].interval
             assert lo < res.dv.xi[i] < hi
             ends = [(lo, 1.0 - 1e-5)] + ([(hi, 1.0 + 1e-5)]
                                          if np.isfinite(hi) else [])
@@ -614,22 +615,49 @@ class TestFixedGainEvaluator:
                            if f"i={i}" in k) > 0.0
 
     def test_cold_xi_is_its_evaluator_clamp(self, ex1_synthesized):
-        # the cold size is the clamp of its own gains at the haired floor,
-        # and no smaller than the proven lower bound
+        # the cold size is the clamp of its own gains' intervals at the
+        # haired floor, and no smaller than the proven lower bound
         system, params, x0, res, _ = ex1_synthesized
         cfg = SynthesisConfig()
         floor = max(max(np.sqrt(x @ params.X[i] @ x), cfg.xi_floor)
                     for i, x in enumerate(x0))
-        clamp = res.evaluator.clamp(range(3), floor * (1.0 + XI_HAIR))
+        ends = [part.interval for part in res.evaluator.parts]
+        clamp = max(max(lo for lo, _ in ends) * (1.0 + XI_HAIR),
+                    floor * (1.0 + XI_HAIR))
+        assert clamp <= min(hi for _, hi in ends)
         assert res.dv.xi == pytest.approx([clamp] * 3, rel=1e-12)
         assert len(res.xi_lower) == 3
         for xi, lower in zip(res.dv.xi, res.xi_lower):
             assert lower <= xi
 
+    @pytest.mark.parametrize("ends, floor, size, short", [
+        # lo-bound: the largest xi_lo decides; xi_lo = -inf never does, and
+        # a member whose xi_hi is just below the haired size is short
+        ([(2.0, 5.0), (-np.inf, 3.0), (1.0, 2.000001)], 1.0,
+         "0x1.000010c6f7a0bp+1", [2]),
+        # floor-bound: the floor decides; xi_hi = floor is below the hair
+        ([(-np.inf, np.inf), (0.5, 3.0)], 3.0, "0x1.8000192a73710p+1", [1]),
+        # a member with no interval reads as (xi_ref = 7, -inf): always short
+        ([(2.0, 9.0), None], 1.0, "0x1.c0001d5c31593p+2", [1]),
+        ([(-np.inf, 10.0)], 1e-8, "0x1.579904a7a44a4p-27", []),
+    ])
+    def test_settle_sizes_the_group_and_names_the_short(self, ends, floor,
+                                                        size, short):
+        # the one rule of a group's size, on stand-in parts: max(every
+        # xi_lo, floor) (1 + XI_HAIR), the same double as the larger of
+        # the two haired separately, and the members whose xi_hi is below it
+        parts = [SimpleNamespace(i=i, interval=end, xi_ref=7.0)
+                 for i, end in enumerate(ends)]
+        got, got_short = synthesis._settle(parts, floor)
+        assert got.hex() == size
+        assert got == max(max(end[0] if end else 7.0 for end in ends)
+                          * (1.0 + XI_HAIR), floor * (1.0 + XI_HAIR))
+        assert got_short == short
+
     def test_warm_step_sits_at_the_lower_end(self, ex1_synthesized):
         system, params, x0, res, _ = ex1_synthesized
         warm = minimize_xi(system, params, x0, warm=res.dv)
-        lo, _ = warm.evaluator.interval(range(3))
+        lo = max(part.interval[0] for part in warm.evaluator.parts)
         assert warm.solves == 0
         assert warm.dv.xi == (lo * (1.0 + XI_HAIR),) * 3
         assert warm.feasible

@@ -327,6 +327,16 @@ class TestValidateVerdict:
         run_online_loop(system, params, [np.zeros(2)] * 3, 2, gains=gains)
         assert len(checks) == 2
 
+    def test_a_subsystem_keeps_its_verdict(self, monkeypatch):
+        # a config load validates each subsystem as it parses it and then
+        # the system, which judges no subsystem again
+        _, system = self._values()
+        sub = dataclasses.replace(system.subsystems[0])
+        finite = self._counting(monkeypatch, plant, "_finite")
+        for _ in range(3):
+            sub.validate()
+        assert len(finite) == 3 * sub.n_rules     # A, B and E: once
+
     def test_a_failing_value_raises_on_every_call(self):
         params, system = self._values()
         bad = dataclasses.replace(params, lam=(0.5, 1.5, 0.5))
