@@ -20,11 +20,10 @@ import numpy as np
 from .configio import (ConfigError, SystemConfig, bundled_config_names,
                        load_bundled_config, load_certificate, load_config,
                        save_certificate)
-from .plant import FieldError
+from .plant import FieldError, _is_integer
 from .simulation import (InitialInfeasible, RecursiveFeasibilityViolation,
                          iss_check, rpi_monte_carlo, run_online_loop)
-from .synthesis import (XI_MODES, Infeasible, _is_integer, minimize_xi,
-                        verify_certificate)
+from .synthesis import XI_MODES, Infeasible, minimize_xi, verify_certificate
 from .tracefile import sidecar_path, write_trace
 
 EXIT_OK = 0

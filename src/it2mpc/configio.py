@@ -39,9 +39,10 @@ import numpy as np
 
 from .lmis import DecisionVars, FixedParams
 from .membership import IT2MembershipFamily, ResidualMF, SigmoidMF
-from .plant import FieldError, LargeScaleSystem, Rule, Subsystem
+from .plant import (FieldError, LargeScaleSystem, Rule, Subsystem, _is_finite,
+                    _is_integer, _is_number, _shown)
 from .simulation import DisturbanceModel, SimulationSettings
-from .synthesis import SynthesisConfig, _is_finite, _is_integer, _is_number
+from .synthesis import SynthesisConfig
 
 SCHEMA_VERSION = 1
 _MF_TIERS = ("lower", "upper", "true")
@@ -81,7 +82,7 @@ def _number(data, path: str) -> float:
         _fail(path, f"expected a number, got {type(data).__name__}")
     # json.loads reads NaN and Infinity, and integers no float holds
     if not _is_finite(data):
-        _fail(path, f"expected a finite number, got {data}")
+        _fail(path, f"expected a finite number, got {_shown(data)}")
     return float(data)
 
 
@@ -466,18 +467,20 @@ def parse_config(data: dict, source: str = "<config>") -> SystemConfig:
     )
 
 
+def _read_json(path: Path, what: str):
+    """The JSON document in a config or certificate file (`what`)."""
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def load_config(path) -> SystemConfig:
     """Read, parse, and validate a JSON config file."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_config(data, source=path.name)
+    return parse_config(_read_json(path, "config"), source=path.name)
 
 
 def _serialize_mf(mf) -> dict:
@@ -607,47 +610,25 @@ def save_certificate(dv, path, margins=None, meta=None):
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def load_certificate(path, system: LargeScaleSystem | None = None):
-    """Read a certificate file back into decision variables.
+def load_certificate(path, system: LargeScaleSystem):
+    """Read a certificate file back into decision variables for `system`.
 
-    Returns (DecisionVars, doc). When a system is given, shapes are checked
-    against it. The input certificate "Z" of older files is ignored."""
+    Returns (DecisionVars, doc): one set size per subsystem, and the gains
+    read as a config's (_parse_gains). Older files' "Z" is ignored."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read certificate: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    doc = _read_json(path, "certificate")
     src = path.name
     _expect(doc, src, dict, "a JSON object")
     if doc.get("kind") != "certificate":
         _fail(src, "not a certificate file (kind != 'certificate')")
-    for fieldname in ("xi", "gains"):
-        if fieldname not in doc:
-            _fail(src, f"missing required field {fieldname!r}")
+    # any other field (margins, meta, an older file's Z) is kept, unread
+    _keys_subset(doc, src, allowed=doc, required=("xi", "gains"))
     xi = [_number(v, f"{src}.xi[{i + 1}]") for i, v in enumerate(
         _expect(doc["xi"], f"{src}.xi", list, "one set size per subsystem"))]
-    gains = [[_matrix(k, f"{src}.gains[{i + 1}][{m + 1}]")
-              for m, k in enumerate(_expect(
-                  g, f"{src}.gains[{i + 1}]", list,
-                  "one gain matrix per controller rule"))]
-             for i, g in enumerate(_expect(doc["gains"], f"{src}.gains", list,
-                                           "one gain list per subsystem"))]
-    if len(gains) != len(xi):
-        _fail(f"{src}.gains", f"{len(gains)} entries for {len(xi)} subsystems")
-    if system is not None:
-        if len(xi) != system.n_subsystems:
-            _fail(src, f"certificate covers {len(xi)} subsystems, "
-                       f"config has {system.n_subsystems}")
-        for i, sub in enumerate(system.subsystems):
-            if len(gains[i]) != sub.n_controller_rules:
-                _fail(f"{src}.gains[{i + 1}]",
-                      f"expected {sub.n_controller_rules} gain matrices")
-            for m, k in enumerate(gains[i]):
-                if k.shape != (sub.n_u, sub.n_x):
-                    _fail(f"{src}.gains[{i + 1}][{m + 1}]",
-                          f"shape {k.shape} != {(sub.n_u, sub.n_x)}")
+    if len(xi) != system.n_subsystems:
+        _fail(src, f"certificate covers {len(xi)} subsystems, "
+                   f"config has {system.n_subsystems}")
+    gains = _parse_gains(doc["gains"], f"{src}.gains", system.subsystems)
     dv = DecisionVars(gains=gains, xi=xi)
     dv.validate()
     return dv, doc

@@ -48,7 +48,7 @@ import numpy as np
 from .linalg import (InvalidMatrixError, SingularBlockError, inv_sqrt, is_psd,
                      min_eig, quad_form, sym_matrix)
 from .plant import (LargeScaleSystem, Subsystem, _as_gains, _frozen,
-                    _verdict_kept, blend, blend_gains)
+                    _is_finite, _shown, _verdict_kept, blend, blend_gains)
 
 
 @dataclass(frozen=True)
@@ -180,18 +180,20 @@ class FixedParams:
             for i, x in enumerate(self.X)))
         for i, lam in enumerate(self.lam):
             if not 0.0 < lam < 1.0:
-                raise ValueError(f"lam[{i}] must lie in (0, 1), got {lam}")
+                raise ValueError(f"lam[{i}] must lie in (0, 1), "
+                                 f"got {_shown(lam)}")
         for name, seq in (("N_const", self.N_const), ("tau", self.tau)):
             for i, v in enumerate(seq):
                 if v <= 0:
                     raise ValueError(f"{name}[{i}] must be positive")
-                if not np.isfinite(v):
-                    raise ValueError(f"{name}[{i}] must be finite, got {v}")
+                if not _is_finite(v):
+                    raise ValueError(f"{name}[{i}] must be finite, "
+                                     f"got {_shown(v)}")
         _raise_first_failure(self._m_q_r_checks)
         if self.alpha < 2.0:
-            raise ValueError(f"alpha must be >= 2, got {self.alpha}")
-        if not np.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
+            raise ValueError(f"alpha must be >= 2, got {_shown(self.alpha)}")
+        if not _is_finite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {_shown(self.alpha)}")
 
     def _m_q_r_checks(self):
         """(test, matrix, message) for M, then Q and R per subsystem in
@@ -262,9 +264,9 @@ class DecisionVars:
                              f"{len(self.gains)} for {len(self.xi)} sizes")
         for i, xi in enumerate(self.xi):
             if xi <= 0:
-                raise ValueError(f"xi[{i}] must be positive, got {xi}")
-            if not np.isfinite(xi):
-                raise ValueError(f"xi[{i}] must be finite, got {xi}")
+                raise ValueError(f"xi[{i}] must be positive, got {_shown(xi)}")
+            if not _is_finite(xi):
+                raise ValueError(f"xi[{i}] must be finite, got {_shown(xi)}")
 
 
 def _format_key(origin: str, subsystem: int, vertex) -> str:

@@ -246,7 +246,7 @@ class Subsystem:
                 raise ValueError("u_max must be finite")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-        if not self.eta < np.inf:
+        if not _is_finite(self.eta):
             raise ValueError("eta must be finite")
         if self.H is not None and self.H.shape[1] != n_x:
             raise ValueError("H must have one column per state")
@@ -328,6 +328,44 @@ class FieldError(ValueError):
     def __init__(self, field: str, reason: str):
         super().__init__(f"{field}: {reason}")
         self.field, self.reason = field, reason
+
+
+def _is_integer(value, low: int) -> bool:
+    """Whether value is an integer >= low: an int or a numpy integer, but
+    not a bool (True would count as 1). The one test of a seed or a count."""
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, np.integer)) and value >= low)
+
+
+def _is_number(value) -> bool:
+    """Whether value is a number: an int, a float or a numpy integer or
+    float, but not a bool. The one type test of a real-valued setting or
+    config entry; each caller then tests the value's range."""
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, float, np.integer, np.floating)))
+
+
+def _is_finite(value) -> bool:
+    """Whether value is a finite number (_is_number): not NaN, not an
+    infinity, and not an integer too large for a float, which no float
+    holds. The one finiteness test of a real-valued setting or config
+    entry; each caller then tests the value's range."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _shown(value, text=str) -> str:
+    """A refused value as a message shows it: text(value) (str, or repr),
+    but an integer of over 20 digits by its digit count, as its text can
+    run to thousands of digits (or refuse, past the int-to-str limit)."""
+    if not isinstance(value, int) or abs(value) < 10 ** 20:
+        return text(value)
+    digits = int(math.log10(abs(value))) + 1    # log10 may round either way
+    digits += abs(value) >= 10 ** digits
+    digits -= abs(value) < 10 ** (digits - 1)
+    return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
 
 
 def _unit_weight(v, field: str, reason: str = "must lie in [0, 1]"):

@@ -6,10 +6,13 @@ recursive-feasibility bookkeeping.
 The loop supports three gain sources: re-synthesis at every step (the online
 algorithm), a single synthesis at step 0 reused afterwards, and externally
 supplied static gains (no synthesis at all — the mode used to exercise
-reported controllers directly). Each step records what it decides and
-observes, alike in all three; the certificate values V and stage costs psi
-are derived after the run from the recorded states, inputs, disturbances
-and set sizes, so a trace from any mode feeds the same checks.
+reported controllers directly). A step carries one thing to the next, the
+FixedGainEvaluator of its gains: built once, before the first step, of a
+warm certificate or the supplied gains, and replaced by each synthesis
+result's own. Each step records what it decides and observes, alike in all
+three; the certificate values V and stage costs psi are derived after the
+run from the recorded states, inputs, disturbances and set sizes, so a trace
+from any mode feeds the same checks.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import quad_form
-from .lmis import (DecisionVars, FixedParams, containment_sizes,
-                   rpi_decrease_scalar)
-from .plant import (FieldError, LargeScaleSystem, _mode_weight, _unit_weight,
-                    step_closed_loop, step_closed_loop_detail)
-from .synthesis import (XI_HAIR, FixedGainEvaluator, Infeasible,
-                        SynthesisConfig, _is_integer, _xi_mode, minimize_xi)
+from .lmis import DecisionVars, FixedParams, rpi_decrease_scalar
+from .plant import (FieldError, LargeScaleSystem, _is_finite, _is_integer,
+                    _mode_weight, _shown, _unit_weight, step_closed_loop,
+                    step_closed_loop_detail)
+from .synthesis import (FixedGainEvaluator, Infeasible, SynthesisConfig,
+                        _floors, _settle, _xi_mode, minimize_xi)
 
 DISTURBANCE_KINDS = ("zero", "uniform_ball", "sinusoidal", "worst_case_boundary")
 RESYNTH_MODES = ("every_step", "once")
@@ -132,10 +135,9 @@ class DisturbanceModel:
             raise FieldError("seed", "expected a nonnegative integer")
         object.__setattr__(self, "seed", int(self.seed))
         if self.radii is not None:
-            radii = tuple(map(float, self.radii))
-            if not all(0.0 <= r < math.inf for r in radii):   # NaN fails too
+            if not all(_is_finite(r) and r >= 0.0 for r in self.radii):
                 raise FieldError("radii", "must be finite and nonnegative")
-            object.__setattr__(self, "radii", radii)
+            object.__setattr__(self, "radii", tuple(map(float, self.radii)))
 
     def radius(self, system: LargeScaleSystem, i: int) -> float:
         if self.radii is not None:
@@ -262,12 +264,12 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
     """Run the closed loop for n_steps from x0_all and record everything.
 
     resynth "every_step" re-minimizes the set size at each instant (warm
-    started from the previous certificate); "once" synthesizes at step 0 and
-    reuses those gains. Externally supplied gains skip synthesis entirely and
-    carry a diagnostic set size from state containment instead of a
-    certificate. An optional warm certificate seeds the step-0 synthesis.
-    Deterministic given the disturbance seed. The arguments are checked
-    first, as SimulationSettings fields (n_steps as "steps").
+    started from the previous step's evaluator); "once" synthesizes at step
+    0 and reuses those gains. Supplied gains skip synthesis entirely, each
+    at _settle's size on its step-0 floor (_floors). An optional warm
+    certificate seeds the step-0 synthesis. Deterministic given the
+    disturbance seed. The arguments are checked first, as
+    SimulationSettings fields (n_steps as "steps").
     """
     dist = dist or DisturbanceModel(kind="zero")
     SimulationSettings(x0_all, n_steps, dist, resynth, mu_bar, mode, rho_bar)
@@ -279,10 +281,9 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
 
     supplied = gains is not None
     dv = warm
-    if supplied:
-        xi0 = [max(size * (1.0 + XI_HAIR), syn_cfg.xi_floor)
-               for size in containment_sizes(params, x)]
-        dv = DecisionVars(gains=gains, xi=xi0)    # frozen copies of the gains
+    if supplied:        # frozen copies of the gains, each at its own floor
+        dv = DecisionVars(gains=gains, xi=[
+            _settle((), floor)[0] for floor in _floors(params, x, syn_cfg)])
 
     trace = SimulationTrace(Ts=Ts, d=dist.realize(system, n_steps), meta={
         "resynth": resynth, "supplied_gains": supplied, "mode": mode,
@@ -290,13 +291,14 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
         "disturbance": {"kind": dist.kind, "seed": dist.seed,
                         "radii": [dist.radius(system, i) for i in range(n)]},
     })
+    evaluator = None if dv is None else \
+        FixedGainEvaluator(system, params, dv, syn_cfg)
 
-    evaluator = None        # the conditions at the current gains
     for k in range(n_steps):
         if not supplied and (resynth == "every_step" or k == 0):
             try:
-                res = minimize_xi(system, params, x, syn_cfg, warm=dv,
-                                  mode=xi_mode, evaluator=evaluator)
+                res = minimize_xi(system, params, x, syn_cfg, mode=xi_mode,
+                                  evaluator=evaluator)
             except Infeasible as exc:
                 if k == 0:
                     raise InitialInfeasible(
@@ -310,8 +312,6 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
             trace.resynthesized.append(True)
         else:
             # fixed gains: only the containment margins read the state
-            if evaluator is None:       # supplied gains, at step 0
-                evaluator = FixedGainEvaluator(system, params, dv, syn_cfg)
             margins = evaluator.margins(dv.xi, x)
             trace.resynthesized.append(False)
 
@@ -444,12 +444,13 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
     stepped (one step_closed_loop call, with one membership mode per
     sample) and checked with array operations.
     """
-    if not (_is_integer(n_samples, 1) and np.isfinite(tol)):
+    if not (_is_integer(n_samples, 1) and _is_finite(tol)):
         raise ValueError(f"rpi_monte_carlo needs an integer n_samples >= 1 and "
-                         f"a finite tol, got {n_samples!r} and {tol}")
+                         f"a finite tol, got {_shown(n_samples, repr)} and "
+                         f"{_shown(tol)}")
     if not _is_integer(seed, 0):
         raise ValueError(f"rpi_monte_carlo needs an integer seed >= 0, "
-                         f"got {seed!r}")
+                         f"got {_shown(seed, repr)}")
     rng = np.random.default_rng(seed)
     n = system.n_subsystems
     # per sample: every state in its unit ball, then every disturbance

@@ -32,14 +32,15 @@ one xi: the "common" mode passes a single group of all subsystems, the
 "per_subsystem" mode one group per subsystem. At fixed gains the feasible
 set sizes are an interval [xi_lo, xi_hi] that does not depend on the state
 (only containment does), with exact ends from generalized eigenvalues, so
-the group's size is max(xi_lo, containment floor), a hair above it,
-whenever every member's xi_hi reaches that: one rule (_settle) sets it for
-a warm step and a cold solve alike. A warm certificate's gains are kept
-whenever they fit. Otherwise each member's EVP, without containment and
-input-peak rows, gives its gains, the same rule sizes the group on their
-parts, and only a member whose interval does not reach the group's size
-is re-solved at that size by a fixed-xi feasibility SDP that enforces the
-input-peak rows exactly (solve_fixed_xi).
+the group's size is max(xi_lo, floor), a hair above it, whenever every
+member's xi_hi reaches that: one rule (_settle, on the floors of _floors)
+sizes a warm step, a cold solve and supplied gains alike. Warm gains come
+in one way, as their FixedGainEvaluator, and are kept whenever they fit.
+Otherwise each member's EVP, without containment and input-peak rows, gives
+its gains, the same rule sizes the group on their parts, and only a member
+whose interval does not reach the group's size is re-solved at that size by
+a fixed-xi feasibility SDP that enforces the input-peak rows exactly
+(solve_fixed_xi).
 
 The input constraint is assumed to take the form of Kothare, Balakrishnan
 & Morari (1996): the paper (arXiv 2108.13790; only its abstract is at hand)
@@ -54,7 +55,6 @@ Schur LMIs [[u_s^2 / xi^2, k_s], [k_s', X]] >= 0, affine in k.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +64,8 @@ from .lmis import (DecisionVars, FixedParams, _format_key,
                    assemble_decrease_blended, assemble_invariance,
                    assemble_invariance_blended, containment_sizes,
                    vertex_keys, xi_slope)
-from .plant import FieldError, LargeScaleSystem, _frozen, _Gains
+from .plant import (FieldError, LargeScaleSystem, _frozen, _Gains, _is_finite,
+                    _is_integer, _shown)
 
 
 XI_MODES = ("common", "per_subsystem")
@@ -84,32 +85,6 @@ class Infeasible(Exception):
         super().__init__(message)
         self.best_excess = best_excess
         self.subsystem = subsystem
-
-
-def _is_integer(value, low: int) -> bool:
-    """Whether value is an integer >= low: an int or a numpy integer, but
-    not a bool (True would count as 1). The one test of a seed or a count."""
-    return (not isinstance(value, bool)
-            and isinstance(value, (int, np.integer)) and value >= low)
-
-
-def _is_number(value) -> bool:
-    """Whether value is a number: an int, a float or a numpy integer or
-    float, but not a bool. The one type test of a real-valued setting or
-    config entry; each caller then tests the value's range."""
-    return (not isinstance(value, bool)
-            and isinstance(value, (int, float, np.integer, np.floating)))
-
-
-def _is_finite(value) -> bool:
-    """Whether value is a finite number (_is_number): not NaN, not an
-    infinity, and not an integer too large for a float, which no float
-    holds. The one finiteness test of a real-valued setting or config
-    entry; each caller then tests the value's range."""
-    try:
-        return _is_number(value) and math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def _xi_mode(mode) -> str:
@@ -135,15 +110,15 @@ class SynthesisConfig:
         _xi_mode(self.xi_mode)
         # the grid needs both ends of every simplex edge
         if not _is_integer(self.grid_density, 2):
-            raise FieldError("grid_density", "must be an integer >= 2, "
-                                             f"got {self.grid_density!r}")
+            raise FieldError("grid_density", "must be an integer >= 2, got "
+                             + _shown(self.grid_density, repr))
         object.__setattr__(self, "grid_density", int(self.grid_density))
         for name, valid, rule in (
                 ("strictness", lambda v: v >= 0.0, "a finite number >= 0"),
                 ("xi_floor", lambda v: v > 0.0, "a finite number > 0")):
             v = getattr(self, name)
             if not (_is_finite(v) and valid(v)):
-                raise FieldError(name, f"must be {rule}, got {v!r}")
+                raise FieldError(name, f"must be {rule}, got {_shown(v, repr)}")
             object.__setattr__(self, name, float(v))
 
 
@@ -356,12 +331,19 @@ def solve_fixed_xi(system: LargeScaleSystem, params: FixedParams, xi,
     and ValueError unless there is one finite size > 0 per subsystem."""
     cfg = cfg or SynthesisConfig()
     n = system.n_subsystems
-    xi_list = [float(xi)] * n if np.ndim(xi) == 0 else [float(v) for v in xi]
-    if len(xi_list) != n or not all(0.0 < v < np.inf for v in xi_list):
-        raise ValueError(f"xi must be {n} finite set sizes > 0, got {xi!r}")
-    gains = [_Model(system, params, i, cfg).at_xi(xi_list[i])
-             for i in range(n)]
-    return DecisionVars(gains=gains, xi=xi_list)
+    xi_list = np.ravel(xi).tolist() * n if np.ndim(xi) == 0 else list(xi)
+    if len(xi_list) != n or not all(_is_finite(v) and v > 0 for v in xi_list):
+        raise ValueError(f"xi must be {n} finite set sizes > 0, "
+                         f"got {_shown(xi, repr)}")
+    gains = [_Model(system, params, i, cfg).at_xi(float(v))
+             for i, v in enumerate(xi_list)]
+    return DecisionVars(gains=gains, xi=map(float, xi_list))
+
+
+def _floors(params: FixedParams, x_all, cfg: SynthesisConfig) -> list:
+    """Per subsystem, the floor _settle sizes it on: the containment size
+    sqrt(x_i' X_i x_i) of its state, at least cfg.xi_floor."""
+    return [max(v, cfg.xi_floor) for v in containment_sizes(params, x_all)]
 
 
 def _settle(parts, floor):
@@ -369,9 +351,9 @@ def _settle(parts, floor):
     it: size = max(every xi_lo, floor) (1 + XI_HAIR), kept a hair above the
     exact boundary, and short the subsystems whose xi_hi < size. A part
     with no interval reads as (xi_ref, -inf), so it is always short. The
-    one rule of the size, for a warm step and a cold solve alike."""
+    one size rule of warm steps, cold solves and supplied gains (no parts)."""
     ends = [part.interval or (part.xi_ref, -np.inf) for part in parts]
-    size = max(max(lo for lo, _ in ends), floor) * (1.0 + XI_HAIR)
+    size = max([floor] + [lo for lo, _ in ends]) * (1.0 + XI_HAIR)
     return size, [part.i for part, (_, hi) in zip(parts, ends) if hi < size]
 
 
@@ -407,7 +389,6 @@ def _solve_cold(models, groups, floors, common):
 
 def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
                 cfg: SynthesisConfig | None = None,
-                warm: DecisionVars | None = None,
                 mode: str | None = None,
                 evaluator: FixedGainEvaluator | None = None
                 ) -> SynthesisResult:
@@ -418,24 +399,21 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
     "per_subsystem" searches each size on its own (each subsystem's
     conditions depend only on its own gains and size, so the searches
     decouple). Both run the same search over groups of subsystems: one
-    group of all of them, or one group per subsystem. With a warm
-    certificate whose set still contains the state, its gains are kept at
-    the smallest size they certify, so a previously feasible solve can only
-    improve — feasibility is preserved across steps; other groups are
-    solved cold. `evaluator` is the FixedGainEvaluator of the warm gains
-    (as returned in a previous result's `evaluator`); it is built from
-    `warm` when not given. The result carries the evaluator of its own
-    gains: the one passed in when every group kept them, else one made of
-    its parts for those groups and new ones for the subsystems solved cold."""
+    group of all of them, or one group per subsystem. `evaluator`, the one
+    warm input, is a previous result's `evaluator` or a certificate dv's
+    FixedGainEvaluator(system, params, dv, cfg). A group whose warm gains
+    still reach the size its state needs keeps them at the smallest size
+    they certify, so a previously feasible solve can only improve —
+    feasibility is preserved across steps; other groups are solved cold.
+    The result carries the evaluator of its own gains: the one passed in
+    when every group kept them, else one made of its parts for those
+    groups and new ones for the subsystems solved cold."""
     cfg = cfg or SynthesisConfig()
     mode = _xi_mode(mode or cfg.xi_mode)
     n = system.n_subsystems
-    if warm is not None and evaluator is None:
-        evaluator = FixedGainEvaluator(system, params, warm, cfg)
     common = mode == "common"
     groups = [range(n)] if common else [(i,) for i in range(n)]
-    floors = [max(size, cfg.xi_floor)
-              for size in containment_sizes(params, x_all)]
+    floors = _floors(params, x_all, cfg)
     xis, parts, xi_lower, cold = [None] * n, [None] * n, [None] * n, []
     for group in groups:
         if evaluator is not None:

@@ -379,6 +379,21 @@ class TestErrorReporting:
         assert record["error"] == "config"
         assert record["message"].startswith("cert.json.gains: ")
 
+    def test_integer_no_float_holds_is_shown_by_its_digits(self, capsys,
+                                                           tmp_path):
+        # a 401-digit JSON integer: exit 3, its field path, and its digit
+        # count in place of the 401 digits
+        doc = tiny_config_doc()
+        doc["fixed_params"]["alpha"] = 10 ** 400
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        rc, _, stderr = run_cli(capsys, "synthesize", str(path))
+        assert rc == 3
+        assert json.loads(stderr) == {
+            "error": "config",
+            "message": "big.json.fixed_params.alpha: expected a finite "
+                       "number, got an integer of 401 digits"}
+
     def test_stderr_is_one_json_line(self, capsys):
         rc, _, stderr = run_cli(capsys, "simulate", "nope")
         assert rc == 3

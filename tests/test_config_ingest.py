@@ -30,6 +30,7 @@ from it2mpc.synthesis import SynthesisConfig
 FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
            / "example1_certificate.json")
 BIG = 10 ** 400                     # a JSON integer no float can hold
+BIG_SHOWN = "an integer of 401 digits"      # as a message shows it
 A = ("subsystems", 0, "rules", 0, "A")
 SIG = ("subsystems", 0, "model_mfs", "upper", 1)
 REF = ("subsystems", 0, "model_mfs", "lower", 1, "of", 0)
@@ -73,11 +74,11 @@ CONFIG_CASES = [
     (A, [[0.5, 0.1], [0.0]], RAGGED),
     (A, [[], []], RAGGED),
     (A, [[0.5, 0.1], []], RAGGED),
-    (A + (1, 0), BIG, _not_finite(f"{A_PATH}[2][1]", BIG)),
+    (A + (1, 0), BIG, _not_finite(f"{A_PATH}[2][1]", BIG_SHOWN)),
     # the first bad entry in row-major order decides, across rows too
-    (A, [[BIG, 0.1], [True, 0.4]], _not_finite(f"{A_PATH}[1][1]", BIG)),
+    (A, [[BIG, 0.1], [True, 0.4]], _not_finite(f"{A_PATH}[1][1]", BIG_SHOWN)),
     (A, [[True, 0.1], [BIG, 0.4]], _not_a_number(f"{A_PATH}[1][1]", "bool")),
-    (A, [[0.5, BIG], [0.0, "x"]], _not_finite(f"{A_PATH}[1][2]", BIG)),
+    (A, [[0.5, BIG], [0.0, "x"]], _not_finite(f"{A_PATH}[1][2]", BIG_SHOWN)),
     (A, "x", (ConfigError, f"{A_PATH}: expected a matrix (list of rows), "
                            "got str")),
     (A, [], (ConfigError, f"{A_PATH}: matrix must be a nonempty list of "
@@ -94,7 +95,7 @@ CONFIG_CASES = [
     (("subsystems", 0, "u_max", 0), None,
      _not_a_number("<config>.subsystems[1].u_max[1]", "NoneType")),
     (("subsystems", 0, "u_max"), [10.0, BIG],
-     _not_finite("<config>.subsystems[1].u_max[2]", BIG)),
+     _not_finite("<config>.subsystems[1].u_max[2]", BIG_SHOWN)),
     (("subsystems", 0, "u_max"), [10.0, [1.0]],
      _not_a_number("<config>.subsystems[1].u_max[2]", "list")),
     (("subsystems", 0, "u_max"), [],
@@ -103,7 +104,7 @@ CONFIG_CASES = [
     (("simulation", "x0", 0, 1), "x",
      _not_a_number("<config>.simulation.x0[1][2]", "str")),
     (("simulation", "x0", 0), [BIG, True],
-     _not_finite("<config>.simulation.x0[1][1]", BIG)),
+     _not_finite("<config>.simulation.x0[1][1]", BIG_SHOWN)),
     (("simulation", "x0", 0), [True, BIG],
      _not_a_number("<config>.simulation.x0[1][1]", "bool")),
     (("fixed_params", "lam", 0), True,
@@ -118,16 +119,16 @@ CONFIG_CASES = [
     (SIG + ("divisor",), [0.4],
      _not_a_number(f"{SIG_PATH}.divisor", "list")),
     (SIG + ("perturb_amplitude",), BIG,
-     _not_finite(f"{SIG_PATH}.perturb_amplitude", BIG)),
-    (SIG + ("shift",), BIG, _not_finite(f"{SIG_PATH}.shift", BIG)),
+     _not_finite(f"{SIG_PATH}.perturb_amplitude", BIG_SHOWN)),
+    (SIG + ("shift",), BIG, _not_finite(f"{SIG_PATH}.shift", BIG_SHOWN)),
     (("fixed_params", "alpha"), BIG,
-     _not_finite("<config>.fixed_params.alpha", BIG)),
+     _not_finite("<config>.fixed_params.alpha", BIG_SHOWN)),
     (("synthesis", "strictness"), BIG,
      (ConfigError, "<config>.synthesis.strictness: must be a finite number "
-                   f">= 0, got {BIG}")),
+                   f">= 0, got {BIG_SHOWN}")),
     (("synthesis", "xi_floor"), BIG,
      (ConfigError, "<config>.synthesis.xi_floor: must be a finite number "
-                   f"> 0, got {BIG}")),
+                   f"> 0, got {BIG_SHOWN}")),
     (SIG + ("divisor",), 0, (ConfigError, f"{SIG_PATH}: divisor must be "
                                           "nonzero")),
     (SIG + ("form",), "bogus", (ConfigError, f"{SIG_PATH}: unknown form "
@@ -190,12 +191,18 @@ CERTIFICATE_CASES = [
                    "equal-length")),
     (G, [[]], (ConfigError, f"{G_PATH}: matrix rows must be nonempty and "
                             "equal-length")),
-    (G + (0, 1), BIG, _not_finite(f"{G_PATH}[1][2]", BIG)),
-    (G, [[BIG, True]], _not_finite(f"{G_PATH}[1][1]", BIG)),
+    (G + (0, 1), BIG, _not_finite(f"{G_PATH}[1][2]", BIG_SHOWN)),
+    (G, [[BIG, True]], _not_finite(f"{G_PATH}[1][1]", BIG_SHOWN)),
     (("xi", 1), True, _not_a_number("cert.json.xi[2]", "bool")),
-    (("xi", 2), BIG, _not_finite("cert.json.xi[3]", BIG)),
+    (("xi", 2), BIG, _not_finite("cert.json.xi[3]", BIG_SHOWN)),
     (G, [[1.0, 2.0, 3.0]],
-     (ConfigError, f"{G_PATH}: shape (1, 3) != (1, 2)")),
+     (ConfigError, f"{G_PATH}: expected 2 columns, got 3")),
+    # counts, against the config's plant (3 subsystems, 2 controller rules)
+    (("gains", 1), [[[1.0, 2.0]]],
+     (ConfigError, "cert.json.gains[2]: expected 2 gain matrices, got 1")),
+    (("xi",), [1.0, 1.0],
+     (ConfigError, "cert.json: certificate covers 2 subsystems, config has "
+                   "3")),
 ]
 
 
@@ -208,7 +215,7 @@ NON_FINITE_CASES = [
     (A, [[True, math.nan], [0.0, 0.4]], _not_a_number(f"{A_PATH}[1][1]", "bool")),
     (A, [[0.5, -math.inf], [True, 0.4]], _not_finite(f"{A_PATH}[1][2]", "-inf")),
     (A, [[0.5, math.nan], [BIG, 0.4]], _not_finite(f"{A_PATH}[1][2]", "nan")),
-    (A, [[BIG, math.nan], [0.0, 0.4]], _not_finite(f"{A_PATH}[1][1]", BIG)),
+    (A, [[BIG, math.nan], [0.0, 0.4]], _not_finite(f"{A_PATH}[1][1]", BIG_SHOWN)),
     (("subsystems", 0, "u_max", 0), math.nan,
      _not_finite("<config>.subsystems[1].u_max[1]", "nan")),
     (("subsystems", 0, "eta"), math.inf,
@@ -625,7 +632,7 @@ SETTINGS_BAD = [
     *[("simulation.disturbance.radii", [v], f"[1]: {_finite(v)}", RADII)
       for v in (NAN, INF, -INF)],
     ("simulation.disturbance.radii", [True], "[1]: expected a number, got bool",
-     None),
+     RADII),
     *[("synthesis.xi_mode", v, _xi_mode(v), _xi_mode(v)) for v in ("bogus", -1)],
     *[("synthesis.grid_density", v, _density(repr(v)), _density(repr(v)))
       for v in (-1, 1, True, 1.5, NAN, INF, -INF, "11")],
@@ -708,6 +715,26 @@ class TestSettingsRules:
         owned = getattr(SynthesisConfig(**{field: value}), field)
         assert node == owned == value
         assert type(node) is type(owned) is float
+
+    @pytest.mark.parametrize("field, rule", [
+        ("strictness", ">= 0"), ("xi_floor", "> 0"),
+        ("grid_density", None)])
+    @pytest.mark.parametrize("digits", [401, 5001])
+    def test_long_integer_is_shown_by_its_digits(self, field, rule, digits):
+        # a refused integer is shown by its digit count: 5,001 digits raised
+        # Python's int-to-str ValueError from the message itself, and 401
+        # were echoed whole (json.loads refuses integers past 4,300 digits,
+        # so only the shorter one reaches a config)
+        value = -10 ** (digits - 1)
+        shown = f"a negative integer of {digits} digits"
+        reason = f"must be a finite number {rule}, got {shown}" if rule \
+            else f"must be an integer >= 2, got {shown}"
+        _raises_exactly(lambda: SynthesisConfig(**{field: value}),
+                        (FieldError, f"{field}: {reason}"))
+        if digits == 401:
+            _raises_exactly(
+                lambda: parse_config(_doc_with(f"synthesis.{field}", value)),
+                (ConfigError, f"<config>.synthesis.{field}: {reason}"))
 
     def test_reconstructed_mode_needs_rho_bar(self):
         _raises_exactly(lambda: parse_config(_doc_with(

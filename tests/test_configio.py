@@ -409,43 +409,43 @@ class TestCertificateFiles:
         assert raw["worst"] == -0.5
         assert raw["meta"]["xi_mode"] == "common"
 
-    def test_wrong_kind_rejected(self, tmp_path):
+    def test_wrong_kind_rejected(self, tmp_path, doc):
         path = tmp_path / "cert.json"
         path.write_text(json.dumps({"kind": "other"}))
         with pytest.raises(ConfigError, match="not a certificate"):
-            load_certificate(path)
+            load_certificate(path, parse_config(copy.deepcopy(doc)).system)
 
-    def test_missing_field(self, tmp_path):
+    def test_missing_field(self, tmp_path, doc):
         path = tmp_path / "cert.json"
         path.write_text(json.dumps({"kind": "certificate", "xi": [1.0]}))
         with pytest.raises(ConfigError, match="missing required field"):
-            load_certificate(path)
+            load_certificate(path, parse_config(copy.deepcopy(doc)).system)
 
     def test_shape_checked_against_system(self, tmp_path, doc):
+        # the gains are read as a config's are: _matrix's row count first
         cfg = parse_config(copy.deepcopy(doc))
         good = self.make_dv()
         dv = DecisionVars(gains=[[np.array([[1.0, 2.0, 3.0]]),
                                   good.gains[0][1]]], xi=good.xi)
         path = tmp_path / "cert.json"
         save_certificate(dv, path)
-        with pytest.raises(ConfigError, match=r"gains\[1\]\[1\].*shape"):
+        with pytest.raises(ConfigError, match=r"^cert\.json\.gains\[1\]\[1\]: "
+                                              r"expected 2 rows, got 1$"):
             load_certificate(path, cfg.system)
-        back, _ = load_certificate(path)  # no system: shapes unchecked
-        assert back.gains[0][0].shape == (1, 3)
 
     def test_entry_count_checked_against_xi(self, tmp_path, doc):
-        # one set size but two gain lists: rejected with or without a system
+        # one set size, one subsystem, but two gain lists: _parse_gains'
+        # entry count against the system
         cfg = parse_config(copy.deepcopy(doc))
         path = tmp_path / "cert.json"
         save_certificate(self.make_dv(), path)
         raw = json.loads(path.read_text())
         raw["gains"] = raw["gains"] * 2
         path.write_text(json.dumps(raw))
-        for system in (None, cfg.system):
-            with pytest.raises(ConfigError,
-                               match=r"^cert\.json\.gains: 2 entries "
-                                     r"for 1 subsystems$"):
-                load_certificate(path, system)
+        with pytest.raises(ConfigError,
+                           match=r"^cert\.json\.gains: expected 1 entries, "
+                                 r"got 2$"):
+            load_certificate(path, cfg.system)
 
     @pytest.mark.parametrize("field, value, where", [
         ("xi", 5, r"\.xi: expected one set size per subsystem, got int"),
@@ -453,7 +453,7 @@ class TestCertificateFiles:
                      r"got int"),
         ("gains", [5], r"\.gains\[1\]: expected one gain matrix per "
                        r"controller rule, got int")])
-    def test_field_types_checked(self, tmp_path, field, value, where):
+    def test_field_types_checked(self, tmp_path, doc, field, value, where):
         # each was a TypeError ('int' object is not iterable)
         path = tmp_path / "cert.json"
         save_certificate(self.make_dv(), path)
@@ -461,7 +461,7 @@ class TestCertificateFiles:
         raw[field] = value
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match=r"^cert\.json" + where):
-            load_certificate(path)
+            load_certificate(path, parse_config(copy.deepcopy(doc)).system)
 
     def test_legacy_z_field_is_ignored(self, tmp_path, doc):
         # certificates written before the input certificate Z was retired

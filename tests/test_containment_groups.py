@@ -110,7 +110,9 @@ def test_stored_certificate_at_its_sizes():
     # minimize_xi's floors: the step keeps the stored gains at the
     # containment-bound sizes the per-subsystem floors give
     res = minimize_xi(cfg.system, cfg.params, cfg.simulation.x0,
-                      cfg.synthesis, warm=dv, mode="per_subsystem")
+                      cfg.synthesis, mode="per_subsystem",
+                      evaluator=FixedGainEvaluator(cfg.system, cfg.params, dv,
+                                                   cfg.synthesis))
     rows = _per_subsystem_rows(cfg.params, cfg.simulation.x0, res.dv.xi)
     assert _hex(res.margins[k] for k in rows) == _hex(rows.values())
 

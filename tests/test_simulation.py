@@ -252,6 +252,21 @@ class TestRunOnlineLoop:
                 assert trace.w[k][i].sum() == pytest.approx(1.0, abs=1e-12)
                 assert trace.h[k][i].sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_supplied_gains_start_at_the_settled_floor(self):
+        # supplied gains are sized by _settle on no parts: each subsystem's
+        # floor max(sqrt(x'Xx), xi_floor), a hair above it. At a zero state
+        # that is xi_floor (1 + XI_HAIR), where xi_floor itself was used
+        cfg = SynthesisConfig()
+        params = example1_reference_params()
+        x0 = [np.zeros(2), np.array([1.0, -1.0]), np.zeros(2)]
+        trace = run_online_loop(build_example1_system(), params, x0, 1,
+                                gains=example1_reference_gains(),
+                                syn_cfg=cfg)
+        haired = 1.0 + XI_HAIR
+        assert trace.xi[0] == [cfg.xi_floor * haired,
+                               float(np.sqrt(x0[1] @ params.X[1] @ x0[1]))
+                               * haired, cfg.xi_floor * haired]
+
     def test_unknown_resynth_mode_rejected(self):
         system = build_example1_system()
         with pytest.raises(ValueError, match="resynth"):

@@ -194,12 +194,12 @@ class TestMinimizeXi:
         # one subsystem: both modes run the same search, bit for bit, cold
         # and warm
         system, params = tiny
-        for x, warm in ((TINY_X0, None),
-                        ([0.5 * TINY_X0[0]], tiny_result.dv)):
-            common = minimize_xi(system, params, x, CFG, warm=warm,
-                                 mode="common")
-            sub = minimize_xi(system, params, x, CFG, warm=warm,
-                              mode="per_subsystem")
+        warm = FixedGainEvaluator(system, params, tiny_result.dv, CFG)
+        for x, evaluator in ((TINY_X0, None), ([0.5 * TINY_X0[0]], warm)):
+            common = minimize_xi(system, params, x, CFG, mode="common",
+                                 evaluator=evaluator)
+            sub = minimize_xi(system, params, x, CFG, mode="per_subsystem",
+                              evaluator=evaluator)
             assert sub.dv.xi == common.dv.xi
             assert sub.solves == common.solves
             for k_sub, k_common in zip(sub.dv.gains[0], common.dv.gains[0]):
@@ -214,7 +214,8 @@ class TestMinimizeXi:
         system, params = tiny
         x_shrunk = [0.5 * TINY_X0[0]]
         res = minimize_xi(system, params, x_shrunk, CFG,
-                          warm=tiny_result.dv)
+                          evaluator=FixedGainEvaluator(system, params,
+                                                       tiny_result.dv, CFG))
         assert res.feasible
         assert res.dv.xi[0] <= tiny_result.dv.xi[0] * (1 + 1e-6)
         # shrunken state lowers the containment floor, so the warm
@@ -261,7 +262,8 @@ class TestMinimizeXi:
         zero = [np.zeros((2, 2))] * 2
         warm = DecisionVars(gains=[zero], xi=[1e4])
         res = minimize_xi(system, params, [np.array([0.01, -0.01])], cfg,
-                          warm=warm)
+                          evaluator=FixedGainEvaluator(system, params, warm,
+                                                       cfg))
         assert res.feasible
         assert max(res.margins.values()) <= 0.0
         assert res.dv.xi[0] < 1e4
@@ -302,21 +304,25 @@ class TestMinimizeXi:
     def test_results_carry_their_evaluator(self, tiny, tiny_result):
         # a cold solve and a warm one that must re-solve (positive-feedback
         # gains) each return the evaluator of their own gains; the next
-        # warm step keeps those gains with it as if rebuilt from `warm`
+        # warm step keeps those gains with it as if rebuilt from res.dv
         system, params = tiny
         bad = DecisionVars(
             gains=[[k + 10.0 * np.eye(2) for k in tiny_result.dv.gains[0]]],
             xi=list(tiny_result.dv.xi))
-        resolved = minimize_xi(system, params, TINY_X0, CFG, warm=bad)
+        resolved = minimize_xi(system, params, TINY_X0, CFG,
+                               evaluator=FixedGainEvaluator(system, params,
+                                                            bad, CFG))
         assert resolved.solves > 0
         x_next = [0.8 * TINY_X0[0]]
         for res in (tiny_result, resolved):
             assert res.evaluator.gains is res.dv.gains
             assert res.margins == certificate_margins(system, params, res.dv,
                                                       TINY_X0, CFG)
-            kept = minimize_xi(system, params, x_next, CFG, warm=res.dv,
+            kept = minimize_xi(system, params, x_next, CFG,
                                evaluator=res.evaluator)
-            rebuilt = minimize_xi(system, params, x_next, CFG, warm=res.dv)
+            rebuilt = minimize_xi(system, params, x_next, CFG,
+                                  evaluator=FixedGainEvaluator(
+                                      system, params, res.dv, CFG))
             assert kept.solves == rebuilt.solves == 0
             assert kept.dv.xi == rebuilt.dv.xi
             assert list(kept.margins.items()) == \
@@ -337,7 +343,7 @@ class TestMinimizeXi:
             dv.gains[0], [-3.0 * k for k in dv.gains[1]], dv.gains[2]))
         warm = FixedGainEvaluator(system, params, dv, cfg.synthesis)
         assembled = _count_assemblies(monkeypatch)
-        res = minimize_xi(system, params, x0, cfg.synthesis, warm=dv,
+        res = minimize_xi(system, params, x0, cfg.synthesis,
                           mode="per_subsystem", evaluator=warm)
         monkeypatch.undo()
         assert res.solves == 1
@@ -640,6 +646,9 @@ class TestFixedGainEvaluator:
         # a member with no interval reads as (xi_ref = 7, -inf): always short
         ([(2.0, 9.0), None], 1.0, "0x1.c0001d5c31593p+2", [1]),
         ([(-np.inf, 10.0)], 1e-8, "0x1.579904a7a44a4p-27", []),
+        # no parts (supplied gains): the haired floor
+        ([], 1e-8, "0x1.579904a7a44a4p-27", []),
+        ([], 3.0, "0x1.8000192a73710p+1", []),
     ])
     def test_settle_sizes_the_group_and_names_the_short(self, ends, floor,
                                                         size, short):
@@ -650,13 +659,14 @@ class TestFixedGainEvaluator:
                  for i, end in enumerate(ends)]
         got, got_short = synthesis._settle(parts, floor)
         assert got.hex() == size
-        assert got == max(max(end[0] if end else 7.0 for end in ends)
-                          * (1.0 + XI_HAIR), floor * (1.0 + XI_HAIR))
+        assert got == max([(end[0] if end else 7.0) * (1.0 + XI_HAIR)
+                           for end in ends] + [floor * (1.0 + XI_HAIR)])
         assert got_short == short
 
     def test_warm_step_sits_at_the_lower_end(self, ex1_synthesized):
         system, params, x0, res, _ = ex1_synthesized
-        warm = minimize_xi(system, params, x0, warm=res.dv)
+        warm = minimize_xi(system, params, x0, evaluator=FixedGainEvaluator(
+            system, params, res.dv, SynthesisConfig()))
         lo = max(part.interval[0] for part in warm.evaluator.parts)
         assert warm.solves == 0
         assert warm.dv.xi == (lo * (1.0 + XI_HAIR),) * 3

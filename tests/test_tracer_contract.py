@@ -86,6 +86,25 @@ def test_every_step_loop_reaches_the_traced_layers(tracer,
     # one stacked containment assembly per step and group of equal-shape X_i
     assert len(cfg.params.x_groups) == 1
     assert calls["lmis.containment"] == 3
+    # the stored gains' evaluator is built once, before the first step (3
+    # subsystems x 2 families), and every step keeps it: none is rebuilt
+    assert calls["lmis.vertex"] == 6
+
+
+def test_supplied_gains_loop_builds_one_evaluator(tracer, fixture_certificate):
+    # supplied gains: one evaluator before the first step, carried across
+    # the steps, whose margins read only the containment rows anew
+    cfg, dv = fixture_certificate
+    sim = cfg.simulation
+    traces = []
+    calls = _calls(tracer, lambda: traces.append(run_online_loop(
+        cfg.system, cfg.params, sim.x0, 3,
+        dist=DisturbanceModel(kind="uniform_ball", seed=1),
+        syn_cfg=cfg.synthesis, Ts=cfg.Ts, mu_bar=sim.mu_bar, mode=sim.mode,
+        rho_bar=sim.rho_bar, gains=dv.gains)))
+    assert traces[0].n_steps == 3 and not any(traces[0].resynthesized)
+    assert calls["lmis.vertex"] == 6
+    assert calls["lmis.containment"] == 3
 
 
 def test_audit_reaches_the_traced_layers(tracer, fixture_certificate):

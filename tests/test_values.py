@@ -17,8 +17,9 @@ from it2mpc.configio import (bundled_config_names, load_bundled_config,
                              load_certificate)
 from it2mpc.linalg import sym_eig, sym_matrix
 from it2mpc.lmis import DecisionVars
-from it2mpc.simulation import run_online_loop
-from it2mpc.synthesis import minimize_xi, verify_certificate
+from it2mpc.plant import FieldError, _shown
+from it2mpc.simulation import DisturbanceModel, rpi_monte_carlo, run_online_loop
+from it2mpc.synthesis import minimize_xi, solve_fixed_xi, verify_certificate
 
 from conftest import tiny_params
 
@@ -369,3 +370,102 @@ class TestValidateVerdict:
         # the originals keep their verdicts
         params.validate()
         system.validate()
+
+
+BIG = 10 ** 400         # an integer no float holds
+BIG_SHOWN = "an integer of 401 digits"
+
+
+def _with_eta(cfg, eta):
+    sub = dataclasses.replace(cfg.system.subsystems[1], eta=eta)
+    subs = (cfg.system.subsystems[0], sub, cfg.system.subsystems[2])
+    return dataclasses.replace(cfg.system, subsystems=subs)
+
+
+# (value, check, message): each value check judges a number with
+# plant._is_finite before it converts or compares it, and shows a refused
+# one through plant._shown; the message of a value that was refused before
+# (NaN, an infinity, a non-positive one) is unchanged
+VALUE_CHECKS = [
+    ("eta", lambda cfg, dv: _with_eta(cfg, BIG).validate(),
+     "eta must be finite"),
+    ("eta", lambda cfg, dv: _with_eta(cfg, np.nan).validate(),
+     "eta must be finite"),
+    *[(name, lambda cfg, dv, name=name: dataclasses.replace(
+        cfg.params, **{name: (1.0, BIG, 1.0)}).validate(),
+       f"{name}[1] must be finite, got {BIG_SHOWN}")
+      for name in ("N_const", "tau")],
+    ("alpha", lambda cfg, dv: dataclasses.replace(
+        cfg.params, alpha=BIG).validate(),
+     f"alpha must be finite, got {BIG_SHOWN}"),
+    ("alpha", lambda cfg, dv: dataclasses.replace(
+        cfg.params, alpha=np.inf).validate(), "alpha must be finite, got inf"),
+    ("lam", lambda cfg, dv: dataclasses.replace(
+        cfg.params, lam=(0.5, BIG, 0.5)).validate(),
+     f"lam[1] must lie in (0, 1), got {BIG_SHOWN}"),
+    ("xi", lambda cfg, dv: dataclasses.replace(
+        dv, xi=(1.0, BIG, 1.0)).validate(),
+     f"xi[1] must be finite, got {BIG_SHOWN}"),
+    ("xi", lambda cfg, dv: dataclasses.replace(
+        dv, xi=(1.0, -BIG, 1.0)).validate(),
+     f"xi[1] must be positive, got a negative {BIG_SHOWN[3:]}"),
+    ("xi", lambda cfg, dv: dataclasses.replace(
+        dv, xi=(1.0, True, 1.0)).validate(), "xi[1] must be finite, got True"),
+]
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("name, check, message", VALUE_CHECKS,
+                             ids=[name for name, _, _ in VALUE_CHECKS])
+    def test_value_checks(self, name, check, message):
+        # before: eta = 10**400 passed, the others raised numpy's
+        # TypeError, and xi = True was kept as 1
+        cfg, dv = _fixture()
+        with pytest.raises(ValueError) as info:
+            check(cfg, dv)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("call, kind, message", [
+        (lambda cfg, dv: rpi_monte_carlo(cfg.system, cfg.params, dv,
+                                         n_samples=10, tol=BIG),
+         ValueError, "rpi_monte_carlo needs an integer n_samples >= 1 and a "
+                     f"finite tol, got 10 and {BIG_SHOWN}"),
+        (lambda cfg, dv: rpi_monte_carlo(cfg.system, cfg.params, dv,
+                                         n_samples=10, tol=True),
+         ValueError, "rpi_monte_carlo needs an integer n_samples >= 1 and a "
+                     "finite tol, got 10 and True"),
+        (lambda cfg, dv: solve_fixed_xi(cfg.system, cfg.params, BIG),
+         ValueError, f"xi must be 3 finite set sizes > 0, got {BIG_SHOWN}"),
+        (lambda cfg, dv: solve_fixed_xi(cfg.system, cfg.params,
+                                        [1.0, True, 1.0]),
+         ValueError, "xi must be 3 finite set sizes > 0, got [1.0, True, 1.0]"),
+        (lambda cfg, dv: DisturbanceModel(radii=(0.1, BIG, 0.1)),
+         FieldError, "radii: must be finite and nonnegative")],
+        ids=["rpi-tol-big", "rpi-tol-bool", "fixed-xi-big", "fixed-xi-bool",
+             "radii-big"])
+    def test_entry_points(self, call, kind, message):
+        # before: numpy's TypeError, OverflowError, or tol = True kept as 1
+        cfg, dv = _fixture()
+        with pytest.raises(ValueError) as info:
+            call(cfg, dv)
+        assert type(info.value) is kind
+        assert str(info.value) == message
+
+    SHOWN = [
+        (10 ** 20 - 1, "99999999999999999999"),
+        (10 ** 20, "an integer of 21 digits"),
+        (10 ** 400 - 1, "an integer of 400 digits"),
+        (BIG, BIG_SHOWN),
+        (-10 ** 5000, "a negative integer of 5001 digits"),
+        (np.int64(-7), "-7"), (np.float64(np.nan), "nan"), (1.5, "1.5")]
+
+    @pytest.mark.parametrize("value, shown", SHOWN,
+                             ids=[shown for _, shown in SHOWN])
+    def test_shown(self, value, shown):
+        # an integer past Python's int-to-str limit cannot even be a test id
+        assert _shown(value) == shown
+
+    def test_shown_quotes_through_repr(self):
+        assert _shown("x", repr) == "'x'"
+        assert _shown(10 ** 5000, repr) == "an integer of 5001 digits"
