@@ -526,7 +526,9 @@ def _serialize_family(fam: IT2MembershipFamily) -> dict:
 
 
 def serialize_config(cfg: SystemConfig) -> dict:
-    """Normalized JSON document for a validated config."""
+    """Normalized JSON document for a validated config. SystemConfig.data
+    reads it, and variant configs (the CI's among them) are built by
+    editing that document and loading it again."""
     subs = []
     for sub in cfg.system.subsystems:
         entry = {
@@ -591,6 +593,9 @@ def serialize_config(cfg: SystemConfig) -> dict:
 
 
 def save_config(cfg: SystemConfig, path):
+    """Write serialize_config(cfg) as JSON. No verb writes a config; this
+    stays public as the README's persistence call, a config's counterpart
+    of save_certificate."""
     Path(path).write_text(json.dumps(serialize_config(cfg), indent=2) + "\n")
 
 

@@ -16,8 +16,9 @@ parts [E theta]'(Lam (x) X)[E theta] with Lam = [[1, 1], [1, n]] and k'Mk,
 which are matrix-convex, so vertex enforcement over every (model rule,
 controller rule) pair covers the blended matrices
 (synthesis.verify_certificate states the lemma; its membership-grid sweep
-re-checks it). The vertices of one subsystem and family assemble as one
-stack.
+re-checks it). Every assembler takes stacks (vertex index sequences,
+weight stacks, or a shape group's states) and returns one LMIInstance of a
+stack of matrices, whose `keys` name each matrix.
 
 Layout. Everything in subsystem i's invariance and decrease matrices that
 depends on neither the gains nor xi is held by one _Layout(system, params,
@@ -273,10 +274,7 @@ def _format_key(origin: str, subsystem: int, vertex) -> str:
     tag = f"{origin}[i={subsystem}"
     if vertex is not None:
         l, m = vertex
-        if l is not None:
-            tag += f",l={l}"
-        if m is not None:
-            tag += f",m={m}"
+        tag += f",l={l},m={m}"
     return tag + "]"
 
 
@@ -287,64 +285,47 @@ def vertex_keys(origin: str, subsystem: int, pairs) -> list:
 
 @dataclass(frozen=True)
 class LMIInstance:
-    """One assembled condition with enough metadata to re-identify it."""
+    """One assembled stack of conditions with enough metadata to
+    re-identify each matrix of it."""
 
-    matrix: np.ndarray
+    matrix: np.ndarray               # the stack (P, size, size)
     origin: str                      # invariance | decrease | containment
     subsystem: int | tuple           # a shape group's indices for a
-                                     # stacked containment instance
-    # (model rule, controller rule) when vertexed; one pair per matrix of a
-    # vertex stack
+                                     # containment stack
+    # the (model rule, controller rule) pair of each matrix of a vertex
+    # stack; None for a blended or containment stack
     vertex: tuple | None = None
     slot_dims: tuple = ()
     strict_basis: np.ndarray | None = field(default=None, compare=False)
 
     @property
-    def key(self) -> str:
-        """Identifier of the instance; a vertex stack keys its family, as a
-        blended stack does (`keys` names each matrix)."""
-        stacked = self.matrix.ndim == 3
-        return _format_key(self.origin, self.subsystem,
-                           None if stacked else self.vertex)
-
-    @property
     def keys(self) -> list:
-        """One key per matrix: [key] for one matrix, each (l, m) pair's key
-        for a vertex stack, each member's key for a shape group's
-        containment stack, and the family key repeated for a blended one."""
-        if self.matrix.ndim == 2:
-            return [self.key]
+        """One key per matrix: each (l, m) pair's key for a vertex stack,
+        each member's key for a shape group's containment stack, and the
+        family key repeated for a blended one."""
         if isinstance(self.subsystem, tuple):
             return [_format_key(self.origin, i, None) for i in self.subsystem]
         if self.vertex is None:
-            return [self.key] * len(self.matrix)
+            return [_format_key(self.origin, self.subsystem, None)] * len(
+                self.matrix)
         return vertex_keys(self.origin, self.subsystem, self.vertex)
 
     def test_matrix(self) -> np.ndarray:
-        """Matrix the condition is judged on: strict instances are compressed
-        onto the complement of structural coupling kernels (each matrix of
-        a stacked instance on its own)."""
+        """Matrices the conditions are judged on: strict instances are
+        compressed onto the complement of structural coupling kernels (each
+        matrix of the stack on its own)."""
         if self.strict_basis is None:
             return self.matrix
         return sym_matrix(self.strict_basis.T @ self.matrix @ self.strict_basis)
 
 
 def _vertex_pairs(l, m):
-    """Index arrays (P,) of the vertex pairs (l[p], m[p]); integers l, m
-    are the P = 1 case."""
-    ls, ms = np.atleast_1d(l), np.atleast_1d(m)
-    if np.ndim(l) != np.ndim(m) or ls.ndim != 1 or ls.shape != ms.shape:
-        raise ValueError("l and m must be two integers or two sequences of "
-                         f"equal length, got shapes {np.shape(l)} and "
-                         f"{np.shape(m)}")
+    """Index arrays (P,) of the vertex pairs (l[p], m[p])."""
+    ls, ms = np.asarray(l), np.asarray(m)
+    if ls.ndim != 1 or ls.shape != ms.shape:
+        raise ValueError("l and m must be two index sequences of equal "
+                         f"length, got shapes {ls.shape} and {ms.shape}")
     return ls, ms
-
-
-def theta_vertex(sub: Subsystem, gains_i, l, m) -> np.ndarray:
-    """Closed-loop vertex matrix A_l + B_l k_m; equal-length index
-    sequences l, m give the stack (P, n_x, n_x) of the pairs' matrices."""
-    theta, _, _ = _vertex_stacks(sub, gains_i, *_vertex_pairs(l, m))
-    return theta if np.ndim(l) else theta[0]
 
 
 def _vertex_stacks(sub: Subsystem, gains_i, ls, ms):
@@ -483,64 +464,54 @@ def _vertex_instance(system, params, dv, i, l, m, family):
     mats = layout.stack(family, *_vertex_stacks(system.subsystems[i],
                                                 dv.gains[i], ls, ms),
                         dv.xi[i])
-    if np.ndim(l):
-        return layout.instance(family, mats,
-                               tuple(zip(ls.tolist(), ms.tolist())))
-    return layout.instance(family, mats[0], (l, m))
+    return layout.instance(family, mats, tuple(zip(ls.tolist(), ms.tolist())))
 
 
 def _weight_pairs(w, h):
-    """Weights (w, h) as float arrays: two vectors (one blend) or two
-    stacks (P, n_rules) and (P, n_controller_rules) of P blends."""
+    """Weight stacks (P, n_rules) and (P, n_controller_rules) of P blends,
+    as float arrays."""
     w, h = np.asarray(w, dtype=float), np.asarray(h, dtype=float)
-    if w.ndim != h.ndim or w.ndim not in (1, 2) or \
-            w.shape[:-1] != h.shape[:-1]:
-        raise ValueError("w and h must be two weight vectors or two weight "
-                         "stacks of equal length, got shapes "
-                         f"{w.shape} and {h.shape}")
+    if w.ndim != 2 or h.ndim != 2 or len(w) != len(h):
+        raise ValueError("w and h must be two weight stacks of equal "
+                         f"length, got shapes {w.shape} and {h.shape}")
     return w, h
 
 
 def _blended_instance(system, params, dv, i, w, h, family):
     w, h = _weight_pairs(w, h)
-    a, b, e = blend(system.subsystems[i], np.atleast_2d(w))
-    k = blend_gains(dv.gains[i], np.atleast_2d(h))
+    a, b, e = blend(system.subsystems[i], w)
+    k = blend_gains(dv.gains[i], h)
     layout = _Layout(system, params, i)
-    mats = layout.stack(family, a + b @ k, e, k, dv.xi[i])
-    return layout.instance(family, mats if w.ndim == 2 else mats[0])
+    return layout.instance(family, layout.stack(family, a + b @ k, e, k,
+                                                dv.xi[i]))
 
 
 def assemble_invariance(system: LargeScaleSystem, params: FixedParams,
                         dv: DecisionVars, i: int, l, m) -> LMIInstance:
-    """Invariant-set condition at vertex (model rule l, controller rule m).
-
-    Equal-length integer sequences l, m give one instance whose matrix is
-    the stack (P, size, size) of the P vertices (l[p], m[p]), each equal to
-    its own single-vertex assembly, and whose `keys` name them; the
-    coupling load and strict basis are built once for the whole stack.
-    """
+    """Invariant-set conditions at the vertices (model rule l[p],
+    controller rule m[p]) of equal-length index sequences l, m: one
+    instance whose matrix is the stack (P, size, size) of the P vertices
+    and whose `keys` name them; the coupling load and strict basis are
+    built once for the whole stack."""
     return _vertex_instance(system, params, dv, i, l, m, "invariance")
 
 
 def assemble_invariance_blended(system, params, dv, i, w, h) -> LMIInstance:
-    """Invariance condition with membership-blended matrices.
-
-    Weights w (n_rules,) and h (n_controller_rules,) give one matrix;
+    """Invariance conditions with membership-blended matrices: weight
     stacks w (P, n_rules) and h (P, n_controller_rules) give one instance
-    whose matrix is the stack (P, size, size) of the P blends, each equal
-    to its own single-weight assembly."""
+    whose matrix is the stack (P, size, size) of the P blends."""
     return _blended_instance(system, params, dv, i, w, h, "invariance")
 
 
 def assemble_decrease(system: LargeScaleSystem, params: FixedParams,
                       dv: DecisionVars, i: int, l, m) -> LMIInstance:
-    """Cost-decrease condition at vertex (l, m); sense is strict. Index
-    sequences give a vertex stack, as for assemble_invariance."""
+    """Cost-decrease conditions at the vertices (l[p], m[p]); sense is
+    strict. A vertex stack, as for assemble_invariance."""
     return _vertex_instance(system, params, dv, i, l, m, "decrease")
 
 
 def assemble_decrease_blended(system, params, dv, i, w, h) -> LMIInstance:
-    """Cost-decrease condition with membership-blended matrices; weight
+    """Cost-decrease conditions with membership-blended matrices; weight
     stacks as for assemble_invariance_blended."""
     return _blended_instance(system, params, dv, i, w, h, "decrease")
 
@@ -568,12 +539,11 @@ def xi_slope(params: FixedParams, inst: LMIInstance) -> np.ndarray:
     return sym_matrix(inst.strict_basis.T @ slope @ inst.strict_basis)
 
 
-def containment_size(x_mat: np.ndarray, x):
-    """Smallest set size whose set {x' (X/xi) x <= xi} holds x: sqrt(x' X x).
-    A shape group's stacked X (k, n, n) and states (k, n) give its members'
-    k sizes, each bit for bit that of its own call."""
-    size = np.sqrt(quad_form(x, x_mat))
-    return size if size.ndim else float(size)
+def containment_size(x_mat: np.ndarray, x) -> np.ndarray:
+    """Smallest set sizes whose sets {x' (X/xi) x <= xi} hold x: sqrt(x' X
+    x), for a shape group's stacked X (k, n, n) and states (k, n), each bit
+    for bit that of its own one-member stack."""
+    return np.sqrt(quad_form(x, x_mat))
 
 
 def containment_sizes(params: FixedParams, x_all) -> list:
@@ -584,36 +554,27 @@ def containment_sizes(params: FixedParams, x_all) -> list:
         for x_mat, x in zip(params.x_stacks, params.group_stacks(x_all)))
 
 
-def assemble_containment(params: FixedParams, i, x, xi_i) -> LMIInstance:
-    """State-containment certificate [[xi, x'], [x, X_i^{-1} xi]] >= 0 of
-    subsystem i, equivalent to x' (X_i/xi) x <= xi; X_i^{-1} is the
-    checked params.shape_inverses.
-
-    A group of params.x_groups as i, with its members' states stacked (k,
-    n) and their k set sizes, gives one instance whose matrix is the stack
-    (k, n + 1, n + 1) of the members' blocks, each equal to its own
-    single-subsystem assembly, and whose `keys` name the members."""
+def assemble_containment(params: FixedParams, members, x, xi) -> LMIInstance:
+    """State-containment certificates [[xi_i, x_i'], [x_i, X_i^{-1} xi_i]]
+    >= 0, each equivalent to x_i' (X_i/xi_i) x_i <= xi_i, of the members of
+    a group of params.x_groups, from their states stacked (k, n) and their
+    k set sizes: one instance whose matrix is the stack (k, n + 1, n + 1)
+    of the members' blocks and whose `keys` name the members. X_i^{-1} is
+    the checked params.shape_inverses."""
     inverses = params.shape_inverses    # raises when an X_i is singular
-    single = isinstance(i, (int, np.integer))
-    if single:
-        inv, xi = params.x_inv[i], np.array([xi_i], dtype=float)
-        x = np.asarray(x, dtype=float)[None]
-    else:
-        i = tuple(i)
-        try:
-            inv = inverses[params.x_groups.index(i)]
-        except ValueError:
-            raise ValueError(f"{i} is no shape group of the constants; "
-                             f"expected one of {params.x_groups}") from None
-        xi, x = np.asarray(xi_i, dtype=float), np.asarray(x, dtype=float)
+    if not isinstance(members, tuple) or members not in params.x_groups:
+        raise ValueError(f"{members!r} is no shape group of the constants; "
+                         "expected a group of params.x_groups (a tuple of "
+                         f"subsystem indices), one of {params.x_groups}")
+    inv = inverses[params.x_groups.index(members)]
+    xi, x = np.asarray(xi, dtype=float), np.asarray(x, dtype=float)
     size = x.shape[-1] + 1
     mat = np.empty((len(xi), size, size))
     mat[:, 0, 0] = xi
     mat[:, 0, 1:] = mat[:, 1:, 0] = x
     mat[:, 1:, 1:] = xi[:, None, None] * inv
-    mat = sym_matrix(mat)
-    return LMIInstance(matrix=mat[0] if single else mat,
-                       origin="containment", subsystem=i)
+    return LMIInstance(matrix=sym_matrix(mat), origin="containment",
+                       subsystem=members)
 
 
 def rpi_decrease_scalar(params: FixedParams, xi, x_all, d_all, x_next):

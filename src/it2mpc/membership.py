@@ -165,12 +165,6 @@ class IT2MembershipFamily:
             raise MissingTrueMFError("family has no true membership functions")
         return self._grades("true_mf", z)
 
-    def envelope_gap(self, zs) -> float:
-        """Smallest upper-minus-lower gap over the probe points (negative
-        means the envelope is inverted somewhere)."""
-        zs = np.atleast_1d(np.asarray(zs, dtype=float))
-        return float(np.min(self.upper_grades(zs) - self.lower_grades(zs)))
-
 
 class FamilyStack(IT2MembershipFamily):
     """S families with equal rule counts, graded together through the

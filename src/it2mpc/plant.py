@@ -5,10 +5,10 @@ linear dynamics through normalized firing strengths and is driven by its own
 input, its own disturbance, and linear coupling terms from the other
 subsystems' states.
 
-The membership, control and step functions take one state per subsystem,
-x_all[i] of shape (n_x,), or P of them stacked as (P, n_x); a stack steps
-P independent samples at once, and sample p gets exactly the result of a
-call with its own states (the 1-D call is the P = 1 case of the same code).
+The step functions take one state per subsystem, x_all[i] of shape
+(n_x,), or P of them stacked as (P, n_x); a stack steps P independent
+samples at once, and sample p gets exactly the result of a call with its
+own states (the 1-D call is the P = 1 case of the same code).
 
 Shape groups. A step runs one kernel per group of equal-shaped subsystems:
 equal (n_x, n_u, n_d, n_rules, n_controller_rules) and equal state dims of
@@ -154,7 +154,8 @@ class Subsystem:
     controller_mfs: IT2MembershipFamily | None = None
     u_max: np.ndarray | None = None
     eta: float = 1.0
-    H: np.ndarray | None = None
+    H: np.ndarray | None = None     # output map y = H x: criterion 8 and
+                                    # the benchmark's audit read it
     premise_selector: int = 0
 
     def __post_init__(self):
@@ -442,26 +443,6 @@ def _controller_weights(fam, z, mu) -> np.ndarray:
     return normalize_firing(_interval_grades(fam, z, mu))
 
 
-def eval_model_memberships(sub: Subsystem, x: np.ndarray, mode: str = "true_plant",
-                           rho_bar=None) -> np.ndarray:
-    """Normalized model firing strengths at state x.
-
-    mode "true_plant" evaluates the configured true grades; "reconstructed"
-    blends the envelope as rho_bar*upper + (1 - rho_bar)*lower. States
-    (P, n_x) give (P, n_rules), with rho_bar a float or one per state.
-    """
-    return _model_weights(_family(sub.model_mfs, "model"), sub.premise(x),
-                          _mode_weight(mode, rho_bar))
-
-
-def eval_controller_memberships(sub: Subsystem, x: np.ndarray, mu_bar) -> np.ndarray:
-    """Normalized controller firing strengths weighted by mu_bar in [0, 1]
-    (a float, or one per state of a stack)."""
-    mu = _unit_weight(mu_bar, "mu_bar")
-    return _controller_weights(_family(sub.controller_mfs, "controller"),
-                               sub.premise(x), mu)
-
-
 def _weighted_sum(w, terms) -> np.ndarray:
     """sum_l w[..., l] * terms[l], added in the order of l. Weights (S, n)
     or (S, P, n) against terms (n, S, F) give (S, F) or (S, P, F): each
@@ -514,14 +495,6 @@ def blend_gains(gains, h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     _check_count(h.shape[-1], len(gains), "gain weights (one per gain)")
     return _gain_sum(h[None], np.array([gains], dtype=float))[0]
-
-
-def control_law(sub: Subsystem, gains, h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """u = (sum_m h_m k_m) x; stacks h (P, n_gains), x (P, n_x) give (P, n_u)."""
-    _check_count(len(gains), sub.n_controller_rules,
-                 "controller gains (one per controller rule)")
-    k, x = blend_gains(gains, h), np.asarray(x)
-    return k @ x if x.ndim == 1 else (k @ x[..., None])[..., 0]
 
 
 class _Group:

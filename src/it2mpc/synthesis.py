@@ -144,15 +144,6 @@ def _peak_gains(x_inv, gains_i) -> np.ndarray:
     return np.array([np.diag(k @ x_inv @ k.T) for k in gains_i])
 
 
-def ellipsoid_input_excess(sub, x_mat, xi_i, gains_i):
-    """Per-(rule, channel) excesses of the worst-case input magnitude over
-    the set {x' (X/xi) x <= xi}: xi^2 (k X^-1 k')_ss - u_max_s^2."""
-    if sub.u_max is None:
-        return np.full((len(gains_i), sub.n_u), -np.inf)
-    x_inv = np.linalg.solve(x_mat, np.eye(x_mat.shape[0]))
-    return xi_i ** 2 * _peak_gains(x_inv, gains_i) - sub.u_max ** 2
-
-
 def _factors(rows, y):
     """Cholesky factors of -G(y) per stack (g0, cols), None unless G(y) < 0."""
     try:

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from it2mpc.lmis import FixedParams
+from it2mpc.lmis import FixedParams, assemble_containment
 from it2mpc.membership import IT2MembershipFamily, ResidualMF, SigmoidMF
 from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 
@@ -281,6 +281,13 @@ def tiny_params(n_u=2):
     return FixedParams(X=[5.0 * np.eye(2)], lam=[0.05], N_const=[20.0],
                        M=[np.eye(n_u)], tau=[1.0], Q=0.05 * np.eye(2),
                        R=np.eye(n_u), alpha=2.0)
+
+
+def own_containment_block(params, i, x_i, xi_i):
+    """Subsystem i's containment block assembled alone: the one-member
+    stack of constants that hold X_i only."""
+    alone = dataclasses.replace(params, X=(params.X[i],))
+    return assemble_containment(alone, (0,), [x_i], [xi_i]).matrix[0]
 
 
 def shape_params(x_mat):

@@ -51,17 +51,17 @@ class TestOracleCriteria:
             d, x_i, x_js, v = _draw_point(rng, system, sub)
             theta, e, k = _vertex_theta_e(sub, dv, i, l, m)
 
-            inv = assemble_invariance(system, params, dv, i, l, m)
+            inv = assemble_invariance(system, params, dv, i, [l], [m])
             want = dv.xi[i] ** 2 * _invariance_scalar(
                 system, params, dv, i, theta, e, d, x_i, x_js)
-            got = float(v @ _folded(inv) @ v)
+            got = float(v @ _folded(inv)[0] @ v)
             err = abs(got - want) / max(1.0, abs(want))
             worst = max(worst, err)
 
-            dec = assemble_decrease(system, params, dv, i, l, m)
+            dec = assemble_decrease(system, params, dv, i, [l], [m])
             want = dv.xi[i] * _decrease_scalar(
                 system, params, dv, i, theta, e, k, d, x_i, x_js)
-            got = float(v @ _folded(dec) @ v)
+            got = float(v @ _folded(dec)[0] @ v)
             err = abs(got - want) / max(1.0, abs(want))
             worst = max(worst, err)
         elapsed = time.perf_counter() - t0
@@ -77,9 +77,9 @@ class TestOracleCriteria:
         for trial in range(100):
             system, params, dv = _draw_setup(rng, calm=trial % 2 == 0)
             i, sub, l, m = _pick_vertex(rng, system)
-            full = assemble_invariance(system, params, dv, i, l, m)
-            v_full = is_nsd(full.matrix, tol=1e-8)
-            v_fold = is_nsd(_folded(full), tol=1e-8)
+            full = assemble_invariance(system, params, dv, i, [l], [m])
+            v_full = is_nsd(full.matrix[0], tol=1e-8)
+            v_fold = is_nsd(_folded(full)[0], tol=1e-8)
             agree += v_full == v_fold
             outcomes.append(v_full)
         elapsed = time.perf_counter() - t0
@@ -218,9 +218,9 @@ class TestNumericsCriterion:
             w, v = sym_eig(a)
             resid = float(np.abs(a @ v - v * w).max())
             worst = max(worst, resid / max(1.0, float(np.abs(a).max())))
-        boundary = assemble_containment(shape_params(np.eye(2)), 0,
-                                        np.array([1.0, 0.0]), 1.0)
-        boundary_eig = abs(min_eig(boundary.matrix))
+        boundary = assemble_containment(shape_params(np.eye(2)), (0,),
+                                        np.array([[1.0, 0.0]]), [1.0])
+        boundary_eig = abs(min_eig(boundary.matrix[0]))
         ok = worst <= 1e-9 and boundary_eig <= 1e-10
         _verdict(9, ok, f"eigen-residuals on 1000 matrices (dim <= 16): "
                         f"worst {worst:.2e} <= 1e-9; boundary containment "

@@ -1,8 +1,9 @@
 """The containment rows, one stacked pass per group of equal-shape X_i,
 bit for bit against the per-subsystem assembly.
 
-Per subsystem, the reference is the single-subsystem assemble_containment
-with one eigvalsh for the margin, and sqrt(x' X_i x) for the set-size floor.
+Per subsystem, the reference is assemble_containment on constants that
+hold X_i alone, a one-member stack, with one eigvalsh for the margin, and
+sqrt(x' X_i x) for the set-size floor.
 The stacked pass must give the same keys in the same order and the same
 values as float hex, on the bundled configs, the benchmark's stored
 certificate, random states, and a plant whose X_i have two shapes (so two
@@ -23,6 +24,7 @@ from it2mpc.plant import LargeScaleSystem
 from it2mpc.synthesis import (FixedGainEvaluator, SynthesisConfig,
                               certificate_margins, minimize_xi)
 
+from conftest import own_containment_block
 from test_plant_groups import build_plant
 
 FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -36,11 +38,10 @@ def _hex(values):
 def _per_subsystem_rows(params, x_all, xi):
     """{containment key: margin} per subsystem, each from its own assembly
     and eigensolve."""
-    rows = {}
-    for i in range(params.n_subsystems):
-        inst = assemble_containment(params, i, x_all[i], xi[i])
-        rows[inst.key] = -np.linalg.eigvalsh(inst.matrix)[0]
-    return rows
+    return {f"containment[i={i}]":
+            -np.linalg.eigvalsh(own_containment_block(params, i, x_all[i],
+                                                      xi[i]))[0]
+            for i in range(params.n_subsystems)}
 
 
 def _per_subsystem_sizes(params, x_all):
@@ -73,7 +74,8 @@ def _check(system, params, dv, x_all):
         _hex(_per_subsystem_sizes(params, x_all))
     for x_mat, x in zip(params.x_stacks, params.group_stacks(x_all)):
         assert _hex(containment_size(x_mat, x)) == \
-            _hex(containment_size(m, v) for m, v in zip(x_mat, x))
+            _hex(containment_size(m[None], v[None])[0]
+                 for m, v in zip(x_mat, x))
 
 
 def _certificates():
@@ -159,8 +161,10 @@ def test_group_instance_stacks_the_members_blocks():
         assert inst.subsystem == members
         assert inst.keys == [f"containment[i={i}]" for i in members]
         for i, mat in zip(members, inst.matrix):
-            single = assemble_containment(params, i, x_all[i], xi[i])
-            assert single.key == f"containment[i={i}]"
-            np.testing.assert_array_equal(mat, single.matrix)
-    with pytest.raises(ValueError, match="no shape group"):
-        assemble_containment(params, (0, 1), np.zeros((2, 2)), [1.0, 1.0])
+            np.testing.assert_array_equal(
+                mat, own_containment_block(params, i, x_all[i], xi[i]))
+    # a subsystem index, or a tuple that is no group, is refused by name
+    for members in (0, (0, 1), [0, 2]):
+        with pytest.raises(ValueError, match="no shape group.*params.x_groups"):
+            assemble_containment(params, members, np.zeros((2, 2)),
+                                 [1.0, 1.0])

@@ -34,7 +34,7 @@ from it2mpc.linalg import (InvalidMatrixError, SingularBlockError, is_nsd,
 from it2mpc.lmis import (DecisionVars, FixedParams, assemble_containment,
                          assemble_decrease, assemble_decrease_blended,
                          assemble_invariance, assemble_invariance_blended,
-                         rpi_decrease_scalar, theta_vertex)
+                         rpi_decrease_scalar)
 from it2mpc.plant import blend, blend_gains, step_closed_loop
 from it2mpc.configio import (bundled_config_names, load_bundled_config,
                              load_certificate)
@@ -134,15 +134,13 @@ def _slack_tail(inst):
 
 
 def _fold(mats, tail):
-    """schur_reduce(m, size - tail) of a matrix, or of each of a stack."""
+    """schur_reduce(m, size - tail) of each matrix of a stack."""
     split = mats.shape[-1] - tail
-    if mats.ndim == 2:
-        return schur_reduce(mats, split)
     return np.array([schur_reduce(m, split) for m in mats])
 
 
 def _folded(inst):
-    """The Schur fold of a full-form instance's matrix (or stack)."""
+    """The Schur folds of a full-form instance's stack."""
     return _fold(inst.matrix, _slack_tail(inst))
 
 
@@ -328,10 +326,10 @@ class TestInvarianceOracle:
         for _ in range(200):
             system, params, dv = _draw_setup(rng)
             i, sub, l, m = _pick_vertex(rng, system)
-            inst = assemble_invariance(system, params, dv, i, l, m)
+            inst = assemble_invariance(system, params, dv, i, [l], [m])
             d, x_i, x_js, v = _draw_point(rng, system, sub)
             theta, e, _ = _vertex_theta_e(sub, dv, i, l, m)
-            got = float(v @ _folded(inst) @ v)
+            got = float(v @ _folded(inst)[0] @ v)
             want = dv.xi[i] ** 2 * _invariance_scalar(
                 system, params, dv, i, theta, e, d, x_i, x_js)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
@@ -345,13 +343,14 @@ class TestInvarianceOracle:
             w /= w.sum()
             h = rng.uniform(0.05, 1.0, sub.n_controller_rules)
             h /= h.sum()
-            inst = assemble_invariance_blended(system, params, dv, i, w, h)
+            inst = assemble_invariance_blended(system, params, dv, i,
+                                               [w], [h])
             a = sum(wl * r.A for wl, r in zip(w, sub.rules))
             b = sum(wl * r.B for wl, r in zip(w, sub.rules))
             e = sum(wl * r.E for wl, r in zip(w, sub.rules))
             k = sum(hm * km for hm, km in zip(h, dv.gains[i]))
             d, x_i, x_js, v = _draw_point(rng, system, sub)
-            got = float(v @ _folded(inst) @ v)
+            got = float(v @ _folded(inst)[0] @ v)
             want = dv.xi[i] ** 2 * _invariance_scalar(
                 system, params, dv, i, a + b @ k, e, d, x_i, x_js)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
@@ -365,17 +364,18 @@ class TestInvarianceOracle:
             w[l] = 1.0
             h = np.zeros(sub.n_controller_rules)
             h[m] = 1.0
-            vert = assemble_invariance(system, params, dv, i, l, m)
-            blend = assemble_invariance_blended(system, params, dv, i, w, h)
+            vert = assemble_invariance(system, params, dv, i, [l], [m])
+            blend = assemble_invariance_blended(system, params, dv, i,
+                                                [w], [h])
             np.testing.assert_array_equal(blend.matrix, vert.matrix)
 
     def test_metadata(self):
         system, params, dv = _draw_setup(np.random.default_rng(1))
-        inst = assemble_invariance(system, params, dv, 0, 0, 0)
+        inst = assemble_invariance(system, params, dv, 0, [0], [0])
         assert inst.origin == "invariance"
-        assert inst.vertex == (0, 0)
-        assert inst.key == "invariance[i=0,l=0,m=0]"
-        assert sum(inst.slot_dims) == inst.matrix.shape[0]
+        assert inst.vertex == ((0, 0),)
+        assert inst.keys == ["invariance[i=0,l=0,m=0]"]
+        assert sum(inst.slot_dims) == inst.matrix.shape[1]
 
 
 class TestDecreaseOracle:
@@ -384,10 +384,10 @@ class TestDecreaseOracle:
         for _ in range(200):
             system, params, dv = _draw_setup(rng)
             i, sub, l, m = _pick_vertex(rng, system)
-            inst = assemble_decrease(system, params, dv, i, l, m)
+            inst = assemble_decrease(system, params, dv, i, [l], [m])
             d, x_i, x_js, v = _draw_point(rng, system, sub)
             theta, e, k = _vertex_theta_e(sub, dv, i, l, m)
-            got = float(v @ _folded(inst) @ v)
+            got = float(v @ _folded(inst)[0] @ v)
             want = dv.xi[i] * _decrease_scalar(
                 system, params, dv, i, theta, e, k, d, x_i, x_js)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
@@ -401,13 +401,14 @@ class TestDecreaseOracle:
             w /= w.sum()
             h = rng.uniform(0.05, 1.0, sub.n_controller_rules)
             h /= h.sum()
-            inst = assemble_decrease_blended(system, params, dv, i, w, h)
+            inst = assemble_decrease_blended(system, params, dv, i,
+                                             [w], [h])
             a = sum(wl * r.A for wl, r in zip(w, sub.rules))
             b = sum(wl * r.B for wl, r in zip(w, sub.rules))
             e = sum(wl * r.E for wl, r in zip(w, sub.rules))
             k = sum(hm * km for hm, km in zip(h, dv.gains[i]))
             d, x_i, x_js, v = _draw_point(rng, system, sub)
-            got = float(v @ _folded(inst) @ v)
+            got = float(v @ _folded(inst)[0] @ v)
             want = dv.xi[i] * _decrease_scalar(
                 system, params, dv, i, a + b @ k, e, k, d, x_i, x_js)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
@@ -421,8 +422,9 @@ class TestDecreaseOracle:
             w[l] = 1.0
             h = np.zeros(sub.n_controller_rules)
             h[m] = 1.0
-            vert = assemble_decrease(system, params, dv, i, l, m)
-            blend = assemble_decrease_blended(system, params, dv, i, w, h)
+            vert = assemble_decrease(system, params, dv, i, [l], [m])
+            blend = assemble_decrease_blended(system, params, dv, i,
+                                              [w], [h])
             np.testing.assert_array_equal(blend.matrix, vert.matrix)
 
 
@@ -437,8 +439,8 @@ def _bundled_certificate(name):
 
 
 class TestStackedBlendedAssembly:
-    """A stack of P weight pairs assembles to exactly the P single-pair
-    matrices, bit for bit, and after strict compression."""
+    """A stack of P weight pairs assembles to exactly the P one-pair
+    stacks' matrices, bit for bit, and after strict compression."""
 
     @pytest.mark.parametrize("name", bundled_config_names())
     @pytest.mark.parametrize("assemble", [assemble_invariance_blended,
@@ -455,27 +457,21 @@ class TestStackedBlendedAssembly:
             tests = stacked.test_matrix()
             assert stacked.matrix.shape[0] == tests.shape[0] == len(w)
             for p in range(len(w)):
-                single = assemble(system, params, dv, i, w[p], h[p])
-                assert single.matrix.ndim == 2
+                single = assemble(system, params, dv, i, w[p:p + 1],
+                                  h[p:p + 1])
+                assert single.matrix.shape == (1,) + stacked.matrix.shape[1:]
                 np.testing.assert_array_equal(stacked.matrix[p],
-                                              single.matrix)
-                np.testing.assert_array_equal(tests[p], single.test_matrix())
+                                              single.matrix[0])
+                np.testing.assert_array_equal(tests[p],
+                                              single.test_matrix()[0])
             assert stacked.slot_dims == single.slot_dims
-            assert stacked.key == single.key
-
-    def test_one_pair_stack_keeps_its_axis(self):
-        system, params, dv = _bundled_certificate("example1")
-        w, h = np.array([[0.3, 0.7]]), np.array([[0.6, 0.4]])
-        stacked = assemble_invariance_blended(system, params, dv, 0, w, h)
-        single = assemble_invariance_blended(system, params, dv, 0, w[0], h[0])
-        assert stacked.matrix.shape == (1,) + single.matrix.shape
-        np.testing.assert_array_equal(stacked.matrix[0], single.matrix)
+            assert stacked.keys == single.keys * len(w)
 
 
 class TestStackedVertexAssembly:
-    """Index sequences l, m assemble to exactly the single-vertex matrices,
-    bit for bit, and after strict compression, with one key per matrix in
-    pair order."""
+    """Index sequences l, m assemble to exactly the one-vertex stacks'
+    matrices, bit for bit, and after strict compression, with one key per
+    matrix in pair order."""
 
     @pytest.mark.parametrize("name", bundled_config_names())
     @pytest.mark.parametrize("assemble", [assemble_invariance,
@@ -490,49 +486,43 @@ class TestStackedVertexAssembly:
             stacked = assemble(system, params, dv, i, ls, ms)
             tests = stacked.test_matrix()
             assert stacked.matrix.shape[0] == tests.shape[0] == len(pairs)
-            singles = [assemble(system, params, dv, i, l, m)
+            singles = [assemble(system, params, dv, i, [l], [m])
                        for l, m in pairs]
             for p, single in enumerate(singles):
-                assert single.matrix.ndim == 2
-                assert single.keys == [single.key]
+                assert single.matrix.shape == (1,) + stacked.matrix.shape[1:]
+                assert len(single.keys) == 1
                 np.testing.assert_array_equal(stacked.matrix[p],
-                                              single.matrix)
-                np.testing.assert_array_equal(tests[p], single.test_matrix())
+                                              single.matrix[0])
+                np.testing.assert_array_equal(tests[p],
+                                              single.test_matrix()[0])
                 assert stacked.slot_dims == single.slot_dims
                 if single.strict_basis is None:
                     assert stacked.strict_basis is None
                 else:
                     np.testing.assert_array_equal(stacked.strict_basis,
                                                   single.strict_basis)
-            assert stacked.keys == [s.key for s in singles]
+            assert stacked.keys == [s.keys[0] for s in singles]
             assert stacked.vertex == tuple(pairs)
 
-    def test_integer_indices_are_the_one_vertex_case(self):
-        system, params, dv = _bundled_certificate("example1")
-        single = assemble_decrease(system, params, dv, 1, 1, 0)
-        stacked = assemble_decrease(system, params, dv, 1, [1], [0])
-        assert single.vertex == (1, 0)
-        assert single.key == "decrease[i=1,l=1,m=0]"
-        assert stacked.matrix.shape == (1,) + single.matrix.shape
-        assert stacked.keys == [single.key]
-        np.testing.assert_array_equal(stacked.matrix[0], single.matrix)
-
     def test_theta_vertex_stack(self):
+        # the closed-loop vertex matrices A_l + B_l K_m a vertex stack is
+        # assembled from, with E_l and K_m, in pair order
         system, _, dv = _bundled_certificate("example2")
         sub = system.subsystems[0]
         ls, ms = [2, 0, 1], [1, 1, 0]
-        stacked = theta_vertex(sub, dv.gains[0], ls, ms)
+        theta, e, k = lmis._vertex_stacks(sub, dv.gains[0], ls, ms)
         for p, (l, m) in enumerate(zip(ls, ms)):
-            single = theta_vertex(sub, dv.gains[0], l, m)
-            np.testing.assert_array_equal(stacked[p], single)
             np.testing.assert_array_equal(
-                single, sub.rules[l].A + sub.rules[l].B @ dv.gains[0][m])
+                theta[p], sub.rules[l].A + sub.rules[l].B @ dv.gains[0][m])
+            np.testing.assert_array_equal(e[p], sub.rules[l].E)
+            np.testing.assert_array_equal(k[p], dv.gains[0][m])
 
     @pytest.mark.parametrize("assemble", [assemble_invariance,
                                           assemble_decrease])
     @pytest.mark.parametrize("l, m", [([0, 1], [0]), ([0], []), (0, [0]),
-                                      ([0, 1], 1)])
+                                      ([0, 1], 1), (0, 0), (1, 0)])
     def test_mismatched_indices_raise(self, assemble, l, m):
+        # integers l, m (one vertex) are refused too: the form is a stack
         system, params, dv = _bundled_certificate("example1")
         with pytest.raises(ValueError, match="equal length"):
             assemble(system, params, dv, 0, l, m)
@@ -545,7 +535,7 @@ class TestStackedVertexAssembly:
         with pytest.raises(InvalidMatrixError, match="finite"):
             if blended:
                 assemble_decrease_blended(system, params, dv, 0,
-                                          [0.5, 0.5], [0.5, 0.5])
+                                          [[0.5, 0.5]], [[0.5, 0.5]])
             else:
                 assemble_decrease(system, params, dv, 0, [0, 1], [1, 0])
 
@@ -553,11 +543,11 @@ class TestStackedVertexAssembly:
                                           assemble_decrease_blended])
     @pytest.mark.parametrize("w_shape, h_shape", [
         ((2,), (3, 2)), ((3, 2), (2,)), ((2, 2), (3, 2)), ((2,), (1, 1, 2)),
-        ((), ())])
+        ((), ()), ((2,), (2,))])
     def test_mismatched_weights_raise(self, assemble, w_shape, h_shape):
-        # a vector against a stack, or stacks of unequal length, are
-        # rejected with both shapes named (a vector against a stack was
-        # broadcast to a stack; unequal stacks raised a numpy error)
+        # a vector against a stack, stacks of unequal length, or two weight
+        # vectors (one blend) are rejected with both shapes named: the form
+        # is two weight stacks
         system, params, dv = _bundled_certificate("example1")
         w, h = np.full(w_shape, 0.5), np.full(h_shape, 0.5)
         message = f"equal length, got shapes {w_shape} and {h_shape}"
@@ -610,9 +600,11 @@ def _reference_inputs(system, dv, i, rng):
     h = rng.dirichlet(np.ones(sub.n_controller_rules), size=5)
     a, b, e = blend(sub, w)
     k = blend_gains(dv.gains[i], h)
-    return {"vertex": ((theta_vertex(sub, dv.gains[i], ls, ms),
-                        np.array([sub.rules[l].E for l in ls]),
-                        np.array([dv.gains[i][m] for m in ms])), (ls, ms)),
+    k_m = np.array([dv.gains[i][m] for m in ms])
+    theta = np.array([sub.rules[l].A for l in ls]) + \
+        np.array([sub.rules[l].B for l in ls]) @ k_m      # A_l + B_l K_m
+    return {"vertex": ((theta, np.array([sub.rules[l].E for l in ls]), k_m),
+                       (ls, ms)),
             "blended": ((a + b @ k, e, k), (w, h))}
 
 
@@ -705,26 +697,26 @@ class TestSchurEquivalence:
         for _ in range(100):
             system, params, dv = _draw_setup(rng)
             i, sub, l, m = _pick_vertex(rng, system)
-            full = assemble_invariance(system, params, dv, i, l, m)
+            full = assemble_invariance(system, params, dv, i, [l], [m])
             theta, e, k = _vertex_theta_e(sub, dv, i, l, m)
             red, _, _ = _reference_condition_matrices(
                 system, params, i, "invariance", theta[None], e[None],
                 k[None], dv.xi[i], True)
-            split = full.matrix.shape[0] - sub.n_x
-            _assert_fold_close(schur_reduce(full.matrix, split), red[0])
+            split = full.matrix.shape[1] - sub.n_x
+            _assert_fold_close(schur_reduce(full.matrix[0], split), red[0])
 
     def test_folding_slack_rows_reproduces_reduced_decrease(self):
         rng = np.random.default_rng(32)
         for _ in range(100):
             system, params, dv = _draw_setup(rng)
             i, sub, l, m = _pick_vertex(rng, system)
-            full = assemble_decrease(system, params, dv, i, l, m)
+            full = assemble_decrease(system, params, dv, i, [l], [m])
             theta, e, k = _vertex_theta_e(sub, dv, i, l, m)
             red, _, _ = _reference_condition_matrices(
                 system, params, i, "decrease", theta[None], e[None],
                 k[None], dv.xi[i], True)
-            split = full.matrix.shape[0] - sub.n_x - sub.n_u
-            _assert_fold_close(schur_reduce(full.matrix, split), red[0])
+            split = full.matrix.shape[1] - sub.n_x - sub.n_u
+            _assert_fold_close(schur_reduce(full.matrix[0], split), red[0])
 
     def test_nsd_verdicts_agree_between_forms(self):
         rng = np.random.default_rng(33)
@@ -732,9 +724,9 @@ class TestSchurEquivalence:
         for trial in range(100):
             system, params, dv = _draw_setup(rng, calm=trial % 2 == 0)
             i, sub, l, m = _pick_vertex(rng, system)
-            full = assemble_invariance(system, params, dv, i, l, m)
-            v_full = is_nsd(full.matrix, tol=1e-8)
-            v_fold = is_nsd(_folded(full), tol=1e-8)
+            full = assemble_invariance(system, params, dv, i, [l], [m])
+            v_full = is_nsd(full.matrix[0], tol=1e-8)
+            v_fold = is_nsd(_folded(full)[0], tol=1e-8)
             assert v_full == v_fold
             verdicts.append(v_full)
         # the draw mix must exercise both outcomes for the check to mean much
@@ -757,14 +749,15 @@ class TestStrictBasis:
         return system, params, dv
 
     def _forms(self, inst):
-        """(matrix, test matrix) of the full form, then of its fold."""
+        """(matrix, test matrix) of a one-vertex stack's full form, then of
+        its fold."""
         tail = _slack_tail(inst)
-        return [(inst.matrix, inst.test_matrix()),
-                (_folded(inst), _fold(inst.test_matrix(), tail))]
+        return [(inst.matrix[0], inst.test_matrix()[0]),
+                (_folded(inst)[0], _fold(inst.test_matrix(), tail)[0])]
 
     def test_rank_deficient_coupling_leaves_structural_zeros(self):
         system, params, dv = self._toy()
-        inst = assemble_decrease(system, params, dv, 0, 0, 0)
+        inst = assemble_decrease(system, params, dv, 0, [0], [0])
         for mat, _ in self._forms(inst):
             # directions in the coupling's kernel hit only zero entries
             size = mat.shape[0]
@@ -775,7 +768,7 @@ class TestStrictBasis:
 
     def test_compressed_matrix_recovers_strict_verdict(self):
         system, params, dv = self._toy()
-        inst = assemble_decrease(system, params, dv, 0, 0, 0)
+        inst = assemble_decrease(system, params, dv, 0, [0], [0])
         assert inst.strict_basis is not None
         for mat, compressed in self._forms(inst):
             assert compressed.shape[0] == mat.shape[0] - 1
@@ -796,10 +789,10 @@ class TestStrictBasis:
                              R=np.eye(2), alpha=2.0)
         dv = DecisionVars(gains=[[np.zeros((2, 2))]] * 2, xi=[1.0] * 2)
         for asm in (assemble_decrease, assemble_invariance):
-            inst = asm(system, params, dv, 0, 0, 0)
+            inst = asm(system, params, dv, 0, [0], [0])
             assert inst.strict_basis is None
             np.testing.assert_array_equal(inst.test_matrix(), inst.matrix)
-        uncoupled = assemble_decrease(system, params, dv, 1, 0, 0)
+        uncoupled = assemble_decrease(system, params, dv, 1, [0], [0])
         assert uncoupled.strict_basis is None
 
     def test_joint_kernel_of_several_full_rank_couplings_is_compressed(self):
@@ -814,7 +807,7 @@ class TestStrictBasis:
         assert np.linalg.matrix_rank(g_a) == 2
         assert np.linalg.matrix_rank(g_b) == 2
         for asm in (assemble_decrease, assemble_invariance):
-            inst = asm(system, params, dv, 0, 0, 0)
+            inst = asm(system, params, dv, 0, [0], [0])
             assert inst.strict_basis is not None
             for mat, compressed in self._forms(inst):
                 v_a = np.array([1.0, -0.5])
@@ -831,21 +824,21 @@ class TestStrictBasis:
         system = build_example1_system()
         params = example1_reference_params()
         dv = DecisionVars(gains=example1_reference_gains(), xi=[1.0] * 3)
-        inst = assemble_decrease(system, params, dv, 1, 0, 0)
+        inst = assemble_decrease(system, params, dv, 1, [0], [0])
         # both couplings of the middle subsystem have rank one
         assert inst.strict_basis is not None
-        assert inst.test_matrix().shape[0] == inst.matrix.shape[0] - 2
+        assert inst.test_matrix().shape[1] == inst.matrix.shape[1] - 2
 
 
 class TestContainment:
     def test_boundary_state_sits_at_zero_eigenvalue(self):
-        inst = assemble_containment(shape_params(np.eye(2)), 0,
-                                    np.array([1.0, 0.0]), 1.0)
+        inst = assemble_containment(shape_params(np.eye(2)), (0,),
+                                    np.array([[1.0, 0.0]]), [1.0])
         expected = np.array([[1.0, 1.0, 0.0],
                              [1.0, 1.0, 0.0],
                              [0.0, 0.0, 1.0]])
-        np.testing.assert_array_equal(inst.matrix, expected)
-        assert abs(min_eig(inst.matrix)) <= 1e-10
+        np.testing.assert_array_equal(inst.matrix[0], expected)
+        assert abs(min_eig(inst.matrix[0])) <= 1e-10
 
     def test_verdict_matches_ellipsoid_level(self):
         rng = np.random.default_rng(61)
@@ -858,15 +851,15 @@ class TestContainment:
             # rescale the state clearly inside or clearly outside
             target = 0.5 * xi if rng.random() < 0.5 else 1.5 * xi
             x = x * np.sqrt(target / level)
-            inst = assemble_containment(shape_params(x_mat), 0, x, xi)
+            inst = assemble_containment(shape_params(x_mat), (0,), [x], [xi])
             inside = float(x @ (x_mat / xi) @ x) <= xi
-            assert is_psd(inst.matrix) == inside
+            assert is_psd(inst.matrix[0]) == inside
 
     def test_singular_shape_matrix_raises(self):
         for x_mat in (np.diag([1.0, 0.0]), np.diag([1.0, 1e-14])):
             with pytest.raises(SingularBlockError):
-                assemble_containment(shape_params(x_mat), 0,
-                                     np.array([1.0, 0.0]), 1.0)
+                assemble_containment(shape_params(x_mat), (0,),
+                                     np.array([[1.0, 0.0]]), [1.0])
 
 
 class TestFixedParamsValidation:
@@ -931,7 +924,7 @@ class TestHeterogeneousDims:
         dv = DecisionVars(gains=[[np.zeros((2, 2))], [np.zeros((3, 3))]],
                           xi=[1.0, 1.0])
         with pytest.raises(ValueError, match="equal state dims"):
-            assemble_invariance(system, params, dv, 0, 0, 0)
+            assemble_invariance(system, params, dv, 0, [0], [0])
 
 
 class TestPointwiseDecreaseScalar:
@@ -982,10 +975,11 @@ class TestReferenceConstantsInfeasibility:
         for i, sub in enumerate(system.subsystems):
             for l in range(sub.n_rules):
                 for m in range(sub.n_controller_rules):
-                    inv = assemble_invariance(system, params, dv, i, l, m)
-                    dec = assemble_decrease(system, params, dv, i, l, m)
-                    worst_inv = max(worst_inv, max_eig(inv.matrix))
-                    worst_dec = max(worst_dec, max_eig(dec.test_matrix()))
+                    inv = assemble_invariance(system, params, dv, i,
+                                              [l], [m])
+                    dec = assemble_decrease(system, params, dv, i, [l], [m])
+                    worst_inv = max(worst_inv, max_eig(inv.matrix[0]))
+                    worst_dec = max(worst_dec, max_eig(dec.test_matrix()[0]))
         return worst_inv, worst_dec
 
     def test_infeasible_across_set_sizes(self):
@@ -1005,7 +999,12 @@ class TestReferenceConstantsInfeasibility:
         x0 = np.array([1.0, -1.0])
         need = float(np.sqrt(x0 @ params.X[0] @ x0))
         assert need == pytest.approx(np.sqrt(0.03), rel=1e-12)
-        below = assemble_containment(params, 0, x0, need * 0.999)
-        above = assemble_containment(params, 0, x0, need * 1.001)
-        assert not is_psd(below.matrix)
-        assert is_psd(above.matrix)
+        # subsystem 0's block of its shape group's stack, every member at x0
+        members = next(g for g in params.x_groups if 0 in g)
+        x, row = [x0] * len(members), members.index(0)
+        below = assemble_containment(params, members, x,
+                                     [need * 0.999] * len(members))
+        above = assemble_containment(params, members, x,
+                                     [need * 1.001] * len(members))
+        assert not is_psd(below.matrix[row])
+        assert is_psd(above.matrix[row])

@@ -19,9 +19,6 @@ from it2mpc.plant import (
     Subsystem,
     blend,
     blend_gains,
-    control_law,
-    eval_controller_memberships,
-    eval_model_memberships,
     normalize_firing,
     step_closed_loop,
     step_closed_loop_detail,
@@ -115,8 +112,8 @@ def double_sum_step(system, gains_all, x_all, d_all, mu_bar):
     + sum_j g_ij x_j, written without reusing the blend helpers."""
     out = []
     for i, sub in enumerate(system.subsystems):
-        w = eval_model_memberships(sub, x_all[i])
-        h = eval_controller_memberships(sub, x_all[i], mu_bar)
+        w = _reference_model_memberships(sub, x_all[i], "true_plant", None)
+        h = _reference_controller_memberships(sub, x_all[i], mu_bar)
         acc = np.zeros(sub.n_x)
         for l, rule in enumerate(sub.rules):
             for m, k in enumerate(gains_all[i]):
@@ -128,18 +125,27 @@ def double_sum_step(system, gains_all, x_all, d_all, mu_bar):
     return out
 
 
+def _example1_weights(x, mu_bar=0.5, mode="true_plant", rho_bar=None):
+    """The model and controller weights (w_all, h_all) a closed-loop step
+    of example1 with its reference gains reads at state x (one state, or a
+    stack) in every subsystem."""
+    system = build_example1_system()
+    d = np.zeros(np.shape(x)[:-1] + (1,))
+    _, _, w_all, h_all = step_closed_loop_detail(
+        system, example1_reference_gains(), [x] * 3, [d] * 3, mu_bar, mode,
+        rho_bar)
+    return w_all, h_all
+
+
 class TestMembershipEvaluation:
     def test_partition_of_unity(self):
-        system = build_example1_system()
         rng = np.random.default_rng(2)
         for _ in range(100):
             x = rng.uniform(-3, 3, size=2)
-            for sub in system.subsystems:
-                w = eval_model_memberships(sub, x)
-                h = eval_controller_memberships(sub, x, float(rng.uniform(0, 1)))
-                for v in (w, h):
-                    assert v.sum() == pytest.approx(1.0, abs=1e-12)
-                    assert np.all(v >= 0) and np.all(v <= 1.0 + 1e-12)
+            w_all, h_all = _example1_weights(x, float(rng.uniform(0, 1)))
+            for v in (*w_all, *h_all):
+                assert v.sum() == pytest.approx(1.0, abs=1e-12)
+                assert np.all(v >= 0) and np.all(v <= 1.0 + 1e-12)
 
     def test_reconstructed_endpoints(self):
         system = build_example1_system()
@@ -148,15 +154,16 @@ class TestMembershipEvaluation:
         z = sub.premise(x)
         lo = sub.model_mfs.lower_grades(z)
         hi = sub.model_mfs.upper_grades(z)
-        assert_allclose(eval_model_memberships(sub, x, "reconstructed", 0.0),
+        assert_allclose(_example1_weights(x, mode="reconstructed",
+                                          rho_bar=0.0)[0][0],
                         lo / lo.sum(), atol=1e-15)
-        assert_allclose(eval_model_memberships(sub, x, "reconstructed", 1.0),
+        assert_allclose(_example1_weights(x, mode="reconstructed",
+                                          rho_bar=1.0)[0][0],
                         hi / hi.sum(), atol=1e-15)
 
     def test_reconstructed_requires_rho(self):
-        sub = build_example1_system().subsystems[0]
         with pytest.raises(ValueError):
-            eval_model_memberships(sub, np.zeros(2), "reconstructed")
+            _example1_weights(np.zeros(2), mode="reconstructed")
 
     def test_degenerate_firing_falls_back_uniform(self):
         with pytest.warns(DegenerateFiringWarning):
@@ -182,13 +189,12 @@ class TestMembershipEvaluation:
         assert np.isnan(w[1 - low]).all()
 
     def test_stacked_weights_reject_out_of_range_entries(self):
-        sub = build_example1_system().subsystems[0]
         x = np.zeros((3, 2))
         with pytest.raises(ValueError, match="mu_bar"):
-            eval_controller_memberships(sub, x, np.array([0.2, 1.5, 0.3]))
+            _example1_weights(x, np.array([0.2, 1.5, 0.3]))
         with pytest.raises(ValueError, match="rho_bar"):
-            eval_model_memberships(sub, x, "reconstructed",
-                                   np.array([0.2, -0.1, 0.3]))
+            _example1_weights(x, mode="reconstructed",
+                              rho_bar=np.array([0.2, -0.1, 0.3]))
 
 
 class TestBlend:
@@ -217,10 +223,10 @@ class TestBlend:
 
 class TestControlLaw:
     def test_one_hot_picks_single_gain(self):
-        sub = build_example1_system().subsystems[0]
+        # u = (sum_m h_m k_m) x: a one-hot h picks its gain exactly
         gains = example1_reference_gains()[0]
         x = np.array([0.7, -0.2])
-        u = control_law(sub, gains, np.array([0.0, 1.0]), x)
+        u = blend_gains(gains, np.array([0.0, 1.0])) @ x
         assert np.array_equal(u, gains[1] @ x)
 
 
@@ -243,10 +249,12 @@ class TestStep:
         gains = example1_reference_gains()
         x_all = [np.array([1.0, -1.0])] * 3
         d_all = [np.zeros(1)] * 3
-        h_all = [eval_controller_memberships(sub, x_all[i], 0.5)
-                 for i, sub in enumerate(system.subsystems)]
-        u_all = [control_law(sub, gains[i], h_all[i], x_all[i])
-                 for i, sub in enumerate(system.subsystems)]
+        # the inputs the closed loop applies: u_i = (sum_m h_m k_m) x_i
+        _, u_all, _, h_all = step_closed_loop_detail(system, gains, x_all,
+                                                     d_all, mu_bar=0.5)
+        for i in range(3):
+            k, = _reference_weighted_sums(h_all[i], [(k,) for k in gains[i]])
+            assert np.array_equal(u_all[i], k @ x_all[i])
         via_open = step_open_loop(system, x_all, u_all, d_all)
         via_closed = step_closed_loop(system, gains, x_all, d_all, mu_bar=0.5)
         for a, b in zip(via_open, via_closed):
@@ -386,12 +394,6 @@ class TestGroupedStepMatchesReference:
                 [step_open_loop(system, x_all, got[1], d_all, mode, rho)],
                 [reference_step_open_loop(system, x_all, got[1], d_all,
                                           mode, rho)])
-            for sub, x in zip(system.subsystems, x_all):
-                assert_same_step(
-                    [[eval_model_memberships(sub, x, mode, rho),
-                      eval_controller_memberships(sub, x, mu)]],
-                    [[_reference_model_memberships(sub, x, mode, rho),
-                      _reference_controller_memberships(sub, x, mu)]])
             x_all = got[0]
 
     def test_blends_match_reference(self):
@@ -427,11 +429,13 @@ class TestCountChecks:
             blend(sub, np.array(w))
 
     def test_control_law_rejects_wrong_gain_count(self):
-        sub = build_example1_system().subsystems[0]
-        k = example1_reference_gains()[0][0]
+        system = build_example1_system()
+        gains = example1_reference_gains()
+        gains[0] = gains[0][:1]
         with pytest.raises(ValueError, match="expected 2 controller gains.*"
                                              "got 1"):
-            control_law(sub, [k], np.array([1.0]), np.zeros(2))
+            step_closed_loop(system, gains, [np.zeros(2)] * 3,
+                             [np.zeros(1)] * 3)
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_step_names_the_subsystem(self, count):

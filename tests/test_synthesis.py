@@ -10,21 +10,20 @@ from numpy.testing import assert_allclose
 from conftest import (build_example1_system, build_tiny_system,
                       controller_mf_family, example1_reference_params,
                       example1_synthesis_params, model_mf_family,
-                      tiny_params)
+                      own_containment_block, shape_params, tiny_params)
 from test_lmis import _draw_setup
 from it2mpc import lmis, synthesis
 from it2mpc.configio import (bundled_config_names, load_bundled_config,
                              load_certificate)
 from it2mpc.linalg import (InvalidMatrixError, SingularBlockError, max_eig,
                            min_eig)
-from it2mpc.lmis import (DecisionVars, FixedParams, assemble_containment,
-                         assemble_decrease, assemble_decrease_blended,
-                         assemble_invariance, assemble_invariance_blended)
+from it2mpc.lmis import (DecisionVars, FixedParams, assemble_decrease,
+                         assemble_decrease_blended, assemble_invariance,
+                         assemble_invariance_blended)
 from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 from it2mpc.synthesis import (XI_HAIR, FixedGainEvaluator, Infeasible,
                               SynthesisConfig, _Model, _Part, _simplex_grid,
-                              certificate_margins, ellipsoid_input_excess,
-                              minimize_xi, solve_fixed_xi,
+                              certificate_margins, minimize_xi, solve_fixed_xi,
                               verify_certificate)
 
 TINY_X0 = [np.array([0.3, -0.3])]
@@ -59,23 +58,26 @@ def _bundled_dv(cfg, ex1_synthesized, scale=1.0):
 def _reference_margins(system, params, dv, x_all, cfg):
     """Every certificate row written out per instance, in the key order of
     certificate_margins: one max_eig per vertex and family, one min_eig per
-    containment block, and the largest input-peak excess."""
+    containment block, and the largest input-peak excess over the set
+    {x' (X/xi) x <= xi}, xi^2 (k X^-1 k')_ss - u_max_s^2 over rules k and
+    channels s."""
     want = {}
     for i, sub in enumerate(system.subsystems):
         for l in range(sub.n_rules):
             for m in range(sub.n_controller_rules):
-                inv = assemble_invariance(system, params, dv, i, l, m)
-                want[inv.key] = max_eig(inv.test_matrix())
-                dec = assemble_decrease(system, params, dv, i, l, m)
-                want[dec.key] = max_eig(dec.test_matrix()) + cfg.strictness
+                inv = assemble_invariance(system, params, dv, i, [l], [m])
+                want[inv.keys[0]] = max_eig(inv.test_matrix()[0])
+                dec = assemble_decrease(system, params, dv, i, [l], [m])
+                want[dec.keys[0]] = max_eig(dec.test_matrix()[0]) \
+                    + cfg.strictness
         if sub.u_max is not None:
-            want[f"input_peak[i={i}]"] = float(np.max(ellipsoid_input_excess(
-                sub, params.X[i], dv.xi[i], dv.gains[i])))
+            x_inv = np.linalg.solve(params.X[i], np.eye(sub.n_x))
+            peaks = np.array([np.diag(k @ x_inv @ k.T) for k in dv.gains[i]])
+            want[f"input_peak[i={i}]"] = float(np.max(
+                dv.xi[i] ** 2 * peaks - sub.u_max ** 2))
         if x_all is not None:
-            cont = assemble_containment(params, i,
-                                        np.asarray(x_all[i], dtype=float),
-                                        dv.xi[i])
-            want[cont.key] = -min_eig(cont.matrix)
+            want[f"containment[i={i}]"] = -min_eig(own_containment_block(
+                params, i, np.asarray(x_all[i], dtype=float), dv.xi[i]))
     return want
 
 
@@ -105,24 +107,33 @@ def _count_assemblies(monkeypatch):
 
 
 class TestInputExcess:
+    """The input-peak row: the largest excess of the worst-case input
+    magnitude over the set {x' (X/xi) x <= xi}, xi^2 (k X^-1 k')_ss -
+    u_max_s^2, as the evaluator reads it."""
+
+    @staticmethod
+    def _margins(system, xi, gain):
+        n_m = system.subsystems[0].n_controller_rules
+        dv = DecisionVars(gains=[[gain] * n_m], xi=[xi])
+        return FixedGainEvaluator(system, shape_params(np.eye(2)), dv,
+                                  CFG).margins(dv.xi)
+
     def test_unit_gain_on_unit_ball_is_tight(self, tiny):
         system, _ = tiny
-        sub = system.subsystems[0]
-        # set {x'x <= 1}: worst |u_s| equals the gain row norm
-        excess = ellipsoid_input_excess(sub, np.eye(2), 1.0,
-                                        [np.array([[3.0, 0.0], [0.0, 4.0]])])
-        assert_allclose(excess, [[9.0 - 100.0, 16.0 - 100.0]])
+        # set {x'x <= 1}: worst |u_s| equals the gain row norm, and
+        # u_max = (10, 10); one channel at a time, then both
+        for gain, excess in ((np.diag([3.0, 0.0]), 9.0 - 100.0),
+                             (np.diag([0.0, 4.0]), 16.0 - 100.0),
+                             (np.diag([3.0, 4.0]), 16.0 - 100.0)):
+            assert self._margins(system, 1.0, gain)["input_peak[i=0]"] == \
+                excess
 
     def test_no_limits_means_never_binding(self, tiny):
         system, _ = tiny
-        sub = system.subsystems[0].__class__(
-            rules=system.subsystems[0].rules, couplings={},
-            model_mfs=system.subsystems[0].model_mfs,
-            controller_mfs=system.subsystems[0].controller_mfs,
-            u_max=None, eta=0.05)
-        excess = ellipsoid_input_excess(sub, np.eye(2), 5.0,
-                                        [np.ones((2, 2))])
-        assert np.all(excess == -np.inf)
+        sub = dataclasses.replace(system.subsystems[0], u_max=None)
+        margins = self._margins(LargeScaleSystem(subsystems=(sub,)), 5.0,
+                                np.ones((2, 2)))
+        assert "input_peak[i=0]" not in margins
 
 
 class TestSolveFixedXi:
@@ -568,7 +579,7 @@ class TestStackedVertexCallers:
     @pytest.mark.parametrize("name", [None, *bundled_config_names()])
     def test_model_keys_name_the_vertex_assemblies(self, name):
         # vertex (l, m) l-major, its invariance key then its decrease key,
-        # as the single-vertex assemblies name them
+        # as the one-vertex stacks name them
         if name is None:
             system, params = build_tiny_system(), tiny_params()
         else:
@@ -579,7 +590,7 @@ class TestStackedVertexCallers:
                                  * s.n_controller_rules
                                  for s in system.subsystems], xi=[1.0] * n)
         for i, sub in enumerate(system.subsystems):
-            want = [assemble(system, params, dv, i, l, m).key
+            want = [assemble(system, params, dv, i, [l], [m]).keys[0]
                     for l in range(sub.n_rules)
                     for m in range(sub.n_controller_rules)
                     for assemble in (assemble_invariance, assemble_decrease)]
@@ -836,7 +847,7 @@ class TestVerifyCertificate:
         """Largest blended lambda_max (+ shift) over the grid, one max_eig
         per (w, h) pair. The pairs are assembled as one stack per
         subsystem and family; TestStackedBlendedAssembly pins each stacked
-        matrix to its single-pair assembly."""
+        matrix to its one-pair stack."""
         want = -np.inf
         for i, sub in enumerate(system.subsystems):
             pairs = [(w, h)

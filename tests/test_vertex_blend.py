@@ -64,11 +64,11 @@ def test_blend_bounded_by_vertices(case):
     corners = vertex(system, params, dv, i, ls, ms)
     tail = _slack_tail(corners)
     corners = corners.test_matrix()
-    blend = blended(system, params, dv, i, w, h).test_matrix()
+    blend = blended(system, params, dv, i, [w], [h]).test_matrix()
     if folded:   # the fold of the compression is the compressed fold
         corners, blend = _fold(corners, tail), _fold(blend, tail)
     top_vertex = float(np.max(np.linalg.eigvalsh(corners)[:, -1]))
-    top_blend = float(np.linalg.eigvalsh(blend)[-1])
+    top_blend = float(np.linalg.eigvalsh(blend)[0, -1])
     norm = max(float(np.max(np.sum(np.abs(t), axis=-1)))
                for t in (corners, blend))
     assert top_blend <= top_vertex + 1e-12 * max(1.0, norm)
