@@ -24,7 +24,7 @@ from .plant import FieldError, _is_integer
 from .simulation import (InitialInfeasible, RecursiveFeasibilityViolation,
                          iss_check, rpi_monte_carlo, run_online_loop)
 from .synthesis import XI_MODES, Infeasible, minimize_xi, verify_certificate
-from .tracefile import sidecar_path, write_trace
+from .tracefile import write_trace
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2

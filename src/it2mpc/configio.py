@@ -349,11 +349,12 @@ def _parse_params(data: dict, path: str, n: int,
     return params
 
 
-# accepted and dropped: input_margin sized the retired input certificate Z,
-# the others tuned the retired derivative-free gain search and xi bisection
-_RETIRED_SYNTHESIS = {"input_margin", "n_starts", "max_iters", "init_step",
-                      "min_step", "step_grow", "step_shrink", "start_scale",
-                      "xi_rel_tol", "xi_growth_iters", "rescue_evals"}
+# accepted and dropped: the hand-set xi floor the disturbance budget replaced,
+# and the knobs of the retired input certificate Z, gain search and bisection
+_RETIRED_SYNTHESIS = {"input_margin", "xi_floor", "n_starts", "max_iters",
+                      "init_step", "min_step", "step_grow", "step_shrink",
+                      "start_scale", "xi_rel_tol", "xi_growth_iters",
+                      "rescue_evals"}
 
 
 def _parse_synthesis(data: dict, path: str) -> SynthesisConfig:
@@ -618,7 +619,7 @@ def save_certificate(dv, path, margins=None, meta=None):
 def load_certificate(path, system: LargeScaleSystem):
     """Read a certificate file back into decision variables for `system`.
 
-    Returns (DecisionVars, doc): one set size per subsystem, and the gains
+    Returns (DecisionVars, doc): a set size > 0 per subsystem, the gains
     read as a config's (_parse_gains). Older files' "Z" is ignored."""
     path = Path(path)
     doc = _read_json(path, "certificate")
@@ -628,15 +629,15 @@ def load_certificate(path, system: LargeScaleSystem):
         _fail(src, "not a certificate file (kind != 'certificate')")
     # any other field (margins, meta, an older file's Z) is kept, unread
     _keys_subset(doc, src, allowed=doc, required=("xi", "gains"))
-    xi = [_number(v, f"{src}.xi[{i + 1}]") for i, v in enumerate(
-        _expect(doc["xi"], f"{src}.xi", list, "one set size per subsystem"))]
+    xi = _expect(doc["xi"], f"{src}.xi", list, "one set size per subsystem")
+    for i, v in enumerate(xi):
+        if _number(v, f"{src}.xi[{i + 1}]") <= 0.0:
+            _fail(f"{src}.xi[{i + 1}]", f"expected a set size > 0, got {v!r}")
     if len(xi) != system.n_subsystems:
         _fail(src, f"certificate covers {len(xi)} subsystems, "
                    f"config has {system.n_subsystems}")
     gains = _parse_gains(doc["gains"], f"{src}.gains", system.subsystems)
-    dv = DecisionVars(gains=gains, xi=xi)
-    dv.validate()
-    return dv, doc
+    return DecisionVars(gains=gains, xi=map(float, xi)), doc
 
 
 def bundled_config_names() -> list:

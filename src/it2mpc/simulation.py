@@ -283,7 +283,7 @@ def run_online_loop(system: LargeScaleSystem, params: FixedParams, x0_all,
     dv = warm
     if supplied:        # frozen copies of the gains, each at its own floor
         dv = DecisionVars(gains=gains, xi=[
-            _settle((), floor)[0] for floor in _floors(params, x, syn_cfg)])
+            _settle((), floor)[0] for floor in _floors(system, params, x)])
 
     trace = SimulationTrace(Ts=Ts, d=dist.realize(system, n_steps), meta={
         "resynth": resynth, "supplied_gains": supplied, "mode": mode,
@@ -426,14 +426,14 @@ def rpi_monte_carlo(system: LargeScaleSystem, params: FixedParams,
     """Monte-Carlo audit of the invariant set under a certificate.
 
     Each sample draws every subsystem's state inside its set (every tenth
-    sample exactly on the boundary), an admissible disturbance at the
-    certified radius sqrt(xi/N_const), and a membership reconstruction
-    weighting from a grid; it then steps once and requires the one-step
-    decrease scalar to be <= tol and every next state to stay in its set
-    (relative margin <= tol); a NaN scalar or margin is a violation. It
-    needs an integer n_samples >= 1 and a finite tol, so that passing
-    checks something, and an integer seed >= 0 (a numpy integer is kept, a
-    bool refused, as DisturbanceModel does).
+    sample exactly on the boundary), an admissible disturbance at the certified
+    radius sqrt(xi/N_const), at least eta for every size minimize_xi or
+    run_online_loop picks, and a membership reconstruction weighting from a
+    grid; it then steps once and requires the one-step decrease scalar to be <=
+    tol and every next state to stay in its set (relative margin <= tol); a NaN
+    scalar or margin is a violation. It needs an integer n_samples >= 1 and a
+    finite tol, so that passing checks something, and an integer seed >= 0 (a
+    numpy integer is kept, a bool refused, as DisturbanceModel does).
 
     Draw order: sample by sample, the ball draws of every subsystem's state
     and then of every subsystem's disturbance (_ball_samples), so a seed

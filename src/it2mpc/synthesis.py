@@ -33,14 +33,15 @@ one xi: the "common" mode passes a single group of all subsystems, the
 set sizes are an interval [xi_lo, xi_hi] that does not depend on the state
 (only containment does), with exact ends from generalized eigenvalues, so
 the group's size is max(xi_lo, floor), a hair above it, whenever every
-member's xi_hi reaches that: one rule (_settle, on the floors of _floors)
-sizes a warm step, a cold solve and supplied gains alike. Warm gains come
-in one way, as their FixedGainEvaluator, and are kept whenever they fit.
-Otherwise each member's EVP, without containment and input-peak rows, gives
-its gains, the same rule sizes the group on their parts, and only a member
-whose interval does not reach the group's size is re-solved at that size by
-a fixed-xi feasibility SDP that enforces the input-peak rows exactly
-(solve_fixed_xi).
+member's xi_hi reaches that: one rule (_settle) sizes a warm step, a cold
+solve and supplied gains alike. A member's floor (_floors) is its
+containment size, at least its disturbance budget N_i eta_i^2, so that
+every size covers d'd <= eta_i^2. Warm gains come in one way, as their
+FixedGainEvaluator, and are kept whenever they fit. Otherwise each member's
+EVP, without containment and input-peak rows, gives its gains, the same
+rule sizes the group on their parts, and only a member whose interval does
+not reach the group's size is re-solved at that size by a fixed-xi
+feasibility SDP that enforces the input-peak rows exactly (solve_fixed_xi).
 
 The input constraint is assumed to take the form of Kothare, Balakrishnan
 & Morari (1996): the paper (arXiv 2108.13790; only its abstract is at hand)
@@ -102,7 +103,6 @@ class SynthesisConfig:
 
     strictness: float = 1e-9        # required margin for strict instances
     seed: int = 0
-    xi_floor: float = 1e-8
     xi_mode: str = "common"         # one of XI_MODES
     grid_density: int = 11          # membership-grid points per edge
 
@@ -113,13 +113,10 @@ class SynthesisConfig:
             raise FieldError("grid_density", "must be an integer >= 2, got "
                              + _shown(self.grid_density, repr))
         object.__setattr__(self, "grid_density", int(self.grid_density))
-        for name, valid, rule in (
-                ("strictness", lambda v: v >= 0.0, "a finite number >= 0"),
-                ("xi_floor", lambda v: v > 0.0, "a finite number > 0")):
-            v = getattr(self, name)
-            if not (_is_finite(v) and valid(v)):
-                raise FieldError(name, f"must be {rule}, got {_shown(v, repr)}")
-            object.__setattr__(self, name, float(v))
+        if not (_is_finite(self.strictness) and self.strictness >= 0.0):
+            raise FieldError("strictness", "must be a finite number >= 0, got "
+                             + _shown(self.strictness, repr))
+        object.__setattr__(self, "strictness", float(self.strictness))
 
 
 @dataclass
@@ -331,10 +328,11 @@ def solve_fixed_xi(system: LargeScaleSystem, params: FixedParams, xi,
     return DecisionVars(gains=gains, xi=map(float, xi_list))
 
 
-def _floors(params: FixedParams, x_all, cfg: SynthesisConfig) -> list:
-    """Per subsystem, the floor _settle sizes it on: the containment size
-    sqrt(x_i' X_i x_i) of its state, at least cfg.xi_floor."""
-    return [max(v, cfg.xi_floor) for v in containment_sizes(params, x_all)]
+def _floors(system: LargeScaleSystem, params: FixedParams, x_all) -> list:
+    """Per subsystem, the floor _settle sizes it on: its state's containment
+    size sqrt(x_i' X_i x_i), at least its disturbance budget N_i eta_i^2."""
+    return [max(v, n_i * sub.eta ** 2) for v, n_i, sub in zip(
+        containment_sizes(params, x_all), params.N_const, system.subsystems)]
 
 
 def _settle(parts, floor):
@@ -383,8 +381,8 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
                 mode: str | None = None,
                 evaluator: FixedGainEvaluator | None = None
                 ) -> SynthesisResult:
-    """Set-size minimization subject to feasible gains and containment of the
-    current state.
+    """Set-size minimization subject to feasible gains, containment of the
+    current state and each subsystem's disturbance budget (_floors).
 
     mode "common" (default) searches one size shared by all subsystems;
     "per_subsystem" searches each size on its own (each subsystem's
@@ -393,7 +391,7 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
     group of all of them, or one group per subsystem. `evaluator`, the one
     warm input, is a previous result's `evaluator` or a certificate dv's
     FixedGainEvaluator(system, params, dv, cfg). A group whose warm gains
-    still reach the size its state needs keeps them at the smallest size
+    still reach the size its floors need keeps them at the smallest size
     they certify, so a previously feasible solve can only improve —
     feasibility is preserved across steps; other groups are solved cold.
     The result carries the evaluator of its own gains: the one passed in
@@ -404,7 +402,7 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
     n = system.n_subsystems
     common = mode == "common"
     groups = [range(n)] if common else [(i,) for i in range(n)]
-    floors = _floors(params, x_all, cfg)
+    floors = _floors(system, params, x_all)
     xis, parts, xi_lower, cold = [None] * n, [None] * n, [None] * n, []
     for group in groups:
         if evaluator is not None:

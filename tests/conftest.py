@@ -283,6 +283,14 @@ def tiny_params(n_u=2):
                        R=np.eye(n_u), alpha=2.0)
 
 
+def budget_floors(system, params, x_all):
+    """Per subsystem, the set-size floor written out: the containment size
+    sqrt(x_i' X_i x_i), at least the disturbance budget N_i eta_i^2."""
+    return [max(float(np.sqrt(x @ params.X[i] @ x)),
+                params.N_const[i] * sub.eta ** 2)
+            for i, (x, sub) in enumerate(zip(x_all, system.subsystems))]
+
+
 def own_containment_block(params, i, x_i, xi_i):
     """Subsystem i's containment block assembled alone: the one-member
     stack of constants that hold X_i only."""

@@ -322,7 +322,7 @@ class TestErrorReporting:
 
     @pytest.mark.parametrize("field, value", [
         ("strictness", "1e-9"), ("strictness", -1.0),
-        ("strictness", float("nan")), ("xi_floor", "x"), ("xi_floor", 0.0)])
+        ("strictness", float("nan"))])
     def test_bad_tolerance_is_config_error(self, capsys, tmp_path, field,
                                            value):
         doc = tiny_config_doc()
@@ -500,23 +500,32 @@ class TestChecksThatCheckNothing:
                        "number, got 'inf'")
 
     @pytest.mark.parametrize("verb", ["rpi-check", "verify"])
-    @pytest.mark.parametrize("field, path", [
-        ("xi", "cert.json.xi[1]"), ("gains", "cert.json.gains[1][1][1][1]")])
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("xi", float("nan"),
+                     "xi[1]: expected a finite number, got nan",
+                     id="xi-cert.json.xi[1]"),
+        pytest.param("xi", 0.0, "xi[1]: expected a set size > 0, got 0.0",
+                     id="xi-zero"),
+        pytest.param("xi", -1.0, "xi[1]: expected a set size > 0, got -1.0",
+                     id="xi-negative"),
+        pytest.param("gains", float("nan"),
+                     "gains[1][1][1][1]: expected a finite number, got nan",
+                     id="gains-cert.json.gains[1][1][1][1]")])
     def test_nan_certificate_exits_3(self, capsys, tmp_path, verb, field,
-                                     path):
+                                     value, message):
+        # a set size <= 0 was a runtime failure (exit 4) with no field path
         raw = json.loads(self.FIXTURE.read_text())
         if field == "xi":
-            raw["xi"][0] = float("nan")
+            raw["xi"][0] = value
         else:
-            raw["gains"][0][0][0][0] = float("nan")
+            raw["gains"][0][0][0][0] = value
         cert = tmp_path / "cert.json"
         cert.write_text(json.dumps(raw))
         rc, _, stderr = run_cli(capsys, verb, "example1_synthesis",
                                 "--gains", str(cert))
         assert rc == 3
-        assert json.loads(stderr) == {
-            "error": "config",
-            "message": f"{path}: expected a finite number, got nan"}
+        assert json.loads(stderr) == {"error": "config",
+                                      "message": f"cert.json.{message}"}
 
     def test_nan_input_limit_exits_3(self, capsys, tmp_path):
         # a NaN u_max used to give a feasible certificate with no input rows

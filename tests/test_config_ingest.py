@@ -126,9 +126,6 @@ CONFIG_CASES = [
     (("synthesis", "strictness"), BIG,
      (ConfigError, "<config>.synthesis.strictness: must be a finite number "
                    f">= 0, got {BIG_SHOWN}")),
-    (("synthesis", "xi_floor"), BIG,
-     (ConfigError, "<config>.synthesis.xi_floor: must be a finite number "
-                   f"> 0, got {BIG_SHOWN}")),
     (SIG + ("divisor",), 0, (ConfigError, f"{SIG_PATH}: divisor must be "
                                           "nonzero")),
     (SIG + ("form",), "bogus", (ConfigError, f"{SIG_PATH}: unknown form "
@@ -467,12 +464,12 @@ class TestParamsFirstError:
 # sha256 of json.dumps(serialize_config(cfg), sort_keys=True); a deliberate
 # edit of a bundled config changes its pin
 SERIALIZED_SHA256 = {
-    "example1": "a95a966d4bb91fffca15afd16ae5167c8a89350dbe5aef1b7520ddf2a4afbc90",
+    "example1": "379fad7f1e85952984607f84da4d790cf7c1b914644c8cf4b7c6c473085564be",
     "example1_synthesis":
-        "560b6e836e730ffbc99a9dbc3570e094da2302b3d8d8f9abf28fbe19098535fa",
-    "example2": "67eeba5bd2a6024bf9bd13047ffaa69491fb4a575d53a8d48cfe10b455345f07",
+        "ca2239dbfed18f6ceda6e9f5fb7d1f88e2de9f31ea62ccd3c1a2363b7df5b9dd",
+    "example2": "85ef9e3837bd42a5e69a7a137a81f7d1c19ee963b4e0ffcfa4ee6fd2852a68b6",
     "example2_stabilized":
-        "5dbf75cb260c129235b502889fe0aaa2daf206f7df1af68e902c6104655cec41",
+        "b7440484926a75d4a20da8e45b1512be66758bd926ddfe2d3bc6c3890dfe9833",
 }
 
 
@@ -638,15 +635,12 @@ SETTINGS_BAD = [
       for v in (-1, 1, True, 1.5, NAN, INF, -INF, "11")],
     *[("synthesis.strictness", v, _bound(">= 0", v), _bound(">= 0", v))
       for v in (-1, -1e-300, True, np.bool_(False), NAN, INF, -INF, "0", None)],
-    *[("synthesis.xi_floor", v, _bound("> 0", v), _bound("> 0", v))
-      for v in (0, -1, 0.0, True, np.bool_(True), NAN, INF, "1e-8")],
 ]
 
 # a real-valued setting takes any finite number in range, a numpy one too,
 # and keeps it as the equal float
 NUMBERS_GOOD = [
     *[("strictness", v) for v in (0, 0.0, 1e-9, np.int64(0), np.float64(0.0))],
-    *[("xi_floor", v) for v in (1, 1e-8, np.int64(1), np.float64(1e-8))],
 ]
 
 SETTINGS_GOOD = [
@@ -717,8 +711,7 @@ class TestSettingsRules:
         assert type(node) is type(owned) is float
 
     @pytest.mark.parametrize("field, rule", [
-        ("strictness", ">= 0"), ("xi_floor", "> 0"),
-        ("grid_density", None)])
+        ("strictness", ">= 0"), ("grid_density", None)])
     @pytest.mark.parametrize("digits", [401, 5001])
     def test_long_integer_is_shown_by_its_digits(self, field, rule, digits):
         # a refused integer is shown by its digit count: 5,001 digits raised

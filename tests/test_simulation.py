@@ -3,10 +3,12 @@ run-time certificate diagnostics (decrease checks and set Monte-Carlo)."""
 
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from it2mpc.configio import load_bundled_config, load_certificate
 from it2mpc.linalg import quad_form
 from it2mpc.lmis import DecisionVars, FixedParams
 from it2mpc.plant import FieldError, LargeScaleSystem, Rule, Subsystem
@@ -24,6 +26,7 @@ from it2mpc.simulation import (
 from it2mpc.synthesis import XI_HAIR, FixedGainEvaluator, SynthesisConfig
 
 from conftest import (
+    budget_floors,
     build_example1_system,
     build_example2_system,
     controller_mf_family,
@@ -33,6 +36,10 @@ from conftest import (
     example2_stabilizing_gains,
     model_mf_family,
 )
+
+
+CERTIFICATE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+               / "example1_certificate.json")
 
 
 class TestDisturbanceModel:
@@ -254,18 +261,17 @@ class TestRunOnlineLoop:
 
     def test_supplied_gains_start_at_the_settled_floor(self):
         # supplied gains are sized by _settle on no parts: each subsystem's
-        # floor max(sqrt(x'Xx), xi_floor), a hair above it. At a zero state
-        # that is xi_floor (1 + XI_HAIR), where xi_floor itself was used
-        cfg = SynthesisConfig()
+        # floor max(sqrt(x'Xx), N eta^2), a hair above it. At a zero state
+        # that is the disturbance budget N eta^2 = 0.5 * 0.2^2, haired
+        system = build_example1_system()
         params = example1_reference_params()
         x0 = [np.zeros(2), np.array([1.0, -1.0]), np.zeros(2)]
-        trace = run_online_loop(build_example1_system(), params, x0, 1,
-                                gains=example1_reference_gains(),
-                                syn_cfg=cfg)
+        trace = run_online_loop(system, params, x0, 1,
+                                gains=example1_reference_gains())
         haired = 1.0 + XI_HAIR
-        assert trace.xi[0] == [cfg.xi_floor * haired,
-                               float(np.sqrt(x0[1] @ params.X[1] @ x0[1]))
-                               * haired, cfg.xi_floor * haired]
+        floors = budget_floors(system, params, x0)
+        assert trace.xi[0] == [floor * haired for floor in floors]
+        assert floors[0] == floors[2] == 0.5 * 0.2 ** 2 < floors[1]
 
     def test_unknown_resynth_mode_rejected(self):
         system = build_example1_system()
@@ -332,8 +338,9 @@ class TestRunOnlineLoop:
         assert all(trace.feasible)
         assert trace.solves == 0
         for xs, xis in zip(trace.x, trace.xi):
-            for i, (x, xi) in enumerate(zip(xs, xis)):
-                assert xi >= np.sqrt(x @ params.X[i] @ x)
+            for i, (xi, floor) in enumerate(
+                    zip(xis, budget_floors(system, params, xs))):
+                assert xi >= floor
                 assert xi <= res.dv.xi[i] * (1.0 + 1e-6)
             # subsystem 0's size follows its shrinking state below the others
             assert xis[0] < xis[2]
@@ -341,11 +348,11 @@ class TestRunOnlineLoop:
         # than the bisected sizes [0.908320214914707, 8.969839902582537,
         # 9.901832152969146]; and the EVP gains replace the gains of the
         # derivative-free search: never larger than their interval ends
-        # [0.9082536879483349, 8.965972058830245, 9.900614785636536]
+        # [0.9082536879483349, 8.965972058830245, 9.900614785636536].
+        # Subsystem 0 ends on its disturbance budget 20 * 0.2^2, haired
         final = trace.meta["final_xi"]
         assert final == pytest.approx(
-            [0.7788184905784066, 8.190346085818252, 9.895246779437825],
-            rel=1e-9)
+            [0.8000008, 8.190346085818252, 9.895246779437825], rel=1e-9)
         for xi, bisected, searched in zip(
                 final, [0.908320214914707, 8.969839902582537,
                         9.901832152969146],
@@ -354,11 +361,11 @@ class TestRunOnlineLoop:
             assert xi <= searched
 
     @pytest.mark.parametrize("xi_mode", ["common", "per_subsystem"])
-    def test_every_step_xi_is_interval_end_or_containment(self,
-                                                          ex1_synthesized,
-                                                          xi_mode):
+    def test_every_step_xi_is_interval_end_or_floor(self, ex1_synthesized,
+                                                    xi_mode):
         # at the warm gains each step's size is max(xi_lo, floor_k), both
-        # kept a hair inside their boundaries
+        # kept a hair inside their boundaries, where floor_k is the
+        # containment size at least the disturbance budget
         system, params, x0, res, _ = ex1_synthesized
         cfg = SynthesisConfig()
         trace = run_online_loop(system, params, x0, 10,
@@ -371,10 +378,10 @@ class TestRunOnlineLoop:
         evaluator = FixedGainEvaluator(system, params, res.dv, cfg)
         groups = [range(3)] if xi_mode == "common" else [(0,), (1,), (2,)]
         for xs, xis in zip(trace.x, trace.xi):
+            floors = budget_floors(system, params, xs)
             for group in groups:
                 lo = max(evaluator.parts[i].interval[0] for i in group)
-                floor = max(max(np.sqrt(xs[i] @ params.X[i] @ xs[i]),
-                                cfg.xi_floor) for i in group)
+                floor = max(floors[i] for i in group)
                 want = max(lo * (1.0 + XI_HAIR), floor * (1.0 + XI_HAIR))
                 for i in group:
                     assert xis[i] == pytest.approx(want, rel=1e-9)
@@ -385,6 +392,43 @@ class TestRunOnlineLoop:
                             example1_reference_params(), [np.zeros(2)] * 3,
                             3, gains=example1_reference_gains(),
                             xi_mode="bogus")
+
+
+class TestDisturbanceBudget:
+    """A set size xi_i certifies disturbances d'd <= xi_i / N_i, so every
+    size the loop uses is at least N_i eta_i^2: it covers the configured
+    bound eta_i from a cold start, warm from the stored certificate and
+    with supplied gains, in either mode."""
+
+    @pytest.mark.parametrize("xi_mode", ["common", "per_subsystem"])
+    @pytest.mark.parametrize("start", ["cold", "warm", "supplied"])
+    def test_no_step_is_below_the_budget(self, start, xi_mode):
+        cfg = load_bundled_config(
+            "example1" if start == "supplied" else "example1_synthesis")
+        sim = cfg.simulation
+        warm = load_certificate(CERTIFICATE, cfg.system)[0] \
+            if start == "warm" else None
+        trace = run_online_loop(
+            cfg.system, cfg.params, sim.x0, 100, dist=sim.disturbance,
+            syn_cfg=cfg.synthesis, xi_mode=xi_mode, warm=warm,
+            gains=cfg.gains if start == "supplied" else None)
+        budgets = [n * sub.eta ** 2 for n, sub in
+                   zip(cfg.params.N_const, cfg.system.subsystems)]
+        for xis in trace.xi:
+            assert all(xi >= budget for xi, budget in zip(xis, budgets))
+
+    def test_cold_per_subsystem_run_ends_on_the_budget(self):
+        # the run whose subsystem 0 sat below 20 * 0.2^2 = 0.8 in 97 of its
+        # 100 steps, ending at 0.7788184905784; those steps now hold the
+        # budget, a hair above it
+        cfg = load_bundled_config("example1_synthesis")
+        sim = cfg.simulation
+        trace = run_online_loop(cfg.system, cfg.params, sim.x0, 100,
+                                dist=sim.disturbance, syn_cfg=cfg.synthesis,
+                                xi_mode="per_subsystem")
+        at_budget = 20.0 * 0.2 ** 2 * (1.0 + XI_HAIR)
+        assert trace.meta["final_xi"][0] == at_budget == 0.8000008000000001
+        assert sum(xis[0] == at_budget for xis in trace.xi) == 97
 
 
 class TestIssCheck:

@@ -6,7 +6,8 @@ test that needs such a helper writes it as a reference of its own.
 
 References are read from the code (names and attribute accesses), not from
 docstrings. A method that overrides a base-class method (an argparse
-parser's error, say) is reached through its base and is exempt."""
+parser's error, say) is reached through its base and is exempt. Every name
+a module imports is read by its code."""
 
 import ast
 import importlib
@@ -93,3 +94,37 @@ def test_a_test_only_name_is_caught():
     sources["planted"] = ('def only_tests():\n'
                           '    """Called as only_tests() by tests alone."""\n')
     assert _unreached(sources) == ["planted.only_tests"]
+
+
+def _unread_imports(sources: dict) -> list:
+    """"module.name" of each name a module of the sources ({module stem:
+    code}) imports and never reads; the package's __init__ reads the names
+    its __all__ exports."""
+    out = []
+    for stem, code in sources.items():
+        tree = ast.parse(code)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        if stem == "__init__":
+            read |= set(it2mpc.__all__)
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        bound = [alias.asname or alias.name.partition(".")[0]
+                 for node in imports for alias in node.names]
+        out += [f"{stem}.{name}" for name in bound if name not in read]
+    return out
+
+
+def test_every_import_is_read():
+    assert _unread_imports(_package_sources()) == []
+
+
+def test_an_unread_import_is_caught():
+    # the scan itself: a name only a docstring mentions is unread
+    planted = ('"""Uses Path."""\n'
+               'from __future__ import annotations\n'
+               'import json\n'
+               'from pathlib import Path\n'
+               'json.dumps(1)\n')
+    assert _unread_imports({"planted": planted}) == ["planted.Path"]

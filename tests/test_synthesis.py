@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import (build_example1_system, build_tiny_system,
+from conftest import (budget_floors, build_example1_system, build_tiny_system,
                       controller_mf_family, example1_reference_params,
                       example1_synthesis_params, model_mf_family,
                       own_containment_block, shape_params, tiny_params)
@@ -635,9 +635,7 @@ class TestFixedGainEvaluator:
         # the cold size is the clamp of its own gains' intervals at the
         # haired floor, and no smaller than the proven lower bound
         system, params, x0, res, _ = ex1_synthesized
-        cfg = SynthesisConfig()
-        floor = max(max(np.sqrt(x @ params.X[i] @ x), cfg.xi_floor)
-                    for i, x in enumerate(x0))
+        floor = max(budget_floors(system, params, x0))
         ends = [part.interval for part in res.evaluator.parts]
         clamp = max(max(lo for lo, _ in ends) * (1.0 + XI_HAIR),
                     floor * (1.0 + XI_HAIR))
@@ -646,6 +644,25 @@ class TestFixedGainEvaluator:
         assert len(res.xi_lower) == 3
         for xi, lower in zip(res.dv.xi, res.xi_lower):
             assert lower <= xi
+
+    def test_the_disturbance_budget_binds_a_cold_solve(self):
+        # at a zero state subsystem 0's containment size (0) and its EVP
+        # interval's lower end (about 0.7788) are both below its budget
+        # N eta^2 = 20 * 0.2^2: its size sits a hair above the budget, so
+        # the certificate covers the configured d'd <= eta^2
+        system = build_example1_system()
+        params = example1_synthesis_params()
+        budget = params.N_const[0] * system.subsystems[0].eta ** 2
+        res = minimize_xi(system, params, [np.zeros(2)] * 3,
+                          SynthesisConfig(), mode="per_subsystem")
+        assert res.feasible
+        assert res.evaluator.parts[0].interval[0] < budget
+        assert res.dv.xi[0] == budget * (1.0 + XI_HAIR) == 0.8000008000000001
+        assert res.xi_lower[0] >= budget
+        # the others' lower ends lie above the budget and decide their sizes
+        for i in (1, 2):
+            lo = res.evaluator.parts[i].interval[0]
+            assert budget < lo < res.dv.xi[i]
 
     @pytest.mark.parametrize("ends, floor, size, short", [
         # lo-bound: the largest xi_lo decides; xi_lo = -inf never does, and
