@@ -62,6 +62,10 @@ def _not_finite(path, shown):
     return ConfigError, f"{path}: expected a finite number, got {shown}"
 
 
+def _not_a_set_size(path, shown):
+    return ConfigError, f"{path}: expected a set size > 0, got {shown}"
+
+
 RAGGED = (ConfigError, f"{A_PATH}: matrix rows must be nonempty and "
                        "equal-length")
 
@@ -192,6 +196,12 @@ CERTIFICATE_CASES = [
     (G, [[BIG, True]], _not_finite(f"{G_PATH}[1][1]", BIG_SHOWN)),
     (("xi", 1), True, _not_a_number("cert.json.xi[2]", "bool")),
     (("xi", 2), BIG, _not_finite("cert.json.xi[3]", BIG_SHOWN)),
+    # a set size covers d'd <= xi / N, so one <= 0 certifies nothing: a
+    # config error at its entry, read before the count against the plant
+    (("xi", 2), 0, _not_a_set_size("cert.json.xi[3]", "0")),
+    (("xi", 1), -0.0, _not_a_set_size("cert.json.xi[2]", "-0.0")),
+    (("xi", 0), -1e-300, _not_a_set_size("cert.json.xi[1]", "-1e-300")),
+    (("xi",), [1.0, 0.0], _not_a_set_size("cert.json.xi[2]", "0.0")),
     (G, [[1.0, 2.0, 3.0]],
      (ConfigError, f"{G_PATH}: expected 2 columns, got 3")),
     # counts, against the config's plant (3 subsystems, 2 controller rules)
@@ -234,6 +244,8 @@ NON_FINITE_CASES = [
 NON_FINITE_CERTIFICATE_CASES = [
     (("xi", 0), math.nan, _not_finite("cert.json.xi[1]", "nan")),
     (G + (0, 1), math.inf, _not_finite(f"{G_PATH}[1][2]", "inf")),
+    # finiteness is read before the sign of a set size
+    (("xi", 1), -math.inf, _not_finite("cert.json.xi[2]", "-inf")),
 ]
 
 

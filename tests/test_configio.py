@@ -36,11 +36,13 @@ class TestRoundTrip:
         ("input_margin", 1e-6), ("n_starts", 2), ("max_iters", 60),
         ("init_step", 0.4), ("min_step", 1e-7), ("step_grow", 1.6),
         ("step_shrink", 0.5), ("start_scale", 0.3), ("xi_rel_tol", 1e-3),
-        ("xi_growth_iters", 24), ("rescue_evals", 600), ("xi_floor", 1e-8)])
+        ("xi_growth_iters", 24), ("rescue_evals", 600), ("xi_floor", 1e-8),
+        ("xi_floor", 0.0), ("xi_floor", "x")])
     def test_legacy_synthesis_key_is_dropped(self, doc, key, value):
         # keys of the retired input certificate Z, of the retired
         # derivative-free gain search and the retired set-size floor, which
-        # the disturbance budget replaced: a config carrying them still loads
+        # the disturbance budget replaced: a config carrying them still loads,
+        # their values unread (an xi_floor of 0.0 or "x" was refused)
         legacy = copy.deepcopy(doc)
         legacy["synthesis"][key] = value
         cfg = parse_config(legacy)
@@ -460,6 +462,19 @@ class TestCertificateFiles:
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match=r"^cert\.json" + where):
             load_certificate(path, parse_config(copy.deepcopy(doc)).system)
+
+    @pytest.mark.parametrize("value", [2, 5e-324])
+    def test_positive_set_size_loads_as_float(self, tmp_path, doc, value):
+        # any finite size > 0 loads, an integer one as the equal float
+        cfg = parse_config(copy.deepcopy(doc))
+        path = tmp_path / "cert.json"
+        save_certificate(self.make_dv(), path)
+        raw = json.loads(path.read_text())
+        raw["xi"] = [value]
+        path.write_text(json.dumps(raw))
+        back, _ = load_certificate(path, cfg.system)
+        assert back.xi == (value,)
+        assert type(back.xi[0]) is float
 
     def test_legacy_z_field_is_ignored(self, tmp_path, doc):
         # certificates written before the input certificate Z was retired

@@ -19,7 +19,7 @@ from it2mpc.linalg import (InvalidMatrixError, SingularBlockError, max_eig,
                            min_eig)
 from it2mpc.lmis import (DecisionVars, FixedParams, assemble_decrease,
                          assemble_decrease_blended, assemble_invariance,
-                         assemble_invariance_blended)
+                         assemble_invariance_blended, containment_sizes)
 from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 from it2mpc.synthesis import (XI_HAIR, FixedGainEvaluator, Infeasible,
                               SynthesisConfig, _Model, _Part, _simplex_grid,
@@ -605,6 +605,35 @@ class TestStackedVertexCallers:
             got = certificate_margins(system, params, dv, x_all, cfg)
             want = _reference_margins(system, params, dv, x_all, cfg)
             _assert_margins_match(got, want)
+
+
+class TestFloors:
+    """_floors gives each subsystem its own floor: its state's containment
+    size, at least its disturbance budget N_i eta_i^2."""
+
+    # per subsystem, the factor its configured x0 is scaled by: at zero the
+    # budget binds everywhere, at x0 containment binds in every bundled
+    # config, and "mixed" takes each subsystem's floor on its own
+    STATES = {"zero": lambda i: 0.0, "x0": lambda i: 1.0,
+              "mixed": lambda i: 0.0 if i == 0 else 1.0}
+
+    @pytest.mark.parametrize("state", sorted(STATES))
+    @pytest.mark.parametrize("name", bundled_config_names())
+    def test_floor_is_containment_at_least_the_budget(self, name, state):
+        cfg = load_bundled_config(name)
+        system, params = cfg.system, cfg.params
+        x_all = [self.STATES[state](i) * np.asarray(x, dtype=float)
+                 for i, x in enumerate(cfg.simulation.x0)]
+        floors = synthesis._floors(system, params, x_all)
+        assert floors == budget_floors(system, params, x_all)
+        budgets = [n * sub.eta ** 2
+                   for n, sub in zip(params.N_const, system.subsystems)]
+        sizes = containment_sizes(params, x_all)
+        for i, (floor, budget, size) in enumerate(zip(floors, budgets,
+                                                      sizes)):
+            assert floor == max(size, budget)
+            assert floor == (budget if self.STATES[state](i) == 0.0
+                             else size)
 
 
 class TestFixedGainEvaluator:
