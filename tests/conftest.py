@@ -321,3 +321,26 @@ def tiny_config_doc(stable=True):
             resynth="once"),
         gains=None)
     return serialize_config(cfg)
+
+
+def two_layout_groups():
+    """example1_synthesis with subsystem 0's couplings' second rows zeroed,
+    and the stored example1 certificate: one shape group, but subsystem 0's
+    coupling map [g_1 g_2] has rank 1 where the others' have rank 2, so its
+    strict basis has another shape and the system has two layout groups,
+    (0,) and (1, 2). Returns (system, params, dv, x0)."""
+    from pathlib import Path
+
+    from it2mpc.configio import load_bundled_config, load_certificate
+    cfg = load_bundled_config("example1_synthesis")
+    first = cfg.system.subsystems[0]
+    couplings = {j: np.vstack([g[:1], np.zeros_like(g[1:])])
+                 for j, g in first.couplings.items()}
+    system = LargeScaleSystem(subsystems=(
+        dataclasses.replace(first, couplings=couplings),
+        *cfg.system.subsystems[1:]))
+    system.validate()
+    fixture = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+               / "example1_certificate.json")
+    dv, _ = load_certificate(fixture, system)
+    return system, cfg.params, dv, cfg.simulation.x0
