@@ -16,27 +16,35 @@ parts [E theta]'(Lam (x) X)[E theta] with Lam = [[1, 1], [1, n]] and k'Mk,
 which are matrix-convex, so vertex enforcement over every (model rule,
 controller rule) pair covers the blended matrices
 (synthesis.verify_certificate states the lemma; its membership-grid sweep
-re-checks it). Every assembler takes stacks (vertex index sequences,
-weight stacks, or a shape group's states) and returns one LMIInstance of a
-stack of matrices, whose `keys` name each matrix.
+re-checks it). Every invariance and decrease assembler takes a layout group
+as a tuple of members, and stacks (vertex index sequences or weight
+stacks) shared by them; containment takes a group of equal-shape X_i and
+its states. Each returns one LMIInstance of a stack of matrices with a
+leading member axis, whose `keys` name each matrix.
 
-Layout. Everything in subsystem i's invariance and decrease matrices that
-depends on neither the gains nor xi is held by one _Layout(system, params,
-i). Its X-free half, built once on the Subsystem, is the sorted coupling
-keys, the stacked g blocks and the row-space basis of the coupling map
-[g_1 g_2 ...] from one SVD (each family's strict basis only adds its
-identity tail); the layout adds the slot dims, g'X_i, the constant
-coupling block -(alpha - 1) g'X_i g and the load n sqrt(alpha) sum_j
-g_j'X_j g_j. Its `stack` emits either family, for a whole stack of
-vertices or blends, from a constant template plus a handful of batched
-products, and symmetrizes once. Every entry is the one a
-block-by-block assembly computes, by the same products in the same order;
-factors of 1/2 move only where scaling by them is exact (the tests keep
-that assembly as a reference). Each public assemble_* call builds exactly
-one layout: the four assemblers and LMIInstance.test_matrix are the names
-the benchmark's layer tracer (perfbench/tracer.py) binds, so sharing the X
-half across calls would need a layout argument on those functions, or a
-tracer that binds the layout instead.
+Layout. A layout group is a plant shape group (LargeScaleSystem.
+layout_groups, by the grouping rule of the step's shape groups) split
+further by the shape of its members' strict basis, so its members share the
+template, the slot dims and the basis's shape. Everything in their
+invariance and decrease matrices that depends on neither the gains nor xi
+is held by one _Layout(system, params, members). Its X-free half, built once
+on each Subsystem, is the sorted coupling keys, the stacked g blocks and the
+row-space basis of the coupling map [g_1 g_2 ...] from one SVD (each
+family's strict basis only adds its identity tail); the layout stacks them
+over the members and adds the slot dims, g'X_i, the constant coupling block
+-(alpha - 1) g'X_i g and the load n sqrt(alpha) sum_j g_j'X_j g_j, with the
+members' constants. Its `stack` emits either family for every member at
+once, for a whole stack of vertices or blends, from a constant template
+plus a handful of batched products, and symmetrizes once. Every entry is
+the one a block-by-block assembly of its own subsystem computes, by the
+same products in the same order: each stacked product is one BLAS call per
+matrix with the operands of that matrix, so a group's stack equals its
+members' one-member stacks bit for bit; factors of 1/2 move only where
+scaling by them is exact (the tests keep that assembly as a reference). A
+layout is built once per system and constants and kept on the constants
+(FixedParams._layouts), so the four assemblers, the names the benchmark's
+layer tracer (perfbench/tracer.py) binds, share it: a certificate check
+builds one layout per layout group, not one per assembly.
 """
 
 from __future__ import annotations
@@ -48,8 +56,8 @@ import numpy as np
 
 from .linalg import (InvalidMatrixError, SingularBlockError, inv_sqrt, is_psd,
                      min_eig, quad_form, sym_matrix)
-from .plant import (LargeScaleSystem, Subsystem, _as_gains, _frozen,
-                    _is_finite, _shown, _verdict_kept, blend, blend_gains)
+from .plant import (LargeScaleSystem, _as_gains, _frozen, _is_finite, _shown,
+                    _split_rules, _verdict_kept, blend, blend_gains)
 
 
 @dataclass(frozen=True)
@@ -149,6 +157,12 @@ class FixedParams:
                 raise SingularBlockError(
                     "shape matrix is singular; containment undefined")
         return self.x_inv_stacks
+
+    @cached_property
+    def _layouts(self) -> dict:
+        """lmis's layouts at these constants: {members: (system, _Layout)},
+        for the system each group was last assembled for (lmis._layout)."""
+        return {}
 
     @property
     def n_subsystems(self) -> int:
@@ -288,35 +302,41 @@ class LMIInstance:
     """One assembled stack of conditions with enough metadata to
     re-identify each matrix of it."""
 
-    matrix: np.ndarray               # the stack (P, size, size)
+    # the stack: (S, P, size, size) over the members s and the pairs or
+    # blends p of an invariance or decrease stack; (k, size, size) over the
+    # members of a containment stack
+    matrix: np.ndarray
     origin: str                      # invariance | decrease | containment
-    subsystem: int | tuple           # a shape group's indices for a
-                                     # containment stack
+    subsystem: tuple                 # the members, in stack order
     # the (model rule, controller rule) pair of each matrix of a vertex
-    # stack; None for a blended or containment stack
+    # stack, shared by every member; None for a blended or containment stack
     vertex: tuple | None = None
     slot_dims: tuple = ()
+    # (S, size, cols): each member's compression, or None for none
     strict_basis: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def keys(self) -> list:
-        """One key per matrix: each (l, m) pair's key for a vertex stack,
-        each member's key for a shape group's containment stack, and the
-        family key repeated for a blended one."""
-        if isinstance(self.subsystem, tuple):
+        """One key per matrix, in the order of the stack's leading axes
+        (member-major): each member's (l, m) keys for a vertex stack, its
+        family key once per blend for a blended one, and each member's key
+        for a containment stack."""
+        if self.origin == "containment":
             return [_format_key(self.origin, i, None) for i in self.subsystem]
         if self.vertex is None:
-            return [_format_key(self.origin, self.subsystem, None)] * len(
-                self.matrix)
-        return vertex_keys(self.origin, self.subsystem, self.vertex)
+            return [_format_key(self.origin, i, None) for i in self.subsystem
+                    for _ in range(self.matrix.shape[-3])]
+        return [key for i in self.subsystem
+                for key in vertex_keys(self.origin, i, self.vertex)]
 
     def test_matrix(self) -> np.ndarray:
         """Matrices the conditions are judged on: strict instances are
         compressed onto the complement of structural coupling kernels (each
-        matrix of the stack on its own)."""
+        matrix of the stack on its own, by its member's basis)."""
         if self.strict_basis is None:
             return self.matrix
-        return sym_matrix(self.strict_basis.T @ self.matrix @ self.strict_basis)
+        basis = self.strict_basis[..., None, :, :]
+        return sym_matrix(basis.swapaxes(-1, -2) @ self.matrix @ basis)
 
 
 def _vertex_pairs(l, m):
@@ -328,50 +348,55 @@ def _vertex_pairs(l, m):
     return ls, ms
 
 
-def _vertex_stacks(sub: Subsystem, gains_i, ls, ms):
-    """(theta, E, k) stacks of the vertex pairs (ls[p], ms[p])."""
-    rules = [sub.rules[j] for j in ls]
-    k = np.array([gains_i[j] for j in ms])
-    return (np.array([r.A for r in rules]) + np.array([r.B for r in rules]) @ k,
-            np.array([r.E for r in rules]), k)
-
-
 class _Layout:
-    """Subsystem i's block layout: every part of its invariance and
-    decrease matrices that depends on neither the gains nor xi (module
-    docstring, "Layout"). `stack` emits either family."""
+    """The block layout of a group of one layout (system.layout_groups):
+    every part of its members' invariance and decrease matrices that
+    depends on neither the gains nor xi (module docstring, "Layout"), with a
+    leading member axis. `stack` emits either family."""
 
-    def __init__(self, system: LargeScaleSystem, params: FixedParams, i: int):
-        sub = system.subsystems[i]
-        self.i, self.params, self.n = i, params, system.n_subsystems
+    def __init__(self, system: LargeScaleSystem, params: FixedParams,
+                 members: tuple):
+        subs = self.subs = [system.subsystems[i] for i in members]
+        sub = subs[0]
+        self.members, self.n = members, system.n_subsystems
         self.n_d, self.n_x, self.n_u = sub.n_d, sub.n_x, sub.n_u
-        keys = sub.coupling_keys
-        for j in keys:
-            g = sub.couplings[j]
-            if g.shape[0] != g.shape[1]:
-                raise ValueError(
-                    f"subsystem {i}: coupling to {j} is {g.shape}; the "
-                    "state-block load g' X_j g needs coupled subsystems with "
-                    "equal state dims")
+        for i, s in zip(members, subs):
+            for j in s.coupling_keys:
+                g = s.couplings[j]
+                if g.shape[0] != g.shape[1]:
+                    raise ValueError(
+                        f"subsystem {i}: coupling to {j} is {g.shape}; the "
+                        "state-block load g' X_j g needs coupled subsystems "
+                        "with equal state dims")
         # so every coupling slot is n_x wide, and the couplings stack
-        nc, n_x, x_i = len(keys), sub.n_x, params.X[i]
+        nc, n_x = len(sub.coupling_keys), sub.n_x
         self.coupling_dims = (n_x,) * nc
-        g = sub.coupling_stack
+        x_i = self.x = np.array([params.X[i] for i in members])
+        g = np.array([s.coupling_stack for s in subs])  # (S, nc, n_x, n_x)
         self.gt = g.swapaxes(-1, -2)                   # g_a' per slot a
-        self.gx = self.gt @ x_i                        # g_a' X_i
+        self.gx = self.gt @ x_i[:, None]               # g_a' X_i
         self.gx_weight = 1.0 - np.sqrt(params.alpha)   # of g_a' X_i theta
         # -(alpha - 1) g_b' X_i g_a in slot (b, a): below the diagonal, and
         # at half weight on it (see stack)
         slot = np.arange(nc)
         weight = np.greater.outer(slot, slot) + 0.5 * np.eye(nc)
-        blocks = -(params.alpha - 1.0) * (self.gx[:, None] @ g[None])
+        blocks = -(params.alpha - 1.0) * (self.gx[:, :, None] @ g[:, None])
         self.coupling = (weight[:, :, None, None] * blocks).swapaxes(
-            1, 2).reshape(nc * n_x, nc * n_x)
+            2, 3).reshape(len(subs), nc * n_x, nc * n_x)
         # state-block coupling load: n sqrt(alpha) sum_j g' X_j g
-        x_j = np.array([params.X[j] for j in keys]).reshape(nc, n_x, n_x)
+        x_j = np.array([[params.X[j] for j in s.coupling_keys]
+                        for s in subs]).reshape(g.shape)
         self.load = self.n * np.sqrt(params.alpha) * (
-            self.gt @ x_j @ g).sum(axis=0)
-        self.basis = sub.coupling_basis     # of both families' strict bases
+            self.gt @ x_j @ g).sum(axis=1)
+        # of both families' strict bases; its shape is the group's
+        self.basis = None if sub.coupling_basis is None else np.array(
+            [s.coupling_basis for s in subs])
+        # the members' constants, each read as the member's own float
+        self.lam, self.n_const, self.tau = (
+            np.array([seq[i] for i in members], dtype=float)
+            for seq in (params.lam, params.N_const, params.tau))
+        self.q = np.array([params.q_mat(i) for i in members])
+        self.m = np.array([params.M[i] for i in members])
 
     def slot_dims(self, family: str) -> tuple:
         """[d | x_i | x_j (sorted j) | slack tail]: the tail is (n_u, n_x)
@@ -380,8 +405,9 @@ class _Layout:
         return (self.n_d, self.n_x) + self.coupling_dims + tail
 
     def strict_basis(self, family: str):
-        """Compression onto the row space of the stacked coupling map
-        [g_1 g_2 ...]; None when that map has full column rank.
+        """Per member (S, size, cols), the compression onto the row space of
+        its stacked coupling map [g_1 g_2 ...]; None when that map has full
+        column rank.
 
         The conditions touch the coupling slots only through the summed
         contribution sum_j g_j x_j, so any stacked direction in the kernel
@@ -395,19 +421,41 @@ class _Layout:
             return None
         head = self.n_d + self.n_x
         size = sum(self.slot_dims(family))
-        c, r = self.basis.shape
+        _, c, r = self.basis.shape
         cols = size - c + r
-        out = np.zeros((size, cols))
-        out.flat[:head * (cols + 1):cols + 1] = 1.0     # I on d, x_i
-        out[head:head + c, head:head + r] = self.basis
-        out.flat[(head + c) * cols + head + r::cols + 1] = 1.0  # I on tail
+        out = np.zeros((len(self.basis), size, cols))
+        diag = np.arange(head)
+        out[:, diag, diag] = 1.0                        # I on d, x_i
+        out[:, head:head + c, head:head + r] = self.basis
+        tail = np.arange(size - head - c)
+        out[:, head + c + tail, head + r + tail] = 1.0  # I on the tail
         return out
 
-    def stack(self, family, theta, e_mu, k_eff, xi_i):
-        """Invariance or decrease matrices of the subsystem, stacked (P,
-        size, size), for stacks of closed-loop matrices theta (P, n_x,
-        n_x), disturbance maps e_mu (P, n_x, n_d) and gains k_eff (P, n_u,
-        n_x; only decrease reads them).
+    def _gains(self, gains) -> np.ndarray:
+        """The members' gains (a _Gains) stacked (S, n_gains, n_u, n_x)."""
+        return gains.stacked(self.members, len(gains[self.members[0]]))
+
+    def vertex_stacks(self, gains, ls, ms):
+        """(theta, E, k) stacks (S, P, ...) of the members at the vertex
+        pairs (ls[p], ms[p]): A_l + B_l K_m, E_l and K_m."""
+        sub = self.subs[0]
+        rows = np.stack([s.rule_rows for s in self.subs])[:, ls]
+        a, b, e = _split_rules(rows, sub.n_x, sub.n_u, sub.n_d)
+        k = self._gains(gains)[:, ms]
+        return a + b @ k, e, k
+
+    def blended_stacks(self, gains, w, h):
+        """(theta, E, k) stacks (S, P, ...) of the members at the weight
+        pairs (w[p], h[p])."""
+        a, b, e = blend(self.subs, w)
+        k = blend_gains(self._gains(gains), h)
+        return a + b @ k, e, k
+
+    def stack(self, family, theta, e_mu, k_eff, xi):
+        """Invariance or decrease matrices of the members, stacked (S, P,
+        size, size), for stacks (S, P, ...) of closed-loop matrices theta
+        (n_x, n_x), disturbance maps e_mu (n_x, n_d) and gains k_eff (n_u,
+        n_x; only decrease reads them), at the members' set sizes xi (S,).
 
         A constant template (the xi terms, the state block, the coupling
         slots, the slack diagonal) plus the products Xe, e'Xe, theta'Xe,
@@ -415,37 +463,41 @@ class _Layout:
         lower triangle, each diagonal block at half weight; adding the
         transpose then mirrors every off-diagonal block and averages each
         diagonal block with its own transpose."""
-        p, i, n_d, n_x = self.params, self.i, self.n_d, self.n_x
-        x_i, decrease = p.X[i], family == "decrease"
+        n_d, n_x, x = self.n_d, self.n_x, self.x
+        decrease = family == "decrease"
         size, head = sum(self.slot_dims(family)), n_d + n_x
-        cpl = slice(head, head + len(self.coupling))
-        tmpl = np.zeros((size, size))
+        cpl = slice(head, head + self.coupling.shape[-1])
+        n_s, n_p = theta.shape[:2]
+        tmpl = np.zeros((n_s, size, size))
         if decrease:
-            d_coef = xi_i * p.tau[i]
-            state = self.load - x_i + xi_i * p.q_mat(i)
+            d_coef = xi * self.tau
+            state = self.load - x + xi[:, None, None] * self.q
         else:
-            d_coef = xi_i * p.lam[i] * p.N_const[i]
-            state = self.load - (1.0 - p.lam[i]) * x_i
-        tmpl.flat[:n_d * (size + 1):size + 1] = -0.5 * d_coef  # d block
-        tmpl[n_d:head, n_d:head] = 0.5 * state
-        tmpl[cpl, cpl] = self.coupling
+            d_coef = xi * self.lam * self.n_const
+            state = self.load - (1.0 - self.lam)[:, None, None] * x
+        diag = np.arange(n_d)
+        tmpl[:, diag, diag] = (-0.5 * d_coef)[:, None]     # d block
+        tmpl[:, n_d:head, n_d:head] = 0.5 * state
+        tmpl[:, cpl, cpl] = self.coupling
         if decrease:
-            tmpl[cpl.stop:-n_x, cpl.stop:-n_x] = -0.5 * p.M[i]
-        tmpl[-n_x:, -n_x:] = -0.5 / self.n * x_i
+            tmpl[:, cpl.stop:-n_x, cpl.stop:-n_x] = -0.5 * self.m
+        tmpl[:, -n_x:, -n_x:] = -0.5 / self.n * x
 
-        mat = np.empty((len(theta), size, size))
-        mat[:] = tmpl
-        # the coupling slots' rows, (P, slot, n_x, size): a view of mat
-        rows = mat[:, cpl].reshape(len(theta), len(self.gt), n_x, size)
+        mat = np.empty((n_s, n_p, size, size))
+        mat[:] = tmpl[:, None]
+        # the coupling slots' rows, (S, P, slot, n_x, size): a view of mat
+        rows = mat[:, :, cpl].reshape(n_s, n_p, len(self.coupling_dims),
+                                      n_x, size)
         theta_t = theta.swapaxes(-1, -2)
-        xe = x_i @ e_mu
-        mat[:, :n_d, :n_d] += 0.5 * (e_mu.swapaxes(-1, -2) @ xe)
-        mat[:, n_d:head, :n_d] = theta_t @ xe
-        rows[..., :n_d] = self.gt @ xe[:, None]
-        rows[..., n_d:head] = self.gx_weight * (self.gx @ theta[:, None])
+        xe = x[:, None] @ e_mu
+        mat[:, :, :n_d, :n_d] += 0.5 * (e_mu.swapaxes(-1, -2) @ xe)
+        mat[:, :, n_d:head, :n_d] = theta_t @ xe
+        rows[..., :n_d] = self.gt[:, None] @ xe[:, :, None]
+        rows[..., n_d:head] = self.gx_weight * (self.gx[:, None]
+                                                @ theta[:, :, None])
         if decrease:
-            mat[:, cpl.stop:-n_x, n_d:head] = p.M[i] @ k_eff
-        mat[:, -n_x:, n_d:head] = x_i @ theta
+            mat[:, :, cpl.stop:-n_x, n_d:head] = self.m[:, None] @ k_eff
+        mat[:, :, -n_x:, n_d:head] = x[:, None] @ theta
         mat = mat + mat.swapaxes(-1, -2)
         if not np.isfinite(mat).all():
             raise InvalidMatrixError("matrix entries must be finite")
@@ -453,17 +505,40 @@ class _Layout:
 
     def instance(self, family, mats, vertex=None) -> LMIInstance:
         """The LMIInstance of matrices `mats` this layout stacked."""
-        return LMIInstance(matrix=mats, origin=family, subsystem=self.i,
+        return LMIInstance(matrix=mats, origin=family, subsystem=self.members,
                            vertex=vertex, slot_dims=self.slot_dims(family),
                            strict_basis=self.strict_basis(family))
 
 
-def _vertex_instance(system, params, dv, i, l, m, family):
+def _layout(system: LargeScaleSystem, params: FixedParams,
+            members) -> _Layout:
+    """The layout of `members`, a tuple of subsystem indices of one group
+    of system.layout_groups: built once per system and constants, and kept
+    on the constants (FixedParams._layouts) for the system last assembled."""
+    held = params._layouts.get(members) if isinstance(members, tuple) \
+        else None
+    if held is not None and held[0] is system:
+        return held[1]
+    if not (isinstance(members, tuple) and members and any(
+            set(members) <= set(group) for group in system.layout_groups)):
+        raise ValueError(f"{members!r} is no group of one layout; expected a "
+                         "tuple of subsystem indices within one group of "
+                         f"system.layout_groups, {system.layout_groups}")
+    layout = _Layout(system, params, members)
+    params._layouts[members] = (system, layout)
+    return layout
+
+
+def _xi(dv: DecisionVars, members) -> np.ndarray:
+    """The members' set sizes, (S,) floats."""
+    return np.array([dv.xi[i] for i in members], dtype=float)
+
+
+def _vertex_instance(system, params, dv, members, l, m, family):
     ls, ms = _vertex_pairs(l, m)
-    layout = _Layout(system, params, i)
-    mats = layout.stack(family, *_vertex_stacks(system.subsystems[i],
-                                                dv.gains[i], ls, ms),
-                        dv.xi[i])
+    layout = _layout(system, params, members)
+    mats = layout.stack(family, *layout.vertex_stacks(dv.gains, ls, ms),
+                        _xi(dv, members))
     return layout.instance(family, mats, tuple(zip(ls.tolist(), ms.tolist())))
 
 
@@ -477,66 +552,72 @@ def _weight_pairs(w, h):
     return w, h
 
 
-def _blended_instance(system, params, dv, i, w, h, family):
+def _blended_instance(system, params, dv, members, w, h, family):
     w, h = _weight_pairs(w, h)
-    a, b, e = blend(system.subsystems[i], w)
-    k = blend_gains(dv.gains[i], h)
-    layout = _Layout(system, params, i)
-    return layout.instance(family, layout.stack(family, a + b @ k, e, k,
-                                                dv.xi[i]))
+    layout = _layout(system, params, members)
+    return layout.instance(family, layout.stack(
+        family, *layout.blended_stacks(dv.gains, w, h), _xi(dv, members)))
 
 
 def assemble_invariance(system: LargeScaleSystem, params: FixedParams,
-                        dv: DecisionVars, i: int, l, m) -> LMIInstance:
-    """Invariant-set conditions at the vertices (model rule l[p],
-    controller rule m[p]) of equal-length index sequences l, m: one
-    instance whose matrix is the stack (P, size, size) of the P vertices
-    and whose `keys` name them; the coupling load and strict basis are
-    built once for the whole stack."""
-    return _vertex_instance(system, params, dv, i, l, m, "invariance")
+                        dv: DecisionVars, members, l, m) -> LMIInstance:
+    """Invariant-set conditions of the members (a tuple of subsystem
+    indices within one group of system.layout_groups) at the vertices
+    (model rule l[p], controller rule m[p]) of equal-length index sequences
+    l, m: one instance whose matrix is the stack (S, P, size, size) of the
+    S members' P vertices and whose `keys` name them; the layout is built
+    once for the whole stack."""
+    return _vertex_instance(system, params, dv, members, l, m, "invariance")
 
 
-def assemble_invariance_blended(system, params, dv, i, w, h) -> LMIInstance:
-    """Invariance conditions with membership-blended matrices: weight
-    stacks w (P, n_rules) and h (P, n_controller_rules) give one instance
-    whose matrix is the stack (P, size, size) of the P blends."""
-    return _blended_instance(system, params, dv, i, w, h, "invariance")
+def assemble_invariance_blended(system, params, dv, members, w,
+                                h) -> LMIInstance:
+    """Invariance conditions of the members with membership-blended
+    matrices: weight stacks w (P, n_rules) and h (P, n_controller_rules),
+    shared by the members, give one instance whose matrix is the stack (S,
+    P, size, size) of the S members' P blends."""
+    return _blended_instance(system, params, dv, members, w, h, "invariance")
 
 
 def assemble_decrease(system: LargeScaleSystem, params: FixedParams,
-                      dv: DecisionVars, i: int, l, m) -> LMIInstance:
+                      dv: DecisionVars, members, l, m) -> LMIInstance:
     """Cost-decrease conditions at the vertices (l[p], m[p]); sense is
     strict. A vertex stack, as for assemble_invariance."""
-    return _vertex_instance(system, params, dv, i, l, m, "decrease")
+    return _vertex_instance(system, params, dv, members, l, m, "decrease")
 
 
-def assemble_decrease_blended(system, params, dv, i, w, h) -> LMIInstance:
+def assemble_decrease_blended(system, params, dv, members, w,
+                              h) -> LMIInstance:
     """Cost-decrease conditions with membership-blended matrices; weight
     stacks as for assemble_invariance_blended."""
-    return _blended_instance(system, params, dv, i, w, h, "decrease")
+    return _blended_instance(system, params, dv, members, w, h, "decrease")
 
 
 def xi_slope(params: FixedParams, inst: LMIInstance) -> np.ndarray:
     """Constant xi-derivative of an invariance or decrease instance's test
-    matrix, at any vertex or blend: -lam N I on the disturbance block for
-    invariance; -tau I there and +Q on the state block for decrease;
-    compressed by the instance's strict basis. The slack tail has no xi
-    term, so the Schur fold of the full form has the same slope on its
-    head."""
-    i = inst.subsystem
+    matrices, per member (S, size, size), at any vertex or blend: -lam N I
+    on the disturbance block for invariance; -tau I there and +Q on the
+    state block for decrease; compressed by the member's strict basis. The
+    slack tail has no xi term, so the Schur fold of the full form has the
+    same slope on its head."""
+    members = inst.subsystem
     n_d, n_x = inst.slot_dims[:2]
     size = sum(inst.slot_dims)
-    slope = np.zeros((size, size))
+    slope = np.zeros((len(members), size, size))
+    d_block = np.eye(n_d)
     if inst.origin == "invariance":
-        slope[:n_d, :n_d] = -params.lam[i] * params.N_const[i] * np.eye(n_d)
+        for s, i in enumerate(members):
+            slope[s, :n_d, :n_d] = -params.lam[i] * params.N_const[i] * d_block
     elif inst.origin == "decrease":
-        slope[:n_d, :n_d] = -params.tau[i] * np.eye(n_d)
-        slope[n_d:n_d + n_x, n_d:n_d + n_x] = params.q_mat(i)
+        for s, i in enumerate(members):
+            slope[s, :n_d, :n_d] = -params.tau[i] * d_block
+            slope[s, n_d:n_d + n_x, n_d:n_d + n_x] = params.q_mat(i)
     else:
         raise ValueError(f"{inst.origin} conditions have no xi pencil")
     if inst.strict_basis is None:
         return slope
-    return sym_matrix(inst.strict_basis.T @ slope @ inst.strict_basis)
+    basis = inst.strict_basis
+    return sym_matrix(basis.swapaxes(-1, -2) @ slope @ basis)
 
 
 def containment_size(x_mat: np.ndarray, x) -> np.ndarray:

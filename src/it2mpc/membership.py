@@ -23,11 +23,11 @@ dominates, they save nothing.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 GradeFn = Callable[[float], float]   # also maps an array of premises
 
@@ -39,6 +39,17 @@ FEW_FLOATS = 4
 
 class MissingTrueMFError(ValueError):
     """True-plant membership evaluation requested without true grades."""
+
+
+def _expit_float(x) -> float:
+    """scipy.special.expit of a float, bit for bit: 1 / (1 + exp(-x)) with
+    libm's exp, as expit computes it, an overflowing exp read as inf. A
+    float premise needs no scipy import (and no ufunc call) so."""
+    try:
+        e = math.exp(-x)
+    except OverflowError:
+        e = math.inf
+    return 1.0 / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -67,11 +78,14 @@ class SigmoidMF:
         arg = z + self.shift
         if self.perturb_amplitude != 0.0:
             arg = arg + self.perturb_amplitude * np.sin(z)
-        # logistic(s) of s = arg / divisor, overflow-safe; arg / -divisor
-        # is -s exactly, one array operation fewer
-        value = expit(arg / -self.divisor)
-        if not isinstance(value, np.ndarray):
-            value = float(value)
+        # logistic(s) of s = arg / divisor: expit(-s), and arg / -divisor is
+        # -s exactly, one array operation fewer
+        x = arg / -self.divisor
+        if isinstance(x, np.ndarray):
+            from scipy.special import expit     # imported on first array
+            value = expit(x)
+        else:
+            value = _expit_float(x)
         if self.form == "one_minus_logistic":
             value = 1.0 - value
         if self.complemented:

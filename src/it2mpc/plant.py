@@ -23,7 +23,7 @@ It then normalizes the S subsystems' grades at once, blends its rule rows
 [A|B|E] (n_rules, S, F) in one weighted sum and its gains in another, and
 forms u = K x, A x + B u + E d and one product per coupling slot for all S
 together, and for all samples of either mode. blend and blend_gains are
-the same weighted sums over one subsystem.
+the same weighted sums at weights that every member shares.
 
 Bit for bit. Each entry is made by the same floating-point operations, in
 the same order, as a step of its subsystem alone: a weighted sum adds the
@@ -205,7 +205,7 @@ class Subsystem:
     @cached_property
     def coupling_stack(self) -> np.ndarray:
         """(n_couplings, n_x, n_x), read-only: g_j in key order. For square
-        couplings only (lmis._Layout checks them first), as is the basis."""
+        couplings only (lmis._Layout checks them first)."""
         return _frozen([self.couplings[j] for j in self.coupling_keys]
                        ).reshape(len(self.couplings), self.n_x, self.n_x)
 
@@ -215,7 +215,8 @@ class Subsystem:
         g_2 ...] from one SVD; None when that map has no kernel."""
         if not self.couplings:
             return None
-        _, s, vt = np.linalg.svd(np.hstack(self.coupling_stack))
+        _, s, vt = np.linalg.svd(np.hstack([self.couplings[j]
+                                            for j in self.coupling_keys]))
         rank = np.count_nonzero(s > 1e-10 * s[0])
         return _frozen(vt[:rank].T) if rank < len(vt) else None
 
@@ -268,15 +269,34 @@ class LargeScaleSystem:
     def n_subsystems(self) -> int:
         return len(self.subsystems)
 
+    def _grouped(self, key=None) -> tuple:
+        """Subsystem indices grouped by equal shape (module docstring,
+        "Shape groups") and, if given, equal key(subsystem): a tuple of
+        indices per group, in the order of their first members. The one
+        grouping rule of the step's shape groups and lmis's layout groups."""
+        groups = {}
+        for i, sub in enumerate(self.subsystems):
+            shape = (sub.n_x, sub.n_u, sub.n_d, sub.n_rules,
+                     sub.n_controller_rules,
+                     tuple(self.subsystems[j].n_x for j in sub.coupling_keys))
+            groups.setdefault((shape, key(sub) if key else None),
+                             []).append(i)
+        return tuple(map(tuple, groups.values()))
+
     @cached_property
     def shape_groups(self) -> tuple:
         """The step's _Groups, in the order of their first members."""
-        members = {}
-        for i, sub in enumerate(self.subsystems):
-            key = (sub.n_x, sub.n_u, sub.n_d, sub.n_rules, sub.n_controller_rules,
-                   tuple(self.subsystems[j].n_x for j in sub.coupling_keys))
-            members.setdefault(key, []).append(i)
-        return tuple(_Group(self, m) for m in members.values())
+        return tuple(_Group(self, list(m)) for m in self._grouped())
+
+    @cached_property
+    def layout_groups(self) -> tuple:
+        """The groups lmis assembles as one stack: the shape groups split by
+        the shape of their members' coupling basis (None when the coupling
+        map has no kernel), which the conditions' strict basis extends. A
+        tuple of subsystem indices per group, in the order of their first
+        members; building them builds no _Group."""
+        return self._grouped(lambda sub: None if sub.coupling_basis is None
+                             else sub.coupling_basis.shape)
 
     @_verdict_kept
     def validate(self):
@@ -470,15 +490,17 @@ def _check_count(got: int, want: int, what: str, where: str = ""):
         raise ValueError(f"{where}expected {want} {what}, got {got}")
 
 
-def blend(sub: Subsystem, w: np.ndarray):
-    """Membership-weighted (A, B, E); exact at one-hot weights.
-
-    A stack of weights w (P, n_rules) gives stacks (P, ...) of the three,
-    each entry summed in the same order as for its own weight vector. They
-    are returned contiguous: products over stacks of the views run slower."""
+def blend(subs, w: np.ndarray):
+    """Membership-weighted (A, B, E) of subsystems `subs` of one shape at
+    the same weights w (n_rules,) or (P, n_rules): stacks (S, ...) or (S,
+    P, ...), each entry summed in the same order as for one subsystem and
+    one weight vector; exact at one-hot weights. They are returned
+    contiguous: products over stacks of the views run slower."""
     w = np.asarray(w, dtype=float)
+    sub = subs[0]
     _check_count(w.shape[-1], sub.n_rules, "rule weights (one per rule)")
-    m = _weighted_sum(w[None], sub.rule_rows[:, None])[0]
+    rows = np.stack([s.rule_rows for s in subs], axis=1)
+    m = _weighted_sum(np.broadcast_to(w, (len(subs),) + w.shape), rows)
     return tuple(np.ascontiguousarray(v)
                  for v in _split_rules(m, sub.n_x, sub.n_u, sub.n_d))
 
@@ -490,11 +512,14 @@ def _gain_sum(h, k) -> np.ndarray:
     return total.reshape(total.shape[:-1] + k.shape[2:])
 
 
-def blend_gains(gains, h: np.ndarray) -> np.ndarray:
-    """sum_m h_m k_m; a stack h (P, n_gains) gives (P, n_u, n_x)."""
+def blend_gains(k, h: np.ndarray) -> np.ndarray:
+    """sum_m h_m k_m for S subsystems' gains k (S, n_gains, n_u, n_x) at
+    the same weights h (n_gains,) or (P, n_gains): (S, n_u, n_x) or (S, P,
+    n_u, n_x)."""
     h = np.asarray(h, dtype=float)
-    _check_count(h.shape[-1], len(gains), "gain weights (one per gain)")
-    return _gain_sum(h[None], np.array([gains], dtype=float))[0]
+    k = np.asarray(k, dtype=float)
+    _check_count(h.shape[-1], k.shape[1], "gain weights (one per gain)")
+    return _gain_sum(np.broadcast_to(h, (len(k),) + h.shape), k)
 
 
 class _Group:

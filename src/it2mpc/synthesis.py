@@ -3,10 +3,10 @@
 Every condition of subsystem i involves only that subsystem's gains and set
 size (neighbour states enter through fixed shape matrices), and every
 full-form vertex test matrix is jointly affine in y = (vec K_i, xi_i): one
-model per subsystem (_Model) holds both families as G(y), built from one
-stacked vertex assembly per family, its rows tightened as the evaluator
-judges them. So the smallest set size over all gains is an eigenvalue
-problem, EVP (Boyd, El Ghaoui, Feron & Balakrishnan 1994, §2.2), as in
+model per subsystem (_Model) holds both families as G(y), its rows
+tightened as the evaluator judges them; the models of a layout group are
+read off one stacked vertex assembly per family over all its members. So
+the smallest set size over all gains is an eigenvalue problem, EVP (Boyd, El Ghaoui, Feron & Balakrishnan 1994, §2.2), as in
 Kothare, Balakrishnan & Morari (1996), which a log-det barrier method
 solves (_barrier; Boyd & Vandenberghe 2004, §11.4-11.6). Its phase I,
 min s subject to G(y) <= s I, finds a strictly feasible point or a dual
@@ -239,29 +239,22 @@ class _Model:
     (unit gains, q = n_u n_x), gives every term: the gain-0 row of rule l
     (theta = A_l) is g0[l], and each unit row (theta = A_l + B_l E_k) less
     it is the K[k] column, the constant entries cancelling bit for bit. The
-    xi column is lmis.xi_slope. Keys are built once: vertex (l, m) l-major,
-    invariance then decrease."""
+    xi column is lmis.xi_slope. Models are made a layout group at a time
+    (_models): one assembly per family covers every member, and each
+    member's g0s, cols and slopes are its slices of the group's. Keys are
+    built once: vertex (l, m) l-major, invariance then decrease."""
 
-    def __init__(self, system, params, i, cfg):
+    def __init__(self, system, params, i, cfg, g0s, cols, slopes):
         sub = system.subsystems[i]
-        n, n_l = system.n_subsystems, sub.n_rules
         self.i, self.u_max, self.params = i, sub.u_max, params
         self.n_m, self.shape = sub.n_controller_rules, (sub.n_u, sub.n_x)
         self.shifts = (0.0, cfg.strictness)
-        q = self.q = sub.n_u * sub.n_x
-        units = tuple(map(_frozen, [np.zeros(self.shape), *np.eye(q).reshape(q, *self.shape)]))
-        dv = DecisionVars(gains=_Gains((units,) * n), xi=(0.0,) * n)
-        ls, ms = [l for l in range(n_l) for _ in units], [*range(1 + q)] * n_l
-        pairs = [(l, m) for l in range(n_l) for m in range(self.n_m)]
-        self.g0s, self.cols, self.slopes, keys = [], [], [], []
-        for assemble in (assemble_invariance, assemble_decrease):
-            inst = assemble(system, params, dv, i, ls, ms)
-            tests = inst.test_matrix()
-            tests = tests.reshape(n_l, 1 + q, *tests.shape[1:])
-            self.g0s.append(tests[:, 0])
-            self.cols.append(tests[:, 1:] - tests[:, :1])
-            self.slopes.append(xi_slope(params, inst))
-            keys.append(vertex_keys(inst.origin, i, pairs))
+        self.q = sub.n_u * sub.n_x
+        self.g0s, self.cols, self.slopes = g0s, cols, slopes
+        pairs = [(l, m) for l in range(sub.n_rules)
+                 for m in range(self.n_m)]
+        keys = [vertex_keys(origin, i, pairs)
+                for origin in ("invariance", "decrease")]
         self.keys = [key for pair in zip(*keys) for key in pair]
 
     @functools.cached_property
@@ -310,6 +303,34 @@ class _Model:
         return (_frozen(y.reshape(self.shape)),) * self.n_m
 
 
+def _models(system: LargeScaleSystem, params: FixedParams,
+            cfg: SynthesisConfig) -> list:
+    """Every subsystem's _Model, in order: per group of
+    system.layout_groups, one vertex assembly per family at xi = 0 over
+    every member, model rule and unit gain, sliced per member."""
+    n, models = system.n_subsystems, [None] * system.n_subsystems
+    for members in system.layout_groups:
+        sub = system.subsystems[members[0]]
+        n_l, q = sub.n_rules, sub.n_u * sub.n_x
+        shape = (sub.n_u, sub.n_x)
+        units = tuple(map(_frozen, [np.zeros(shape),
+                                    *np.eye(q).reshape(q, *shape)]))
+        dv = DecisionVars(gains=_Gains((units,) * n), xi=(0.0,) * n)
+        ls, ms = [l for l in range(n_l) for _ in units], [*range(1 + q)] * n_l
+        g0s, cols, slopes = [], [], []
+        for assemble in (assemble_invariance, assemble_decrease):
+            inst = assemble(system, params, dv, members, ls, ms)
+            tests = inst.test_matrix()
+            tests = tests.reshape(len(members), n_l, 1 + q, *tests.shape[2:])
+            g0s.append(tests[:, :, 0])
+            cols.append(tests[:, :, 1:] - tests[:, :, :1])
+            slopes.append(xi_slope(params, inst))
+        for s, i in enumerate(members):
+            models[i] = _Model(system, params, i, cfg, [g[s] for g in g0s],
+                               [c[s] for c in cols], [v[s] for v in slopes])
+    return models
+
+
 def solve_fixed_xi(system: LargeScaleSystem, params: FixedParams, xi,
                    cfg: SynthesisConfig | None = None) -> DecisionVars:
     """Gains satisfying every subsystem's conditions, input-peak rows
@@ -323,8 +344,8 @@ def solve_fixed_xi(system: LargeScaleSystem, params: FixedParams, xi,
     if len(xi_list) != n or not all(_is_finite(v) and v > 0 for v in xi_list):
         raise ValueError(f"xi must be {n} finite set sizes > 0, "
                          f"got {_shown(xi, repr)}")
-    gains = [_Model(system, params, i, cfg).at_xi(float(v))
-             for i, v in enumerate(xi_list)]
+    gains = [model.at_xi(float(v))
+             for model, v in zip(_models(system, params, cfg), xi_list)]
     return DecisionVars(gains=gains, xi=map(float, xi_list))
 
 
@@ -415,9 +436,9 @@ def minimize_xi(system: LargeScaleSystem, params: FixedParams, x_all,
             xis[i], parts[i] = xi, evaluator.parts[i]
     solves = 0
     if cold:
-        models = {i: _Model(system, params, i, cfg) if evaluator is None
-                  else evaluator.parts[i].model
-                  for group in cold for i in group}
+        models = _models(system, params, cfg) if evaluator is None else \
+            [part.model for part in evaluator.parts]
+        models = {i: models[i] for group in cold for i in group}
         new, solves = _solve_cold(models, cold, floors, common)
         for i, (part, lower) in new.items():
             parts[i], xis[i], xi_lower[i] = part, part.xi_ref, lower
@@ -523,8 +544,8 @@ class FixedGainEvaluator:
 
     def __init__(self, system: LargeScaleSystem, params: FixedParams,
                  dv: DecisionVars, cfg: SynthesisConfig):
-        self.parts = tuple(_Part(_Model(system, params, i, cfg), dv.gains[i],
-                                 dv.xi[i]) for i in range(system.n_subsystems))
+        self.parts = tuple(_Part(model, dv.gains[i], dv.xi[i]) for i, model
+                           in enumerate(_models(system, params, cfg)))
         self.gains = dv.gains
 
     @classmethod
@@ -577,6 +598,21 @@ def _simplex_grid(n_rules: int, density: int):
         yield np.array(comp, dtype=float) / ticks
 
 
+@functools.cache
+def _grid_pairs(n_w: int, n_h: int, density: int):
+    """Every (w, h) pair of the membership grid, w-major, and the mask of
+    its corner rows (w and h both one-hot), read-only and built once."""
+    w_grid, h_grid = (np.array(list(_simplex_grid(k, density)))
+                      for k in (n_w, n_h))
+    corner = np.logical_and.outer(w_grid.max(axis=1) == 1.0,
+                                  h_grid.max(axis=1) == 1.0).ravel()
+    pairs = (np.repeat(w_grid, len(h_grid), axis=0),
+             np.tile(h_grid, (len(w_grid), 1)), corner)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def verify_certificate(system: LargeScaleSystem, params: FixedParams,
                        dv: DecisionVars, x_all=None,
                        cfg: SynthesisConfig | None = None) -> dict:
@@ -599,13 +635,14 @@ def verify_certificate(system: LargeScaleSystem, params: FixedParams,
     (semi)definite exactly when its fold is (Schur complement), so the
     verdicts carry over to the full forms point by point.
 
-    The grid sweep re-checks the blends numerically: per subsystem and
-    family, one stacked assembly over every (w, h) grid pair. Only its
-    corner rows (w and h both one-hot: the vertices) are eigensolved; t is
-    the largest corner lambda_max + s over every subsystem and family, s
-    the family's shift (the strictness for decrease, else 0). The other
-    rows T_p (n x n) of each stack are cleared together by one batched
-    Cholesky factorization of (t - s - delta) I - T_p, with
+    The grid sweep re-checks the blends numerically: per layout group
+    (system.layout_groups) and family, one stacked assembly over every
+    member and (w, h) grid pair. Only its corner rows (w and h both
+    one-hot: the vertices) are eigensolved, in one call for the group; t is
+    the largest corner lambda_max + s over every group and family, s the
+    family's shift (the strictness for decrease, else 0). The other rows
+    T_p (n x n) of each stack, every member's, are cleared together by one
+    batched Cholesky factorization of (t - s - delta) I - T_p, with
 
         delta = 4 (n+1)^2 eps (|t - s| + max_p sum_jk |T_p,jk|).
 
@@ -626,43 +663,39 @@ def verify_certificate(system: LargeScaleSystem, params: FixedParams,
     and a t that has risen still bounds the rows cleared before. So
     blended_worst is the maximum of the same LAPACK eigenvalues as a full
     sweep's: a sub-stack eigensolve gives each matrix's values bit for
-    bit. A stack whose rows all tie costs three factorizations and one
-    stacked eigensolve; one tied row among N costs about 2 log2 N
-    factorizations and one single-row eigensolve.
+    bit, and a group's stack holds each member's matrices bit for bit as
+    its own stack would. A stack whose rows all tie costs three
+    factorizations and one stacked eigensolve; one tied row among N costs
+    about 2 log2 N factorizations and one single-row eigensolve.
     Returns {"margins", "blended_worst", "worst", "feasible"}."""
     cfg = cfg or SynthesisConfig()
     dv.validate()
     margins = certificate_margins(system, params, dv, x_all, cfg)
     blended_worst = -np.inf
-
-    @functools.cache        # each distinct expansion is built once per call
-    def grid_pairs(n_w, n_h):
-        """Every (w, h) grid pair, w-major, and the corner-row mask."""
-        w_grid, h_grid = (np.array(list(_simplex_grid(k, cfg.grid_density)))
-                          for k in (n_w, n_h))
-        corner = np.logical_and.outer(w_grid.max(axis=1) == 1.0,
-                                      h_grid.max(axis=1) == 1.0).ravel()
-        return (np.repeat(w_grid, len(h_grid), axis=0),
-                np.tile(h_grid, (len(w_grid), 1)), corner)
-
     others = []         # (non-corner test matrices, shift) per stack
-    for i, sub in enumerate(system.subsystems):
-        w, h, corner = grid_pairs(sub.n_rules, sub.n_controller_rules)
+    for members in system.layout_groups:
+        sub = system.subsystems[members[0]]
+        w, h, corner = _grid_pairs(sub.n_rules, sub.n_controller_rules,
+                                   cfg.grid_density)
         for assemble, shift in ((assemble_invariance_blended, 0.0),
                                 (assemble_decrease_blended, cfg.strictness)):
-            tests = assemble(system, params, dv, i, w, h).test_matrix()
-            top = np.linalg.eigvalsh(tests[corner])[:, -1] + shift
+            tests = assemble(system, params, dv, members, w, h).test_matrix()
+            size = tests.shape[-2:]
+            top = np.linalg.eigvalsh(tests[:, corner].reshape(-1, *size))[
+                :, -1] + shift
             blended_worst = max(blended_worst, float(np.max(top)))
-            others.append((tests[~corner], shift))
+            others.append((tests[:, ~corner].reshape(-1, *size), shift))
 
     def cleared(tests, shift):
         """Whether one batched Cholesky proves every row below t."""
         n = tests.shape[-1]
         level = blended_worst - shift
+        work = np.abs(tests)            # then the matrices to factorize
         delta = 4.0 * (n + 1) ** 2 * np.finfo(float).eps * (
-            abs(level) + float(np.max(np.sum(np.abs(tests), axis=(1, 2)))))
+            abs(level) + float(np.max(np.sum(work, axis=(1, 2)))))
         try:
-            np.linalg.cholesky((level - delta) * np.eye(n) - tests)
+            np.linalg.cholesky(np.subtract((level - delta) * np.eye(n), tests,
+                                           out=work))
         except np.linalg.LinAlgError:
             return False
         return True

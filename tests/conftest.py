@@ -344,3 +344,19 @@ def two_layout_groups():
                / "example1_certificate.json")
     dv, _ = load_certificate(fixture, system)
     return system, cfg.params, dv, cfg.simulation.x0
+
+
+def one_member(inst, s=0):
+    """Member s's own stack of a group instance (lmis assemblers): its
+    matrices (P, size, size), keys and strict basis (size, cols), as the
+    instance of the one-member group of that subsystem."""
+    basis = inst.strict_basis
+    return dataclasses.replace(
+        inst, matrix=inst.matrix[s], subsystem=(inst.subsystem[s],),
+        strict_basis=None if basis is None else basis[s])
+
+
+def assemble_one(assemble, system, params, dv, i, *points):
+    """Subsystem i's own stack from an lmis assembler: the one-member group
+    (i,), as one_member gives it."""
+    return one_member(assemble(system, params, dv, (i,), *points))

@@ -12,10 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (build_example1_system, build_example2_system,
-                      example1_reference_gains, example1_reference_params,
-                      example2_stabilizing_gains, example2_reference_params,
-                      shape_params)
+from conftest import (assemble_one, build_example1_system,
+                      build_example2_system, example1_reference_gains,
+                      example1_reference_params, example2_stabilizing_gains,
+                      example2_reference_params, shape_params)
 from it2mpc.linalg import is_nsd, min_eig, sym_eig
 from it2mpc.lmis import (assemble_containment, assemble_decrease,
                          assemble_invariance)
@@ -51,14 +51,16 @@ class TestOracleCriteria:
             d, x_i, x_js, v = _draw_point(rng, system, sub)
             theta, e, k = _vertex_theta_e(sub, dv, i, l, m)
 
-            inv = assemble_invariance(system, params, dv, i, [l], [m])
+            inv = assemble_one(assemble_invariance, system, params, dv, i, [l],
+                               [m])
             want = dv.xi[i] ** 2 * _invariance_scalar(
                 system, params, dv, i, theta, e, d, x_i, x_js)
             got = float(v @ _folded(inv)[0] @ v)
             err = abs(got - want) / max(1.0, abs(want))
             worst = max(worst, err)
 
-            dec = assemble_decrease(system, params, dv, i, [l], [m])
+            dec = assemble_one(assemble_decrease, system, params, dv, i, [l],
+                               [m])
             want = dv.xi[i] * _decrease_scalar(
                 system, params, dv, i, theta, e, k, d, x_i, x_js)
             got = float(v @ _folded(dec)[0] @ v)
@@ -77,7 +79,8 @@ class TestOracleCriteria:
         for trial in range(100):
             system, params, dv = _draw_setup(rng, calm=trial % 2 == 0)
             i, sub, l, m = _pick_vertex(rng, system)
-            full = assemble_invariance(system, params, dv, i, [l], [m])
+            full = assemble_one(assemble_invariance, system, params, dv, i,
+                                [l], [m])
             v_full = is_nsd(full.matrix[0], tol=1e-8)
             v_fold = is_nsd(_folded(full)[0], tol=1e-8)
             agree += v_full == v_fold

@@ -41,7 +41,7 @@ from it2mpc.configio import (bundled_config_names, load_bundled_config,
 from it2mpc.membership import IT2MembershipFamily, SigmoidMF
 from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 
-from conftest import (build_example1_system, build_tiny_system,
+from conftest import (assemble_one, build_example1_system, build_tiny_system,
                       example1_reference_gains, example1_reference_params,
                       shape_params, tiny_params)
 
@@ -326,7 +326,8 @@ class TestInvarianceOracle:
         for _ in range(200):
             system, params, dv = _draw_setup(rng)
             i, sub, l, m = _pick_vertex(rng, system)
-            inst = assemble_invariance(system, params, dv, i, [l], [m])
+            inst = assemble_one(assemble_invariance, system, params, dv, i,
+                                [l], [m])
             d, x_i, x_js, v = _draw_point(rng, system, sub)
             theta, e, _ = _vertex_theta_e(sub, dv, i, l, m)
             got = float(v @ _folded(inst)[0] @ v)
@@ -343,8 +344,8 @@ class TestInvarianceOracle:
             w /= w.sum()
             h = rng.uniform(0.05, 1.0, sub.n_controller_rules)
             h /= h.sum()
-            inst = assemble_invariance_blended(system, params, dv, i,
-                                               [w], [h])
+            inst = assemble_one(assemble_invariance_blended, system, params,
+                                dv, i, [w], [h])
             a = sum(wl * r.A for wl, r in zip(w, sub.rules))
             b = sum(wl * r.B for wl, r in zip(w, sub.rules))
             e = sum(wl * r.E for wl, r in zip(w, sub.rules))
@@ -364,14 +365,16 @@ class TestInvarianceOracle:
             w[l] = 1.0
             h = np.zeros(sub.n_controller_rules)
             h[m] = 1.0
-            vert = assemble_invariance(system, params, dv, i, [l], [m])
-            blend = assemble_invariance_blended(system, params, dv, i,
-                                                [w], [h])
+            vert = assemble_one(assemble_invariance, system, params, dv, i,
+                                [l], [m])
+            blend = assemble_one(assemble_invariance_blended, system, params,
+                                 dv, i, [w], [h])
             np.testing.assert_array_equal(blend.matrix, vert.matrix)
 
     def test_metadata(self):
         system, params, dv = _draw_setup(np.random.default_rng(1))
-        inst = assemble_invariance(system, params, dv, 0, [0], [0])
+        inst = assemble_one(assemble_invariance, system, params, dv, 0, [0],
+                            [0])
         assert inst.origin == "invariance"
         assert inst.vertex == ((0, 0),)
         assert inst.keys == ["invariance[i=0,l=0,m=0]"]
@@ -384,7 +387,8 @@ class TestDecreaseOracle:
         for _ in range(200):
             system, params, dv = _draw_setup(rng)
             i, sub, l, m = _pick_vertex(rng, system)
-            inst = assemble_decrease(system, params, dv, i, [l], [m])
+            inst = assemble_one(assemble_decrease, system, params, dv, i, [l],
+                                [m])
             d, x_i, x_js, v = _draw_point(rng, system, sub)
             theta, e, k = _vertex_theta_e(sub, dv, i, l, m)
             got = float(v @ _folded(inst)[0] @ v)
@@ -401,8 +405,8 @@ class TestDecreaseOracle:
             w /= w.sum()
             h = rng.uniform(0.05, 1.0, sub.n_controller_rules)
             h /= h.sum()
-            inst = assemble_decrease_blended(system, params, dv, i,
-                                             [w], [h])
+            inst = assemble_one(assemble_decrease_blended, system, params, dv,
+                                i, [w], [h])
             a = sum(wl * r.A for wl, r in zip(w, sub.rules))
             b = sum(wl * r.B for wl, r in zip(w, sub.rules))
             e = sum(wl * r.E for wl, r in zip(w, sub.rules))
@@ -422,9 +426,10 @@ class TestDecreaseOracle:
             w[l] = 1.0
             h = np.zeros(sub.n_controller_rules)
             h[m] = 1.0
-            vert = assemble_decrease(system, params, dv, i, [l], [m])
-            blend = assemble_decrease_blended(system, params, dv, i,
-                                              [w], [h])
+            vert = assemble_one(assemble_decrease, system, params, dv, i, [l],
+                                [m])
+            blend = assemble_one(assemble_decrease_blended, system, params, dv,
+                                 i, [w], [h])
             np.testing.assert_array_equal(blend.matrix, vert.matrix)
 
 
@@ -453,12 +458,12 @@ class TestStackedBlendedAssembly:
             h = rng.dirichlet(np.ones(sub.n_controller_rules), size=7)
             w[0] = np.eye(sub.n_rules)[-1]          # one vertex pair
             h[0] = np.eye(sub.n_controller_rules)[0]
-            stacked = assemble(system, params, dv, i, w, h)
+            stacked = assemble_one(assemble, system, params, dv, i, w, h)
             tests = stacked.test_matrix()
             assert stacked.matrix.shape[0] == tests.shape[0] == len(w)
             for p in range(len(w)):
-                single = assemble(system, params, dv, i, w[p:p + 1],
-                                  h[p:p + 1])
+                single = assemble_one(assemble, system, params, dv, i,
+                                      w[p:p + 1], h[p:p + 1])
                 assert single.matrix.shape == (1,) + stacked.matrix.shape[1:]
                 np.testing.assert_array_equal(stacked.matrix[p],
                                               single.matrix[0])
@@ -483,10 +488,10 @@ class TestStackedVertexAssembly:
                      for m in range(sub.n_controller_rules)]
             pairs += pairs[::-1][:2]         # any order, repeats allowed
             ls, ms = [p[0] for p in pairs], [p[1] for p in pairs]
-            stacked = assemble(system, params, dv, i, ls, ms)
+            stacked = assemble_one(assemble, system, params, dv, i, ls, ms)
             tests = stacked.test_matrix()
             assert stacked.matrix.shape[0] == tests.shape[0] == len(pairs)
-            singles = [assemble(system, params, dv, i, [l], [m])
+            singles = [assemble_one(assemble, system, params, dv, i, [l], [m])
                        for l, m in pairs]
             for p, single in enumerate(singles):
                 assert single.matrix.shape == (1,) + stacked.matrix.shape[1:]
@@ -507,10 +512,11 @@ class TestStackedVertexAssembly:
     def test_theta_vertex_stack(self):
         # the closed-loop vertex matrices A_l + B_l K_m a vertex stack is
         # assembled from, with E_l and K_m, in pair order
-        system, _, dv = _bundled_certificate("example2")
+        system, params, dv = _bundled_certificate("example2")
         sub = system.subsystems[0]
         ls, ms = [2, 0, 1], [1, 1, 0]
-        theta, e, k = lmis._vertex_stacks(sub, dv.gains[0], ls, ms)
+        theta, e, k = (v[0] for v in lmis._Layout(
+            system, params, (0,)).vertex_stacks(dv.gains, ls, ms))
         for p, (l, m) in enumerate(zip(ls, ms)):
             np.testing.assert_array_equal(
                 theta[p], sub.rules[l].A + sub.rules[l].B @ dv.gains[0][m])
@@ -525,7 +531,7 @@ class TestStackedVertexAssembly:
         # integers l, m (one vertex) are refused too: the form is a stack
         system, params, dv = _bundled_certificate("example1")
         with pytest.raises(ValueError, match="equal length"):
-            assemble(system, params, dv, 0, l, m)
+            assemble_one(assemble, system, params, dv, 0, l, m)
 
     @pytest.mark.parametrize("blended", [False, True])
     def test_non_finite_gains_raise(self, blended):
@@ -534,10 +540,11 @@ class TestStackedVertexAssembly:
             [np.full_like(k, np.nan) for k in dv.gains[0]], *dv.gains[1:]))
         with pytest.raises(InvalidMatrixError, match="finite"):
             if blended:
-                assemble_decrease_blended(system, params, dv, 0,
-                                          [[0.5, 0.5]], [[0.5, 0.5]])
+                assemble_one(assemble_decrease_blended, system, params, dv, 0,
+                             [[0.5, 0.5]], [[0.5, 0.5]])
             else:
-                assemble_decrease(system, params, dv, 0, [0, 1], [1, 0])
+                assemble_one(assemble_decrease, system, params, dv, 0, [0, 1],
+                             [1, 0])
 
     @pytest.mark.parametrize("assemble", [assemble_invariance_blended,
                                           assemble_decrease_blended])
@@ -552,7 +559,7 @@ class TestStackedVertexAssembly:
         w, h = np.full(w_shape, 0.5), np.full(h_shape, 0.5)
         message = f"equal length, got shapes {w_shape} and {h_shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            assemble(system, params, dv, 0, w, h)
+            assemble_one(assemble, system, params, dv, 0, w, h)
 
 
 FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -598,8 +605,8 @@ def _reference_inputs(system, dv, i, rng):
     ls, ms = [p[0] for p in pairs], [p[1] for p in pairs]
     w = rng.dirichlet(np.ones(sub.n_rules), size=5)
     h = rng.dirichlet(np.ones(sub.n_controller_rules), size=5)
-    a, b, e = blend(sub, w)
-    k = blend_gains(dv.gains[i], h)
+    a, b, e = (v[0] for v in blend([sub], w))
+    k = blend_gains(np.array([dv.gains[i]]), h)[0]
     k_m = np.array([dv.gains[i][m] for m in ms])
     theta = np.array([sub.rules[l].A for l in ls]) + \
         np.array([sub.rules[l].B for l in ls]) @ k_m      # A_l + B_l K_m
@@ -633,15 +640,17 @@ class TestLayoutMatchesPerBlockReference:
         rng = np.random.default_rng(7)
         for i in range(system.n_subsystems):
             inputs = _reference_inputs(system, dv, i, rng)
-            layout = lmis._Layout(system, params, i)
+            layout = lmis._Layout(system, params, (i,))
             for family, assemblers in FAMILIES.items():
                 for assemble, (args, points) in zip(assemblers,
                                                     inputs.values()):
                     want, slot_dims, basis = _reference_condition_matrices(
                         system, params, i, family, *args, dv.xi[i], False)
-                    got = layout.stack(family, *args, dv.xi[i])
+                    got = layout.stack(family, *(a[None] for a in args),
+                                       np.array([dv.xi[i]]))[0]
                     np.testing.assert_array_equal(got, want)
-                    inst = assemble(system, params, dv, i, *points)
+                    inst = assemble_one(assemble, system, params, dv, i,
+                                        *points)
                     np.testing.assert_array_equal(inst.matrix, got)
                     assert inst.slot_dims == slot_dims
                     if basis is None:
@@ -672,7 +681,8 @@ class TestFoldCommutesWithCompression:
             inputs = _reference_inputs(system, dv, i, rng)
             for assemblers in FAMILIES.values():
                 for assemble, (_, points) in zip(assemblers, inputs.values()):
-                    inst = assemble(system, params, dv, i, *points)
+                    inst = assemble_one(assemble, system, params, dv, i,
+                                        *points)
                     tail = _slack_tail(inst)
                     folded = _fold(inst.matrix, tail)
                     basis = inst.strict_basis
@@ -697,7 +707,8 @@ class TestSchurEquivalence:
         for _ in range(100):
             system, params, dv = _draw_setup(rng)
             i, sub, l, m = _pick_vertex(rng, system)
-            full = assemble_invariance(system, params, dv, i, [l], [m])
+            full = assemble_one(assemble_invariance, system, params, dv, i,
+                                [l], [m])
             theta, e, k = _vertex_theta_e(sub, dv, i, l, m)
             red, _, _ = _reference_condition_matrices(
                 system, params, i, "invariance", theta[None], e[None],
@@ -710,7 +721,8 @@ class TestSchurEquivalence:
         for _ in range(100):
             system, params, dv = _draw_setup(rng)
             i, sub, l, m = _pick_vertex(rng, system)
-            full = assemble_decrease(system, params, dv, i, [l], [m])
+            full = assemble_one(assemble_decrease, system, params, dv, i, [l],
+                                [m])
             theta, e, k = _vertex_theta_e(sub, dv, i, l, m)
             red, _, _ = _reference_condition_matrices(
                 system, params, i, "decrease", theta[None], e[None],
@@ -724,7 +736,8 @@ class TestSchurEquivalence:
         for trial in range(100):
             system, params, dv = _draw_setup(rng, calm=trial % 2 == 0)
             i, sub, l, m = _pick_vertex(rng, system)
-            full = assemble_invariance(system, params, dv, i, [l], [m])
+            full = assemble_one(assemble_invariance, system, params, dv, i,
+                                [l], [m])
             v_full = is_nsd(full.matrix[0], tol=1e-8)
             v_fold = is_nsd(_folded(full)[0], tol=1e-8)
             assert v_full == v_fold
@@ -757,7 +770,7 @@ class TestStrictBasis:
 
     def test_rank_deficient_coupling_leaves_structural_zeros(self):
         system, params, dv = self._toy()
-        inst = assemble_decrease(system, params, dv, 0, [0], [0])
+        inst = assemble_one(assemble_decrease, system, params, dv, 0, [0], [0])
         for mat, _ in self._forms(inst):
             # directions in the coupling's kernel hit only zero entries
             size = mat.shape[0]
@@ -768,7 +781,7 @@ class TestStrictBasis:
 
     def test_compressed_matrix_recovers_strict_verdict(self):
         system, params, dv = self._toy()
-        inst = assemble_decrease(system, params, dv, 0, [0], [0])
+        inst = assemble_one(assemble_decrease, system, params, dv, 0, [0], [0])
         assert inst.strict_basis is not None
         for mat, compressed in self._forms(inst):
             assert compressed.shape[0] == mat.shape[0] - 1
@@ -789,10 +802,11 @@ class TestStrictBasis:
                              R=np.eye(2), alpha=2.0)
         dv = DecisionVars(gains=[[np.zeros((2, 2))]] * 2, xi=[1.0] * 2)
         for asm in (assemble_decrease, assemble_invariance):
-            inst = asm(system, params, dv, 0, [0], [0])
+            inst = assemble_one(asm, system, params, dv, 0, [0], [0])
             assert inst.strict_basis is None
             np.testing.assert_array_equal(inst.test_matrix(), inst.matrix)
-        uncoupled = assemble_decrease(system, params, dv, 1, [0], [0])
+        uncoupled = assemble_one(assemble_decrease, system, params, dv, 1, [0],
+                                 [0])
         assert uncoupled.strict_basis is None
 
     def test_joint_kernel_of_several_full_rank_couplings_is_compressed(self):
@@ -807,7 +821,7 @@ class TestStrictBasis:
         assert np.linalg.matrix_rank(g_a) == 2
         assert np.linalg.matrix_rank(g_b) == 2
         for asm in (assemble_decrease, assemble_invariance):
-            inst = asm(system, params, dv, 0, [0], [0])
+            inst = assemble_one(asm, system, params, dv, 0, [0], [0])
             assert inst.strict_basis is not None
             for mat, compressed in self._forms(inst):
                 v_a = np.array([1.0, -0.5])
@@ -824,7 +838,7 @@ class TestStrictBasis:
         system = build_example1_system()
         params = example1_reference_params()
         dv = DecisionVars(gains=example1_reference_gains(), xi=[1.0] * 3)
-        inst = assemble_decrease(system, params, dv, 1, [0], [0])
+        inst = assemble_one(assemble_decrease, system, params, dv, 1, [0], [0])
         # both couplings of the middle subsystem have rank one
         assert inst.strict_basis is not None
         assert inst.test_matrix().shape[1] == inst.matrix.shape[1] - 2
@@ -924,7 +938,7 @@ class TestHeterogeneousDims:
         dv = DecisionVars(gains=[[np.zeros((2, 2))], [np.zeros((3, 3))]],
                           xi=[1.0, 1.0])
         with pytest.raises(ValueError, match="equal state dims"):
-            assemble_invariance(system, params, dv, 0, [0], [0])
+            assemble_one(assemble_invariance, system, params, dv, 0, [0], [0])
 
 
 class TestPointwiseDecreaseScalar:
@@ -975,9 +989,10 @@ class TestReferenceConstantsInfeasibility:
         for i, sub in enumerate(system.subsystems):
             for l in range(sub.n_rules):
                 for m in range(sub.n_controller_rules):
-                    inv = assemble_invariance(system, params, dv, i,
-                                              [l], [m])
-                    dec = assemble_decrease(system, params, dv, i, [l], [m])
+                    inv = assemble_one(assemble_invariance, system, params, dv,
+                                       i, [l], [m])
+                    dec = assemble_one(assemble_decrease, system, params, dv,
+                                       i, [l], [m])
                     worst_inv = max(worst_inv, max_eig(inv.matrix[0]))
                     worst_dec = max(worst_dec, max_eig(dec.test_matrix()[0]))
         return worst_inv, worst_dec

@@ -17,8 +17,6 @@ from it2mpc.plant import (
     LargeScaleSystem,
     Rule,
     Subsystem,
-    blend,
-    blend_gains,
     normalize_firing,
     step_closed_loop,
     step_closed_loop_detail,
@@ -27,6 +25,16 @@ from it2mpc.plant import (
 from it2mpc.simulation import run_online_loop
 
 from conftest import build_example1_system, example1_reference_gains
+
+
+def blend(sub, w):
+    """plant.blend of one subsystem: its (A, B, E) at weights w."""
+    return tuple(v[0] for v in plant.blend([sub], w))
+
+
+def blend_gains(gains, h):
+    """plant.blend_gains of one subsystem's gains at weights h."""
+    return plant.blend_gains(np.array([gains], dtype=float), h)[0]
 
 
 # -- reference: the per-subsystem step --------------------------------------

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import (budget_floors, build_example1_system, build_tiny_system,
-                      controller_mf_family, example1_reference_params,
-                      example1_synthesis_params, model_mf_family,
-                      own_containment_block, shape_params, tiny_params)
+from conftest import (assemble_one, budget_floors, build_example1_system,
+                      build_tiny_system, controller_mf_family,
+                      example1_reference_params, example1_synthesis_params,
+                      model_mf_family, own_containment_block, shape_params,
+                      tiny_params)
 from test_lmis import _draw_setup
 from it2mpc import lmis, synthesis
 from it2mpc.configio import (bundled_config_names, load_bundled_config,
@@ -22,7 +23,7 @@ from it2mpc.lmis import (DecisionVars, FixedParams, assemble_decrease,
                          assemble_invariance_blended, containment_sizes)
 from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 from it2mpc.synthesis import (XI_HAIR, FixedGainEvaluator, Infeasible,
-                              SynthesisConfig, _Model, _Part, _simplex_grid,
+                              SynthesisConfig, _models, _Part, _simplex_grid,
                               certificate_margins, minimize_xi, solve_fixed_xi,
                               verify_certificate)
 
@@ -65,9 +66,11 @@ def _reference_margins(system, params, dv, x_all, cfg):
     for i, sub in enumerate(system.subsystems):
         for l in range(sub.n_rules):
             for m in range(sub.n_controller_rules):
-                inv = assemble_invariance(system, params, dv, i, [l], [m])
+                inv = assemble_one(assemble_invariance, system, params, dv, i,
+                                   [l], [m])
                 want[inv.keys[0]] = max_eig(inv.test_matrix()[0])
-                dec = assemble_decrease(system, params, dv, i, [l], [m])
+                dec = assemble_one(assemble_decrease, system, params, dv, i,
+                                   [l], [m])
                 want[dec.keys[0]] = max_eig(dec.test_matrix()[0]) \
                     + cfg.strictness
         if sub.u_max is not None:
@@ -94,12 +97,12 @@ def _assert_margins_match(got, want):
 
 
 def _count_assemblies(monkeypatch):
-    """The subsystem of every condition assembly (lmis._Layout.stack call)
+    """The members of every condition assembly (lmis._Layout.stack call)
     made from now on, in order."""
     assembled, inner = [], lmis._Layout.stack
 
     def counted(layout, *args, **kwargs):
-        assembled.append(layout.i)
+        assembled.append(layout.members)
         return inner(layout, *args, **kwargs)
 
     monkeypatch.setattr(lmis._Layout, "stack", counted)
@@ -243,7 +246,8 @@ class TestMinimizeXi:
     @pytest.mark.parametrize("mode", ["common", "per_subsystem"])
     def test_cold_example1_assembles_each_member_once(self, monkeypatch,
                                                       mode):
-        # one stacked assembly per subsystem and family builds its model;
+        # one stacked assembly per family over the layout group builds
+        # every member's model;
         # the EVP, the clamp and the result's parts are all read off it, and
         # the result's margins are its certificate_margins bit for bit; the
         # EVP returns one gain for both controller rules (symmetry lemma)
@@ -253,7 +257,7 @@ class TestMinimizeXi:
         assembled = _count_assemblies(monkeypatch)
         res = minimize_xi(system, params, x0, CFG, mode=mode)
         monkeypatch.undo()
-        assert assembled == [0, 0, 1, 1, 2, 2]
+        assert assembled == [(0, 1, 2), (0, 1, 2)]
         assert res.feasible
         assert list(res.margins.items()) == list(certificate_margins(
             system, params, res.dv, x0, CFG).items())
@@ -481,7 +485,7 @@ class TestOneGainPerSubsystem:
         for i, sub in enumerate(system.subsystems):
             if sub.n_controller_rules < 2:
                 continue
-            model = _Model(system, params, i, CFG)
+            model = _models(system, params, CFG)[i]
             gains, xi, bound = model.min_xi()
             per_rule_xi, per_rule_bound = _per_rule_evp(model)
             assert bound <= per_rule_xi and per_rule_bound <= xi
@@ -551,7 +555,7 @@ class TestStackedVertexCallers:
         rng = np.random.default_rng(11)
         n = system.n_subsystems
         for i, sub in enumerate(system.subsystems):
-            model = _Model(system, params, i, CFG)
+            model = _models(system, params, CFG)[i]
             n_l, n_m = sub.n_rules, sub.n_controller_rules
             ls, ms = zip(*((l, m) for l in range(n_l) for m in range(n_m)))
             for _ in range(3):
@@ -565,14 +569,15 @@ class TestStackedVertexCallers:
                 for assemble, (g0, cols), shift, t_ref in zip(
                         (assemble_invariance, assemble_decrease), model.rows,
                         model.shifts, part.t_refs):
-                    want = assemble(system, params, one, i, list(range(n_l)),
-                                    [0] * n_l).test_matrix()
+                    want = assemble_one(assemble, system, params, one, i,
+                                        list(range(n_l)),
+                                        [0] * n_l).test_matrix()
                     got = g0 + np.tensordot(y, cols, 1) \
                         - shift * np.eye(want.shape[-1])
                     assert got.shape == want.shape
                     assert_allclose(got, want, rtol=0.0, atol=1e-12)
-                    want = assemble(system, params, dv, i, list(ls),
-                                    list(ms)).test_matrix()
+                    want = assemble_one(assemble, system, params, dv, i,
+                                        list(ls), list(ms)).test_matrix()
                     assert t_ref.shape == want.shape
                     assert_allclose(t_ref, want, rtol=0.0, atol=1e-12)
 
@@ -590,11 +595,12 @@ class TestStackedVertexCallers:
                                  * s.n_controller_rules
                                  for s in system.subsystems], xi=[1.0] * n)
         for i, sub in enumerate(system.subsystems):
-            want = [assemble(system, params, dv, i, [l], [m]).keys[0]
+            want = [assemble_one(assemble, system, params, dv, i, [l],
+                                 [m]).keys[0]
                     for l in range(sub.n_rules)
                     for m in range(sub.n_controller_rules)
                     for assemble in (assemble_invariance, assemble_decrease)]
-            assert _Model(system, params, i, CFG).keys == want
+            assert _models(system, params, CFG)[i].keys == want
 
     def test_certificate_margins_match_per_vertex_loop(self):
         cfg = SynthesisConfig()
@@ -904,7 +910,8 @@ class TestVerifyCertificate:
             for assemble, shift in ((assemble_invariance_blended, 0.0),
                                     (assemble_decrease_blended,
                                      cfg.strictness)):
-                tests = assemble(system, params, dv, i, w, h).test_matrix()
+                tests = assemble_one(assemble, system, params, dv, i, w,
+                                     h).test_matrix()
                 want = max(want, *(max_eig(t) + shift for t in tests))
         return want
 

@@ -52,16 +52,17 @@ def _calls(tracer, run) -> dict:
 
 
 def test_verify_reaches_the_traced_layers(tracer, fixture_certificate):
-    # three subsystems: each model assembles both families once (6 vertex
-    # stacks), the grid sweep one blended stack per subsystem and family
+    # three subsystems in one layout group: the models assemble both
+    # families once for the group (2 vertex stacks), the grid sweep one
+    # blended stack per group and family (2)
     cfg, dv = fixture_certificate
     reports = []
     calls = _calls(tracer, lambda: reports.append(verify_certificate(
         cfg.system, cfg.params, dv, x_all=cfg.simulation.x0,
         cfg=cfg.synthesis)))
     assert reports[0]["feasible"]
-    assert calls["lmis.vertex"] == 6
-    assert calls["lmis.blended"] == 6
+    assert calls["lmis.vertex"] == 2
+    assert calls["lmis.blended"] == 2
     assert calls["synthesis.certificate_margins"] == 1
     assert calls["lmis.test_matrix"] >= 1
 
@@ -86,9 +87,9 @@ def test_every_step_loop_reaches_the_traced_layers(tracer,
     # one stacked containment assembly per step and group of equal-shape X_i
     assert len(cfg.params.x_groups) == 1
     assert calls["lmis.containment"] == 3
-    # the stored gains' evaluator is built once, before the first step (3
-    # subsystems x 2 families), and every step keeps it: none is rebuilt
-    assert calls["lmis.vertex"] == 6
+    # the stored gains' evaluator is built once, before the first step (one
+    # layout group x 2 families), and every step keeps it: none is rebuilt
+    assert calls["lmis.vertex"] == 2
 
 
 def test_supplied_gains_loop_builds_one_evaluator(tracer, fixture_certificate):
@@ -103,7 +104,7 @@ def test_supplied_gains_loop_builds_one_evaluator(tracer, fixture_certificate):
         syn_cfg=cfg.synthesis, Ts=cfg.Ts, mu_bar=sim.mu_bar, mode=sim.mode,
         rho_bar=sim.rho_bar, gains=dv.gains)))
     assert traces[0].n_steps == 3 and not any(traces[0].resynthesized)
-    assert calls["lmis.vertex"] == 6
+    assert calls["lmis.vertex"] == 2
     assert calls["lmis.containment"] == 3
 
 

@@ -15,6 +15,7 @@ import pytest
 from it2mpc.configio import bundled_config_names, load_bundled_config
 from it2mpc.lmis import DecisionVars
 
+from conftest import assemble_one
 from test_lmis import FAMILIES, _fold, _slack_tail
 
 pytest.importorskip("hypothesis")
@@ -61,10 +62,11 @@ def test_blend_bounded_by_vertices(case):
     sub = system.subsystems[i]
     ls = [l for l in range(sub.n_rules) for _ in range(sub.n_controller_rules)]
     ms = list(range(sub.n_controller_rules)) * sub.n_rules
-    corners = vertex(system, params, dv, i, ls, ms)
+    corners = assemble_one(vertex, system, params, dv, i, ls, ms)
     tail = _slack_tail(corners)
     corners = corners.test_matrix()
-    blend = blended(system, params, dv, i, [w], [h]).test_matrix()
+    blend = assemble_one(blended, system, params, dv, i, [w],
+                         [h]).test_matrix()
     if folded:   # the fold of the compression is the compressed fold
         corners, blend = _fold(corners, tail), _fold(blend, tail)
     top_vertex = float(np.max(np.linalg.eigvalsh(corners)[:, -1]))
