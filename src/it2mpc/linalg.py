@@ -126,6 +126,13 @@ def is_nsd(a, tol: float | None = None) -> bool:
     return max_eig(a) <= tol
 
 
+def singular(eigs) -> bool:
+    """Whether a symmetric matrix with eigenvalues eigs is singular to working
+    precision: min |lambda| <= 1e-12 max(1, max |lambda|)."""
+    mags = np.abs(eigs)
+    return float(np.min(mags)) <= 1e-12 * max(1.0, float(np.max(mags)))
+
+
 def schur_reduce(m, split: int) -> np.ndarray:
     """Schur complement of the trailing block.
 
@@ -139,9 +146,7 @@ def schur_reduce(m, split: int) -> np.ndarray:
     a = m[:split, :split]
     bt = m[:split, split:]
     c = m[split:, split:]
-    c_eigs = np.linalg.eigvalsh(c)
-    c_scale = max(1.0, float(np.max(np.abs(c_eigs))))
-    if float(np.min(np.abs(c_eigs))) <= 1e-12 * c_scale:
+    if singular(np.linalg.eigvalsh(c)):
         raise SingularBlockError("trailing block is singular to working precision")
     schur = a - bt @ np.linalg.solve(c, bt.T)
     return sym_matrix(0.5 * (schur + schur.T))

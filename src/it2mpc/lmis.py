@@ -20,7 +20,7 @@ re-checks it). Every invariance and decrease assembler takes a layout group
 as a tuple of members, and stacks (vertex index sequences or weight
 stacks) shared by them; containment takes a group of equal-shape X_i and
 its states. Each returns one LMIInstance of a stack of matrices with a
-leading member axis, whose `keys` name each matrix.
+leading member axis; a margin's key comes from _format_key alone.
 
 Layout. A layout group is a plant shape group (LargeScaleSystem.
 layout_groups, by the grouping rule of the step's shape groups) split
@@ -35,7 +35,9 @@ over the members and adds the slot dims, g'X_i, the constant coupling block
 -(alpha - 1) g'X_i g and the load n sqrt(alpha) sum_j g_j'X_j g_j, with the
 members' constants. Its `stack` emits either family for every member at
 once, for a whole stack of vertices or blends, from a constant template
-plus a handful of batched products, and symmetrizes once. Every entry is
+plus a handful of batched products, and symmetrizes once; its `xi_slope`
+is either family's constant xi column, compressed as the test matrices
+are. Every entry is
 the one a block-by-block assembly of its own subsystem computes, by the
 same products in the same order: each stacked product is one BLAS call per
 matrix with the operands of that matrix, so a group's stack equals its
@@ -55,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (InvalidMatrixError, SingularBlockError, inv_sqrt, is_psd,
-                     min_eig, quad_form, sym_matrix)
+                     min_eig, quad_form, singular, sym_matrix)
 from .plant import (LargeScaleSystem, _as_gains, _frozen, _is_finite, _shown,
                     _split_rules, _verdict_kept, blend, blend_gains)
 
@@ -151,11 +153,9 @@ class FixedParams:
         """x_inv_stacks for the containment blocks, once no X_i is singular
         to working precision: the one place that test runs. SingularBlockError
         when one is (no containment block is defined then)."""
-        for eigs in self.x_eigs:
-            scale = max(1.0, float(np.max(np.abs(eigs))))
-            if float(np.min(np.abs(eigs))) <= 1e-12 * scale:
-                raise SingularBlockError(
-                    "shape matrix is singular; containment undefined")
+        if any(map(singular, self.x_eigs)):
+            raise SingularBlockError(
+                "shape matrix is singular; containment undefined")
         return self.x_inv_stacks
 
     @cached_property
@@ -285,6 +285,7 @@ class DecisionVars:
 
 
 def _format_key(origin: str, subsystem: int, vertex) -> str:
+    """The key of a condition row, vertex (l, m) or None: every margin's."""
     tag = f"{origin}[i={subsystem}"
     if vertex is not None:
         l, m = vertex
@@ -292,15 +293,21 @@ def _format_key(origin: str, subsystem: int, vertex) -> str:
     return tag + "]"
 
 
-def vertex_keys(origin: str, subsystem: int, pairs) -> list:
-    """The keys of a vertex stack's matrices, one per pair (l, m)."""
-    return [_format_key(origin, subsystem, v) for v in pairs]
+def _compress(mats, basis):
+    """sym_matrix(B' M B) for every matrix M of a stack (S, ..., size, size)
+    by its member's basis B of a stack (S, size, cols); mats when basis is
+    None."""
+    if basis is None:
+        return mats
+    basis = basis.reshape(basis.shape[:1] + (1,) * (mats.ndim - 3)
+                          + basis.shape[1:])
+    return sym_matrix(basis.swapaxes(-1, -2) @ mats @ basis)
 
 
 @dataclass(frozen=True)
 class LMIInstance:
-    """One assembled stack of conditions with enough metadata to
-    re-identify each matrix of it."""
+    """One assembled stack of conditions, with its members, family and
+    slot layout."""
 
     # the stack: (S, P, size, size) over the members s and the pairs or
     # blends p of an invariance or decrease stack; (k, size, size) over the
@@ -308,35 +315,15 @@ class LMIInstance:
     matrix: np.ndarray
     origin: str                      # invariance | decrease | containment
     subsystem: tuple                 # the members, in stack order
-    # the (model rule, controller rule) pair of each matrix of a vertex
-    # stack, shared by every member; None for a blended or containment stack
-    vertex: tuple | None = None
     slot_dims: tuple = ()
     # (S, size, cols): each member's compression, or None for none
     strict_basis: np.ndarray | None = field(default=None, compare=False)
-
-    @property
-    def keys(self) -> list:
-        """One key per matrix, in the order of the stack's leading axes
-        (member-major): each member's (l, m) keys for a vertex stack, its
-        family key once per blend for a blended one, and each member's key
-        for a containment stack."""
-        if self.origin == "containment":
-            return [_format_key(self.origin, i, None) for i in self.subsystem]
-        if self.vertex is None:
-            return [_format_key(self.origin, i, None) for i in self.subsystem
-                    for _ in range(self.matrix.shape[-3])]
-        return [key for i in self.subsystem
-                for key in vertex_keys(self.origin, i, self.vertex)]
 
     def test_matrix(self) -> np.ndarray:
         """Matrices the conditions are judged on: strict instances are
         compressed onto the complement of structural coupling kernels (each
         matrix of the stack on its own, by its member's basis)."""
-        if self.strict_basis is None:
-            return self.matrix
-        basis = self.strict_basis[..., None, :, :]
-        return sym_matrix(basis.swapaxes(-1, -2) @ self.matrix @ basis)
+        return _compress(self.matrix, self.strict_basis)
 
 
 def _vertex_pairs(l, m):
@@ -503,10 +490,28 @@ class _Layout:
             raise InvalidMatrixError("matrix entries must be finite")
         return mat
 
-    def instance(self, family, mats, vertex=None) -> LMIInstance:
+    def xi_slope(self, family) -> np.ndarray:
+        """Constant xi-derivative of the members' test matrices (S, size,
+        size), at any vertex or blend: -lam N I on the disturbance block for
+        invariance; -tau I there and +Q on the state block for decrease;
+        compressed by each member's strict basis. The slack tail has no xi
+        term, so the Schur fold of the full form has the same slope on its
+        head."""
+        n_d, head = self.n_d, self.n_d + self.n_x
+        size = sum(self.slot_dims(family))
+        slope = np.zeros((len(self.members), size, size))
+        if family == "decrease":
+            coef = self.tau
+            slope[:, n_d:head, n_d:head] = self.q
+        else:
+            coef = self.lam * self.n_const
+        slope[:, :n_d, :n_d] = -coef[:, None, None] * np.eye(n_d)
+        return _compress(slope, self.strict_basis(family))
+
+    def instance(self, family, mats) -> LMIInstance:
         """The LMIInstance of matrices `mats` this layout stacked."""
         return LMIInstance(matrix=mats, origin=family, subsystem=self.members,
-                           vertex=vertex, slot_dims=self.slot_dims(family),
+                           slot_dims=self.slot_dims(family),
                            strict_basis=self.strict_basis(family))
 
 
@@ -537,9 +542,8 @@ def _xi(dv: DecisionVars, members) -> np.ndarray:
 def _vertex_instance(system, params, dv, members, l, m, family):
     ls, ms = _vertex_pairs(l, m)
     layout = _layout(system, params, members)
-    mats = layout.stack(family, *layout.vertex_stacks(dv.gains, ls, ms),
-                        _xi(dv, members))
-    return layout.instance(family, mats, tuple(zip(ls.tolist(), ms.tolist())))
+    return layout.instance(family, layout.stack(
+        family, *layout.vertex_stacks(dv.gains, ls, ms), _xi(dv, members)))
 
 
 def _weight_pairs(w, h):
@@ -565,8 +569,7 @@ def assemble_invariance(system: LargeScaleSystem, params: FixedParams,
     indices within one group of system.layout_groups) at the vertices
     (model rule l[p], controller rule m[p]) of equal-length index sequences
     l, m: one instance whose matrix is the stack (S, P, size, size) of the
-    S members' P vertices and whose `keys` name them; the layout is built
-    once for the whole stack."""
+    S members' P vertices; the layout is built once for the whole stack."""
     return _vertex_instance(system, params, dv, members, l, m, "invariance")
 
 
@@ -593,45 +596,12 @@ def assemble_decrease_blended(system, params, dv, members, w,
     return _blended_instance(system, params, dv, members, w, h, "decrease")
 
 
-def xi_slope(params: FixedParams, inst: LMIInstance) -> np.ndarray:
-    """Constant xi-derivative of an invariance or decrease instance's test
-    matrices, per member (S, size, size), at any vertex or blend: -lam N I
-    on the disturbance block for invariance; -tau I there and +Q on the
-    state block for decrease; compressed by the member's strict basis. The
-    slack tail has no xi term, so the Schur fold of the full form has the
-    same slope on its head."""
-    members = inst.subsystem
-    n_d, n_x = inst.slot_dims[:2]
-    size = sum(inst.slot_dims)
-    slope = np.zeros((len(members), size, size))
-    d_block = np.eye(n_d)
-    if inst.origin == "invariance":
-        for s, i in enumerate(members):
-            slope[s, :n_d, :n_d] = -params.lam[i] * params.N_const[i] * d_block
-    elif inst.origin == "decrease":
-        for s, i in enumerate(members):
-            slope[s, :n_d, :n_d] = -params.tau[i] * d_block
-            slope[s, n_d:n_d + n_x, n_d:n_d + n_x] = params.q_mat(i)
-    else:
-        raise ValueError(f"{inst.origin} conditions have no xi pencil")
-    if inst.strict_basis is None:
-        return slope
-    basis = inst.strict_basis
-    return sym_matrix(basis.swapaxes(-1, -2) @ slope @ basis)
-
-
-def containment_size(x_mat: np.ndarray, x) -> np.ndarray:
-    """Smallest set sizes whose sets {x' (X/xi) x <= xi} hold x: sqrt(x' X
-    x), for a shape group's stacked X (k, n, n) and states (k, n), each bit
-    for bit that of its own one-member stack."""
-    return np.sqrt(quad_form(x, x_mat))
-
-
 def containment_sizes(params: FixedParams, x_all) -> list:
-    """Per subsystem: the containment_size of its state x_all[i], from one
-    stacked call per group of equal-shape X_i."""
+    """Per subsystem: the smallest set size whose set {x' (X_i/xi) x <= xi}
+    holds its state x_all[i], sqrt(x' X_i x), from one stacked call per
+    group of equal-shape X_i, each bit for bit its own one-member call."""
     return params.ungroup(
-        containment_size(x_mat, x).tolist()
+        np.sqrt(quad_form(x, x_mat)).tolist()
         for x_mat, x in zip(params.x_stacks, params.group_stacks(x_all)))
 
 
@@ -640,8 +610,7 @@ def assemble_containment(params: FixedParams, members, x, xi) -> LMIInstance:
     >= 0, each equivalent to x_i' (X_i/xi_i) x_i <= xi_i, of the members of
     a group of params.x_groups, from their states stacked (k, n) and their
     k set sizes: one instance whose matrix is the stack (k, n + 1, n + 1)
-    of the members' blocks and whose `keys` name the members. X_i^{-1} is
-    the checked params.shape_inverses."""
+    of the members' blocks. X_i^{-1} is the checked params.shape_inverses."""
     inverses = params.shape_inverses    # raises when an X_i is singular
     if not isinstance(members, tuple) or members not in params.x_groups:
         raise ValueError(f"{members!r} is no shape group of the constants; "

@@ -31,7 +31,7 @@ import numpy as np
 
 GradeFn = Callable[[float], float]   # also maps an array of premises
 
-# A group of fewer members than this, at one premise each, calls its grade
+# A stack of fewer members than this, at one premise each, calls its grade
 # functions once per member with a float: on example1's and example2's
 # grades, below four floats those calls cost less than one with an array.
 FEW_FLOATS = 4
@@ -147,12 +147,12 @@ class IT2MembershipFamily:
         (S,) or (S, P) premises, one row per member, and gives (S, n_rules)
         or (S, P, n_rules). Each group of equal members calls each of its
         grade functions once, on the premises of all its members put
-        together; a group of fewer than FEW_FLOATS members with one float
+        together; a stack of fewer than FEW_FLOATS members with one float
         each calls them once per member. A (P, n_rules) is laid out
         rules-major, so that elementwise work on it runs along P."""
         z = np.asarray(z, dtype=float)
         single = z.ndim == self._depth      # one premise per member
-        if single and z.size < FEW_FLOATS:  # so is every group: one by one
+        if single and z.size < FEW_FLOATS:  # one by one
             grades = _float_grades(self.members, name, z.reshape(-1).tolist())
             return grades if self._depth else grades[0]
         rows = z.reshape(len(self.members), -1)     # (S, P); P = 1 if single
@@ -229,10 +229,7 @@ def _float_grades(families, name: str, floats: list) -> np.ndarray:
 def _tier_grades(fam, name: str, zs, single: bool) -> np.ndarray:
     """The tier `name` of k families equal to fam at premises zs (k, P):
     (k, n_rules) when single (P = 1), else (k, n_rules, P). One call per
-    grade function on all k P premises; or, for fewer than FEW_FLOATS
-    single premises, one call per premise, with a float."""
-    if single and len(zs) < FEW_FLOATS:
-        return _float_grades([fam] * len(zs), name, zs.reshape(-1).tolist())
+    grade function on all k P premises."""
     flat, shape = zs.reshape(-1), zs.shape[:1] if single else zs.shape
     return np.stack([mf(flat).reshape(shape) for mf in getattr(fam, name)],
                     axis=1)

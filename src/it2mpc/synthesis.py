@@ -60,11 +60,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lmis import (DecisionVars, FixedParams, _format_key,
+from .lmis import (DecisionVars, FixedParams, _format_key, _layout,
                    assemble_containment, assemble_decrease,
                    assemble_decrease_blended, assemble_invariance,
-                   assemble_invariance_blended, containment_sizes,
-                   vertex_keys, xi_slope)
+                   assemble_invariance_blended, containment_sizes)
 from .plant import (FieldError, LargeScaleSystem, _frozen, _Gains, _is_finite,
                     _is_integer, _shown)
 
@@ -239,10 +238,10 @@ class _Model:
     (unit gains, q = n_u n_x), gives every term: the gain-0 row of rule l
     (theta = A_l) is g0[l], and each unit row (theta = A_l + B_l E_k) less
     it is the K[k] column, the constant entries cancelling bit for bit. The
-    xi column is lmis.xi_slope. Models are made a layout group at a time
-    (_models): one assembly per family covers every member, and each
-    member's g0s, cols and slopes are its slices of the group's. Keys are
-    built once: vertex (l, m) l-major, invariance then decrease."""
+    xi column is the group layout's xi_slope. Models are made a layout group
+    at a time (_models): one assembly per family covers every member, and
+    each member's g0s, cols and slopes are its slices of the group's. Keys
+    are built once: vertex (l, m) l-major, invariance then decrease."""
 
     def __init__(self, system, params, i, cfg, g0s, cols, slopes):
         sub = system.subsystems[i]
@@ -251,11 +250,9 @@ class _Model:
         self.shifts = (0.0, cfg.strictness)
         self.q = sub.n_u * sub.n_x
         self.g0s, self.cols, self.slopes = g0s, cols, slopes
-        pairs = [(l, m) for l in range(sub.n_rules)
-                 for m in range(self.n_m)]
-        keys = [vertex_keys(origin, i, pairs)
-                for origin in ("invariance", "decrease")]
-        self.keys = [key for pair in zip(*keys) for key in pair]
+        self.keys = [_format_key(origin, i, (l, m))
+                     for l in range(sub.n_rules) for m in range(self.n_m)
+                     for origin in ("invariance", "decrease")]
 
     @functools.cached_property
     def rows(self) -> list:
@@ -318,13 +315,13 @@ def _models(system: LargeScaleSystem, params: FixedParams,
         dv = DecisionVars(gains=_Gains((units,) * n), xi=(0.0,) * n)
         ls, ms = [l for l in range(n_l) for _ in units], [*range(1 + q)] * n_l
         g0s, cols, slopes = [], [], []
-        for assemble in (assemble_invariance, assemble_decrease):
-            inst = assemble(system, params, dv, members, ls, ms)
-            tests = inst.test_matrix()
+        for family, assemble in (("invariance", assemble_invariance),
+                                 ("decrease", assemble_decrease)):
+            tests = assemble(system, params, dv, members, ls, ms).test_matrix()
             tests = tests.reshape(len(members), n_l, 1 + q, *tests.shape[2:])
             g0s.append(tests[:, :, 0])
             cols.append(tests[:, :, 1:] - tests[:, :, :1])
-            slopes.append(xi_slope(params, inst))
+            slopes.append(_layout(system, params, members).xi_slope(family))
         for s, i in enumerate(members):
             models[i] = _Model(system, params, i, cfg, [g[s] for g in g0s],
                                [c[s] for c in cols], [v[s] for v in slopes])
@@ -523,8 +520,8 @@ class _Part:
                             (v for pair in zip(*tops) for v in pair)))
             if self.peaks is not None:      # +inf when it cannot be computed
                 ell = xi_i ** 2 * self.peaks - model.u_max ** 2
-                part[f"input_peak[i={self.i}]"] = float(np.max(ell)) \
-                    if np.all(np.isfinite(ell)) else np.inf
+                part[_format_key("input_peak", self.i, None)] = float(
+                    np.max(ell)) if np.all(np.isfinite(ell)) else np.inf
             self._cache = (xi_i, part)
         return self._cache[1]
 

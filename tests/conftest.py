@@ -2,6 +2,7 @@
 and small synthetic systems used across the suite."""
 
 import dataclasses
+from importlib.metadata import version
 
 import numpy as np
 import pytest
@@ -360,3 +361,19 @@ def assemble_one(assemble, system, params, dv, i, *points):
     """Subsystem i's own stack from an lmis assembler: the one-member group
     (i,), as one_member gives it."""
     return one_member(assemble(system, params, dv, (i,), *points))
+
+
+def library_versions() -> dict:
+    """The installed numpy and scipy versions, as the float-hex pin files
+    (tests/data/*_pins.json) record them under "versions"; read from the
+    package metadata, so scipy is not imported."""
+    return {name: version(name) for name in ("numpy", "scipy")}
+
+
+def pin_environment(recorded: dict) -> str:
+    """A failing pin's message: the versions the pins were recorded under
+    and those running now (a new wheel may move the last bits)."""
+    def shown(versions):
+        return ", ".join(f"{name} {v}" for name, v in sorted(versions.items()))
+    return (f"pins recorded under {shown(recorded)}; running "
+            f"{shown(library_versions())}")

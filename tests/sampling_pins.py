@@ -1,6 +1,7 @@
 """The pinned cases of tests/test_sampling_pins.py, and the writer of their
-pins, tests/data/sampling_pins.json: the Monte-Carlo audit's reports, the
-and the disturbance sequences, every float as hex.
+pins, tests/data/sampling_pins.json: the Monte-Carlo audit's reports and
+the disturbance sequences, every float as hex, and the numpy and scipy
+versions they were written under.
 
 The pins fix the sampling path's random stream and arithmetic: any change
 that reorders a Generator call or rounds a draw differently moves them.
@@ -17,6 +18,7 @@ import numpy as np
 from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 from it2mpc.simulation import DisturbanceModel, rpi_monte_carlo
 
+from conftest import library_versions
 from test_rpi_batched import CASES
 
 PINS = Path(__file__).resolve().parent / "data" / "sampling_pins.json"
@@ -69,7 +71,8 @@ def main():
             for count in COUNTS:
                 reports[f"{case}/{seed}/{count}"] = hexed(rpi_monte_carlo(
                     system, params, dv, n_samples=count, seed=seed))
-    pins = {"rpi_monte_carlo": reports, "realize": realize_pins()}
+    pins = {"rpi_monte_carlo": reports, "realize": realize_pins(),
+            "versions": library_versions()}
     PINS.write_text(json.dumps(pins, separators=(",", ":")) + "\n")
 
 

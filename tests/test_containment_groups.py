@@ -19,7 +19,7 @@ from it2mpc.configio import (bundled_config_names, load_bundled_config,
                              load_certificate)
 from it2mpc.linalg import quad_form
 from it2mpc.lmis import (DecisionVars, FixedParams, assemble_containment,
-                         containment_size, containment_sizes)
+                         containment_sizes)
 from it2mpc.plant import LargeScaleSystem
 from it2mpc.synthesis import (FixedGainEvaluator, SynthesisConfig,
                               certificate_margins, minimize_xi)
@@ -72,10 +72,10 @@ def _check(system, params, dv, x_all):
 
     assert _hex(containment_sizes(params, x_all)) == \
         _hex(_per_subsystem_sizes(params, x_all))
-    for x_mat, x in zip(params.x_stacks, params.group_stacks(x_all)):
-        assert _hex(containment_size(x_mat, x)) == \
-            _hex(containment_size(m[None], v[None])[0]
-                 for m, v in zip(x_mat, x))
+    # each size is that of its subsystem's own one-member stack
+    assert _hex(containment_sizes(params, x_all)) == _hex(
+        containment_sizes(replace(params, X=(x,)), [v])[0]
+        for x, v in zip(params.X, x_all))
 
 
 def _certificates():
@@ -159,7 +159,6 @@ def test_group_instance_stacks_the_members_blocks():
     for members, x in zip(params.x_groups, params.group_stacks(x_all)):
         inst = assemble_containment(params, members, x, xi[list(members)])
         assert inst.subsystem == members
-        assert inst.keys == [f"containment[i={i}]" for i in members]
         for i, mat in zip(members, inst.matrix):
             np.testing.assert_array_equal(
                 mat, own_containment_block(params, i, x_all[i], xi[i]))

@@ -176,8 +176,8 @@ def test_unequal_structures_stack():
 # -- equal members are graded together ----------------------------------------
 # A FamilyStack splits its members into groups of equal families once, and
 # calls each grade object of a group once per tier, on all its members'
-# premises together (fewer than FEW_FLOATS single premises: once per
-# premise, with a float). Every grade must still be the member's own.
+# premises together (a stack of fewer than FEW_FLOATS single premises: once
+# per premise, with a float). Every grade must still be the member's own.
 
 COUNTS = collections.Counter()
 
@@ -268,11 +268,11 @@ def test_one_grade_call_per_distinct_family_tier_and_rule(n_samples):
     for tier in ("lower", "upper"):
         COUNTS.clear()
         got = getattr(stack, METHODS[tier])(zs)
-        # single premises: a group below FEW_FLOATS members grades each
-        # member's float apart
-        want = {f"{t}.{tier}.{rule}": 1 if n_samples or t == "m"
-                else tags.count(t) for t in set(tags) for rule in range(3)}
-        assert FEW_FLOATS <= tags.count("m")
+        # a stack of FEW_FLOATS members or more grades each group at once,
+        # single premises too, however few members the group has
+        want = {f"{t}.{tier}.{rule}": 1 for t in set(tags)
+                for rule in range(3)}
+        assert FEW_FLOATS <= len(tags)
         assert COUNTS == want
         for s, t in enumerate(tags):
             assert _hex(got[s]) == _hex(

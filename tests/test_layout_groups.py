@@ -4,8 +4,9 @@ A layout group (LargeScaleSystem.layout_groups) is a shape group split by
 the shape of its members' strict basis. The four lmis assemblers take a
 group as a tuple of members and emit one stack over every member and pair;
 each member's slice must equal that member's one-member assembly bit for
-bit: the matrices, the test matrices, the xi slopes and the keys. A verify
-builds one layout per layout group, and so does an evaluator build."""
+bit: the matrices, the test matrices and the xi slopes, which also equal
+a block-by-block reference as float hex. A verify builds one layout per
+layout group, and so does an evaluator build."""
 
 import dataclasses
 from pathlib import Path
@@ -16,12 +17,14 @@ import pytest
 from it2mpc import lmis
 from it2mpc.configio import (bundled_config_names, load_bundled_config,
                              load_certificate)
+from it2mpc.linalg import sym_matrix
 from it2mpc.lmis import (DecisionVars, assemble_decrease,
                          assemble_decrease_blended, assemble_invariance,
-                         assemble_invariance_blended, xi_slope)
+                         assemble_invariance_blended)
 from it2mpc.synthesis import FixedGainEvaluator, verify_certificate
 
 from conftest import build_tiny_system, tiny_params, two_layout_groups
+from ring import ring
 
 FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
            / "example1_certificate.json")
@@ -43,6 +46,8 @@ def _setup(case):
                                                                 [1.3])
     if case == "two_layout_groups":
         return two_layout_groups()[:3]
+    if case == "ring_12":
+        return ring(12)[:3]
     cfg = load_bundled_config(case)
     gains = cfg.gains or load_bundled_config("example1").gains
     n = cfg.system.n_subsystems
@@ -78,17 +83,16 @@ def test_group_stack_equals_each_members_own(case):
     for members in system.layout_groups:
         for assemble, points in _points(system, members, rng).items():
             group = assemble(system, params, dv, members, *points)
-            tests, slopes = group.test_matrix(), xi_slope(params, group)
-            n = group.matrix.shape[1]
+            tests = group.test_matrix()
+            slopes = lmis._layout(system, params, members).xi_slope(
+                group.origin)
             assert group.matrix.shape[0] == tests.shape[0] == len(members)
-            assert len(group.keys) == len(members) * n
             for s, i in enumerate(members):
                 own = assemble(system, params, dv, (i,), *points)
                 np.testing.assert_array_equal(group.matrix[s], own.matrix[0])
                 np.testing.assert_array_equal(tests[s], own.test_matrix()[0])
-                np.testing.assert_array_equal(slopes[s],
-                                              xi_slope(params, own)[0])
-                assert group.keys[s * n:(s + 1) * n] == own.keys
+                np.testing.assert_array_equal(slopes[s], lmis._layout(
+                    system, params, (i,)).xi_slope(own.origin)[0])
                 assert own.subsystem == (i,)
                 if own.strict_basis is None:
                     assert group.strict_basis is None
@@ -96,6 +100,56 @@ def test_group_stack_equals_each_members_own(case):
                     np.testing.assert_array_equal(group.strict_basis[s],
                                                   own.strict_basis[0])
             assert group.subsystem == members
+
+
+def _reference_xi_slope(params, inst):
+    """The xi slope per member, block by block: -lam N I on the disturbance
+    block for invariance, -tau I there and +Q on the state block for
+    decrease, compressed by the member's strict basis."""
+    n_d, n_x = inst.slot_dims[:2]
+    size = sum(inst.slot_dims)
+    slope = np.zeros((len(inst.subsystem), size, size))
+    for s, i in enumerate(inst.subsystem):
+        if inst.origin == "invariance":
+            slope[s, :n_d, :n_d] = -params.lam[i] * params.N_const[i] \
+                * np.eye(n_d)
+        else:
+            slope[s, :n_d, :n_d] = -params.tau[i] * np.eye(n_d)
+            slope[s, n_d:n_d + n_x, n_d:n_d + n_x] = params.q_mat(i)
+    if inst.strict_basis is None:
+        return slope
+    basis = inst.strict_basis
+    return sym_matrix(basis.swapaxes(-1, -2) @ slope @ basis)
+
+
+def _hex(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+def _two_disturbances():
+    """The tiny plant with each rule's E (2, 1) doubled to [E E]: a 2 x 2
+    disturbance block, with off-diagonal entries, and no strict basis,
+    whose compression would symmetrize them."""
+    system, params, dv = _setup("tiny")
+    sub = system.subsystems[0]
+    rules = tuple(dataclasses.replace(r, E=np.hstack([r.E, r.E]))
+                  for r in sub.rules)
+    return dataclasses.replace(system, subsystems=(
+        dataclasses.replace(sub, rules=rules),)), params, dv
+
+
+@pytest.mark.parametrize("case", [*CASES, "ring_12", "two_disturbances"])
+def test_layout_xi_slope_equals_the_block_reference(case):
+    # as float hex, so the d block's off-diagonal -0.0 entries count too
+    system, params, dv = _two_disturbances() if case == "two_disturbances" \
+        else _setup(case)
+    for members in system.layout_groups:
+        layout = lmis._layout(system, params, members)
+        for assemble in (assemble_invariance, assemble_decrease):
+            inst = assemble(system, params, dv, members, [0], [0])
+            got = layout.xi_slope(inst.origin)
+            assert got.shape == (len(members),) + inst.test_matrix().shape[2:]
+            assert _hex(got) == _hex(_reference_xi_slope(params, inst))
 
 
 @pytest.mark.parametrize("members", [0, [0], (), (0, 3), (3,)])
@@ -112,7 +166,6 @@ def test_one_layout_group_of_members_at_once():
         assemble_decrease(system, params, dv, (0, 1), [0], [0])
     inst = assemble_decrease(system, params, dv, (2, 1), [0], [0])
     assert inst.subsystem == (2, 1)
-    assert inst.keys == ["decrease[i=2,l=0,m=0]", "decrease[i=1,l=0,m=0]"]
 
 
 def _count_layouts(monkeypatch):

@@ -15,9 +15,11 @@ from it2mpc.linalg import (
     min_eig,
     quad_form,
     schur_reduce,
+    singular,
     sym_eig,
     sym_matrix,
 )
+from it2mpc.lmis import FixedParams
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -235,6 +237,26 @@ class TestSchurReduce:
         m = np.array([[1.0, 0.5], [0.5, 0.0]])
         with pytest.raises(SingularBlockError):
             schur_reduce(m, split=1)
+
+    def test_singular_rule_at_the_threshold(self):
+        # min |lambda| <= 1e-12 max(1, max |lambda|): with eigenvalues 4 and
+        # t the threshold is 4e-12, so 2e-12 is singular and 8e-12 is not,
+        # for the trailing block here and for a shape matrix X_i alike
+        for t, want in ((2e-12, True), (8e-12, False)):
+            block = np.diag([4.0, t])
+            assert singular(np.linalg.eigvalsh(block)) is want
+            m = np.eye(3)
+            m[1:, 1:] = block
+            params = FixedParams(X=[block], lam=[0.5], N_const=[1.0],
+                                 M=[np.eye(1)], tau=[1.0], Q=np.eye(2),
+                                 R=np.eye(1))
+            for call in (lambda: schur_reduce(m, split=1),
+                         lambda: params.shape_inverses):
+                if want:
+                    with pytest.raises(SingularBlockError):
+                        call()
+                else:
+                    call()
 
     def test_split_bounds(self):
         with pytest.raises(InvalidMatrixError):

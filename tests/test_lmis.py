@@ -376,8 +376,6 @@ class TestInvarianceOracle:
         inst = assemble_one(assemble_invariance, system, params, dv, 0, [0],
                             [0])
         assert inst.origin == "invariance"
-        assert inst.vertex == ((0, 0),)
-        assert inst.keys == ["invariance[i=0,l=0,m=0]"]
         assert sum(inst.slot_dims) == inst.matrix.shape[1]
 
 
@@ -470,13 +468,11 @@ class TestStackedBlendedAssembly:
                 np.testing.assert_array_equal(tests[p],
                                               single.test_matrix()[0])
             assert stacked.slot_dims == single.slot_dims
-            assert stacked.keys == single.keys * len(w)
 
 
 class TestStackedVertexAssembly:
     """Index sequences l, m assemble to exactly the one-vertex stacks'
-    matrices, bit for bit, and after strict compression, with one key per
-    matrix in pair order."""
+    matrices, bit for bit, and after strict compression, in pair order."""
 
     @pytest.mark.parametrize("name", bundled_config_names())
     @pytest.mark.parametrize("assemble", [assemble_invariance,
@@ -495,7 +491,6 @@ class TestStackedVertexAssembly:
                        for l, m in pairs]
             for p, single in enumerate(singles):
                 assert single.matrix.shape == (1,) + stacked.matrix.shape[1:]
-                assert len(single.keys) == 1
                 np.testing.assert_array_equal(stacked.matrix[p],
                                               single.matrix[0])
                 np.testing.assert_array_equal(tests[p],
@@ -506,8 +501,6 @@ class TestStackedVertexAssembly:
                 else:
                     np.testing.assert_array_equal(stacked.strict_basis,
                                                   single.strict_basis)
-            assert stacked.keys == [s.keys[0] for s in singles]
-            assert stacked.vertex == tuple(pairs)
 
     def test_theta_vertex_stack(self):
         # the closed-loop vertex matrices A_l + B_l K_m a vertex stack is

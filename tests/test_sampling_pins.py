@@ -15,6 +15,7 @@ from it2mpc.simulation import DisturbanceModel, rpi_monte_carlo
 
 pytest.importorskip("hypothesis")       # test_rpi_batched, whose cases these are
 import sampling_pins as pins  # noqa: E402
+from conftest import pin_environment  # noqa: E402
 
 PINS = json.loads(pins.PINS.read_text())
 CASES = pins.CASES
@@ -28,13 +29,15 @@ def test_audit_reports_are_pinned(case):
             got = pins.hexed(rpi_monte_carlo(system, params, dv,
                                              n_samples=count, seed=seed))
             assert got == PINS["rpi_monte_carlo"][f"{case}/{seed}/{count}"], \
-                (seed, count)
+                f"seed {seed}, count {count}: " + pin_environment(
+                    PINS["versions"])
 
 
 @pytest.mark.parametrize("name", ["example1", "mixed_dims", "zero_radius"])
 @pytest.mark.parametrize("kind", ["uniform_ball", "worst_case_boundary"])
 def test_disturbance_sequences_are_pinned(name, kind):
-    assert pins.realize_hex(name, kind) == PINS["realize"][f"{name}/{kind}"]
+    assert pins.realize_hex(name, kind) == \
+        PINS["realize"][f"{name}/{kind}"], pin_environment(PINS["versions"])
 
 
 def test_zero_radius_balls_stay_at_the_origin():

@@ -68,11 +68,12 @@ def _reference_margins(system, params, dv, x_all, cfg):
             for m in range(sub.n_controller_rules):
                 inv = assemble_one(assemble_invariance, system, params, dv, i,
                                    [l], [m])
-                want[inv.keys[0]] = max_eig(inv.test_matrix()[0])
+                want[f"invariance[i={i},l={l},m={m}]"] = max_eig(
+                    inv.test_matrix()[0])
                 dec = assemble_one(assemble_decrease, system, params, dv, i,
                                    [l], [m])
-                want[dec.keys[0]] = max_eig(dec.test_matrix()[0]) \
-                    + cfg.strictness
+                want[f"decrease[i={i},l={l},m={m}]"] = max_eig(
+                    dec.test_matrix()[0]) + cfg.strictness
         if sub.u_max is not None:
             x_inv = np.linalg.solve(params.X[i], np.eye(sub.n_x))
             peaks = np.array([np.diag(k @ x_inv @ k.T) for k in dv.gains[i]])
@@ -583,23 +584,17 @@ class TestStackedVertexCallers:
 
     @pytest.mark.parametrize("name", [None, *bundled_config_names()])
     def test_model_keys_name_the_vertex_assemblies(self, name):
-        # vertex (l, m) l-major, its invariance key then its decrease key,
-        # as the one-vertex stacks name them
+        # vertex (l, m) l-major, its invariance key then its decrease key
         if name is None:
             system, params = build_tiny_system(), tiny_params()
         else:
             cfg = load_bundled_config(name)
             system, params = cfg.system, cfg.params
-        n = system.n_subsystems
-        dv = DecisionVars(gains=[[np.zeros((s.n_u, s.n_x))]
-                                 * s.n_controller_rules
-                                 for s in system.subsystems], xi=[1.0] * n)
         for i, sub in enumerate(system.subsystems):
-            want = [assemble_one(assemble, system, params, dv, i, [l],
-                                 [m]).keys[0]
+            want = [f"{origin}[i={i},l={l},m={m}]"
                     for l in range(sub.n_rules)
                     for m in range(sub.n_controller_rules)
-                    for assemble in (assemble_invariance, assemble_decrease)]
+                    for origin in ("invariance", "decrease")]
             assert _models(system, params, CFG)[i].keys == want
 
     def test_certificate_margins_match_per_vertex_loop(self):

@@ -12,8 +12,10 @@ import json
 import pytest
 
 import trace_pins as pins
+from conftest import pin_environment
 
 PINS = json.loads(pins.PINS.read_text())
+VERSIONS = PINS.pop("versions")
 
 
 def test_every_case_is_pinned():
@@ -22,7 +24,7 @@ def test_every_case_is_pinned():
 
 @pytest.mark.parametrize("case", sorted(PINS))
 def test_trace_digest_is_pinned(case):
-    assert pins.case_digest(case) == PINS[case]
+    assert pins.case_digest(case) == PINS[case], pin_environment(VERSIONS)
 
 
 def test_values_and_costs_are_python_floats():

@@ -11,8 +11,10 @@ import json
 import pytest
 
 import verify_pins as pins
+from conftest import pin_environment
 
 PINS = json.loads(pins.PINS.read_text())
+VERSIONS = PINS.pop("versions")
 
 
 def test_every_case_is_pinned():
@@ -21,8 +23,8 @@ def test_every_case_is_pinned():
 
 @pytest.mark.parametrize("case", sorted(PINS))
 def test_verify_report_is_pinned(case):
-    assert pins.case_pin(case) == PINS[case]
+    assert pins.case_pin(case) == PINS[case], pin_environment(VERSIONS)
 
 
 def test_writer_reproduces_the_file():
-    assert pins.text() == pins.PINS.read_text()
+    assert pins.text() == pins.PINS.read_text(), pin_environment(VERSIONS)

@@ -1,7 +1,8 @@
 """The pinned cases of tests/test_trace_pins.py, and the writer of their
 pins, tests/data/trace_pins.json: one sha256 digest per closed-loop case.
 
-A case is a bundled config and a gain source, run at every disturbance
+The file also records, under "versions", the numpy and scipy versions it
+was written under. A case is a bundled config and a gain source, run at every disturbance
 seed, kind and step count below. Its digest covers, for each run, the
 trace's states, inputs, disturbances, model and controller weights,
 certificate values V, stage costs psi, set sizes and worst margins as float
@@ -26,6 +27,8 @@ import numpy as np
 from it2mpc.configio import bundled_config_names, load_bundled_config, load_certificate
 from it2mpc.simulation import (DisturbanceModel, InitialInfeasible, iss_check,
                                run_online_loop)
+
+from conftest import library_versions
 
 PINS = Path(__file__).resolve().parent / "data" / "trace_pins.json"
 CERTIFICATE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -128,6 +131,7 @@ def case_digest(case: str) -> str:
 
 def main():
     pins = {case: case_digest(case) for case in cases()}
+    pins["versions"] = library_versions()
     PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
 
 

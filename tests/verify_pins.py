@@ -6,7 +6,9 @@ worst, every float as hex, and its feasible verdict. The cases are the
 stored example1 certificate with and without its initial state, the cold
 example1_synthesis certificates of both set-size modes, example2_stabilized's
 config gains at xi = 1, the tiny plant, a system of two layout groups and
-the ring of 12 copies of example1_synthesis (tests/ring.py).
+the ring of 12 copies of example1_synthesis (tests/ring.py). The file
+also records, under "versions", the numpy and scipy versions it was
+written under.
 
 The pins fix the re-check bit for bit: any change that rounds an assembled
 matrix or an eigenvalue differently moves them. Regenerate only on purpose,
@@ -25,7 +27,8 @@ from it2mpc.configio import load_bundled_config, load_certificate
 from it2mpc.lmis import DecisionVars
 from it2mpc.synthesis import SynthesisConfig, minimize_xi, verify_certificate
 
-from conftest import build_tiny_system, tiny_params, two_layout_groups
+from conftest import (build_tiny_system, library_versions, tiny_params,
+                      two_layout_groups)
 from ring import ring
 
 PINS = Path(__file__).resolve().parent / "data" / "verify_pins.json"
@@ -103,6 +106,7 @@ def case_pin(case: str) -> dict:
 def text() -> str:
     """The pins file's text, as main writes it."""
     pins = {case: case_pin(case) for case in CASES}
+    pins["versions"] = library_versions()
     return json.dumps(pins, indent=1, sort_keys=True) + "\n"
 
 
