@@ -83,6 +83,9 @@ def cmd_simulate(args) -> int:
         cfg.system, cfg.params, sim.x0, steps, dist=dist, resynth=resynth,
         syn_cfg=syn_cfg, gains=gains, Ts=cfg.Ts, mu_bar=sim.mu_bar,
         mode=sim.mode, rho_bar=sim.rho_bar, xi_mode=syn_cfg.xi_mode)
+    if args.out:    # the file first: a closed stdout must not lose it
+        side = write_trace(trace, args.out)
+        print(f"trace written to {args.out} (summary: {side})")
 
     label = cfg.name or args.config
     mode_desc = "supplied gains" if gains is not None else f"resynth={resynth}"
@@ -102,9 +105,6 @@ def cmd_simulate(args) -> int:
         print(f"  dissipation check: {report['n_checked']} steps, "
               f"{len(report['violations'])} violations, "
               f"worst slack {report['worst_slack']:.3g}")
-    if args.out:
-        side = write_trace(trace, args.out)
-        print(f"  trace written to {args.out} (summary: {side})")
     return EXIT_OK
 
 
@@ -115,6 +115,11 @@ def cmd_synthesize(args) -> int:
     result = minimize_xi(cfg.system, cfg.params, cfg.simulation.x0,
                          syn_cfg, mode=mode)
     worst = max(result.margins.values())
+    if args.out:
+        save_certificate(result.dv, args.out, margins=result.margins,
+                         meta={"config": cfg.name, "xi_mode": mode,
+                               "solves": result.solves})
+        print(f"certificate written to {args.out}")
     print(f"synthesis feasible: xi = {_fmt_list(result.dv.xi)} ({mode} mode)")
     for i, (xi, lower) in enumerate(zip(result.dv.xi, result.xi_lower)):
         print(f"  xi[{i + 1}] = {xi:.9g} >= {lower:.9g} (proven lower bound)")
@@ -124,11 +129,6 @@ def cmd_synthesize(args) -> int:
         for m, k in enumerate(g):
             print(f"  gain[{i + 1}][{m + 1}] = "
                   f"{np.array2string(np.asarray(k), precision=6)}")
-    if args.out:
-        save_certificate(result.dv, args.out, margins=result.margins,
-                         meta={"config": cfg.name, "xi_mode": mode,
-                               "solves": result.solves})
-        print(f"  certificate written to {args.out}")
     return EXIT_OK
 
 
@@ -138,8 +138,17 @@ def cmd_verify(args) -> int:
     x_all = None if args.no_containment else cfg.simulation.x0
     report = verify_certificate(cfg.system, cfg.params, dv, x_all=x_all,
                                 cfg=cfg.synthesis)
-    if args.tol is not None:
-        report["feasible"] = report["worst"] <= args.tol
+    # --tol loosens the margins' verdict, never the disturbance budget's
+    tol, below = args.tol or 0.0, report["below_budget"]
+    report["feasible"] = report["worst"] <= tol and not below
+    if args.out:
+        doc = {"feasible": bool(report["feasible"]),
+               "worst": float(report["worst"]),
+               "blended_worst": float(report["blended_worst"]),
+               "below_budget": below,
+               "margins": {k: float(v) for k, v in report["margins"].items()}}
+        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+        print(f"full margin report written to {args.out}")
     by_origin: dict = {}
     for key, margin in report["margins"].items():
         origin = key.split("[", 1)[0]
@@ -147,19 +156,16 @@ def cmd_verify(args) -> int:
     for origin in sorted(by_origin):
         print(f"  {origin:<22} worst margin {by_origin[origin]: .3e}")
     print(f"  blended-grid sweep     worst margin {report['blended_worst']: .3e}")
+    budget = ("set size below its disturbance budget N_i eta_i^2 at "
+              f"subsystem(s) {', '.join(str(i + 1) for i in below)}"
+              if below else "every set size covers N_i eta_i^2")
+    print(f"  disturbance budget     {budget}")
     verdict = "FEASIBLE" if report["feasible"] else "INFEASIBLE"
     print(f"certificate on {cfg.name or args.config!r}: {verdict} "
           f"(overall worst {report['worst']:.3e})")
-    if args.out:
-        doc = {"feasible": bool(report["feasible"]),
-               "worst": float(report["worst"]),
-               "blended_worst": float(report["blended_worst"]),
-               "margins": {k: float(v) for k, v in report["margins"].items()}}
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"  full margin report written to {args.out}")
     if not report["feasible"]:
-        _diag("infeasible", "certificate conditions violated",
-              worst=float(report["worst"]))
+        _diag("infeasible", budget if below else
+              "certificate conditions violated", worst=float(report["worst"]))
         return EXIT_INFEASIBLE
     return EXIT_OK
 

@@ -16,11 +16,11 @@ parts [E theta]'(Lam (x) X)[E theta] with Lam = [[1, 1], [1, n]] and k'Mk,
 which are matrix-convex, so vertex enforcement over every (model rule,
 controller rule) pair covers the blended matrices
 (synthesis.verify_certificate states the lemma; its membership-grid sweep
-re-checks it). Every invariance and decrease assembler takes a layout group
-as a tuple of members, and stacks (vertex index sequences or weight
-stacks) shared by them; containment takes a group of equal-shape X_i and
-its states. Each returns one LMIInstance of a stack of matrices with a
-leading member axis; a margin's key comes from _format_key alone.
+re-checks it). Every assembler takes a layout group as a tuple of members,
+and stacks shared by them (vertex index sequences or weight stacks) or, for
+containment, their states. Each returns one LMIInstance of a stack of
+matrices with a leading member axis; a margin's key comes from _format_key
+alone.
 
 Layout. A layout group is a plant shape group (LargeScaleSystem.
 layout_groups, by the grouping rule of the step's shape groups) split
@@ -37,16 +37,16 @@ members' constants. Its `stack` emits either family for every member at
 once, for a whole stack of vertices or blends, from a constant template
 plus a handful of batched products, and symmetrizes once; its `xi_slope`
 is either family's constant xi column, compressed as the test matrices
-are. Every entry is
-the one a block-by-block assembly of its own subsystem computes, by the
-same products in the same order: each stacked product is one BLAS call per
-matrix with the operands of that matrix, so a group's stack equals its
-members' one-member stacks bit for bit; factors of 1/2 move only where
-scaling by them is exact (the tests keep that assembly as a reference). A
-layout is built once per system and constants and kept on the constants
-(FixedParams._layouts), so the four assemblers, the names the benchmark's
-layer tracer (perfbench/tracer.py) binds, share it: a certificate check
-builds one layout per layout group, not one per assembly.
+are, and its checked stack of the members' X_i^{-1} serves containment.
+Every entry is the one a block-by-block assembly of its own subsystem
+computes, by the same products in the same order: each stacked product is
+one BLAS call per matrix with the operands of that matrix, so a group's
+stack equals its members' one-member stacks bit for bit; factors of 1/2
+move only where scaling by them is exact (the tests keep that assembly as
+a reference). A layout is built once per system and constants and kept on
+the constants (FixedParams._layouts), so the five assemblers, the names
+the benchmark's layer tracer (perfbench/tracer.py) binds, share it: a
+certificate check builds one layout per layout group, not one per assembly.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ from .plant import (LargeScaleSystem, _as_gains, _frozen, _is_finite, _shown,
 class FixedParams:
     """Offline-stage constants shared by every assembled condition: a value
     as the plant is (read-only float copies and tuples; a changed one is a
-    new object, made with dataclasses.replace), whose groups of equal-shape
-    X_i and tables of X are built once, on first use. validate() is an
-    explicit call, and a passing verdict is kept on the value."""
+    new object, made with dataclasses.replace), whose tables of X are built
+    once, on first use. validate() is an explicit call, and a passing
+    verdict is kept on the value."""
 
     X: tuple                # per-subsystem shape matrices, positive definite
     lam: tuple              # per-subsystem decay weights, each in (0, 1)
@@ -90,73 +90,33 @@ class FixedParams:
     def __deepcopy__(self, memo):   # numpy's deep copy would be writable
         return replace(self)        # fresh read-only copies, no tables yet
 
-    @cached_property
-    def x_groups(self) -> tuple:
-        """The groups of equal-shape X_i, in the order of their first
-        members: a tuple of subsystem indices each. Every table of X, the
-        containment sizes and the containment blocks are made per group."""
-        groups = {}
-        for i, x in enumerate(self.X):
-            groups.setdefault(x.shape, []).append(i)
-        return tuple(map(tuple, groups.values()))
-
-    @cached_property
-    def x_stacks(self) -> tuple:
-        """Per group of x_groups: its X_i stacked, read-only (k, n, n)."""
-        return tuple(_frozen([self.X[i] for i in members])
-                     for members in self.x_groups)
-
-    def group_stacks(self, per_subsystem) -> list:
-        """Per group of x_groups: its members' entries of per_subsystem (a
-        state per subsystem, say) stacked as one float array."""
-        return [np.array([per_subsystem[i] for i in members], dtype=float)
-                for members in self.x_groups]
-
-    def ungroup(self, per_group) -> list:
-        """Per subsystem: its entry of per_group, one sequence per group of
-        x_groups with one entry per member (group_stacks undone)."""
-        out = [None] * self.n_subsystems
-        for members, entries in zip(self.x_groups, per_group):
-            for i, entry in zip(members, entries):
-                out[i] = entry
-        return out
-
     def _x_table(self, table) -> tuple:
-        """Per group of x_groups, read-only table(stack), from one call of
-        table on the group's stack (k, n, n). A stacked LAPACK call runs per
-        matrix, so each entry is that of X_i's own call."""
-        return tuple(_frozen(table(stack)) for stack in self.x_stacks)
+        """Per subsystem: read-only table(X_i), from one call of table on
+        the stack (k, n, n) of each shape's X_i; a stacked LAPACK call runs
+        per matrix, so each entry is that of X_i's own call."""
+        shapes, out = {}, [None] * self.n_subsystems
+        for i, x in enumerate(self.X):
+            shapes.setdefault(x.shape, []).append(i)
+        for members in shapes.values():
+            stack = _frozen(table(np.array([self.X[i] for i in members])))
+            for i, entry in zip(members, stack):
+                out[i] = entry
+        return tuple(out)
 
     @cached_property
     def x_eigs(self) -> tuple:
         """Per subsystem: X_i's eigenvalues, ascending."""
-        return tuple(self.ungroup(
-            self._x_table(lambda x: np.linalg.eigvalsh(sym_matrix(x)))))
-
-    @cached_property
-    def x_inv_stacks(self) -> tuple:
-        """Per group of x_groups: its X_i^{-1} = solve(X_i, I) stacked."""
-        return self._x_table(lambda x: np.linalg.solve(x, np.eye(x.shape[-1])))
+        return self._x_table(lambda x: np.linalg.eigvalsh(sym_matrix(x)))
 
     @cached_property
     def x_inv(self) -> tuple:
-        """Per subsystem: X_i^{-1}, a view of its group's x_inv_stacks."""
-        return tuple(self.ungroup(self.x_inv_stacks))
+        """Per subsystem: X_i^{-1} = solve(X_i, I)."""
+        return self._x_table(lambda x: np.linalg.solve(x, np.eye(x.shape[-1])))
 
     @cached_property
     def x_inv_sqrt(self) -> tuple:
         """Per subsystem: X_i^{-1/2}, mapping the unit ball onto x' X_i x <= 1."""
-        return tuple(self.ungroup(self._x_table(inv_sqrt)))
-
-    @cached_property
-    def shape_inverses(self) -> tuple:
-        """x_inv_stacks for the containment blocks, once no X_i is singular
-        to working precision: the one place that test runs. SingularBlockError
-        when one is (no containment block is defined then)."""
-        if any(map(singular, self.x_eigs)):
-            raise SingularBlockError(
-                "shape matrix is singular; containment undefined")
-        return self.x_inv_stacks
+        return self._x_table(inv_sqrt)
 
     @cached_property
     def _layouts(self) -> dict:
@@ -384,6 +344,9 @@ class _Layout:
             for seq in (params.lam, params.N_const, params.tau))
         self.q = np.array([params.q_mat(i) for i in members])
         self.m = np.array([params.M[i] for i in members])
+        # the members' X_i^{-1}; None if one is singular (the only such test)
+        self.x_inv = None if any(singular(params.x_eigs[i]) for i in members) \
+            else np.array([params.x_inv[i] for i in members])
 
     def slot_dims(self, family: str) -> tuple:
         """[d | x_i | x_j (sorted j) | slack tail]: the tail is (n_u, n_x)
@@ -596,27 +559,38 @@ def assemble_decrease_blended(system, params, dv, members, w,
     return _blended_instance(system, params, dv, members, w, h, "decrease")
 
 
-def containment_sizes(params: FixedParams, x_all) -> list:
+def _per_layout_group(system: LargeScaleSystem, per_subsystem,
+                      values) -> list:
+    """Per subsystem: its entry of values(members, stacked), called per group
+    of system.layout_groups on its members' entries of per_subsystem."""
+    out = [None] * system.n_subsystems
+    for members in system.layout_groups:
+        stacked = np.array([per_subsystem[i] for i in members], dtype=float)
+        for i, value in zip(members, values(members, stacked)):
+            out[i] = value
+    return out
+
+
+def containment_sizes(system: LargeScaleSystem, params: FixedParams,
+                      x_all) -> list:
     """Per subsystem: the smallest set size whose set {x' (X_i/xi) x <= xi}
     holds its state x_all[i], sqrt(x' X_i x), from one stacked call per
-    group of equal-shape X_i, each bit for bit its own one-member call."""
-    return params.ungroup(
-        np.sqrt(quad_form(x, x_mat)).tolist()
-        for x_mat, x in zip(params.x_stacks, params.group_stacks(x_all)))
+    layout group, each bit for bit its own one-member call."""
+    return _per_layout_group(system, x_all, lambda members, x: np.sqrt(
+        quad_form(x, _layout(system, params, members).x)).tolist())
 
 
-def assemble_containment(params: FixedParams, members, x, xi) -> LMIInstance:
+def assemble_containment(system: LargeScaleSystem, params: FixedParams,
+                         members, x, xi) -> LMIInstance:
     """State-containment certificates [[xi_i, x_i'], [x_i, X_i^{-1} xi_i]]
-    >= 0, each equivalent to x_i' (X_i/xi_i) x_i <= xi_i, of the members of
-    a group of params.x_groups, from their states stacked (k, n) and their
-    k set sizes: one instance whose matrix is the stack (k, n + 1, n + 1)
-    of the members' blocks. X_i^{-1} is the checked params.shape_inverses."""
-    inverses = params.shape_inverses    # raises when an X_i is singular
-    if not isinstance(members, tuple) or members not in params.x_groups:
-        raise ValueError(f"{members!r} is no shape group of the constants; "
-                         "expected a group of params.x_groups (a tuple of "
-                         f"subsystem indices), one of {params.x_groups}")
-    inv = inverses[params.x_groups.index(members)]
+    >= 0, each equivalent to x_i' (X_i/xi_i) x_i <= xi_i, of the members (a
+    tuple of subsystem indices within one group of system.layout_groups),
+    from their states stacked (k, n) and their k set sizes: one instance
+    whose matrix is the stack (k, n + 1, n + 1) of the members' blocks.
+    X_i^{-1} is the layout's checked stack of params.x_inv."""
+    inv = _layout(system, params, members).x_inv
+    if inv is None:
+        raise SingularBlockError("singular X_i; containment undefined")
     xi, x = np.asarray(xi, dtype=float), np.asarray(x, dtype=float)
     size = x.shape[-1] + 1
     mat = np.empty((len(xi), size, size))

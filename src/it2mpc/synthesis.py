@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lmis import (DecisionVars, FixedParams, _format_key, _layout,
-                   assemble_containment, assemble_decrease,
+                   _per_layout_group, assemble_containment, assemble_decrease,
                    assemble_decrease_blended, assemble_invariance,
                    assemble_invariance_blended, containment_sizes)
 from .plant import (FieldError, LargeScaleSystem, _frozen, _Gains, _is_finite,
@@ -246,6 +246,7 @@ class _Model:
     def __init__(self, system, params, i, cfg, g0s, cols, slopes):
         sub = system.subsystems[i]
         self.i, self.u_max, self.params = i, sub.u_max, params
+        self.system = system    # for the layouts containment reads
         self.n_m, self.shape = sub.n_controller_rules, (sub.n_u, sub.n_x)
         self.shifts = (0.0, cfg.strictness)
         self.q = sub.n_u * sub.n_x
@@ -346,11 +347,18 @@ def solve_fixed_xi(system: LargeScaleSystem, params: FixedParams, xi,
     return DecisionVars(gains=gains, xi=map(float, xi_list))
 
 
+def _budgets(system: LargeScaleSystem, params: FixedParams) -> list:
+    """Per subsystem, its disturbance budget N_i eta_i^2: the least set size
+    whose certificate covers d'd <= eta_i^2, the configured bound."""
+    return [n_i * sub.eta ** 2
+            for n_i, sub in zip(params.N_const, system.subsystems)]
+
+
 def _floors(system: LargeScaleSystem, params: FixedParams, x_all) -> list:
     """Per subsystem, the floor _settle sizes it on: its state's containment
-    size sqrt(x_i' X_i x_i), at least its disturbance budget N_i eta_i^2."""
-    return [max(v, n_i * sub.eta ** 2) for v, n_i, sub in zip(
-        containment_sizes(params, x_all), params.N_const, system.subsystems)]
+    size sqrt(x_i' X_i x_i), at least its disturbance budget."""
+    return list(map(max, containment_sizes(system, params, x_all),
+                    _budgets(system, params)))
 
 
 def _settle(parts, floor):
@@ -564,17 +572,14 @@ class FixedGainEvaluator:
         """Signed excesses of every condition at set sizes xi, keyed by
         instance (containment only when the state x_all is given); at
         xi_ref these are certificate_margins. The containment blocks are
-        one stacked assembly and one eigensolve per group of equal-shape
-        X_i (FixedParams.x_groups)."""
+        one stacked assembly and one eigensolve per layout group."""
         out, keys, lows = {}, self._containment_keys, None
         if x_all is not None:
-            params = self.parts[0].model.params
-            lows = params.ungroup(
+            model = self.parts[0].model
+            lows = _per_layout_group(model.system, x_all, lambda members, x: (
                 np.linalg.eigvalsh(assemble_containment(
-                    params, members, x, [xi[i] for i in members]).matrix
-                )[:, 0].tolist()
-                for members, x in zip(params.x_groups,
-                                      params.group_stacks(x_all)))
+                    model.system, model.params, members, x,
+                    [xi[i] for i in members]).matrix)[:, 0].tolist()))
         for part, xi_i in zip(self.parts, xi):
             out.update(part.margins(xi_i))
             if lows is not None:
@@ -664,7 +669,9 @@ def verify_certificate(system: LargeScaleSystem, params: FixedParams,
     its own stack would. A stack whose rows all tie costs three
     factorizations and one stacked eigensolve; one tied row among N costs
     about 2 log2 N factorizations and one single-row eigensolve.
-    Returns {"margins", "blended_worst", "worst", "feasible"}."""
+    Returns {"margins", "blended_worst", "worst", "below_budget",
+    "feasible"}: below_budget the subsystems whose xi_i is below their
+    disturbance budget (_budgets); feasible needs it empty and worst <= 0."""
     cfg = cfg or SynthesisConfig()
     dv.validate()
     margins = certificate_margins(system, params, dv, x_all, cfg)
@@ -716,5 +723,8 @@ def verify_certificate(system: LargeScaleSystem, params: FixedParams,
                 top = np.linalg.eigvalsh(tests)[:, -1] + shift
                 blended_worst = max(blended_worst, float(np.max(top)))
     worst = max(max(margins.values()), blended_worst)
+    below = [i for i, (xi_i, budget) in enumerate(zip(
+        dv.xi, _budgets(system, params))) if xi_i < budget]
     return {"margins": margins, "blended_worst": blended_worst,
-            "worst": worst, "feasible": worst <= 0.0}
+            "worst": worst, "below_budget": below,
+            "feasible": worst <= 0.0 and not below}

@@ -292,11 +292,27 @@ def budget_floors(system, params, x_all):
             for i, (x, sub) in enumerate(zip(x_all, system.subsystems))]
 
 
+def lone_system(n_x):
+    """One uncoupled subsystem of state dim n_x (one zero rule): a plant
+    for constants whose one X is n_x x n_x, enough for its containment
+    block, which reads only X and the state."""
+    rule = Rule(A=np.zeros((n_x, n_x)), B=np.zeros((n_x, 1)),
+                E=np.zeros((n_x, 1)))
+    return LargeScaleSystem(subsystems=(Subsystem(rules=(rule,)),))
+
+
+def containment_block(params, x, xi):
+    """The containment block of the one subsystem of `params` at state x
+    and set size xi: the one-member stack on lone_system."""
+    system = lone_system(len(params.X[0]))
+    return assemble_containment(system, params, (0,), [x], [xi]).matrix[0]
+
+
 def own_containment_block(params, i, x_i, xi_i):
     """Subsystem i's containment block assembled alone: the one-member
     stack of constants that hold X_i only."""
-    alone = dataclasses.replace(params, X=(params.X[i],))
-    return assemble_containment(alone, (0,), [x_i], [xi_i]).matrix[0]
+    return containment_block(dataclasses.replace(params, X=(params.X[i],)),
+                             x_i, xi_i)
 
 
 def shape_params(x_mat):

@@ -15,7 +15,7 @@ import pytest
 from conftest import (assemble_one, build_example1_system,
                       build_example2_system, example1_reference_gains,
                       example1_reference_params, example2_stabilizing_gains,
-                      example2_reference_params, shape_params)
+                      example2_reference_params, lone_system, shape_params)
 from it2mpc.linalg import is_nsd, min_eig, sym_eig
 from it2mpc.lmis import (assemble_containment, assemble_decrease,
                          assemble_invariance)
@@ -221,7 +221,8 @@ class TestNumericsCriterion:
             w, v = sym_eig(a)
             resid = float(np.abs(a @ v - v * w).max())
             worst = max(worst, resid / max(1.0, float(np.abs(a).max())))
-        boundary = assemble_containment(shape_params(np.eye(2)), (0,),
+        boundary = assemble_containment(lone_system(2),
+                                        shape_params(np.eye(2)), (0,),
                                         np.array([[1.0, 0.0]]), [1.0])
         boundary_eig = abs(min_eig(boundary.matrix[0]))
         ok = worst <= 1e-9 and boundary_eig <= 1e-10

@@ -2,13 +2,15 @@ import importlib
 import json
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import tiny_config_doc
+from conftest import build_tiny_system, tiny_config_doc
 from it2mpc.cli import main
+from it2mpc.configio import load_certificate
 from it2mpc.tracefile import read_trace
 
 
@@ -173,14 +175,40 @@ class TestSynthesizeVerifyRpi:
         assert doc["worst"] == 34.60959171020022
 
     def test_verify_tol_loosens_verdict(self, capsys, tiny_path, tmp_path):
+        # at half the set size x0 leaves the set, but the size still covers
+        # the disturbance budget N eta^2 = 0.05
         cert = tmp_path / "cert.json"
+        run_cli(capsys, "synthesize", str(tiny_path), "--out", str(cert))
+        doc = json.loads(cert.read_text())
+        doc["xi"] = [x * 0.5 for x in doc["xi"]]
+        cert.write_text(json.dumps(doc))
+        rc, _, _ = run_cli(capsys, "verify", str(tiny_path),
+                           "--gains", str(cert))
+        assert rc == 2
+        rc, _, _ = run_cli(capsys, "verify", str(tiny_path),
+                           "--gains", str(cert), "--tol", "1e9")
+        assert rc == 0
+
+    def test_verify_refuses_a_set_size_below_the_budget(self, capsys,
+                                                       tiny_path, tmp_path):
+        # xi = 0.0095 < N eta^2 = 0.05: no tolerance passes it, the report
+        # file records it and the diagnostic names subsystem 1
+        cert, report = tmp_path / "cert.json", tmp_path / "report.json"
         run_cli(capsys, "synthesize", str(tiny_path), "--out", str(cert))
         doc = json.loads(cert.read_text())
         doc["xi"] = [x * 0.01 for x in doc["xi"]]
         cert.write_text(json.dumps(doc))
-        rc, _, _ = run_cli(capsys, "verify", str(tiny_path),
-                           "--gains", str(cert), "--tol", "1e9")
-        assert rc == 0
+        rc, stdout, stderr = run_cli(capsys, "verify", str(tiny_path),
+                                     "--gains", str(cert), "--tol", "1e9",
+                                     "--out", str(report))
+        assert rc == 2
+        assert "below its disturbance budget" in stdout
+        assert "INFEASIBLE" in stdout
+        record = json.loads(stderr)
+        assert record["error"] == "infeasible"
+        assert record["message"].endswith("at subsystem(s) 1")
+        doc = json.loads(report.read_text())
+        assert doc["below_budget"] == [0] and doc["feasible"] is False
 
     def test_synthesis_margin_knobs_accepted(self, capsys, tiny_path,
                                              tmp_path):
@@ -206,6 +234,41 @@ class TestSynthesizeVerifyRpi:
         assert "per_subsystem mode" in stdout
         assert json.loads(cert.read_text())["meta"]["xi_mode"] == \
             "per_subsystem"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone, as under `| head -1` with
+    unbuffered output: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("verb", ["synthesize", "simulate", "verify"])
+def test_out_file_is_written_before_the_report(capsys, monkeypatch,
+                                               tiny_path, tmp_path, verb):
+    cert, out = tmp_path / "cert.json", tmp_path / "out"
+    if verb == "verify":
+        run_cli(capsys, "synthesize", str(tiny_path), "--out", str(cert))
+    argv = {"synthesize": ["--out", str(cert)],
+            "simulate": ["--steps", "3", "--out", str(out)],
+            "verify": ["--gains", str(cert), "--out", str(out)]}[verb]
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    rc = main([verb, str(tiny_path), *argv])
+    monkeypatch.undo()
+    # the exit code is still a runtime failure's, but the file is whole
+    assert rc == 4
+    assert "BrokenPipeError" in json.loads(capsys.readouterr().err)["message"]
+    if verb == "synthesize":
+        dv, _ = load_certificate(cert, build_tiny_system())
+        assert len(dv.xi) == 1
+    elif verb == "simulate":
+        assert read_trace(out)["data"].shape[0] == 3
+    else:
+        assert json.loads(out.read_text())["feasible"] is True
 
 
 class TestUsageErrors:

@@ -1,13 +1,14 @@
-"""The containment rows, one stacked pass per group of equal-shape X_i,
-bit for bit against the per-subsystem assembly.
+"""The containment rows, one stacked pass per layout group
+(system.layout_groups), bit for bit against the per-subsystem assembly.
 
 Per subsystem, the reference is assemble_containment on constants that
 hold X_i alone, a one-member stack, with one eigvalsh for the margin, and
 sqrt(x' X_i x) for the set-size floor.
 The stacked pass must give the same keys in the same order and the same
 values as float hex, on the bundled configs, the benchmark's stored
-certificate, random states, and a plant whose X_i have two shapes (so two
-groups, their members interleaved)."""
+certificate, random states, a plant whose X_i have two shapes (so two
+groups, their members interleaved) and a plant of equal-shape X_i in two
+layout groups."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -21,10 +22,11 @@ from it2mpc.linalg import quad_form
 from it2mpc.lmis import (DecisionVars, FixedParams, assemble_containment,
                          containment_sizes)
 from it2mpc.plant import LargeScaleSystem
+from it2mpc import synthesis
 from it2mpc.synthesis import (FixedGainEvaluator, SynthesisConfig,
                               certificate_margins, minimize_xi)
 
-from conftest import own_containment_block
+from conftest import lone_system, own_containment_block, two_layout_groups
 from test_plant_groups import build_plant
 
 FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -70,11 +72,12 @@ def _check(system, params, dv, x_all):
         evaluator.margins(dv.xi)
     assert got == certificate_margins(system, params, dv, x_all, cfg)
 
-    assert _hex(containment_sizes(params, x_all)) == \
-        _hex(_per_subsystem_sizes(params, x_all))
+    sizes = _hex(containment_sizes(system, params, x_all))
+    assert sizes == _hex(_per_subsystem_sizes(params, x_all))
     # each size is that of its subsystem's own one-member stack
-    assert _hex(containment_sizes(params, x_all)) == _hex(
-        containment_sizes(replace(params, X=(x,)), [v])[0]
+    assert sizes == _hex(
+        containment_sizes(lone_system(len(x)), replace(params, X=(x,)),
+                          [v])[0]
         for x, v in zip(params.X, x_all))
 
 
@@ -145,25 +148,61 @@ def _two_shape_plant():
 
 def test_two_groups():
     system, params, gains, rng = _two_shape_plant()
-    assert params.x_groups == ((0, 2), (1, 3))
+    assert system.layout_groups == ((0, 2), (1, 3))
     for draw in range(6):
         x_all = _random_states(params, rng, 10.0 ** (draw - 3))
         xi = rng.uniform(0.05, 20.0, params.n_subsystems)
         _check(system, params, DecisionVars(gains=gains, xi=xi), x_all)
 
 
+def test_equal_shapes_in_two_layout_groups():
+    system, params, dv, x0 = two_layout_groups()
+    assert system.layout_groups == ((0,), (1, 2))
+    rng = np.random.default_rng(5)
+    for draw in range(6):
+        x_all = x0 if draw == 0 else _random_states(params, rng,
+                                                    10.0 ** (draw - 3))
+        xi = rng.uniform(0.05, 20.0, params.n_subsystems)
+        _check(system, params, DecisionVars(gains=dv.gains, xi=xi), x_all)
+
+
+@pytest.mark.parametrize("plant", ["two_shapes", "two_layouts"])
+def test_one_containment_assembly_per_layout_group(plant, monkeypatch):
+    if plant == "two_shapes":
+        system, params, gains, rng = _two_shape_plant()
+        dv = DecisionVars(gains=gains, xi=[1.0] * params.n_subsystems)
+        x_all = _random_states(params, rng, 1.0)
+    else:
+        system, params, dv, x_all = two_layout_groups()
+    evaluator = FixedGainEvaluator(system, params, dv, SynthesisConfig())
+    seen = []
+
+    def counted(system, params, members, x, xi):
+        seen.append(members)
+        return assemble_containment(system, params, members, x, xi)
+
+    monkeypatch.setattr(synthesis, "assemble_containment", counted)
+    for _ in range(2):
+        evaluator.margins(dv.xi, x_all)
+        assert seen == list(system.layout_groups)
+        seen.clear()
+
+
 def test_group_instance_stacks_the_members_blocks():
-    _, params, _, rng = _two_shape_plant()
+    system, params, _, rng = _two_shape_plant()
     x_all = _random_states(params, rng, 1.0)
     xi = rng.uniform(0.05, 20.0, params.n_subsystems)
-    for members, x in zip(params.x_groups, params.group_stacks(x_all)):
-        inst = assemble_containment(params, members, x, xi[list(members)])
+    for members in system.layout_groups:
+        x = np.array([x_all[i] for i in members])
+        inst = assemble_containment(system, params, members, x,
+                                    xi[list(members)])
         assert inst.subsystem == members
         for i, mat in zip(members, inst.matrix):
             np.testing.assert_array_equal(
                 mat, own_containment_block(params, i, x_all[i], xi[i]))
-    # a subsystem index, or a tuple that is no group, is refused by name
+    # a subsystem index, or a tuple within no one group, is refused by name
     for members in (0, (0, 1), [0, 2]):
-        with pytest.raises(ValueError, match="no shape group.*params.x_groups"):
-            assemble_containment(params, members, np.zeros((2, 2)),
+        with pytest.raises(ValueError,
+                           match="no group of one layout.*layout_groups"):
+            assemble_containment(system, params, members, np.zeros((2, 2)),
                                  [1.0, 1.0])

@@ -21,6 +21,8 @@ from it2mpc.linalg import (
 )
 from it2mpc.lmis import FixedParams
 
+from conftest import containment_block
+
 
 def random_symmetric(rng, n, scale=1.0):
     a = rng.standard_normal((n, n)) * scale
@@ -251,7 +253,7 @@ class TestSchurReduce:
                                  M=[np.eye(1)], tau=[1.0], Q=np.eye(2),
                                  R=np.eye(1))
             for call in (lambda: schur_reduce(m, split=1),
-                         lambda: params.shape_inverses):
+                         lambda: containment_block(params, np.zeros(2), 1.0)):
                 if want:
                     with pytest.raises(SingularBlockError):
                         call()

@@ -42,8 +42,8 @@ from it2mpc.membership import IT2MembershipFamily, SigmoidMF
 from it2mpc.plant import LargeScaleSystem, Rule, Subsystem
 
 from conftest import (assemble_one, build_example1_system, build_tiny_system,
-                      example1_reference_gains, example1_reference_params,
-                      shape_params, tiny_params)
+                      containment_block, example1_reference_gains,
+                      example1_reference_params, shape_params, tiny_params)
 
 
 # ---------------------------------------------------------------- helpers
@@ -839,13 +839,13 @@ class TestStrictBasis:
 
 class TestContainment:
     def test_boundary_state_sits_at_zero_eigenvalue(self):
-        inst = assemble_containment(shape_params(np.eye(2)), (0,),
-                                    np.array([[1.0, 0.0]]), [1.0])
+        block = containment_block(shape_params(np.eye(2)),
+                                  np.array([1.0, 0.0]), 1.0)
         expected = np.array([[1.0, 1.0, 0.0],
                              [1.0, 1.0, 0.0],
                              [0.0, 0.0, 1.0]])
-        np.testing.assert_array_equal(inst.matrix[0], expected)
-        assert abs(min_eig(inst.matrix[0])) <= 1e-10
+        np.testing.assert_array_equal(block, expected)
+        assert abs(min_eig(block)) <= 1e-10
 
     def test_verdict_matches_ellipsoid_level(self):
         rng = np.random.default_rng(61)
@@ -858,15 +858,15 @@ class TestContainment:
             # rescale the state clearly inside or clearly outside
             target = 0.5 * xi if rng.random() < 0.5 else 1.5 * xi
             x = x * np.sqrt(target / level)
-            inst = assemble_containment(shape_params(x_mat), (0,), [x], [xi])
+            block = containment_block(shape_params(x_mat), x, xi)
             inside = float(x @ (x_mat / xi) @ x) <= xi
-            assert is_psd(inst.matrix[0]) == inside
+            assert is_psd(block) == inside
 
     def test_singular_shape_matrix_raises(self):
         for x_mat in (np.diag([1.0, 0.0]), np.diag([1.0, 1e-14])):
             with pytest.raises(SingularBlockError):
-                assemble_containment(shape_params(x_mat), (0,),
-                                     np.array([[1.0, 0.0]]), [1.0])
+                containment_block(shape_params(x_mat),
+                                  np.array([1.0, 0.0]), 1.0)
 
 
 class TestFixedParamsValidation:
@@ -1007,12 +1007,13 @@ class TestReferenceConstantsInfeasibility:
         x0 = np.array([1.0, -1.0])
         need = float(np.sqrt(x0 @ params.X[0] @ x0))
         assert need == pytest.approx(np.sqrt(0.03), rel=1e-12)
-        # subsystem 0's block of its shape group's stack, every member at x0
-        members = next(g for g in params.x_groups if 0 in g)
+        # subsystem 0's block of its layout group's stack, every member at x0
+        system = build_example1_system()
+        members = next(g for g in system.layout_groups if 0 in g)
         x, row = [x0] * len(members), members.index(0)
-        below = assemble_containment(params, members, x,
+        below = assemble_containment(system, params, members, x,
                                      [need * 0.999] * len(members))
-        above = assemble_containment(params, members, x,
+        above = assemble_containment(system, params, members, x,
                                      [need * 1.001] * len(members))
         assert not is_psd(below.matrix[row])
         assert is_psd(above.matrix[row])

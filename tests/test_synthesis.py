@@ -629,7 +629,7 @@ class TestFloors:
         assert floors == budget_floors(system, params, x_all)
         budgets = [n * sub.eta ** 2
                    for n, sub in zip(params.N_const, system.subsystems)]
-        sizes = containment_sizes(params, x_all)
+        sizes = containment_sizes(system, params, x_all)
         for i, (floor, budget, size) in enumerate(zip(floors, budgets,
                                                       sizes)):
             assert floor == max(size, budget)
@@ -853,6 +853,25 @@ class TestVerifyCertificate:
         with pytest.raises(ValueError, match="gains must have one list per "
                                              "set size: 2 for 3 sizes"):
             verify_certificate(cfg.system, cfg.params, short)
+
+    def test_set_size_below_the_disturbance_budget_is_refused(self):
+        # cold per-subsystem gains hold every condition down to a set size
+        # below subsystem 0's budget N eta^2 = 0.8; at 0.78 that certificate
+        # covers only d'd <= 0.039 < eta^2 = 0.04, so it is not feasible
+        cfg = load_bundled_config("example1_synthesis")
+        system, params = cfg.system, cfg.params
+        dv = minimize_xi(system, params, cfg.simulation.x0, cfg.synthesis,
+                         mode="per_subsystem").dv
+        budgets = synthesis._budgets(system, params)
+        assert budgets == [n * sub.eta ** 2 for n, sub in
+                           zip(params.N_const, system.subsystems)]
+        for xi_0, below in ((0.78, [0]), (budgets[0], [])):
+            report = verify_certificate(
+                system, params, DecisionVars(dv.gains, (xi_0,) + dv.xi[1:]),
+                None, cfg.synthesis)
+            assert report["worst"] <= 0.0
+            assert report["below_budget"] == below
+            assert report["feasible"] is not below
 
     def test_fixture_worst_is_a_row_that_binds(self):
         # the stored certificate predates the retired input certificate Z:

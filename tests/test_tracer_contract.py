@@ -85,7 +85,7 @@ def test_every_step_loop_reaches_the_traced_layers(tracer,
                   "plant.step", "membership.grades"):
         assert calls[layer] > 0, layer
     # one stacked containment assembly per step and group of equal-shape X_i
-    assert len(cfg.params.x_groups) == 1
+    assert len(cfg.system.layout_groups) == 1
     assert calls["lmis.containment"] == 3
     # the stored gains' evaluator is built once, before the first step (one
     # layout group x 2 families), and every step keeps it: none is rebuilt

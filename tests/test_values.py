@@ -148,7 +148,8 @@ class TestFrozen:
 @pytest.mark.parametrize("name", bundled_config_names())
 class TestTables:
     def test_constants_tables(self, name):
-        params = load_bundled_config(name).params
+        cfg = load_bundled_config(name)
+        system, params = cfg.system, cfg.params
         for i, x in enumerate(params.X):
             np.testing.assert_array_equal(
                 params.x_eigs[i], np.linalg.eigvalsh(sym_matrix(x)))
@@ -158,14 +159,13 @@ class TestTables:
             np.testing.assert_array_equal(
                 params.x_inv_sqrt[i], eig.vectors @ np.diag(
                     1.0 / np.sqrt(eig.values)) @ eig.vectors.T)
-        # built once, per group of equal-shape X_i; x_inv views the stacks
-        assert params.shape_inverses is params.x_inv_stacks
-        for members, x_mat, inv in zip(params.x_groups, params.x_stacks,
-                                       params.x_inv_stacks):
+        # each layout's X_i^{-1} stack holds the table's entries
+        for members in system.layout_groups:
+            layout = lmis._layout(system, params, members)
             np.testing.assert_array_equal(
-                x_mat, np.array([params.X[i] for i in members]))
-            for i, inv_i in zip(members, inv):
-                assert np.shares_memory(params.x_inv[i], inv_i)
+                layout.x, np.array([params.X[i] for i in members]))
+            for i, inv_i in zip(members, layout.x_inv):
+                np.testing.assert_array_equal(inv_i, params.x_inv[i])
 
     def test_coupling_tables(self, name):
         for sub in load_bundled_config(name).system.subsystems:
